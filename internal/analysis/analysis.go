@@ -12,8 +12,8 @@
 // analysis") documents the discipline they enforce.
 //
 // Two tiers of analyzer share the harness. Per-package rules walk one
-// package's ASTs (lockdiscipline, lockcopy, goroleak, errdrop,
-// invariantcall, timerchurn, tagparity). Interprocedural rules (lockorder,
+// package's ASTs (lockdiscipline, goroleak, errdrop, invariantcall,
+// timerchurn, tagparity). Interprocedural rules (lockorder,
 // holdblock) consult a Program: a whole-load static call graph with
 // per-function summaries of mutexes acquired and blocking operations
 // reached, built once per run and shared by every package's pass.
@@ -110,7 +110,6 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 func All() []*Analyzer {
 	return []*Analyzer{
 		LockDiscipline,
-		LockCopy,
 		GoroLeak,
 		ErrDrop,
 		InvariantCall,

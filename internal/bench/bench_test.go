@@ -148,7 +148,6 @@ func TestRegistryCoversAllFiguresAndTables(t *testing.T) {
 	want := []string{
 		"table2", "table3", "fig5", "fig6", "fig7", "fig8", "fig9",
 		"case1", "case2", "mixes", "ablation-groupcommit", "ablation-overhead",
-		"step1",
 	}
 	have := map[string]bool{}
 	for _, e := range Experiments() {
@@ -204,23 +203,5 @@ func TestClassify(t *testing.T) {
 	}
 	if classify(base, 0) != "light" {
 		t.Error("zero baseline")
-	}
-}
-
-func TestStep1AblationSmoke(t *testing.T) {
-	tbl, err := Step1(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4 legs", len(tbl.Rows))
-	}
-	var buf bytes.Buffer
-	tbl.Fprint(&buf)
-	out := buf.String()
-	for _, leg := range []string{"monolithic", "pipelined/16", "pipelined/64", "pipelined/256"} {
-		if !strings.Contains(out, leg) {
-			t.Errorf("output missing %s leg:\n%s", leg, out)
-		}
 	}
 }

@@ -83,14 +83,6 @@ func Experiments() []Experiment {
 			t.Fprint(w)
 			return nil
 		}},
-		{"step1", "snapshot transfer ablation: monolithic vs pipelined chunk sweep (extra, not a paper figure)", func(cfg Config, w io.Writer) error {
-			t, err := Step1(cfg)
-			if err != nil {
-				return err
-			}
-			t.Fprint(w)
-			return nil
-		}},
 		{"recovery", "crash-recovery ablation: recovery time and replayed WAL bytes vs checkpoint interval (extra, not a paper figure)", func(cfg Config, w io.Writer) error {
 			t, err := Recovery(cfg)
 			if err != nil {
@@ -101,14 +93,6 @@ func Experiments() []Experiment {
 		}},
 		{"ablation-overhead", "middleware worker overhead in normal processing", func(cfg Config, w io.Writer) error {
 			t, err := AblationMiddlewareOverhead(cfg)
-			if err != nil {
-				return err
-			}
-			t.Fprint(w)
-			return nil
-		}},
-		{"hotpath", "hot-path sharding ablation: striped MVCC + parse cache vs unsharded baseline (extra, not a paper figure)", func(cfg Config, w io.Writer) error {
-			t, err := AblationHotpath(cfg)
 			if err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -354,6 +355,14 @@ func TestMigrateIdleTenantAllStrategies(t *testing.T) {
 // The think time matters: the paper's EBs pace themselves, and a baseline
 // like B-ALL genuinely cannot catch up with an unthrottled closed loop.
 func loadgen(t *testing.T, rig *testRig, tenant string, id int, think time.Duration, stop chan struct{}, done chan int) {
+	loadgenN(t, rig, tenant, id, think, 0, stop, done)
+}
+
+// loadgenN is loadgen bounded to limit transaction attempts (0 = until
+// stop): tests that assert a propagation mechanism rather than a rate use
+// it so that catch-up is certain once the writers run dry, however slow
+// the slave is on this host.
+func loadgenN(t *testing.T, rig *testRig, tenant string, id int, think time.Duration, limit int, stop chan struct{}, done chan int) {
 	stopped := func() bool {
 		select {
 		case <-stop:
@@ -373,7 +382,7 @@ func loadgen(t *testing.T, rig *testRig, tenant string, id int, think time.Durat
 	defer c.Close()
 	commits := 0
 	i := 0
-	for !stopped() {
+	for !stopped() && (limit == 0 || i < limit) {
 		i++
 		row := (id*131 + i*7) % 120
 		if _, err := c.Exec("BEGIN"); err != nil {
@@ -415,6 +424,44 @@ func loadgen(t *testing.T, rig *testRig, tenant string, id int, think time.Durat
 	done <- commits
 }
 
+// startWriters launches n loadgenN writers against tenant and returns the
+// function that stops them, waits for every one to exit, and reports their
+// total commits. The same function is registered with t.Cleanup before the
+// caller can fail: a writer that outlives its test calls t.Errorf on a
+// finished test, which panics the whole package binary. It returns once
+// each writer has committed, so the load is under way, not merely started.
+func startWriters(t *testing.T, rig *testRig, tenant string, n int, think time.Duration, limit int) (stopAndCount func() int) {
+	t.Helper()
+	tn, ok := rig.mw.Tenant(tenant)
+	if !ok {
+		t.Fatalf("no tenant %q", tenant)
+	}
+	base := tn.MLC()
+	stop := make(chan struct{})
+	done := make(chan int, n)
+	for w := 0; w < n; w++ {
+		go loadgenN(t, rig, tenant, w, think, limit, stop, done)
+	}
+	var once sync.Once
+	total := 0
+	stopAndCount = func() int {
+		once.Do(func() {
+			close(stop)
+			for w := 0; w < n; w++ {
+				total += <-done
+			}
+		})
+		return total
+	}
+	t.Cleanup(func() { stopAndCount() })
+	for deadline := time.Now().Add(10 * time.Second); tn.MLC() < base+uint64(n); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("writers committed %d transactions in 10s, want %d", tn.MLC()-base, n)
+		}
+	}
+	return stopAndCount
+}
+
 func TestMigrateUnderLoadAllStrategiesConsistent(t *testing.T) {
 	for _, st := range Strategies() {
 		t.Run(st.String(), func(t *testing.T) {
@@ -423,13 +470,10 @@ func TestMigrateUnderLoadAllStrategiesConsistent(t *testing.T) {
 			})
 			rig.provision(t, "a", 120)
 
-			const writers = 4
-			stop := make(chan struct{})
-			done := make(chan int, writers)
-			for w := 0; w < writers; w++ {
-				go loadgen(t, rig, "a", w, 10*time.Millisecond, stop, done)
-			}
-			time.Sleep(50 * time.Millisecond) // build up some load
+			// Bounded work that outlasts a migration which keeps up (~0.6s):
+			// B-CON's modelled commit convoy may fall behind a free-running
+			// master on a small host, and still has to converge.
+			stopWriters := startWriters(t, rig, "a", 4, 10*time.Millisecond, 150)
 
 			rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: st, KeepSource: true})
 			if err != nil {
@@ -439,11 +483,7 @@ func TestMigrateUnderLoadAllStrategiesConsistent(t *testing.T) {
 			// Writers keep going against the new master, proving
 			// switch-over; then stop and verify.
 			time.Sleep(50 * time.Millisecond)
-			close(stop)
-			total := 0
-			for w := 0; w < writers; w++ {
-				total += <-done
-			}
+			total := stopWriters()
 			if total == 0 {
 				t.Fatal("no transactions committed during the test")
 			}
@@ -489,18 +529,13 @@ func TestMadeusGroupCommitDuringMigration(t *testing.T) {
 	})
 	rig.provision(t, "a", 120)
 
+	// A fixed amount of work per writer, long enough to span Step 3: the
+	// group size is a property of the propagation mechanism, not of how
+	// fast this host's slave runs against a free-running master.
 	const writers = 8
-	stop := make(chan struct{})
-	done := make(chan int, writers)
-	for w := 0; w < writers; w++ {
-		go loadgen(t, rig, "a", w, time.Millisecond, stop, done)
-	}
-	time.Sleep(50 * time.Millisecond)
+	stopWriters := startWriters(t, rig, "a", writers, time.Millisecond, 150)
 	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: Madeus})
-	close(stop)
-	for w := 0; w < writers; w++ {
-		<-done
-	}
+	stopWriters()
 	if err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
@@ -515,20 +550,17 @@ func TestBConNeverGroupsCommits(t *testing.T) {
 		WAL: wal.Options{SyncDelay: 200 * time.Microsecond, Mode: wal.GroupCommit},
 	})
 	rig.provision(t, "a", 120)
-	const writers = 6
-	stop := make(chan struct{})
-	done := make(chan int, writers)
-	for w := 0; w < writers; w++ {
-		go loadgen(t, rig, "a", w, 2*time.Millisecond, stop, done)
-	}
-	time.Sleep(50 * time.Millisecond)
+	// Bounded work (see TestMadeusGroupCommitDuringMigration): B-CON's
+	// serial commits may lag the master on a small host, and must still
+	// converge once the writers run dry.
+	stopWriters := startWriters(t, rig, "a", 6, 2*time.Millisecond, 150)
 	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: BCon})
-	close(stop)
-	for w := 0; w < writers; w++ {
-		<-done
-	}
+	stopWriters()
 	if err != nil {
 		t.Fatalf("migrate: %v", err)
+	}
+	if len(rep.Propagation.CommitGroups) == 0 {
+		t.Fatal("no commit propagated during the migration; the assertion below would be vacuous")
 	}
 	for _, g := range rep.Propagation.CommitGroups {
 		if g != 1 {

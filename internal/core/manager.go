@@ -10,7 +10,6 @@ import (
 	"madeus/internal/fault"
 	"madeus/internal/flow"
 	"madeus/internal/obs"
-	"madeus/internal/sqlmini"
 	"madeus/internal/wire"
 )
 
@@ -82,14 +81,6 @@ type MigrateOptions struct {
 	// ChunkStatements is the statements-per-chunk of the pipelined Step-1
 	// snapshot stream. Defaults to 64.
 	ChunkStatements int
-	// RestoreAppliers is how many parallel appliers each slave runs while
-	// restoring the chunk stream. Defaults to 4.
-	RestoreAppliers int
-	// MonolithicDump reverts Step 1 to the pre-pipelining behavior — the
-	// whole dump materialized as one wire response, restored only after
-	// the last row arrived. Kept for the benchrunner `step1` ablation and
-	// as an escape hatch.
-	MonolithicDump bool
 
 	// trace is the migration's wire trace context, set by Migrate once the
 	// MTS is known and applied by connectRetry to every destination session
@@ -135,7 +126,6 @@ type Report struct {
 	// Chunks and PeakTransferBytes describe the pipelined Step-1 stream:
 	// how many chunks the snapshot shipped in and the high-water mark of
 	// resident transfer memory (bounded by flow.Config.MaxTransferBytes).
-	// Zero on monolithic-dump migrations.
 	Chunks            int
 	PeakTransferBytes int64
 
@@ -221,9 +211,6 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	}
 	if opts.ChunkStatements <= 0 {
 		opts.ChunkStatements = defaultChunkStatements
-	}
-	if opts.RestoreAppliers <= 0 {
-		opts.RestoreAppliers = defaultRestoreAppliers
 	}
 	// Flow-layer knobs: one config snapshot governs the whole attempt, so
 	// a concurrent FLOW SET cannot change the rules mid-migration.
@@ -348,65 +335,25 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 		return fail("step1.snapshot", ferr)
 	}
 
-	// restoreFailed collects per-slave restore errors from whichever path
-	// ran; the Sec 4.2 discard rule below applies to both.
-	restoreFailed := make(map[Backend]error)
-	if opts.MonolithicDump {
-		// Pre-pipelining path (the `step1` ablation's baseline): the whole
-		// dump materializes as one wire response, and restores begin only
-		// after the last row arrived.
-		dump, err := ctl.Exec("DUMP")
-		if err != nil {
-			return fail("step1.snapshot", err)
-		}
-		if _, err := ctl.Exec("COMMIT"); err != nil {
-			return fail("step1.snapshot", err)
-		}
-		rep.SnapshotTime = time.Since(phase)
-		dumpSpan.End(obs.F("rows", len(dump.Rows)))
-
-		// --- Step 2: create the slaves (in parallel when backups exist) ---
-		t.setProgress("step2.restore", nil)
-		phase = time.Now()
-		restoreSpan := obs.Trace.Start(tenantName, "step2.restore")
-		type restoreResult struct {
-			sl  Backend
-			err error
-		}
-		restoreErrs := make(chan restoreResult, len(slaves))
-		for _, sl := range slaves {
-			go func(sl Backend) {
-				restoreErrs <- restoreResult{sl, restoreSlave(sl, tenantName, dump.Rows, opts)}
-			}(sl)
-		}
-		for range slaves {
-			if r := <-restoreErrs; r.err != nil {
-				restoreFailed[r.sl] = r.err
-			}
-		}
-		rep.RestoreTime = time.Since(phase)
-		restoreSpan.End(obs.F("slaves", len(slaves)-len(restoreFailed)))
-	} else {
-		// Pipelined path: dump, transfer, and restore overlap in a
-		// three-stage pipeline; resident transfer memory is capped by the
-		// flow layer's budget (see step1.go).
-		t.setProgress("step2.restore", nil)
-		restoreSpan := obs.Trace.Start(tenantName, "step2.restore")
-		budget := flow.NewTransferBudget(fcfg.MaxTransferBytes)
-		pr := pipelineSnapshot(ctl, tenantName, slaves, opts, budget)
-		rep.SnapshotTime = pr.dumpTime
-		rep.RestoreTime = time.Since(phase)
-		rep.Chunks = pr.chunks
-		rep.PeakTransferBytes = pr.peakBytes
-		dumpSpan.End(obs.F("chunks", pr.chunks), obs.F("stmts", pr.stmts),
-			obs.F("peakBytes", pr.peakBytes))
-		if pr.streamErr != nil {
-			restoreSpan.End(obs.F("err", pr.streamErr))
-			return fail("step1.snapshot", pr.streamErr)
-		}
-		restoreFailed = pr.slaveErr
-		restoreSpan.End(obs.F("slaves", len(slaves)-len(restoreFailed)))
+	// Steps 1 and 2 overlap: dump, transfer, and restore run as a
+	// three-stage pipeline whose resident transfer memory is capped by the
+	// flow layer's budget (see step1.go).
+	t.setProgress("step2.restore", nil)
+	restoreSpan := obs.Trace.Start(tenantName, "step2.restore")
+	budget := flow.NewTransferBudget(fcfg.MaxTransferBytes)
+	pr := pipelineSnapshot(ctl, tenantName, slaves, opts, budget)
+	rep.SnapshotTime = pr.dumpTime
+	rep.RestoreTime = time.Since(phase)
+	rep.Chunks = pr.chunks
+	rep.PeakTransferBytes = pr.peakBytes
+	dumpSpan.End(obs.F("chunks", pr.chunks), obs.F("stmts", pr.stmts),
+		obs.F("peakBytes", pr.peakBytes))
+	if pr.streamErr != nil {
+		restoreSpan.End(obs.F("err", pr.streamErr))
+		return fail("step1.snapshot", pr.streamErr)
 	}
+	restoreFailed := pr.slaveErr
+	restoreSpan.End(obs.F("slaves", len(slaves)-len(restoreFailed)))
 	if len(restoreFailed) > 0 {
 		// A failed restore discards that slave; survivors carry the
 		// migration (the paper's Sec 4.2 discard rule applied to
@@ -622,30 +569,6 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 		dropDatabase(sl, tenantName)
 	}
 	return rep, nil
-}
-
-// restoreSlave creates the tenant database on a slave node and replays the
-// dump script into it. The dial retries transient failures per the
-// migration's retry policy — restoring onto a briefly-partitioned node
-// succeeds once the partition heals within the backoff schedule.
-func restoreSlave(sl Backend, tenant string, rows [][]sqlmini.Value, opts MigrateOptions) error {
-	if ferr := fault.Inject(faultStep2Restore); ferr != nil {
-		return ferr
-	}
-	if err := createFreshDatabase(sl, tenant); err != nil {
-		return err
-	}
-	restore, err := connectRetry(sl, tenant, faultRestoreDial, opts)
-	if err != nil {
-		return err
-	}
-	defer restore.Close()
-	for _, row := range rows {
-		if _, err := restore.Exec(row[0].Str); err != nil {
-			return fmt.Errorf("core: restore on %s: %w", sl.BackendName(), err)
-		}
-	}
-	return nil
 }
 
 // probePromotion asks a switch-over candidate to acknowledge promotion:

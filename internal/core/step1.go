@@ -23,10 +23,10 @@ const (
 	faultStep1Restore = "core.step1.restore"
 )
 
-// Pipeline defaults (MigrateOptions overrides).
+// Pipeline shape. Only the chunk size has a MigrateOptions override.
 const (
 	defaultChunkStatements = 64 // statements per dump chunk
-	defaultRestoreAppliers = 4  // parallel appliers per slave
+	restoreAppliers        = 4  // parallel appliers per slave
 	restoreQueueChunks     = 2  // per-slave bounded channel depth
 	// chunkStmtOverhead approximates the per-statement bookkeeping cost
 	// added to the SQL text when charging a chunk against the transfer
@@ -37,7 +37,7 @@ const (
 // errAllSlavesDead aborts the producer once every slave's restore failed.
 // It is not a source-side failure: pipelineSnapshot strips it from
 // streamErr so Migrate attributes the rollback to Step 2 (the slave
-// errors), exactly like the monolithic path would.
+// errors).
 var errAllSlavesDead = errors.New("core: every slave failed during restore")
 
 // step1Chunk is one bounded batch of dump statements in flight between the
@@ -81,10 +81,9 @@ type slaveRun struct {
 	err  error
 }
 
-// pipelineSnapshot is the pipelined form of Step 1 + Step 2: a three-stage
-// pipeline (dump → transfer → restore) replacing the monolithic
-// dump-everything-then-restore sequence. ctl must hold the open dump
-// transaction with its snapshot already pinned.
+// pipelineSnapshot is Step 1 + Step 2 as one three-stage pipeline
+// (dump → transfer → restore). ctl must hold the open dump transaction
+// with its snapshot already pinned.
 //
 //	stage 1  the source session streams bounded statement chunks
 //	         (DUMP STREAM over the wire's multi-frame response)
@@ -208,12 +207,12 @@ type applyAck struct {
 }
 
 // restoreStream restores one slave from the chunk stream: a dispatcher
-// feeds nAppliers parallel appliers (each with its own connection, each
+// feeds restoreAppliers parallel appliers (each with its own connection, each
 // chunk one transaction) and folds their completions into a single ordered
 // acknowledgement cursor — chunk k counts as restored only once chunks
 // 0..k have all committed. Chunks containing DDL are barriers: the
 // dispatcher waits out every in-flight chunk, then applies the DDL
-// serially on its own connection, exactly like the monolithic restore did.
+// serially on its own connection.
 func restoreStream(sr *slaveRun, tenant string, opts MigrateOptions) error {
 	if ferr := fault.Inject(faultStep2Restore); ferr != nil {
 		return ferr
@@ -226,13 +225,13 @@ func restoreStream(sr *slaveRun, tenant string, opts MigrateOptions) error {
 		return err
 	}
 	defer ctl.Close()
-	conns := make([]*wire.Client, 0, opts.RestoreAppliers)
+	conns := make([]*wire.Client, 0, restoreAppliers)
 	defer func() {
 		for _, cn := range conns {
 			cn.Close()
 		}
 	}()
-	for i := 0; i < opts.RestoreAppliers; i++ {
+	for i := 0; i < restoreAppliers; i++ {
 		cn, err := connectRetry(sr.sl, tenant, "", opts)
 		if err != nil {
 			return err
@@ -365,7 +364,7 @@ func applyChunkTxn(cn *wire.Client, c *step1Chunk) error {
 }
 
 // applyChunkSerial applies a DDL-bearing chunk statement by statement in
-// autocommit, matching the monolithic restore's DDL semantics.
+// autocommit: DDL is not transactional in the engine.
 func applyChunkSerial(cn *wire.Client, c *step1Chunk) error {
 	if ferr := fault.Inject(faultStep1Restore); ferr != nil {
 		return ferr

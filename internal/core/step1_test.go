@@ -7,7 +7,7 @@ import (
 	"madeus/internal/flow"
 )
 
-// TestPipelinedMigrateReportsChunks: the default (pipelined) Step 1 moves a
+// TestPipelinedMigrateReportsChunks: the pipelined Step 1 moves a
 // tenant correctly and reports its chunk count and peak resident transfer
 // bytes.
 func TestPipelinedMigrateReportsChunks(t *testing.T) {
@@ -32,29 +32,6 @@ func TestPipelinedMigrateReportsChunks(t *testing.T) {
 	dst, _ := rig.mw.Node("node1")
 	if s, d := sumBal(t, src, "a"), sumBal(t, dst, "a"); s != d || d != 200*100 {
 		t.Errorf("sums diverge after pipelined migrate: src=%d dst=%d", s, d)
-	}
-}
-
-// TestMonolithicDumpAblation: the pre-pipelining path stays available as
-// the benchmark baseline and reports no chunks.
-func TestMonolithicDumpAblation(t *testing.T) {
-	rig := newRig(t, 2, engine.Options{})
-	rig.provision(t, "a", 60)
-
-	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{
-		Strategy:       Madeus,
-		MonolithicDump: true,
-		KeepSource:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Chunks != 0 || rep.PeakTransferBytes != 0 {
-		t.Errorf("monolithic dump reported chunks=%d peak=%d", rep.Chunks, rep.PeakTransferBytes)
-	}
-	dst, _ := rig.mw.Node("node1")
-	if d := sumBal(t, dst, "a"); d != 60*100 {
-		t.Errorf("dest sum = %d", d)
 	}
 }
 

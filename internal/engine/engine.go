@@ -59,25 +59,10 @@ type Options struct {
 	// DataDir is set. Zero disables automatic checkpoints (explicit
 	// Checkpoint calls and the CHECKPOINT command still work).
 	CheckpointEvery time.Duration
-	// MVCCStripes is the stripe count for each tenant's transaction
-	// status table and row maps (rounded up to a power of two). 0 selects
-	// mvcc.DefaultStripes; 1 reproduces the unsharded layout (the hotpath
-	// ablation baseline).
-	MVCCStripes int
-	// ParseCacheSize bounds the per-tenant statement parse cache
-	// (entries). 0 selects DefaultParseCacheSize; negative disables
-	// caching entirely.
-	ParseCacheSize int
-	// LegacyReads restores the pre-sharding read path for Get/Scan —
-	// copy-on-read and per-scan key sorting (see mvcc.Manager.LegacyReads).
-	// Off by default: reads borrow the immutable stored rows and scans
-	// walk the presorted chain spine.
-	LegacyReads bool
 }
 
-// DefaultParseCacheSize is the per-tenant parse cache capacity when
-// Options.ParseCacheSize is zero.
-const DefaultParseCacheSize = 4096
+// parseCacheEntries is the per-tenant parse cache capacity.
+const parseCacheEntries = 4096
 
 // Engine is one DBMS instance ("node" in the paper's cluster).
 type Engine struct {
@@ -118,8 +103,7 @@ type Database struct {
 	mgr *mvcc.Manager
 
 	// pcache caches parsed statements by exact text; shared by every
-	// session of this tenant. nil when caching is disabled. Execution
-	// treats cached ASTs as immutable.
+	// session of this tenant. Execution treats cached ASTs as immutable.
 	pcache *sqlmini.Cache
 
 	mu     sync.RWMutex //madeusvet:lockrank database 32
@@ -147,22 +131,9 @@ func (db *Database) Stats() DBStats {
 	}
 }
 
-// ParseCacheStats snapshots the tenant's parse-cache counters (zero when
-// caching is disabled).
+// ParseCacheStats snapshots the tenant's parse-cache counters.
 func (db *Database) ParseCacheStats() sqlmini.CacheStats {
 	return db.pcache.Stats()
-}
-
-// parseCacheSize resolves the configured per-tenant cache capacity:
-// 0 → default, negative → disabled (NewCache returns nil for <= 0).
-func (e *Engine) parseCacheSize() int {
-	switch {
-	case e.opts.ParseCacheSize < 0:
-		return 0
-	case e.opts.ParseCacheSize == 0:
-		return DefaultParseCacheSize
-	}
-	return e.opts.ParseCacheSize
 }
 
 // noteCommit records a committed transaction.
@@ -297,17 +268,12 @@ func (e *Engine) CreateDatabase(name string) error {
 		if _, ok := e.dbs[name]; ok {
 			return fmt.Errorf("engine: database %q already exists", name)
 		}
-		stripes := e.opts.MVCCStripes
-		if stripes == 0 {
-			stripes = mvcc.DefaultStripes
-		}
-		mgr := mvcc.NewManagerStriped(stripes)
+		mgr := mvcc.NewManager()
 		mgr.LockTimeout = e.opts.LockTimeout
-		mgr.LegacyReads = e.opts.LegacyReads
 		e.dbs[name] = &Database{
 			Name:   name,
 			mgr:    mgr,
-			pcache: sqlmini.NewCache(e.parseCacheSize()),
+			pcache: sqlmini.NewCache(parseCacheEntries),
 			tables: make(map[string]*mvcc.Table),
 		}
 		return nil

@@ -105,42 +105,20 @@ func TestParseCacheDDLInvalidation(t *testing.T) {
 	}
 }
 
-// TestParseCacheDisabled runs a session with caching off; everything still
-// works and stats stay zero (the hotpath ablation's baseline leg).
-func TestParseCacheDisabled(t *testing.T) {
-	e := New(Options{LockTimeout: time.Second, ParseCacheSize: -1})
-	t.Cleanup(e.Close)
-	if err := e.CreateDatabase("shop"); err != nil {
-		t.Fatal(err)
-	}
-	s, _ := e.NewSession("shop")
-	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-	mustExec(t, s, "INSERT INTO t (id, v) VALUES (1, 7)")
-	for i := 0; i < 3; i++ {
-		res := mustExec(t, s, "SELECT v FROM t WHERE id = 1")
-		if res.Rows[0][0].Int != 7 {
-			t.Fatalf("v = %v", res.Rows[0][0])
-		}
-	}
-	if st := s.db.ParseCacheStats(); st.Hits != 0 || st.Misses != 0 || st.Len != 0 {
-		t.Errorf("disabled cache reported activity: %+v", st)
-	}
-}
-
 // TestParseCacheBoundedUnderChurn: distinct statement texts beyond the
 // cache capacity never grow the map past the bound.
 func TestParseCacheBoundedUnderChurn(t *testing.T) {
-	e := New(Options{LockTimeout: time.Second, ParseCacheSize: 32})
+	e := New(Options{LockTimeout: time.Second})
 	t.Cleanup(e.Close)
 	if err := e.CreateDatabase("shop"); err != nil {
 		t.Fatal(err)
 	}
 	s, _ := e.NewSession("shop")
 	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-	for i := 0; i < 500; i++ {
+	for i := 0; i < parseCacheEntries+500; i++ {
 		mustExec(t, s, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, %d)", i, i))
 	}
-	if st := s.db.ParseCacheStats(); st.Len > 32 {
-		t.Errorf("cache grew past capacity: %+v", st)
+	if st := s.db.ParseCacheStats(); st.Len != parseCacheEntries {
+		t.Errorf("cache len after churn = %d, want exactly the %d-entry bound: %+v", st.Len, parseCacheEntries, st)
 	}
 }

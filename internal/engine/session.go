@@ -315,22 +315,14 @@ func (s *Session) execMeta(sql string) (*Result, bool, error) {
 		}
 		s.ensureTxn()
 		return &Result{Tag: "SNAPSHOT"}, true, nil
-	case head == "DUMP" && len(fields) == 1:
-		script, err := s.Dump()
-		if err != nil {
-			return nil, true, err
-		}
-		res := &Result{Columns: []string{"statement"}, Tag: fmt.Sprintf("DUMP %d", len(script))}
-		for _, line := range script {
-			res.Rows = append(res.Rows, []sqlmini.Value{sqlmini.NewText(line)})
-		}
-		return res, true, nil
-	case head == "DUMP" && second == "STREAM":
-		// Non-streaming transport (a plain Exec, e.g. relayed through a
-		// middleware worker): chunking is a transport concern, so fall
-		// back to the full single-result dump.
-		if _, err := parseDumpChunk(fields); err != nil {
-			return nil, true, err
+	case head == "DUMP" && (len(fields) == 1 || second == "STREAM"):
+		// A plain Exec is a non-streaming transport (e.g. relayed through
+		// a middleware worker): chunking is a transport concern, so DUMP
+		// STREAM answers like DUMP, with the full single-result dump.
+		if second == "STREAM" {
+			if _, err := parseDumpChunk(fields); err != nil {
+				return nil, true, err
+			}
 		}
 		script, err := s.Dump()
 		if err != nil {

@@ -83,14 +83,6 @@ type Manager struct {
 	// with ErrLockTimeout. Zero selects a 2s default.
 	LockTimeout time.Duration
 
-	// LegacyReads restores the pre-sharding read path: Get and Scan hand
-	// out copies instead of borrowing the immutable stored rows, and Scan
-	// re-collects and sorts the key set per call instead of walking the
-	// sorted chain spine. Kept as a safety valve for callers that must
-	// mutate read rows in place and as the hotpath ablation's baseline
-	// leg. Set before serving traffic.
-	LegacyReads bool
-
 	nextTxn atomic.Uint64
 	lastCSN atomic.Uint64
 
@@ -104,8 +96,7 @@ type Manager struct {
 	stripes []txnStripe
 
 	// tableStripes is the row-map stripe count Tables bound to this
-	// manager inherit (power of two; 1 reproduces the unsharded layout
-	// for the hotpath ablation baseline).
+	// manager inherit (power of two).
 	tableStripes int
 
 	// pruneMu guards only the pending queue; freeze work runs with it

@@ -351,8 +351,7 @@ func TestStripedRaceStress(t *testing.T) {
 }
 
 // TestStripeKnobs pins the stripe plumbing: counts round up to powers of
-// two, tables inherit the manager's count, and 1 reproduces the unsharded
-// layout used as the hotpath ablation baseline.
+// two, tables inherit the manager's count, and a single stripe works.
 func TestStripeKnobs(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{-3, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 4}, {16, 16}, {17, 32},

@@ -200,8 +200,7 @@ func comparePK(a, b sqlmini.Value) int {
 
 // Get returns the version of the row with primary key pk visible to t, or
 // nil when none is visible. The row is borrowed from version storage and
-// must not be mutated (see visibleRow); set Manager.LegacyReads to get the
-// old copy-on-read behavior back.
+// must not be mutated (see visibleRow).
 func (tb *Table) Get(t *Txn, pk sqlmini.Value) storage.Row {
 	ch := tb.chain(pk, false)
 	if ch == nil {
@@ -212,9 +211,6 @@ func (tb *Table) Get(t *Txn, pk sqlmini.Value) storage.Row {
 	invariant.Check(func() error { return ch.checkAtMostOneVisible(t) })
 	row := ch.visibleRow(t)
 	ch.mu.Unlock()
-	if row != nil && tb.mgr.LegacyReads {
-		row = row.Clone()
-	}
 	return row
 }
 
@@ -239,7 +235,7 @@ func (ch *rowChain) checkAtMostOneVisible(t *Txn) error {
 // stored rows are immutable (Insert and Update clone on the way in, and
 // nothing rewrites a version's row in place), so borrowing is safe for
 // every reader that does not mutate. Readers that need an owned copy
-// clone explicitly; Manager.LegacyReads restores unconditional copying.
+// clone explicitly.
 func (ch *rowChain) visibleRow(t *Txn) storage.Row {
 	for i := len(ch.versions) - 1; i >= 0; i-- {
 		if t.visible(&ch.versions[i]) {
@@ -261,77 +257,18 @@ type pkChain struct {
 // under the heavy TPC-W mix is the dominant GC pressure.
 var scanBufPool = sync.Pool{New: func() any { return new([]pkChain) }}
 
-// snapshotChains collects every (pk, chain) pair into buf under the
-// all-stripes lock, so the key set is one atomic cut (the same guarantee
-// the old single-mutex rows map gave dumps).
-func (tb *Table) snapshotChains(buf []pkChain) []pkChain {
-	tb.lockAllStripes()
-	for i := range tb.stripes {
-		for pk, ch := range tb.stripes[i].rows {
-			buf = append(buf, pkChain{pk: pk, ch: ch})
-		}
-	}
-	tb.unlockAllStripes()
-	return buf
-}
-
-// sortPKChains orders a scan snapshot by primary key. Integer keys (every
-// TPC-W table) take a direct comparator; the general path falls back to
-// Value.Compare. Both avoid reflection-based sort.Slice.
-func sortPKChains(pairs []pkChain) {
-	allInt := true
-	for i := range pairs {
-		if pairs[i].pk.Kind != sqlmini.KindInt {
-			allInt = false
-			break
-		}
-	}
-	if allInt {
-		sort.Sort(byIntPK(pairs))
-		return
-	}
-	sort.Sort(byValuePK(pairs))
-}
-
-type byIntPK []pkChain
-
-func (s byIntPK) Len() int           { return len(s) }
-func (s byIntPK) Less(i, j int) bool { return s[i].pk.Int < s[j].pk.Int }
-func (s byIntPK) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-
-type byValuePK []pkChain
-
-func (s byValuePK) Len() int { return len(s) }
-func (s byValuePK) Less(i, j int) bool {
-	c, err := s[i].pk.Compare(s[j].pk)
-	// Mixed-kind keys cannot occur: CheckRow enforces kinds.
-	return err == nil && c < 0
-}
-func (s byValuePK) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-
 // Scan calls fn for every row visible to t, in primary-key order. fn
 // returning false stops the scan. Ordering is deterministic so that dumps
 // and state comparisons are stable. Rows are borrowed from version
 // storage (see visibleRow): stored rows are immutable so fn may retain
-// them, but must never mutate one — clone first (or set
-// Manager.LegacyReads) to get an owned copy.
+// them, but must never mutate one — clone first to get an owned copy.
 //
-// The fast path copies the presorted spine (one memmove); LegacyReads
-// selects the pre-sharding path that collects and sorts the key set
-// under the all-stripes lock on every call.
+// The key set is a copy of the presorted spine (one memmove).
 func (tb *Table) Scan(t *Txn, fn func(storage.Row) bool) error {
 	bufp := scanBufPool.Get().(*[]pkChain)
-	legacy := tb.mgr.LegacyReads
-	var pairs []pkChain
-	if legacy {
-		pairs = tb.snapshotChains((*bufp)[:0])
-		sortPKChains(pairs)
-	} else {
-		tb.spineMu.Lock()
-		pairs = append((*bufp)[:0], tb.spine...)
-		tb.spineMu.Unlock()
-	}
-	clone := legacy
+	tb.spineMu.Lock()
+	pairs := append((*bufp)[:0], tb.spine...)
+	tb.spineMu.Unlock()
 	for i := range pairs {
 		ch := pairs[i].ch
 		ch.mu.Lock()
@@ -339,9 +276,6 @@ func (tb *Table) Scan(t *Txn, fn func(storage.Row) bool) error {
 		ch.mu.Unlock()
 		if row == nil {
 			continue
-		}
-		if clone {
-			row = row.Clone()
 		}
 		if !fn(row) {
 			break

@@ -13,7 +13,7 @@ import "sync"
 // invalidates every cached statement targeting it.
 //
 // A nil *Cache is valid and means "caching disabled": every method is a
-// cheap no-op, which is how the hotpath ablation runs its baseline leg.
+// cheap no-op.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int

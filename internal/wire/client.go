@@ -169,16 +169,61 @@ func (c *Client) jitterRNG() *rand.Rand {
 // the Client, not the connection.
 func (c *Client) SetTraceContext(tc *TraceContext) { c.trace = tc }
 
-// queryFrame picks the plain or traced frame for one outgoing statement,
-// encoding the payload into dst (a pooled frame buffer: the connection is
-// single-goroutine and writeMsg is synchronous, so the caller releases it
-// right after the write). The obs.On() guard keeps the
-// disabled-observability cost at one atomic load — no context encoding.
-func (c *Client) queryFrame(dst []byte, plain, traced byte, sql string) (byte, []byte) {
-	if c.trace != nil && obs.On() {
-		return traced, appendTraced(dst, c.trace, sql)
+// sendQuery is the request half shared by Exec and ExecStream: simulated
+// RTT, the poisoned-connection check, the client fault sites, the op
+// deadline, and one query frame written and flushed. plain and traced are
+// the frame types of the statement's shape; the traced one (trace context
+// prefixed to the SQL) goes out only while a context is attached and
+// observability is on — that guard keeps the disabled cost at one atomic
+// load, no context encoding. The payload is encoded into a pooled frame
+// buffer: the connection is single-goroutine and writeMsg is synchronous,
+// so the buffer is released right after the write.
+func (c *Client) sendQuery(plain, traced byte, sql string) error {
+	if c.rtt > 0 {
+		time.Sleep(c.rtt)
 	}
-	return plain, append(dst, sql...)
+	if c.broken {
+		return &ConnLostError{Op: "exec", Cause: errors.New("client not connected")}
+	}
+	if err := fault.Inject(faultExec); err != nil {
+		return c.faulted("exec", err)
+	}
+	c.armDeadline()
+	if err := fault.Inject(faultWrite); err != nil {
+		return c.faulted("write", err)
+	}
+	f := getFrameBuf()
+	typ := plain
+	if c.trace != nil && obs.On() {
+		typ = traced
+		f.buf = appendTraced(f.buf, c.trace, sql)
+	} else {
+		f.buf = append(f.buf, sql...)
+	}
+	werr := writeMsg(c.bw, typ, f.buf)
+	putFrameBuf(f)
+	if werr != nil {
+		return c.lost("write", werr)
+	}
+	if err := c.bw.Flush(); err != nil {
+		return c.lost("write", err)
+	}
+	return nil
+}
+
+// armDeadline (re)starts the op timeout, when one is set.
+func (c *Client) armDeadline() {
+	if c.opTimeout > 0 {
+		_ = c.conn.SetDeadline(time.Now().Add(c.opTimeout))
+	}
+}
+
+// clearDeadline lifts the op timeout from a connection that survived the
+// exchange; a poisoned one is already closed.
+func (c *Client) clearDeadline() {
+	if c.opTimeout > 0 && !c.broken {
+		_ = c.conn.SetDeadline(time.Time{})
+	}
 }
 
 // Broken reports whether the connection has been poisoned by a transport
@@ -244,36 +289,9 @@ func (c *Client) startup(database string) error {
 // serialization abort); a *ConnLostError (errors.Is ErrConnLost) means the
 // transport died and the statement's fate is unknown.
 func (c *Client) Exec(sql string) (*engine.Result, error) {
-	if c.rtt > 0 {
-		time.Sleep(c.rtt)
-	}
-	if c.broken {
-		return nil, &ConnLostError{Op: "exec", Cause: errors.New("client not connected")}
-	}
-	if err := fault.Inject(faultExec); err != nil {
-		return nil, c.faulted("exec", err)
-	}
-	if c.opTimeout > 0 {
-		_ = c.conn.SetDeadline(time.Now().Add(c.opTimeout))
-		defer func() {
-			if !c.broken {
-				_ = c.conn.SetDeadline(time.Time{})
-			}
-		}()
-	}
-	if err := fault.Inject(faultWrite); err != nil {
-		return nil, c.faulted("write", err)
-	}
-	f := getFrameBuf()
-	typ, body := c.queryFrame(f.buf, MsgQuery, MsgQueryTraced, sql)
-	werr := writeMsg(c.bw, typ, body)
-	f.buf = body
-	putFrameBuf(f)
-	if werr != nil {
-		return nil, c.lost("write", werr)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return nil, c.lost("write", err)
+	defer c.clearDeadline()
+	if err := c.sendQuery(MsgQuery, MsgQueryTraced, sql); err != nil {
+		return nil, err
 	}
 	if err := fault.Inject(faultRead); err != nil {
 		return nil, c.faulted("read", err)
@@ -305,46 +323,16 @@ func (c *Client) Exec(sql string) (*engine.Result, error) {
 // The op timeout, when set, bounds each frame rather than the whole
 // stream: a transfer makes progress or dies, however large the dump.
 func (c *Client) ExecStream(sql string, sink func(seq uint32, stmts []string) error) (*engine.Result, error) {
-	if c.rtt > 0 {
-		time.Sleep(c.rtt)
-	}
-	if c.broken {
-		return nil, &ConnLostError{Op: "exec", Cause: errors.New("client not connected")}
-	}
-	if err := fault.Inject(faultExec); err != nil {
-		return nil, c.faulted("exec", err)
-	}
-	frameDeadline := func() {
-		if c.opTimeout > 0 {
-			_ = c.conn.SetDeadline(time.Now().Add(c.opTimeout))
-		}
-	}
-	frameDeadline()
-	defer func() {
-		if !c.broken && c.opTimeout > 0 {
-			_ = c.conn.SetDeadline(time.Time{})
-		}
-	}()
-	if err := fault.Inject(faultWrite); err != nil {
-		return nil, c.faulted("write", err)
-	}
-	f := getFrameBuf()
-	typ, body := c.queryFrame(f.buf, MsgQueryStream, MsgQueryStreamTraced, sql)
-	werr := writeMsg(c.bw, typ, body)
-	f.buf = body
-	putFrameBuf(f)
-	if werr != nil {
-		return nil, c.lost("write", werr)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return nil, c.lost("write", err)
+	defer c.clearDeadline()
+	if err := c.sendQuery(MsgQueryStream, MsgQueryStreamTraced, sql); err != nil {
+		return nil, err
 	}
 	var next uint32
 	for {
 		if err := fault.Inject(faultRead); err != nil {
 			return nil, c.faulted("read", err)
 		}
-		frameDeadline()
+		c.armDeadline()
 		typ, payload, err := readMsg(c.br)
 		if err != nil {
 			return nil, c.lost("read", err)
@@ -435,14 +423,8 @@ func (c *Client) Scrape(since uint64, tenant string, maxEvents int) (*obs.Remote
 	if c.broken {
 		return nil, &ConnLostError{Op: "exec", Cause: errors.New("client not connected")}
 	}
-	if c.opTimeout > 0 {
-		_ = c.conn.SetDeadline(time.Now().Add(c.opTimeout))
-		defer func() {
-			if !c.broken {
-				_ = c.conn.SetDeadline(time.Time{})
-			}
-		}()
-	}
+	c.armDeadline()
+	defer c.clearDeadline()
 	if err := writeMsg(c.bw, MsgObsScrape, encodeScrapeReq(since, maxEvents, tenant)); err != nil {
 		return nil, c.lost("write", err)
 	}

@@ -10,6 +10,13 @@
 // so any such protocol exercises the identical middleware code path.
 //
 // Framing: 1 type byte + 4-byte big-endian payload length + payload.
+//
+// There is one query relay. A query's type byte encodes two independent
+// bits — does the payload carry a trace-context prefix, may the response
+// stream — and both ends handle every combination on one path: the client
+// through one send helper (Client.Exec and Client.ExecStream differ only in
+// how they read the answer), the server through one case in Server.serve
+// that branches on "stream?" for the response frames alone.
 package wire
 
 import (
@@ -33,20 +40,26 @@ const (
 	MsgResult    = 'R' // server → client: encoded engine.Result
 	MsgError     = 'E' // server → client: error text
 
-	// Streaming multi-frame response (the pipelined Step-1 dump path).
-	// A MsgQueryStream request is answered by zero or more MsgStreamChunk
-	// frames followed by exactly one MsgStreamEnd (or a MsgError, which
-	// terminates the stream at any point and leaves the protocol in sync).
+	// The two query variations. The server executes all four query shapes
+	// (plain/stream × untraced/traced) through one arm: the type byte only
+	// says whether the payload starts with a trace context and whether the
+	// answer is a single MsgResult or a stream.
+	//
+	// Stream: answered by zero or more MsgStreamChunk frames followed by
+	// exactly one MsgStreamEnd (or a MsgError, which terminates the stream
+	// at any point and leaves the protocol in sync). This is the pipelined
+	// Step-1 dump path; a statement with no streaming form gets a chunkless
+	// trailer.
 	MsgQueryStream = 'q' // client → server: payload = SQL text, response may stream
 	MsgStreamChunk = 'C' // server → client: u32 seq + u32 count + count statements
 	MsgStreamEnd   = 'Z' // server → client: u32 chunk total + encoded engine.Result
 
-	// Traced variants: identical semantics to MsgQuery/MsgQueryStream but
-	// the payload is prefixed with a trace context (migration MTS + span id
-	// + tenant) so a dbnode can attribute its server-side work to the
-	// middleware migration that caused it. Servers that predate these types
-	// answer with MsgError, which the client surfaces normally — the trace
-	// prefix is an upgrade, not a handshake.
+	// Traced: the payload is prefixed with a trace context (migration MTS +
+	// span id + tenant) so a dbnode can attribute its server-side work to
+	// the middleware migration that caused it. An untraced query carries no
+	// extra payload byte. Servers that predate these types answer with
+	// MsgError, which the client surfaces normally — the trace prefix is an
+	// upgrade, not a handshake.
 	MsgQueryTraced       = 'T' // client → server: trace context + SQL text
 	MsgQueryStreamTraced = 't' // client → server: trace context + SQL text, response may stream
 

@@ -206,7 +206,8 @@ func (s *Server) serve(conn net.Conn) {
 			return // client went away
 		}
 		switch typ {
-		case MsgQuery, MsgQueryTraced:
+		case MsgQuery, MsgQueryTraced, MsgQueryStream, MsgQueryStreamTraced:
+			stream := typ == MsgQueryStream || typ == MsgQueryStreamTraced
 			if ferr := fault.Inject(faultServeOp); ferr != nil {
 				if fault.IsConnDrop(ferr) {
 					return // vanish mid-conversation
@@ -218,10 +219,13 @@ func (s *Server) serve(conn net.Conn) {
 				continue
 			}
 			obsOps.Inc()
+			if stream {
+				obsStreamOps.Inc()
+			}
 			obsBytesIn.Add(uint64(len(payload) + msgHeaderLen))
 			sql := string(payload)
 			var tc *TraceContext
-			if typ == MsgQueryTraced {
+			if typ == MsgQueryTraced || typ == MsgQueryStreamTraced {
 				ctx, q, derr := decodeTraced(payload)
 				if derr != nil {
 					// A malformed trace prefix desynchronizes the frame's
@@ -233,102 +237,39 @@ func (s *Server) serve(conn net.Conn) {
 				tc, sql = &ctx, q
 			}
 			start := time.Now()
-			res, err := sess.Exec(sql)
-			dur := time.Since(start)
-			obsOpLatency.ObserveDuration(dur)
-			s.traceOp(tc, obsEvWireExec, dur, err)
-			if err != nil {
-				out := []byte(err.Error())
-				obsBytesOut.Add(uint64(len(out) + msgHeaderLen))
-				if writeMsg(bw, MsgError, out) != nil {
-					return
-				}
-			} else {
-				f := getFrameBuf()
-				f.buf = appendResult(f.buf, res)
-				obsBytesOut.Add(uint64(len(f.buf) + msgHeaderLen))
-				werr := writeMsg(bw, MsgResult, f.buf)
-				putFrameBuf(f)
-				if werr != nil {
-					return
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		case MsgQueryStream, MsgQueryStreamTraced:
-			if ferr := fault.Inject(faultServeOp); ferr != nil {
-				if fault.IsConnDrop(ferr) {
-					return // vanish mid-conversation
-				}
-				_ = writeMsg(bw, MsgError, []byte(ferr.Error()))
-				if bw.Flush() != nil {
-					return
-				}
-				continue
-			}
-			obsOps.Inc()
-			obsStreamOps.Inc()
-			obsBytesIn.Add(uint64(len(payload) + msgHeaderLen))
-			sql := string(payload)
-			var tc *TraceContext
-			if typ == MsgQueryStreamTraced {
-				ctx, q, derr := decodeTraced(payload)
-				if derr != nil {
-					_ = writeMsg(bw, MsgError, []byte(derr.Error()))
-					_ = bw.Flush()
-					return
-				}
-				tc, sql = &ctx, q
-			}
-			start := time.Now()
-			var chunks uint32
 			var res *engine.Result
+			var chunks uint32
 			var err error
-			handled := false
-			if sc, ok := sess.(StreamConn); ok {
-				// Each chunk frame is flushed immediately so the client's
-				// restore pipeline overlaps the ongoing scan; a write
-				// failure surfaces through ExecStream's emit error and
-				// ends the session below.
-				res, handled, err = sc.ExecStream(sql, func(stmts []string) error {
-					f := getFrameBuf()
-					f.buf = appendStreamChunk(f.buf, chunks, stmts)
-					chunks++
-					obsStreamChunk.Inc()
-					obsBytesOut.Add(uint64(len(f.buf) + msgHeaderLen))
-					werr := writeMsg(bw, MsgStreamChunk, f.buf)
-					putFrameBuf(f)
-					if werr != nil {
-						return werr
-					}
-					return bw.Flush()
-				})
-			}
-			if !handled && err == nil {
+			event := obsEvWireExec
+			if stream {
+				event = obsEvWireStream
+				res, chunks, err = execStream(sess, bw, sql)
+			} else {
 				res, err = sess.Exec(sql)
 			}
 			dur := time.Since(start)
 			obsOpLatency.ObserveDuration(dur)
-			s.traceOp(tc, obsEvWireStream, dur, err)
-			if err != nil {
-				// MsgError is a valid stream terminator at any point; if
-				// the failure was the transport itself this write fails
-				// too and the session ends.
-				out := []byte(err.Error())
-				obsBytesOut.Add(uint64(len(out) + msgHeaderLen))
-				if writeMsg(bw, MsgError, out) != nil {
-					return
-				}
-			} else {
-				f := getFrameBuf()
+			s.traceOp(tc, event, dur, err)
+			// MsgError answers either shape, and is a valid stream
+			// terminator at any point; if the failure was the transport
+			// itself this write fails too and the session ends.
+			f := getFrameBuf()
+			reply := byte(MsgResult)
+			switch {
+			case err != nil:
+				reply = MsgError
+				f.buf = append(f.buf, err.Error()...)
+			case stream:
+				reply = MsgStreamEnd
 				f.buf = appendStreamEnd(f.buf, chunks, res)
-				obsBytesOut.Add(uint64(len(f.buf) + msgHeaderLen))
-				werr := writeMsg(bw, MsgStreamEnd, f.buf)
-				putFrameBuf(f)
-				if werr != nil {
-					return
-				}
+			default:
+				f.buf = appendResult(f.buf, res)
+			}
+			obsBytesOut.Add(uint64(len(f.buf) + msgHeaderLen))
+			werr := writeMsg(bw, reply, f.buf)
+			putFrameBuf(f)
+			if werr != nil {
+				return
 			}
 			if err := bw.Flush(); err != nil {
 				return
@@ -366,6 +307,39 @@ func (s *Server) serve(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// execStream answers one streaming query: sessions with the StreamConn
+// capability send their bulk payload as chunk frames and report how many
+// went out; everything else (and any sql without a streaming form) runs
+// through plain Exec and yields a chunkless trailer. Kept out of serve so
+// the chunk counter the emit closure captures is allocated per streaming
+// query, not per query.
+func execStream(sess Conn, bw *bufio.Writer, sql string) (*engine.Result, uint32, error) {
+	var chunks uint32
+	if sc, ok := sess.(StreamConn); ok {
+		// Each chunk frame is flushed immediately so the client's restore
+		// pipeline overlaps the ongoing scan; a write failure surfaces
+		// through ExecStream's emit error and ends the session in serve.
+		res, handled, err := sc.ExecStream(sql, func(stmts []string) error {
+			f := getFrameBuf()
+			f.buf = appendStreamChunk(f.buf, chunks, stmts)
+			chunks++
+			obsStreamChunk.Inc()
+			obsBytesOut.Add(uint64(len(f.buf) + msgHeaderLen))
+			werr := writeMsg(bw, MsgStreamChunk, f.buf)
+			putFrameBuf(f)
+			if werr != nil {
+				return werr
+			}
+			return bw.Flush()
+		})
+		if handled || err != nil {
+			return res, chunks, err
+		}
+	}
+	res, err := sess.Exec(sql)
+	return res, chunks, err
 }
 
 // sessionConn adapts *engine.Session (whose Close returns nothing) to Conn.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -213,29 +214,129 @@ func TestScrapeMaxEvents(t *testing.T) {
 	}
 }
 
-// TestMalformedTracedFrame: a garbage traced frame is rejected with a
-// server error, not a hang or a crash.
+// TestMalformedTracedFrame: a garbage trace prefix is rejected with a
+// server error and a hang-up, not a stall or a crash — on both traced
+// query shapes.
 func TestMalformedTracedFrame(t *testing.T) {
+	for _, typ := range []byte{MsgQueryTraced, MsgQueryStreamTraced} {
+		t.Run(string(typ), func(t *testing.T) {
+			_, srv := newServer(t)
+			c, err := Dial(srv.Addr(), "db")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := writeMsg(c.bw, typ, []byte{1, 2}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.bw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			got, payload, err := readMsg(c.br)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != MsgError {
+				t.Fatalf("got frame %c, want MsgError", got)
+			}
+			if !strings.Contains(string(payload), "traced") {
+				t.Fatalf("error payload %q does not mention the traced frame", payload)
+			}
+			if _, _, err := readMsg(c.br); err == nil {
+				t.Fatal("server kept the session open after a malformed trace prefix")
+			}
+		})
+	}
+}
+
+// TestAllQueryShapes sends the same statement as each of the four query
+// shapes (plain/stream × untraced/traced) and checks what distinguishes
+// them and nothing else: the stream shapes deliver the dump in chunks and
+// the plain shapes in one result, the traced shapes stamp one server event
+// (named for the shape) and the untraced shapes none, and all four carry
+// the same statements.
+func TestAllQueryShapes(t *testing.T) {
 	_, srv := newServer(t)
+	scope := obs.NewScope("shapes")
+	srv.SetScope(scope)
 	c, err := Dial(srv.Addr(), "db")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := writeMsg(c.bw, MsgQueryTraced, []byte{1, 2}); err != nil {
+	if _, err := c.Exec("CREATE TABLE t (id INT PRIMARY KEY)"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.bw.Flush(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		if _, err := c.Exec(fmt.Sprintf("INSERT INTO t (id) VALUES (%d)", i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	typ, payload, err := readMsg(c.br)
+	full, err := c.Exec("DUMP")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != MsgError {
-		t.Fatalf("got frame %c, want MsgError", typ)
+	want := make([]string, len(full.Rows))
+	for i, row := range full.Rows {
+		want[i] = row[0].Str
 	}
-	if !strings.Contains(string(payload), "traced") {
-		t.Fatalf("error payload %q does not mention the traced frame", payload)
+
+	for _, tc := range []struct {
+		name   string
+		stream bool
+		trace  *TraceContext
+		event  string
+	}{
+		{"plain", false, nil, ""},
+		{"plain-traced", false, &TraceContext{Tenant: "shop", MTS: 9, Span: 1}, "wire.exec"},
+		{"stream", true, nil, ""},
+		{"stream-traced", true, &TraceContext{Tenant: "shop", MTS: 9, Span: 2}, "wire.stream"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mark := scope.Tracer.Seq()
+			c.SetTraceContext(tc.trace)
+			defer c.SetTraceContext(nil)
+
+			var got []string
+			chunks := 0
+			if tc.stream {
+				res, err := c.ExecStream("DUMP STREAM 1", func(_ uint32, stmts []string) error {
+					chunks++
+					got = append(got, stmts...)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Rows) != 0 {
+					t.Errorf("stream trailer carried %d rows, want the payload in chunks", len(res.Rows))
+				}
+			} else {
+				res, err := c.Exec("DUMP STREAM 1")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, row := range res.Rows {
+					got = append(got, row[0].Str)
+				}
+			}
+			if tc.stream != (chunks > 0) {
+				t.Errorf("stream=%v but %d chunks arrived", tc.stream, chunks)
+			}
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("statements = %q, want %q", got, want)
+			}
+
+			events := scope.Tracer.Since(mark, "")
+			if tc.trace == nil {
+				if len(events) != 0 {
+					t.Fatalf("untraced query emitted %v", events)
+				}
+				return
+			}
+			if len(events) != 1 || events[0].Name != tc.event || events[0].Tenant != tc.trace.Tenant {
+				t.Fatalf("events = %v, want one %s for tenant %s", events, tc.event, tc.trace.Tenant)
+			}
+		})
 	}
 }

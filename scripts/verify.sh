@@ -1,110 +1,44 @@
 #!/bin/sh
-# verify.sh — the full local gate: build, vet, the in-tree concurrency
-# linter, the race-enabled test suite, and the invariants-tagged runs of the
-# instrumented core packages. Run from anywhere inside the repo.
+# verify.sh — the full local gate: one run per distinct build configuration.
+# Every package's tests run in full in the configuration that arms them; no
+# step re-runs a subset of another. Run from anywhere inside the repo.
 set -eux
 
 cd "$(dirname "$0")/.."
 
+# Plain build, go vet (copylocks included), and the in-tree interprocedural
+# linter with every rule (`madeusvet -list`).
 go build ./...
 go vet ./...
 go run ./cmd/madeusvet ./...
+
+# The whole suite under the race detector.
 go test -race -count=1 ./...
+
+# Runtime assertions armed, in the packages that carry them.
 go test -tags invariants -count=1 ./internal/wal/ ./internal/mvcc/ ./internal/lsir/ ./internal/engine/
 
-# Observability gate: race-check the obs layer and the instrumented core on
-# their own (fast signal when the full suite above is skipped or edited),
-# lint the instrumented packages, and assert that disabled counters/tracing
-# stay within noise on the worker relay path — the same no-measurable-cost
-# contract the invariants layer pins.
-go test -race -count=1 ./internal/obs/ ./internal/core/
-go run ./cmd/madeusvet ./internal/obs/ ./internal/core/ ./internal/wal/ ./internal/wire/ ./internal/engine/
-go test -count=1 -run 'TestObsDisabledOverhead|TestInvariantZeroOverhead' .
-
-# Fault-injection gate: build and race-test the failpoint registry, the
-# chaos migration suite, and the hardened wire client under -tags
-# faultinject, then assert that without the tag a fault site costs nothing
-# (and with it, at most an atomic load) on the hot path.
-go build -tags faultinject ./...
+# Failpoints armed: the registry, the chaos migration suite, the hardened
+# wire client.
 go test -tags faultinject -race -count=1 ./internal/fault/ ./internal/core/ ./internal/wire/
-go test -count=1 -run 'TestFaultDisabledOverhead' .
-go test -tags faultinject -count=1 -run 'TestFaultDisabledOverhead' .
 
-# Step-1 pipeline gate: race-check the chunked snapshot path end to end —
-# the engine dump cursor, the wire streaming protocol (seq gaps, truncation,
-# mid-stream drops must poison the connection), the pipelined migration with
-# its transfer-budget cap, the deterministic seeded retry jitter, and the
-# timer-churn fixes; then the chunk chaos scenarios and the slow-destination
-# backpressure test under faultinject.
-go test -race -count=1 -run 'TestDumpStream|TestExecStream|TestStreamChunk|TestQueryStream' ./internal/engine/ ./internal/wire/
-go test -race -count=1 -run 'TestPipelined|TestMonolithicDumpAblation' ./internal/core/
-go test -race -count=1 -run 'TestBackoffSeededJitterDeterministic|TestExecRetrySeededJitterSchedule' ./internal/wire/
-go test -race -count=1 -run 'TestEBThinkTimerNoLeak' ./internal/tpcw/
-go test -tags faultinject -race -count=1 -run 'TestChaosMigration|TestStep1SlowDestinationBackpressure' ./internal/core/
-
-# Backpressure gate: race-check the flow package and the overload/convergence
-# suite (admission shedding, SSL caps, watchdog aborts, paced convergence),
-# run the admission/stall chaos scenarios under faultinject, and assert that
-# an idle pace point and an uncapped Admit cost nothing on the commit path.
-go test -race -count=1 ./internal/flow/
-go test -race -count=1 -run 'TestFlow|TestAdmission|TestSSL|TestUnpaced' ./internal/core/
-# The divergence/convergence scenario needs uninstrumented writer throughput
-# (it skips itself under -race), so it gets a dedicated no-race run.
-go test -count=1 -run 'TestHeavyWriteMigrationConvergesWithPacing' ./internal/core/
-go test -tags faultinject -race -count=1 -run 'TestChaosAdmission|TestChaosInjected|TestChaosHungSlave' ./internal/core/
-go test -count=1 -run 'TestFlowDisabledOverhead' .
-
-# Crash-recovery gate: the deterministic crash-torture sweep (every fsync and
-# record boundary, torn tails, multi-segment rotation) and the engine
-# checkpoint/redo recovery suite under -race, the kill-and-restart chaos
-# scenarios (source crash mid-Step-3, destination crash discarding partial
-# slave state per Sec 4.2) under faultinject, and a benchrunner recovery
-# smoke so the recovery-time ablation path stays alive.
-go test -race -count=1 -run 'TestCrashTorture|TestReplay|TestTornTail' ./internal/wal/
-go test -race -count=1 -run 'TestRecover|TestGracefulClose|TestCheckpoint' ./internal/engine/
-go test -tags faultinject -race -count=1 -run 'TestChaosSourceCrashMidStep3Restart|TestChaosDestCrashRestartDiscardsPartialSlave' ./internal/core/
-go run ./cmd/benchrunner -exp recovery -quick -json /tmp/bench_recovery_smoke.json >/dev/null
-rm -f /tmp/bench_recovery_smoke.json
-
-# Static-analysis gate: the interprocedural checker with every rule enabled
-# (lockorder, holdblock, tagparity, staleignore included — DESIGN.md §5f),
-# its golden fixtures plus loader cache/degraded-mode tests, the tag matrix
-# (every tag-gated variant and the combined build must compile; tagparity
-# keeps the pairs' exported surfaces identical, the matrix keeps them
-# compiling), and a benchrunner -json smoke so the BENCH_*.json baseline
-# path stays alive.
-go run ./cmd/madeusvet -rules lockdiscipline,lockcopy,goroleak,errdrop,invariantcall,timerchurn,lockorder,holdblock,tagparity,obsname,fsyncack,staleignore,stripeorder ./...
-go test -count=1 ./internal/analysis/
+# Tag matrix: every tag-gated variant and the combined build must compile
+# (madeusvet's tagparity keeps the pairs' exported surfaces identical).
 go build -tags invariants ./...
+go build -tags faultinject ./...
 go build -tags "invariants faultinject" ./...
-go run ./cmd/benchrunner -exp table2 -quick -json /tmp/bench_smoke.json >/dev/null
-rm -f /tmp/bench_smoke.json
 
-# madeusscope gate: the cross-process trace plumbing (merged cluster
-# timeline, scope dedup, scrape degradation), the time-series history ring
-# and middleware sampler, the flight recorder (including a rollback capture
-# under faultinject), the Prometheus exposition writer, the obsname naming
-# rule over the whole tree, and the disabled-cost guard for the new
-# trace-context and sampler branches.
-# Hot-path sharding gate (DESIGN.md §5i): the striped-MVCC suite (eager
-# pruning, contended waiters, cross-shard snapshot isolation, the chain
-# spine, the amortized prune trigger) under -race and under -tags
-# invariants, the parse-cache correctness suite (shared-AST mutation under
-# -race, DDL invalidation, LRU bounds), the WAL batch-append equivalence
-# tests, the stripeorder rule over the tree, and a benchrunner hotpath
-# smoke so the ablation path stays alive.
-go test -race -count=1 -run 'TestStateCount|TestContended|TestCrossShard|TestStripe|TestScanSpine|TestPruneTrigger' ./internal/mvcc/
-go test -tags invariants -count=1 -run 'TestScanSpine|TestPruneTrigger|TestStripe' ./internal/mvcc/
-go test -race -count=1 -run 'TestParseCache|TestVacuumMeta' ./internal/engine/
-go test -count=1 ./internal/sqlmini/
-go test -race -count=1 -run 'TestAppendBatch' ./internal/wal/
-go run ./cmd/madeusvet -rules stripeorder ./...
-go run ./cmd/benchrunner -exp hotpath -quick -json /tmp/bench_hotpath_smoke.json >/dev/null
-rm -f /tmp/bench_hotpath_smoke.json
+# Timing guards that skip themselves under -race (instrumented atomics and
+# throttled writers measure the detector, not the code): the disabled-cost
+# contracts of the invariant/obs/fault/flow layers — the fault one also with
+# its tag, where an unarmed site may cost one atomic load — and the
+# pacing-convergence scenario.
+go test -count=1 -run 'TestDisabledOverhead' .
+go test -tags faultinject -count=1 -run 'TestDisabledOverhead/TestFaultDisabledOverhead' .
+go test -count=1 -run 'TestHeavyWriteMigrationConvergesWithPacing' ./internal/core/
 
-go test -race -count=1 -run 'TestTraced|TestClientScrape|TestScrapeMaxEvents|TestMalformedTracedFrame' ./internal/wire/
-go test -race -count=1 -run 'TestClusterTrace|TestTimeline|TestHistorySampler|TestTenantGauges' ./internal/core/
-go test -race -count=1 -run 'TestHistory|TestFlight|TestWritePrometheus|TestProm|TestScopeSnapshot|TestMergeTimeline' ./internal/obs/
-go test -tags faultinject -race -count=1 -run 'TestChaosFlightRecorder' ./internal/core/
-go run ./cmd/madeusvet -rules obsname ./...
-go test -count=1 -run 'TestScopeDisabledOverhead' .
+# benchrunner -json smoke, so the BENCH_*.json baseline path stays alive.
+go run ./cmd/benchrunner -exp table2 -quick -json /dev/null >/dev/null
+
+# The benchmark instrument is its own module.
+(cd benchmark && go vet ./... && go test -count=1 ./...)
