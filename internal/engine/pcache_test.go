@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -120,5 +121,57 @@ func TestParseCacheBoundedUnderChurn(t *testing.T) {
 	}
 	if st := s.db.ParseCacheStats(); st.Len != parseCacheEntries {
 		t.Errorf("cache len after churn = %d, want exactly the %d-entry bound: %+v", st.Len, parseCacheEntries, st)
+	}
+}
+
+// TestParseCacheSkipsDumpInserts: a dump's multi-row INSERTs can never run
+// twice, so restoring one into a fresh database must not admit them — the
+// cache is for what the tenant repeats, and single-row statements still hit.
+func TestParseCacheSkipsDumpInserts(t *testing.T) {
+	e := newTestEngine(t)
+	src, _ := e.NewSession("shop")
+	mustExec(t, src, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	for base := 0; base < 120; base += 40 { // 120 rows: dump batches of 50, 50, 20
+		vals := make([]string, 40)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("(%d, %d)", base+i, base+i)
+		}
+		mustExec(t, src, "INSERT INTO t (id, v) VALUES "+strings.Join(vals, ", "))
+	}
+	if st := src.db.ParseCacheStats(); st.Len != 0 {
+		t.Errorf("multi-row INSERTs were admitted on the source: %+v", st)
+	}
+	script, err := src.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(script) != 4 { // CREATE TABLE + three INSERT batches
+		t.Fatalf("dump has %d statements, want 4: %v", len(script), script)
+	}
+
+	if err := e.CreateDatabase("copy"); err != nil {
+		t.Fatal(err)
+	}
+	dst, _ := e.NewSession("copy")
+	if err := dst.Restore(script); err != nil {
+		t.Fatal(err)
+	}
+	if st := dst.db.ParseCacheStats(); st.Len != 0 {
+		t.Errorf("restore left %d statements in the parse cache, want 0: %+v", st.Len, st)
+	}
+
+	const ins = "INSERT INTO t (id, v) VALUES (1000, 1)"
+	const sel = "SELECT v FROM t WHERE id = 7"
+	mustExec(t, dst, ins)
+	mustExec(t, dst, sel)
+	mustExec(t, dst, "DELETE FROM t WHERE id = 1000")
+	before := dst.db.ParseCacheStats()
+	if before.Len != 3 {
+		t.Errorf("cache holds %d statements after three single-row ones, want 3", before.Len)
+	}
+	mustExec(t, dst, ins)
+	mustExec(t, dst, sel)
+	if after := dst.db.ParseCacheStats(); after.Hits != before.Hits+2 || after.Len != before.Len {
+		t.Errorf("repeated single-row INSERT and SELECT: %+v -> %+v, want two more hits", before, after)
 	}
 }

@@ -2,6 +2,7 @@ package mvcc
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"madeus/internal/sqlmini"
@@ -13,8 +14,10 @@ import (
 // SUPERSET of the visible truth — readers re-check visibility and the
 // predicate against the fetched row — so index maintenance never needs
 // transactional coordination: writers add entries eagerly, and stale
-// entries are swept by Vacuum. The registry has its own small mutex (imu)
-// so index fan-out does not touch the striped row maps.
+// entries are swept by Vacuum. The registry is an immutable slice published
+// through an atomic pointer: index DDL replaces it under imu, and the
+// per-row fan-out loads it without a lock — one load and out for a table
+// with no index.
 
 // colIndex is one secondary index.
 type colIndex struct {
@@ -65,15 +68,14 @@ func (tb *Table) CreateIndex(name, column string) error {
 
 	tb.lockAllStripes()
 	tb.imu.Lock()
-	if tb.indexes == nil {
-		tb.indexes = make(map[string]*colIndex)
-	}
-	if _, dup := tb.indexes[name]; dup {
+	old := tb.indexList()
+	if slices.ContainsFunc(old, func(ix *colIndex) bool { return ix.name == name }) {
 		tb.imu.Unlock()
 		tb.unlockAllStripes()
 		return fmt.Errorf("mvcc: index %q already exists on %s", name, tb.Schema.Name)
 	}
-	tb.indexes[name] = ix
+	next := append(slices.Clip(old), ix) // a new array: the published one is never written
+	tb.indexes.Store(&next)
 	tb.imu.Unlock()
 	chains := make(map[sqlmini.Value]*rowChain)
 	for si := range tb.stripes {
@@ -99,20 +101,30 @@ func (tb *Table) CreateIndex(name, column string) error {
 func (tb *Table) DropIndex(name string) error {
 	tb.imu.Lock()
 	defer tb.imu.Unlock()
-	if _, ok := tb.indexes[name]; !ok {
+	old := tb.indexList()
+	i := slices.IndexFunc(old, func(ix *colIndex) bool { return ix.name == name })
+	if i < 0 {
 		return fmt.Errorf("mvcc: index %q does not exist on %s", name, tb.Schema.Name)
 	}
-	delete(tb.indexes, name)
+	next := slices.Concat(old[:i], old[i+1:])
+	tb.indexes.Store(&next)
+	return nil
+}
+
+// indexList returns the published index list; callers must not modify it.
+func (tb *Table) indexList() []*colIndex {
+	if p := tb.indexes.Load(); p != nil {
+		return *p
+	}
 	return nil
 }
 
 // Indexes lists index names and their columns (dump support).
 func (tb *Table) Indexes() map[string]string {
-	tb.imu.Lock()
-	defer tb.imu.Unlock()
-	out := make(map[string]string, len(tb.indexes))
-	for name, ix := range tb.indexes {
-		out[name] = tb.Schema.Columns[ix.col].Name
+	idxs := tb.indexList()
+	out := make(map[string]string, len(idxs))
+	for _, ix := range idxs {
+		out[ix.name] = tb.Schema.Columns[ix.col].Name
 	}
 	return out
 }
@@ -126,30 +138,17 @@ func (tb *Table) IndexLookup(column string, val sqlmini.Value) (pks []sqlmini.Va
 	if col < 0 {
 		return nil, false
 	}
-	tb.imu.Lock()
-	var ix *colIndex
-	for _, cand := range tb.indexes {
-		if cand.col == col {
-			ix = cand
-			break
+	for _, ix := range tb.indexList() {
+		if ix.col == col {
+			return ix.lookup(val), true
 		}
 	}
-	tb.imu.Unlock()
-	if ix == nil {
-		return nil, false
-	}
-	return ix.lookup(val), true
+	return nil, false
 }
 
 // indexAdd fans a new version's value out to all matching indexes.
 func (tb *Table) indexAdd(row storage.Row, pk sqlmini.Value) {
-	tb.imu.Lock()
-	idxs := make([]*colIndex, 0, len(tb.indexes))
-	for _, ix := range tb.indexes {
-		idxs = append(idxs, ix)
-	}
-	tb.imu.Unlock()
-	for _, ix := range idxs {
+	for _, ix := range tb.indexList() {
 		ix.add(row[ix.col], pk)
 	}
 }
@@ -157,15 +156,8 @@ func (tb *Table) indexAdd(row storage.Row, pk sqlmini.Value) {
 // sweepIndexes drops entries whose chains no longer contain the value in
 // any version. Called by Vacuum after version pruning.
 func (tb *Table) sweepIndexes() int {
-	tb.imu.Lock()
-	idxs := make([]*colIndex, 0, len(tb.indexes))
-	for _, ix := range tb.indexes {
-		idxs = append(idxs, ix)
-	}
-	tb.imu.Unlock()
-
 	removed := 0
-	for _, ix := range idxs {
+	for _, ix := range tb.indexList() {
 		ix.mu.Lock()
 		for val, set := range ix.entries {
 			for pk := range set {

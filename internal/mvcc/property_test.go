@@ -189,6 +189,75 @@ func BenchmarkInsertCommit(b *testing.B) {
 	}
 }
 
+// BenchmarkInsertInterleavedChunks is one op per restore-shaped load of
+// 60 k keys: four appliers each own every fourth 3,200-key chunk and take
+// turns landing 50 keys per transaction, so chunks arrive out of key order
+// the way a migration's Step 2 lands them (made deterministic by running
+// the turns on one goroutine). The op ends with the first scan, which is
+// where the chain directory settles the out-of-order arrivals.
+func BenchmarkInsertInterleavedChunks(b *testing.B) {
+	const (
+		keys     = 60_000
+		chunk    = 3200
+		appliers = 4
+		perTxn   = 50
+	)
+	for i := 0; i < b.N; i++ {
+		m, tb := quickTable(b)
+		var next [appliers]int // each applier's next key
+		for a := range next {
+			next[a] = a * chunk
+		}
+		for landed := 0; landed < keys; {
+			for a := range next {
+				if next[a] >= keys {
+					continue
+				}
+				txn := m.Begin()
+				for n := 0; n < perTxn && next[a] < keys; n++ {
+					if err := tb.Insert(txn, row(int64(next[a]), 1)); err != nil {
+						b.Fatal(err)
+					}
+					landed++
+					if next[a]++; next[a]%chunk == 0 {
+						next[a] += (appliers - 1) * chunk // on to this applier's next chunk
+					}
+				}
+				if _, err := txn.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if n := tb.Len(m.Begin()); n != keys {
+			b.Fatalf("loaded %d rows, want %d", n, keys)
+		}
+	}
+}
+
+// BenchmarkScan20k is one op per full scan of a settled 20 k-row table
+// (order-large's item table).
+func BenchmarkScan20k(b *testing.B) {
+	const rows = 20_000
+	m, tb := quickTable(b)
+	init := m.Begin()
+	for k := int64(0); k < rows; k++ {
+		if err := tb.Insert(init, row(k, 1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := init.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	txn := m.Begin()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := tb.Len(txn); n != rows {
+			b.Fatalf("scan saw %d rows, want %d", n, rows)
+		}
+	}
+}
+
 func BenchmarkUpdateDisjointParallel(b *testing.B) {
 	m, tb := quickTable(b)
 	init := m.Begin()

@@ -2,7 +2,7 @@ package mvcc
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,10 +10,10 @@ import (
 	"madeus/internal/storage"
 )
 
-// Tests for the sorted chain spine (DESIGN.md §5i): scans walk a
-// presorted chain directory maintained on chain creation instead of
-// collecting and sorting the key set per call, and the amortized prune
-// trigger that keeps the freeze backlog from being rescanned per commit.
+// Tests for the chain directory (DESIGN.md §5i): chain creation appends to
+// a sorted run or an unsorted tail in O(1), a scan merges the tail and
+// walks the run without copying it; and the amortized prune trigger that
+// keeps the freeze backlog from being rescanned per commit.
 
 // TestScanSpineOrderAndCompleteness inserts integer keys in random order
 // across many transactions and checks that a scan sees exactly the
@@ -59,7 +59,8 @@ func TestScanSpineOrderAndCompleteness(t *testing.T) {
 }
 
 // TestScanSpineTextKeys covers the comparePK fallback path: text primary
-// keys must still come back in ascending order.
+// keys must still come back in ascending order, both from the first merge
+// (empty run) and from a merge into a run that already holds text keys.
 func TestScanSpineTextKeys(t *testing.T) {
 	s, err := storage.NewSchema("kv", []storage.Column{
 		{Name: "k", Type: sqlmini.KindText, PrimaryKey: true},
@@ -70,143 +71,264 @@ func TestScanSpineTextKeys(t *testing.T) {
 	}
 	m := NewManager()
 	tb := NewTable(s, m)
-	for _, k := range []string{"pear", "apple", "fig", "date", "cherry"} {
-		w := m.Begin()
-		if err := tb.Insert(w, storage.Row{sqlmini.NewText(k), sqlmini.NewInt(1)}); err != nil {
-			t.Fatal(err)
+	insertThenScan := func(keys []string, want []string) {
+		t.Helper()
+		for _, k := range keys {
+			w := m.Begin()
+			if err := tb.Insert(w, storage.Row{sqlmini.NewText(k), sqlmini.NewInt(1)}); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, w)
 		}
-		mustCommit(t, w)
-	}
-	r := m.Begin()
-	defer r.Abort()
-	var got []string
-	tb.Scan(r, func(row storage.Row) bool { got = append(got, row[0].Str); return true })
-	want := []string{"apple", "cherry", "date", "fig", "pear"}
-	if len(got) != len(want) {
-		t.Fatalf("scan saw %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
+		r := m.Begin()
+		defer r.Abort()
+		var got []string
+		tb.Scan(r, func(row storage.Row) bool { got = append(got, row[0].Str); return true })
+		if !slices.Equal(got, want) {
 			t.Fatalf("scan order %v, want %v", got, want)
 		}
 	}
+	insertThenScan([]string{"pear", "apple", "fig", "date", "cherry"},
+		[]string{"apple", "cherry", "date", "fig", "pear"})
+	insertThenScan([]string{"quince", "banana", "aardvark", "elderberry"},
+		[]string{"aardvark", "apple", "banana", "cherry", "date", "elderberry", "fig", "pear", "quince"})
 }
 
-// TestScanSpineMatchesOracle drives random inserts and updates, then
-// demands that a scan returns exactly what an independent reference
-// computes: the inserted keys sorted in the test, each resolved by a point
-// Get on the same snapshot. The reference shares no code with the spine.
-func TestScanSpineMatchesOracle(t *testing.T) {
-	m, tb := testTable(t)
-	rng := rand.New(rand.NewSource(11))
-	seen := map[int64]bool{}
-	for i := 0; i < 300; i++ {
-		w := m.Begin()
-		k := rng.Int63n(64)
-		if err := tb.Insert(w, row(k, int64(i))); err != nil {
-			if _, err := tb.Update(w, key(k), row(k, int64(i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		mustCommit(t, w)
-		seen[k] = true
-	}
-	keys := make([]int64, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-
-	r := m.Begin()
-	defer r.Abort()
-	var want []storage.Row
-	for _, k := range keys {
-		if got := tb.Get(r, key(k)); got != nil {
-			want = append(want, got)
-		}
-	}
+// scanMatchesOracle demands that a scan on r returns exactly what an
+// independent reference computes: every key of the sorted universe
+// resolved by a point Get on the same snapshot. The reference shares no
+// code with the chain directory (Get goes through the striped row maps).
+// It reports through Errorf so scanner goroutines may call it.
+func scanMatchesOracle(t *testing.T, tb *Table, r *Txn, universe []int64) bool {
+	t.Helper()
 	var got []storage.Row
 	tb.Scan(r, func(row storage.Row) bool { got = append(got, row); return true })
+	var want []storage.Row
+	for _, k := range universe {
+		if row := tb.Get(r, key(k)); row != nil {
+			want = append(want, row)
+		}
+	}
 	if len(got) != len(want) {
-		t.Fatalf("scan saw %d rows, oracle %d", len(got), len(want))
+		t.Errorf("scan saw %d rows, oracle %d", len(got), len(want))
+		return false
 	}
 	for i := range got {
 		if got[i][0].Int != want[i][0].Int || got[i][1].Int != want[i][1].Int {
-			t.Fatalf("row %d differs: scan %v oracle %v", i, got[i], want[i])
+			t.Errorf("row %d differs: scan %v oracle %v", i, got[i], want[i])
+			return false
 		}
+	}
+	return true
+}
+
+// TestScanSpineMatchesOracle holds scans to the oracle above, first after
+// random single-threaded inserts and updates, then while four inserters
+// land keys the way a migration's restore appliers do.
+func TestScanSpineMatchesOracle(t *testing.T) {
+	t.Run("sequential", func(t *testing.T) {
+		m, tb := testTable(t)
+		rng := rand.New(rand.NewSource(11))
+		seen := map[int64]bool{}
+		for i := 0; i < 300; i++ {
+			w := m.Begin()
+			k := rng.Int63n(64)
+			if err := tb.Insert(w, row(k, int64(i))); err != nil {
+				if _, err := tb.Update(w, key(k), row(k, int64(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustCommit(t, w)
+			seen[k] = true
+		}
+		universe := make([]int64, 0, len(seen))
+		for k := range seen {
+			universe = append(universe, k)
+		}
+		slices.Sort(universe)
+		r := m.Begin()
+		defer r.Abort()
+		scanMatchesOracle(t, tb, r, universe)
+	})
+
+	// Each inserter lands, 50 keys per transaction: every fourth
+	// 3,200-key chunk of one ascending range (the restore shape — chunks
+	// arrive out of key order, keys inside a chunk in order), then its
+	// share of a shuffled range, then of a strictly descending one. Two
+	// scanners run throughout, and each inserter scans every 32nd
+	// transaction so scans land all along the load however the scheduler
+	// paces the scanners; every scan must equal the committed set of its
+	// own snapshot, in strict key order.
+	t.Run("concurrent", func(t *testing.T) {
+		const (
+			inserters = 4
+			chunk     = 3200
+			chunks    = 8
+			perTxn    = 50
+			shuffled  = 2000
+			descBase  = 2_000_000
+		)
+		m, tb := testTableStriped(t, 8)
+		lists := make([][]int64, inserters)
+		for c := 0; c < chunks; c++ {
+			for k := c * chunk; k < (c+1)*chunk; k++ {
+				lists[c%inserters] = append(lists[c%inserters], int64(k))
+			}
+		}
+		for i, k := range rand.New(rand.NewSource(13)).Perm(shuffled) {
+			lists[i%inserters] = append(lists[i%inserters], int64(1_000_000+k))
+		}
+		for i := 0; i < shuffled; i++ {
+			lists[i%inserters] = append(lists[i%inserters], int64(descBase-i))
+		}
+		var universe []int64
+		for _, l := range lists {
+			universe = append(universe, l...)
+		}
+		slices.Sort(universe)
+
+		var writers sync.WaitGroup
+		for _, keys := range lists {
+			writers.Add(1)
+			go func(keys []int64) {
+				defer writers.Done()
+				for txns := 1; len(keys) > 0; txns++ {
+					if txns%32 == 0 {
+						r := m.Begin()
+						scanMatchesOracle(t, tb, r, universe)
+						r.Abort()
+					}
+					n := min(perTxn, len(keys))
+					w := m.Begin()
+					for _, k := range keys[:n] {
+						if err := tb.Insert(w, row(k, k)); err != nil {
+							t.Error(err)
+							w.Abort()
+							return
+						}
+					}
+					if _, err := w.Commit(); err != nil {
+						t.Error(err)
+						return
+					}
+					keys = keys[n:]
+				}
+			}(keys)
+		}
+		stop := make(chan struct{})
+		var scanners sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			scanners.Add(1)
+			go func() {
+				defer scanners.Done()
+				for {
+					r := m.Begin()
+					ok := scanMatchesOracle(t, tb, r, universe)
+					r.Abort()
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if !ok {
+						return
+					}
+				}
+			}()
+		}
+		writers.Wait()
+		close(stop)
+		scanners.Wait()
+
+		r := m.Begin()
+		defer r.Abort()
+		scanMatchesOracle(t, tb, r, universe)
+		if n := tb.Len(r); n != len(universe) {
+			t.Fatalf("final visible rows = %d, want %d", n, len(universe))
+		}
+	})
+}
+
+// TestSpineInsertNeverMerges: chain creation only ever appends. After a
+// key-ordered load and N out-of-order inserts, and before any scan, the
+// run is the ordered load exactly where it was and the tail holds the N.
+func TestSpineInsertNeverMerges(t *testing.T) {
+	m, tb := testTable(t)
+	w := m.Begin()
+	const ordered = 100
+	for k := int64(0); k < ordered; k++ {
+		mustInsert(t, tb, w, 1000+k, k)
+	}
+	if len(tb.run) != ordered || len(tb.tail) != 0 {
+		t.Fatalf("key-ordered load: run %d tail %d, want %d and 0", len(tb.run), len(tb.tail), ordered)
+	}
+	before := slices.Clone(tb.run)
+	first := &tb.run[0]
+
+	// Descending below the run, interleaved above it, and one key above
+	// everything: with chains pending, even that one goes to the tail.
+	outOfOrder := []int64{999, 998, 3, 5000, 4000, 4500, 9000}
+	for _, k := range outOfOrder {
+		mustInsert(t, tb, w, k, k)
+	}
+	mustCommit(t, w)
+	if len(tb.run)+len(tb.tail) != ordered+len(outOfOrder) || len(tb.tail) != len(outOfOrder) {
+		t.Fatalf("run %d + tail %d, want %d + %d", len(tb.run), len(tb.tail), ordered, len(outOfOrder))
+	}
+	if &tb.run[0] != first || !slices.Equal(tb.run, before) {
+		t.Fatal("an insert moved entries of the run")
+	}
+
+	r := m.Begin()
+	defer r.Abort()
+	if n := tb.Len(r); n != ordered+len(outOfOrder) {
+		t.Fatalf("scan saw %d rows, want %d", n, ordered+len(outOfOrder))
+	}
+	if len(tb.tail) != 0 || len(tb.run) != ordered+len(outOfOrder) {
+		t.Fatalf("after a scan: run %d tail %d, want everything merged", len(tb.run), len(tb.tail))
 	}
 }
 
-// TestScanSpineConcurrentInserts races scans against inserters under the
-// race detector: scans must never miss a row committed before their
-// snapshot and must stay PK-ordered while the spine shifts underneath.
-func TestScanSpineConcurrentInserts(t *testing.T) {
-	m, tb := testTableStriped(t, 8)
-	seed := m.Begin()
-	for k := int64(0); k < 50; k++ {
-		mustInsert(t, tb, seed, k*10, k)
+// TestScanBorrowsRun: a scan walks the directory's own array, not a copy —
+// two scans with no insert between them get the same array — and what a
+// scan borrowed never changes afterwards: an in-order insert appends past
+// the borrowed length, a merge builds a new array.
+func TestScanBorrowsRun(t *testing.T) {
+	m, tb := testTable(t)
+	w := m.Begin()
+	next := int64(0)
+	for ; next < 100 || cap(tb.run) == len(tb.run); next++ { // leave spare capacity for an in-place append
+		mustInsert(t, tb, w, next*10, next)
 	}
-	mustCommit(t, seed)
+	a, b := tb.scanRun(), tb.scanRun()
+	if &a[0] != &b[0] || len(a) != len(b) {
+		t.Fatal("two scans with no insert between them walked different arrays")
+	}
+	if cap(a) != len(a) {
+		t.Fatalf("borrowed run has cap %d beyond len %d: an append through it would write the shared array", cap(a), len(a))
+	}
+	borrowed := slices.Clone(a)
 
-	var inserters sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		inserters.Add(1)
-		go func(g int) {
-			defer inserters.Done()
-			for i := 0; i < 200; i++ {
-				w := m.Begin()
-				// Unique keys per goroutine, interleaved with the seeded range.
-				if err := tb.Insert(w, row(int64(1000+g*1000+i), int64(i))); err != nil {
-					t.Error(err)
-					w.Abort()
-					return
-				}
-				if _, err := w.Commit(); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
+	mustInsert(t, tb, w, next*10, next) // in order: appended in place
+	if &tb.run[0] != &a[0] || len(tb.run) != len(a)+1 {
+		t.Fatal("an in-order insert with spare capacity did not append in place")
 	}
-	stop := make(chan struct{})
-	var scanner sync.WaitGroup
-	scanner.Add(1)
-	go func() {
-		defer scanner.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			r := m.Begin()
-			last := int64(-1)
-			n := 0
-			tb.Scan(r, func(row storage.Row) bool {
-				if row[0].Int <= last {
-					t.Errorf("scan out of order: %d after %d", row[0].Int, last)
-					return false
-				}
-				last = row[0].Int
-				n++
-				return true
-			})
-			r.Abort()
-			if n < 50 {
-				t.Errorf("scan saw %d rows, want at least the 50 seeded", n)
-				return
-			}
-		}
-	}()
-	inserters.Wait()
-	close(stop)
-	scanner.Wait()
-	// Final state: all 850 rows visible in order.
-	r := m.Begin()
-	defer r.Abort()
-	if n := tb.Len(r); n != 50+4*200 {
-		t.Fatalf("final visible rows = %d, want %d", n, 50+4*200)
+	if !slices.Equal(a, borrowed) {
+		t.Fatal("an in-order insert changed a borrowed prefix")
 	}
+
+	mustInsert(t, tb, w, 5, 5) // out of order: merged by the next scan
+	c := tb.scanRun()
+	if &c[0] == &a[0] {
+		t.Fatal("a merge reused the array earlier scans borrowed")
+	}
+	if !slices.Equal(a, borrowed) {
+		t.Fatal("a merge changed a borrowed prefix")
+	}
+	if len(c) != len(a)+2 || c[1].pk != key(5) {
+		t.Fatalf("merged run has %d entries, second %v; want %d and 5", len(c), c[1].pk, len(a)+2)
+	}
+	mustCommit(t, w)
 }
 
 // TestPruneTriggerAmortizedUnderLaggingHorizon pins the snapshot horizon

@@ -3,8 +3,9 @@ package mvcc
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"madeus/internal/invariant"
@@ -48,17 +49,24 @@ type Table struct {
 	mask    uint64
 	stripes []tableStripe
 
-	// spine is the chain directory sorted by primary key, maintained
-	// incrementally as chains are created (chains are never removed, see
-	// Vacuum). A scan copies it with one memmove instead of collecting
-	// and sorting the whole key set per call. spineMu is never held
+	// The chain directory (DESIGN.md §5i): run holds chains in strict
+	// primary-key order, tail the chains created out of order since the
+	// last scan, unsorted. Chains are never removed (see Vacuum). run is
+	// only ever appended to in place or replaced wholesale by mergeTail,
+	// so entries below a length observed under spineMu never change and
+	// a scan walks that prefix without copying it. spineMu is never held
 	// together with any other lock: chain creation inserts after the
-	// stripe section, scans copy before taking any chain lock.
+	// stripe section, scans borrow before taking any chain lock.
 	spineMu sync.Mutex //madeusvet:lockrank mvcc-spine 39
-	spine   []pkChain
+	run     []pkChain
+	tail    []pkChain
 
+	// imu serialises index DDL. indexes is the immutable list of
+	// secondary indexes, replaced wholesale by CreateIndex/DropIndex
+	// under imu and loaded lock-free by everything else (nil while the
+	// table has none).
 	imu     sync.Mutex //madeusvet:lockrank mvcc-tableidx 45
-	indexes map[string]*colIndex
+	indexes atomic.Pointer[[]*colIndex]
 }
 
 // NewTable creates an empty MVCC table bound to a transaction manager,
@@ -160,25 +168,79 @@ func (tb *Table) chain(pk sqlmini.Value, create bool) *rowChain {
 	s.mu.Unlock()
 	if created {
 		// Outside the stripe section so spineMu never nests under a
-		// stripe mutex. A scan that copies the spine in this window
-		// misses a chain that is still empty (the creator appends its
-		// first version only after chain returns), so no visible row
-		// is ever skipped.
+		// stripe mutex. A scan that borrows the directory in this
+		// window misses a chain that is still empty (the creator
+		// appends its first version only after chain returns), so no
+		// visible row is ever skipped.
 		tb.spineInsert(pk, ch)
 	}
 	return ch
 }
 
-// spineInsert adds a newly created chain to the sorted chain directory.
-// The map insert under the stripe lock already deduplicated creators, so
-// each chain is inserted exactly once.
+// spineInsert adds a newly created chain to the chain directory in O(1):
+// onto the sorted run when the key extends it and nothing is pending (a
+// key-ordered load never leaves this path), otherwise onto the unsorted
+// tail for the next scan to merge. Neither moves an existing entry. The
+// map insert under the stripe lock already deduplicated creators, so each
+// chain is inserted exactly once.
 func (tb *Table) spineInsert(pk sqlmini.Value, ch *rowChain) {
 	tb.spineMu.Lock()
-	i := sort.Search(len(tb.spine), func(i int) bool { return comparePK(tb.spine[i].pk, pk) > 0 })
-	tb.spine = append(tb.spine, pkChain{})
-	copy(tb.spine[i+1:], tb.spine[i:])
-	tb.spine[i] = pkChain{pk: pk, ch: ch}
+	if n := len(tb.run); len(tb.tail) == 0 && (n == 0 || comparePK(tb.run[n-1].pk, pk) < 0) {
+		tb.run = append(tb.run, pkChain{pk: pk, ch: ch})
+	} else {
+		tb.tail = append(tb.tail, pkChain{pk: pk, ch: ch})
+	}
 	tb.spineMu.Unlock()
+}
+
+// mergeTail sorts the pending tail and merges it with the run into a
+// freshly allocated run, leaving the old backing array untouched for the
+// scans still walking it. O(t log t + n) for t pending chains, which only
+// a scan — itself O(n) — ever pays. Caller holds spineMu.
+func (tb *Table) mergeTail() {
+	run, tail := tb.run, tb.tail
+	slices.SortFunc(tail, func(a, b pkChain) int { return comparePK(a.pk, b.pk) })
+	created := len(run) + len(tail)
+	merged := make([]pkChain, 0, created)
+	for _, e := range tail {
+		// Keys are unique, so the search never hits: k is where e belongs.
+		k, _ := slices.BinarySearchFunc(run, e.pk, func(c pkChain, pk sqlmini.Value) int { return comparePK(c.pk, pk) })
+		merged = append(append(merged, run[:k]...), e)
+		run = run[k:]
+	}
+	merged = append(merged, run...)
+	tb.run, tb.tail = merged, nil
+	invariant.Check(func() error { return checkRun(merged, created) })
+}
+
+// checkRun verifies that a merge neither lost, duplicated nor misordered a
+// chain: the run is strictly ascending and holds every chain created.
+// Invariants builds only.
+func checkRun(run []pkChain, created int) error {
+	if len(run) != created {
+		return fmt.Errorf("mvcc: chain directory holds %d chains after a merge, %d were created", len(run), created)
+	}
+	for i := 1; i < len(run); i++ {
+		if comparePK(run[i-1].pk, run[i].pk) >= 0 {
+			return fmt.Errorf("mvcc: chain directory not strictly ascending at %d: %v then %v", i, run[i-1].pk, run[i].pk)
+		}
+	}
+	return nil
+}
+
+// scanRun returns the chain directory in primary-key order, merging the
+// pending tail first when there is one. The slice is borrowed, not copied:
+// its capacity is clipped to its length, later in-order inserts append past
+// that length and a later merge builds a new array, so the caller may walk
+// it with no lock held but must not write to it.
+func (tb *Table) scanRun() []pkChain {
+	tb.spineMu.Lock()
+	if len(tb.tail) > 0 {
+		tb.mergeTail()
+	}
+	run := slices.Clip(tb.run)
+	tb.spineMu.Unlock()
+	return run
 }
 
 // comparePK orders primary keys with an integer fast path. Keys of one
@@ -252,23 +314,13 @@ type pkChain struct {
 	ch *rowChain
 }
 
-// scanBufPool recycles scan snapshot buffers: a full scan of an N-row
-// table would otherwise allocate an N-entry slice per statement, which
-// under the heavy TPC-W mix is the dominant GC pressure.
-var scanBufPool = sync.Pool{New: func() any { return new([]pkChain) }}
-
 // Scan calls fn for every row visible to t, in primary-key order. fn
 // returning false stops the scan. Ordering is deterministic so that dumps
 // and state comparisons are stable. Rows are borrowed from version
 // storage (see visibleRow): stored rows are immutable so fn may retain
 // them, but must never mutate one — clone first to get an owned copy.
-//
-// The key set is a copy of the presorted spine (one memmove).
 func (tb *Table) Scan(t *Txn, fn func(storage.Row) bool) error {
-	bufp := scanBufPool.Get().(*[]pkChain)
-	tb.spineMu.Lock()
-	pairs := append((*bufp)[:0], tb.spine...)
-	tb.spineMu.Unlock()
+	pairs := tb.scanRun()
 	for i := range pairs {
 		ch := pairs[i].ch
 		ch.mu.Lock()
@@ -281,11 +333,6 @@ func (tb *Table) Scan(t *Txn, fn func(storage.Row) bool) error {
 			break
 		}
 	}
-	for i := range pairs {
-		pairs[i] = pkChain{} // drop chain references before pooling
-	}
-	*bufp = pairs
-	scanBufPool.Put(bufp)
 	return nil
 }
 
@@ -310,7 +357,7 @@ func (tb *Table) Insert(t *Txn, row storage.Row) error {
 	pk := tb.Schema.PK(row)
 	ch := tb.chain(pk, true)
 
-	deadline := time.Now().Add(t.lockTimeout())
+	var deadline time.Time // set by the first waitUnlocked, if any
 	ch.mu.Lock()
 	for {
 		// Any committed version the snapshot can't see means a
@@ -326,7 +373,7 @@ func (tb *Table) Insert(t *Txn, row storage.Row) error {
 		if ch.lockOwner == 0 || ch.lockOwner == t.ID {
 			break
 		}
-		if err := ch.waitUnlocked(t, deadline); err != nil {
+		if err := ch.waitUnlocked(t, &deadline); err != nil {
 			return err
 		}
 	}
@@ -369,7 +416,7 @@ func (tb *Table) write(t *Txn, pk sqlmini.Value, newRow storage.Row, del bool) (
 		return false, nil
 	}
 
-	deadline := time.Now().Add(t.lockTimeout())
+	var deadline time.Time // set by the first waitUnlocked, if any
 	ch.mu.Lock()
 	for {
 		// First-updater-wins, committed-winner path: a concurrent
@@ -384,7 +431,7 @@ func (tb *Table) write(t *Txn, pk sqlmini.Value, newRow storage.Row, del bool) (
 		// First-updater-wins, active-winner path: wait for the lock
 		// holder; if it commits we will see committedAfter above and
 		// abort, if it aborts we proceed.
-		if err := ch.waitUnlocked(t, deadline); err != nil {
+		if err := ch.waitUnlocked(t, &deadline); err != nil {
 			return false, err
 		}
 	}
@@ -466,12 +513,19 @@ func (ch *rowChain) acquire(t *Txn) {
 // The wake channel is registered before ch.mu is released and the holder
 // closes it under ch.mu, so a release between our unlock and our select
 // cannot be missed — the close is already observable on the channel.
-func (ch *rowChain) waitUnlocked(t *Txn, deadline time.Time) error {
+//
+// *deadline bounds all of one statement's waits on this row. It is set on
+// the first wait, not when the statement started, so the uncontended path
+// reads no clock and the lock-timeout budget starts when the waiting does.
+func (ch *rowChain) waitUnlocked(t *Txn, deadline *time.Time) error {
 	wake := make(chan struct{})
 	ch.waiters = append(ch.waiters, wake)
 	ch.mu.Unlock()
 
-	wait := time.Until(deadline)
+	if deadline.IsZero() {
+		*deadline = time.Now().Add(t.lockTimeout())
+	}
+	wait := time.Until(*deadline)
 	if wait <= 0 {
 		ch.mu.Lock()
 		ch.dropWaiter(wake)

@@ -68,8 +68,7 @@ func (c *Cache) Get(sql string) (Statement, bool) {
 }
 
 // Put caches the parse of sql, evicting the least recently used entry at
-// capacity. DDL statements are never cached: they run once, and caching
-// them would complicate their own invalidation story for no win.
+// capacity. Statements that cannot repeat are not admitted (see cacheable).
 func (c *Cache) Put(sql string, st Statement) {
 	if c == nil || !cacheable(st) {
 		return
@@ -177,12 +176,18 @@ func (c *Cache) remove(e *cacheEntry) {
 	e.prev, e.next = nil, nil
 }
 
-// cacheable reports whether a statement kind may be cached. DML and
-// transaction control repeat; DDL does not.
+// cacheable reports whether a statement may be cached. DML and transaction
+// control repeat. DDL runs once, and caching it would complicate its own
+// invalidation story for no win. A multi-row INSERT is a dump batch being
+// restored: its text names a batch of primary keys, so it can never run
+// twice, and admitting one would evict a statement the tenant does repeat
+// and keep kilobytes of text and AST live for nothing.
 func cacheable(st Statement) bool {
-	switch st.(type) {
+	switch st := st.(type) {
 	case *CreateTable, *DropTable, *CreateIndex, *DropIndex:
 		return false
+	case *Insert:
+		return len(st.Rows) == 1
 	case nil:
 		return false
 	}
