@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sync"
 	"time"
 
 	"madeus/internal/cluster"
@@ -17,6 +18,28 @@ import (
 	"madeus/internal/wal"
 	"madeus/internal/wire"
 )
+
+// dyingNode is the primary destination with a scripted death: it crashes at
+// the first connection the middleware opens to it once syncset propagation
+// has begun. A migration lasts only as long as its work, so "mid-migration"
+// is a point in the protocol, not a delay after its start.
+type dyingNode struct {
+	*cluster.Node
+	mw   *core.Middleware
+	once sync.Once
+}
+
+func (d *dyingNode) Connect(db string) (*wire.Client, error) {
+	if t, ok := d.mw.Tenant(db); ok {
+		if phase, _, _ := t.Progress(); phase == "step3.propagate" || phase == "step4.switchover" {
+			d.once.Do(func() {
+				fmt.Println("!! node1 (the primary destination) just crashed")
+				d.Node.Close()
+			})
+		}
+	}
+	return d.Node.Connect(db)
+}
 
 func main() {
 	opts := cluster.NodeOptions{Engine: engine.Options{
@@ -37,6 +60,7 @@ func main() {
 	for _, n := range nodes {
 		mw.AddNode(n)
 	}
+	mw.AddNode(&dyingNode{Node: nodes[1], mw: mw})
 	check(mw.ProvisionTenant("shop", "node0"))
 
 	c, err := wire.Dial(mw.Addr(), "shop")
@@ -78,13 +102,6 @@ func main() {
 		}
 	}()
 	time.Sleep(50 * time.Millisecond)
-
-	// Kill the PRIMARY destination shortly after the migration starts.
-	crash := time.AfterFunc(150*time.Millisecond, func() {
-		fmt.Println("!! node1 (the primary destination) just crashed")
-		nodes[1].Close()
-	})
-	defer crash.Stop()
 
 	fmt.Println("migrating shop: node0 -> node1, with node2 as a backup slave")
 	rep, err := mw.Migrate("shop", "node1", core.MigrateOptions{

@@ -167,10 +167,12 @@ func (n *Node) Close() {
 // Crash simulates kill -9: connections drop and the engine loses its
 // unsynced WAL tail. A durable node restarted on the same data dir (a fresh
 // NewNode with the same Engine.DataDir) then recovers exactly the committed
-// prefix; for an in-memory node a crash loses everything, as before.
+// prefix; for an in-memory node a crash loses everything, as before. The
+// engine dies first: an in-process caller (a rollback's DropDatabase) that
+// reacts to the dropped connections must not find a log that still commits.
 func (n *Node) Crash() {
-	n.srv.Close()
 	n.Engine.Crash()
+	n.srv.Close()
 }
 
 // Cluster is a named set of nodes.

@@ -131,33 +131,12 @@ func TestChaosSourceCrashMidStep3Restart(t *testing.T) {
 	}
 	time.Sleep(30 * time.Millisecond)
 
-	type migResult struct {
-		rep *Report
-		err error
-	}
-	migDone := make(chan migResult, 1)
-	go func() {
-		rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: Madeus, KeepSource: true})
-		migDone <- migResult{rep, err}
-	}()
-
 	// Kill -9 the source once propagation is running and writers have
-	// committed through it.
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		phase, _, _ := tn.Progress()
-		if phase == "step3.propagate" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("migration never reached step3.propagate")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond) // let some mid-step-3 commits through
-	rig.nodes[0].Crash()
-
-	mig := <-migDone
+	// committed through it: the restore waits for captured syncsets, and
+	// the propagator's first dial to the destination pulls the plug.
+	capture, crash := captureDuringRestore(t, tn, writers), inStep3(tn, rig.nodes[0].Crash)
+	rig.hook(1, func(call int) { capture(call); crash(call) })
+	migRep, migErr := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: Madeus, KeepSource: true})
 	close(stop)
 	acked := 0
 	for w := 0; w < writers; w++ {
@@ -182,7 +161,7 @@ func TestChaosSourceCrashMidStep3Restart(t *testing.T) {
 	if seeded := 120 * 100; srcSum < seeded {
 		t.Fatalf("recovered source sum = %d, below the seeded %d", srcSum, seeded)
 	}
-	if mig.err == nil {
+	if migErr == nil {
 		// The migration finished on the destination's copy: every
 		// acknowledged commit was captured and propagated, so the new
 		// master must carry at least seed + acked.
@@ -205,8 +184,8 @@ func TestChaosSourceCrashMidStep3Restart(t *testing.T) {
 		// The migration rolled back: the tenant stays on the (now
 		// restarted) source, whose recovered state must hold every
 		// acknowledged commit.
-		if mig.rep == nil || !mig.rep.Failed {
-			t.Fatalf("failed migration returned no rollback report (err: %v)", mig.err)
+		if migRep == nil || !migRep.Failed {
+			t.Fatalf("failed migration returned no rollback report (err: %v)", migErr)
 		}
 		if srcSum < 120*100+acked {
 			t.Fatalf("recovered source sum = %d, want at least %d (lost acked commits)", srcSum, 120*100+acked)

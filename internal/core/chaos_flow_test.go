@@ -148,6 +148,9 @@ func TestChaosInjectedReplayLatencyHitsDeadline(t *testing.T) {
 		}
 	}()
 	time.Sleep(30 * time.Millisecond)
+	// Step 3 opens with more debt than CatchupLag allows, and the slowed
+	// slave only falls further behind.
+	rig.hook(1, captureDuringRestore(t, tn, 100))
 
 	aborts0 := flow.DeadlineAborts()
 	fault.Enable(faultStep3Exec, fault.Policy{Delay: 20 * time.Millisecond})
@@ -200,6 +203,7 @@ func TestChaosHungSlaveStallDetected(t *testing.T) {
 		}
 	}()
 	time.Sleep(30 * time.Millisecond)
+	rig.hook(1, captureDuringRestore(t, tn, writers)) // something to hang on
 
 	stalls0 := flow.Stalls()
 	fault.Enable(faultStep3Exec, fault.Policy{Hang: true, Times: 1})

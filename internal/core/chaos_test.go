@@ -76,6 +76,17 @@ func chaosScenarios() []chaosCase {
 			wantReason: "injected",
 		},
 		{
+			name: "schema_chunk_restore_error_no_survivor",
+			// Chunk 0 — the schema, the restore's one serial barrier —
+			// fails before any applier has started.
+			tweak: func(o *MigrateOptions) { o.ChunkStatements = 1 },
+			arm: func() {
+				fault.Enable(faultStep1Restore, fault.Policy{Times: 1})
+			},
+			wantStep:   "step2.restore",
+			wantReason: "injected",
+		},
+		{
 			name: "chunk_restore_error_no_survivor",
 			// A restore applier fails on the third chunk; the only slave
 			// is discarded and the migration rolls back at Step 2.
@@ -124,20 +135,31 @@ func chaosScenarios() []chaosCase {
 		{
 			name:  "dest_crash_mid_propagation",
 			nodes: 3,
+			// The manager is parked at the top of its Step-3 wait (the
+			// failpoint precedes the first criterion check, so even a
+			// caught-up migration stops here) while the destination dies
+			// and the propagator finds out; released, the wait must see
+			// the failure before it can call the slave caught up.
+			arm: func() { fault.Enable(faultStep3Propagate, fault.Policy{Hang: true, Times: 1}) },
 			during: func(t *testing.T, rig *testRig, tn *Tenant) {
+				defer fault.Release(faultStep3Propagate)
 				deadline := time.Now().Add(20 * time.Second)
-				for {
-					phase, _, _ := tn.Progress()
-					if phase == "step3.propagate" {
-						break
+				failed := func() bool {
+					tn.mu.Lock()
+					p := tn.prop
+					tn.mu.Unlock()
+					return p != nil && p.Err() != nil
+				}
+				for crashed := false; !failed(); time.Sleep(time.Millisecond) {
+					if !crashed && fault.SiteFired(faultStep3Propagate) > 0 {
+						rig.nodes[1].Close() // hard crash of the destination
+						crashed = true
 					}
 					if time.Now().After(deadline) {
-						t.Error("migration never reached step3.propagate")
+						t.Error("propagator never noticed the crashed destination")
 						return
 					}
-					time.Sleep(time.Millisecond)
 				}
-				rig.nodes[1].Close() // hard crash of the destination
 			},
 			wantStep:   "step3.propagate",
 			wantReason: "every slave failed",
@@ -213,6 +235,8 @@ func runChaos(t *testing.T, tc chaosCase) {
 		go loadgen(t, rig, "a", w, 3*time.Millisecond, stop, done)
 	}
 	time.Sleep(30 * time.Millisecond)
+	// However short the migration, Step 3 has syncsets to propagate.
+	rig.hook(1, captureDuringRestore(t, tn, writers))
 
 	if tc.arm != nil {
 		tc.arm()

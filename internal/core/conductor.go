@@ -67,6 +67,11 @@ type propagator struct {
 	aborted bool
 	done    chan struct{} // closed when the run loop exits
 
+	// progress wakes the manager's Step-3 wait: one coalescing token per
+	// applied syncset and per failure, shared by every slave's propagator
+	// of the migration (nil when nothing waits).
+	progress chan<- struct{}
+
 	cursor int // next ABSOLUTE SSL index to consume (run loop only)
 
 	// B-CON commit token: players block on herdCond and are ALL woken at
@@ -80,7 +85,7 @@ type propagator struct {
 
 // startPropagation launches Step 3. mts is the migration timestamp: the MLC
 // value at the snapshot; the first commit to replay has ETS == mts.
-func startPropagation(t *Tenant, dest Backend, strategy Strategy, maxConns int, mts uint64, herdSpin, opTimeout time.Duration, trace *wire.TraceContext) *propagator {
+func startPropagation(t *Tenant, dest Backend, strategy Strategy, maxConns int, mts uint64, herdSpin, opTimeout time.Duration, trace *wire.TraceContext, progress chan<- struct{}) *propagator {
 	p := &propagator{
 		t:         t,
 		dest:      dest,
@@ -90,6 +95,7 @@ func startPropagation(t *Tenant, dest Backend, strategy Strategy, maxConns int, 
 		herdSpin:  herdSpin,
 		opTimeout: opTimeout,
 		trace:     trace,
+		progress:  progress,
 		abort:     make(chan struct{}),
 		done:      make(chan struct{}),
 	}
@@ -120,45 +126,31 @@ func (p *propagator) Stats() PropagationStats {
 	return st
 }
 
-// Lag reports how many linked syncsets have not yet been applied.
-func (p *propagator) Lag() int {
-	n := p.t.sslLen()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return n - p.applied
-}
-
-// Debt reports how many syncsets the slave is BEHIND by: linked syncsets
-// that are eligible for full replay now but have not been applied. Syncsets
-// whose commits the LSIR holds back (rule 1-b: a still-active master
-// transaction with a stamped STS precedes them) are an irreducible floor,
-// not debt — under sustained load that floor never reaches zero, so catch-up
-// detection uses Debt, not Lag.
-func (p *propagator) Debt() int {
-	if p.strategy == BAll || p.strategy == BMin {
-		// Serial strategies replay in link order with no LSIR holds.
-		return p.Lag()
-	}
+// snapshot reads the propagator's position in one consistent cut: syncsets
+// linked to the SSL so far, syncsets applied on the slave, and the DEBT —
+// how many syncsets the slave is behind by: linked syncsets that are
+// eligible for full replay now but have not been applied. Syncsets whose
+// commits the LSIR holds back (rule 1-b: a still-active master transaction
+// with a stamped STS precedes them) are an irreducible floor, not debt —
+// under sustained load that floor never reaches zero, so catch-up detection
+// thresholds the debt, not the lag (linked - applied). The serial
+// strategies replay in link order with no LSIR holds: their debt is the lag.
+func (p *propagator) snapshot() (linked, applied, debt int) {
 	t := p.t
 	t.mu.Lock()
-	linked := t.sslBase + len(t.ssl)
+	linked = t.sslBase + len(t.ssl)
 	bound := t.commitBoundLocked()
+	p.mu.Lock()
+	applied = p.applied
+	p.mu.Unlock()
 	t.mu.Unlock()
 	// ETS values are contiguous from the MTS, so the number of linked
 	// syncsets whose commits are below the bound is min(linked, bound-mts).
 	flushable := linked
-	if bound != ^uint64(0) && bound >= p.mts {
-		if n := int(bound - p.mts); n < flushable {
-			flushable = n
-		}
+	if p.strategy != BAll && p.strategy != BMin && bound != ^uint64(0) && bound >= p.mts {
+		flushable = min(linked, int(bound-p.mts))
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	d := flushable - p.applied
-	if d < 0 {
-		d = 0
-	}
-	return d
+	return linked, applied, max(flushable-applied, 0)
 }
 
 // RequestStop asks the run loop to exit once the SSL is fully drained.
@@ -209,22 +201,22 @@ func (p *propagator) fail(err error) {
 		p.t.cond.Broadcast()
 		p.t.mu.Unlock()
 	}
+	p.signal()
+}
+
+// signal posts the coalescing progress token: a waiter that has not yet
+// consumed the previous one loses nothing, it re-reads the state anyway.
+func (p *propagator) signal() {
+	select {
+	case p.progress <- struct{}{}:
+	default:
+	}
 }
 
 func (p *propagator) stopRequested() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stopReq || p.aborted
-}
-
-// Applied reports how many syncsets this propagator has replayed to
-// commit. Commits flush contiguously in ETS order from the MTS, so this is
-// also the length of the applied SSL prefix — the manager intersects it
-// across slaves to decide how much of the SSL can be released.
-func (p *propagator) Applied() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.applied
 }
 
 func (p *propagator) markApplied(ops int) {
@@ -234,6 +226,7 @@ func (p *propagator) markApplied(ops int) {
 	p.mu.Unlock()
 	obsSyncsetsApplied.Inc()
 	obsPropOps.Add(uint64(ops))
+	p.signal()
 }
 
 func (p *propagator) noteGroup(n int) {

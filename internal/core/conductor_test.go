@@ -86,7 +86,7 @@ func TestPropagatorAppliesMadeusSyncsets(t *testing.T) {
 	linkSSB(tn, 0, 1, "SELECT v FROM kv WHERE k = 2", "UPDATE kv SET v = v + 2 WHERE k = 2")
 	linkSSB(tn, 2, 2, "SELECT v FROM kv WHERE k = 1", "UPDATE kv SET v = v + 10 WHERE k = 1")
 
-	p := startPropagation(tn, dst, Madeus, 8, 0, 0, 0, nil)
+	p := startPropagation(tn, dst, Madeus, 8, 0, 0, 0, nil, nil)
 	p.RequestStop()
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestPropagatorHoldsCommitsBehindActiveFirstOp(t *testing.T) {
 	tn.mu.Unlock()
 
 	linkSSB(tn, 0, 0, "SELECT v FROM kv WHERE k = 3", "UPDATE kv SET v = 7 WHERE k = 3")
-	p := startPropagation(tn, dst, Madeus, 8, 0, 0, 0, nil)
+	p := startPropagation(tn, dst, Madeus, 8, 0, 0, 0, nil, nil)
 	defer func() {
 		p.Abort()
 		p.Wait()
@@ -132,8 +132,8 @@ func TestPropagatorHoldsCommitsBehindActiveFirstOp(t *testing.T) {
 	if got := slaveValue(t, dst, 3); got != 0 {
 		t.Fatalf("commit leaked past the bound: k=3 v=%d", got)
 	}
-	if p.Debt() != 0 {
-		t.Errorf("held-back syncset counted as debt: %d", p.Debt())
+	if linked, applied, debt := p.snapshot(); linked != 1 || applied != 0 || debt != 0 {
+		t.Errorf("snapshot = (%d, %d, %d), want (1, 0, 0): a held-back syncset is lag, not debt", linked, applied, debt)
 	}
 
 	// Resolving the active transaction releases the bound.
@@ -154,7 +154,7 @@ func TestPropagatorSerialOrder(t *testing.T) {
 	// Serial replay must preserve link order: two increments on one key.
 	linkSSB(tn, 0, 0, "SELECT v FROM kv WHERE k = 5", "UPDATE kv SET v = v * 10 + 1 WHERE k = 5")
 	linkSSB(tn, 1, 1, "SELECT v FROM kv WHERE k = 5", "UPDATE kv SET v = v * 10 + 2 WHERE k = 5")
-	p := startPropagation(tn, dst, BMin, 1, 0, 0, 0, nil)
+	p := startPropagation(tn, dst, BMin, 1, 0, 0, 0, nil, nil)
 	p.RequestStop()
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestPropagatorSerialOrder(t *testing.T) {
 func TestPropagatorReplayErrorFailsMigrationPath(t *testing.T) {
 	tn, dst := slaveRig(t)
 	linkSSB(tn, 0, 0, "SELECT v FROM kv WHERE k = 1", "UPDATE nosuch SET v = 1 WHERE k = 1")
-	p := startPropagation(tn, dst, Madeus, 8, 0, 0, 0, nil)
+	p := startPropagation(tn, dst, Madeus, 8, 0, 0, 0, nil, nil)
 	deadline := time.Now().Add(2 * time.Second)
 	for p.Err() == nil {
 		if time.Now().After(deadline) {
@@ -177,6 +177,51 @@ func TestPropagatorReplayErrorFailsMigrationPath(t *testing.T) {
 	}
 	p.Abort()
 	p.Wait()
+}
+
+// TestPropagatorSignalsProgress: the manager's Step-3 wait has no poll, so
+// an applied syncset and a propagator failure must each post the progress
+// token — for every strategy, and with nobody draining the channel (the
+// token coalesces; the propagator never blocks on it).
+func TestPropagatorSignalsProgress(t *testing.T) {
+	awaitToken := func(t *testing.T, progress chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-progress:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no progress token after %s", what)
+		}
+	}
+	for _, st := range []Strategy{Madeus, BCon, BMin} {
+		t.Run(st.String(), func(t *testing.T) {
+			tn, dst := slaveRig(t)
+			progress := make(chan struct{}, 1)
+			for i := uint64(0); i < 3; i++ {
+				linkSSB(tn, i, i, "SELECT v FROM kv WHERE k = 1", "UPDATE kv SET v = v + 1 WHERE k = 1")
+			}
+			p := startPropagation(tn, dst, st, 4, 0, 0, 0, nil, progress)
+			p.RequestStop()
+			if err := p.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			awaitToken(t, progress, "three applied syncsets")
+			if _, applied, _ := p.snapshot(); applied != 3 {
+				t.Fatalf("applied = %d, want 3", applied)
+			}
+		})
+	}
+	t.Run("failure", func(t *testing.T) {
+		tn, dst := slaveRig(t)
+		progress := make(chan struct{}, 1)
+		p := startPropagation(tn, dst, Madeus, 4, 0, 0, 0, nil, progress)
+		dst.Close() // the slave dies under an idle propagator
+		linkSSB(tn, 0, 0, "SELECT v FROM kv WHERE k = 1", "UPDATE kv SET v = 1 WHERE k = 1")
+		awaitToken(t, progress, "the destination died")
+		if p.Err() == nil {
+			t.Fatal("token posted but the propagator reports no failure")
+		}
+		p.Wait() //nolint:errcheck // judged via Err above
+	})
 }
 
 func TestSSBHeapOrdersBySTSThenETS(t *testing.T) {
@@ -301,7 +346,7 @@ func TestPropagatorConcurrentStress(t *testing.T) {
 			}
 		}
 	}()
-	p := startPropagation(tn, dst, Madeus, 16, 0, 0, 0, nil)
+	p := startPropagation(tn, dst, Madeus, 16, 0, 0, 0, nil, nil)
 	wg.Wait()
 	p.RequestStop()
 	if err := p.Wait(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,6 +78,59 @@ func (r *testRig) connect(t *testing.T, tenant string) *wire.Client {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// hookedNode wraps a registered node so a test can act on the migration's
+// own progress instead of on a wall clock: before runs ahead of every
+// Connect the middleware makes to the node, with the 1-based call number.
+// A migration that lasts only as long as its work leaves no fixed window
+// to sleep into.
+type hookedNode struct {
+	*cluster.Node
+	calls  atomic.Int32
+	before func(call int)
+}
+
+func (h *hookedNode) Connect(db string) (*wire.Client, error) {
+	h.before(int(h.calls.Add(1)))
+	return h.Node.Connect(db)
+}
+
+// hook re-registers node i behind a hookedNode.
+func (r *testRig) hook(i int, before func(call int)) {
+	r.mw.AddNode(&hookedNode{Node: r.nodes[i], before: before})
+}
+
+// captureDuringRestore is a hookedNode action for a destination: the
+// restore's first dial waits until the tenant has committed n more update
+// transactions, so at least n syncsets are linked before Step 3 starts
+// however short the migration is. Writers must be running.
+func captureDuringRestore(t *testing.T, tn *Tenant, n int) func(call int) {
+	return func(call int) {
+		if call != 1 {
+			return
+		}
+		base := tn.MLC()
+		for deadline := time.Now().Add(10 * time.Second); tn.MLC() < base+uint64(n); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("writers committed %d transactions during the restore in 10s, want %d", tn.MLC()-base, n)
+				return
+			}
+		}
+	}
+}
+
+// inStep3 is a hookedNode action that runs act once, at the first dial the
+// middleware makes to the node after propagation has begun — the
+// propagator's first player or, had nothing been captured, the promotion
+// probe.
+func inStep3(tn *Tenant, act func()) func(call int) {
+	var once sync.Once
+	return func(int) {
+		if phase, _, _ := tn.Progress(); phase == "step3.propagate" || phase == "step4.switchover" {
+			once.Do(act)
+		}
+	}
 }
 
 func TestProxyRelaysOperations(t *testing.T) {
@@ -245,14 +299,14 @@ func TestReadOnlyAndAbortedTxnsNotLinked(t *testing.T) {
 	mustExecAll(t, c, "BEGIN", "SELECT bal FROM acct WHERE id = 1", "COMMIT")
 	mustExecAll(t, c, "BEGIN", "SELECT bal FROM acct WHERE id = 1",
 		"UPDATE acct SET bal = 0 WHERE id = 1", "ROLLBACK")
-	if n := tn.sslLen(); n != 0 {
+	if n := tn.SSLLen(); n != 0 {
 		t.Errorf("SSL = %d SSBs, want 0", n)
 	}
 	// B-ALL capture links read-only transactions too.
 	tn.stopCapture()
 	tn.startCapture(true)
 	mustExecAll(t, c, "BEGIN", "SELECT bal FROM acct WHERE id = 1", "COMMIT")
-	if n := tn.sslLen(); n != 1 {
+	if n := tn.SSLLen(); n != 1 {
 		t.Errorf("B-ALL SSL = %d SSBs, want 1", n)
 	}
 }
@@ -276,7 +330,7 @@ func TestFailedTxnCommitNotLinked(t *testing.T) {
 	if _, err := c.Exec("COMMIT"); err != nil {
 		t.Fatal(err)
 	}
-	if n := tn.sslLen(); n != 0 {
+	if n := tn.SSLLen(); n != 0 {
 		t.Errorf("SSL = %d, want 0", n)
 	}
 	if got := tn.MLC(); got != base {
@@ -470,10 +524,13 @@ func TestMigrateUnderLoadAllStrategiesConsistent(t *testing.T) {
 			})
 			rig.provision(t, "a", 120)
 
-			// Bounded work that outlasts a migration which keeps up (~0.6s):
-			// B-CON's modelled commit convoy may fall behind a free-running
-			// master on a small host, and still has to converge.
+			// Bounded work: B-CON's modelled commit convoy may fall behind a
+			// free-running master on a small host, and still has to
+			// converge. The restore waits for a few commits, so syncsets
+			// are captured however quickly the migration itself runs.
 			stopWriters := startWriters(t, rig, "a", 4, 10*time.Millisecond, 150)
+			tn, _ := rig.mw.Tenant("a")
+			rig.hook(1, captureDuringRestore(t, tn, 8))
 
 			rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: st, KeepSource: true})
 			if err != nil {
@@ -534,6 +591,8 @@ func TestMadeusGroupCommitDuringMigration(t *testing.T) {
 	// fast this host's slave runs against a free-running master.
 	const writers = 8
 	stopWriters := startWriters(t, rig, "a", writers, time.Millisecond, 150)
+	tn, _ := rig.mw.Tenant("a")
+	rig.hook(1, captureDuringRestore(t, tn, 4*writers))
 	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: Madeus})
 	stopWriters()
 	if err != nil {
@@ -554,6 +613,8 @@ func TestBConNeverGroupsCommits(t *testing.T) {
 	// serial commits may lag the master on a small host, and must still
 	// converge once the writers run dry.
 	stopWriters := startWriters(t, rig, "a", 6, 2*time.Millisecond, 150)
+	tn, _ := rig.mw.Tenant("a")
+	rig.hook(1, captureDuringRestore(t, tn, 12))
 	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: BCon})
 	stopWriters()
 	if err != nil {
@@ -584,12 +645,11 @@ func TestMigrateErrors(t *testing.T) {
 }
 
 func TestCatchupTimeoutAbortsAndServiceContinues(t *testing.T) {
-	// A large fsync delay makes the serial B-ALL replay (one fsync per
-	// transaction) strictly slower than the master's group-committed
-	// arrival rate, so the slave genuinely cannot catch up.
-	rig := newRig(t, 2, engine.Options{
-		WAL: wal.Options{SyncDelay: 5 * time.Millisecond, Mode: wal.GroupCommit},
-	})
+	// A fast source in front of a destination whose every commit pays an
+	// exclusive 4 ms fsync: the serial B-ALL replay is strictly slower than
+	// the master's arrival rate, so the slave genuinely cannot catch up and
+	// only the catch-up timer can end Step 3.
+	rig := newFlowRig(t, Options{}, engine.Options{}, slowDest())
 	rig.provision(t, "a", 120)
 
 	const writers = 4

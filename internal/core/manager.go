@@ -45,14 +45,14 @@ type MigrateOptions struct {
 	Players int
 	// CatchupTimeout overrides the middleware's catch-up window.
 	CatchupTimeout time.Duration
-	// CatchupLag is the syncset DEBT at or below which the slave is
-	// considered caught up and Step 4 (suspend + final drain + switch)
-	// begins. Debt counts syncsets that are replayable now but not yet
-	// applied; syncsets the LSIR holds back behind active master
-	// transactions are an irreducible floor and are excluded. A small
-	// threshold stands in for the paper's "all SSBs linked to the SSL
-	// have been propagated" under sustained load; Step 4's suspension
-	// drains whatever remains. Defaults to 64.
+	// CatchupLag is the syncset DEBT the slave may run behind by while it
+	// turns the SSL over: Step 4 (suspend + final drain + switch) begins
+	// once the debt has stayed at or below it from some instant until
+	// every syncset linked at that instant has been applied (see catchup).
+	// Debt counts syncsets that are replayable now but not yet applied;
+	// syncsets the LSIR holds back behind active master transactions are
+	// an irreducible floor and are excluded. It bounds what Step 4's
+	// suspension has left to drain; it is not a time. Defaults to 64.
 	CatchupLag int
 	// KeepSource leaves the source copy in place after switch-over
 	// (used by consistency tests to compare master and slave states).
@@ -120,8 +120,15 @@ type Report struct {
 
 	// SuspensionWindow is the Step-4 interval during which new customer
 	// transactions were gated (suspend → drain → switch → resume): the
-	// paper's service-suspension metric, Fig 7's terminal dip.
+	// paper's service-suspension metric, Fig 7's terminal dip. It is the
+	// sum of its four parts: waiting out the active transactions,
+	// propagating the last syncsets, the promotion probe's round trip, and
+	// the route flip that reopens the gate.
 	SuspensionWindow time.Duration
+	SuspendDrain     time.Duration
+	SuspendPropagate time.Duration
+	SuspendProbe     time.Duration
+	SuspendFlip      time.Duration
 
 	// Chunks and PeakTransferBytes describe the pipelined Step-1 stream:
 	// how many chunks the snapshot shipped in and the high-water mark of
@@ -385,9 +392,12 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	if herdSpin < 0 {
 		herdSpin = 0
 	}
+	// Every propagator posts to progress when it applies a syncset or
+	// fails: the wait below is driven by what the slaves do, not by a clock.
+	progress := make(chan struct{}, 1)
 	props := make(map[Backend]*propagator, len(slaves))
 	for _, sl := range slaves {
-		props[sl] = startPropagation(t, sl, opts.Strategy, opts.Players, mts, herdSpin, opts.OpTimeout, opts.trace)
+		props[sl] = startPropagation(t, sl, opts.Strategy, opts.Players, mts, herdSpin, opts.OpTimeout, opts.trace, progress)
 		obs.Trace.Emit(tenantName, "step3.slave.begin", obs.F("slave", sl.BackendName()))
 	}
 	t.setProgress("step3.propagate", props[slaves[0]])
@@ -422,24 +432,24 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 		rep.PropagateTime = time.Since(phase)
 		return fail("step3.propagate", err)
 	}
-	deadline := time.Now().Add(opts.CatchupTimeout)
-	// Caught up means the debt stays at the floor, not that it dips there
-	// once: under heavy load the LSIR floor moves every time an old
-	// transaction resolves, so the criterion must hold continuously. With
-	// backups, the promotion candidate (slaves[0]) must catch up.
-	const sustain = 500 * time.Millisecond
+	// Caught up is the catchup rule over the promotion candidate's
+	// (slaves[0]'s) progress, evaluated at every wake-up. Flow control for
+	// the catch-up race runs on the ticker: the controller paces the source
+	// when debt diverges, and the applied SSL prefix is released as every
+	// slave clears it so the capture buffer's memory follows the debt, not
+	// the total writes since the snapshot. The watchdog (deadline + stall)
+	// is consulted at every wake-up; a hung slave posts no progress, so the
+	// ticker is what guarantees it a hearing.
 	const sampleEvery = 200 * time.Millisecond
-	var lowSince time.Time
-	var lastSample time.Time
-	// Flow control for the catch-up race: the controller paces the source
-	// when debt diverges, the watchdog bounds the attempt (deadline +
-	// stall), and the applied SSL prefix is released as every slave clears
-	// it so the capture buffer's memory follows the debt, not the total
-	// writes since the snapshot.
+	caughtUp := catchup{lag: opts.CatchupLag}
+	ticker := time.NewTicker(sampleEvery)
+	defer ticker.Stop()
+	timeout := time.NewTimer(opts.CatchupTimeout)
+	defer timeout.Stop()
 	ctrl := flow.NewController(fcfg)
 	wd := flow.NewWatchdog(flow.Config{Deadline: opts.Deadline, StallWindow: opts.StallWindow}, rep.Start)
 	var lastDelay time.Duration
-	for {
+	for sample := true; ; {
 		if ferr := fault.Inject(faultStep3Propagate); ferr != nil {
 			return failProp(ferr)
 		}
@@ -454,21 +464,20 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 			// monitoring surface at the new primary.
 			t.setProgress("step3.propagate", primary)
 		}
-		debt := primary.Debt()
+		linked, applied, debt := primary.snapshot()
 		now := time.Now()
-		wd.Observe(primary.Applied(), debt, now)
+		wd.Observe(applied, debt, now)
 		if err := wd.Check(now); err != nil {
 			return failProp(err)
 		}
 		if over := t.sslOverflow(); over != "" {
 			return failProp(fmt.Errorf("core: %s cap breached with debt %d: %w", over, debt, flow.ErrSSLOverflow))
 		}
-		if now.Sub(lastSample) >= sampleEvery {
-			lastSample = now
+		if sample {
 			// Release the SSL prefix every propagator has applied.
-			release := -1
+			release := applied
 			for _, p := range props {
-				if a := p.Applied(); release < 0 || a < release {
+				if _, a, _ := p.snapshot(); a < release {
 					release = a
 				}
 			}
@@ -482,22 +491,20 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 					obs.F("delay", delay), obs.F("debt", debt))
 			}
 			obs.Trace.Emit(tenantName, "step3.sample",
-				obs.F("lag", primary.Lag()), obs.F("debt", debt),
-				obs.F("ssl", t.sslLen()), obs.F("applied", primary.Stats().Syncsets))
+				obs.F("lag", linked-applied), obs.F("debt", debt),
+				obs.F("ssl", linked), obs.F("applied", applied))
 		}
-		if debt <= opts.CatchupLag {
-			if lowSince.IsZero() {
-				lowSince = now
-			} else if now.Sub(lowSince) >= sustain {
-				break
-			}
-		} else {
-			lowSince = time.Time{}
+		if caughtUp.observe(linked, applied, debt) {
+			break
 		}
-		if now.After(deadline) {
+		select {
+		case <-progress:
+			sample = false
+		case <-ticker.C:
+			sample = true
+		case <-timeout.C:
 			return failProp(ErrCatchupTimeout)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 	// The brake comes off before the final drain: Step 4 wants the last
 	// commits through as fast as possible.
@@ -512,6 +519,7 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	suspendStart := time.Now()
 	t.setGate(true)
 	t.drainActive()
+	drained := time.Now()
 	for _, p := range props {
 		p.RequestStop()
 	}
@@ -519,6 +527,7 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 		props[sl].Wait() //nolint:errcheck // judged via discardFailed below
 	}
 	discardFailed()
+	propagated := time.Now()
 	// All-or-nothing switch-over: a candidate is promoted only once it
 	// ACKS promotion — a fresh session must round-trip a probe
 	// transaction. A candidate that fails the probe is discarded and the
@@ -542,17 +551,24 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	if target == nil {
 		return fail("step4.switchover", fmt.Errorf("core: no slave acknowledged promotion"))
 	}
+	probed := time.Now()
 	promoted := target.BackendName() != destName
 	rep.Propagation = props[target].Stats()
 	t.switchOver(target)
 	t.stopCapture()
 	t.setGate(false)
-	rep.SuspensionWindow = time.Since(suspendStart)
-	rep.SwitchTime = time.Since(phase)
-	rep.Dest = target.BackendName()
 	rep.End = time.Now()
+	rep.SuspendDrain = drained.Sub(suspendStart)
+	rep.SuspendPropagate = propagated.Sub(drained)
+	rep.SuspendProbe = probed.Sub(propagated)
+	rep.SuspendFlip = rep.End.Sub(probed)
+	rep.SuspensionWindow = rep.End.Sub(suspendStart)
+	rep.SwitchTime = rep.End.Sub(phase)
+	rep.Dest = target.BackendName()
 	switchSpan.End(
 		obs.F("suspension", rep.SuspensionWindow),
+		obs.F("drain", rep.SuspendDrain), obs.F("propagate", rep.SuspendPropagate),
+		obs.F("probe", rep.SuspendProbe), obs.F("flip", rep.SuspendFlip),
 		obs.F("dest", rep.Dest), obs.F("promoted", promoted))
 	t.setProgress("", nil)
 	obsMigCompleted.Inc()
@@ -684,10 +700,12 @@ func (r *Report) String() string {
 			status = "FAILED at " + r.RollbackStep + ": " + r.Err.Error()
 		}
 	}
-	return fmt.Sprintf("migrate %s %s->%s [%s] total=%v drain=%v snap=%v restore=%v propagate=%v switch=%v suspend=%v syncsets=%d maxGroup=%d %s",
+	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
+	return fmt.Sprintf("migrate %s %s->%s [%s] total=%v drain=%v snap=%v restore=%v propagate=%v switch=%v suspend=%v (drain=%v propagate=%v probe=%v flip=%v) syncsets=%d maxGroup=%d %s",
 		r.Tenant, r.Source, r.Dest, r.Strategy, r.Total().Round(time.Millisecond),
 		r.DrainTime.Round(time.Millisecond), r.SnapshotTime.Round(time.Millisecond),
 		r.RestoreTime.Round(time.Millisecond), r.PropagateTime.Round(time.Millisecond),
-		r.SwitchTime.Round(time.Millisecond), r.SuspensionWindow.Round(time.Millisecond),
+		r.SwitchTime.Round(time.Millisecond), us(r.SuspensionWindow),
+		us(r.SuspendDrain), us(r.SuspendPropagate), us(r.SuspendProbe), us(r.SuspendFlip),
 		r.Propagation.Syncsets, r.Propagation.MaxGroup, status)
 }

@@ -53,6 +53,15 @@ func TestBackupErrors(t *testing.T) {
 	}
 }
 
+// killInStep3 arranges for node i to die mid-propagation: its restore is
+// held until the writers have linked syncsets, and the first dial its
+// propagator then makes kills it.
+func killInStep3(t *testing.T, rig *testRig, i int) {
+	tn, _ := rig.mw.Tenant("a")
+	capture, die := captureDuringRestore(t, tn, 8), inStep3(tn, rig.nodes[i].Close)
+	rig.hook(i, func(call int) { capture(call); die(call) })
+}
+
 // TestPrimarySlaveFailurePromotesBackup kills the primary destination
 // mid-propagation; the migration must finish on the backup (Sec 4.2).
 func TestPrimarySlaveFailurePromotesBackup(t *testing.T) {
@@ -69,12 +78,8 @@ func TestPrimarySlaveFailurePromotesBackup(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond)
 
-	// Kill node1 (the primary destination) shortly after the migration
-	// starts, while syncsets are propagating.
-	go func() {
-		time.Sleep(150 * time.Millisecond)
-		rig.nodes[1].Close()
-	}()
+	// Kill node1 (the primary destination) while syncsets are propagating.
+	killInStep3(t, rig, 1)
 	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{
 		Strategy: Madeus,
 		Backups:  []string{"node2"},
@@ -126,10 +131,7 @@ func TestBackupSlaveFailureContinuesOnPrimary(t *testing.T) {
 		go loadgen(t, rig, "a", w, 5*time.Millisecond, stop, done)
 	}
 	time.Sleep(50 * time.Millisecond)
-	go func() {
-		time.Sleep(150 * time.Millisecond)
-		rig.nodes[2].Close() // kill the backup
-	}()
+	killInStep3(t, rig, 2) // kill the backup
 	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{
 		Strategy: Madeus,
 		Backups:  []string{"node2"},
@@ -143,6 +145,9 @@ func TestBackupSlaveFailureContinuesOnPrimary(t *testing.T) {
 	}
 	if rep.Dest != "node1" {
 		t.Errorf("Dest = %s, want node1", rep.Dest)
+	}
+	if len(rep.Discarded) != 1 || rep.Discarded[0] != "node2" {
+		t.Errorf("Discarded = %v, want [node2]", rep.Discarded)
 	}
 }
 

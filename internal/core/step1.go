@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +46,6 @@ type step1Chunk struct {
 	seq    int
 	stmts  []string
 	bytes  int64
-	ddl    bool // contains a non-INSERT statement: applied as a serial barrier
 	refs   atomic.Int32
 	budget *flow.TransferBudget
 }
@@ -91,11 +89,12 @@ type slaveRun struct {
 //	         broadcast to every live slave over a bounded channel —
 //	         a slow destination backpressures the dump scan here, so
 //	         resident transfer memory stays under the configured cap
-//	stage 3  per slave, a dispatcher feeds N parallel appliers, each
-//	         applying a chunk as one transaction (one WAL commit per
-//	         chunk instead of one per INSERT batch); completions feed a
-//	         single ordered acknowledgement cursor, and chunks carrying
-//	         DDL act as serial barriers
+//	stage 3  per slave, chunk 0 — the schema prologue DUMP STREAM sends
+//	         whole and first — is applied alone; then a dispatcher feeds
+//	         N parallel appliers, each applying a chunk as one
+//	         transaction (one WAL commit per chunk instead of one per
+//	         INSERT batch); completions feed a single ordered
+//	         acknowledgement cursor
 //
 // The dump transaction COMMITs as soon as the scan finishes — the source
 // stops pinning MVCC versions while slaves are still applying.
@@ -144,9 +143,6 @@ func pipelineSnapshot(ctl *wire.Client, tenant string, slaves []Backend,
 		c := &step1Chunk{seq: int(seq), stmts: stmts, budget: budget}
 		for _, s := range stmts {
 			c.bytes += int64(len(s)) + chunkStmtOverhead
-			if !strings.HasPrefix(s, "INSERT ") {
-				c.ddl = true
-			}
 		}
 		c.refs.Store(int32(len(runs)))
 		stall := time.Now()
@@ -206,13 +202,13 @@ type applyAck struct {
 	err error
 }
 
-// restoreStream restores one slave from the chunk stream: a dispatcher
-// feeds restoreAppliers parallel appliers (each with its own connection, each
-// chunk one transaction) and folds their completions into a single ordered
-// acknowledgement cursor — chunk k counts as restored only once chunks
-// 0..k have all committed. Chunks containing DDL are barriers: the
-// dispatcher waits out every in-flight chunk, then applies the DDL
-// serially on its own connection.
+// restoreStream restores one slave from the chunk stream. Chunk 0 carries
+// the whole schema (engine.DumpStream's prologue) and is the migration's one
+// serial barrier: it is applied alone, before any applier starts. After it a
+// dispatcher feeds restoreAppliers parallel appliers (each with its own
+// connection, each chunk one transaction) and folds their completions into
+// a single ordered acknowledgement cursor — chunk k counts as restored only
+// once chunks 0..k have all committed.
 func restoreStream(sr *slaveRun, tenant string, opts MigrateOptions) error {
 	if ferr := fault.Inject(faultStep2Restore); ferr != nil {
 		return ferr
@@ -220,11 +216,6 @@ func restoreStream(sr *slaveRun, tenant string, opts MigrateOptions) error {
 	if err := createFreshDatabase(sr.sl, tenant); err != nil {
 		return err
 	}
-	ctl, err := connectRetry(sr.sl, tenant, faultRestoreDial, opts)
-	if err != nil {
-		return err
-	}
-	defer ctl.Close()
 	conns := make([]*wire.Client, 0, restoreAppliers)
 	defer func() {
 		for _, cn := range conns {
@@ -232,31 +223,20 @@ func restoreStream(sr *slaveRun, tenant string, opts MigrateOptions) error {
 		}
 	}()
 	for i := 0; i < restoreAppliers; i++ {
-		cn, err := connectRetry(sr.sl, tenant, "", opts)
+		site := "" // only the first dial is the partition failpoint's
+		if i == 0 {
+			site = faultRestoreDial
+		}
+		cn, err := connectRetry(sr.sl, tenant, site, opts)
 		if err != nil {
 			return err
 		}
 		conns = append(conns, cn)
 	}
 
-	work := make(chan *step1Chunk)
-	acks := make(chan applyAck, len(conns))
-	var appliers sync.WaitGroup
-	for _, cn := range conns {
-		appliers.Add(1)
-		go func(cn *wire.Client) {
-			defer appliers.Done()
-			for c := range work {
-				err := applyChunkTxn(cn, c)
-				acks <- applyAck{seq: c.seq, err: err}
-				c.release()
-			}
-		}(cn)
-	}
-
 	// Ordered-ack bookkeeping: prefix is the contiguous restored front,
 	// pending the out-of-order completions above it.
-	prefix, outstanding := 0, 0
+	prefix, outstanding, total := 0, 0, 0
 	pending := make(map[int]bool)
 	var firstErr error
 	note := func(a applyAck) {
@@ -269,47 +249,35 @@ func restoreStream(sr *slaveRun, tenant string, opts MigrateOptions) error {
 			prefix++
 		}
 	}
-	collect := func() { // non-blocking ack drain
-		for {
-			select {
-			case a := <-acks:
-				outstanding--
-				note(a)
-			default:
-				return
-			}
-		}
+
+	if c, ok := <-sr.ch; ok {
+		total++
+		note(applyAck{seq: c.seq, err: applyChunk(conns[0], c)})
+		c.release()
 	}
 
-	total := 0
+	work := make(chan *step1Chunk)
+	acks := make(chan applyAck, len(conns))
+	var appliers sync.WaitGroup
+	for _, cn := range conns {
+		appliers.Add(1)
+		go func(cn *wire.Client) {
+			defer appliers.Done()
+			for c := range work {
+				err := applyChunk(cn, c)
+				acks <- applyAck{seq: c.seq, err: err}
+				c.release()
+			}
+		}(cn)
+	}
+
 dispatch:
-	for c := range sr.ch {
-		total++
-		collect()
-		if firstErr != nil {
-			c.release()
+	for firstErr == nil {
+		c, ok := <-sr.ch
+		if !ok {
 			break
 		}
-		if c.ddl {
-			// Barrier: everything before the DDL must be down first, and
-			// nothing after it may start until it is.
-			for outstanding > 0 {
-				a := <-acks
-				outstanding--
-				note(a)
-			}
-			if firstErr != nil {
-				c.release()
-				break
-			}
-			err := applyChunkSerial(ctl, c)
-			note(applyAck{seq: c.seq, err: err})
-			c.release()
-			if firstErr != nil {
-				break
-			}
-			continue
-		}
+		total++
 		for {
 			select {
 			case work <- c:
@@ -339,10 +307,13 @@ dispatch:
 	return nil
 }
 
-// applyChunkTxn applies an INSERT-only chunk as one transaction: one WAL
-// group commit per chunk instead of one per INSERT batch — the restore
-// throughput half of the pipelining win.
-func applyChunkTxn(cn *wire.Client, c *step1Chunk) error {
+// applyChunk applies one chunk as one transaction: one WAL group commit per
+// chunk instead of one per INSERT batch — the restore throughput half of
+// the pipelining win. The schema chunk goes the same way: the engine applies
+// DDL at once (it is not transactional) but logs it in the enclosing scope,
+// so the whole prologue pays one fsync at COMMIT instead of one per
+// statement. No statement of a restore ever runs in autocommit.
+func applyChunk(cn *wire.Client, c *step1Chunk) error {
 	if ferr := fault.Inject(faultStep1Restore); ferr != nil {
 		return ferr
 	}
@@ -358,22 +329,6 @@ func applyChunkTxn(cn *wire.Client, c *step1Chunk) error {
 	}
 	if _, err := cn.Exec("COMMIT"); err != nil {
 		return err
-	}
-	obsApplyLatency.ObserveDuration(time.Since(start))
-	return nil
-}
-
-// applyChunkSerial applies a DDL-bearing chunk statement by statement in
-// autocommit: DDL is not transactional in the engine.
-func applyChunkSerial(cn *wire.Client, c *step1Chunk) error {
-	if ferr := fault.Inject(faultStep1Restore); ferr != nil {
-		return ferr
-	}
-	start := time.Now()
-	for _, stmt := range c.stmts {
-		if _, err := cn.Exec(stmt); err != nil {
-			return err
-		}
 	}
 	obsApplyLatency.ObserveDuration(time.Since(start))
 	return nil

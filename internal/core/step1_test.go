@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"madeus/internal/engine"
@@ -85,5 +86,111 @@ func TestPipelinedMigrateWithBackups(t *testing.T) {
 	dst, _ := rig.mw.Node("node1")
 	if d := sumBal(t, dst, "a"); d != 100*100 {
 		t.Errorf("node1 sum = %d", d)
+	}
+}
+
+// slaveCommits reads a node's per-tenant committed-transaction counter.
+func slaveCommits(t *testing.T, rig *testRig, i int, tenant string) uint64 {
+	t.Helper()
+	db, ok := rig.nodes[i].Engine.Database(tenant)
+	if !ok {
+		t.Fatalf("node%d has no database %q", i, tenant)
+	}
+	return db.Stats().Commits
+}
+
+// TestRestoreOneBarrierNoAutocommitInserts pins the shape of Step 2 on a
+// multi-table tenant: the schema crosses as chunk 0 and is the only serial
+// work; it and every row chunk are applied as ONE transaction each. Counted
+// on the slave's own commit counter: a statement applied in autocommit
+// commits by itself, so the restore's commits would track the 6 schema and
+// 48 INSERT statements instead of the chunks.
+func TestRestoreOneBarrierNoAutocommitInserts(t *testing.T) {
+	rig := newRig(t, 2, engine.Options{DumpBatch: 5})
+	rig.provision(t, "a", 80) // acct: 16 INSERT statements at DumpBatch 5
+	c := rig.connect(t, "a")
+	mustExecAll(t, c,
+		"CREATE INDEX acct_bal ON acct (bal)",
+		"CREATE TABLE empty (id INT PRIMARY KEY)",
+		"CREATE TABLE orders (id INT PRIMARY KEY, acct INT)",
+		"CREATE INDEX orders_acct ON orders (acct)",
+		"CREATE TABLE zlog (id INT PRIMARY KEY)")
+	for i := 0; i < 80; i++ {
+		mustExecAll(t, c,
+			fmt.Sprintf("INSERT INTO orders (id, acct) VALUES (%d, %d)", i, i%7),
+			fmt.Sprintf("INSERT INTO zlog (id) VALUES (%d)", i))
+	}
+	c.Close()
+	const insertStmts = 3 * 16
+
+	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{
+		Strategy:        Madeus,
+		ChunkStatements: 8,
+		KeepSource:      true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowChunks := insertStmts / 8
+	if rep.Chunks != 1+rowChunks {
+		t.Errorf("Chunks = %d, want %d (the schema, then %d INSERT statements in eights)", rep.Chunks, 1+rowChunks, insertStmts)
+	}
+	// The idle tenant propagated nothing, so every commit on the slave is
+	// the restore's: one per chunk.
+	if got := slaveCommits(t, rig, 1, "a"); got != uint64(rep.Chunks) {
+		t.Errorf("slave committed %d times for %d chunks: statements ran outside a transaction", got, rep.Chunks)
+	}
+	assertStateEqual(t, rig.nodes[0], rig.nodes[1], "a")
+}
+
+// TestApplyChunkMixedIsOneTransaction: a chunk that still mixes DDL and rows
+// (an older or foreign dump source) is one transaction like any other — no
+// INSERT of it runs in autocommit.
+func TestApplyChunkMixedIsOneTransaction(t *testing.T) {
+	rig := newRig(t, 1, engine.Options{})
+	rig.provision(t, "a", 0)
+	cn, err := rig.nodes[0].Connect("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cn.Close()
+	apply := func(stmts ...string) uint64 {
+		t.Helper()
+		before := slaveCommits(t, rig, 0, "a")
+		if err := applyChunk(cn, &step1Chunk{stmts: stmts}); err != nil {
+			t.Fatal(err)
+		}
+		return slaveCommits(t, rig, 0, "a") - before
+	}
+	if n := apply("CREATE TABLE x (id INT PRIMARY KEY)"); n != 1 {
+		t.Errorf("schema chunk committed %d times, want 1", n)
+	}
+	mixed := apply(
+		"CREATE TABLE y (id INT PRIMARY KEY)",
+		"INSERT INTO y (id) VALUES (1)",
+		"INSERT INTO y (id) VALUES (2)",
+		"INSERT INTO x (id) VALUES (1)",
+		"CREATE TABLE z (id INT PRIMARY KEY)",
+		"INSERT INTO z (id) VALUES (1)",
+		"INSERT INTO z (id) VALUES (2)")
+	if mixed != 1 {
+		t.Errorf("mixed chunk committed %d times, want 1", mixed)
+	}
+	for table, want := range map[string]int64{"x": 1, "y": 2, "z": 2} {
+		res, err := cn.Exec("SELECT COUNT(*) FROM " + table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0].Int; got != want {
+			t.Errorf("%s has %d rows, want %d", table, got, want)
+		}
+	}
+	// A failing INSERT rolls the chunk's rows back and leaves the session usable.
+	if err := applyChunk(cn, &step1Chunk{stmts: []string{
+		"INSERT INTO x (id) VALUES (2)", "INSERT INTO nosuch (id) VALUES (1)"}}); err == nil {
+		t.Fatal("chunk with a bad INSERT applied cleanly")
+	}
+	if res, err := cn.Exec("SELECT COUNT(*) FROM x"); err != nil || res.Rows[0][0].Int != 1 {
+		t.Errorf("after a failed chunk x = %v, %v; want the run rolled back and the session usable", res, err)
 	}
 }

@@ -384,9 +384,10 @@ func (t *Tenant) Progress() (phase string, lag, debt int) {
 	if phase == "" {
 		phase = "idle"
 	}
-	// Lag/Debt re-acquire t.mu, so they must be called after the unlock.
+	// snapshot re-acquires t.mu, so it must be called after the unlock.
 	if p != nil {
-		lag, debt = p.Lag(), p.Debt()
+		linked, applied, d := p.snapshot()
+		lag, debt = linked-applied, d
 	}
 	return phase, lag, debt
 }
@@ -430,12 +431,4 @@ func (t *Tenant) SSLLen() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.ssl)
-}
-
-// sslLen reports the TOTAL linked syncsets this capture, released or not —
-// the absolute index space propagator cursors and applied counts live in.
-func (t *Tenant) sslLen() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sslBase + len(t.ssl)
 }

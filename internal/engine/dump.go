@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"madeus/internal/mvcc"
 	"madeus/internal/sqlmini"
 	"madeus/internal/storage"
 )
@@ -16,7 +17,8 @@ const DefaultDumpChunk = 64
 // Dump serializes the session's database as a SQL script at one consistent
 // SI snapshot (the paper's Step-1 "dump transaction": snapshot creation runs
 // concurrently with customer transactions and never blocks them). The
-// script contains CREATE TABLE statements followed by batched INSERTs, in
+// script is the whole schema first — every CREATE TABLE followed by its
+// CREATE INDEXes, in table order — and then batched INSERTs, in
 // deterministic (table, primary key) order, so two consistent states always
 // dump to identical scripts.
 // When the session has an open transaction block, the dump uses that
@@ -34,10 +36,13 @@ func (s *Session) Dump() ([]string, error) {
 }
 
 // DumpStream is the cursor form of Dump: it produces the identical
-// statement sequence but hands it to sink in bounded chunks of at most
-// maxStmts statements (maxStmts <= 0 delivers everything as one chunk),
-// so a caller can ship and restore the snapshot while the scan is still
-// running instead of materializing the whole script.
+// statement sequence but hands it to sink in chunks, so a caller can ship
+// and restore the snapshot while the scan is still running instead of
+// materializing the whole script. Chunk 0 is the schema prologue, whole and
+// alone whatever its size; every later chunk holds only INSERTs, at most
+// maxStmts of them (maxStmts <= 0: all rows in one chunk). A restorer can
+// therefore apply chunk 0 serially and every other chunk as one transaction,
+// in parallel.
 //
 // Each chunk slice is owned by the sink (the iterator never reuses it), so
 // sinks may hand chunks to other goroutines. Table.Scan invokes its row
@@ -65,23 +70,15 @@ func (s *Session) DumpStream(maxStmts int, sink func(stmts []string) error) (int
 		total += len(out)
 		return sink(out)
 	}
-	emit := func(stmt string) error {
-		chunk = append(chunk, stmt)
-		if maxStmts > 0 && len(chunk) >= maxStmts {
-			return flush()
-		}
-		return nil
-	}
 
+	var tables []*mvcc.Table
 	for _, name := range s.db.Tables() {
 		tb, ok := s.db.table(name)
 		if !ok {
 			continue
 		}
-		schema := tb.Schema
-		if err := emit(createTableSQL(schema)); err != nil {
-			return total, err
-		}
+		tables = append(tables, tb)
+		chunk = append(chunk, createTableSQL(tb.Schema))
 		idxs := tb.Indexes()
 		idxNames := make([]string, 0, len(idxs))
 		for n := range idxs {
@@ -89,16 +86,20 @@ func (s *Session) DumpStream(maxStmts int, sink func(stmts []string) error) (int
 		}
 		sort.Strings(idxNames)
 		for _, n := range idxNames {
-			if err := emit(fmt.Sprintf("CREATE INDEX %s ON %s (%s)", n, name, idxs[n])); err != nil {
-				return total, err
-			}
+			chunk = append(chunk, fmt.Sprintf("CREATE INDEX %s ON %s (%s)", n, name, idxs[n]))
 		}
+	}
+	if err := flush(); err != nil {
+		return total, err
+	}
 
+	for _, tb := range tables {
+		schema := tb.Schema
 		cols := make([]string, len(schema.Columns))
 		for i, c := range schema.Columns {
 			cols[i] = c.Name
 		}
-		header := fmt.Sprintf("INSERT INTO %s (%s) VALUES ", name, strings.Join(cols, ", "))
+		header := fmt.Sprintf("INSERT INTO %s (%s) VALUES ", schema.Name, strings.Join(cols, ", "))
 
 		var batch []string
 		var sinkErr error
@@ -106,9 +107,12 @@ func (s *Session) DumpStream(maxStmts int, sink func(stmts []string) error) (int
 			if len(batch) == 0 {
 				return nil
 			}
-			err := emit(header + strings.Join(batch, ", "))
+			chunk = append(chunk, header+strings.Join(batch, ", "))
 			batch = batch[:0]
-			return err
+			if maxStmts > 0 && len(chunk) >= maxStmts {
+				return flush()
+			}
+			return nil
 		}
 		tb.Scan(txn, func(r storage.Row) bool {
 			vals := make([]string, len(r))

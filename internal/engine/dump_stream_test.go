@@ -8,7 +8,9 @@ import (
 )
 
 // TestDumpStreamMatchesDump: the chunked iterator must yield exactly the
-// monolithic dump's statement sequence, for every chunk size.
+// monolithic dump's statement sequence, for every chunk size, in the shape
+// restorers rely on: chunk 0 is the whole schema and nothing else, every
+// later chunk is INSERT-only and at most chunkSize statements.
 func TestDumpStreamMatchesDump(t *testing.T) {
 	e := newTestEngine(t)
 	s, _ := e.NewSession("shop")
@@ -19,21 +21,51 @@ func TestDumpStreamMatchesDump(t *testing.T) {
 	}
 	mustExec(t, s, "CREATE TABLE u (id INT PRIMARY KEY)")
 	mustExec(t, s, "INSERT INTO u (id) VALUES (1), (2)")
+	mustExec(t, s, "CREATE TABLE empty (id INT PRIMARY KEY)")
+	mustExec(t, s, "CREATE TABLE idxonly (id INT PRIMARY KEY, v INT)")
+	mustExec(t, s, "CREATE INDEX idxonly_v ON idxonly (v)")
 
 	want, err := s.Dump()
 	if err != nil {
 		t.Fatal(err)
 	}
+	schema := []string{
+		"CREATE TABLE empty (id INT PRIMARY KEY)",
+		"CREATE TABLE idxonly (id INT PRIMARY KEY, v INT)",
+		"CREATE INDEX idxonly_v ON idxonly (v)",
+		"CREATE TABLE t (id INT PRIMARY KEY, name TEXT)",
+		"CREATE INDEX t_name ON t (name)",
+		"CREATE TABLE u (id INT PRIMARY KEY)",
+	}
+	if got := strings.Join(want[:len(schema)], "\n"); got != strings.Join(schema, "\n") {
+		t.Fatalf("Dump does not open with the whole schema in table order:\n%s", got)
+	}
 	for _, chunkSize := range []int{1, 2, 7, 64, 0} {
-		var got []string
-		var sizes []int
+		var chunks [][]string
 		total, err := s.DumpStream(chunkSize, func(stmts []string) error {
-			got = append(got, stmts...)
-			sizes = append(sizes, len(stmts))
+			chunks = append(chunks, stmts)
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("chunk %d: %v", chunkSize, err)
+		}
+		var got []string
+		for i, c := range chunks {
+			got = append(got, c...)
+			if i == 0 {
+				if strings.Join(c, "\n") != strings.Join(schema, "\n") {
+					t.Errorf("chunk %d: chunk 0 = %v, want exactly the schema", chunkSize, c)
+				}
+				continue
+			}
+			if chunkSize > 0 && len(c) > chunkSize {
+				t.Errorf("chunk %d: row chunk %d has %d stmts", chunkSize, i, len(c))
+			}
+			for _, stmt := range c {
+				if !strings.HasPrefix(stmt, "INSERT ") {
+					t.Errorf("chunk %d: non-INSERT %q in chunk %d", chunkSize, stmt, i)
+				}
+			}
 		}
 		if total != len(got) {
 			t.Errorf("chunk %d: total %d, sunk %d", chunkSize, total, len(got))
@@ -41,14 +73,22 @@ func TestDumpStreamMatchesDump(t *testing.T) {
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Errorf("chunk %d: stream differs from Dump:\n got %v\nwant %v", chunkSize, got, want)
 		}
-		for i, n := range sizes {
-			if chunkSize > 0 && n > chunkSize {
-				t.Errorf("chunk %d: batch %d has %d stmts", chunkSize, i, n)
-			}
+		if chunkSize <= 0 && len(chunks) != 2 {
+			t.Errorf("unbounded stream made %d chunks, want 2 (schema, rows)", len(chunks))
 		}
-		if chunkSize <= 0 && len(sizes) != 1 {
-			t.Errorf("unbounded stream made %d chunks, want 1", len(sizes))
-		}
+	}
+
+	// Restore(Dump()) round-trips the schema-first script, empty and
+	// index-only tables included.
+	if err := e.CreateDatabase("copy"); err != nil {
+		t.Fatal(err)
+	}
+	cp, _ := e.NewSession("copy")
+	if err := cp.Restore(want); err != nil {
+		t.Fatal(err)
+	}
+	if eq, diff, err := StateEqual(s, cp); err != nil || !eq {
+		t.Fatalf("StateEqual after Restore(Dump()) = %v, %v: %s", eq, err, diff)
 	}
 }
 

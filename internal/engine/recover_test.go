@@ -325,3 +325,52 @@ func walSegments(t *testing.T, dir string) []string {
 	}
 	return segs
 }
+
+// TestRecoverRestoredChunks applies a dump the way a migration's restore
+// does — every DumpStream chunk, the schema prologue included, as one
+// transaction — crashes the engine, and requires recovery to rebuild the
+// source's state. The schema chunk's DDL is logged inside its scope, so the
+// whole prologue costs one fsync, not one per statement.
+func TestRecoverRestoredChunks(t *testing.T) {
+	src := newOracle(t)
+	mustExec(t, src, "CREATE INDEX kv_n ON kv (n)")
+	mustExec(t, src, "CREATE TABLE empty (id INT PRIMARY KEY)")
+	mustExec(t, src, "CREATE TABLE log (id INT PRIMARY KEY, kv INT)")
+	for i := 0; i < 40; i++ {
+		mustExec(t, src, fmt.Sprintf("INSERT INTO kv (id, v, n) VALUES (%d, 'v%d', %d)", i, i, i%5))
+		mustExec(t, src, fmt.Sprintf("INSERT INTO log (id, kv) VALUES (%d, %d)", i, i))
+	}
+
+	dir := t.TempDir()
+	e := openDurable(t, dir)
+	if err := e.CreateDatabase("tenant"); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := e.NewSession("tenant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fsyncs []uint64 // per chunk
+	if _, err := src.DumpStream(1, func(stmts []string) error {
+		before := e.WALStats().Fsyncs
+		mustExec(t, sess, "BEGIN")
+		for _, stmt := range stmts {
+			mustExec(t, sess, stmt)
+		}
+		mustExec(t, sess, "COMMIT")
+		fsyncs = append(fsyncs, e.WALStats().Fsyncs-before)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range fsyncs {
+		if n != 1 {
+			t.Errorf("chunk %d paid %d fsyncs, want 1", i, n)
+		}
+	}
+	e.Crash()
+
+	e2 := openDurable(t, dir)
+	defer e2.Close()
+	requireStateEqual(t, src, e2)
+}
