@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"madeus/internal/mvcc"
@@ -170,7 +169,7 @@ func (s *Session) execUpdate(st *sqlmini.Update, sql string) (*Result, error) {
 			return nil, fmt.Errorf("engine: table %q has no column %q", st.Table, a.Column)
 		}
 	}
-	matches, err := s.matchRows(tb, st.Where, -1)
+	matches, err := s.collectMatches(tb, st.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +210,7 @@ func (s *Session) execDelete(st *sqlmini.Delete, sql string) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q does not exist", st.Table)
 	}
-	matches, err := s.matchRows(tb, st.Where, -1)
+	matches, err := s.collectMatches(tb, st.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -298,56 +297,56 @@ func renderDeleteRow(schema *storage.Schema, table string, row storage.Row) stri
 	return sb.String()
 }
 
-// matchRows returns the rows visible to s.txn satisfying where: via the
-// primary-key map when where pins the key with an equality, via a secondary
-// index when one covers an equality conjunct, and by a full scan otherwise.
-// matchRows returns the rows matching where. limit >= 0 stops the
-// full-scan path once that many matches are collected — sound only when
-// the caller applies no further ordering (a SELECT without ORDER BY
-// returns an arbitrary subset, and PK-ordered scanning keeps that subset
-// deterministic); callers that sort or mutate pass -1.
-func (s *Session) matchRows(tb *mvcc.Table, where sqlmini.Expr, limit int64) ([]storage.Row, error) {
+// eachMatch calls fn, in primary-key order, for every row visible to s.txn
+// that satisfies where, until fn returns false. It reads through the
+// primary-key map when where pins the key with an equality, through a
+// secondary index when one covers an equality conjunct (candidates are a
+// superset, so the whole predicate re-runs on each), and by a full scan
+// otherwise. Rows are borrowed from version storage: fn must not mutate one
+// (see mvcc.Table.Scan).
+func (s *Session) eachMatch(tb *mvcc.Table, where sqlmini.Expr, fn func(storage.Row) bool) error {
 	schema := tb.Schema
-	if pk, ok := pkEquality(schema, where); ok {
-		row := tb.Get(s.txn, pk)
-		if row == nil {
-			return nil, nil
-		}
-		match, err := evalFilter(where, schema, row)
-		if err != nil {
-			return nil, err
-		}
-		if !match {
-			return nil, nil
-		}
-		return []storage.Row{row}, nil
-	}
-	if rows, ok, err := s.indexScan(tb, where); ok || err != nil {
-		return rows, err
-	}
-	if limit == 0 {
-		return nil, nil
-	}
-	var out []storage.Row
-	var scanErr error
-	tb.Scan(s.txn, func(r storage.Row) bool {
-		if where != nil {
-			match, err := evalFilter(where, schema, r)
-			if err != nil {
-				scanErr = err
+	var err error
+	visit := fn
+	if where != nil {
+		visit = func(r storage.Row) bool {
+			var match bool
+			if match, err = evalFilter(where, schema, r); err != nil {
 				return false
 			}
-			if !match {
-				return true
-			}
+			return !match || fn(r)
 		}
-		out = append(out, r)
-		return limit < 0 || int64(len(out)) < limit
-	})
-	if scanErr != nil {
-		return nil, scanErr
 	}
-	return out, nil
+	if pk, ok := pkEquality(schema, where); ok {
+		if row := tb.Get(s.txn, pk); row != nil {
+			visit(row)
+		}
+		return err
+	}
+	if col, val, ok := indexableEquality(schema, where); ok {
+		if pks, ok := tb.IndexLookup(col, val); ok {
+			slices.SortFunc(pks, func(a, b sqlmini.Value) int {
+				c, _ := a.Compare(b)
+				return c
+			})
+			for _, pk := range pks {
+				if row := tb.Get(s.txn, pk); row != nil && !visit(row) {
+					break
+				}
+			}
+			return err
+		}
+	}
+	tb.Scan(s.txn, visit)
+	return err
+}
+
+// collectMatches is eachMatch into a slice, for the statements that write
+// the rows they match and so must not do it while the scan runs.
+func (s *Session) collectMatches(tb *mvcc.Table, where sqlmini.Expr) ([]storage.Row, error) {
+	var rows []storage.Row
+	err := s.eachMatch(tb, where, func(r storage.Row) bool { rows = append(rows, r); return true })
+	return rows, err
 }
 
 // pkEquality detects a top-level `pk = literal` conjunct in where, enabling
@@ -377,41 +376,6 @@ func pkEquality(schema *storage.Schema, where sqlmini.Expr) (sqlmini.Value, bool
 		}
 	}
 	return sqlmini.Value{}, false
-}
-
-// indexScan serves where via a secondary index when a top-level equality
-// conjunct names an indexed column. Candidates from the index are a
-// superset, so the full predicate re-runs on every fetched row; results are
-// sorted by primary key for deterministic output.
-func (s *Session) indexScan(tb *mvcc.Table, where sqlmini.Expr) ([]storage.Row, bool, error) {
-	schema := tb.Schema
-	col, val, ok := indexableEquality(schema, where)
-	if !ok {
-		return nil, false, nil
-	}
-	pks, ok := tb.IndexLookup(col, val)
-	if !ok {
-		return nil, false, nil
-	}
-	sort.Slice(pks, func(i, j int) bool {
-		c, err := pks[i].Compare(pks[j])
-		return err == nil && c < 0
-	})
-	var out []storage.Row
-	for _, pk := range pks {
-		row := tb.Get(s.txn, pk)
-		if row == nil {
-			continue
-		}
-		match, err := evalFilter(where, schema, row)
-		if err != nil {
-			return nil, true, err
-		}
-		if match {
-			out = append(out, row)
-		}
-	}
-	return out, true, nil
 }
 
 // indexableEquality finds a top-level `col = literal` conjunct over a
@@ -450,29 +414,6 @@ func coerceCol(schema *storage.Schema, col string, v sqlmini.Value) sqlmini.Valu
 	return v
 }
 
-// topK returns the first k rows of a stable sort of matches without
-// sorting the whole slice: one pass maintaining a sorted buffer of at
-// most k rows. Equal-key rows keep their scan order (a later equal row
-// never displaces an earlier one), matching sort-then-truncate.
-func topK(matches []storage.Row, k int, cmp func(a, b storage.Row) int) []storage.Row {
-	if k <= 0 {
-		return matches[:0]
-	}
-	buf := make([]storage.Row, 0, k)
-	for _, r := range matches {
-		if len(buf) == k && cmp(r, buf[k-1]) >= 0 {
-			continue
-		}
-		i := sort.Search(len(buf), func(i int) bool { return cmp(buf[i], r) > 0 })
-		if len(buf) < k {
-			buf = append(buf, nil)
-		}
-		copy(buf[i+1:], buf[i:len(buf)-1])
-		buf[i] = r
-	}
-	return buf
-}
-
 func coercePK(schema *storage.Schema, v sqlmini.Value) sqlmini.Value {
 	if schema.Columns[schema.PKIndex()].Type == sqlmini.KindFloat && v.Kind == sqlmini.KindInt {
 		return sqlmini.NewFloat(float64(v.Int))
@@ -486,38 +427,36 @@ func (s *Session) execSelect(st *sqlmini.Select) (*Result, error) {
 		return nil, fmt.Errorf("engine: table %q does not exist", st.Table)
 	}
 	schema := tb.Schema
-	agg := len(st.Items) == 1 && st.Items[0].Aggregate != ""
-	if !agg {
-		for _, it := range st.Items {
-			if it.Aggregate != "" {
-				return nil, fmt.Errorf("engine: aggregates cannot be mixed with columns")
+	if len(st.Items) == 1 && st.Items[0].Aggregate != "" {
+		return s.aggregate(tb, st)
+	}
+	cols := make([]string, 0, len(st.Items))
+	proj := make([]int, 0, len(st.Items))
+	for _, it := range st.Items {
+		switch {
+		case it.Aggregate != "":
+			return nil, fmt.Errorf("engine: aggregates cannot be mixed with columns")
+		case it.Star:
+			for i, c := range schema.Columns {
+				cols = append(cols, c.Name)
+				proj = append(proj, i)
 			}
+		default:
+			ci := schema.ColumnIndex(it.Column)
+			if ci < 0 {
+				return nil, fmt.Errorf("engine: table %q has no column %q", st.Table, it.Column)
+			}
+			cols = append(cols, it.Column)
+			proj = append(proj, ci)
 		}
 	}
-
-	// Without ORDER BY or an aggregate, LIMIT can stop the scan early:
-	// the PK-ordered scan makes the returned prefix deterministic.
-	pushLimit := int64(-1)
-	if !agg && st.OrderBy == "" {
-		pushLimit = st.Limit
-	}
-	matches, err := s.matchRows(tb, st.Where, pushLimit)
-	if err != nil {
-		return nil, err
-	}
-
-	// Aggregate queries (single aggregate item).
-	if agg {
-		return aggregate(st.Items[0], schema, matches)
-	}
-
-	// ORDER BY before projection so any column is sortable.
+	var cmp func(a, b storage.Row) int
 	if st.OrderBy != "" {
 		ci := schema.ColumnIndex(st.OrderBy)
 		if ci < 0 {
 			return nil, fmt.Errorf("engine: table %q has no column %q", st.Table, st.OrderBy)
 		}
-		cmpRows := func(a, b storage.Row) int {
+		cmp = func(a, b storage.Row) int {
 			c, err := a[ci].Compare(b[ci])
 			if err != nil {
 				return 0
@@ -527,84 +466,102 @@ func (s *Session) execSelect(st *sqlmini.Select) (*Result, error) {
 			}
 			return c
 		}
-		if st.Limit >= 0 && st.Limit < int64(len(matches)) {
-			// ORDER BY ... LIMIT k (the best-seller query): one pass
-			// with a bounded insertion buffer instead of sorting the
-			// whole match set.
-			matches = topK(matches, int(st.Limit), cmpRows)
-		} else {
-			slices.SortStableFunc(matches, cmpRows)
-		}
-	}
-	if st.Limit >= 0 && int64(len(matches)) > st.Limit {
-		matches = matches[:st.Limit]
 	}
 
-	// Projection.
-	var cols []string
-	var proj []int
-	for _, it := range st.Items {
-		if it.Star {
-			for i, c := range schema.Columns {
-				cols = append(cols, c.Name)
-				proj = append(proj, i)
-			}
-			continue
+	// rows holds the borrowed rows the result is made of. Without ORDER BY
+	// they are the first matches in primary-key order and LIMIT stops the
+	// scan. With ORDER BY and LIMIT k, rows is a candidate buffer: whenever
+	// it holds more than 2k rows it is stably sorted and cut to the best k,
+	// and a match that does not beat the k-th is skipped — an equal row
+	// arrived later, so it never displaces an earlier one. Either way the
+	// result is that of a stable sort of every match followed by LIMIT;
+	// only ORDER BY without LIMIT holds every match.
+	k := st.Limit
+	var rows []storage.Row
+	var kth storage.Row
+	keep := func() {
+		if cmp != nil {
+			slices.SortStableFunc(rows, cmp)
 		}
-		ci := schema.ColumnIndex(it.Column)
-		if ci < 0 {
-			return nil, fmt.Errorf("engine: table %q has no column %q", st.Table, it.Column)
+		if k >= 0 && int64(len(rows)) > k {
+			rows = rows[:k]
 		}
-		cols = append(cols, it.Column)
-		proj = append(proj, ci)
 	}
-	res := &Result{Columns: cols, Tag: fmt.Sprintf("SELECT %d", len(matches))}
-	for _, r := range matches {
-		out := make([]sqlmini.Value, len(proj))
-		for i, ci := range proj {
-			out[i] = r[ci]
+	err := s.eachMatch(tb, st.Where, func(r storage.Row) bool {
+		if cmp == nil {
+			rows = append(rows, r)
+			return k < 0 || int64(len(rows)) < k
 		}
-		res.Rows = append(res.Rows, out)
+		if kth != nil && cmp(r, kth) >= 0 {
+			return true
+		}
+		rows = append(rows, r)
+		if k >= 0 && int64(len(rows))-k > k {
+			keep()
+			if k == 0 {
+				return false
+			}
+			kth = rows[k-1]
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	keep()
+
+	// One flat array backs every value of the result. Each row is a full
+	// slice expression over it, so an append to one row cannot overwrite
+	// the next.
+	w := len(proj)
+	flat := make([]sqlmini.Value, len(rows)*w)
+	res := &Result{Columns: cols, Rows: make([][]sqlmini.Value, len(rows)), Tag: fmt.Sprintf("SELECT %d", len(rows))}
+	for i, r := range rows {
+		out := flat[i*w : (i+1)*w : (i+1)*w]
+		for j, ci := range proj {
+			out[j] = r[ci]
+		}
+		res.Rows[i] = out
 	}
 	return res, nil
 }
 
-func aggregate(item sqlmini.SelectItem, schema *storage.Schema, rows []storage.Row) (*Result, error) {
+// aggregate folds a single COUNT or SUM over the matches as they stream by;
+// ORDER BY and LIMIT do not apply to its one-row result.
+func (s *Session) aggregate(tb *mvcc.Table, st *sqlmini.Select) (*Result, error) {
+	item := st.Items[0]
+	col, ci := "count", -1
 	switch item.Aggregate {
 	case "COUNT":
-		return &Result{
-			Columns: []string{"count"},
-			Rows:    [][]sqlmini.Value{{sqlmini.NewInt(int64(len(rows)))}},
-			Tag:     "SELECT 1",
-		}, nil
 	case "SUM":
-		ci := schema.ColumnIndex(item.AggArg)
-		if ci < 0 {
+		if col, ci = "sum", tb.Schema.ColumnIndex(item.AggArg); ci < 0 {
 			return nil, fmt.Errorf("engine: no column %q for SUM", item.AggArg)
 		}
-		var sumI int64
-		var sumF float64
-		isFloat := schema.Columns[ci].Type == sqlmini.KindFloat
-		for _, r := range rows {
-			v := r[ci]
-			if v.IsNull() {
-				continue
-			}
-			if isFloat {
-				sumF += v.Float
-			} else {
-				sumI += v.Int
-			}
-		}
-		val := sqlmini.NewInt(sumI)
-		if isFloat {
-			val = sqlmini.NewFloat(sumF)
-		}
-		return &Result{
-			Columns: []string{"sum"},
-			Rows:    [][]sqlmini.Value{{val}},
-			Tag:     "SELECT 1",
-		}, nil
+	default:
+		return nil, fmt.Errorf("engine: unsupported aggregate %q", item.Aggregate)
 	}
-	return nil, fmt.Errorf("engine: unsupported aggregate %q", item.Aggregate)
+	var n, sumI int64
+	var sumF float64
+	err := s.eachMatch(tb, st.Where, func(r storage.Row) bool {
+		n++
+		if ci >= 0 {
+			// A column holds one kind, and NULL's fields are zero, so
+			// adding both fields sums the column and skips NULLs.
+			sumI += r[ci].Int
+			sumF += r[ci].Float
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	val := sqlmini.NewInt(n)
+	switch {
+	case ci < 0:
+	case tb.Schema.Columns[ci].Type == sqlmini.KindFloat:
+		val = sqlmini.NewFloat(sumF)
+	default:
+		val = sqlmini.NewInt(sumI)
+	}
+	return &Result{Columns: []string{col}, Rows: [][]sqlmini.Value{{val}}, Tag: "SELECT 1"}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"madeus/internal/mvcc"
 	"madeus/internal/sqlmini"
@@ -256,14 +257,27 @@ func (s *Session) execRollback() (*Result, error) {
 	return &Result{Tag: "ROLLBACK"}, nil
 }
 
+// firstField returns strings.Fields(sql)[0], or "", without splitting the
+// rest of sql.
+func firstField(sql string) string {
+	sql = strings.TrimLeftFunc(sql, unicode.IsSpace)
+	if i := strings.IndexFunc(sql, unicode.IsSpace); i >= 0 {
+		return sql[:i]
+	}
+	return sql
+}
+
 // execMeta handles the utility commands that are not part of the sqlmini
-// grammar: CREATE DATABASE, DROP DATABASE, and DUMP.
+// grammar: CREATE/DROP DATABASE, CHECKPOINT, VACUUM, SNAPSHOT and DUMP.
+// Every other statement is turned away on its first word, unsplit.
 func (s *Session) execMeta(sql string) (*Result, bool, error) {
-	fields := strings.Fields(sql)
-	if len(fields) == 0 {
+	head := strings.ToUpper(firstField(sql))
+	switch head {
+	case "CREATE", "DROP", "CHECKPOINT", "VACUUM", "SNAPSHOT", "DUMP":
+	default:
 		return nil, false, nil
 	}
-	head := strings.ToUpper(fields[0])
+	fields := strings.Fields(sql)
 	var second string
 	if len(fields) > 1 {
 		second = strings.ToUpper(strings.TrimSuffix(fields[1], ";"))
@@ -361,9 +375,11 @@ func parseDumpChunk(fields []string) (int, error) {
 // owned by the callee, and an emit error aborts the dump and is returned
 // verbatim.
 func (s *Session) ExecStream(sql string, emit func(stmts []string) error) (*Result, bool, error) {
+	if !strings.EqualFold(firstField(sql), "DUMP") {
+		return nil, false, nil
+	}
 	fields := strings.Fields(sql)
 	if len(fields) < 2 ||
-		strings.ToUpper(fields[0]) != "DUMP" ||
 		strings.ToUpper(strings.TrimSuffix(fields[1], ";")) != "STREAM" {
 		return nil, false, nil
 	}

@@ -18,7 +18,10 @@ func NewLexer(src string) *Lexer { return &Lexer{src: src} }
 // TokEOF token) or a lexical error.
 func Lex(src string) ([]Token, error) {
 	lx := NewLexer(src)
-	var toks []Token
+	// A statement averages three or more bytes a token, so one allocation
+	// usually holds them all; the cap keeps a long string literal from
+	// reserving a token per three of its bytes.
+	toks := make([]Token, 0, min(len(src)/3+2, 1024))
 	for {
 		t, err := lx.Next()
 		if err != nil {

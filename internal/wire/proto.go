@@ -342,33 +342,52 @@ func DecodeResult(buf []byte) (*engine.Result, error) {
 		return nil, err
 	}
 	res.Affected = int(aff)
-	ncols, err := d.u32()
+	ncols, err := d.count() // a column name takes at least four bytes
 	if err != nil {
 		return nil, err
 	}
-	for i := uint32(0); i < ncols; i++ {
-		c, err := d.str()
-		if err != nil {
+	res.Columns = make([]string, ncols)
+	for i := range res.Columns {
+		if res.Columns[i], err = d.str(); err != nil {
 			return nil, err
 		}
-		res.Columns = append(res.Columns, c)
 	}
-	nrows, err := d.u32()
+	nrows, err := d.count() // so does a row, its width alone
 	if err != nil {
 		return nil, err
 	}
-	for i := uint32(0); i < nrows; i++ {
+	// Every row's values come from one array sized for rows as wide as the
+	// header, which is every engine result; a wider row makes append move
+	// on to a new array, and full slice expressions keep the rows apart.
+	res.Rows = make([][]sqlmini.Value, nrows)
+	vals := make([]sqlmini.Value, 0, min(nrows*ncols, len(d.buf)-d.off))
+	for i := range res.Rows {
 		nvals, err := d.u32()
 		if err != nil {
 			return nil, err
 		}
-		row := make([]sqlmini.Value, nvals)
+		start := len(vals)
 		for j := uint32(0); j < nvals; j++ {
-			if row[j], err = d.value(); err != nil {
+			v, err := d.value()
+			if err != nil {
 				return nil, err
 			}
+			vals = append(vals, v)
 		}
-		res.Rows = append(res.Rows, row)
+		res.Rows[i] = vals[start:len(vals):len(vals)]
 	}
 	return res, nil
+}
+
+// count reads a u32 count of elements that take at least four bytes each,
+// and rejects one that the remaining bytes cannot hold.
+func (d *decoder) count() (int, error) {
+	n, err := d.u32()
+	if err != nil {
+		return 0, err
+	}
+	if uint64(n) > uint64((len(d.buf)-d.off)/4) {
+		return 0, io.ErrUnexpectedEOF
+	}
+	return int(n), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -109,6 +110,30 @@ func TestDecodeResultBadValueKind(t *testing.T) {
 	full[len(full)-9] = 0xFF // the kind byte of the single INT value
 	if _, err := DecodeResult(full); err == nil {
 		t.Error("corrupt kind not detected")
+	}
+}
+
+// TestDecodeResultRejectsImpossibleCounts feeds column, row and value
+// counts that the rest of the frame cannot hold: each must be an error, not
+// an allocation sized from the count.
+func TestDecodeResultRejectsImpossibleCounts(t *testing.T) {
+	// An empty tag, Affected 0, then the given u32s and 64 bytes of padding.
+	frameOf := func(counts ...uint32) []byte {
+		b := binary.BigEndian.AppendUint32(nil, 0)
+		b = binary.BigEndian.AppendUint32(b, 0)
+		for _, c := range counts {
+			b = binary.BigEndian.AppendUint32(b, c)
+		}
+		return append(b, make([]byte, 64)...)
+	}
+	for name, frame := range map[string][]byte{
+		"columns": frameOf(math.MaxUint32),
+		"rows":    frameOf(0, math.MaxUint32),
+		"values":  frameOf(0, 1, math.MaxUint32),
+	} {
+		if _, err := DecodeResult(frame); err == nil {
+			t.Errorf("%s: impossible count accepted", name)
+		}
 	}
 }
 

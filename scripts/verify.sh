@@ -40,5 +40,9 @@ go test -count=1 -run 'TestHeavyWriteMigrationConvergesWithPacing' ./internal/co
 # benchrunner -json smoke, so the BENCH_*.json baseline path stays alive.
 go run ./cmd/benchrunner -exp table2 -quick -json /dev/null >/dev/null
 
+# The executor's read-shape benchmarks, one iteration each, so they keep
+# building and running (the numbers are read with -benchtime of your own).
+go test -count=1 -run '^$' -bench Select -benchtime 1x ./internal/engine/
+
 # The benchmark instrument is its own module.
 (cd benchmark && go vet ./... && go test -count=1 ./...)
