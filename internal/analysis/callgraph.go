@@ -533,7 +533,7 @@ func (w *factWalker) expr(e ast.Expr, held map[string]heldLock) {
 				}
 				return false
 			}
-			if kind, ok := w.blockingCall(n); ok {
+			if kind, ok := blockingKind(n, w.typeOf); ok {
 				w.block(kind, n.Pos(), held)
 			}
 			if callees, display := w.resolveCallees(n); len(callees) > 0 {
@@ -561,11 +561,18 @@ func (w *factWalker) detachedScan(lit *ast.FuncLit) {
 	inner.stmts(lit.Body.List, map[string]heldLock{})
 }
 
-// blockingCall classifies known blocking primitives and module boundaries
-// (the wire client round-trip, the WAL commit wait, pacing) that the
-// summaries name explicitly for readable findings. Everything else blocks
-// only through primitives its own body reaches, which propagation covers.
-func (w *factWalker) blockingCall(call *ast.CallExpr) (string, bool) {
+// condWait is blockingKind's name for sync.Cond.Wait, which releases its
+// mutex while it waits: holdblock counts it, lockdiscipline exempts it.
+const condWait = "sync.Cond.Wait"
+
+// blockingKind classifies known blocking primitives and module boundaries
+// (the wire client round trips, the WAL commit wait, pacing, the transfer
+// budget) that findings name explicitly. It is the one list both
+// lockdiscipline and holdblock use. typeOf may return nil (degraded mode);
+// receivers then classify by name. For holdblock's summaries everything
+// else blocks only through primitives its own body reaches, which
+// propagation covers.
+func blockingKind(call *ast.CallExpr, typeOf func(ast.Expr) types.Type) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
@@ -581,13 +588,13 @@ func (w *factWalker) blockingCall(call *ast.CallExpr) (string, bool) {
 			return "net." + name, true
 		}
 	}
-	recvType := w.typeOf(sel.X)
+	recvType := typeOf(sel.X)
 	switch name {
 	case "Wait":
 		if recvType != nil {
 			switch {
 			case isSyncType(recvType, "Cond"):
-				return "sync.Cond.Wait", true
+				return condWait, true
 			case isSyncType(recvType, "WaitGroup"):
 				return "WaitGroup.Wait", true
 			case isModuleType(recvType, "internal/flow", "Throttle"):
@@ -596,7 +603,7 @@ func (w *factWalker) blockingCall(call *ast.CallExpr) (string, bool) {
 			return "Wait", true
 		}
 		if strings.Contains(strings.ToLower(exprString(sel.X)), "cond") {
-			return "sync.Cond.Wait", true
+			return condWait, true
 		}
 		return "Wait", true
 	case "fsync", "Fsync":
@@ -605,7 +612,7 @@ func (w *factWalker) blockingCall(call *ast.CallExpr) (string, bool) {
 		if isModuleType(recvType, "internal/wal", "Log") {
 			return "WAL group-commit wait", true
 		}
-	case "Exec", "ExecStream", "ExecRetry":
+	case "Exec", "ExecReply", "ExecStream", "ExecRetry":
 		if isModuleType(recvType, "internal/wire", "Client") {
 			return "wire round-trip (Client." + name + ")", true
 		}

@@ -9,11 +9,13 @@ import (
 // LockDiscipline flags blocking operations performed while a named mutex is
 // held, and Lock calls with no matching Unlock later in the function.
 //
-// Blocking operations: channel send/receive, select without default,
-// WaitGroup/propagator-style Wait, time.Sleep, net dial/listen, simlat.IO,
-// WAL fsync/Commit, and wire.Client.Exec (a network round-trip).
-// sync.Cond.Wait is exempt — it releases the mutex while waiting, which is
-// exactly the sanctioned pattern (tenant critical region, B-CON herd).
+// Blocking operations: channel send/receive, select without default, and
+// the calls holdblock's classifier (blockingKind) names — WaitGroup- and
+// propagator-style Wait, time.Sleep, net dial/listen, simlat.IO, WAL
+// fsync/Commit, pacing and transfer-budget waits, and every wire.Client
+// round trip (Exec, ExecReply, ExecStream, ExecRetry). sync.Cond.Wait is
+// exempt — it releases the mutex while waiting, which is exactly the
+// sanctioned pattern (tenant critical region, B-CON herd).
 //
 // The check is an intra-procedural approximation: branch bodies are scanned
 // with a copy of the held-lock set, sequential statements thread it through,
@@ -288,50 +290,13 @@ func (s *lockScanner) reportBlocked(pos token.Pos, kind string, held map[string]
 	s.pass.Reportf(pos, "%s while holding %s", kind, strings.Join(keys, ", "))
 }
 
-// blockingCall classifies calls that can block the goroutine.
+// blockingCall classifies calls that can block the goroutine: holdblock's
+// list, less sync.Cond.Wait, which releases the mutex — the sanctioned
+// pattern.
 func (s *lockScanner) blockingCall(call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+	kind, ok := blockingKind(call, s.pass.TypeOf)
+	if kind == condWait {
 		return "", false
 	}
-	name := sel.Sel.Name
-	if base, ok := sel.X.(*ast.Ident); ok {
-		// Package-qualified calls.
-		switch base.Name + "." + name {
-		case "time.Sleep":
-			return "time.Sleep", true
-		case "simlat.IO":
-			return "simulated I/O (simlat.IO)", true
-		case "net.Dial", "net.DialTimeout", "net.Listen":
-			return "net." + name, true
-		}
-	}
-	recvType := s.pass.TypeOf(sel.X)
-	switch name {
-	case "Wait":
-		// sync.Cond.Wait releases the mutex — the sanctioned pattern.
-		if recvType != nil {
-			if isSyncType(recvType, "Cond") {
-				return "", false
-			}
-			return "Wait", true
-		}
-		if strings.Contains(strings.ToLower(exprString(sel.X)), "cond") {
-			return "", false
-		}
-		return "Wait", true
-	case "fsync", "Fsync":
-		return "WAL fsync", true
-	case "Commit":
-		if n := namedType(recvType); n != nil && n.Obj().Pkg() != nil &&
-			strings.HasSuffix(n.Obj().Pkg().Path(), "internal/wal") && n.Obj().Name() == "Log" {
-			return "WAL group-commit wait", true
-		}
-	case "Exec":
-		if n := namedType(recvType); n != nil && n.Obj().Pkg() != nil &&
-			strings.HasSuffix(n.Obj().Pkg().Path(), "internal/wire") && n.Obj().Name() == "Client" {
-			return "wire round-trip (Client.Exec)", true
-		}
-	}
-	return "", false
+	return kind, ok
 }

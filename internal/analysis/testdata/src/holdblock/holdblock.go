@@ -5,6 +5,8 @@ package holdblock
 import (
 	"sync"
 	"time"
+
+	"fixture/internal/wire"
 )
 
 type state struct {
@@ -30,6 +32,17 @@ func viaCall(s *state, ch chan int) {
 	s.session.Lock()
 	defer s.session.Unlock()
 	send(ch) // want
+}
+
+// roundTrips calls every wire client round trip while the session lock is
+// held; each is a blocking module boundary.
+func roundTrips(s *state, c *wire.Client) {
+	s.session.Lock()
+	defer s.session.Unlock()
+	_, _ = c.Exec("SELECT 1")                 // want
+	_, _ = c.ExecReply("SELECT 1")            // want
+	_, _ = c.ExecStream("DUMP STREAM 1", nil) // want
+	_, _ = c.ExecRetry("SELECT 1", true)      // want
 }
 
 // lowRankOK blocks under a bookkeeping lock below RankSession — that is

@@ -5,6 +5,8 @@ package lockdiscipline
 import (
 	"sync"
 	"time"
+
+	"fixture/internal/wire"
 )
 
 type guarded struct {
@@ -12,6 +14,7 @@ type guarded struct {
 	cond *sync.Cond
 	ch   chan int
 	n    int
+	c    *wire.Client
 }
 
 // sleepUnderLock blocks while holding the mutex — both the sleep and the
@@ -38,6 +41,17 @@ func (g *guarded) selectUnderLock() {
 		g.n = v
 	}
 	g.mu.Unlock()
+}
+
+// roundTripsUnderLock calls every wire client round trip with the lock
+// held; each one is a network wait and must be flagged.
+func (g *guarded) roundTripsUnderLock() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	_, _ = g.c.Exec("SELECT 1")                 // want
+	_, _ = g.c.ExecReply("SELECT 1")            // want
+	_, _ = g.c.ExecStream("DUMP STREAM 1", nil) // want
+	_, _ = g.c.ExecRetry("SELECT 1", true)      // want
 }
 
 // leakyLock never releases — the release-obligation check must fire.

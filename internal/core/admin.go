@@ -12,6 +12,7 @@ import (
 	"madeus/internal/flow"
 	"madeus/internal/obs"
 	"madeus/internal/sqlmini"
+	"madeus/internal/wire"
 )
 
 // AdminDB is the pseudo-database name operators connect to for control
@@ -54,7 +55,16 @@ type adminConn struct {
 func (a *adminConn) Close() {}
 
 // Exec implements wire.Conn for the admin channel.
-func (a *adminConn) Exec(cmd string) (*engine.Result, error) {
+func (a *adminConn) Exec(cmd string, dst []byte) ([]byte, error) {
+	res, err := a.run(cmd)
+	if err != nil {
+		return dst, err
+	}
+	return wire.AppendResult(dst, res), nil
+}
+
+// run executes one operator command.
+func (a *adminConn) run(cmd string) (*engine.Result, error) {
 	fields := strings.Fields(cmd)
 	upper := make([]string, len(fields))
 	for i, f := range fields {

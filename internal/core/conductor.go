@@ -275,7 +275,7 @@ func (p *propagator) exec(conn *wire.Client, sql string) error {
 		}
 		_ = conn.Close()
 	}
-	_, err := conn.Exec(sql)
+	_, err := conn.ExecReply(sql)
 	return err
 }
 

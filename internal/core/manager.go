@@ -600,10 +600,10 @@ func probePromotion(sl Backend, tenant string, opts MigrateOptions) error {
 		return err
 	}
 	defer c.Close()
-	if _, err := c.Exec("BEGIN"); err != nil {
+	if _, err := c.ExecReply("BEGIN"); err != nil {
 		return err
 	}
-	if _, err := c.Exec("COMMIT"); err != nil {
+	if _, err := c.ExecReply("COMMIT"); err != nil {
 		return err
 	}
 	return nil

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"madeus/internal/cluster"
-	"madeus/internal/engine"
 	"madeus/internal/flow"
 	"madeus/internal/sqlmini"
 	"madeus/internal/wire"
@@ -343,18 +342,31 @@ func (w *worker) ensureBackend() error {
 	return nil
 }
 
-// relay forwards sql to the tenant's current master. Not for use under
-// t.mu — the critical-region paths call ensureBackend first and then
-// w.backend.Exec directly.
-func (w *worker) relay(sql string) (*engine.Result, error) {
+// relay forwards sql to the tenant's current master and returns its reply
+// payload, borrowed from the backend client until the next call on it. Not
+// for use under t.mu — the critical-region paths call ensureBackend first
+// and then w.backend.ExecReply directly.
+func (w *worker) relay(sql string) ([]byte, error) {
 	if err := w.ensureBackend(); err != nil {
 		return nil, err
 	}
-	return w.backend.Exec(sql)
+	return w.backend.ExecReply(sql)
 }
 
-// Exec processes one customer operation (the worker body).
-func (w *worker) Exec(sql string) (*engine.Result, error) {
+// Exec implements wire.Conn: it processes one customer operation and
+// appends the master's reply payload to dst byte for byte. The worker never
+// decodes a result; the COMMIT path reads only the reply's tag.
+func (w *worker) Exec(sql string, dst []byte) ([]byte, error) {
+	reply, err := w.exec(sql)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, reply...), nil
+}
+
+// exec is the worker body; the reply it returns is borrowed from
+// w.backend, valid until the worker's next round trip.
+func (w *worker) exec(sql string) ([]byte, error) {
 	obsWorkerOps.Inc()
 	w.tenant.ops.Add(1)
 	class, err := sqlmini.ClassifyQuery(sql)
@@ -368,7 +380,7 @@ func (w *worker) Exec(sql string) (*engine.Result, error) {
 	return w.execAutocommit(sql, class)
 }
 
-func (w *worker) execInTxn(sql string, class sqlmini.OpClass) (*engine.Result, error) {
+func (w *worker) execInTxn(sql string, class sqlmini.OpClass) ([]byte, error) {
 	t := w.tenant
 	switch class {
 	case sqlmini.OpBegin:
@@ -378,17 +390,17 @@ func (w *worker) execInTxn(sql string, class sqlmini.OpClass) (*engine.Result, e
 		return w.execCommit(sql)
 
 	case sqlmini.OpAbort:
-		res, err := w.relay(sql)
-		w.endTxn(false)
-		return res, err
+		reply, err := w.relay(sql)
+		w.endTxn()
+		return reply, err
 
 	default: // reads, writes, DDL
 		if !w.firstSeen {
 			return w.execFirstOp(sql, class)
 		}
-		res, err := w.relay(sql)
+		reply, err := w.relay(sql)
 		if err != nil {
-			return res, err
+			return nil, err
 		}
 		// Capture writes always; other reads only under B-ALL capture.
 		isWrite := class == sqlmini.OpWrite || class == sqlmini.OpDDL
@@ -400,14 +412,14 @@ func (w *worker) execInTxn(sql string, class sqlmini.OpClass) (*engine.Result, e
 			}
 		}
 		t.mu.Unlock()
-		return res, nil
+		return reply, nil
 	}
 }
 
 // execFirstOp handles the transaction's first operation: executed under the
 // critical region so the STS stamp matches the master-side snapshot order
 // (Algorithm 1, lines 2-9).
-func (w *worker) execFirstOp(sql string, class sqlmini.OpClass) (*engine.Result, error) {
+func (w *worker) execFirstOp(sql string, class sqlmini.OpClass) ([]byte, error) {
 	t := w.tenant
 	if err := w.ensureBackend(); err != nil {
 		return nil, err
@@ -416,10 +428,10 @@ func (w *worker) execFirstOp(sql string, class sqlmini.OpClass) (*engine.Result,
 	// Algorithm 1's critical region REQUIRES the master round-trip under
 	// t.mu: the STS stamp must equal the master-side snapshot order.
 	//madeusvet:ignore lockdiscipline critical region: first op executes under the tenant mutex by design (Algorithm 1)
-	res, err := w.backend.Exec(sql)
+	reply, err := w.backend.ExecReply(sql)
 	if err != nil {
 		t.mu.Unlock()
-		return res, err
+		return nil, err
 	}
 	b := &SSB{STS: t.mlc}
 	b.Entries = append(b.Entries, Entry{SQL: sql, Class: class})
@@ -431,14 +443,15 @@ func (w *worker) execFirstOp(sql string, class sqlmini.OpClass) (*engine.Result,
 
 	w.ssb = b
 	w.firstSeen = true
-	return res, nil
+	return reply, nil
 }
 
 // execCommit handles COMMIT: read-only transactions bypass the critical
 // region and are discarded; update transactions commit under the region,
 // stamp ETS, advance the MLC, and link to the SSL (Algorithm 1, lines
-// 16-29).
-func (w *worker) execCommit(sql string) (*engine.Result, error) {
+// 16-29). The master's answer decides which: a COMMIT tag committed, a
+// ROLLBACK tag means the transaction was poisoned server-side.
+func (w *worker) execCommit(sql string) ([]byte, error) {
 	t := w.tenant
 	b := w.ssb
 
@@ -446,18 +459,18 @@ func (w *worker) execCommit(sql string) (*engine.Result, error) {
 		// Read-only or empty transaction: no MLC movement. Under
 		// B-ALL capture, committed read-only transactions are linked
 		// too (it propagates ALL transactions).
-		res, err := w.relay(sql)
+		reply, err := w.relay(sql)
 		t.mu.Lock()
 		if b != nil {
-			linkRO := t.captureAll && err == nil && res != nil && res.Tag == "COMMIT"
+			linkRO := t.captureAll && err == nil && wire.ResultTagIs(reply, "COMMIT")
 			if linkRO {
 				b.ETS = t.mlc
 			}
 			t.resolveSSBLocked(b, linkRO)
 		}
 		t.mu.Unlock()
-		w.endTxn(true)
-		return res, err
+		w.endTxn()
+		return reply, err
 	}
 
 	// Pacing point: an update commit pays the migration controller's
@@ -470,34 +483,29 @@ func (w *worker) execCommit(sql string) (*engine.Result, error) {
 		t.mu.Lock()
 		t.resolveSSBLocked(b, false)
 		t.mu.Unlock()
-		w.endTxn(true)
+		w.endTxn()
 		return nil, err
 	}
 	t.mu.Lock()
 	// COMMIT executes under the critical region so ETS assignment matches
 	// the master's commit order (Algorithm 1, lines 16-29).
 	//madeusvet:ignore lockdiscipline critical region: commit executes under the tenant mutex by design (Algorithm 1)
-	res, err := w.backend.Exec(sql)
-	switch {
-	case err != nil:
-		t.resolveSSBLocked(b, false)
-	case res.Tag == "COMMIT":
+	reply, err := w.backend.ExecReply(sql)
+	if err == nil && wire.ResultTagIs(reply, "COMMIT") {
 		b.ETS = t.mlc
 		t.mlc++
 		obsMLCAdvance.Inc()
 		t.resolveSSBLocked(b, true)
-	default:
-		// "ROLLBACK": the transaction was poisoned server-side.
+	} else {
 		t.resolveSSBLocked(b, false)
 	}
 	t.mu.Unlock()
-	w.endTxn(true)
-	return res, err
+	w.endTxn()
+	return reply, err
 }
 
-// endTxn resets per-transaction worker state. counted reports whether
-// txnStarted was called for this transaction.
-func (w *worker) endTxn(counted bool) {
+// endTxn resets per-transaction worker state.
+func (w *worker) endTxn() {
 	t := w.tenant
 	if w.ssb != nil {
 		// Already resolved by the caller where needed; make sure an
@@ -511,30 +519,29 @@ func (w *worker) endTxn(counted bool) {
 	w.ssb = nil
 	w.inTxn = false
 	w.firstSeen = false
-	_ = counted
 	t.txnEnded()
 }
 
-func (w *worker) execAutocommit(sql string, class sqlmini.OpClass) (*engine.Result, error) {
+func (w *worker) execAutocommit(sql string, class sqlmini.OpClass) ([]byte, error) {
 	t := w.tenant
 	switch class {
 	case sqlmini.OpBegin:
 		t.txnStarted()
-		res, err := w.relay(sql)
+		reply, err := w.relay(sql)
 		if err != nil {
 			t.txnEnded()
-			return res, err
+			return nil, err
 		}
 		w.inTxn = true
 		w.firstSeen = false
 		w.ssb = nil
-		return res, nil
+		return reply, nil
 
 	case sqlmini.OpCommit, sqlmini.OpAbort:
 		return w.relay(sql) // master reports "outside transaction block"
 
 	case sqlmini.OpRead:
-		res, err := w.relay(sql)
+		reply, err := w.relay(sql)
 		if err == nil {
 			t.mu.Lock()
 			if t.migrating && t.captureAll {
@@ -544,7 +551,7 @@ func (w *worker) execAutocommit(sql string, class sqlmini.OpClass) (*engine.Resu
 			}
 			t.mu.Unlock()
 		}
-		return res, err
+		return reply, err
 
 	default: // autocommit write or DDL: a one-statement update transaction
 		t.throttle.Wait() // pacing point, same contract as execCommit's
@@ -557,7 +564,7 @@ func (w *worker) execAutocommit(sql string, class sqlmini.OpClass) (*engine.Resu
 		// One-statement update transaction: stamped and committed inside
 		// the critical region like any other commit.
 		//madeusvet:ignore lockdiscipline critical region: autocommit write executes under the tenant mutex by design (Algorithm 1)
-		res, err := w.backend.Exec(sql)
+		reply, err := w.backend.ExecReply(sql)
 		if err == nil {
 			b := &SSB{STS: t.mlc, ETS: t.mlc, update: true}
 			b.Entries = append(b.Entries, Entry{SQL: sql, Class: class})
@@ -567,7 +574,7 @@ func (w *worker) execAutocommit(sql string, class sqlmini.OpClass) (*engine.Resu
 		}
 		t.mu.Unlock()
 		t.txnEnded()
-		return res, err
+		return reply, err
 	}
 }
 
@@ -577,7 +584,7 @@ func (w *worker) Close() {
 		// Roll the master-side transaction back and release tracking;
 		// the rollback is best-effort (the backend may already be gone).
 		_, _ = w.relay("ROLLBACK")
-		w.endTxn(true)
+		w.endTxn()
 	}
 	if w.backend != nil {
 		w.backend.Close()

@@ -1,0 +1,137 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"testing"
+
+	"madeus/internal/engine"
+	"madeus/internal/metrics"
+	"madeus/internal/tpcw"
+	"madeus/internal/wire"
+)
+
+// twin runs every statement twice, through the middleware and directly
+// against a node holding an identical copy of the tenant, and fails the
+// test unless both answers are byte for byte the same: the same reply
+// payload, or the same server error.
+type twin struct {
+	t          *testing.T
+	mw, direct *wire.Client
+	tags       map[string]int // COMMIT/ROLLBACK answers seen, by tag
+
+	commitsLeft int // the EB stream stops after this many COMMITs
+	stop        context.CancelFunc
+}
+
+func (w *twin) Exec(sql string) (*engine.Result, error) {
+	w.t.Helper()
+	reply, err := w.mw.ExecReply(sql)
+	reply = append([]byte(nil), reply...) // borrowed until the next call on w.mw
+	directReply, directErr := w.direct.ExecReply(sql)
+	var se, directSE *wire.ServerError
+	switch {
+	case err != nil || directErr != nil:
+		if !errors.As(err, &se) || !errors.As(directErr, &directSE) || se.Msg != directSE.Msg {
+			w.t.Fatalf("%s:\n via middleware: %v\n direct:         %v", sql, err, directErr)
+		}
+		return nil, err
+	case string(reply) != string(directReply):
+		w.t.Fatalf("%s: reply via middleware %x, direct %x", sql, reply, directReply)
+	}
+	res, err := wire.DecodeResult(reply)
+	if err != nil {
+		w.t.Fatalf("%s: %v", sql, err)
+	}
+	if sql == "COMMIT" {
+		w.tags[res.Tag]++
+		if w.commitsLeft--; w.commitsLeft == 0 {
+			w.stop()
+		}
+	}
+	return res, nil
+}
+
+// TestRelayMatchesDirect is the end-to-end check that relaying reply
+// frames verbatim is observationally identical to a customer talking to the
+// node itself. Seeded TPC-W EB streams (browsing and ordering mixes) and a
+// scripted first-updater-wins schedule run through the middleware and,
+// statement by statement, directly against a second node loaded the same
+// way: every result, error and COMMIT/ROLLBACK tag must be identical. The
+// schedule's aborts answer COMMIT with ROLLBACK on both of the worker's
+// commit paths (an update transaction and a read-only one), which is where
+// the worker reads the reply's tag — and the MLC must advance for the
+// committed transaction alone.
+func TestRelayMatchesDirect(t *testing.T) {
+	rig := newRig(t, 2, engine.Options{})
+	const db = "shop"
+	if err := rig.mw.ProvisionTenant(db, "node0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.nodes[1].CreateDatabase(db); err != nil {
+		t.Fatal(err)
+	}
+	tags := map[string]int{}
+	open := func() *twin {
+		mw := rig.connect(t, db)
+		t.Cleanup(func() { mw.Close() })
+		direct, err := wire.Dial(rig.nodes[1].Addr(), db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { direct.Close() })
+		return &twin{t: t, mw: mw, direct: direct, tags: tags}
+	}
+
+	eb := open()
+	scale := tpcw.Scale{Items: 200, Customers: 100, Authors: 50}
+	if err := tpcw.Load(eb, scale); err != nil {
+		t.Fatal(err)
+	}
+	rec := metrics.NewRecorder()
+	defer rec.Close()
+	for i, mix := range []tpcw.Mix{tpcw.Browsing, tpcw.Ordering} {
+		ctx, cancel := context.WithCancel(context.Background())
+		eb.commitsLeft, eb.stop = 150, cancel
+		b := &tpcw.EB{ID: i + 1, Mix: mix, Scale: scale, Seed: int64(7 + i)}
+		err := b.Run(ctx, eb, rec)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s stream: %v", mix.Name, err)
+		}
+	}
+
+	tn, _ := rig.mw.Tenant(db)
+	mlc := tn.MLC()
+	a, b, c := open(), open(), open()
+	for _, step := range []struct {
+		s       *twin
+		sql     string
+		wantErr bool
+	}{
+		{a, "BEGIN", false},
+		{b, "BEGIN", false},
+		{c, "BEGIN", false},
+		{a, "SELECT i_stock FROM item WHERE i_id = 1", false},
+		{b, "SELECT i_stock FROM item WHERE i_id = 1", false},
+		{c, "SELECT i_stock FROM item WHERE i_id = 1", false},
+		{b, "UPDATE item SET i_stock = i_stock + 1 WHERE i_id = 2", false},
+		{a, "UPDATE item SET i_stock = i_stock - 1 WHERE i_id = 1", false},
+		{a, "COMMIT", false},
+		{b, "UPDATE item SET i_stock = i_stock - 1 WHERE i_id = 1", true}, // first updater (a) won
+		{b, "COMMIT", false}, // ROLLBACK, on the update-commit path
+		{c, "UPDATE item SET i_stock = i_stock - 1 WHERE i_id = 1", true},
+		{c, "COMMIT", false}, // ROLLBACK, on the read-only path
+	} {
+		if _, err := step.s.Exec(step.sql); (err != nil) != step.wantErr {
+			t.Fatalf("%s: error %v, want error %v", step.sql, err, step.wantErr)
+		}
+	}
+	if got := tn.MLC() - mlc; got != 1 {
+		t.Errorf("MLC advanced by %d over one committed and two rolled-back transactions, want 1", got)
+	}
+	if tags["COMMIT"] == 0 || tags["ROLLBACK"] != 2 {
+		t.Errorf("COMMIT answers by tag: %v, want COMMITs and exactly the schedule's two ROLLBACKs", tags)
+	}
+	assertStateEqual(t, rig.nodes[0], rig.nodes[1], db)
+}

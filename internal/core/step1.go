@@ -318,16 +318,16 @@ func applyChunk(cn *wire.Client, c *step1Chunk) error {
 		return ferr
 	}
 	start := time.Now()
-	if _, err := cn.Exec("BEGIN"); err != nil {
+	if _, err := cn.ExecReply("BEGIN"); err != nil {
 		return err
 	}
 	for _, stmt := range c.stmts {
-		if _, err := cn.Exec(stmt); err != nil {
-			_, _ = cn.Exec("ROLLBACK") // best-effort; the slave is discarded anyway
+		if _, err := cn.ExecReply(stmt); err != nil {
+			_, _ = cn.ExecReply("ROLLBACK") // best-effort; the slave is discarded anyway
 			return err
 		}
 	}
-	if _, err := cn.Exec("COMMIT"); err != nil {
+	if _, err := cn.ExecReply("COMMIT"); err != nil {
 		return err
 	}
 	obsApplyLatency.ObserveDuration(time.Since(start))

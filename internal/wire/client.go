@@ -117,7 +117,8 @@ type Client struct {
 	conn   net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
-	broken bool // connection poisoned; only a redial revives the session
+	rbuf   []byte // readMsg's buffer: holds the reply ExecReply lends out
+	broken bool   // connection poisoned; only a redial revives the session
 
 	opTimeout time.Duration
 	retry     RetryPolicy
@@ -271,7 +272,7 @@ func (c *Client) startup(database string) error {
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
-	typ, payload, err := readMsg(c.br)
+	typ, payload, err := readMsg(c.br, &c.rbuf)
 	if err != nil {
 		return err
 	}
@@ -289,6 +290,18 @@ func (c *Client) startup(database string) error {
 // serialization abort); a *ConnLostError (errors.Is ErrConnLost) means the
 // transport died and the statement's fate is unknown.
 func (c *Client) Exec(sql string) (*engine.Result, error) {
+	reply, err := c.ExecReply(sql)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeResult(reply)
+}
+
+// ExecReply is Exec without the decode: it returns the encoded MsgResult
+// payload (DecodeResult's input, ResultTagIs's too) as the server sent it.
+// The payload is lent from the client's read buffer and is valid only until
+// the next call on c; a caller that keeps it copies it. Errors are Exec's.
+func (c *Client) ExecReply(sql string) ([]byte, error) {
 	defer c.clearDeadline()
 	if err := c.sendQuery(MsgQuery, MsgQueryTraced, sql); err != nil {
 		return nil, err
@@ -296,13 +309,13 @@ func (c *Client) Exec(sql string) (*engine.Result, error) {
 	if err := fault.Inject(faultRead); err != nil {
 		return nil, c.faulted("read", err)
 	}
-	typ, payload, err := readMsg(c.br)
+	typ, payload, err := readMsg(c.br, &c.rbuf)
 	if err != nil {
 		return nil, c.lost("read", err)
 	}
 	switch typ {
 	case MsgResult:
-		return DecodeResult(payload)
+		return payload, nil
 	case MsgError:
 		return nil, &ServerError{Msg: string(payload)}
 	}
@@ -333,7 +346,7 @@ func (c *Client) ExecStream(sql string, sink func(seq uint32, stmts []string) er
 			return nil, c.faulted("read", err)
 		}
 		c.armDeadline()
-		typ, payload, err := readMsg(c.br)
+		typ, payload, err := readMsg(c.br, &c.rbuf)
 		if err != nil {
 			return nil, c.lost("read", err)
 		}
@@ -431,7 +444,7 @@ func (c *Client) Scrape(since uint64, tenant string, maxEvents int) (*obs.Remote
 	if err := c.bw.Flush(); err != nil {
 		return nil, c.lost("write", err)
 	}
-	typ, payload, err := readMsg(c.br)
+	typ, payload, err := readMsg(c.br, &c.rbuf)
 	if err != nil {
 		return nil, c.lost("read", err)
 	}

@@ -1,0 +1,26 @@
+package wire
+
+import "testing"
+
+// FuzzDecodeResult checks the decoder every reply passes through: it never
+// panics on any payload, and a payload it accepts re-encodes to one that
+// decodes to the same result. The middleware forwards replies verbatim, so
+// this is what makes the relay observationally identical to decoding and
+// re-encoding them. The seed corpus (testdata/fuzz/FuzzDecodeResult) holds
+// real engine results: NULL, INT, FLOAT, TEXT and BOOL values, an empty
+// result, and the COMMIT/ROLLBACK tags.
+func FuzzDecodeResult(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		res, err := DecodeResult(payload)
+		if err != nil {
+			return
+		}
+		again, err := DecodeResult(AppendResult(nil, res))
+		if err != nil {
+			t.Fatalf("re-encoded result does not decode: %v", err)
+		}
+		if !resultEqual(res, again) {
+			t.Fatalf("re-encoded result decodes differently:\n got %+v\nwant %+v", again, res)
+		}
+	})
+}

@@ -9,14 +9,17 @@
 // query/response pairs. Madeus only needs to relay and classify operations,
 // so any such protocol exercises the identical middleware code path.
 //
-// Framing: 1 type byte + 4-byte big-endian payload length + payload.
+// Framing: 1 type byte + 4-byte big-endian payload length + payload. Each
+// connection reads every frame into one buffer it owns (readMsg) and
+// buffers every frame it writes until one Flush (writeMsg), so a frame
+// costs no allocation and, below the bufio buffer size, one write.
 //
 // There is one query relay. A query's type byte encodes two independent
 // bits — does the payload carry a trace-context prefix, may the response
 // stream — and both ends handle every combination on one path: the client
-// through one send helper (Client.Exec and Client.ExecStream differ only in
-// how they read the answer), the server through one case in Server.serve
-// that branches on "stream?" for the response frames alone.
+// through one send helper (Client.ExecReply and Client.ExecStream differ
+// only in how they read the answer), the server through one case in
+// Server.serve that branches on "stream?" for the response frames alone.
 package wire
 
 import (
@@ -25,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"madeus/internal/engine"
@@ -77,6 +81,11 @@ const maxPayload = 64 << 20
 // the wire.bytes.* observability counters.
 const msgHeaderLen = 5
 
+// maxKeptFrame bounds the read buffer a connection keeps between frames. A
+// larger payload (a multi-MB dump chunk) is read into a buffer of its own
+// that dies with the frame, so an idle session pins at most this much.
+const maxKeptFrame = 64 << 10
+
 // frameBufPool recycles payload encode buffers on the hot send paths:
 // client query frames and server result/stream frames. Reuse is safe
 // because each connection is driven by one goroutine at a time and
@@ -103,33 +112,44 @@ type ServerError struct {
 
 func (e *ServerError) Error() string { return e.Msg }
 
-// writeMsg writes one frame.
-func writeMsg(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+// writeMsg buffers one frame in w; the caller's Flush sends it. The header
+// is built in w's free space, so a frame that fits the buffer reaches the
+// socket in that one Flush and allocates nothing.
+func writeMsg(w *bufio.Writer, typ byte, payload []byte) error {
+	hdr := binary.BigEndian.AppendUint32(append(w.AvailableBuffer(), typ), uint32(len(payload)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
 	return err
 }
 
-// readMsg reads one frame.
-func readMsg(r *bufio.Reader) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readMsg reads one frame. The payload lands in *buf, the connection's own
+// read buffer, grown as needed and kept while it is at most maxKeptFrame; a
+// larger payload gets a buffer of its own. Either way the payload is valid
+// only until the next readMsg on the same connection: a caller that keeps
+// bytes past that copies them.
+func readMsg(r *bufio.Reader, buf *[]byte) (byte, []byte, error) {
+	hdr, err := r.Peek(msgHeaderLen)
+	if err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
+	typ, n := hdr[0], binary.BigEndian.Uint32(hdr[1:])
+	_, _ = r.Discard(msgHeaderLen) // cannot fail: Peek buffered the header
 	if n > maxPayload {
 		return 0, nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
+	var payload []byte
+	if n <= maxKeptFrame {
+		*buf = slices.Grow((*buf)[:0], int(n))
+		payload = (*buf)[:n]
+	} else {
+		payload = make([]byte, n)
+	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
-	return hdr[0], payload, nil
+	return typ, payload, nil
 }
 
 // --- Result encoding ---
@@ -284,14 +304,9 @@ func DecodeStreamChunk(buf []byte) (uint32, []string, error) {
 // EncodeStreamEnd serializes the stream trailer: how many chunks preceded
 // it (the client cross-checks for silent truncation) and the final result.
 func EncodeStreamEnd(chunks uint32, res *engine.Result) []byte {
-	return appendStreamEnd(nil, chunks, res)
-}
-
-// appendStreamEnd encodes the stream trailer into dst and returns it.
-func appendStreamEnd(dst []byte, chunks uint32, res *engine.Result) []byte {
-	e := encoder{buf: dst}
+	var e encoder
 	e.u32(chunks)
-	return appendResult(e.buf, res)
+	return AppendResult(e.buf, res)
 }
 
 // DecodeStreamEnd parses an encoded stream trailer.
@@ -305,13 +320,9 @@ func DecodeStreamEnd(buf []byte) (uint32, *engine.Result, error) {
 	return chunks, res, err
 }
 
-// EncodeResult serializes an engine result.
-func EncodeResult(res *engine.Result) []byte {
-	return appendResult(nil, res)
-}
-
-// appendResult encodes an engine result into dst and returns it.
-func appendResult(dst []byte, res *engine.Result) []byte {
+// AppendResult encodes an engine result as a MsgResult payload appended to
+// dst, and returns the extended buffer.
+func AppendResult(dst []byte, res *engine.Result) []byte {
 	e := encoder{buf: dst}
 	e.str(res.Tag)
 	e.u32(uint32(res.Affected))
@@ -377,6 +388,15 @@ func DecodeResult(buf []byte) (*engine.Result, error) {
 		res.Rows[i] = vals[start:len(vals):len(vals)]
 	}
 	return res, nil
+}
+
+// ResultTagIs reports whether an encoded MsgResult payload carries tag. The
+// tag is the payload's first field, so nothing is decoded or allocated.
+func ResultTagIs(payload []byte, tag string) bool {
+	if len(payload) < 4+len(tag) || binary.BigEndian.Uint32(payload) != uint32(len(tag)) {
+		return false
+	}
+	return string(payload[4:4+len(tag)]) == tag
 }
 
 // count reads a u32 count of elements that take at least four bytes each,

@@ -27,6 +27,21 @@ func rawConn(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
+// sendFrame writes one frame straight to a raw connection.
+func sendFrame(conn net.Conn, typ byte, payload []byte) error {
+	bw := bufio.NewWriter(conn)
+	if err := writeMsg(bw, typ, payload); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// recvFrame reads one frame into a buffer of its own.
+func recvFrame(br *bufio.Reader) (byte, []byte, error) {
+	var buf []byte
+	return readMsg(br, &buf)
+}
+
 func TestServerRejectsOversizedFrame(t *testing.T) {
 	_, srv := newServer(t)
 	conn := rawConn(t, srv.Addr())
@@ -68,19 +83,19 @@ func TestServerRejectsUnexpectedMessageType(t *testing.T) {
 	_, srv := newServer(t)
 	conn := rawConn(t, srv.Addr())
 	// Valid startup first.
-	if err := writeMsg(conn, MsgStartup, []byte("db")); err != nil {
+	if err := sendFrame(conn, MsgStartup, []byte("db")); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
-	typ, _, err := readMsg(br)
+	typ, _, err := recvFrame(br)
 	if err != nil || typ != MsgReady {
 		t.Fatalf("startup: %c %v", typ, err)
 	}
 	// Then garbage type.
-	if err := writeMsg(conn, 'Z', nil); err != nil {
+	if err := sendFrame(conn, 'Z', nil); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readMsg(br)
+	typ, payload, err := recvFrame(br)
 	if err != nil {
 		t.Fatalf("read error response: %v", err)
 	}
@@ -92,7 +107,7 @@ func TestServerRejectsUnexpectedMessageType(t *testing.T) {
 func TestQueryBeforeStartupDropsConnection(t *testing.T) {
 	_, srv := newServer(t)
 	conn := rawConn(t, srv.Addr())
-	if err := writeMsg(conn, MsgQuery, []byte("SELECT 1 FROM t")); err != nil {
+	if err := sendFrame(conn, MsgQuery, []byte("SELECT 1 FROM t")); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -103,7 +118,7 @@ func TestQueryBeforeStartupDropsConnection(t *testing.T) {
 }
 
 func TestDecodeResultBadValueKind(t *testing.T) {
-	full := EncodeResult(&engine.Result{
+	full := AppendResult(nil, &engine.Result{
 		Tag: "SELECT 1", Columns: []string{"a"},
 		Rows: [][]sqlmini.Value{{sqlmini.NewInt(1)}},
 	})
@@ -174,10 +189,10 @@ func scriptedAddr(t *testing.T, script func(sess int, conn net.Conn, br *bufio.R
 
 // startupOK plays the server side of the session handshake.
 func startupOK(conn net.Conn, br *bufio.Reader) bool {
-	if _, _, err := readMsg(br); err != nil {
+	if _, _, err := recvFrame(br); err != nil {
 		return false
 	}
-	return writeMsg(conn, MsgReady, nil) == nil
+	return sendFrame(conn, MsgReady, nil) == nil
 }
 
 func TestOpTimeoutExpiryIsTypedConnLoss(t *testing.T) {
@@ -189,7 +204,7 @@ func TestOpTimeoutExpiryIsTypedConnLoss(t *testing.T) {
 			return
 		}
 		for {
-			if _, _, err := readMsg(br); err != nil {
+			if _, _, err := recvFrame(br); err != nil {
 				return // client hung up
 			}
 			// swallow the query, never answer
@@ -228,7 +243,7 @@ func TestMidMessageConnDropIsTypedConnLoss(t *testing.T) {
 		if !startupOK(conn, br) {
 			return
 		}
-		if _, _, err := readMsg(br); err != nil {
+		if _, _, err := recvFrame(br); err != nil {
 			return
 		}
 		// Half a result frame, then hang up mid-message.
@@ -259,7 +274,7 @@ func TestExecRetryBackoffSchedule(t *testing.T) {
 		if !startupOK(conn, br) {
 			return
 		}
-		readMsg(br) // the query; drop the conn by returning
+		recvFrame(br) // the query; drop the conn by returning
 	})
 	c, err := Dial(addr, "db")
 	if err != nil {
@@ -294,7 +309,7 @@ func TestExecRetryNeverRetriesNonIdempotent(t *testing.T) {
 		if !startupOK(conn, br) {
 			return
 		}
-		if _, _, err := readMsg(br); err == nil {
+		if _, _, err := recvFrame(br); err == nil {
 			queries.Add(1)
 		}
 		// drop: the statement's fate is now unknown to the client
@@ -353,14 +368,14 @@ func TestExecRetryRedialsAndSucceeds(t *testing.T) {
 			return
 		}
 		for {
-			if _, _, err := readMsg(br); err != nil {
+			if _, _, err := recvFrame(br); err != nil {
 				return
 			}
 			if sess == 0 {
 				return // drop mid-conversation
 			}
-			payload := EncodeResult(&engine.Result{Tag: "SELECT 0"})
-			if writeMsg(conn, MsgResult, payload) != nil {
+			payload := AppendResult(nil, &engine.Result{Tag: "SELECT 0"})
+			if sendFrame(conn, MsgResult, payload) != nil {
 				return
 			}
 		}
@@ -443,7 +458,7 @@ func TestExecRetrySeededJitterSchedule(t *testing.T) {
 		if !startupOK(conn, br) {
 			return
 		}
-		readMsg(br) // drop after the query: every attempt fails
+		recvFrame(br) // drop after the query: every attempt fails
 	})
 	run := func(seed int64) []time.Duration {
 		c, err := Dial(addr, "db")

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -40,21 +41,26 @@ const (
 // answers the query with a server error.
 const faultServeOp = "wire.serve.op"
 
-// Conn is one server-side session: what a connected client can do.
-// *engine.Session satisfies it.
+// Conn is one server-side session: what a connected client can do. Exec
+// runs sql and appends the answer's encoded MsgResult payload to dst — the
+// server's pooled frame buffer — returning the extended buffer; on error the
+// buffer it returns is discarded. A session that holds its answer already
+// encoded (the middleware's worker relays its master's reply) appends the
+// bytes as they are, and one that holds an engine.Result encodes it with
+// AppendResult.
 type Conn interface {
-	Exec(sql string) (*engine.Result, error)
+	Exec(sql string, dst []byte) ([]byte, error)
 	Close()
 }
 
 // StreamConn is the optional streaming capability of a Conn: ExecStream
-// runs sql, handing bulk payload to emit in bounded chunks before the
-// final result. handled=false means sql has no streaming form and the
-// server answers through plain Exec instead. Sessions without this
-// capability (e.g. middleware worker sessions) still accept
-// MsgQueryStream — they just answer with a chunkless trailer.
+// runs sql, handing bulk payload to emit in bounded chunks before it
+// appends the final result to dst as Exec does. handled=false means sql
+// has no streaming form and the server answers through plain Exec instead.
+// Sessions without this capability (e.g. middleware worker sessions) still
+// accept MsgQueryStream — they just answer with a chunkless trailer.
 type StreamConn interface {
-	ExecStream(sql string, emit func(stmts []string) error) (res *engine.Result, handled bool, err error)
+	ExecStream(sql string, emit func(stmts []string) error, dst []byte) (out []byte, handled bool, err error)
 }
 
 // Handler opens a session when a client's startup message arrives.
@@ -92,11 +98,16 @@ func Listen(addr string, handler Handler) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	return listenOn(ln, handler), nil
+}
+
+// listenOn starts a server on an open listener.
+func listenOn(ln net.Listener, handler Handler) *Server {
 	s := &Server{ln: ln, handler: handler, conns: make(map[net.Conn]struct{})}
 	s.scope.Store(obs.Process())
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // SetScope replaces the server's observability scope (nil restores the
@@ -176,9 +187,10 @@ func (s *Server) serve(conn net.Conn) {
 
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
+	var rbuf []byte // readMsg's buffer: every payload below is valid until the next read
 
 	// Startup.
-	typ, payload, err := readMsg(br)
+	typ, payload, err := readMsg(br, &rbuf)
 	if err != nil || typ != MsgStartup {
 		return
 	}
@@ -201,7 +213,7 @@ func (s *Server) serve(conn net.Conn) {
 	defer obsActiveConns.Dec()
 
 	for {
-		typ, payload, err := readMsg(br)
+		typ, payload, err := readMsg(br, &rbuf)
 		if err != nil {
 			return // client went away
 		}
@@ -223,7 +235,6 @@ func (s *Server) serve(conn net.Conn) {
 				obsStreamOps.Inc()
 			}
 			obsBytesIn.Add(uint64(len(payload) + msgHeaderLen))
-			sql := string(payload)
 			var tc *TraceContext
 			if typ == MsgQueryTraced || typ == MsgQueryStreamTraced {
 				ctx, q, derr := decodeTraced(payload)
@@ -234,18 +245,20 @@ func (s *Server) serve(conn net.Conn) {
 					_ = bw.Flush()
 					return
 				}
-				tc, sql = &ctx, q
+				tc, payload = &ctx, q
 			}
+			// The one copy of the query: the session may keep the text (the
+			// parse cache keys on it) past the next read into rbuf.
+			sql := string(payload)
 			start := time.Now()
-			var res *engine.Result
-			var chunks uint32
+			f := getFrameBuf()
 			var err error
-			event := obsEvWireExec
+			event, reply := obsEvWireExec, byte(MsgResult)
 			if stream {
-				event = obsEvWireStream
-				res, chunks, err = execStream(sess, bw, sql)
+				event, reply = obsEvWireStream, MsgStreamEnd
+				f.buf, err = execStream(sess, bw, sql, f.buf)
 			} else {
-				res, err = sess.Exec(sql)
+				f.buf, err = sess.Exec(sql, f.buf)
 			}
 			dur := time.Since(start)
 			obsOpLatency.ObserveDuration(dur)
@@ -253,17 +266,9 @@ func (s *Server) serve(conn net.Conn) {
 			// MsgError answers either shape, and is a valid stream
 			// terminator at any point; if the failure was the transport
 			// itself this write fails too and the session ends.
-			f := getFrameBuf()
-			reply := byte(MsgResult)
-			switch {
-			case err != nil:
+			if err != nil {
 				reply = MsgError
-				f.buf = append(f.buf, err.Error()...)
-			case stream:
-				reply = MsgStreamEnd
-				f.buf = appendStreamEnd(f.buf, chunks, res)
-			default:
-				f.buf = appendResult(f.buf, res)
+				f.buf = append(f.buf[:0], err.Error()...)
 			}
 			obsBytesOut.Add(uint64(len(f.buf) + msgHeaderLen))
 			werr := writeMsg(bw, reply, f.buf)
@@ -309,19 +314,23 @@ func (s *Server) serve(conn net.Conn) {
 	}
 }
 
-// execStream answers one streaming query: sessions with the StreamConn
-// capability send their bulk payload as chunk frames and report how many
-// went out; everything else (and any sql without a streaming form) runs
-// through plain Exec and yields a chunkless trailer. Kept out of serve so
-// the chunk counter the emit closure captures is allocated per streaming
-// query, not per query.
-func execStream(sess Conn, bw *bufio.Writer, sql string) (*engine.Result, uint32, error) {
+// execStream answers one streaming query, appending the MsgStreamEnd
+// payload to dst: sessions with the StreamConn capability send their bulk
+// payload as chunk frames first; everything else (and any sql without a
+// streaming form) runs through plain Exec and yields a chunkless trailer.
+// Kept out of serve so the chunk counter the emit closure captures is
+// allocated per streaming query, not per query.
+func execStream(sess Conn, bw *bufio.Writer, sql string, dst []byte) ([]byte, error) {
+	at := len(dst)
+	dst = append(dst, 0, 0, 0, 0) // the chunk total, patched in once known
 	var chunks uint32
+	handled := false
+	var err error
 	if sc, ok := sess.(StreamConn); ok {
 		// Each chunk frame is flushed immediately so the client's restore
 		// pipeline overlaps the ongoing scan; a write failure surfaces
 		// through ExecStream's emit error and ends the session in serve.
-		res, handled, err := sc.ExecStream(sql, func(stmts []string) error {
+		dst, handled, err = sc.ExecStream(sql, func(stmts []string) error {
 			f := getFrameBuf()
 			f.buf = appendStreamChunk(f.buf, chunks, stmts)
 			chunks++
@@ -333,27 +342,51 @@ func execStream(sess Conn, bw *bufio.Writer, sql string) (*engine.Result, uint32
 				return werr
 			}
 			return bw.Flush()
-		})
-		if handled || err != nil {
-			return res, chunks, err
-		}
+		}, dst)
 	}
-	res, err := sess.Exec(sql)
-	return res, chunks, err
+	if !handled && err == nil {
+		dst, err = sess.Exec(sql, dst)
+	}
+	if err != nil {
+		return dst, err
+	}
+	binary.BigEndian.PutUint32(dst[at:], chunks)
+	return dst, nil
 }
 
-// sessionConn adapts *engine.Session (whose Close returns nothing) to Conn.
-// engine.Session already matches; this var asserts it.
-var _ Conn = (*engine.Session)(nil)
+// engineConn serves a Conn from an engine session, the streaming-capable
+// backend (DUMP STREAM): it is where a node encodes its results.
+type engineConn struct{ s *engine.Session }
 
-// Engine sessions are the streaming-capable backend (DUMP STREAM).
-var _ StreamConn = (*engine.Session)(nil)
+var _ StreamConn = engineConn{}
+
+func (c engineConn) Exec(sql string, dst []byte) ([]byte, error) {
+	res, err := c.s.Exec(sql)
+	if err != nil {
+		return dst, err
+	}
+	return AppendResult(dst, res), nil
+}
+
+func (c engineConn) ExecStream(sql string, emit func(stmts []string) error, dst []byte) ([]byte, bool, error) {
+	res, handled, err := c.s.ExecStream(sql, emit)
+	if !handled || err != nil {
+		return dst, handled, err
+	}
+	return AppendResult(dst, res), true, nil
+}
+
+func (c engineConn) Close() { c.s.Close() }
 
 // EngineHandler serves sessions straight from an engine (the normal DBMS
 // node configuration).
 func EngineHandler(e *engine.Engine) Handler {
 	return HandlerFunc(func(db string) (Conn, error) {
-		return e.NewSession(db)
+		s, err := e.NewSession(db)
+		if err != nil {
+			return nil, err
+		}
+		return engineConn{s}, nil
 	})
 }
 

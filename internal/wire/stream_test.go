@@ -150,12 +150,12 @@ func TestExecStreamSeqGapPoisons(t *testing.T) {
 		if !startupOK(conn, br) {
 			return
 		}
-		if _, _, err := readMsg(br); err != nil {
+		if _, _, err := recvFrame(br); err != nil {
 			return
 		}
-		writeMsg(conn, MsgStreamChunk, EncodeStreamChunk(0, []string{"a"}))
-		writeMsg(conn, MsgStreamChunk, EncodeStreamChunk(2, []string{"b"})) // gap!
-		writeMsg(conn, MsgStreamEnd, EncodeStreamEnd(3, &engine.Result{}))
+		sendFrame(conn, MsgStreamChunk, EncodeStreamChunk(0, []string{"a"}))
+		sendFrame(conn, MsgStreamChunk, EncodeStreamChunk(2, []string{"b"})) // gap!
+		sendFrame(conn, MsgStreamEnd, EncodeStreamEnd(3, &engine.Result{}))
 	})
 	c, err := Dial(addr, "db")
 	if err != nil {
@@ -176,10 +176,10 @@ func TestExecStreamDropMidStreamIsConnLoss(t *testing.T) {
 		if !startupOK(conn, br) {
 			return
 		}
-		if _, _, err := readMsg(br); err != nil {
+		if _, _, err := recvFrame(br); err != nil {
 			return
 		}
-		writeMsg(conn, MsgStreamChunk, EncodeStreamChunk(0, []string{"CREATE TABLE t (id INT PRIMARY KEY)"}))
+		sendFrame(conn, MsgStreamChunk, EncodeStreamChunk(0, []string{"CREATE TABLE t (id INT PRIMARY KEY)"}))
 		// return → conn closes mid-stream
 	})
 	c, err := Dial(addr, "db")
@@ -204,11 +204,11 @@ func TestExecStreamChunkTotalMismatchPoisons(t *testing.T) {
 		if !startupOK(conn, br) {
 			return
 		}
-		if _, _, err := readMsg(br); err != nil {
+		if _, _, err := recvFrame(br); err != nil {
 			return
 		}
-		writeMsg(conn, MsgStreamChunk, EncodeStreamChunk(0, []string{"a"}))
-		writeMsg(conn, MsgStreamEnd, EncodeStreamEnd(5, &engine.Result{})) // only 1 sent
+		sendFrame(conn, MsgStreamChunk, EncodeStreamChunk(0, []string{"a"}))
+		sendFrame(conn, MsgStreamEnd, EncodeStreamEnd(5, &engine.Result{})) // only 1 sent
 	})
 	c, err := Dial(addr, "db")
 	if err != nil {

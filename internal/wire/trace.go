@@ -30,21 +30,22 @@ func appendTraced(dst []byte, tc *TraceContext, sql string) []byte {
 	return append(e.buf, sql...)
 }
 
-// decodeTraced splits a traced-query payload into its context and SQL.
-func decodeTraced(payload []byte) (TraceContext, string, error) {
+// decodeTraced splits a traced-query payload into its context and the SQL
+// bytes, a subslice of payload that the caller converts once.
+func decodeTraced(payload []byte) (TraceContext, []byte, error) {
 	d := decoder{buf: payload}
 	var tc TraceContext
 	var err error
 	if tc.MTS, err = d.u64(); err != nil {
-		return tc, "", fmt.Errorf("wire: short traced frame: %w", err)
+		return tc, nil, fmt.Errorf("wire: short traced frame: %w", err)
 	}
 	if tc.Span, err = d.u64(); err != nil {
-		return tc, "", fmt.Errorf("wire: short traced frame: %w", err)
+		return tc, nil, fmt.Errorf("wire: short traced frame: %w", err)
 	}
 	if tc.Tenant, err = d.str(); err != nil {
-		return tc, "", fmt.Errorf("wire: short traced frame: %w", err)
+		return tc, nil, fmt.Errorf("wire: short traced frame: %w", err)
 	}
-	return tc, string(payload[d.off:]), nil
+	return tc, payload[d.off:], nil
 }
 
 // encodeScrapeReq builds a MsgObsScrape payload.

@@ -16,7 +16,7 @@ func TestTracedPayloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != *tc || gotSQL != sql {
+	if got != *tc || string(gotSQL) != sql {
 		t.Fatalf("round trip = %+v %q, want %+v %q", got, gotSQL, *tc, sql)
 	}
 
@@ -232,7 +232,7 @@ func TestMalformedTracedFrame(t *testing.T) {
 			if err := c.bw.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			got, payload, err := readMsg(c.br)
+			got, payload, err := readMsg(c.br, &c.rbuf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +242,7 @@ func TestMalformedTracedFrame(t *testing.T) {
 			if !strings.Contains(string(payload), "traced") {
 				t.Fatalf("error payload %q does not mention the traced frame", payload)
 			}
-			if _, _, err := readMsg(c.br); err == nil {
+			if _, _, err := readMsg(c.br, &c.rbuf); err == nil {
 				t.Fatal("server kept the session open after a malformed trace prefix")
 			}
 		})

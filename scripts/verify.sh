@@ -40,6 +40,10 @@ go test -count=1 -run 'TestHeavyWriteMigrationConvergesWithPacing' ./internal/co
 # benchrunner -json smoke, so the BENCH_*.json baseline path stays alive.
 go run ./cmd/benchrunner -exp table2 -quick -json /dev/null >/dev/null
 
+# The wire result decoder's fuzz target for ten seconds beyond its committed
+# seed corpus (plain `go test` above only replays the corpus).
+go test -run '^$' -fuzz '^FuzzDecodeResult$' -fuzztime 10s ./internal/wire/
+
 # The executor's read-shape benchmarks, one iteration each, so they keep
 # building and running (the numbers are read with -benchtime of your own).
 go test -count=1 -run '^$' -bench Select -benchtime 1x ./internal/engine/
