@@ -194,3 +194,22 @@ func TestApplyChunkMixedIsOneTransaction(t *testing.T) {
 		t.Errorf("after a failed chunk x = %v, %v; want the run rolled back and the session usable", res, err)
 	}
 }
+
+// TestMigrateExponentFloats: a tenant holding FLOATs whose shortest form has
+// an exponent migrates. The destination re-reads its dump, so a value that
+// renders as 1.2345675e+06 must lex back as a float for Step 2 to restore
+// it, and the two nodes end identical.
+func TestMigrateExponentFloats(t *testing.T) {
+	rig := newRig(t, 2, engine.Options{})
+	rig.provision(t, "a", 10)
+	c := rig.connect(t, "a")
+	mustExecAll(t, c,
+		"CREATE TABLE m (id INT PRIMARY KEY, x FLOAT)",
+		"INSERT INTO m (id, x) VALUES (1, 1234567.5), (2, 0.00001), (3, 1000000000000000000000.0), (4, -0.00000025)")
+	c.Close()
+	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: Madeus, KeepSource: true})
+	if err != nil {
+		t.Fatalf("migrate: %v (%s)", err, rep)
+	}
+	assertStateEqual(t, rig.nodes[0], rig.nodes[1], "a")
+}

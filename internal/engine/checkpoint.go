@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -13,7 +12,6 @@ import (
 	"madeus/internal/invariant"
 	"madeus/internal/mvcc"
 	"madeus/internal/obs"
-	"madeus/internal/storage"
 	"madeus/internal/wal"
 )
 
@@ -61,7 +59,6 @@ func ckptDirName(lsn uint64) string { return fmt.Sprintf("ckpt-%016d", lsn) }
 // transaction's snapshot.
 type tableCapture struct {
 	tb      *mvcc.Table
-	name    string
 	indexes map[string]string
 }
 
@@ -117,7 +114,7 @@ func (e *Engine) Checkpoint() (uint64, error) {
 			if !ok {
 				continue
 			}
-			cap.tables = append(cap.tables, tableCapture{tb: tb, name: tn, indexes: tb.Indexes()})
+			cap.tables = append(cap.tables, tableCapture{tb: tb, indexes: tb.Indexes()})
 		}
 		caps = append(caps, cap)
 	}
@@ -218,65 +215,23 @@ func writeCheckpointDB(path string, cap dbCapture, dumpBatch int) (int64, error)
 		buf = buf[:0]
 		return err
 	}
-	emit := func(stmt string) error {
-		buf = wal.AppendFrame(buf, []byte(stmt))
+	emit := func(stmt []byte) error {
+		buf = wal.AppendFrame(buf, stmt)
 		if len(buf) >= 1<<20 {
 			return flush()
 		}
 		return nil
 	}
 	for _, tc := range cap.tables {
-		schema := tc.tb.Schema
-		if err := emit(createTableSQL(schema)); err != nil {
-			f.Close()
-			return total, err
-		}
-		idxNames := make([]string, 0, len(tc.indexes))
-		for n := range tc.indexes {
-			idxNames = append(idxNames, n)
-		}
-		sort.Strings(idxNames)
-		for _, n := range idxNames {
-			if err := emit(fmt.Sprintf("CREATE INDEX %s ON %s (%s)", n, tc.name, tc.indexes[n])); err != nil {
+		for _, ddl := range schemaSQL(tc.tb.Schema, tc.indexes) {
+			if err := emit([]byte(ddl)); err != nil {
 				f.Close()
 				return total, err
 			}
 		}
-		cols := make([]string, len(schema.Columns))
-		for i, c := range schema.Columns {
-			cols[i] = c.Name
-		}
-		header := fmt.Sprintf("INSERT INTO %s (%s) VALUES ", tc.name, strings.Join(cols, ", "))
-		var batch []string
-		var scanErr error
-		flushBatch := func() error {
-			if len(batch) == 0 {
-				return nil
-			}
-			err := emit(header + strings.Join(batch, ", "))
-			batch = batch[:0]
-			return err
-		}
-		tc.tb.Scan(cap.txn, func(r storage.Row) bool {
-			vals := make([]string, len(r))
-			for i, v := range r {
-				vals[i] = v.String()
-			}
-			batch = append(batch, "("+strings.Join(vals, ", ")+")")
-			if len(batch) >= dumpBatch {
-				if err := flushBatch(); err != nil {
-					scanErr = err
-					return false
-				}
-			}
-			return true
-		})
-		if scanErr == nil {
-			scanErr = flushBatch()
-		}
-		if scanErr != nil {
+		if err := scanInserts(tc.tb, cap.txn, dumpBatch, emit); err != nil {
 			f.Close()
-			return total, scanErr
+			return total, err
 		}
 	}
 	if err := flush(); err != nil {

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"madeus/internal/mvcc"
 	"madeus/internal/sqlmini"
@@ -78,84 +77,69 @@ func (s *Session) DumpStream(maxStmts int, sink func(stmts []string) error) (int
 			continue
 		}
 		tables = append(tables, tb)
-		chunk = append(chunk, createTableSQL(tb.Schema))
-		idxs := tb.Indexes()
-		idxNames := make([]string, 0, len(idxs))
-		for n := range idxs {
-			idxNames = append(idxNames, n)
-		}
-		sort.Strings(idxNames)
-		for _, n := range idxNames {
-			chunk = append(chunk, fmt.Sprintf("CREATE INDEX %s ON %s (%s)", n, name, idxs[n]))
-		}
+		chunk = append(chunk, schemaSQL(tb.Schema, tb.Indexes())...)
 	}
 	if err := flush(); err != nil {
 		return total, err
 	}
 
 	for _, tb := range tables {
-		schema := tb.Schema
-		cols := make([]string, len(schema.Columns))
-		for i, c := range schema.Columns {
-			cols[i] = c.Name
-		}
-		header := fmt.Sprintf("INSERT INTO %s (%s) VALUES ", schema.Name, strings.Join(cols, ", "))
-
-		var batch []string
-		var sinkErr error
-		flushBatch := func() error {
-			if len(batch) == 0 {
-				return nil
-			}
-			chunk = append(chunk, header+strings.Join(batch, ", "))
-			batch = batch[:0]
+		if err := scanInserts(tb, txn, s.eng.opts.DumpBatch, func(stmt []byte) error {
+			chunk = append(chunk, string(stmt))
 			if maxStmts > 0 && len(chunk) >= maxStmts {
 				return flush()
 			}
 			return nil
-		}
-		tb.Scan(txn, func(r storage.Row) bool {
-			vals := make([]string, len(r))
-			for i, v := range r {
-				vals[i] = v.String()
-			}
-			batch = append(batch, "("+strings.Join(vals, ", ")+")")
-			if len(batch) >= s.eng.opts.DumpBatch {
-				if err := flushBatch(); err != nil {
-					sinkErr = err
-					return false
-				}
-			}
-			return true
-		})
-		if sinkErr != nil {
-			return total, sinkErr
-		}
-		if err := flushBatch(); err != nil {
+		}); err != nil {
 			return total, err
 		}
 	}
 	return total, flush()
 }
 
-func createTableSQL(schema *storage.Schema) string {
-	var sb strings.Builder
-	sb.WriteString("CREATE TABLE ")
-	sb.WriteString(schema.Name)
-	sb.WriteString(" (")
-	for i, c := range schema.Columns {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(c.Name)
-		sb.WriteString(" ")
-		sb.WriteString(c.Type.String())
-		if c.PrimaryKey {
-			sb.WriteString(" PRIMARY KEY")
-		}
+// schemaSQL returns the DDL that recreates a table: its CREATE TABLE, then a
+// CREATE INDEX per secondary index (name -> column) in name order.
+func schemaSQL(schema *storage.Schema, indexes map[string]string) []string {
+	ct := &sqlmini.CreateTable{Table: schema.Name}
+	for _, c := range schema.Columns {
+		ct.Columns = append(ct.Columns, sqlmini.ColumnDef(c))
 	}
-	sb.WriteString(")")
-	return sb.String()
+	out := []string{ct.String()}
+	for name, col := range indexes {
+		out = append(out, (&sqlmini.CreateIndex{Name: name, Table: schema.Name, Column: col}).String())
+	}
+	sort.Strings(out[1:]) // index names are word characters: this is name order
+	return out
+}
+
+// scanInserts renders the rows of tb visible to txn, in primary-key order, as
+// the batched INSERTs of a dump, at most batch rows each, and hands each
+// statement to emit. All of them are built in one reused buffer, so emit
+// borrows stmt until it returns. An emit error stops the scan and is
+// returned verbatim.
+func scanInserts(tb *mvcc.Table, txn *mvcc.Txn, batch int, emit func(stmt []byte) error) error {
+	buf := appendInsertHead(nil, tb.Schema)
+	head, rows := len(buf), 0
+	var err error
+	flush := func() bool {
+		if rows > 0 {
+			err = emit(buf)
+			buf, rows = buf[:head], 0
+		}
+		return err == nil
+	}
+	tb.Scan(txn, func(r storage.Row) bool {
+		if rows > 0 {
+			buf = append(buf, ", "...)
+		}
+		buf = appendTuple(buf, r)
+		rows++
+		return rows < batch || flush()
+	})
+	if err == nil {
+		flush()
+	}
+	return err
 }
 
 // Restore executes a dump script against the session's database, one

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"madeus/internal/mvcc"
 	"madeus/internal/sqlmini"
@@ -129,31 +128,33 @@ func (s *Session) execInsert(st *sqlmini.Insert, sql string) (*Result, error) {
 		}
 		colIdx[i] = ci
 	}
-	n := 0
-	var inserted []storage.Row
-	for _, exprRow := range st.Rows {
-		row := make(storage.Row, len(schema.Columns))
-		for i := range row {
-			row[i] = sqlmini.Null()
-		}
-		for i, e := range exprRow {
+	// Value logging: the record carries the computed rows as literals, not
+	// the client's SQL, so redo never re-evaluates an expression. A row is
+	// rendered before Insert takes it over and widens it in place. The
+	// buffer is sized to the statement: a restored dump batch's redo text
+	// is the batch itself.
+	redo := appendInsertHead(make([]byte, 0, len(sql)+64), schema)
+	for i, exprRow := range st.Rows {
+		row := make(storage.Row, len(schema.Columns)) // NULL where no value is named
+		for j, e := range exprRow {
 			v, err := evalExpr(e, nil, nil)
 			if err != nil {
 				return nil, err
 			}
-			row[colIdx[i]] = v
+			row[colIdx[j]] = v
 		}
+		if i > 0 {
+			redo = append(redo, ", "...)
+		}
+		redo = appendTuple(redo, row)
 		if err := tb.Insert(s.txn, row); err != nil {
 			return nil, err
 		}
-		inserted = append(inserted, row)
-		n++
 	}
-	// Value logging: the record carries the computed rows as literals, not
-	// the client's SQL, so redo never re-evaluates an expression.
+	n := len(st.Rows)
 	if n > 0 {
 		s.eng.logAppend(wal.Record{TxnID: uint64(s.txn.ID), Kind: wal.RecInsert,
-			DB: s.db.Name, Table: st.Table, Data: renderInsert(schema, st.Table, inserted)})
+			DB: s.db.Name, Table: st.Table, Data: string(redo)})
 	}
 	return &Result{Affected: n, Tag: fmt.Sprintf("INSERT %d", n)}, nil
 }
@@ -175,6 +176,7 @@ func (s *Session) execUpdate(st *sqlmini.Update, sql string) (*Result, error) {
 	}
 	n := 0
 	recs := s.walBatch[:0]
+	var scratch [256]byte
 	for _, old := range matches {
 		newRow := old.Clone()
 		for _, a := range st.Set {
@@ -185,6 +187,8 @@ func (s *Session) execUpdate(st *sqlmini.Update, sql string) (*Result, error) {
 			}
 			newRow[schema.ColumnIndex(a.Column)] = v
 		}
+		// Rendered before Update takes newRow over and widens it in place.
+		redo := appendUpdateRow(scratch[:0], schema, newRow)
 		ok, err := tb.Update(s.txn, schema.PK(old), newRow)
 		if err != nil {
 			s.walBatch = recs[:0]
@@ -196,7 +200,7 @@ func (s *Session) execUpdate(st *sqlmini.Update, sql string) (*Result, error) {
 			// different rows at redo time; the literal image cannot. The
 			// rows of one statement go to the log as a single batch.
 			recs = append(recs, wal.Record{TxnID: uint64(s.txn.ID), Kind: wal.RecUpdate,
-				DB: s.db.Name, Table: st.Table, Data: renderUpdateRow(schema, st.Table, newRow)})
+				DB: s.db.Name, Table: st.Table, Data: string(redo)})
 			n++
 		}
 	}
@@ -216,6 +220,7 @@ func (s *Session) execDelete(st *sqlmini.Delete, sql string) (*Result, error) {
 	}
 	n := 0
 	recs := s.walBatch[:0]
+	var scratch [128]byte
 	for _, old := range matches {
 		ok, err := tb.Delete(s.txn, tb.Schema.PK(old))
 		if err != nil {
@@ -224,7 +229,7 @@ func (s *Session) execDelete(st *sqlmini.Delete, sql string) (*Result, error) {
 		}
 		if ok {
 			recs = append(recs, wal.Record{TxnID: uint64(s.txn.ID), Kind: wal.RecDelete,
-				DB: s.db.Name, Table: st.Table, Data: renderDeleteRow(tb.Schema, st.Table, old)})
+				DB: s.db.Name, Table: st.Table, Data: string(appendDeleteRow(scratch[:0], tb.Schema, old))})
 			n++
 		}
 	}
@@ -233,68 +238,60 @@ func (s *Session) execDelete(st *sqlmini.Delete, sql string) (*Result, error) {
 	return &Result{Affected: n, Tag: fmt.Sprintf("DELETE %d", n)}, nil
 }
 
-// The render helpers produce the self-contained redo statements the WAL
+// The render helpers append the self-contained redo statements the WAL
 // carries: literal values only, rows addressed by primary key. See the
 // wal.Unit doc for why this (plus commit-order replay) is state-exact under
-// snapshot isolation where raw client SQL would not be.
+// snapshot isolation where raw client SQL would not be. A dump's batched
+// INSERTs are built from the same pieces (see scanInserts).
 
-func renderInsert(schema *storage.Schema, table string, rows []storage.Row) string {
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO ")
-	sb.WriteString(table)
-	sb.WriteString(" (")
+// appendInsertHead appends "INSERT INTO t (c1, c2, ...) VALUES ", naming
+// every column of schema.
+func appendInsertHead(dst []byte, schema *storage.Schema) []byte {
+	dst = append(append(dst, "INSERT INTO "...), schema.Name...)
 	for i, c := range schema.Columns {
-		if i > 0 {
-			sb.WriteString(", ")
+		if i == 0 {
+			dst = append(dst, " ("...)
+		} else {
+			dst = append(dst, ", "...)
 		}
-		sb.WriteString(c.Name)
+		dst = append(dst, c.Name...)
 	}
-	sb.WriteString(") VALUES ")
-	for i, r := range rows {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString("(")
-		for j, v := range r {
-			if j > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(v.String())
-		}
-		sb.WriteString(")")
-	}
-	return sb.String()
+	return append(dst, ") VALUES "...)
 }
 
-func renderUpdateRow(schema *storage.Schema, table string, row storage.Row) string {
-	var sb strings.Builder
-	sb.WriteString("UPDATE ")
-	sb.WriteString(table)
-	sb.WriteString(" SET ")
-	for i, c := range schema.Columns {
+// appendTuple appends "(v1, v2, ...)".
+func appendTuple(dst []byte, row storage.Row) []byte {
+	dst = append(dst, '(')
+	for i, v := range row {
 		if i > 0 {
-			sb.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		sb.WriteString(c.Name)
-		sb.WriteString(" = ")
-		sb.WriteString(row[i].String())
+		dst = v.AppendSQL(dst)
 	}
-	sb.WriteString(" WHERE ")
-	sb.WriteString(schema.Columns[schema.PKIndex()].Name)
-	sb.WriteString(" = ")
-	sb.WriteString(schema.PK(row).String())
-	return sb.String()
+	return append(dst, ')')
 }
 
-func renderDeleteRow(schema *storage.Schema, table string, row storage.Row) string {
-	var sb strings.Builder
-	sb.WriteString("DELETE FROM ")
-	sb.WriteString(table)
-	sb.WriteString(" WHERE ")
-	sb.WriteString(schema.Columns[schema.PKIndex()].Name)
-	sb.WriteString(" = ")
-	sb.WriteString(schema.PK(row).String())
-	return sb.String()
+func appendUpdateRow(dst []byte, schema *storage.Schema, row storage.Row) []byte {
+	dst = append(append(dst, "UPDATE "...), schema.Name...)
+	for i, c := range schema.Columns {
+		if i == 0 {
+			dst = append(dst, " SET "...)
+		} else {
+			dst = append(dst, ", "...)
+		}
+		dst = row[i].AppendSQL(append(append(dst, c.Name...), " = "...))
+	}
+	return appendWherePK(dst, schema, row)
+}
+
+func appendDeleteRow(dst []byte, schema *storage.Schema, row storage.Row) []byte {
+	return appendWherePK(append(append(dst, "DELETE FROM "...), schema.Name...), schema, row)
+}
+
+func appendWherePK(dst []byte, schema *storage.Schema, row storage.Row) []byte {
+	pk := schema.PKIndex()
+	dst = append(append(append(dst, " WHERE "...), schema.Columns[pk].Name...), " = "...)
+	return row[pk].AppendSQL(dst)
 }
 
 // eachMatch calls fn, in primary-key order, for every row visible to s.txn

@@ -1,0 +1,277 @@
+package engine
+
+import (
+	"bufio"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"madeus/internal/wal"
+)
+
+// goldenStmts build a table holding every value kind — NULL, negative INT,
+// integral FLOAT, quoted TEXT, BOOL — and FLOATs whose shortest form has an
+// exponent, one of them stored from an INT literal.
+var goldenStmts = []string{
+	"CREATE TABLE kinds (id INT PRIMARY KEY, n INT, f FLOAT, s TEXT, b BOOL)",
+	"CREATE INDEX kinds_s ON kinds (s)",
+	"INSERT INTO kinds (id, n, f, s, b) VALUES (1, -7, 3, 'it''s', TRUE), (2, NULL, 2.5, '', FALSE), (3, 0, -0.125, NULL, NULL)",
+	"INSERT INTO kinds (id, f, s) VALUES (4, 1234567, 'x')",
+	"INSERT INTO kinds (id, n, f) VALUES (5, -9223372036854775807, 0.00001)",
+	"UPDATE kinds SET n = 42, f = 1000000 WHERE id = 2",
+	"UPDATE kinds SET s = 'a''''b' WHERE id >= 4",
+	"DELETE FROM kinds WHERE id = 3",
+	"INSERT INTO kinds (id, f) VALUES (6, 1234567.5)",
+}
+
+// TestDumpAndRedoTextGolden pins the SQL text a dump, the redo records and a
+// checkpoint carry, byte for byte: migrations ship this text and recovery
+// re-reads it, so a renderer change must not move a byte. A redo record
+// renders a row as evaluated, before the table widens it (the INT 1000000
+// in a FLOAT column); a dump renders it as stored (1e+06).
+func TestDumpAndRedoTextGolden(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(Options{DataDir: dir, DumpBatch: 2, WAL: wal.Options{RetainRecords: 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.CreateDatabase("g"); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := e.NewSession("g")
+	for _, q := range goldenStmts {
+		mustExec(t, s, q)
+	}
+	dump, err := s.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDump := []string{
+		"CREATE TABLE kinds (id INT PRIMARY KEY, n INT, f FLOAT, s TEXT, b BOOL)",
+		"CREATE INDEX kinds_s ON kinds (s)",
+		"INSERT INTO kinds (id, n, f, s, b) VALUES (1, -7, 3, 'it''s', TRUE), (2, 42, 1e+06, '', FALSE)",
+		"INSERT INTO kinds (id, n, f, s, b) VALUES (4, NULL, 1.234567e+06, 'a''''b', NULL), (5, -9223372036854775807, 1e-05, 'a''''b', NULL)",
+		"INSERT INTO kinds (id, n, f, s, b) VALUES (6, NULL, 1.2345675e+06, NULL, NULL)",
+	}
+	if got, want := strings.Join(dump, "\n"), strings.Join(wantDump, "\n"); got != want {
+		t.Errorf("dump:\n got %s\nwant %s", got, want)
+	}
+
+	var redo []string
+	for _, r := range e.log.Retained() {
+		if r.Data != "" {
+			redo = append(redo, r.Data)
+		}
+	}
+	wantRedo := []string{
+		"CREATE DATABASE g",
+		"CREATE TABLE kinds (id INT PRIMARY KEY, n INT, f FLOAT, s TEXT, b BOOL)",
+		"CREATE INDEX kinds_s ON kinds (s)",
+		"INSERT INTO kinds (id, n, f, s, b) VALUES (1, -7, 3, 'it''s', TRUE), (2, NULL, 2.5, '', FALSE), (3, 0, -0.125, NULL, NULL)",
+		"INSERT INTO kinds (id, n, f, s, b) VALUES (4, NULL, 1234567, 'x', NULL)",
+		"INSERT INTO kinds (id, n, f, s, b) VALUES (5, -9223372036854775807, 1e-05, NULL, NULL)",
+		"UPDATE kinds SET id = 2, n = 42, f = 1000000, s = '', b = FALSE WHERE id = 2",
+		"UPDATE kinds SET id = 4, n = NULL, f = 1.234567e+06, s = 'a''''b', b = NULL WHERE id = 4",
+		"UPDATE kinds SET id = 5, n = -9223372036854775807, f = 1e-05, s = 'a''''b', b = NULL WHERE id = 5",
+		"DELETE FROM kinds WHERE id = 3",
+		"INSERT INTO kinds (id, n, f, s, b) VALUES (6, NULL, 1.2345675e+06, NULL, NULL)",
+	}
+	if got, want := strings.Join(redo, "\n"), strings.Join(wantRedo, "\n"); got != want {
+		t.Errorf("redo records:\n got %s\nwant %s", got, want)
+	}
+
+	// A checkpoint file is the dump in frames.
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, ckptPrefix+"*", "db-0.tbl"))
+	if len(files) != 1 {
+		t.Fatalf("checkpoint files %v, want one", files)
+	}
+	f, err := os.Open(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var framed []string
+	for br := bufio.NewReader(f); ; {
+		payload, err := wal.ReadFrame(br)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		framed = append(framed, string(payload))
+	}
+	if got, want := strings.Join(framed, "\n"), strings.Join(wantDump, "\n"); got != want {
+		t.Errorf("checkpoint statements:\n got %s\nwant %s", got, want)
+	}
+}
+
+// exponentFloats writes, in plain decimals, FLOATs whose shortest rendering
+// carries an exponent: 1.2345675e+06, 1e-05, 1e+21 and -2.5e-07.
+const exponentFloats = "INSERT INTO m (id, x) VALUES (1, 1234567.5), (2, 0.00001), (3, 1000000000000000000000.0), (4, -0.00000025)"
+
+// TestRecoverExponentFloats: FLOATs rendered with an exponent survive every
+// re-read — a checkpoint load, a redo replay after a crash and a restore of
+// the recovered node's dump.
+func TestRecoverExponentFloats(t *testing.T) {
+	oracle := newOracle(t)
+	mustExec(t, oracle, "CREATE TABLE m (id INT PRIMARY KEY, x FLOAT)")
+	mustExec(t, oracle, exponentFloats)
+	mustExec(t, oracle, "UPDATE m SET x = x * 10 WHERE id = 4")
+
+	dir := t.TempDir()
+	e := openDurable(t, dir)
+	if err := e.CreateDatabase("tenant"); err != nil {
+		t.Fatal(err)
+	}
+	sess, _ := e.NewSession("tenant")
+	mustExec(t, sess, "CREATE TABLE kv (id INT PRIMARY KEY, v TEXT, n INT)")
+	mustExec(t, sess, "CREATE TABLE m (id INT PRIMARY KEY, x FLOAT)")
+	mustExec(t, sess, exponentFloats)
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, sess, "UPDATE m SET x = x * 10 WHERE id = 4")
+	e.Crash()
+
+	e2 := openDurable(t, dir)
+	if rec := e2.LastRecovery(); rec.CheckpointLSN == 0 || rec.Applied == 0 {
+		t.Fatalf("recovery loaded checkpoint %d and applied %d units, want both", rec.CheckpointLSN, rec.Applied)
+	}
+	requireStateEqual(t, oracle, e2)
+	e2.Close()
+
+	// A clean close leaves redo records only; they replay as well.
+	e3 := openDurable(t, dir)
+	defer e3.Close()
+	requireStateEqual(t, oracle, e3)
+	s3, _ := e3.NewSession("tenant")
+	if res := mustExec(t, s3, "SELECT x FROM m WHERE id = 3"); res.Rows[0][0].Float != 1e21 {
+		t.Errorf("x = %v, want 1e+21", res.Rows[0][0])
+	}
+}
+
+// restoreSource loads rows rows into a table of cols columns (an INT key,
+// then TEXT, FLOAT and INT columns in turn), the shape a dump batches.
+func restoreSource(tb testing.TB, rows, cols int) *Session {
+	tb.Helper()
+	e := New(Options{LockTimeout: time.Second})
+	tb.Cleanup(e.Close)
+	if err := e.CreateDatabase("src"); err != nil {
+		tb.Fatal(err)
+	}
+	s, _ := e.NewSession("src")
+	kinds := []string{"TEXT", "FLOAT", "INT"}
+	names, defs := []string{"id"}, []string{"id INT PRIMARY KEY"}
+	for c := 1; c < cols; c++ {
+		names = append(names, fmt.Sprintf("c%d", c))
+		defs = append(defs, fmt.Sprintf("c%d %s", c, kinds[c%3]))
+	}
+	if _, err := s.Exec("CREATE TABLE t (" + strings.Join(defs, ", ") + ")"); err != nil {
+		tb.Fatal(err)
+	}
+	var vals []string
+	for r := 0; r < rows; r++ {
+		row := []string{fmt.Sprint(r)}
+		for c := 1; c < cols; c++ {
+			row = append(row, []string{fmt.Sprintf("'text %d'", r), fmt.Sprintf("%d.25", r), fmt.Sprint(r * c)}[c%3])
+		}
+		vals = append(vals, "("+strings.Join(row, ", ")+")")
+		if len(vals) == 100 || r == rows-1 {
+			if _, err := s.Exec("INSERT INTO t (" + strings.Join(names, ", ") + ") VALUES " + strings.Join(vals, ", ")); err != nil {
+				tb.Fatal(err)
+			}
+			vals = vals[:0]
+		}
+	}
+	return s
+}
+
+// TestDumpStreamAllocsPerStatement pins the dump side of a migration: each
+// batched INSERT is rendered into one reused buffer and costs one string,
+// so a dump allocates about once per statement, however wide its rows. The
+// cost is read as the difference between dumps of 1,000 and 2,000 rows, 20
+// statements apart at the default DumpBatch, which leaves out the fixed
+// costs of a dump (its transaction, the schema, buffer growth).
+func TestDumpStreamAllocsPerStatement(t *testing.T) {
+	dumpAllocs := func(rows, cols int) float64 {
+		s := restoreSource(t, rows, cols)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := s.DumpStream(DefaultDumpChunk, func([]string) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, cols := range []int{2, 8} {
+		small, large := dumpAllocs(1000, cols), dumpAllocs(2000, cols)
+		perStmt := (large - small) / 20
+		t.Logf("%d columns: %.0f allocs at 1000 rows, %.0f at 2000: %.2f per statement", cols, small, large, perStmt)
+		if perStmt > 1.25 {
+			t.Errorf("%d columns: %.2f allocs per INSERT statement, want about 1", cols, perStmt)
+		}
+	}
+}
+
+// BenchmarkDumpStream measures Step 1's scan-and-render: a 2,000-row,
+// six-column table dumped in DUMP STREAM's default chunks.
+func BenchmarkDumpStream(b *testing.B) {
+	s := restoreSource(b, 2000, 6)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.DumpStream(DefaultDumpChunk, func([]string) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRestoreChunk measures Step 2's apply of one chunk the way a
+// restore applier runs it: BEGIN, the chunk's dump INSERTs (2,000 rows of
+// six columns), COMMIT, into a fresh database each time.
+func BenchmarkRestoreChunk(b *testing.B) {
+	src := restoreSource(b, 2000, 6)
+	var chunks [][]string
+	if _, err := src.DumpStream(0, func(stmts []string) error {
+		chunks = append(chunks, stmts)
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	schema, rows := chunks[0], chunks[1]
+	e := New(Options{LockTimeout: time.Second})
+	defer e.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := e.CreateDatabase("dst"); err != nil {
+			b.Fatal(err)
+		}
+		s, _ := e.NewSession("dst")
+		for _, stmt := range schema {
+			if _, err := s.Exec(stmt); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		for _, stmt := range append(append([]string{"BEGIN"}, rows...), "COMMIT") {
+			if _, err := s.Exec(stmt); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		s.Close()
+		if err := e.DropDatabase("dst"); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}

@@ -471,3 +471,49 @@ func TestWriteSkewAllowed(t *testing.T) {
 	mustCommit(t, a)
 	mustCommit(t, b) // SI permits this; serializable would not
 }
+
+// TestWritesStoreTheCallersRow: Insert and Update take ownership of the row
+// they are given. The stored version is that row, widened in place, not a
+// copy, so a write allocates no second row.
+func TestWritesStoreTheCallersRow(t *testing.T) {
+	s, err := storage.NewSchema("m", []storage.Column{
+		{Name: "k", Type: sqlmini.KindInt, PrimaryKey: true},
+		{Name: "x", Type: sqlmini.KindFloat},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager()
+	tb := NewTable(s, m)
+	txn := m.Begin()
+	ins := storage.Row{key(1), sqlmini.NewInt(2)}
+	if err := tb.Insert(txn, ins); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.Get(txn, key(1)); &got[0] != &ins[0] {
+		t.Error("Insert stored a copy of the row")
+	}
+	if ins[1] != sqlmini.NewFloat(2) {
+		t.Errorf("Insert did not widen the row in place: x = %#v", ins[1])
+	}
+
+	const updates = 100
+	rows := make([]storage.Row, updates+1) // AllocsPerRun warms up once
+	for i := range rows {
+		rows[i] = storage.Row{key(1), sqlmini.NewFloat(float64(i))}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(updates, func() {
+		if ok, err := tb.Update(txn, key(1), rows[next]); err != nil || !ok {
+			t.Fatalf("Update: %v %v", ok, err)
+		}
+		next++
+	})
+	if got := tb.Get(txn, key(1)); &got[0] != &rows[updates][0] {
+		t.Error("Update stored a copy of the row")
+	}
+	// The version chain's amortised growth is all an update allocates.
+	if allocs >= 1 {
+		t.Errorf("Update allocates %.2f times per call, want < 1 (no row copy)", allocs)
+	}
+}

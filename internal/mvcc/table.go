@@ -294,10 +294,10 @@ func (ch *rowChain) checkAtMostOneVisible(t *Txn) error {
 
 // visibleRow returns the visible version in ch, newest first. Caller
 // holds ch.mu. The returned row is the stored version itself, NOT a copy:
-// stored rows are immutable (Insert and Update clone on the way in, and
-// nothing rewrites a version's row in place), so borrowing is safe for
-// every reader that does not mutate. Readers that need an owned copy
-// clone explicitly.
+// stored rows are immutable (Insert and Update take ownership of the row
+// they store, and nothing rewrites a version's row in place), so borrowing
+// is safe for every reader that does not mutate. Readers that need an
+// owned copy clone explicitly.
 func (ch *rowChain) visibleRow(t *Txn) storage.Row {
 	for i := len(ch.versions) - 1; i >= 0; i-- {
 		if t.visible(&ch.versions[i]) {
@@ -346,14 +346,17 @@ func (tb *Table) Len(t *Txn) int {
 // Insert adds a new row. It fails with ErrUniqueViolation when a visible or
 // newly committed row with the same key exists, and respects
 // first-updater-wins against a concurrent inserter of the same key.
+//
+// The table takes ownership of row: it is widened in place and stored as
+// the new version, uncopied, so the caller must not write to it again.
 func (tb *Table) Insert(t *Txn, row storage.Row) error {
 	if t.done {
 		return ErrTxnDone
 	}
-	row = tb.Schema.Coerce(row)
 	if err := tb.Schema.CheckRow(row); err != nil {
 		return err
 	}
+	tb.Schema.Coerce(row)
 	pk := tb.Schema.PK(row)
 	ch := tb.chain(pk, true)
 
@@ -378,7 +381,7 @@ func (tb *Table) Insert(t *Txn, row storage.Row) error {
 		}
 	}
 	ch.acquire(t)
-	ch.versions = append(ch.versions, version{xmin: t.ID, row: row.Clone()})
+	ch.versions = append(ch.versions, version{xmin: t.ID, row: row})
 	ch.mu.Unlock()
 	tb.indexAdd(row, pk)
 	t.writes++
@@ -387,7 +390,8 @@ func (tb *Table) Insert(t *Txn, row storage.Row) error {
 
 // Update replaces the visible version of the row keyed pk with newRow
 // (same primary key). It returns false when no version is visible, and
-// ErrSerialization under first-updater-wins.
+// ErrSerialization under first-updater-wins. Like Insert, it takes
+// ownership of newRow.
 func (tb *Table) Update(t *Txn, pk sqlmini.Value, newRow storage.Row) (bool, error) {
 	return tb.write(t, pk, newRow, false)
 }
@@ -403,10 +407,10 @@ func (tb *Table) write(t *Txn, pk sqlmini.Value, newRow storage.Row, del bool) (
 		return false, ErrTxnDone
 	}
 	if !del {
-		newRow = tb.Schema.Coerce(newRow)
 		if err := tb.Schema.CheckRow(newRow); err != nil {
 			return false, err
 		}
+		tb.Schema.Coerce(newRow)
 		if tb.Schema.PK(newRow) != pk {
 			return false, ErrPKImmutable
 		}
@@ -458,7 +462,7 @@ func (tb *Table) write(t *Txn, pk sqlmini.Value, newRow storage.Row, del bool) (
 	})
 	ch.versions[idx].xmax = t.ID
 	if !del {
-		ch.versions = append(ch.versions, version{xmin: t.ID, row: newRow.Clone()})
+		ch.versions = append(ch.versions, version{xmin: t.ID, row: newRow})
 	}
 	ch.mu.Unlock()
 	if !del {

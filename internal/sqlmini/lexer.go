@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// Lexer turns a SQL string into a token stream.
+// Lexer turns a SQL string into a token stream, one token per Next call.
 type Lexer struct {
 	src string
 	pos int
@@ -13,26 +13,6 @@ type Lexer struct {
 
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer { return &Lexer{src: src} }
-
-// Lex tokenizes the whole input, returning the tokens (terminated by a
-// TokEOF token) or a lexical error.
-func Lex(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	// A statement averages three or more bytes a token, so one allocation
-	// usually holds them all; the cap keeps a long string literal from
-	// reserving a token per three of its bytes.
-	toks := make([]Token, 0, min(len(src)/3+2, 1024))
-	for {
-		t, err := lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == TokEOF {
-			return toks, nil
-		}
-	}
-}
 
 // Next returns the next token in the input.
 func (lx *Lexer) Next() (Token, error) {
@@ -52,6 +32,16 @@ func (lx *Lexer) Next() (Token, error) {
 	default:
 		return lx.lexSymbol(start)
 	}
+}
+
+// peekByte returns the first byte of the next token without consuming it,
+// or 0 at the end of the input.
+func (lx *Lexer) peekByte() byte {
+	lx.skipSpace()
+	if lx.pos < len(lx.src) {
+		return lx.src[lx.pos]
+	}
+	return 0
 }
 
 func (lx *Lexer) skipSpace() {
@@ -86,44 +76,68 @@ func (lx *Lexer) lexWord(start int) Token {
 	return Token{Kind: TokIdent, Text: word, Pos: start}
 }
 
+// lexNumber scans digits[.digits][(e|E)[+|-]digits], every form
+// Value.AppendSQL renders a number in; a fraction or an exponent makes it a
+// float.
 func (lx *Lexer) lexNumber(start int) (Token, error) {
 	kind := TokInt
-	for lx.pos < len(lx.src) && isDigit(lx.src[lx.pos]) {
-		lx.pos++
-	}
+	lx.digits()
 	if lx.pos < len(lx.src) && lx.src[lx.pos] == '.' {
 		kind = TokFloat
 		lx.pos++
-		if lx.pos >= len(lx.src) || !isDigit(lx.src[lx.pos]) {
+		if !lx.digits() {
 			return Token{}, fmt.Errorf("sqlmini: malformed number at offset %d", start)
 		}
-		for lx.pos < len(lx.src) && isDigit(lx.src[lx.pos]) {
+	}
+	if lx.pos < len(lx.src) && (lx.src[lx.pos] == 'e' || lx.src[lx.pos] == 'E') {
+		kind = TokFloat
+		lx.pos++
+		if lx.pos < len(lx.src) && (lx.src[lx.pos] == '+' || lx.src[lx.pos] == '-') {
 			lx.pos++
+		}
+		if !lx.digits() {
+			return Token{}, fmt.Errorf("sqlmini: malformed number at offset %d", start)
 		}
 	}
 	return Token{Kind: kind, Text: lx.src[start:lx.pos], Pos: start}, nil
 }
 
-// lexString scans a single-quoted SQL string literal. A doubled quote (”)
-// inside the literal denotes one quote character.
-func (lx *Lexer) lexString(start int) (Token, error) {
-	lx.pos++ // opening quote
-	var sb strings.Builder
-	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
-		if c == '\'' {
-			if lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '\'' {
-				sb.WriteByte('\'')
-				lx.pos += 2
-				continue
-			}
-			lx.pos++
-			return Token{Kind: TokString, Text: sb.String(), Pos: start}, nil
-		}
-		sb.WriteByte(c)
+// digits consumes a run of decimal digits and reports whether there was one.
+func (lx *Lexer) digits() bool {
+	start := lx.pos
+	for lx.pos < len(lx.src) && isDigit(lx.src[lx.pos]) {
 		lx.pos++
 	}
-	return Token{}, fmt.Errorf("sqlmini: unterminated string at offset %d", start)
+	return lx.pos > start
+}
+
+// lexString scans a single-quoted SQL string literal. A doubled quote (”)
+// inside the literal denotes one quote character. A literal without one —
+// nearly every literal — is a slice of the input, not a copy.
+func (lx *Lexer) lexString(start int) (Token, error) {
+	lx.pos++ // opening quote
+	// sb holds the unquoted text up to from, once a doubled quote is seen.
+	var sb strings.Builder
+	from := lx.pos
+	for {
+		i := strings.IndexByte(lx.src[lx.pos:], '\'')
+		if i < 0 {
+			return Token{}, fmt.Errorf("sqlmini: unterminated string at offset %d", start)
+		}
+		lx.pos += i + 1
+		if lx.pos < len(lx.src) && lx.src[lx.pos] == '\'' {
+			sb.WriteString(lx.src[from:lx.pos])
+			lx.pos++
+			from = lx.pos
+			continue
+		}
+		text := lx.src[from : lx.pos-1]
+		if sb.Len() > 0 {
+			sb.WriteString(text)
+			text = sb.String()
+		}
+		return Token{Kind: TokString, Text: text, Pos: start}, nil
+	}
 }
 
 func (lx *Lexer) lexSymbol(start int) (Token, error) {
@@ -140,7 +154,7 @@ func (lx *Lexer) lexSymbol(start int) (Token, error) {
 	switch c {
 	case '(', ')', ',', '*', '=', '<', '>', '+', '-', '/', ';', '.':
 		lx.pos++
-		return Token{Kind: TokSymbol, Text: string(c), Pos: start}, nil
+		return Token{Kind: TokSymbol, Text: lx.src[start:lx.pos], Pos: start}, nil
 	}
 	return Token{}, fmt.Errorf("sqlmini: unexpected character %q at offset %d", c, start)
 }

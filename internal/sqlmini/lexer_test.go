@@ -5,6 +5,23 @@ import (
 	"testing"
 )
 
+// Lex tokenizes the whole input, returning the tokens (terminated by a
+// TokEOF token) or the first lexical error.
+func Lex(src string) ([]Token, error) {
+	lx := NewLexer(src)
+	var toks []Token
+	for {
+		t, err := lx.Next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == TokEOF {
+			return toks, nil
+		}
+	}
+}
+
 func TestLexSimpleSelect(t *testing.T) {
 	toks, err := Lex("SELECT id, name FROM users WHERE id = 42")
 	if err != nil {
@@ -72,22 +89,29 @@ func TestLexUnterminatedString(t *testing.T) {
 	}
 }
 
+// TestLexNumbers covers every form Value.AppendSQL renders a number in,
+// Go's shortest 'g' with its exponent included.
 func TestLexNumbers(t *testing.T) {
-	toks, err := Lex("1 23 4.5 0.125")
+	toks, err := Lex("1 23 4.5 0.125 1e+06 1.2345675e+06 1e-05 2.5e-07 1E21 7e3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantKinds := []TokenKind{TokInt, TokInt, TokFloat, TokFloat, TokEOF}
+	wantKinds := []TokenKind{TokInt, TokInt, TokFloat, TokFloat, TokFloat, TokFloat, TokFloat, TokFloat, TokFloat, TokFloat, TokEOF}
 	for i, k := range wantKinds {
 		if toks[i].Kind != k {
 			t.Errorf("token %d: got kind %v, want %v", i, toks[i].Kind, k)
 		}
 	}
+	if toks[5].Text != "1.2345675e+06" {
+		t.Errorf("exponent float lexed as %v", toks[5])
+	}
 }
 
 func TestLexMalformedFloat(t *testing.T) {
-	if _, err := Lex("SELECT 4. FROM t"); err == nil {
-		t.Error("want error for malformed float")
+	for _, bad := range []string{"SELECT 4. FROM t", "1e", "1e+", "2.5E-", "1ex"} {
+		if _, err := Lex(bad); err == nil || !strings.Contains(err.Error(), "malformed number") {
+			t.Errorf("Lex(%q): err = %v, want malformed number", bad, err)
+		}
 	}
 }
 
@@ -144,5 +168,27 @@ func TestLexEmptyInput(t *testing.T) {
 	}
 	if len(toks) != 1 || toks[0].Kind != TokEOF {
 		t.Errorf("got %v, want just EOF", toks)
+	}
+}
+
+// TestLexStringSlicesInput: a literal without a doubled quote is a slice of
+// the input, not a copy; one with a doubled quote is unquoted.
+func TestLexStringSlicesInput(t *testing.T) {
+	src := "'plain', 'it''s', '''', ''"
+	toks, err := Lex(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"plain", "it's", "'", ""}
+	for i, w := range want {
+		if tok := toks[2*i]; tok.Kind != TokString || tok.Text != w {
+			t.Errorf("literal %d = %v, want %q", i, tok, w)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		lx := Lexer{src: src}
+		_, _ = lx.Next()
+	}); n != 0 {
+		t.Errorf("lexing a plain literal allocates %.0f times, want 0", n)
 	}
 }

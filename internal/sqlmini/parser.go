@@ -5,33 +5,54 @@ import (
 	"strconv"
 )
 
-// Parser consumes a token stream and produces statements.
+// Parser pulls tokens from a Lexer, one token of lookahead, and produces
+// statements.
 type Parser struct {
-	toks []Token
-	pos  int
-	src  string
+	lx     Lexer
+	tok    Token // the current token
+	lexErr error // the lexical error that ended the token stream, if any
 }
 
 // Parse parses a single SQL statement (an optional trailing semicolon is
 // allowed).
+//
+// A lexical error anywhere in src outranks a parse error before it, as if
+// the whole input were tokenized first: when parsing fails, the rest of the
+// input is lexed to look for one.
 func Parse(src string) (Statement, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks, src: src}
+	p := &Parser{lx: Lexer{src: src}}
+	p.next()
 	st, err := p.parseStatement()
+	if err == nil {
+		p.accept(TokSymbol, ";")
+		if !p.at(TokEOF, "") {
+			err = p.errorf("trailing input after statement")
+		}
+	}
+	for err != nil && p.lexErr == nil && p.tok.Kind != TokEOF {
+		p.next()
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	if err != nil {
 		return nil, err
-	}
-	p.accept(TokSymbol, ";")
-	if !p.at(TokEOF, "") {
-		return nil, p.errorf("trailing input after statement")
 	}
 	return st, nil
 }
 
-func (p *Parser) cur() Token { return p.toks[p.pos] }
+// next advances to the following token. A lexical error ends the stream:
+// it is kept for Parse to report and the current token becomes EOF.
+func (p *Parser) next() {
+	t, err := p.lx.Next()
+	if err != nil {
+		p.lexErr = err
+		t = Token{Kind: TokEOF, Pos: p.lx.pos}
+	}
+	p.tok = t
+}
+
+func (p *Parser) cur() Token { return p.tok }
 
 func (p *Parser) at(kind TokenKind, text string) bool {
 	t := p.cur()
@@ -41,7 +62,7 @@ func (p *Parser) at(kind TokenKind, text string) bool {
 // accept consumes the current token when it matches.
 func (p *Parser) accept(kind TokenKind, text string) bool {
 	if p.at(kind, text) {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -51,7 +72,7 @@ func (p *Parser) accept(kind TokenKind, text string) bool {
 func (p *Parser) expect(kind TokenKind, text string) (Token, error) {
 	if p.at(kind, text) {
 		t := p.cur()
-		p.pos++
+		p.next()
 		return t, nil
 	}
 	want := text
@@ -63,7 +84,7 @@ func (p *Parser) expect(kind TokenKind, text string) (Token, error) {
 
 func (p *Parser) errorf(format string, args ...any) error {
 	return fmt.Errorf("sqlmini: parse error at offset %d in %q: %s",
-		p.cur().Pos, p.src, fmt.Sprintf(format, args...))
+		p.cur().Pos, p.lx.src, fmt.Sprintf(format, args...))
 }
 
 func (p *Parser) parseStatement() (Statement, error) {
@@ -85,13 +106,13 @@ func (p *Parser) parseStatement() (Statement, error) {
 	case "DROP":
 		return p.parseDrop()
 	case "BEGIN":
-		p.pos++
+		p.next()
 		return &Begin{}, nil
 	case "COMMIT":
-		p.pos++
+		p.next()
 		return &Commit{}, nil
 	case "ROLLBACK", "ABORT":
-		p.pos++
+		p.next()
 		return &Rollback{}, nil
 	}
 	return nil, p.errorf("unsupported statement %q", t.Text)
@@ -106,7 +127,7 @@ func (p *Parser) parseIdent() (string, error) {
 }
 
 func (p *Parser) parseSelect() (Statement, error) {
-	p.pos++ // SELECT
+	p.next() // SELECT
 	sel := &Select{Limit: -1}
 	for {
 		item, err := p.parseSelectItem()
@@ -203,7 +224,7 @@ func (p *Parser) parseSelectItem() (SelectItem, error) {
 }
 
 func (p *Parser) parseInsert() (Statement, error) {
-	p.pos++ // INSERT
+	p.next() // INSERT
 	if _, err := p.expect(TokKeyword, "INTO"); err != nil {
 		return nil, err
 	}
@@ -235,9 +256,12 @@ func (p *Parser) parseInsert() (Statement, error) {
 		if _, err := p.expect(TokSymbol, "("); err != nil {
 			return nil, err
 		}
-		var row []Expr
+		// One slab of expressions and one of literals per row, both sized
+		// to the column list.
+		row := make([]Expr, 0, len(ins.Columns))
+		lits := make([]Literal, len(ins.Columns))
 		for {
-			e, err := p.parseExpr()
+			e, err := p.parseValue(lits, len(row))
 			if err != nil {
 				return nil, err
 			}
@@ -260,8 +284,26 @@ func (p *Parser) parseInsert() (Statement, error) {
 	return ins, nil
 }
 
+// parseValue parses item i of a VALUES row. A literal followed by ',' or
+// ')' — every item of a dump but a negative number — is decoded straight
+// into lits[i], skipping the descent through the expression grammar;
+// anything else, or an item past the slab, is parsed as an expression.
+func (p *Parser) parseValue(lits []Literal, i int) (Expr, error) {
+	if c := p.lx.peekByte(); i < len(lits) && (c == ',' || c == ')') {
+		v, ok, err := p.literal()
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			lits[i].Val = v
+			return &lits[i], nil
+		}
+	}
+	return p.parseExpr()
+}
+
 func (p *Parser) parseUpdate() (Statement, error) {
-	p.pos++ // UPDATE
+	p.next() // UPDATE
 	table, err := p.parseIdent()
 	if err != nil {
 		return nil, err
@@ -297,7 +339,7 @@ func (p *Parser) parseUpdate() (Statement, error) {
 }
 
 func (p *Parser) parseDelete() (Statement, error) {
-	p.pos++ // DELETE
+	p.next() // DELETE
 	if _, err := p.expect(TokKeyword, "FROM"); err != nil {
 		return nil, err
 	}
@@ -317,7 +359,7 @@ func (p *Parser) parseDelete() (Statement, error) {
 }
 
 func (p *Parser) parseCreate() (Statement, error) {
-	p.pos++ // CREATE
+	p.next() // CREATE
 	if p.accept(TokKeyword, "INDEX") {
 		return p.parseCreateIndex()
 	}
@@ -373,7 +415,7 @@ func (p *Parser) parseCreate() (Statement, error) {
 }
 
 func (p *Parser) parseDrop() (Statement, error) {
-	p.pos++ // DROP
+	p.next() // DROP
 	if p.accept(TokKeyword, "INDEX") {
 		name, err := p.parseIdent()
 		if err != nil {
@@ -486,7 +528,7 @@ func (p *Parser) parseCmp() (Expr, error) {
 	}
 	if p.cur().Kind == TokSymbol {
 		if op, ok := cmpOps[p.cur().Text]; ok {
-			p.pos++
+			p.next()
 			r, err := p.parseAdd()
 			if err != nil {
 				return nil, err
@@ -554,44 +596,47 @@ func (p *Parser) parseUnary() (Expr, error) {
 	return p.parsePrimary()
 }
 
+// literal consumes the current token when it is a literal and returns its
+// value. For any other token ok is false and nothing is consumed.
+func (p *Parser) literal() (v Value, ok bool, err error) {
+	t := p.cur()
+	switch {
+	case t.Kind == TokInt:
+		v.Kind = KindInt
+		v.Int, err = strconv.ParseInt(t.Text, 10, 64)
+	case t.Kind == TokFloat:
+		v.Kind = KindFloat
+		v.Float, err = strconv.ParseFloat(t.Text, 64)
+	case t.Kind == TokString:
+		v = NewText(t.Text)
+	case t.Kind == TokKeyword && t.Text == "NULL":
+	case t.Kind == TokKeyword && (t.Text == "TRUE" || t.Text == "FALSE"):
+		v = NewBool(t.Text == "TRUE")
+	default:
+		return v, false, nil
+	}
+	p.next() // before the error, which names the token after the literal
+	if err != nil {
+		return v, false, p.errorf("bad %s literal: %v", t.Kind, err)
+	}
+	return v, true, nil
+}
+
 func (p *Parser) parsePrimary() (Expr, error) {
+	if v, ok, err := p.literal(); ok || err != nil {
+		if err != nil {
+			return nil, err
+		}
+		return &Literal{Val: v}, nil
+	}
 	t := p.cur()
 	switch t.Kind {
-	case TokInt:
-		p.pos++
-		n, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
-			return nil, p.errorf("bad integer literal: %v", err)
-		}
-		return &Literal{Val: NewInt(n)}, nil
-	case TokFloat:
-		p.pos++
-		f, err := strconv.ParseFloat(t.Text, 64)
-		if err != nil {
-			return nil, p.errorf("bad float literal: %v", err)
-		}
-		return &Literal{Val: NewFloat(f)}, nil
-	case TokString:
-		p.pos++
-		return &Literal{Val: NewText(t.Text)}, nil
-	case TokKeyword:
-		switch t.Text {
-		case "NULL":
-			p.pos++
-			return &Literal{Val: Null()}, nil
-		case "TRUE":
-			p.pos++
-			return &Literal{Val: NewBool(true)}, nil
-		case "FALSE":
-			p.pos++
-			return &Literal{Val: NewBool(false)}, nil
-		}
 	case TokIdent:
-		p.pos++
+		p.next()
 		return &ColumnRef{Name: t.Text}, nil
 	case TokSymbol:
 		if t.Text == "(" {
-			p.pos++
+			p.next()
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err

@@ -1,6 +1,8 @@
 package sqlmini
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -301,4 +303,109 @@ func TestParseRoundTrip(t *testing.T) {
 			t.Errorf("round trip %q: %q != %q", sql, st1.String(), st2.String())
 		}
 	}
+}
+
+// TestParseErrorText pins the error each bad input gets, and so the error
+// precedence of the pulled token stream: a lexical error anywhere in the
+// input wins over a parse error before it, exactly as if the input had been
+// tokenized whole before parsing began.
+func TestParseErrorText(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"", `sqlmini: parse error at offset 0 in "": expected statement keyword`},
+		{"BEGIN BEGIN", `sqlmini: parse error at offset 6 in "BEGIN BEGIN": trailing input after statement`},
+		{"SELECT * FORM t", `sqlmini: parse error at offset 9 in "SELECT * FORM t": expected FROM, found identifier "FORM"`},
+		{"SELECT * FROM t WHERE a = 'oops", `sqlmini: unterminated string at offset 26`},
+		{"SELECT 4. FROM t", `sqlmini: malformed number at offset 7`},
+		{"UPDATE t SET a = WHERE b = 1", `sqlmini: parse error at offset 17 in "UPDATE t SET a = WHERE b = 1": expected expression`},
+		{"INSERT INTO t (a, b) VALUES (1)", `sqlmini: parse error at offset 31 in "INSERT INTO t (a, b) VALUES (1)": INSERT row has 1 values, want 2`},
+		{"INSERT INTO t (a) VALUES (1), (2", `sqlmini: parse error at offset 32 in "INSERT INTO t (a) VALUES (1), (2": expected ), found EOF`},
+		// A bad literal is reported at the token after it, on the VALUES
+		// fast path and in an expression alike.
+		{"INSERT INTO t (a) VALUES (99999999999999999999)", `sqlmini: parse error at offset 46 in "INSERT INTO t (a) VALUES (99999999999999999999)": bad integer literal: strconv.ParseInt: parsing "99999999999999999999": value out of range`},
+		{"INSERT INTO t (a) VALUES (1 + 99999999999999999999)", `sqlmini: parse error at offset 50 in "INSERT INTO t (a) VALUES (1 + 99999999999999999999)": bad integer literal: strconv.ParseInt: parsing "99999999999999999999": value out of range`},
+		{"INSERT INTO t (a) VALUES (1e400)", `sqlmini: parse error at offset 31 in "INSERT INTO t (a) VALUES (1e400)": bad float literal: strconv.ParseFloat: parsing "1e400": value out of range`},
+		{"INSERT INTO t (a) VALUES (1.5e)", `sqlmini: malformed number at offset 26`},
+		// Parse error first, lexical error later: the lexical error wins.
+		{"FLY TO 'x", `sqlmini: unterminated string at offset 7`},
+		{"INSERT INTO t (a) VALUES (1, 2) @", `sqlmini: unexpected character '@' at offset 32`},
+		{"INSERT INTO t (a) VALUES (99999999999999999999, @)", `sqlmini: unexpected character '@' at offset 48`},
+		{"BEGIN @", `sqlmini: unexpected character '@' at offset 6`},
+	} {
+		_, err := Parse(c.in)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q):\n got %v\nwant %s", c.in, err, c.want)
+		}
+	}
+}
+
+// TestParseValuesShapes: the VALUES fast path decodes a bare literal, and
+// every other item still parses as an expression.
+func TestParseValuesShapes(t *testing.T) {
+	st := mustParse(t, "INSERT INTO t (a, b, c, d, e, f) VALUES (-5, 1 + 2, NULL, TRUE, 'x' , 2.5e-07 -- c\n)")
+	row := st.(*Insert).Rows[0]
+	for i, want := range []string{"(-5)", "(1 + 2)", "NULL", "TRUE", "'x'", "2.5e-07"} {
+		if got := row[i].String(); got != want {
+			t.Errorf("value %d = %s, want %s", i, got, want)
+		}
+	}
+	for i := 2; i < len(row); i++ {
+		if _, ok := row[i].(*Literal); !ok {
+			t.Errorf("value %d is %T, want *Literal", i, row[i])
+		}
+	}
+}
+
+// dumpInsert renders rows rows of the six-column shape a dump batch has.
+func dumpInsert(rows int) string {
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO item (i_id, i_title, i_cost, i_stock, i_avail, i_subject) VALUES ")
+	for r := 0; r < rows; r++ {
+		if r > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, 'title %d', %g, %d, TRUE, NULL)", r, r, float64(r)+0.25, r%1000)
+	}
+	return sb.String()
+}
+
+// TestParseDumpInsertAllocs pins the restore-side parse cost: a 50-row,
+// 6-column dump INSERT allocates two slabs per row (its expressions and its
+// literals) plus a constant for the statement, the column list and the
+// growth of the row list. The text of each string literal is a slice of
+// the input.
+func TestParseDumpInsertAllocs(t *testing.T) {
+	const rows = 50
+	sql := dumpInsert(rows)
+	st := mustParse(t, sql)
+	if got := st.String(); got != sql {
+		t.Fatalf("dump INSERT does not round-trip:\n got %s\nwant %s", got, sql)
+	}
+	allocs := testing.AllocsPerRun(20, func() { _, _ = Parse(sql) })
+	t.Logf("%d-row dump INSERT: %.0f allocs", rows, allocs)
+	if allocs > 2*rows+24 {
+		t.Errorf("Parse allocates %.0f times for %d rows, want at most %d", allocs, rows, 2*rows+24)
+	}
+}
+
+// FuzzParse: Parse never panics, and any statement it accepts renders to
+// SQL that parses again and renders identically — String is a fixed point
+// after one round, which is what lets dumps and redo records be re-read.
+// The seed corpus in testdata/fuzz/FuzzParse holds TPC-W statements, dump
+// and redo texts, quoting and number edge cases and error inputs.
+func FuzzParse(f *testing.F) {
+	f.Add("INSERT INTO t (a, b, c, d) VALUES (-5, 1 + 2, NULL, TRUE)")
+	f.Fuzz(func(t *testing.T, sql string) {
+		st, err := Parse(sql)
+		if err != nil {
+			return
+		}
+		out := st.String()
+		st2, err := Parse(out)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its rendering %q fails: %v", sql, out, err)
+		}
+		if again := st2.String(); again != out {
+			t.Fatalf("rendering is not a fixed point:\n  %s\n  %s", out, again)
+		}
+	})
 }

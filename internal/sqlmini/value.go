@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // ValueKind enumerates the runtime types of SQL values.
@@ -61,39 +62,39 @@ func NewBool(v bool) Value { return Value{Kind: KindBool, Bool: v} }
 // IsNull reports whether v is SQL NULL.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
 
-// String renders v as a SQL literal.
+// String renders v as a SQL literal (see AppendSQL).
 func (v Value) String() string {
-	switch v.Kind {
-	case KindNull:
-		return "NULL"
-	case KindInt:
-		return strconv.FormatInt(v.Int, 10)
-	case KindFloat:
-		return strconv.FormatFloat(v.Float, 'g', -1, 64)
-	case KindText:
-		return quoteSQL(v.Str)
-	case KindBool:
-		if v.Bool {
-			return "TRUE"
-		}
-		return "FALSE"
-	}
-	return "?"
+	var buf [32]byte
+	return string(v.AppendSQL(buf[:0]))
 }
 
-// quoteSQL renders s as a single-quoted SQL string literal.
-func quoteSQL(s string) string {
-	out := make([]byte, 0, len(s)+2)
-	out = append(out, '\'')
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\'' {
-			out = append(out, '\'', '\'')
-		} else {
-			out = append(out, s[i])
+// AppendSQL appends v rendered as a SQL literal to dst: the one renderer
+// behind String, dumps and redo records. TEXT is single-quoted with quotes
+// doubled; FLOAT is Go's shortest 'g' form, exponent and all, which the
+// lexer reads back as a float.
+func (v Value) AppendSQL(dst []byte) []byte {
+	switch v.Kind {
+	case KindNull:
+		return append(dst, "NULL"...)
+	case KindInt:
+		return strconv.AppendInt(dst, v.Int, 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.Float, 'g', -1, 64)
+	case KindText:
+		dst = append(dst, '\'')
+		s := v.Str
+		for i := strings.IndexByte(s, '\''); i >= 0; i = strings.IndexByte(s, '\'') {
+			dst = append(append(dst, s[:i+1]...), '\'')
+			s = s[i+1:]
 		}
+		return append(append(dst, s...), '\'')
+	case KindBool:
+		if v.Bool {
+			return append(dst, "TRUE"...)
+		}
+		return append(dst, "FALSE"...)
 	}
-	out = append(out, '\'')
-	return string(out)
+	return append(dst, '?')
 }
 
 // AsFloat converts numeric values to float64 for mixed-type arithmetic.

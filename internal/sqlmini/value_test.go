@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -122,9 +123,6 @@ func TestPropertyCompareAntisymmetric(t *testing.T) {
 // lexes back to the same string.
 func TestPropertyTextLiteralRoundTrip(t *testing.T) {
 	f := func(s string) bool {
-		// The lexer works on byte strings without newlines in literals;
-		// quoteSQL handles quotes only, so restrict to no-NUL inputs
-		// (NUL is fine actually; allow everything).
 		lit := NewText(s).String()
 		toks, err := Lex(lit)
 		if err != nil {
@@ -134,6 +132,34 @@ func TestPropertyTextLiteralRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPropertyFloatLiteralRoundTrip: every finite FLOAT renders to a
+// literal that parses back to the same value, whether its shortest form is
+// integral (3), decimal (2.5) or carries an exponent (1.2345675e+06, 1e-05).
+func TestPropertyFloatLiteralRoundTrip(t *testing.T) {
+	f := func(bits uint64) bool {
+		x := math.Abs(math.Float64frombits(bits))
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			return true
+		}
+		st, err := Parse("INSERT INTO t (x) VALUES (" + NewFloat(x).String() + ")")
+		if err != nil {
+			t.Logf("%v: %v", x, err)
+			return false
+		}
+		v := st.(*Insert).Rows[0][0].(*Literal).Val
+		got, _ := v.AsFloat()
+		return got == x
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	for _, x := range []float64{1234567.5, 1e-05, 1e21, 2.5e-07, 3, 0} {
+		if !f(math.Float64bits(x)) {
+			t.Errorf("%v does not round-trip", x)
+		}
 	}
 }
 

@@ -120,14 +120,12 @@ func (s *Schema) CheckRow(r Row) error {
 	return nil
 }
 
-// Coerce returns a copy of the row with INT values widened to FLOAT where
-// the schema requires FLOAT.
-func (s *Schema) Coerce(r Row) Row {
-	out := r.Clone()
-	for i := range out {
-		if s.Columns[i].Type == sqlmini.KindFloat && out[i].Kind == sqlmini.KindInt {
-			out[i] = sqlmini.NewFloat(float64(out[i].Int))
+// Coerce widens, in place, the INT values of r that the schema declares
+// FLOAT. The caller owns r, and r has passed CheckRow.
+func (s *Schema) Coerce(r Row) {
+	for i, c := range s.Columns {
+		if c.Type == sqlmini.KindFloat && r[i].Kind == sqlmini.KindInt {
+			r[i] = sqlmini.NewFloat(float64(r[i].Int))
 		}
 	}
-	return out
 }

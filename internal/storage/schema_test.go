@@ -105,9 +105,13 @@ func TestCheckRow(t *testing.T) {
 
 func TestCoerceWidensIntToFloat(t *testing.T) {
 	s := itemSchema(t)
-	r := s.Coerce(Row{sqlmini.NewInt(1), sqlmini.NewText("a"), sqlmini.NewInt(3)})
+	r := Row{sqlmini.NewInt(1), sqlmini.NewText("a"), sqlmini.NewInt(3)}
+	s.Coerce(r)
 	if r[2].Kind != sqlmini.KindFloat || r[2].Float != 3 {
 		t.Errorf("got %v", r[2])
+	}
+	if r[0].Kind != sqlmini.KindInt {
+		t.Errorf("INT primary key widened: %v", r[0])
 	}
 }
 

@@ -44,9 +44,17 @@ go run ./cmd/benchrunner -exp table2 -quick -json /dev/null >/dev/null
 # seed corpus (plain `go test` above only replays the corpus).
 go test -run '^$' -fuzz '^FuzzDecodeResult$' -fuzztime 10s ./internal/wire/
 
+# The SQL parser's fuzz target the same way: it never panics, and every
+# statement it accepts renders to SQL that parses back to the same text.
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/sqlmini/
+
 # The executor's read-shape benchmarks, one iteration each, so they keep
 # building and running (the numbers are read with -benchtime of your own).
 go test -count=1 -run '^$' -bench Select -benchtime 1x ./internal/engine/
+
+# The migration's dump (DumpStream) and restore (one chunk applied as a
+# transaction) benchmarks, likewise.
+go test -count=1 -run '^$' -bench 'Dump|Restore' -benchtime 1x ./internal/engine/
 
 # The benchmark instrument is its own module.
 (cd benchmark && go vet ./... && go test -count=1 ./...)
