@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -715,6 +716,40 @@ func TestSecondMigrationAfterFirst(t *testing.T) {
 	}
 	if res.Rows[0][0].Int != 30 {
 		t.Errorf("count = %v", res.Rows[0][0])
+	}
+}
+
+// TestMigrateSignedExtremes: a tenant holding the least INT, -1 and a
+// negative FLOAT in exponent form migrates, and the slave ends in the
+// source's state. Its dump writes the least INT as the one literal
+// -9223372036854775808, which the restore once read as the negation of an
+// out-of-range number, rolling the migration back at Step 2.
+func TestMigrateSignedExtremes(t *testing.T) {
+	rig := newRig(t, 2, engine.Options{})
+	if err := rig.mw.ProvisionTenant("a", "node0"); err != nil {
+		t.Fatal(err)
+	}
+	c := rig.connect(t, "a")
+	mustExecAll(t, c,
+		"CREATE TABLE m (id INT PRIMARY KEY, n INT, x FLOAT)",
+		"INSERT INTO m (id, n, x) VALUES (1, -9223372036854775807 - 1, -2.5e-07), (2, -1, -0.00000025)",
+		"UPDATE m SET n = n - 1 WHERE id = 2",
+	)
+	c.Close()
+	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: Madeus, KeepSource: true})
+	if err != nil || rep.Failed {
+		t.Fatalf("migrate: %v (%s)", err, rep)
+	}
+	assertStateEqual(t, rig.nodes[0], rig.nodes[1], "a")
+
+	c = rig.connect(t, "a")
+	defer c.Close()
+	res, err := c.Exec("SELECT n FROM m WHERE id = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0]; got.Int != math.MinInt64 {
+		t.Errorf("n = %v after migration, want %d", got, int64(math.MinInt64))
 	}
 }
 

@@ -105,7 +105,7 @@ func TestAggregates(t *testing.T) {
 		t.Errorf("sum int = %v", res.Rows[0][0])
 	}
 	res = mustExec(t, s, "SELECT SUM(cost) FROM items")
-	if res.Rows[0][0].Float != 4.0 {
+	if res.Rows[0][0].Float() != 4.0 {
 		t.Errorf("sum float = %v", res.Rows[0][0])
 	}
 	res = mustExec(t, s, "SELECT COUNT(*) FROM items WHERE cost > 2")
@@ -122,7 +122,7 @@ func TestUpdateWithExpression(t *testing.T) {
 		t.Errorf("Affected = %d", res.Affected)
 	}
 	got := mustExec(t, s, "SELECT stock, cost FROM items WHERE id = 1")
-	if got.Rows[0][0].Int != 7 || got.Rows[0][1].Float != 4 {
+	if got.Rows[0][0].Int != 7 || got.Rows[0][1].Float() != 4 {
 		t.Errorf("rows = %v", got.Rows)
 	}
 }

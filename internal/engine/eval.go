@@ -14,7 +14,7 @@ func evalFilter(e sqlmini.Expr, schema *storage.Schema, row storage.Row) (bool, 
 	if err != nil {
 		return false, err
 	}
-	return v.Kind == sqlmini.KindBool && v.Bool, nil
+	return v.Kind == sqlmini.KindBool && v.Bool(), nil
 }
 
 // evalExpr evaluates an expression. schema/row may be nil for constant
@@ -44,7 +44,7 @@ func evalExpr(e sqlmini.Expr, schema *storage.Schema, row storage.Row) (sqlmini.
 		case sqlmini.KindInt:
 			return sqlmini.NewInt(-v.Int), nil
 		case sqlmini.KindFloat:
-			return sqlmini.NewFloat(-v.Float), nil
+			return sqlmini.NewFloat(-v.Float()), nil
 		}
 		return sqlmini.Value{}, fmt.Errorf("engine: cannot negate %s", v.Kind)
 	case *sqlmini.Not:
@@ -58,7 +58,7 @@ func evalExpr(e sqlmini.Expr, schema *storage.Schema, row storage.Row) (sqlmini.
 		if v.Kind != sqlmini.KindBool {
 			return sqlmini.Value{}, fmt.Errorf("engine: NOT of %s", v.Kind)
 		}
-		return sqlmini.NewBool(!v.Bool), nil
+		return sqlmini.NewBool(!v.Bool()), nil
 	case *sqlmini.Binary:
 		return evalBinary(e, schema, row)
 	}
@@ -119,7 +119,7 @@ func evalLogic(op sqlmini.BinaryOp, l, r sqlmini.Value) (sqlmini.Value, error) {
 		if v.Kind != sqlmini.KindBool {
 			return false, false, fmt.Errorf("engine: %s operand is %s, want BOOL", op, v.Kind)
 		}
-		return v.Bool, false, nil
+		return v.Bool(), false, nil
 	}
 	lb, ln, err := toBool(l)
 	if err != nil {

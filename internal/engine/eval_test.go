@@ -91,7 +91,7 @@ func TestEvalComparisons(t *testing.T) {
 			t.Errorf("%s: %v", expr, err)
 			continue
 		}
-		if got.Kind != sqlmini.KindBool || got.Bool != want {
+		if got.Kind != sqlmini.KindBool || got.Bool() != want {
 			t.Errorf("%s = %v, want %v", expr, got, want)
 		}
 	}
@@ -128,7 +128,7 @@ func TestEvalThreeValuedLogic(t *testing.T) {
 			t.Errorf("%s: %v", expr, err)
 			continue
 		}
-		if got.Kind != sqlmini.KindBool || got.Bool != want {
+		if got.Kind != sqlmini.KindBool || got.Bool() != want {
 			t.Errorf("%s = %v, want %v", expr, got, want)
 		}
 	}

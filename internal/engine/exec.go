@@ -121,42 +121,80 @@ func (s *Session) execInsert(st *sqlmini.Insert, sql string) (*Result, error) {
 	}
 	schema := tb.Schema
 	colIdx := make([]int, len(st.Columns))
+	inOrder := len(st.Columns) == len(schema.Columns)
 	for i, name := range st.Columns {
 		ci := schema.ColumnIndex(name)
 		if ci < 0 {
 			return nil, fmt.Errorf("engine: table %q has no column %q", st.Table, name)
 		}
 		colIdx[i] = ci
+		inOrder = inOrder && ci == i
 	}
-	// Value logging: the record carries the computed rows as literals, not
-	// the client's SQL, so redo never re-evaluates an expression. A row is
-	// rendered before Insert takes it over and widens it in place. The
-	// buffer is sized to the statement: a restored dump batch's redo text
-	// is the batch itself.
-	redo := appendInsertHead(make([]byte, 0, len(sql)+64), schema)
-	for i, exprRow := range st.Rows {
-		row := make(storage.Row, len(schema.Columns)) // NULL where no value is named
-		for j, e := range exprRow {
-			v, err := evalExpr(e, nil, nil)
-			if err != nil {
-				return nil, err
+	rows, computed := st.Values, st.Rows != nil
+	if computed {
+		var err error
+		if rows, err = evalRows(st.Rows); err != nil {
+			return nil, err
+		}
+	}
+	// A row in the schema's column order is stored as it is, when it is the
+	// statement's to give: Insert takes it over and widens it in place.
+	// Evaluated rows are; a literal statement's are unless the parse cache
+	// may hold the statement, which sessions share read-only.
+	own := inOrder && (computed || !sqlmini.Cacheable(st))
+
+	// Value logging: redo never re-evaluates an expression. A literal
+	// INSERT is its own redo; a computed one logs its rows as evaluated,
+	// rendered before Insert widens them.
+	var redo []byte
+	if computed {
+		redo = appendInsertHead(make([]byte, 0, len(sql)+64), schema)
+	}
+	for i, vals := range rows {
+		row := storage.Row(vals)
+		if !own {
+			row = make(storage.Row, len(schema.Columns)) // NULL where no value is named
+			for j, v := range vals {
+				row[colIdx[j]] = v
 			}
-			row[colIdx[j]] = v
 		}
-		if i > 0 {
-			redo = append(redo, ", "...)
+		if computed {
+			if i > 0 {
+				redo = append(redo, ", "...)
+			}
+			redo = appendTuple(redo, row)
 		}
-		redo = appendTuple(redo, row)
 		if err := tb.Insert(s.txn, row); err != nil {
 			return nil, err
 		}
 	}
-	n := len(st.Rows)
+	n := len(rows)
 	if n > 0 {
+		data := sql
+		if computed {
+			data = string(redo)
+		}
 		s.eng.logAppend(wal.Record{TxnID: uint64(s.txn.ID), Kind: wal.RecInsert,
-			DB: s.db.Name, Table: st.Table, Data: string(redo)})
+			DB: s.db.Name, Table: st.Table, Data: data})
 	}
 	return &Result{Affected: n, Tag: fmt.Sprintf("INSERT %d", n)}, nil
+}
+
+// evalRows evaluates the rows of an INSERT with a computed item, each into
+// a fresh row of values in the statement's column order.
+func evalRows(exprRows [][]sqlmini.Expr) ([][]sqlmini.Value, error) {
+	rows := make([][]sqlmini.Value, len(exprRows))
+	for i, exprs := range exprRows {
+		rows[i] = make([]sqlmini.Value, len(exprs))
+		for j, e := range exprs {
+			v, err := evalExpr(e, nil, nil)
+			if err != nil {
+				return nil, err
+			}
+			rows[i][j] = v
+		}
+	}
+	return rows, nil
 }
 
 func (s *Session) execUpdate(st *sqlmini.Update, sql string) (*Result, error) {
@@ -537,15 +575,18 @@ func (s *Session) aggregate(tb *mvcc.Table, st *sqlmini.Select) (*Result, error)
 	default:
 		return nil, fmt.Errorf("engine: unsupported aggregate %q", item.Aggregate)
 	}
+	floatCol := ci >= 0 && tb.Schema.Columns[ci].Type == sqlmini.KindFloat
 	var n, sumI int64
 	var sumF float64
 	err := s.eachMatch(tb, st.Where, func(r storage.Row) bool {
 		n++
-		if ci >= 0 {
-			// A column holds one kind, and NULL's fields are zero, so
-			// adding both fields sums the column and skips NULLs.
+		// A column holds one kind, and a NULL reads as zero either way,
+		// so the sum skips NULLs.
+		switch {
+		case floatCol:
+			sumF += r[ci].Float()
+		case ci >= 0:
 			sumI += r[ci].Int
-			sumF += r[ci].Float
 		}
 		return true
 	})
@@ -554,10 +595,9 @@ func (s *Session) aggregate(tb *mvcc.Table, st *sqlmini.Select) (*Result, error)
 	}
 	val := sqlmini.NewInt(n)
 	switch {
-	case ci < 0:
-	case tb.Schema.Columns[ci].Type == sqlmini.KindFloat:
+	case floatCol:
 		val = sqlmini.NewFloat(sumF)
-	default:
+	case ci >= 0:
 		val = sqlmini.NewInt(sumI)
 	}
 	return &Result{Columns: []string{col}, Rows: [][]sqlmini.Value{{val}}, Tag: "SELECT 1"}, nil

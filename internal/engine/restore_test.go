@@ -10,12 +10,15 @@ import (
 	"testing"
 	"time"
 
+	"madeus/internal/sqlmini"
+	"madeus/internal/storage"
 	"madeus/internal/wal"
 )
 
 // goldenStmts build a table holding every value kind — NULL, negative INT,
 // integral FLOAT, quoted TEXT, BOOL — and FLOATs whose shortest form has an
-// exponent, one of them stored from an INT literal.
+// exponent, one of them stored from an INT literal. The rows of the
+// computed INSERT are deleted again, so they reach the redo log only.
 var goldenStmts = []string{
 	"CREATE TABLE kinds (id INT PRIMARY KEY, n INT, f FLOAT, s TEXT, b BOOL)",
 	"CREATE INDEX kinds_s ON kinds (s)",
@@ -26,13 +29,17 @@ var goldenStmts = []string{
 	"UPDATE kinds SET s = 'a''''b' WHERE id >= 4",
 	"DELETE FROM kinds WHERE id = 3",
 	"INSERT INTO kinds (id, f) VALUES (6, 1234567.5)",
+	"INSERT INTO kinds (id, n, f) VALUES (7, 1 + 2, 0.5), (8, -9223372036854775807 - 1, 2)",
+	"DELETE FROM kinds WHERE id >= 7",
 }
 
 // TestDumpAndRedoTextGolden pins the SQL text a dump, the redo records and a
 // checkpoint carry, byte for byte: migrations ship this text and recovery
-// re-reads it, so a renderer change must not move a byte. A redo record
-// renders a row as evaluated, before the table widens it (the INT 1000000
-// in a FLOAT column); a dump renders it as stored (1e+06).
+// re-reads it, so a renderer change must not move a byte. A literal INSERT
+// is its own redo record, its statement text as the client sent it. Any
+// other write logs its rows as evaluated, before the table widens them
+// (the INT 1000000 and 2 in a FLOAT column), every column named; a dump
+// renders a row as stored (1e+06).
 func TestDumpAndRedoTextGolden(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(Options{DataDir: dir, DumpBatch: 2, WAL: wal.Options{RetainRecords: 64}})
@@ -73,13 +80,16 @@ func TestDumpAndRedoTextGolden(t *testing.T) {
 		"CREATE TABLE kinds (id INT PRIMARY KEY, n INT, f FLOAT, s TEXT, b BOOL)",
 		"CREATE INDEX kinds_s ON kinds (s)",
 		"INSERT INTO kinds (id, n, f, s, b) VALUES (1, -7, 3, 'it''s', TRUE), (2, NULL, 2.5, '', FALSE), (3, 0, -0.125, NULL, NULL)",
-		"INSERT INTO kinds (id, n, f, s, b) VALUES (4, NULL, 1234567, 'x', NULL)",
-		"INSERT INTO kinds (id, n, f, s, b) VALUES (5, -9223372036854775807, 1e-05, NULL, NULL)",
+		"INSERT INTO kinds (id, f, s) VALUES (4, 1234567, 'x')",
+		"INSERT INTO kinds (id, n, f) VALUES (5, -9223372036854775807, 0.00001)",
 		"UPDATE kinds SET id = 2, n = 42, f = 1000000, s = '', b = FALSE WHERE id = 2",
 		"UPDATE kinds SET id = 4, n = NULL, f = 1.234567e+06, s = 'a''''b', b = NULL WHERE id = 4",
 		"UPDATE kinds SET id = 5, n = -9223372036854775807, f = 1e-05, s = 'a''''b', b = NULL WHERE id = 5",
 		"DELETE FROM kinds WHERE id = 3",
-		"INSERT INTO kinds (id, n, f, s, b) VALUES (6, NULL, 1.2345675e+06, NULL, NULL)",
+		"INSERT INTO kinds (id, f) VALUES (6, 1234567.5)",
+		"INSERT INTO kinds (id, n, f, s, b) VALUES (7, 3, 0.5, NULL, NULL), (8, -9223372036854775808, 2, NULL, NULL)",
+		"DELETE FROM kinds WHERE id = 7",
+		"DELETE FROM kinds WHERE id = 8",
 	}
 	if got, want := strings.Join(redo, "\n"), strings.Join(wantRedo, "\n"); got != want {
 		t.Errorf("redo records:\n got %s\nwant %s", got, want)
@@ -111,6 +121,73 @@ func TestDumpAndRedoTextGolden(t *testing.T) {
 	}
 	if got, want := strings.Join(framed, "\n"), strings.Join(wantDump, "\n"); got != want {
 		t.Errorf("checkpoint statements:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestWritesStoreTheParsersRows carries mvcc's TestWritesStoreTheCallersRow
+// up to the executor: a multi-row literal INSERT stores the very rows the
+// parser decoded, widened in place. A single-row INSERT, which the parse
+// cache may share across sessions, lends nothing: run twice, it stores two
+// distinct rows, each widened on its own, and the cached statement keeps
+// its INT literal.
+func TestWritesStoreTheParsersRows(t *testing.T) {
+	e := New(Options{})
+	defer e.Close()
+	if err := e.CreateDatabase("o"); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := e.NewSession("o")
+	mustExec(t, s, "CREATE TABLE m (k INT PRIMARY KEY, x FLOAT)")
+	tb, _ := s.db.table("m")
+	stored := func(k int64) storage.Row {
+		r := s.db.mgr.Begin()
+		defer r.Commit()
+		return tb.Get(r, sqlmini.NewInt(k))
+	}
+
+	const batch = "INSERT INTO m (k, x) VALUES (1, 2), (2, 3)"
+	st, err := sqlmini.Parse(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := st.(*sqlmini.Insert)
+	mustExec(t, s, "BEGIN")
+	s.ensureTxn()
+	if _, err := s.execStatement(ins, batch); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, s, "COMMIT")
+	for i, row := range ins.Values {
+		got := stored(int64(i + 1))
+		if &got[0] != &row[0] {
+			t.Errorf("row %d: the table stored a copy of the parser's row", i)
+		}
+		if want := sqlmini.NewFloat(float64(i + 2)); row[1] != want {
+			t.Errorf("row %d: x = %s %v, want it widened in place to FLOAT %v", i, row[1].Kind, row[1], want)
+		}
+	}
+
+	const one = "INSERT INTO m (k, x) VALUES (3, 4)"
+	mustExec(t, s, one)
+	first := stored(3)
+	mustExec(t, s, "DELETE FROM m WHERE k = 3")
+	mustExec(t, s, one)
+	second := stored(3)
+	cached, ok := s.db.pcache.Get(one)
+	if !ok {
+		t.Fatal("the single-row INSERT is not in the parse cache")
+	}
+	vals := cached.(*sqlmini.Insert).Values[0]
+	if &first[0] == &second[0] || &first[0] == &vals[0] || &second[0] == &vals[0] {
+		t.Error("a cached INSERT lent its row to the table")
+	}
+	if vals[1] != sqlmini.NewInt(4) {
+		t.Errorf("the cached INSERT's x = %s %v, want the INT it was parsed as", vals[1].Kind, vals[1])
+	}
+	for _, r := range []storage.Row{first, second} {
+		if r[1] != sqlmini.NewFloat(4) {
+			t.Errorf("stored x = %s %v, want FLOAT 4", r[1].Kind, r[1])
+		}
 	}
 }
 
@@ -154,7 +231,7 @@ func TestRecoverExponentFloats(t *testing.T) {
 	defer e3.Close()
 	requireStateEqual(t, oracle, e3)
 	s3, _ := e3.NewSession("tenant")
-	if res := mustExec(t, s3, "SELECT x FROM m WHERE id = 3"); res.Rows[0][0].Float != 1e21 {
+	if res := mustExec(t, s3, "SELECT x FROM m WHERE id = 3"); res.Rows[0][0].Float() != 1e21 {
 		t.Errorf("x = %v, want 1e+21", res.Rows[0][0])
 	}
 }

@@ -45,7 +45,7 @@ func selPreds(pkHit int64) []selPred {
 		{"v > 2", func(r storage.Row) bool { return intIs(r[cV], func(v int64) bool { return v > 2 }) }},
 		{"v = 3", func(r storage.Row) bool { return intIs(r[cV], func(v int64) bool { return v == 3 }) }},
 		{"s = 'b' OR f < 1.5", func(r storage.Row) bool {
-			return textIs(r[cS], func(s string) bool { return s == "b" }) || !r[cF].IsNull() && r[cF].Float < 1.5
+			return textIs(r[cS], func(s string) bool { return s == "b" }) || !r[cF].IsNull() && r[cF].Float() < 1.5
 		}},
 		{"v > 100", func(storage.Row) bool { return false }},
 		{"grp = 2", func(r storage.Row) bool { return r[cGrp].Int == 2 }},
@@ -174,7 +174,7 @@ func checkSelects(t *testing.T, s *Session, txn *mvcc.Txn, rng *rand.Rand, n int
 				sumV += r[0].Int
 			}
 			if !r[1].IsNull() {
-				sumF += r[1].Float
+				sumF += r[1].Float()
 			}
 		}
 		for _, agg := range []struct {

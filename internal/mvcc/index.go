@@ -24,7 +24,7 @@ type colIndex struct {
 	name string
 	col  int
 
-	mu      sync.RWMutex //madeusvet:lockrank mvcc-index 46
+	mu      sync.RWMutex                                 //madeusvet:lockrank mvcc-index 46
 	entries map[sqlmini.Value]map[sqlmini.Value]struct{} // value -> set of PKs
 }
 
@@ -77,22 +77,22 @@ func (tb *Table) CreateIndex(name, column string) error {
 	next := append(slices.Clip(old), ix) // a new array: the published one is never written
 	tb.indexes.Store(&next)
 	tb.imu.Unlock()
-	chains := make(map[sqlmini.Value]*rowChain)
+	var chains []pkChain
 	for si := range tb.stripes {
-		for pk, ch := range tb.stripes[si].rows {
-			chains[pk] = ch
-		}
+		tb.stripes[si].each(func(pk sqlmini.Value, ch *rowChain) {
+			chains = append(chains, pkChain{pk: pk, ch: ch})
+		})
 	}
 	tb.unlockAllStripes()
 
 	// Backfill every version's value (any version might be visible to
 	// some snapshot).
-	for pk, ch := range chains {
-		ch.mu.Lock()
-		for i := range ch.versions {
-			ix.add(ch.versions[i].row[col], pk)
+	for _, c := range chains {
+		c.ch.mu.Lock()
+		for i := range c.ch.versions {
+			ix.add(c.ch.versions[i].row[col], c.pk)
 		}
-		ch.mu.Unlock()
+		c.ch.mu.Unlock()
 	}
 	return nil
 }

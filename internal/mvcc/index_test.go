@@ -1,11 +1,46 @@
 package mvcc
 
 import (
+	"errors"
+	"math"
 	"sync"
 	"testing"
 
 	"madeus/internal/sqlmini"
+	"madeus/internal/storage"
 )
+
+// TestNegativeZeroIsOneKey: FLOAT keys compare by their bits in the row
+// maps and indexes, so NewFloat must store −0 as +0 for the two to be one
+// primary key and one index key, as they are one value.
+func TestNegativeZeroIsOneKey(t *testing.T) {
+	s, err := storage.NewSchema("f", []storage.Column{
+		{Name: "k", Type: sqlmini.KindFloat, PrimaryKey: true},
+		{Name: "v", Type: sqlmini.KindFloat},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager()
+	tb := NewTable(s, m)
+	if err := tb.CreateIndex("by_v", "v"); err != nil {
+		t.Fatal(err)
+	}
+	negZero, zero := sqlmini.NewFloat(math.Copysign(0, -1)), sqlmini.NewFloat(0)
+	txn := m.Begin()
+	if err := tb.Insert(txn, storage.Row{negZero, negZero}); err != nil {
+		t.Fatal(err)
+	}
+	if tb.Get(txn, zero) == nil {
+		t.Error("the row keyed -0 is not found under 0")
+	}
+	if err := tb.Insert(txn, storage.Row{zero, zero}); !errors.Is(err, ErrUniqueViolation) {
+		t.Errorf("inserting key 0 beside key -0: %v, want ErrUniqueViolation", err)
+	}
+	if pks, _ := tb.IndexLookup("v", zero); len(pks) != 1 || pks[0] != zero {
+		t.Errorf("index lookup of 0 = %v, want the one row", pks)
+	}
+}
 
 // TestIndexBuildOnlineUnderWriters builds an index while four writers
 // insert, and churns a second index so the published list is replaced

@@ -474,7 +474,9 @@ func TestWriteSkewAllowed(t *testing.T) {
 
 // TestWritesStoreTheCallersRow: Insert and Update take ownership of the row
 // they are given. The stored version is that row, widened in place, not a
-// copy, so a write allocates no second row.
+// copy, so a write allocates no second row. The engine's
+// TestWritesStoreTheParsersRows carries the contract up to the parser's
+// rows and the parse cache.
 func TestWritesStoreTheCallersRow(t *testing.T) {
 	s, err := storage.NewSchema("m", []storage.Column{
 		{Name: "k", Type: sqlmini.KindInt, PrimaryKey: true},

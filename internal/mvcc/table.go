@@ -2,7 +2,6 @@ package mvcc
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -35,9 +34,49 @@ type rowChain struct {
 // tableStripe is one shard of the row map. Single-stripe operations hash
 // the primary key to a stripe; cross-stripe operations (full scans, index
 // DDL) take stripes in index order via lockAllStripes.
+//
+// INT keys, every TPC-W key among them, are filed in an int64-keyed map —
+// a 16-byte entry that hashes one word — and keys of the other kinds in a
+// Value-keyed one. Both are made on first use and reached only through
+// get, put and each.
 type tableStripe struct {
 	mu   sync.Mutex //madeusvet:lockrank mvcc-table 40 striped
+	ints map[int64]*rowChain
 	rows map[sqlmini.Value]*rowChain
+}
+
+// get returns the chain keyed pk, or nil. Caller holds s.mu.
+func (s *tableStripe) get(pk sqlmini.Value) *rowChain {
+	if pk.Kind == sqlmini.KindInt {
+		return s.ints[pk.Int]
+	}
+	return s.rows[pk]
+}
+
+// put files ch under pk. Caller holds s.mu.
+func (s *tableStripe) put(pk sqlmini.Value, ch *rowChain) {
+	if pk.Kind == sqlmini.KindInt {
+		if s.ints == nil {
+			s.ints = make(map[int64]*rowChain)
+		}
+		s.ints[pk.Int] = ch
+		return
+	}
+	if s.rows == nil {
+		s.rows = make(map[sqlmini.Value]*rowChain)
+	}
+	s.rows[pk] = ch
+}
+
+// each calls fn for every chain of the stripe and its key, in no particular
+// order. Caller holds s.mu.
+func (s *tableStripe) each(fn func(pk sqlmini.Value, ch *rowChain)) {
+	for k, ch := range s.ints {
+		fn(sqlmini.NewInt(k), ch)
+	}
+	for pk, ch := range s.rows {
+		fn(pk, ch)
+	}
 }
 
 // Table is an MVCC table: a schema plus row chains keyed by primary key,
@@ -76,16 +115,12 @@ func NewTable(schema *storage.Schema, mgr *Manager) *Table {
 	if n < 1 {
 		n = 1
 	}
-	tb := &Table{
+	return &Table{
 		Schema:  schema,
 		mgr:     mgr,
 		mask:    uint64(n - 1),
 		stripes: make([]tableStripe, n),
 	}
-	for i := range tb.stripes {
-		tb.stripes[i].rows = make(map[sqlmini.Value]*rowChain)
-	}
-	return tb
 }
 
 // FNV-1a, inlined so key hashing allocates nothing.
@@ -108,23 +143,13 @@ func fnvU64(h uint64, x uint64) uint64 {
 // degenerate cross-kind collisions.
 func hashValue(v sqlmini.Value) uint64 {
 	h := fnvByte(fnvOffset, byte(v.Kind))
-	switch v.Kind {
-	case sqlmini.KindInt:
-		h = fnvU64(h, uint64(v.Int))
-	case sqlmini.KindFloat:
-		h = fnvU64(h, math.Float64bits(v.Float))
-	case sqlmini.KindText:
+	if v.Kind == sqlmini.KindText {
 		for i := 0; i < len(v.Str); i++ {
 			h = fnvByte(h, v.Str[i])
 		}
-	case sqlmini.KindBool:
-		if v.Bool {
-			h = fnvByte(h, 1)
-		} else {
-			h = fnvByte(h, 0)
-		}
+		return h
 	}
-	return h
+	return fnvU64(h, uint64(v.Int)) // INT, FLOAT bits, BOOL 0/1, NULL 0
 }
 
 func (tb *Table) stripeFor(pk sqlmini.Value) *tableStripe {
@@ -158,11 +183,11 @@ func (tb *Table) unlockAllStripes() {
 func (tb *Table) chain(pk sqlmini.Value, create bool) *rowChain {
 	s := tb.stripeFor(pk)
 	s.mu.Lock()
-	ch := s.rows[pk]
+	ch := s.get(pk)
 	created := false
 	if ch == nil && create {
 		ch = &rowChain{}
-		s.rows[pk] = ch
+		s.put(pk, ch)
 		created = true
 	}
 	s.mu.Unlock()

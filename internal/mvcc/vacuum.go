@@ -1,5 +1,7 @@
 package mvcc
 
+import "madeus/internal/sqlmini"
+
 // Vacuum support: version chains grow with every update (old versions are
 // superseded, not removed, and aborted versions linger invisibly until the
 // abort-time undo or this pass removes them). Vacuum prunes versions that
@@ -40,10 +42,8 @@ func (tb *Table) Vacuum(horizon CSN) int {
 	for si := range tb.stripes {
 		s := &tb.stripes[si]
 		s.mu.Lock()
-		chains := make([]*rowChain, 0, len(s.rows))
-		for _, ch := range s.rows {
-			chains = append(chains, ch)
-		}
+		var chains []*rowChain
+		s.each(func(_ sqlmini.Value, ch *rowChain) { chains = append(chains, ch) })
 		s.mu.Unlock()
 
 		for _, ch := range chains {

@@ -47,10 +47,15 @@ type DropIndex struct {
 	Table string
 }
 
-// Insert is INSERT INTO t (cols) VALUES (...), (...).
+// Insert is INSERT INTO t (cols) VALUES (...), (...). Exactly one of Values
+// and Rows holds the rows, in column-list order. When every item of the
+// statement is a literal — every dump batch and redo INSERT — each row is
+// decoded straight into one []Value sized to the column list (Values);
+// when any item is computed, every row is kept as expressions (Rows).
 type Insert struct {
 	Table   string
 	Columns []string
+	Values  [][]Value
 	Rows    [][]Expr
 }
 
@@ -200,7 +205,10 @@ func (b *Binary) String() string {
 	return "(" + b.L.String() + " " + b.Op.String() + " " + b.R.String() + ")"
 }
 func (n *Not) String() string { return "(NOT " + n.E.String() + ")" }
-func (n *Neg) String() string { return "(-" + n.E.String() + ")" }
+
+// String keeps a space after the '-': "(-5)" would read back as the signed
+// literal -5, and "(--5)" as a comment.
+func (n *Neg) String() string { return "(- " + n.E.String() + ")" }
 
 func (s *CreateTable) String() string {
 	var sb strings.Builder
@@ -237,6 +245,19 @@ func (s *Insert) String() string {
 	sb.WriteString(" (")
 	sb.WriteString(strings.Join(s.Columns, ", "))
 	sb.WriteString(") VALUES ")
+	for i, row := range s.Values {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString("(")
+		for j, v := range row {
+			if j > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString(v.String())
+		}
+		sb.WriteString(")")
+	}
 	for i, row := range s.Rows {
 		if i > 0 {
 			sb.WriteString(", ")

@@ -68,9 +68,9 @@ func (c *Cache) Get(sql string) (Statement, bool) {
 }
 
 // Put caches the parse of sql, evicting the least recently used entry at
-// capacity. Statements that cannot repeat are not admitted (see cacheable).
+// capacity. Statements that cannot repeat are not admitted (see Cacheable).
 func (c *Cache) Put(sql string, st Statement) {
-	if c == nil || !cacheable(st) {
+	if c == nil || !Cacheable(st) {
 		return
 	}
 	c.mu.Lock()
@@ -176,18 +176,22 @@ func (c *Cache) remove(e *cacheEntry) {
 	e.prev, e.next = nil, nil
 }
 
-// cacheable reports whether a statement may be cached. DML and transaction
+// Cacheable reports whether a statement may be cached. DML and transaction
 // control repeat. DDL runs once, and caching it would complicate its own
 // invalidation story for no win. A multi-row INSERT is a dump batch being
 // restored: its text names a batch of primary keys, so it can never run
 // twice, and admitting one would evict a statement the tenant does repeat
 // and keep kilobytes of text and AST live for nothing.
-func cacheable(st Statement) bool {
+//
+// A statement this admits may be shared read-only across sessions, so an
+// executor may hand the rows of an INSERT over to storage only when it
+// reports false.
+func Cacheable(st Statement) bool {
 	switch st := st.(type) {
 	case *CreateTable, *DropTable, *CreateIndex, *DropIndex:
 		return false
 	case *Insert:
-		return len(st.Rows) == 1
+		return len(st.Values)+len(st.Rows) == 1
 	case nil:
 		return false
 	}

@@ -34,16 +34,6 @@ func (lx *Lexer) Next() (Token, error) {
 	}
 }
 
-// peekByte returns the first byte of the next token without consuming it,
-// or 0 at the end of the input.
-func (lx *Lexer) peekByte() byte {
-	lx.skipSpace()
-	if lx.pos < len(lx.src) {
-		return lx.src[lx.pos]
-	}
-	return 0
-}
-
 func (lx *Lexer) skipSpace() {
 	for lx.pos < len(lx.src) {
 		switch lx.src[lx.pos] {

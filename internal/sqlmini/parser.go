@@ -252,20 +252,35 @@ func (p *Parser) parseInsert() (Statement, error) {
 	if _, err := p.expect(TokKeyword, "VALUES"); err != nil {
 		return nil, err
 	}
+	// Rows are read as values until the first computed item; from then on
+	// every row, the ones already read included, is kept as expressions.
+	computed := false
 	for {
 		if _, err := p.expect(TokSymbol, "("); err != nil {
 			return nil, err
 		}
-		// One slab of expressions and one of literals per row, both sized
-		// to the column list.
-		row := make([]Expr, 0, len(ins.Columns))
-		lits := make([]Literal, len(ins.Columns))
+		vals := make([]Value, 0, len(ins.Columns))
+		var exprs []Expr
 		for {
-			e, err := p.parseValue(lits, len(row))
+			v, e, err := p.parseValue()
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, e)
+			switch {
+			case e == nil && !computed:
+				vals = append(vals, v)
+			case e == nil:
+				exprs = append(exprs, &Literal{Val: v})
+			default:
+				if !computed {
+					computed = true
+					for _, row := range ins.Values {
+						ins.Rows = append(ins.Rows, literals(row))
+					}
+					ins.Values, exprs, vals = nil, literals(vals), nil
+				}
+				exprs = append(exprs, e)
+			}
 			if !p.accept(TokSymbol, ",") {
 				break
 			}
@@ -273,10 +288,14 @@ func (p *Parser) parseInsert() (Statement, error) {
 		if _, err := p.expect(TokSymbol, ")"); err != nil {
 			return nil, err
 		}
-		if len(row) != len(ins.Columns) {
-			return nil, p.errorf("INSERT row has %d values, want %d", len(row), len(ins.Columns))
+		if n := len(vals) + len(exprs); n != len(ins.Columns) {
+			return nil, p.errorf("INSERT row has %d values, want %d", n, len(ins.Columns))
 		}
-		ins.Rows = append(ins.Rows, row)
+		if computed {
+			ins.Rows = append(ins.Rows, exprs)
+		} else {
+			ins.Values = append(ins.Values, vals)
+		}
 		if !p.accept(TokSymbol, ",") {
 			break
 		}
@@ -284,22 +303,31 @@ func (p *Parser) parseInsert() (Statement, error) {
 	return ins, nil
 }
 
-// parseValue parses item i of a VALUES row. A literal followed by ',' or
-// ')' — every item of a dump but a negative number — is decoded straight
-// into lits[i], skipping the descent through the expression grammar;
-// anything else, or an item past the slab, is parsed as an expression.
-func (p *Parser) parseValue(lits []Literal, i int) (Expr, error) {
-	if c := p.lx.peekByte(); i < len(lits) && (c == ',' || c == ')') {
-		v, ok, err := p.literal()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			lits[i].Val = v
-			return &lits[i], nil
-		}
+// literals returns a row of values as a row of expressions.
+func literals(vals []Value) []Expr {
+	row := make([]Expr, len(vals))
+	for i, v := range vals {
+		row[i] = &Literal{Val: v}
 	}
-	return p.parseExpr()
+	return row
+}
+
+// parseValue parses one VALUES item. A literal followed by ',' or ')' —
+// every item of a dump — is returned as its value v, decoded without the
+// descent through the expression grammar. Anything else is parsed as an
+// expression and returned as e.
+func (p *Parser) parseValue() (v Value, e Expr, err error) {
+	save := *p
+	v, ok, err := p.literal()
+	if err != nil {
+		return v, nil, err
+	}
+	if ok && (p.at(TokSymbol, ",") || p.at(TokSymbol, ")")) {
+		return v, nil, nil
+	}
+	*p = save // not a lone literal: parse the item from its start
+	e, err = p.parseExpr()
+	return Value{}, e, err
 }
 
 func (p *Parser) parseUpdate() (Statement, error) {
@@ -586,7 +614,7 @@ func (p *Parser) parseMul() (Expr, error) {
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
-	if p.accept(TokSymbol, "-") {
+	if !p.signedNumber() && p.accept(TokSymbol, "-") {
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -596,17 +624,38 @@ func (p *Parser) parseUnary() (Expr, error) {
 	return p.parsePrimary()
 }
 
-// literal consumes the current token when it is a literal and returns its
-// value. For any other token ok is false and nothing is consumed.
+// signedNumber reports whether the current token is a '-' directly before a
+// number. The two make one signed literal, parsed from the signed text:
+// read as the negation of 9223372036854775808, the INT -9223372036854775808
+// would overflow.
+func (p *Parser) signedNumber() bool {
+	lx := &p.lx
+	return p.tok.Kind == TokSymbol && p.tok.Text == "-" &&
+		lx.pos == p.tok.Pos+1 && lx.pos < len(lx.src) && isDigit(lx.src[lx.pos])
+}
+
+// literal consumes the current token when it is a literal, or the two
+// tokens of a signed number, and returns its value. For any other token ok
+// is false and nothing is consumed (but the '-' of a signed number whose
+// digits fail to lex).
 func (p *Parser) literal() (v Value, ok bool, err error) {
 	t := p.cur()
+	text := t.Text
+	if p.signedNumber() {
+		p.next()
+		if n := p.cur(); n.Kind == TokInt || n.Kind == TokFloat {
+			t.Kind, text = n.Kind, p.lx.src[t.Pos:n.Pos+len(n.Text)]
+		}
+	}
 	switch {
 	case t.Kind == TokInt:
-		v.Kind = KindInt
-		v.Int, err = strconv.ParseInt(t.Text, 10, 64)
+		var n int64
+		n, err = strconv.ParseInt(text, 10, 64)
+		v = NewInt(n)
 	case t.Kind == TokFloat:
-		v.Kind = KindFloat
-		v.Float, err = strconv.ParseFloat(t.Text, 64)
+		var f float64
+		f, err = strconv.ParseFloat(text, 64)
+		v = NewFloat(f)
 	case t.Kind == TokString:
 		v = NewText(t.Text)
 	case t.Kind == TokKeyword && t.Text == "NULL":

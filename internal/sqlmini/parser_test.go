@@ -2,6 +2,8 @@ package sqlmini
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -71,20 +73,19 @@ func TestParseSelectForShare(t *testing.T) {
 func TestParseInsertSingleRow(t *testing.T) {
 	st := mustParse(t, "INSERT INTO t (a, b) VALUES (1, 'x')")
 	ins := st.(*Insert)
-	if ins.Table != "t" || len(ins.Columns) != 2 || len(ins.Rows) != 1 {
+	if ins.Table != "t" || len(ins.Columns) != 2 || len(ins.Values) != 1 || ins.Rows != nil {
 		t.Fatalf("got %+v", ins)
 	}
-	lit := ins.Rows[0][1].(*Literal)
-	if lit.Val.Str != "x" {
-		t.Errorf("got %v", lit.Val)
+	if v := ins.Values[0][1]; v.Str != "x" {
+		t.Errorf("got %v", v)
 	}
 }
 
 func TestParseInsertMultiRow(t *testing.T) {
 	st := mustParse(t, "INSERT INTO t (a) VALUES (1), (2), (3)")
 	ins := st.(*Insert)
-	if len(ins.Rows) != 3 {
-		t.Errorf("got %d rows", len(ins.Rows))
+	if len(ins.Values) != 3 {
+		t.Errorf("got %d rows", len(ins.Values))
 	}
 }
 
@@ -235,7 +236,7 @@ func TestParseParenthesesOverridePrecedence(t *testing.T) {
 }
 
 func TestParseNotAndNegation(t *testing.T) {
-	st := mustParse(t, "SELECT a FROM t WHERE NOT a = -1")
+	st := mustParse(t, "SELECT a FROM t WHERE NOT a = -b") // -1 would be a signed literal
 	sel := st.(*Select)
 	n, ok := sel.Where.(*Not)
 	if !ok {
@@ -249,15 +250,14 @@ func TestParseNotAndNegation(t *testing.T) {
 
 func TestParseNullTrueFalseLiterals(t *testing.T) {
 	st := mustParse(t, "INSERT INTO t (a, b, c) VALUES (NULL, TRUE, FALSE)")
-	ins := st.(*Insert)
-	row := ins.Rows[0]
-	if !row[0].(*Literal).Val.IsNull() {
+	row := st.(*Insert).Values[0]
+	if !row[0].IsNull() {
 		t.Error("NULL")
 	}
-	if !row[1].(*Literal).Val.Bool {
+	if row[1] != NewBool(true) {
 		t.Error("TRUE")
 	}
-	if row[2].(*Literal).Val.Bool {
+	if row[2] != NewBool(false) {
 		t.Error("FALSE")
 	}
 }
@@ -338,20 +338,46 @@ func TestParseErrorText(t *testing.T) {
 	}
 }
 
-// TestParseValuesShapes: the VALUES fast path decodes a bare literal, and
-// every other item still parses as an expression.
+// TestParseValuesShapes: an INSERT whose every item is a literal — signed
+// numbers included — is decoded into Values. One computed item keeps every
+// row of the statement as expressions, the literal rows before it as well.
 func TestParseValuesShapes(t *testing.T) {
-	st := mustParse(t, "INSERT INTO t (a, b, c, d, e, f) VALUES (-5, 1 + 2, NULL, TRUE, 'x' , 2.5e-07 -- c\n)")
-	row := st.(*Insert).Rows[0]
-	for i, want := range []string{"(-5)", "(1 + 2)", "NULL", "TRUE", "'x'", "2.5e-07"} {
-		if got := row[i].String(); got != want {
-			t.Errorf("value %d = %s, want %s", i, got, want)
+	lit := mustParse(t, "INSERT INTO t (a, b, c, d, e, f) VALUES (-5, -2.5e-07, NULL, TRUE, 'x' , 2.5e-07 -- c\n), (1, 2, 3, 4, 5, 6)").(*Insert)
+	want := []Value{NewInt(-5), NewFloat(-2.5e-07), Null(), NewBool(true), NewText("x"), NewFloat(2.5e-07)}
+	if lit.Rows != nil || len(lit.Values) != 2 || !slices.Equal(lit.Values[0], want) {
+		t.Errorf("literal INSERT: Values %v, Rows %v; want Values[0] %v and no Rows", lit.Values, lit.Rows, want)
+	}
+
+	comp := mustParse(t, "INSERT INTO t (a, b) VALUES (-5, 'x'), (1 + 2, - 5), (-(5), 4)").(*Insert)
+	if comp.Values != nil || len(comp.Rows) != 3 {
+		t.Fatalf("computed INSERT: Values %v, %d expression rows; want none and 3", comp.Values, len(comp.Rows))
+	}
+	for i, want := range []string{"-5", "'x'", "(1 + 2)", "(- 5)", "(- 5)", "4"} {
+		if got := comp.Rows[i/2][i%2].String(); got != want {
+			t.Errorf("row %d value %d = %s, want %s", i/2, i%2, got, want)
 		}
 	}
-	for i := 2; i < len(row); i++ {
-		if _, ok := row[i].(*Literal); !ok {
-			t.Errorf("value %d is %T, want *Literal", i, row[i])
-		}
+}
+
+// TestParseSignedLiterals: a '-' directly before a number is part of the
+// literal, parsed from the signed text, in VALUES and in an expression
+// alike, so the least INT, which as a negation would overflow, reads back.
+// A separated '-' is still a negation.
+func TestParseSignedLiterals(t *testing.T) {
+	ins := mustParse(t, "INSERT INTO m (id, n, x) VALUES (-1, -9223372036854775808, -2.5e-07)").(*Insert)
+	want := []Value{NewInt(-1), NewInt(math.MinInt64), NewFloat(-2.5e-07)}
+	if len(ins.Values) != 1 || !slices.Equal(ins.Values[0], want) {
+		t.Errorf("VALUES = %v, want %v", ins.Values, [][]Value{want})
+	}
+	upd := mustParse(t, "UPDATE m SET n = -9223372036854775808, x = 1 - -2.5e-07 WHERE id = -1").(*Update)
+	if got := upd.String(); got != "UPDATE m SET n = -9223372036854775808, x = (1 - -2.5e-07) WHERE (id = -1)" {
+		t.Errorf("UPDATE renders as %s", got)
+	}
+	if lit, ok := upd.Set[0].Value.(*Literal); !ok || lit.Val != NewInt(math.MinInt64) {
+		t.Errorf("SET n = %#v, want the literal %d", upd.Set[0].Value, int64(math.MinInt64))
+	}
+	if _, err := Parse("SELECT * FROM m WHERE n = - 9223372036854775808"); err == nil {
+		t.Error("a separated '-' negates, and 9223372036854775808 overflows: want an error")
 	}
 }
 
@@ -369,8 +395,8 @@ func dumpInsert(rows int) string {
 }
 
 // TestParseDumpInsertAllocs pins the restore-side parse cost: a 50-row,
-// 6-column dump INSERT allocates two slabs per row (its expressions and its
-// literals) plus a constant for the statement, the column list and the
+// 6-column dump INSERT allocates one []Value per row — the row the table
+// will store — plus a constant for the statement, the column list and the
 // growth of the row list. The text of each string literal is a slice of
 // the input.
 func TestParseDumpInsertAllocs(t *testing.T) {
@@ -380,10 +406,13 @@ func TestParseDumpInsertAllocs(t *testing.T) {
 	if got := st.String(); got != sql {
 		t.Fatalf("dump INSERT does not round-trip:\n got %s\nwant %s", got, sql)
 	}
+	if ins := st.(*Insert); len(ins.Values) != rows {
+		t.Fatalf("dump INSERT parsed into %d value rows, want %d", len(ins.Values), rows)
+	}
 	allocs := testing.AllocsPerRun(20, func() { _, _ = Parse(sql) })
 	t.Logf("%d-row dump INSERT: %.0f allocs", rows, allocs)
-	if allocs > 2*rows+24 {
-		t.Errorf("Parse allocates %.0f times for %d rows, want at most %d", allocs, rows, 2*rows+24)
+	if allocs > rows+24 {
+		t.Errorf("Parse allocates %.0f times for %d rows, want at most %d", allocs, rows, rows+24)
 	}
 }
 

@@ -2,12 +2,13 @@ package sqlmini
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
 
 // ValueKind enumerates the runtime types of SQL values.
-type ValueKind int
+type ValueKind uint8
 
 // Value kinds.
 const (
@@ -36,12 +37,17 @@ func (k ValueKind) String() string {
 
 // Value is a SQL runtime value. The zero value is NULL. Value is comparable
 // and therefore usable as a map key (e.g. primary-key indexes).
+//
+// A Value is 32 bytes, and every stored row, result and key is made of
+// them: Int holds an INT, the IEEE-754 bits of a FLOAT (read them with
+// Float) and a BOOL as 0 or 1 (read it with Bool); Str holds a TEXT. NULL
+// leaves both zero. Build values with the constructors: NewFloat stores −0
+// as +0, so that == and map keys cannot tell apart two FLOATs that compare
+// equal.
 type Value struct {
-	Kind  ValueKind
-	Int   int64
-	Float float64
-	Str   string
-	Bool  bool
+	Kind ValueKind
+	Int  int64
+	Str  string
 }
 
 // Null returns the SQL NULL value.
@@ -50,14 +56,31 @@ func Null() Value { return Value{} }
 // NewInt returns an INT value.
 func NewInt(v int64) Value { return Value{Kind: KindInt, Int: v} }
 
-// NewFloat returns a FLOAT value.
-func NewFloat(v float64) Value { return Value{Kind: KindFloat, Float: v} }
+// NewFloat returns a FLOAT value, −0 canonicalised to +0.
+func NewFloat(v float64) Value {
+	if v == 0 {
+		v = 0 // −0 == 0, but its bits differ
+	}
+	return Value{Kind: KindFloat, Int: int64(math.Float64bits(v))}
+}
 
 // NewText returns a TEXT value.
 func NewText(v string) Value { return Value{Kind: KindText, Str: v} }
 
 // NewBool returns a BOOL value.
-func NewBool(v bool) Value { return Value{Kind: KindBool, Bool: v} }
+func NewBool(v bool) Value {
+	if v {
+		return Value{Kind: KindBool, Int: 1}
+	}
+	return Value{Kind: KindBool}
+}
+
+// Float returns the value of a FLOAT; a NULL reads as 0. It is meaningless
+// for the other kinds.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.Int)) }
+
+// Bool returns the value of a BOOL; a NULL reads as false.
+func (v Value) Bool() bool { return v.Int != 0 }
 
 // IsNull reports whether v is SQL NULL.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
@@ -79,7 +102,7 @@ func (v Value) AppendSQL(dst []byte) []byte {
 	case KindInt:
 		return strconv.AppendInt(dst, v.Int, 10)
 	case KindFloat:
-		return strconv.AppendFloat(dst, v.Float, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.Float(), 'g', -1, 64)
 	case KindText:
 		dst = append(dst, '\'')
 		s := v.Str
@@ -89,7 +112,7 @@ func (v Value) AppendSQL(dst []byte) []byte {
 		}
 		return append(append(dst, s...), '\'')
 	case KindBool:
-		if v.Bool {
+		if v.Bool() {
 			return append(dst, "TRUE"...)
 		}
 		return append(dst, "FALSE"...)
@@ -103,7 +126,7 @@ func (v Value) AsFloat() (float64, bool) {
 	case KindInt:
 		return float64(v.Int), true
 	case KindFloat:
-		return v.Float, true
+		return v.Float(), true
 	}
 	return 0, false
 }
@@ -132,7 +155,7 @@ func (v Value) Compare(o Value) (int, error) {
 		return 0, fmt.Errorf("sqlmini: cannot compare %s with %s", v.Kind, o.Kind)
 	}
 	switch v.Kind {
-	case KindInt:
+	case KindInt, KindBool: // FALSE, 0, orders before TRUE, 1
 		switch {
 		case v.Int < o.Int:
 			return -1, nil
@@ -141,20 +164,12 @@ func (v Value) Compare(o Value) (int, error) {
 		}
 		return 0, nil
 	case KindFloat:
-		return cmpFloat(v.Float, o.Float), nil
+		return cmpFloat(v.Float(), o.Float()), nil
 	case KindText:
 		switch {
 		case v.Str < o.Str:
 			return -1, nil
 		case v.Str > o.Str:
-			return 1, nil
-		}
-		return 0, nil
-	case KindBool:
-		switch {
-		case !v.Bool && o.Bool:
-			return -1, nil
-		case v.Bool && !o.Bool:
 			return 1, nil
 		}
 		return 0, nil

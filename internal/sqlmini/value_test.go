@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueConstructorsAndString(t *testing.T) {
@@ -149,7 +150,7 @@ func TestPropertyFloatLiteralRoundTrip(t *testing.T) {
 			t.Logf("%v: %v", x, err)
 			return false
 		}
-		v := st.(*Insert).Rows[0][0].(*Literal).Val
+		v := st.(*Insert).Values[0][0]
 		got, _ := v.AsFloat()
 		return got == x
 	}
@@ -160,6 +161,34 @@ func TestPropertyFloatLiteralRoundTrip(t *testing.T) {
 		if !f(math.Float64bits(x)) {
 			t.Errorf("%v does not round-trip", x)
 		}
+	}
+}
+
+// TestValueIs32Bytes pins the layout every stored row, key and result is
+// made of: a kind byte, one word for INT, FLOAT bits and BOOL, and TEXT.
+func TestValueIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Errorf("sizeof(Value) = %d bytes, want 32", n)
+	}
+}
+
+// TestNewFloatNegativeZero: −0 is stored as +0, whether built or parsed,
+// so == (and with it every map key) treats the two as the one value they
+// compare as, and −0 renders as 0.
+func TestNewFloatNegativeZero(t *testing.T) {
+	negZero := NewFloat(math.Copysign(0, -1))
+	if negZero != NewFloat(0) {
+		t.Errorf("NewFloat(-0) = %#v, NewFloat(0) = %#v: want one value", negZero, NewFloat(0))
+	}
+	if got := negZero.String(); got != "0" {
+		t.Errorf("NewFloat(-0) renders as %s, want 0", got)
+	}
+	st, err := Parse("INSERT INTO t (x) VALUES (-0.0)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := st.(*Insert).Values[0][0]; v != NewFloat(0) {
+		t.Errorf("-0.0 parses as %#v, want %#v", v, NewFloat(0))
 	}
 }
 

@@ -107,7 +107,7 @@ func TestCoerceWidensIntToFloat(t *testing.T) {
 	s := itemSchema(t)
 	r := Row{sqlmini.NewInt(1), sqlmini.NewText("a"), sqlmini.NewInt(3)}
 	s.Coerce(r)
-	if r[2].Kind != sqlmini.KindFloat || r[2].Float != 3 {
+	if r[2].Kind != sqlmini.KindFloat || r[2].Float() != 3 {
 		t.Errorf("got %v", r[2])
 	}
 	if r[0].Kind != sqlmini.KindInt {

@@ -177,18 +177,12 @@ func (e *encoder) value(v sqlmini.Value) {
 	e.buf = append(e.buf, byte(v.Kind))
 	switch v.Kind {
 	case sqlmini.KindNull:
-	case sqlmini.KindInt:
+	case sqlmini.KindInt, sqlmini.KindFloat: // a FLOAT's Int is its IEEE-754 bits
 		e.u64(uint64(v.Int))
-	case sqlmini.KindFloat:
-		e.u64(math.Float64bits(v.Float))
 	case sqlmini.KindText:
 		e.str(v.Str)
 	case sqlmini.KindBool:
-		if v.Bool {
-			e.buf = append(e.buf, 1)
-		} else {
-			e.buf = append(e.buf, 0)
-		}
+		e.buf = append(e.buf, byte(v.Int))
 	}
 }
 
@@ -279,24 +273,26 @@ func appendStreamChunk(dst []byte, seq uint32, stmts []string) []byte {
 	return e.buf
 }
 
-// DecodeStreamChunk parses an encoded stream chunk.
+// DecodeStreamChunk parses an encoded stream chunk, which is the whole of
+// buf: bytes after its last statement are an error.
 func DecodeStreamChunk(buf []byte) (uint32, []string, error) {
 	d := decoder{buf: buf}
 	seq, err := d.u32()
 	if err != nil {
 		return 0, nil, err
 	}
-	n, err := d.u32()
+	n, err := d.count() // a statement takes at least its four length bytes
 	if err != nil {
 		return 0, nil, err
 	}
-	stmts := make([]string, 0, n)
-	for i := uint32(0); i < n; i++ {
-		s, err := d.str()
-		if err != nil {
+	stmts := make([]string, n)
+	for i := range stmts {
+		if stmts[i], err = d.str(); err != nil {
 			return 0, nil, err
 		}
-		stmts = append(stmts, s)
+	}
+	if d.off != len(buf) {
+		return 0, nil, fmt.Errorf("wire: %d bytes after the stream chunk's last statement", len(buf)-d.off)
 	}
 	return seq, stmts, nil
 }

@@ -3,7 +3,6 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -54,7 +53,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	if res.Rows[0][1].Str != "x" || !res.Rows[0][3].Bool {
+	if res.Rows[0][1].Str != "x" || !res.Rows[0][3].Bool() {
 		t.Errorf("row0 = %v", res.Rows[0])
 	}
 	if !res.Rows[1][1].IsNull() || !res.Rows[1][2].IsNull() {
@@ -330,8 +329,9 @@ func randString(rng *rand.Rand) string {
 	return string(b)
 }
 
-// resultEqual is deep equality with floats compared by their bits, so a NaN
-// that survives an encode/decode round trip counts as equal to itself.
+// resultEqual is deep equality. Values compare with ==, which compares a
+// FLOAT by its bits, so a NaN that survives an encode/decode round trip
+// counts as equal to itself.
 func resultEqual(a, b *engine.Result) bool {
 	if a.Tag != b.Tag || a.Affected != b.Affected {
 		return false
@@ -349,9 +349,7 @@ func resultEqual(a, b *engine.Result) bool {
 			return false
 		}
 		for j, v := range row {
-			w := b.Rows[i][j]
-			if v.Kind != w.Kind || v.Int != w.Int || v.Str != w.Str || v.Bool != w.Bool ||
-				math.Float64bits(v.Float) != math.Float64bits(w.Float) {
+			if v != b.Rows[i][j] { // a FLOAT's Int is its bits
 				return false
 			}
 		}

@@ -44,6 +44,10 @@ go run ./cmd/benchrunner -exp table2 -quick -json /dev/null >/dev/null
 # seed corpus (plain `go test` above only replays the corpus).
 go test -run '^$' -fuzz '^FuzzDecodeResult$' -fuzztime 10s ./internal/wire/
 
+# The restore's transfer decoder likewise: a DUMP STREAM chunk it accepts
+# re-encodes to the same bytes.
+go test -run '^$' -fuzz '^FuzzDecodeStreamChunk$' -fuzztime 10s ./internal/wire/
+
 # The SQL parser's fuzz target the same way: it never panics, and every
 # statement it accepts renders to SQL that parses back to the same text.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/sqlmini/
