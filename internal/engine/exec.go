@@ -13,18 +13,19 @@ import (
 // execStatement runs one non-transaction-control statement inside s.txn.
 // It acquires an execution slot (the CPU model) for the duration of the
 // statement's in-memory work.
-func (s *Session) execStatement(st sqlmini.Statement, sql string) (*Result, error) {
+// A SELECT's or a write's result is built in out (see resultBuf).
+func (s *Session) execStatement(st sqlmini.Statement, sql string, out *resultBuf) (*Result, error) {
 	release := s.eng.acquireSlot()
 	defer release()
 	switch st := st.(type) {
 	case *sqlmini.Select:
-		return s.execSelect(st)
+		return s.execSelect(st, out)
 	case *sqlmini.Insert:
-		return s.execInsert(st, sql)
+		return s.execInsert(st, sql, out)
 	case *sqlmini.Update:
-		return s.execUpdate(st, sql)
+		return s.execUpdate(st, sql, out)
 	case *sqlmini.Delete:
-		return s.execDelete(st, sql)
+		return s.execDelete(st, sql, out)
 	case *sqlmini.CreateTable:
 		return s.execCreateTable(st, sql)
 	case *sqlmini.DropTable:
@@ -114,7 +115,7 @@ func (s *Session) execDropIndex(st *sqlmini.DropIndex, sql string) (*Result, err
 	return &Result{Tag: "DROP INDEX"}, nil
 }
 
-func (s *Session) execInsert(st *sqlmini.Insert, sql string) (*Result, error) {
+func (s *Session) execInsert(st *sqlmini.Insert, sql string, out *resultBuf) (*Result, error) {
 	tb, ok := s.db.table(st.Table)
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q does not exist", st.Table)
@@ -177,7 +178,7 @@ func (s *Session) execInsert(st *sqlmini.Insert, sql string) (*Result, error) {
 		s.eng.logAppend(wal.Record{TxnID: uint64(s.txn.ID), Kind: wal.RecInsert,
 			DB: s.db.Name, Table: st.Table, Data: data})
 	}
-	return &Result{Affected: n, Tag: fmt.Sprintf("INSERT %d", n)}, nil
+	return out.counted(insertTag, n), nil
 }
 
 // evalRows evaluates the rows of an INSERT with a computed item, each into
@@ -197,7 +198,7 @@ func evalRows(exprRows [][]sqlmini.Expr) ([][]sqlmini.Value, error) {
 	return rows, nil
 }
 
-func (s *Session) execUpdate(st *sqlmini.Update, sql string) (*Result, error) {
+func (s *Session) execUpdate(st *sqlmini.Update, sql string, out *resultBuf) (*Result, error) {
 	tb, ok := s.db.table(st.Table)
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q does not exist", st.Table)
@@ -209,6 +210,7 @@ func (s *Session) execUpdate(st *sqlmini.Update, sql string) (*Result, error) {
 		}
 	}
 	matches, err := s.collectMatches(tb, st.Where)
+	defer s.releaseMatches(matches)
 	if err != nil {
 		return nil, err
 	}
@@ -244,15 +246,16 @@ func (s *Session) execUpdate(st *sqlmini.Update, sql string) (*Result, error) {
 	}
 	s.eng.logAppendBatch(recs)
 	s.walBatch = recs[:0]
-	return &Result{Affected: n, Tag: fmt.Sprintf("UPDATE %d", n)}, nil
+	return out.counted(updateTag, n), nil
 }
 
-func (s *Session) execDelete(st *sqlmini.Delete, sql string) (*Result, error) {
+func (s *Session) execDelete(st *sqlmini.Delete, sql string, out *resultBuf) (*Result, error) {
 	tb, ok := s.db.table(st.Table)
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q does not exist", st.Table)
 	}
 	matches, err := s.collectMatches(tb, st.Where)
+	defer s.releaseMatches(matches)
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +276,7 @@ func (s *Session) execDelete(st *sqlmini.Delete, sql string) (*Result, error) {
 	}
 	s.eng.logAppendBatch(recs)
 	s.walBatch = recs[:0]
-	return &Result{Affected: n, Tag: fmt.Sprintf("DELETE %d", n)}, nil
+	return out.counted(deleteTag, n), nil
 }
 
 // The render helpers append the self-contained redo statements the WAL
@@ -376,12 +379,21 @@ func (s *Session) eachMatch(tb *mvcc.Table, where sqlmini.Expr, fn func(storage.
 	return err
 }
 
-// collectMatches is eachMatch into a slice, for the statements that write
-// the rows they match and so must not do it while the scan runs.
+// collectMatches is eachMatch into the session's match buffer, for the
+// statements that write the rows they match and so must not do it while the
+// scan runs. The caller hands the rows back to releaseMatches.
 func (s *Session) collectMatches(tb *mvcc.Table, where sqlmini.Expr) ([]storage.Row, error) {
-	var rows []storage.Row
+	rows := s.matches
 	err := s.eachMatch(tb, where, func(r storage.Row) bool { rows = append(rows, r); return true })
 	return rows, err
+}
+
+// releaseMatches ends a statement's use of the match buffer: it clears the
+// borrowed rows, so the buffer never keeps alive a version vacuum would
+// otherwise free, and keeps the array for the next statement.
+func (s *Session) releaseMatches(rows []storage.Row) {
+	clear(rows)
+	s.matches = kept(rows)
 }
 
 // pkEquality detects a top-level `pk = literal` conjunct in where, enabling
@@ -456,24 +468,22 @@ func coercePK(schema *storage.Schema, v sqlmini.Value) sqlmini.Value {
 	return v
 }
 
-func (s *Session) execSelect(st *sqlmini.Select) (*Result, error) {
+func (s *Session) execSelect(st *sqlmini.Select, out *resultBuf) (*Result, error) {
 	tb, ok := s.db.table(st.Table)
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q does not exist", st.Table)
 	}
 	schema := tb.Schema
 	if len(st.Items) == 1 && st.Items[0].Aggregate != "" {
-		return s.aggregate(tb, st)
+		return s.aggregate(tb, st, out)
 	}
-	cols := make([]string, 0, len(st.Items))
-	proj := make([]int, 0, len(st.Items))
+	proj := s.proj[:0]
 	for _, it := range st.Items {
 		switch {
 		case it.Aggregate != "":
 			return nil, fmt.Errorf("engine: aggregates cannot be mixed with columns")
 		case it.Star:
-			for i, c := range schema.Columns {
-				cols = append(cols, c.Name)
+			for i := range schema.Columns {
 				proj = append(proj, i)
 			}
 		default:
@@ -481,10 +491,10 @@ func (s *Session) execSelect(st *sqlmini.Select) (*Result, error) {
 			if ci < 0 {
 				return nil, fmt.Errorf("engine: table %q has no column %q", st.Table, it.Column)
 			}
-			cols = append(cols, it.Column)
 			proj = append(proj, ci)
 		}
 	}
+	s.proj = kept(proj)
 	var cmp func(a, b storage.Row) int
 	if st.OrderBy != "" {
 		ci := schema.ColumnIndex(st.OrderBy)
@@ -503,22 +513,25 @@ func (s *Session) execSelect(st *sqlmini.Select) (*Result, error) {
 		}
 	}
 
-	// rows holds the borrowed rows the result is made of. Without ORDER BY
-	// they are the first matches in primary-key order and LIMIT stops the
-	// scan. With ORDER BY and LIMIT k, rows is a candidate buffer: whenever
-	// it holds more than 2k rows it is stably sorted and cut to the best k,
-	// and a match that does not beat the k-th is skipped — an equal row
-	// arrived later, so it never displaces an earlier one. Either way the
-	// result is that of a stable sort of every match followed by LIMIT;
-	// only ORDER BY without LIMIT holds every match.
+	// rows, the session's match buffer, holds the borrowed rows the result
+	// is made of. Without ORDER BY they are the first matches in
+	// primary-key order and LIMIT stops the scan. With ORDER BY and LIMIT
+	// k, rows is a candidate buffer: whenever it holds more than 2k rows it
+	// is stably sorted and cut to the best k, and a match that does not beat
+	// the k-th is skipped — an equal row arrived later, so it never
+	// displaces an earlier one. Either way the result is that of a stable
+	// sort of every match followed by LIMIT; only ORDER BY without LIMIT
+	// holds every match. A cut clears the rows it drops, so releaseMatches
+	// finds every borrowed row below len(rows).
 	k := st.Limit
-	var rows []storage.Row
+	rows := s.matches
 	var kth storage.Row
 	keep := func() {
 		if cmp != nil {
 			slices.SortStableFunc(rows, cmp)
 		}
 		if k >= 0 && int64(len(rows)) > k {
+			clear(rows[k:])
 			rows = rows[:k]
 		}
 	}
@@ -541,29 +554,28 @@ func (s *Session) execSelect(st *sqlmini.Select) (*Result, error) {
 		return true
 	})
 	if err != nil {
+		s.releaseMatches(rows)
 		return nil, err
 	}
 	keep()
 
-	// One flat array backs every value of the result. Each row is a full
-	// slice expression over it, so an append to one row cannot overwrite
-	// the next.
-	w := len(proj)
-	flat := make([]sqlmini.Value, len(rows)*w)
-	res := &Result{Columns: cols, Rows: make([][]sqlmini.Value, len(rows)), Tag: fmt.Sprintf("SELECT %d", len(rows))}
-	for i, r := range rows {
-		out := flat[i*w : (i+1)*w : (i+1)*w]
-		for j, ci := range proj {
-			out[j] = r[ci]
-		}
-		res.Rows[i] = out
+	res := out.result(selectTag.tag(len(rows)))
+	out.table(res, len(proj), len(rows))
+	for j, ci := range proj {
+		res.Columns[j] = schema.Columns[ci].Name
 	}
+	for i, r := range rows {
+		for j, ci := range proj {
+			res.Rows[i][j] = r[ci]
+		}
+	}
+	s.releaseMatches(rows)
 	return res, nil
 }
 
 // aggregate folds a single COUNT or SUM over the matches as they stream by;
 // ORDER BY and LIMIT do not apply to its one-row result.
-func (s *Session) aggregate(tb *mvcc.Table, st *sqlmini.Select) (*Result, error) {
+func (s *Session) aggregate(tb *mvcc.Table, st *sqlmini.Select, out *resultBuf) (*Result, error) {
 	item := st.Items[0]
 	col, ci := "count", -1
 	switch item.Aggregate {
@@ -600,5 +612,8 @@ func (s *Session) aggregate(tb *mvcc.Table, st *sqlmini.Select) (*Result, error)
 	case ci >= 0:
 		val = sqlmini.NewInt(sumI)
 	}
-	return &Result{Columns: []string{col}, Rows: [][]sqlmini.Value{{val}}, Tag: "SELECT 1"}, nil
+	res := out.result(selectTag.tag(1))
+	out.table(res, 1, 1)
+	res.Columns[0], res.Rows[0][0] = col, val
+	return res, nil
 }

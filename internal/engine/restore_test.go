@@ -153,7 +153,7 @@ func TestWritesStoreTheParsersRows(t *testing.T) {
 	ins := st.(*sqlmini.Insert)
 	mustExec(t, s, "BEGIN")
 	s.ensureTxn()
-	if _, err := s.execStatement(ins, batch); err != nil {
+	if _, err := s.execStatement(ins, batch, nil); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, s, "COMMIT")

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"madeus/internal/mvcc"
 	"madeus/internal/sqlmini"
@@ -110,6 +111,13 @@ func referenceSelect(tb *mvcc.Table, txn *mvcc.Txn, keep func(storage.Row) bool,
 	return out
 }
 
+// sameResult reports whether two results answer alike: the same tag, count,
+// columns and values, a nil slice and an empty one alike.
+func sameResult(a, b *Result) bool {
+	return a.Tag == b.Tag && a.Affected == b.Affected && slices.Equal(a.Columns, b.Columns) &&
+		slices.EqualFunc(a.Rows, b.Rows, slices.Equal[[]sqlmini.Value])
+}
+
 // checkSelects runs every SELECT shape through s and compares it with the
 // reference computed over txn's snapshot.
 func checkSelects(t *testing.T, s *Session, txn *mvcc.Txn, rng *rand.Rand, n int, pkHit int64) {
@@ -143,6 +151,9 @@ func checkSelects(t *testing.T, s *Session, txn *mvcc.Txn, rng *rand.Rand, n int
 					sql += fmt.Sprintf(" LIMIT %d", k)
 				}
 				res := mustExec(t, s, sql)
+				if lent, err := s.ExecLent(sql); err != nil || !sameResult(lent, res) {
+					t.Fatalf("%s: lent result %+v, %v; owned %+v", sql, lent, err, res)
+				}
 				want := referenceSelect(tb, txn, p.keep, o.col, o.desc, k, it.proj)
 				if len(res.Rows) != len(want) || res.Tag != fmt.Sprintf("SELECT %d", len(want)) {
 					t.Fatalf("%s: %s, %d rows; want %d rows", sql, res.Tag, len(res.Rows), len(want))
@@ -190,6 +201,9 @@ func checkSelects(t *testing.T, s *Session, txn *mvcc.Txn, rng *rand.Rand, n int
 			if len(res.Rows) != 1 || res.Rows[0][0] != agg.want {
 				t.Fatalf("%s = %v, want %v", sql, res.Rows, agg.want)
 			}
+			if lent, err := s.ExecLent(sql); err != nil || !sameResult(lent, res) {
+				t.Fatalf("%s: lent result %+v, %v; owned %+v", sql, lent, err, res)
+			}
 		}
 	}
 }
@@ -198,7 +212,8 @@ func checkSelects(t *testing.T, s *Session, txn *mvcc.Txn, rng *rand.Rand, n int
 // feeding the top-k buffer, the aggregate fold, the LIMIT stop and the
 // flat projection) against referenceSelect, over seeded tables that
 // include the empty one, in autocommit and inside a transaction that reads
-// its own uncommitted inserts, updates and deletes.
+// its own uncommitted inserts, updates and deletes; and it checks that
+// ExecLent lends the result Exec returns.
 func TestSelectMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -314,6 +329,60 @@ func TestTopKAllocationIndependentOfTableSize(t *testing.T) {
 	}
 	if largeBytes > smallBytes+1024 {
 		t.Errorf("bytes grow with the table: %d B at 2000 rows, %d B at 20000", smallBytes, largeBytes)
+	}
+}
+
+// TestScratchKeptOnlyWhileSmall: a session answers from buffers it keeps
+// between statements, but keeps none above 64 KiB, so a SELECT of every
+// row of a 4,000-row table — a match buffer of 94 KiB, a result of 500 KiB —
+// leaves nothing that size pinned; and the match buffer holds no borrowed
+// row once a statement is done.
+func TestScratchKeptOnlyWhileSmall(t *testing.T) {
+	s := loadItems(t, 4000)
+	scratchBytes := func() map[string]int {
+		return map[string]int{
+			"matches": cap(s.matches) * int(unsafe.Sizeof(storage.Row{})),
+			"proj":    cap(s.proj) * int(unsafe.Sizeof(0)),
+			"cols":    cap(s.lent.cols) * int(unsafe.Sizeof("")),
+			"heads":   cap(s.lent.heads) * int(unsafe.Sizeof([]sqlmini.Value{})),
+			"vals":    cap(s.lent.vals) * int(unsafe.Sizeof(sqlmini.Value{})),
+		}
+	}
+	noBorrowedRows := func(after string) {
+		t.Helper()
+		for i, r := range s.matches[:cap(s.matches)] {
+			if r != nil {
+				t.Fatalf("after %s the match buffer still holds row %d", after, i)
+			}
+		}
+	}
+	for _, sql := range []string{
+		"SELECT i_id, i_title FROM item WHERE i_subject = 'S3' LIMIT 20",
+		"SELECT i_id FROM item ORDER BY i_stock DESC LIMIT 10",
+		"UPDATE item SET i_stock = 0 WHERE i_subject = 'S4'",
+	} {
+		if _, err := s.ExecLent(sql); err != nil {
+			t.Fatal(err)
+		}
+		noBorrowedRows(sql)
+	}
+	small := scratchBytes()
+	for name, n := range small {
+		if n == 0 && name != "cols" {
+			t.Errorf("after small statements the session keeps no %s buffer", name)
+		}
+	}
+	for _, sql := range []string{"SELECT * FROM item ORDER BY i_stock", "SELECT * FROM item"} {
+		res, err := s.ExecLent(sql)
+		if err != nil || len(res.Rows) != 4000 {
+			t.Fatalf("%s: %d rows, %v; want 4000", sql, len(res.Rows), err)
+		}
+		noBorrowedRows(sql)
+		for name, n := range scratchBytes() {
+			if n > maxKeptScratch {
+				t.Errorf("after %s the session keeps a %d-byte %s buffer, want at most %d", sql, n, name, maxKeptScratch)
+			}
+		}
 	}
 }
 

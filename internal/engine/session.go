@@ -3,12 +3,15 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
+	"unsafe"
 
 	"madeus/internal/mvcc"
 	"madeus/internal/sqlmini"
+	"madeus/internal/storage"
 	"madeus/internal/wal"
 )
 
@@ -23,6 +26,106 @@ type Result struct {
 	// Tag is the command tag, e.g. "SELECT 3", "BEGIN", "COMMIT".
 	Tag string
 }
+
+// maxKeptScratch bounds each array a session keeps between statements, the
+// rule a wire connection's read buffer follows: a larger one serves its
+// statement and is dropped, so a session that once answered a 20,000-row
+// SELECT does not pin it.
+const maxKeptScratch = 64 << 10
+
+// resultBuf is where a statement's result is built. A session's own, reused
+// call after call, builds the lent results of ExecLent; a nil *resultBuf
+// builds an owned result from fresh allocations. The executor is the same
+// either way: only where the arrays come from differs.
+type resultBuf struct {
+	res   Result
+	cols  []string
+	heads [][]sqlmini.Value
+	vals  []sqlmini.Value
+}
+
+// result returns an empty result tagged tag.
+func (b *resultBuf) result(tag string) *Result {
+	if b == nil {
+		return &Result{Tag: tag}
+	}
+	b.res = Result{Tag: tag}
+	return &b.res
+}
+
+// counted returns an empty result for a statement that wrote n rows.
+func (b *resultBuf) counted(t countTag, n int) *Result {
+	res := b.result(t.tag(n))
+	res.Affected = n
+	return res
+}
+
+// table gives res w columns and n rows of w values each, for the caller to
+// fill in. One flat array backs every value: each row is a full slice
+// expression over it, so an append to one row cannot overwrite the next.
+func (b *resultBuf) table(res *Result, w, n int) {
+	var vals []sqlmini.Value
+	if b == nil {
+		res.Columns = make([]string, w)
+		res.Rows = make([][]sqlmini.Value, n)
+		vals = make([]sqlmini.Value, n*w)
+	} else {
+		res.Columns = reuse(&b.cols, w)
+		res.Rows = reuse(&b.heads, n)
+		vals = reuse(&b.vals, n*w)
+	}
+	for i := range res.Rows {
+		res.Rows[i] = vals[i*w : (i+1)*w : (i+1)*w]
+	}
+}
+
+// reuse returns *buf resized to n, grown as append grows, and leaves in *buf
+// what the session keeps of it.
+func reuse[T any](buf *[]T, n int) []T {
+	s := slices.Grow((*buf)[:0], n)[:n]
+	*buf = kept(s)
+	return s
+}
+
+// kept is what a session keeps of buf for its next statement: the empty
+// array while it is at most maxKeptScratch bytes, nothing once larger.
+func kept[T any](buf []T) []T {
+	var zero T
+	if uintptr(cap(buf))*unsafe.Sizeof(zero) > maxKeptScratch {
+		return nil
+	}
+	return buf[:0]
+}
+
+// countTag builds the command tag "<verb> <n>". The tags of small counts,
+// which nearly every statement reports, are built once and shared: strings
+// are immutable, so owned and lent results alike may hold them.
+type countTag struct {
+	prefix string   // "SELECT "
+	small  []string // small[n] is prefix + n
+}
+
+func newCountTag(verb string) countTag {
+	t := countTag{prefix: verb + " ", small: make([]string, 256)}
+	for n := range t.small {
+		t.small[n] = t.prefix + strconv.Itoa(n)
+	}
+	return t
+}
+
+func (t countTag) tag(n int) string {
+	if n < len(t.small) {
+		return t.small[n]
+	}
+	return t.prefix + strconv.Itoa(n)
+}
+
+var (
+	selectTag = newCountTag("SELECT")
+	insertTag = newCountTag("INSERT")
+	updateTag = newCountTag("UPDATE")
+	deleteTag = newCountTag("DELETE")
+)
 
 // ErrTxnAborted is returned for statements issued inside a transaction that
 // already failed; the client must ROLLBACK (or COMMIT, which rolls back).
@@ -43,6 +146,15 @@ type Session struct {
 	// statements (sessions are single-goroutine) so multi-row UPDATEs and
 	// DELETEs append to the log in one batch without reallocating.
 	walBatch []wal.Record
+
+	// The buffers a statement is answered from, kept between statements
+	// while each is at most maxKeptScratch: the match buffer and the
+	// projection every SELECT uses (UPDATE and DELETE collect their matches
+	// in the former too), and the arrays ExecLent builds its results in.
+	// The match buffer holds borrowed rows only during a statement.
+	matches []storage.Row
+	proj    []int
+	lent    resultBuf
 }
 
 // NewSession opens a session on the named tenant database.
@@ -71,7 +183,8 @@ func (s *Session) Close() {
 	s.inTxn = false
 }
 
-// Exec parses and executes one statement. Madeus-relevant semantics:
+// Exec parses and executes one statement, and returns a result the caller
+// owns. Madeus-relevant semantics:
 //
 //   - The transaction's MVCC snapshot is taken at the first statement after
 //     BEGIN, not at BEGIN itself (Sec 3.1's snapshot creation rule).
@@ -79,7 +192,18 @@ func (s *Session) Close() {
 //     committed); read-only commits don't touch the WAL.
 //   - A failed statement poisons the transaction block; COMMIT then acts as
 //     ROLLBACK, as in PostgreSQL.
-func (s *Session) Exec(sql string) (*Result, error) {
+func (s *Session) Exec(sql string) (*Result, error) { return s.exec(sql, nil) }
+
+// ExecLent is Exec answering from the session's own buffers: the result it
+// returns — the struct, its columns, rows and values — is lent, valid only
+// until the session's next call, and must not be modified. A caller that
+// encodes the result at once, as a node's wire server does, allocates
+// nothing for it.
+func (s *Session) ExecLent(sql string) (*Result, error) { return s.exec(sql, &s.lent) }
+
+// exec is Exec and ExecLent: out is where the result is built, nil for an
+// owned one.
+func (s *Session) exec(sql string, out *resultBuf) (*Result, error) {
 	if meta, handled, err := s.execMeta(sql); handled {
 		return meta, err
 	}
@@ -95,11 +219,11 @@ func (s *Session) Exec(sql string) (*Result, error) {
 	}
 	switch st.(type) {
 	case *sqlmini.Begin:
-		return s.execBegin()
+		return s.execBegin(out)
 	case *sqlmini.Commit:
-		return s.execCommit()
+		return s.execCommit(out)
 	case *sqlmini.Rollback:
-		return s.execRollback()
+		return s.execRollback(out)
 	}
 	if s.inTxn && s.txnFail {
 		return nil, ErrTxnAborted
@@ -107,7 +231,7 @@ func (s *Session) Exec(sql string) (*Result, error) {
 
 	if s.inTxn {
 		s.ensureTxn()
-		res, err := s.execStatement(st, sql)
+		res, err := s.execStatement(st, sql, out)
 		if err != nil {
 			s.poison(errors.Is(err, mvcc.ErrSerialization))
 		}
@@ -116,7 +240,7 @@ func (s *Session) Exec(sql string) (*Result, error) {
 
 	// Autocommit: the statement runs in its own transaction.
 	s.ensureTxn()
-	res, err := s.execStatement(st, sql)
+	res, err := s.execStatement(st, sql, out)
 	if err != nil {
 		txn := s.txn
 		s.txn = nil
@@ -154,33 +278,33 @@ func (s *Session) poison(conflict bool) {
 	}
 }
 
-func (s *Session) execBegin() (*Result, error) {
+func (s *Session) execBegin(out *resultBuf) (*Result, error) {
 	if s.inTxn {
 		return nil, fmt.Errorf("engine: BEGIN inside a transaction block")
 	}
 	s.inTxn = true
 	s.txnFail = false
 	s.txn = nil // snapshot taken lazily at first operation
-	return &Result{Tag: "BEGIN"}, nil
+	return out.result("BEGIN"), nil
 }
 
-func (s *Session) execCommit() (*Result, error) {
+func (s *Session) execCommit(out *resultBuf) (*Result, error) {
 	if !s.inTxn {
 		return nil, fmt.Errorf("engine: COMMIT outside a transaction block")
 	}
 	defer func() { s.inTxn = false; s.txn = nil; s.txnFail = false }()
 	if s.txnFail {
 		// PostgreSQL: COMMIT of a failed transaction rolls back.
-		return &Result{Tag: "ROLLBACK"}, nil
+		return out.result("ROLLBACK"), nil
 	}
 	if s.txn == nil {
 		// Empty transaction block.
-		return &Result{Tag: "COMMIT"}, nil
+		return out.result("COMMIT"), nil
 	}
 	if _, err := s.commitTxn(); err != nil {
 		return nil, err
 	}
-	return &Result{Tag: "COMMIT"}, nil
+	return out.result("COMMIT"), nil
 }
 
 // commitTxn commits s.txn: update transactions pay a WAL fsync first
@@ -242,7 +366,7 @@ func (s *Session) logAbort(txn *mvcc.Txn) {
 	s.ddl = false
 }
 
-func (s *Session) execRollback() (*Result, error) {
+func (s *Session) execRollback(out *resultBuf) (*Result, error) {
 	if !s.inTxn {
 		return nil, fmt.Errorf("engine: ROLLBACK outside a transaction block")
 	}
@@ -254,7 +378,7 @@ func (s *Session) execRollback() (*Result, error) {
 	s.inTxn = false
 	s.txn = nil
 	s.txnFail = false
-	return &Result{Tag: "ROLLBACK"}, nil
+	return out.result("ROLLBACK"), nil
 }
 
 // firstField returns strings.Fields(sql)[0], or "", without splitting the

@@ -46,3 +46,23 @@ func FuzzDecodeStreamChunk(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeTraced checks the decoder every traced query passes through at
+// a node: it never panics on any payload, and a payload it accepts
+// re-encodes to the same bytes, so the node runs exactly the SQL the
+// middleware sent and stamps its events with exactly that migration's
+// context. The seed corpus (testdata/fuzz/FuzzDecodeTraced) holds real
+// traced frames of migrations: the dump's DUMP STREAM, the restore's
+// CREATE TABLE, INSERT batches, BEGIN and COMMIT, and Step-3 replay's
+// reads and writes.
+func FuzzDecodeTraced(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		tc, sql, err := decodeTraced(payload)
+		if err != nil {
+			return
+		}
+		if again := appendTraced(nil, &tc, string(sql)); !bytes.Equal(again, payload) {
+			t.Fatalf("traced query %+v %q re-encodes differently:\n got %q\nwant %q", tc, sql, again, payload)
+		}
+	})
+}

@@ -87,10 +87,14 @@ const msgHeaderLen = 5
 const maxKeptFrame = 64 << 10
 
 // frameBufPool recycles payload encode buffers on the hot send paths:
-// client query frames and server result/stream frames. Reuse is safe
-// because each connection is driven by one goroutine at a time and
+// client query frames and server result and stream-end frames. Reuse is
+// safe because each connection is driven by one goroutine at a time and
 // writeMsg hands the bytes to the writer synchronously, so a buffer may
-// return to the pool as soon as writeMsg does.
+// return to the pool as soon as writeMsg does. Like a connection's read
+// buffer, a pooled buffer is at most maxKeptFrame: one that grew past it (a
+// non-streamed DUMP, an unbounded SELECT) is left to the collector, so the
+// next point read is never handed hundreds of KB to pin. Stream chunks
+// never pass through the pool (see execStream).
 var frameBufPool = sync.Pool{
 	New: func() any { return &frameBuf{buf: make([]byte, 0, 1024)} },
 }
@@ -100,6 +104,9 @@ type frameBuf struct{ buf []byte }
 func getFrameBuf() *frameBuf { return frameBufPool.Get().(*frameBuf) }
 
 func putFrameBuf(f *frameBuf) {
+	if cap(f.buf) > maxKeptFrame {
+		return
+	}
 	f.buf = f.buf[:0]
 	frameBufPool.Put(f)
 }
@@ -262,7 +269,7 @@ func EncodeStreamChunk(seq uint32, stmts []string) []byte {
 }
 
 // appendStreamChunk is the allocation-free core of EncodeStreamChunk: it
-// encodes into dst (typically a pooled frame buffer) and returns it.
+// encodes into dst (a streaming query's own buffer) and returns it.
 func appendStreamChunk(dst []byte, seq uint32, stmts []string) []byte {
 	e := encoder{buf: dst}
 	e.u32(seq)

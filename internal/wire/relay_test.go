@@ -3,7 +3,10 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -188,6 +191,64 @@ func TestReadBufferKeptOnlyWhileSmall(t *testing.T) {
 	}
 }
 
+// TestFrameBufPoolKeepsOnlySmall: the encode-buffer pool takes back a
+// buffer of at most maxKeptFrame and drops a larger one, the bound the read
+// side keeps, so a stream chunk's or a large result's buffer is never handed
+// to the next small frame.
+func TestFrameBufPoolKeepsOnlySmall(t *testing.T) {
+	for i := 0; i < 10; i++ {
+		f := getFrameBuf()
+		f.buf = append(f.buf, make([]byte, maxKeptFrame+1)...)
+		putFrameBuf(f)
+		if got := getFrameBuf(); cap(got.buf) > maxKeptFrame {
+			t.Fatalf("the pool handed out a %d-byte buffer, want at most %d", cap(got.buf), maxKeptFrame)
+		}
+	}
+}
+
+// chunkConn is a stub streaming session: every streaming query emits the
+// same chunks, then answers with reply.
+type chunkConn struct {
+	fixedConn
+	chunks [][]string
+}
+
+func (c chunkConn) ExecStream(_ string, emit func([]string) error, dst []byte) ([]byte, bool, error) {
+	for _, stmts := range c.chunks {
+		if err := emit(stmts); err != nil {
+			return dst, true, err
+		}
+	}
+	return append(dst, c.reply...), true, nil
+}
+
+// TestStreamChunksShareOneBuffer: a streaming query encodes all its chunk
+// frames into one buffer of its own, so a stream of chunks far above
+// maxKeptFrame, which the frame pool does not keep, grows one buffer, not
+// one per chunk.
+func TestStreamChunksShareOneBuffer(t *testing.T) {
+	stmts := make([]string, 100) // a 100 KB chunk
+	for i := range stmts {
+		stmts[i] = strings.Repeat("x", 1000)
+	}
+	const n = 64
+	sess := chunkConn{fixedConn: fixedConn{pointRead()}}
+	for i := 0; i < n; i++ {
+		sess.chunks = append(sess.chunks, stmts)
+	}
+	bw := bufio.NewWriter(io.Discard)
+	var dst []byte
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if dst, err = execStream(sess, bw, "DUMP STREAM", dst[:0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= n {
+		t.Errorf("a stream of %d chunks allocates %.0f objects, want fewer than one per chunk", n, allocs)
+	}
+}
+
 func TestResultTagIs(t *testing.T) {
 	commit := AppendResult(nil, &engine.Result{Tag: "COMMIT"})
 	for _, tc := range []struct {
@@ -204,6 +265,54 @@ func TestResultTagIs(t *testing.T) {
 	} {
 		if got := ResultTagIs(tc.payload, tc.tag); got != tc.want {
 			t.Errorf("ResultTagIs(%q, %q) = %v, want %v", tc.payload, tc.tag, got, tc.want)
+		}
+	}
+}
+
+// TestNodeExecAllocs pins what a node allocates to answer a statement:
+// engineConn.Exec has its session build the result in buffers the session
+// keeps (Session.ExecLent) and encodes it into the frame at once, so a warm
+// statement allocates what its MVCC transaction does and nothing for its
+// result.
+func TestNodeExecAllocs(t *testing.T) {
+	e := engine.New(engine.Options{})
+	defer e.Close()
+	if err := e.CreateDatabase("shop"); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := EngineHandler(e).Connect("shop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var dst []byte
+	exec := func(sql string) {
+		if dst, err = conn.Exec(sql, dst[:0]); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	exec("CREATE TABLE item (i_id INT PRIMARY KEY, i_title TEXT, i_cost FLOAT, i_stock INT)")
+	for id := 1; id <= 100; id++ {
+		exec(fmt.Sprintf("INSERT INTO item (i_id, i_title, i_cost, i_stock) VALUES (%d, 'title %d', %d.5, %d)", id, id, id, id*7%100))
+	}
+	for _, tc := range []struct {
+		name  string
+		stmts []string
+		max   float64
+	}{
+		{"autocommit point SELECT", []string{pointReadSQL}, 2},
+		{"ORDER BY LIMIT 1", []string{"SELECT i_title FROM item ORDER BY i_cost DESC LIMIT 1"}, 2},
+		{"COUNT(*)", []string{"SELECT COUNT(*) FROM item WHERE i_stock > 50"}, 2},
+		{"BEGIN, point SELECT, COMMIT", []string{"BEGIN", pointReadSQL, "COMMIT"}, 2},
+	} {
+		run := func() {
+			for _, sql := range tc.stmts {
+				exec(sql)
+			}
+		}
+		run() // fills the parse cache and sizes the session's buffers
+		if got := testing.AllocsPerRun(100, run); got > tc.max {
+			t.Errorf("%s allocates %.0f objects, want at most %.0f", tc.name, got, tc.max)
 		}
 	}
 }

@@ -318,12 +318,16 @@ func (s *Server) serve(conn net.Conn) {
 // payload to dst: sessions with the StreamConn capability send their bulk
 // payload as chunk frames first; everything else (and any sql without a
 // streaming form) runs through plain Exec and yields a chunkless trailer.
-// Kept out of serve so the chunk counter the emit closure captures is
-// allocated per streaming query, not per query.
+// Kept out of serve so what the emit closure captures is allocated per
+// streaming query, not per query: the chunk counter, and the buffer every
+// chunk of this stream is encoded into. A chunk frame (64 INSERTs of 50
+// rows) is far above what frameBufPool keeps, so the stream owns its
+// buffer, grown once and reused chunk after chunk, and drops it at the end.
 func execStream(sess Conn, bw *bufio.Writer, sql string, dst []byte) ([]byte, error) {
 	at := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // the chunk total, patched in once known
 	var chunks uint32
+	var chunk []byte
 	handled := false
 	var err error
 	if sc, ok := sess.(StreamConn); ok {
@@ -331,15 +335,12 @@ func execStream(sess Conn, bw *bufio.Writer, sql string, dst []byte) ([]byte, er
 		// pipeline overlaps the ongoing scan; a write failure surfaces
 		// through ExecStream's emit error and ends the session in serve.
 		dst, handled, err = sc.ExecStream(sql, func(stmts []string) error {
-			f := getFrameBuf()
-			f.buf = appendStreamChunk(f.buf, chunks, stmts)
+			chunk = appendStreamChunk(chunk[:0], chunks, stmts)
 			chunks++
 			obsStreamChunk.Inc()
-			obsBytesOut.Add(uint64(len(f.buf) + msgHeaderLen))
-			werr := writeMsg(bw, MsgStreamChunk, f.buf)
-			putFrameBuf(f)
-			if werr != nil {
-				return werr
+			obsBytesOut.Add(uint64(len(chunk) + msgHeaderLen))
+			if err := writeMsg(bw, MsgStreamChunk, chunk); err != nil {
+				return err
 			}
 			return bw.Flush()
 		}, dst)
@@ -355,13 +356,15 @@ func execStream(sess Conn, bw *bufio.Writer, sql string, dst []byte) ([]byte, er
 }
 
 // engineConn serves a Conn from an engine session, the streaming-capable
-// backend (DUMP STREAM): it is where a node encodes its results.
+// backend (DUMP STREAM): it is where a node encodes its results. Exec
+// encodes the result its session lends (Session.ExecLent) before it
+// returns, so a statement's answer costs the node no result of its own.
 type engineConn struct{ s *engine.Session }
 
 var _ StreamConn = engineConn{}
 
 func (c engineConn) Exec(sql string, dst []byte) ([]byte, error) {
-	res, err := c.s.Exec(sql)
+	res, err := c.s.ExecLent(sql)
 	if err != nil {
 		return dst, err
 	}

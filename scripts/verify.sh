@@ -48,6 +48,10 @@ go test -run '^$' -fuzz '^FuzzDecodeResult$' -fuzztime 10s ./internal/wire/
 # re-encodes to the same bytes.
 go test -run '^$' -fuzz '^FuzzDecodeStreamChunk$' -fuzztime 10s ./internal/wire/
 
+# The traced-query decoder a node runs on every migration frame likewise: a
+# payload it accepts re-encodes to the same bytes.
+go test -run '^$' -fuzz '^FuzzDecodeTraced$' -fuzztime 10s ./internal/wire/
+
 # The SQL parser's fuzz target the same way: it never panics, and every
 # statement it accepts renders to SQL that parses back to the same text.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/sqlmini/
