@@ -44,7 +44,6 @@ func main() {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:6000", "customer-facing listen address")
 		provision = flag.Bool("provision", false, "create tenant databases on their nodes at startup")
-		players   = flag.Int("players", 64, "max concurrent propagation players")
 		catchup   = flag.Duration("catchup", 2*time.Minute, "catch-up timeout before a migration reports N/A")
 		fsync     = flag.Duration("fsync", 2*time.Millisecond, "fsync latency for -localnode engines")
 		debugAddr = flag.String("debug", "", "serve /debug/madeus JSON stats on this address (empty: disabled)")
@@ -65,7 +64,6 @@ func main() {
 	}
 	mw, err := core.New(core.Options{
 		ListenAddr:     *listen,
-		Players:        *players,
 		CatchupTimeout: *catchup,
 		Flow:           fcfg,
 		HistoryCadence: *history,

@@ -22,7 +22,7 @@ func AblationGroupCommit(cfg Config) (*Table, error) {
 		Header: []string{"slave WAL", "migration", "propagate", "max commit group"},
 	}
 	for _, serial := range []bool{false, true} {
-		mw, err := core.New(core.Options{Players: cfg.Players, CatchupTimeout: cfg.CatchupTimeout})
+		mw, err := core.New(core.Options{CatchupTimeout: cfg.CatchupTimeout})
 		if err != nil {
 			return nil, err
 		}

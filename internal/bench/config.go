@@ -37,8 +37,6 @@ type Config struct {
 	Measure time.Duration
 	// CatchupTimeout bounds Step 3 before a migration reports N/A.
 	CatchupTimeout time.Duration
-	// Players caps concurrent Madeus players.
-	Players int
 }
 
 // Default returns the calibrated default configuration (see EXPERIMENTS.md).
@@ -53,7 +51,6 @@ func Default() Config {
 		Warm:           time.Second,
 		Measure:        3 * time.Second,
 		CatchupTimeout: 30 * time.Second,
-		Players:        64,
 	}
 }
 

@@ -33,7 +33,6 @@ func Convergence(cfg Config) (*Table, error) {
 		PaceDecay:      0.5,
 	}
 	mw, err := core.New(core.Options{
-		Players:        cfg.Players,
 		CatchupTimeout: cfg.CatchupTimeout,
 		Flow:           fcfg,
 	})
@@ -105,16 +104,24 @@ func Convergence(cfg Config) (*Table, error) {
 		Header: []string{"pacing", "outcome", "time", "peak debt", "peak SSL", "peak delay", "syncsets"},
 	}
 
-	unpaced, err := convergenceRun(mw, tn, tenant, core.MigrateOptions{
-		Strategy:      core.Madeus,
-		DisablePacing: true,
-		Deadline:      1500 * time.Millisecond,
-	})
+	// The unpaced leg retunes the middleware the way FLOW SET does: pacing
+	// off and a deadline. Migrate snapshots the flow config per attempt, so
+	// restoring it afterwards governs the paced leg.
+	unpacedCfg := fcfg
+	unpacedCfg.PaceMaxDelay = 0
+	unpacedCfg.Deadline = 1500 * time.Millisecond
+	if err := mw.Flow().Update(unpacedCfg); err != nil {
+		return nil, err
+	}
+	unpaced, err := convergenceRun(mw, tn, tenant, core.MigrateOptions{Strategy: core.Madeus})
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow(unpaced.row("off")...)
 
+	if err := mw.Flow().Update(fcfg); err != nil {
+		return nil, err
+	}
 	paced, err := convergenceRun(mw, tn, tenant, core.MigrateOptions{Strategy: core.Madeus})
 	if err != nil {
 		return nil, err
@@ -122,7 +129,7 @@ func Convergence(cfg Config) (*Table, error) {
 	t.AddRow(paced.row("on")...)
 
 	t.Note("destination replay bottleneck: 1 exec slot behind a 4ms serial fsync")
-	t.Note("unpaced deadline 1500ms; paced run uses the adaptive MIMD controller (target debt %d)", fcfg.PaceTargetDebt)
+	t.Note("unpaced deadline %v; paced run uses the adaptive MIMD controller (target debt %d)", unpacedCfg.Deadline, fcfg.PaceTargetDebt)
 	return t, nil
 }
 

@@ -24,7 +24,6 @@ type Harness struct {
 // NewHarness boots a middleware with n DBMS nodes.
 func NewHarness(cfg Config, n int) (*Harness, error) {
 	mw, err := core.New(core.Options{
-		Players:        cfg.Players,
 		CatchupTimeout: cfg.CatchupTimeout,
 		// Bench runs are short; sample the per-tenant series an order of
 		// magnitude faster than the production default so the fig7/fig8

@@ -15,7 +15,7 @@ package core
 // excursion above lag discards the mark. An idle tenant (nothing linked
 // that is not applied) satisfies the rule on the first observation.
 type catchup struct {
-	lag   int // MigrateOptions.CatchupLag
+	lag   int // flow.CatchupDebt (Middleware.catchupDebt)
 	mark  int // syncsets linked when the debt was first seen <= lag
 	armed bool
 }

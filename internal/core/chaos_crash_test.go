@@ -230,10 +230,9 @@ func TestChaosDestCrashRestartDiscardsPartialSlave(t *testing.T) {
 		err error
 	}
 	migDone := make(chan migResult, 1)
+	rig.mw.dumpChunk = 1
 	go func() {
-		rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{
-			Strategy: Madeus, ChunkStatements: 1,
-		})
+		rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: Madeus})
 		migDone <- migResult{rep, err}
 	}()
 
@@ -248,6 +247,7 @@ func TestChaosDestCrashRestartDiscardsPartialSlave(t *testing.T) {
 
 	mig := <-migDone
 	fault.Reset()
+	rig.mw.dumpChunk = engine.DefaultDumpChunk
 	if mig.err == nil {
 		t.Fatal("migration succeeded despite the destination dying mid-restore")
 	}

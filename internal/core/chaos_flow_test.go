@@ -148,18 +148,16 @@ func TestChaosInjectedReplayLatencyHitsDeadline(t *testing.T) {
 		}
 	}()
 	time.Sleep(30 * time.Millisecond)
-	// Step 3 opens with more debt than CatchupLag allows, and the slowed
-	// slave only falls further behind.
+	// Step 3 opens with more debt than the catch-up threshold allows, and
+	// the slowed slave only falls further behind.
 	rig.hook(1, captureDuringRestore(t, tn, 100))
 
 	aborts0 := flow.DeadlineAborts()
+	setKnob(t, rig.mw, "deadline", "1s")
 	fault.Enable(faultStep3Exec, fault.Policy{Delay: 20 * time.Millisecond})
-	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{
-		Strategy:      Madeus,
-		DisablePacing: true,
-		Deadline:      time.Second,
-	})
+	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: Madeus})
 	fault.Reset()
+	setKnob(t, rig.mw, "deadline", "0s")
 	if !errors.Is(err, flow.ErrDeadline) {
 		t.Fatalf("err = %v, want flow.ErrDeadline", err)
 	}
@@ -225,14 +223,13 @@ func TestChaosHungSlaveStallDetected(t *testing.T) {
 		fault.Release(faultStep3Exec)
 	}()
 
+	setKnob(t, rig.mw, "stall_window", "400ms")
 	start := time.Now()
-	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{
-		Strategy:    Madeus,
-		StallWindow: 400 * time.Millisecond,
-	})
+	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: Madeus})
 	elapsed := time.Since(start)
 	<-released
 	fault.Reset()
+	setKnob(t, rig.mw, "stall_window", "0s")
 
 	if !errors.Is(err, flow.ErrStalled) {
 		t.Fatalf("err = %v, want flow.ErrStalled", err)
@@ -250,5 +247,61 @@ func TestChaosHungSlaveStallDetected(t *testing.T) {
 	rep2, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: Madeus})
 	if err != nil || rep2.Failed {
 		t.Fatalf("re-migration after stall rollback: %v", err)
+	}
+}
+
+// TestChaosFlowSetGovernsNextAttempt pins the snapshot contract deadline
+// and pacing rely on: Migrate reads the flow config once per attempt. A
+// FLOW SET deadline issued while an attempt is held at a failpoint leaves
+// that attempt alone; issued between attempts, it governs the next one.
+func TestChaosFlowSetGovernsNextAttempt(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	rig := newRig(t, 2, engine.Options{})
+	rig.provision(t, "a", 50)
+	tn, _ := rig.mw.Tenant("a")
+	admin := rig.connect(t, AdminDB)
+	defer admin.Close()
+	flowSet := func(knob, value string) {
+		t.Helper()
+		if _, err := admin.Exec("FLOW SET " + knob + " " + value); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type result struct {
+		rep *Report
+		err error
+	}
+	fault.Enable(faultStep1Dump, fault.Policy{Hang: true, Times: 1})
+	held := make(chan result, 1)
+	go func() {
+		rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: Madeus})
+		held <- result{rep, err}
+	}()
+	waitForCond(t, func() bool { return fault.SiteFired(faultStep1Dump) == 1 })
+	// 1ns: an attempt that read this deadline is past it at its first check.
+	flowSet("deadline", "1ns")
+	fault.Release(faultStep1Dump)
+	if r := <-held; r.err != nil {
+		t.Fatalf("attempt in flight during FLOW SET deadline: %v; want it run under its own snapshot", r.err)
+	}
+	if node, _ := tn.Node(); node.BackendName() != "node1" {
+		t.Fatalf("tenant is on %s after the held attempt, want node1", node.BackendName())
+	}
+
+	rep, err := rig.mw.Migrate("a", "node0", MigrateOptions{Strategy: Madeus})
+	if !errors.Is(err, flow.ErrDeadline) {
+		t.Fatalf("attempt after FLOW SET deadline 1ns: err = %v, want flow.ErrDeadline", err)
+	}
+	if rep.RollbackStep != "step3.propagate" {
+		t.Errorf("rollback step = %q, want step3.propagate", rep.RollbackStep)
+	}
+
+	flowSet("deadline", "0s")
+	if _, err := rig.mw.Migrate("a", "node0", MigrateOptions{Strategy: Madeus}); err != nil {
+		t.Fatalf("attempt after FLOW SET deadline 0s: %v", err)
+	}
+	if node, _ := tn.Node(); node.BackendName() != "node0" {
+		t.Fatalf("tenant is on %s, want node0", node.BackendName())
 	}
 }

@@ -36,9 +36,9 @@ func TestStep1SlowDestinationBackpressure(t *testing.T) {
 	time.Sleep(30 * time.Millisecond)
 
 	fault.Enable(faultStep1Restore, fault.Policy{Delay: 2 * time.Millisecond, Times: 100})
+	rig.mw.dumpChunk = 2
 	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{
-		Strategy:        Madeus,
-		ChunkStatements: 2,
+		Strategy: Madeus,
 	})
 	fault.Reset()
 	if err != nil {

@@ -24,9 +24,9 @@ type chaosCase struct {
 	nodes   int      // rig size; default 2 (node0 = source, node1 = dest)
 	backups []string // extra destinations for MigrateOptions.Backups
 	arm     func()   // installs the failpoints just before Migrate
-	// tweak adjusts the MigrateOptions (e.g. a small ChunkStatements so a
-	// mid-stream failpoint has a stream to land in).
-	tweak func(*MigrateOptions)
+	// chunk, when nonzero, shrinks the statements per dump chunk so a
+	// mid-stream failpoint has a stream to land in.
+	chunk int
 	// during runs concurrently with Migrate (crash injection, hang
 	// release); runChaos joins it before asserting.
 	during func(t *testing.T, rig *testRig, tn *Tenant)
@@ -68,7 +68,7 @@ func chaosScenarios() []chaosCase {
 			// The dump stream's connection drops after two chunks made it
 			// across: the client poisons the session, Step 1 fails, and
 			// the whole migration rolls back with the source untouched.
-			tweak: func(o *MigrateOptions) { o.ChunkStatements = 1 },
+			chunk: 1,
 			arm: func() {
 				fault.Enable(faultStep1Chunk, fault.Policy{Drop: true, Skip: 2})
 			},
@@ -79,7 +79,7 @@ func chaosScenarios() []chaosCase {
 			name: "schema_chunk_restore_error_no_survivor",
 			// Chunk 0 — the schema, the restore's one serial barrier —
 			// fails before any applier has started.
-			tweak: func(o *MigrateOptions) { o.ChunkStatements = 1 },
+			chunk: 1,
 			arm: func() {
 				fault.Enable(faultStep1Restore, fault.Policy{Times: 1})
 			},
@@ -90,7 +90,7 @@ func chaosScenarios() []chaosCase {
 			name: "chunk_restore_error_no_survivor",
 			// A restore applier fails on the third chunk; the only slave
 			// is discarded and the migration rolls back at Step 2.
-			tweak: func(o *MigrateOptions) { o.ChunkStatements = 1 },
+			chunk: 1,
 			arm: func() {
 				fault.Enable(faultStep1Restore, fault.Policy{Times: 1, Skip: 2})
 			},
@@ -101,7 +101,7 @@ func chaosScenarios() []chaosCase {
 			name:    "chunk_restore_error_backup_survives",
 			nodes:   3,
 			backups: []string{"node2"},
-			tweak:   func(o *MigrateOptions) { o.ChunkStatements = 1 },
+			chunk:   1,
 			arm: func() {
 				fault.Enable(faultStep1Restore, fault.Policy{Times: 1, Skip: 2})
 			},
@@ -112,7 +112,7 @@ func chaosScenarios() []chaosCase {
 			// Every chunk apply is delayed: the bounded queues and the
 			// transfer budget backpressure the dump, but the migration
 			// still completes.
-			tweak: func(o *MigrateOptions) { o.ChunkStatements = 1 },
+			chunk: 1,
 			arm: func() {
 				fault.Enable(faultStep1Restore, fault.Policy{Delay: 2 * time.Millisecond, Times: 50})
 			},
@@ -250,11 +250,11 @@ func runChaos(t *testing.T, tc chaosCase) {
 		}()
 	}
 
-	opts := MigrateOptions{Strategy: Madeus, Backups: tc.backups}
-	if tc.tweak != nil {
-		tc.tweak(&opts)
+	if tc.chunk != 0 {
+		rig.mw.dumpChunk = tc.chunk
 	}
-	rep, err := rig.mw.Migrate("a", "node1", opts)
+	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: Madeus, Backups: tc.backups})
+	rig.mw.dumpChunk = engine.DefaultDumpChunk // the re-migration below runs at the default
 	if duringDone != nil {
 		<-duringDone
 	}

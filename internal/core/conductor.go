@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"madeus/internal/fault"
 	"madeus/internal/simlat"
@@ -36,13 +35,7 @@ type propagator struct {
 	t        *Tenant
 	dest     Backend
 	strategy Strategy
-	maxConns int
 	mts      uint64
-
-	// opTimeout bounds every statement replayed on the destination so a
-	// hung slave cannot park players forever (they must observe the
-	// abort); 0 disables the bound.
-	opTimeout time.Duration
 
 	// trace is the migration's wire trace context (nil when obs is off);
 	// every pooled destination connection carries it so the slave-side
@@ -50,9 +43,8 @@ type propagator struct {
 	trace *wire.TraceContext
 
 	// conn pool
-	poolMu  sync.Mutex //madeusvet:lockrank conductor-pool 12
-	idle    []*wire.Client
-	created int
+	poolMu sync.Mutex //madeusvet:lockrank conductor-pool 12
+	idle   []*wire.Client
 
 	// progress accounting. A leaf lock: players and the tenant-holding
 	// propagator loop both poll it (stopRequested), so it ranks above the
@@ -80,24 +72,21 @@ type propagator struct {
 	// at every commit time").
 	herdMu   sync.Mutex //madeusvet:lockrank bcon-herd 16
 	herdCond *sync.Cond
-	herdSpin time.Duration
 }
 
 // startPropagation launches Step 3. mts is the migration timestamp: the MLC
-// value at the snapshot; the first commit to replay has ETS == mts.
-func startPropagation(t *Tenant, dest Backend, strategy Strategy, maxConns int, mts uint64, herdSpin, opTimeout time.Duration, trace *wire.TraceContext, progress chan<- struct{}) *propagator {
+// value at the snapshot; the first commit to replay has ETS == mts. The
+// number of players in flight is the LSIR wave size; nothing caps it.
+func startPropagation(t *Tenant, dest Backend, strategy Strategy, mts uint64, trace *wire.TraceContext, progress chan<- struct{}) *propagator {
 	p := &propagator{
-		t:         t,
-		dest:      dest,
-		strategy:  strategy,
-		maxConns:  maxConns,
-		mts:       mts,
-		herdSpin:  herdSpin,
-		opTimeout: opTimeout,
-		trace:     trace,
-		progress:  progress,
-		abort:     make(chan struct{}),
-		done:      make(chan struct{}),
+		t:        t,
+		dest:     dest,
+		strategy: strategy,
+		mts:      mts,
+		trace:    trace,
+		progress: progress,
+		abort:    make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	p.herdCond = sync.NewCond(&p.herdMu)
 	go p.run()
@@ -246,7 +235,6 @@ func (p *propagator) getConn() (*wire.Client, error) {
 		p.poolMu.Unlock()
 		return c, nil
 	}
-	p.created++
 	p.poolMu.Unlock()
 	if err := fault.Inject(faultStep3Dial); err != nil {
 		return nil, err
@@ -255,9 +243,7 @@ func (p *propagator) getConn() (*wire.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.opTimeout > 0 {
-		c.SetOpTimeout(p.opTimeout)
-	}
+	c.SetOpTimeout(destOpTimeout)
 	if p.trace != nil {
 		c.SetTraceContext(p.trace)
 	}
@@ -614,7 +600,7 @@ func (p *propagator) player(r *runState) {
 			// discovering whose turn it is. Burned while holding
 			// herdMu, so the convoy serializes — the cost the paper
 			// measured in B-CON's collapse.
-			simlat.CPU(p.herdSpin)
+			simlat.CPU(bconHerdSpin)
 		}
 		aborted := p.isAborted() && !r.herdGo
 		p.herdMu.Unlock()

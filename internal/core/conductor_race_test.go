@@ -17,7 +17,7 @@ func TestPropagatorFailRaceKeepsRealError(t *testing.T) {
 	realErr := errors.New("destination disk on fire")
 
 	for i := 0; i < 100; i++ {
-		p := startPropagation(tn, dst, Madeus, 4, 0, 0, 0, nil, nil)
+		p := startPropagation(tn, dst, Madeus, 0, nil, nil)
 		var wg sync.WaitGroup
 		wg.Add(4)
 		go func() { defer wg.Done(); p.Abort() }()
@@ -43,7 +43,7 @@ func TestPropagatorFailOrderings(t *testing.T) {
 	tn, dst := slaveRig(t)
 	realErr := errors.New("boom")
 
-	p := startPropagation(tn, dst, Madeus, 4, 0, 0, 0, nil, nil)
+	p := startPropagation(tn, dst, Madeus, 0, nil, nil)
 	p.Abort()
 	p.fail(realErr)
 	p.Wait() //nolint:errcheck // judged via Err below
@@ -51,7 +51,7 @@ func TestPropagatorFailOrderings(t *testing.T) {
 		t.Fatalf("abort-then-fail: Err() = %v, want %v", err, realErr)
 	}
 
-	p = startPropagation(tn, dst, Madeus, 4, 0, 0, 0, nil, nil)
+	p = startPropagation(tn, dst, Madeus, 0, nil, nil)
 	p.fail(realErr)
 	p.Abort()
 	p.Wait() //nolint:errcheck // judged via Err below

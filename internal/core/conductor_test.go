@@ -86,7 +86,7 @@ func TestPropagatorAppliesMadeusSyncsets(t *testing.T) {
 	linkSSB(tn, 0, 1, "SELECT v FROM kv WHERE k = 2", "UPDATE kv SET v = v + 2 WHERE k = 2")
 	linkSSB(tn, 2, 2, "SELECT v FROM kv WHERE k = 1", "UPDATE kv SET v = v + 10 WHERE k = 1")
 
-	p := startPropagation(tn, dst, Madeus, 8, 0, 0, 0, nil, nil)
+	p := startPropagation(tn, dst, Madeus, 0, nil, nil)
 	p.RequestStop()
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestPropagatorHoldsCommitsBehindActiveFirstOp(t *testing.T) {
 	tn.mu.Unlock()
 
 	linkSSB(tn, 0, 0, "SELECT v FROM kv WHERE k = 3", "UPDATE kv SET v = 7 WHERE k = 3")
-	p := startPropagation(tn, dst, Madeus, 8, 0, 0, 0, nil, nil)
+	p := startPropagation(tn, dst, Madeus, 0, nil, nil)
 	defer func() {
 		p.Abort()
 		p.Wait()
@@ -154,7 +154,7 @@ func TestPropagatorSerialOrder(t *testing.T) {
 	// Serial replay must preserve link order: two increments on one key.
 	linkSSB(tn, 0, 0, "SELECT v FROM kv WHERE k = 5", "UPDATE kv SET v = v * 10 + 1 WHERE k = 5")
 	linkSSB(tn, 1, 1, "SELECT v FROM kv WHERE k = 5", "UPDATE kv SET v = v * 10 + 2 WHERE k = 5")
-	p := startPropagation(tn, dst, BMin, 1, 0, 0, 0, nil, nil)
+	p := startPropagation(tn, dst, BMin, 0, nil, nil)
 	p.RequestStop()
 	if err := p.Wait(); err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestPropagatorSerialOrder(t *testing.T) {
 func TestPropagatorReplayErrorFailsMigrationPath(t *testing.T) {
 	tn, dst := slaveRig(t)
 	linkSSB(tn, 0, 0, "SELECT v FROM kv WHERE k = 1", "UPDATE nosuch SET v = 1 WHERE k = 1")
-	p := startPropagation(tn, dst, Madeus, 8, 0, 0, 0, nil, nil)
+	p := startPropagation(tn, dst, Madeus, 0, nil, nil)
 	deadline := time.Now().Add(2 * time.Second)
 	for p.Err() == nil {
 		if time.Now().After(deadline) {
@@ -199,7 +199,7 @@ func TestPropagatorSignalsProgress(t *testing.T) {
 			for i := uint64(0); i < 3; i++ {
 				linkSSB(tn, i, i, "SELECT v FROM kv WHERE k = 1", "UPDATE kv SET v = v + 1 WHERE k = 1")
 			}
-			p := startPropagation(tn, dst, st, 4, 0, 0, 0, nil, progress)
+			p := startPropagation(tn, dst, st, 0, nil, progress)
 			p.RequestStop()
 			if err := p.Wait(); err != nil {
 				t.Fatal(err)
@@ -213,7 +213,7 @@ func TestPropagatorSignalsProgress(t *testing.T) {
 	t.Run("failure", func(t *testing.T) {
 		tn, dst := slaveRig(t)
 		progress := make(chan struct{}, 1)
-		p := startPropagation(tn, dst, Madeus, 4, 0, 0, 0, nil, progress)
+		p := startPropagation(tn, dst, Madeus, 0, nil, progress)
 		dst.Close() // the slave dies under an idle propagator
 		linkSSB(tn, 0, 0, "SELECT v FROM kv WHERE k = 1", "UPDATE kv SET v = 1 WHERE k = 1")
 		awaitToken(t, progress, "the destination died")
@@ -346,7 +346,7 @@ func TestPropagatorConcurrentStress(t *testing.T) {
 			}
 		}
 	}()
-	p := startPropagation(tn, dst, Madeus, 16, 0, 0, 0, nil, nil)
+	p := startPropagation(tn, dst, Madeus, 0, nil, nil)
 	wg.Wait()
 	p.RequestStop()
 	if err := p.Wait(); err != nil {

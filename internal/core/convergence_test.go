@@ -118,12 +118,14 @@ func TestHeavyWriteMigrationConvergesWithPacing(t *testing.T) {
 	// Phase A — the seed behavior: pacing disabled, the destination
 	// cannot keep up, and the debt diverges until the deadline watchdog
 	// aborts the attempt through the rollback protocol.
+	unpaced := fcfg
+	unpaced.PaceMaxDelay = 0
+	unpaced.Deadline = 1500 * time.Millisecond
+	if err := rig.mw.Flow().Update(unpaced); err != nil {
+		t.Fatal(err)
+	}
 	sampler := startSampler(tn)
-	_, err := rig.mw.Migrate("a", "node1", MigrateOptions{
-		Strategy:      Madeus,
-		DisablePacing: true,
-		Deadline:      1500 * time.Millisecond,
-	})
+	_, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: Madeus})
 	sampler.join()
 	if !errors.Is(err, flow.ErrDeadline) {
 		t.Fatalf("unpaced migration: err = %v, want flow.ErrDeadline", err)
@@ -149,6 +151,9 @@ func TestHeavyWriteMigrationConvergesWithPacing(t *testing.T) {
 	// controller brakes the source until replay outruns capture, the debt
 	// drains, and the switchover completes, with SSL memory under the cap
 	// throughout.
+	if err := rig.mw.Flow().Update(fcfg); err != nil {
+		t.Fatal(err)
+	}
 	sampler = startSampler(tn)
 	start := time.Now()
 	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: Madeus})
@@ -181,7 +186,7 @@ func TestHeavyWriteMigrationConvergesWithPacing(t *testing.T) {
 // margin, the watchdog aborts via rollback rather than letting Step 3 camp
 // on CatchupTimeout, and the tenant is immediately usable on the source.
 func TestUnpacedOverloadAbortsCleanly(t *testing.T) {
-	rig := newFlowRig(t, Options{Flow: flow.Config{}},
+	rig := newFlowRig(t, Options{Flow: flow.Config{Deadline: 800 * time.Millisecond}},
 		engine.Options{},
 		slowDest(),
 	)
@@ -204,11 +209,7 @@ func TestUnpacedOverloadAbortsCleanly(t *testing.T) {
 
 	aborts0 := flow.DeadlineAborts()
 	start := time.Now()
-	_, err := rig.mw.Migrate("a", "node1", MigrateOptions{
-		Strategy:      Madeus,
-		DisablePacing: true,
-		Deadline:      800 * time.Millisecond,
-	})
+	_, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: Madeus})
 	elapsed := time.Since(start)
 	if !errors.Is(err, flow.ErrDeadline) {
 		t.Fatalf("err = %v, want flow.ErrDeadline", err)

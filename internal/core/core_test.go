@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,6 +70,13 @@ func (r *testRig) provision(t *testing.T, tenant string, rows int) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// startCapture begins capture on a tenant without a migration.
+func (t *Tenant) startCapture(all bool) {
+	t.mu.Lock()
+	t.startCaptureLocked(all)
+	t.mu.Unlock()
 }
 
 // connect opens a customer connection through the middleware.
@@ -650,7 +658,8 @@ func TestCatchupTimeoutAbortsAndServiceContinues(t *testing.T) {
 	// exclusive 4 ms fsync: the serial B-ALL replay is strictly slower than
 	// the master's arrival rate, so the slave genuinely cannot catch up and
 	// only the catch-up timer can end Step 3.
-	rig := newFlowRig(t, Options{}, engine.Options{}, slowDest())
+	rig := newFlowRig(t, Options{CatchupTimeout: 300 * time.Millisecond}, engine.Options{}, slowDest())
+	rig.mw.catchupDebt = 1
 	rig.provision(t, "a", 120)
 
 	const writers = 4
@@ -662,11 +671,7 @@ func TestCatchupTimeoutAbortsAndServiceContinues(t *testing.T) {
 		go loadgen(t, rig, "a", w, 0, stop, done)
 	}
 	time.Sleep(50 * time.Millisecond)
-	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{
-		Strategy:       BAll,
-		CatchupLag:     1,
-		CatchupTimeout: 300 * time.Millisecond,
-	})
+	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: BAll})
 	if !errors.Is(err, ErrCatchupTimeout) {
 		t.Fatalf("got %v, want ErrCatchupTimeout", err)
 	}
@@ -691,6 +696,82 @@ func TestCatchupTimeoutAbortsAndServiceContinues(t *testing.T) {
 	// The partial slave was discarded.
 	if _, ok := rig.nodes[1].Engine.Database("a"); ok {
 		t.Error("partial slave left on destination")
+	}
+}
+
+// TestConcurrentMigratesOneRuns starts eight Migrates of one tenant behind
+// a barrier. The claim is one check-and-set, so exactly one runs and the
+// other seven are refused as already migrating. The winner's restore waits
+// until all seven were refused, so every attempt overlaps the one that
+// runs.
+func TestConcurrentMigratesOneRuns(t *testing.T) {
+	rig := newRig(t, 2, engine.Options{})
+	rig.provision(t, "a", 50)
+	tn, _ := rig.mw.Tenant("a")
+
+	const callers = 8
+	var refusals atomic.Int32
+	allRefused := make(chan struct{})
+	rig.hook(1, func(call int) {
+		if call != 1 {
+			return
+		}
+		select {
+		case <-allRefused:
+		case <-time.After(10 * time.Second):
+			t.Errorf("only %d of %d concurrent Migrates were refused", refusals.Load(), callers-1)
+		}
+	})
+
+	type result struct {
+		rep *Report
+		err error
+	}
+	barrier := make(chan struct{})
+	results := make(chan result, callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			<-barrier
+			rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: Madeus})
+			if err != nil && strings.Contains(err.Error(), "already migrating") && refusals.Add(1) == callers-1 {
+				close(allRefused)
+			}
+			results <- result{rep, err}
+		}()
+	}
+	close(barrier)
+	ran, refused := 0, 0
+	for i := 0; i < callers; i++ {
+		r := <-results
+		switch {
+		case r.err == nil:
+			ran++
+		case strings.Contains(r.err.Error(), "already migrating"):
+			refused++
+			if r.rep != nil {
+				t.Errorf("a refused Migrate returned a report: %v", r.rep)
+			}
+		default:
+			t.Errorf("Migrate: %v", r.err)
+		}
+	}
+	if ran != 1 || refused != callers-1 {
+		t.Fatalf("%d Migrates ran and %d were refused, want 1 and %d", ran, refused, callers-1)
+	}
+	if node, _ := tn.Node(); node.BackendName() != "node1" {
+		t.Fatalf("tenant is on %s, want node1", node.BackendName())
+	}
+	_, onSource := rig.nodes[0].Engine.Database("a")
+	_, onDest := rig.nodes[1].Engine.Database("a")
+	if onSource || !onDest {
+		t.Fatalf("tenant database on node0=%v node1=%v, want node1 only", onSource, onDest)
+	}
+	dst, _ := rig.mw.Node("node1")
+	if got := sumBal(t, dst, "a"); got != 50*100 {
+		t.Fatalf("destination sum = %d, want %d", got, 50*100)
+	}
+	if st := tn.State(); st != StateNormal {
+		t.Fatalf("tenant state = %v, want normal", st)
 	}
 }
 

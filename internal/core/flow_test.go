@@ -58,6 +58,15 @@ func newFlowRig(t *testing.T, mwOpts Options, engOpts ...engine.Options) *testRi
 	return rig
 }
 
+// setKnob retunes one flow knob the way FLOW SET does; the next Migrate
+// snapshots it.
+func setKnob(t *testing.T, mw *Middleware, name, value string) {
+	t.Helper()
+	if err := mw.Flow().Set(name, value); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFlowConfigValidatedAtStartup(t *testing.T) {
 	_, err := New(Options{Flow: flow.Config{PaceDecay: 1.5}})
 	if err == nil {
@@ -65,6 +74,30 @@ func TestFlowConfigValidatedAtStartup(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "PaceDecay") {
 		t.Fatalf("error %v does not name the bad knob", err)
+	}
+}
+
+// TestPaceTargetAboveCatchupRejected: a paced target above the catch-up
+// debt is refused at startup and by FLOW SET, and a refused SET leaves the
+// running target untouched; the threshold itself is accepted.
+func TestPaceTargetAboveCatchupRejected(t *testing.T) {
+	bad := flow.DefaultConfig()
+	bad.PaceTargetDebt = flow.CatchupDebt + 1
+	if _, err := New(Options{Flow: bad}); err == nil || !strings.Contains(err.Error(), "PaceTargetDebt") {
+		t.Fatalf("New with pace target %d: err = %v", bad.PaceTargetDebt, err)
+	}
+
+	rig := newFlowRig(t, Options{Flow: flow.DefaultConfig()}, engine.Options{})
+	admin := rig.connect(t, AdminDB)
+	defer admin.Close()
+	if _, err := admin.Exec("FLOW SET pace_target_debt 200"); err == nil {
+		t.Fatal("FLOW SET accepted pace_target_debt 200 with pacing on")
+	}
+	if got := rig.mw.Flow().Config().PaceTargetDebt; got != flow.DefaultPaceTargetDebt {
+		t.Fatalf("refused SET changed pace_target_debt to %d", got)
+	}
+	if _, err := admin.Exec(fmt.Sprintf("FLOW SET pace_target_debt %d", flow.CatchupDebt)); err != nil {
+		t.Fatalf("FLOW SET pace_target_debt %d: %v", flow.CatchupDebt, err)
 	}
 }
 
@@ -226,7 +259,7 @@ func TestSSLCapOverflowAbortsMigration(t *testing.T) {
 func TestSSLGaugesResetAfterRollback(t *testing.T) {
 	bytes0 := flow.SSLBytes()
 	rig := newFlowRig(t,
-		Options{Flow: flow.Config{}},
+		Options{Flow: flow.Config{Deadline: 1200 * time.Millisecond}},
 		engine.Options{},
 		slowDest(),
 	)
@@ -253,13 +286,9 @@ func TestSSLGaugesResetAfterRollback(t *testing.T) {
 	defer quiesce()
 	time.Sleep(30 * time.Millisecond)
 
-	// The slowed destination cannot keep up; the per-migration deadline
-	// fires and the watchdog rolls the attempt back.
-	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{
-		Strategy:      Madeus,
-		Deadline:      1200 * time.Millisecond,
-		DisablePacing: true,
-	})
+	// The slowed destination cannot keep up; the deadline fires and the
+	// watchdog rolls the attempt back.
+	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: Madeus})
 	if !errors.Is(err, flow.ErrDeadline) {
 		t.Fatalf("err = %v, want flow.ErrDeadline", err)
 	}

@@ -29,7 +29,37 @@ const (
 // "N/A" for B-CON under heavy workload (Sec 5.3.2).
 var ErrCatchupTimeout = errors.New("core: slave could not catch up with the master")
 
-// MigrateOptions tunes one migration.
+// Limits every migration applies to its destination operations, and the
+// B-CON cost model's constant.
+const (
+	// destOpTimeout bounds every middleware-issued operation against the
+	// destination (restore replay, propagation, the promotion probe) so a
+	// hung slave surfaces as a connection loss instead of parking the
+	// migration forever.
+	destOpTimeout = 10 * time.Second
+	// bconHerdSpin models the pthread mutex competition the paper blames
+	// for B-CON's collapse: "all players compete for the pthread mutex lock
+	// at every commit time" (Sec 5.3.2). Every waiting B-CON player burns
+	// this much CPU at every commit wake-up, so the per-commit cost grows
+	// with the number of in-flight players — the convoy that makes B-CON
+	// worse than B-ALL under load.
+	bconHerdSpin = 2 * time.Millisecond
+)
+
+// destRetry governs redial-and-retry of the migration's own idempotent
+// destination operations (dials, the promotion probe): 4 attempts from
+// 25ms exponential backoff capped at 500ms with 20% jitter.
+var destRetry = wire.RetryPolicy{
+	MaxAttempts: 4,
+	BaseBackoff: 25 * time.Millisecond,
+	MaxBackoff:  500 * time.Millisecond,
+	Jitter:      0.2,
+}
+
+// MigrateOptions is what differs between two migrations. Everything else —
+// the catch-up window, the deadline, the stall window, pacing — is a
+// middleware-wide setting (Options, or flow.Config retuned by FLOW SET)
+// that Migrate snapshots once per attempt.
 type MigrateOptions struct {
 	// Strategy selects the propagation protocol. Default Madeus.
 	Strategy Strategy
@@ -41,52 +71,9 @@ type MigrateOptions struct {
 	// migration, the first surviving backup is promoted and receives the
 	// switch-over.
 	Backups []string
-	// Players overrides the middleware's player cap for this migration.
-	Players int
-	// CatchupTimeout overrides the middleware's catch-up window.
-	CatchupTimeout time.Duration
-	// CatchupLag is the syncset DEBT the slave may run behind by while it
-	// turns the SSL over: Step 4 (suspend + final drain + switch) begins
-	// once the debt has stayed at or below it from some instant until
-	// every syncset linked at that instant has been applied (see catchup).
-	// Debt counts syncsets that are replayable now but not yet applied;
-	// syncsets the LSIR holds back behind active master transactions are
-	// an irreducible floor and are excluded. It bounds what Step 4's
-	// suspension has left to drain; it is not a time. Defaults to 64.
-	CatchupLag int
 	// KeepSource leaves the source copy in place after switch-over
 	// (used by consistency tests to compare master and slave states).
 	KeepSource bool
-	// OpTimeout bounds every middleware-issued operation against the
-	// destination (restore replay, propagation, the promotion probe) so
-	// a hung slave surfaces as a connection loss instead of parking the
-	// migration forever. Defaults to the middleware's Options.OpTimeout.
-	OpTimeout time.Duration
-	// Retry governs redial-and-retry of the migration's own idempotent
-	// destination operations (dials, the promotion probe). Zero
-	// MaxAttempts inherits the middleware's Options.Retry.
-	Retry wire.RetryPolicy
-	// Deadline bounds this migration end to end: past it the watchdog
-	// aborts through the rollback protocol instead of letting Step 3 churn
-	// until CatchupTimeout. 0 inherits the middleware's flow.Config.
-	Deadline time.Duration
-	// StallWindow aborts the migration when the primary slave makes no
-	// replay progress for this long (hung-slave detection). 0 inherits the
-	// middleware's flow.Config.
-	StallWindow time.Duration
-	// DisablePacing turns adaptive source pacing off for this migration
-	// even when the middleware's flow.Config enables it (used by tests and
-	// benchrunner to measure the unpaced divergence).
-	DisablePacing bool
-	// ChunkStatements is the statements-per-chunk of the pipelined Step-1
-	// snapshot stream. Defaults to 64.
-	ChunkStatements int
-
-	// trace is the migration's wire trace context, set by Migrate once the
-	// MTS is known and applied by connectRetry to every destination session
-	// the migration itself opens (restore, propagation, promotion probe).
-	// Unexported: callers cannot fabricate one.
-	trace *wire.TraceContext
 }
 
 // migSpanSeq assigns each migration attempt a process-unique span id.
@@ -185,10 +172,6 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	if !ok {
 		return nil, fmt.Errorf("core: unknown node %q", destName)
 	}
-	source, _ := t.Node()
-	if source == dest {
-		return nil, fmt.Errorf("core: tenant %q is already on node %q", tenantName, destName)
-	}
 	// slaves[0] is the primary destination; the rest are backups.
 	slaves := []Backend{dest}
 	for _, b := range opts.Backups {
@@ -196,41 +179,21 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 		if !ok {
 			return nil, fmt.Errorf("core: unknown backup node %q", b)
 		}
-		if bn == source || bn == dest {
-			return nil, fmt.Errorf("core: backup node %q duplicates the source or destination", b)
-		}
 		slaves = append(slaves, bn)
 	}
-	if opts.Players <= 0 {
-		opts.Players = m.opts.Players
-	}
-	if opts.CatchupTimeout <= 0 {
-		opts.CatchupTimeout = m.opts.CatchupTimeout
-	}
-	if opts.CatchupLag <= 0 {
-		opts.CatchupLag = 64
-	}
-	if opts.OpTimeout <= 0 {
-		opts.OpTimeout = m.opts.OpTimeout
-	}
-	if opts.Retry.MaxAttempts == 0 {
-		opts.Retry = m.opts.Retry
-	}
-	if opts.ChunkStatements <= 0 {
-		opts.ChunkStatements = defaultChunkStatements
+	// The claim is the attempt's first side effect: one check-and-set that
+	// also reads the source, so two concurrent Migrates on one tenant can
+	// never both run, and neither can act on a source the other moved.
+	// Capture starts with it, before the snapshot, so operations racing the
+	// dump are saved (Step 1: "Madeus saves the operations as a syncset").
+	source, err := t.claimMigration(slaves, opts.Strategy.captureAll())
+	if err != nil {
+		return nil, err
 	}
 	// Flow-layer knobs: one config snapshot governs the whole attempt, so
-	// a concurrent FLOW SET cannot change the rules mid-migration.
+	// a concurrent FLOW SET cannot change the rules mid-migration; it
+	// governs the next attempt.
 	fcfg := m.flow.Config()
-	if opts.Deadline <= 0 {
-		opts.Deadline = fcfg.Deadline
-	}
-	if opts.StallWindow <= 0 {
-		opts.StallWindow = fcfg.StallWindow
-	}
-	if opts.DisablePacing {
-		fcfg.PaceMaxDelay = 0
-	}
 
 	rep := &Report{
 		Tenant:   tenantName,
@@ -239,13 +202,6 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 		Strategy: opts.Strategy,
 		Start:    time.Now(),
 	}
-
-	t.mu.Lock()
-	if t.migrating {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("core: tenant %q is already migrating", tenantName)
-	}
-	t.mu.Unlock()
 
 	// Bookmark the tracer so the report's Timeline carries exactly this
 	// migration's events.
@@ -256,9 +212,6 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 		obs.F("source", rep.Source), obs.F("dest", destName),
 		obs.F("strategy", opts.Strategy), obs.F("span", rep.Span))
 
-	// Capture starts before the snapshot so operations racing the dump
-	// are saved (Step 1: "Madeus saves the operations as a syncset").
-	t.startCapture(opts.Strategy.captureAll())
 	// Whatever way this attempt ends, the pacing brake comes off: a rolled
 	// back or completed migration must never leave the tenant throttled.
 	defer t.throttle.Set(0)
@@ -332,9 +285,10 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	// migration's MTS and span, so dbnode-side wire events are attributable
 	// to this attempt. Gated on obs: disabled observability means plain
 	// frames and zero overhead.
+	var trace *wire.TraceContext
 	if obs.On() {
-		opts.trace = &wire.TraceContext{Tenant: tenantName, MTS: mts, Span: rep.Span}
-		ctl.SetTraceContext(opts.trace)
+		trace = &wire.TraceContext{Tenant: tenantName, MTS: mts, Span: rep.Span}
+		ctl.SetTraceContext(trace)
 	}
 	t.setGate(false) // customers resume while the dump streams
 
@@ -348,7 +302,7 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	t.setProgress("step2.restore", nil)
 	restoreSpan := obs.Trace.Start(tenantName, "step2.restore")
 	budget := flow.NewTransferBudget(fcfg.MaxTransferBytes)
-	pr := pipelineSnapshot(ctl, tenantName, slaves, opts, budget)
+	pr := pipelineSnapshot(ctl, tenantName, slaves, m.dumpChunk, trace, budget)
 	rep.SnapshotTime = pr.dumpTime
 	rep.RestoreTime = time.Since(phase)
 	rep.Chunks = pr.chunks
@@ -388,16 +342,12 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	// --- Step 3: propagate syncsets (one propagator per slave) ---
 	phase = time.Now()
 	propSpan := obs.Trace.Start(tenantName, "step3.propagate")
-	herdSpin := m.opts.BConHerdSpin
-	if herdSpin < 0 {
-		herdSpin = 0
-	}
 	// Every propagator posts to progress when it applies a syncset or
 	// fails: the wait below is driven by what the slaves do, not by a clock.
 	progress := make(chan struct{}, 1)
 	props := make(map[Backend]*propagator, len(slaves))
 	for _, sl := range slaves {
-		props[sl] = startPropagation(t, sl, opts.Strategy, opts.Players, mts, herdSpin, opts.OpTimeout, opts.trace, progress)
+		props[sl] = startPropagation(t, sl, opts.Strategy, mts, trace, progress)
 		obs.Trace.Emit(tenantName, "step3.slave.begin", obs.F("slave", sl.BackendName()))
 	}
 	t.setProgress("step3.propagate", props[slaves[0]])
@@ -441,13 +391,13 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	// is consulted at every wake-up; a hung slave posts no progress, so the
 	// ticker is what guarantees it a hearing.
 	const sampleEvery = 200 * time.Millisecond
-	caughtUp := catchup{lag: opts.CatchupLag}
+	caughtUp := catchup{lag: m.catchupDebt}
 	ticker := time.NewTicker(sampleEvery)
 	defer ticker.Stop()
-	timeout := time.NewTimer(opts.CatchupTimeout)
+	timeout := time.NewTimer(m.opts.CatchupTimeout)
 	defer timeout.Stop()
 	ctrl := flow.NewController(fcfg)
-	wd := flow.NewWatchdog(flow.Config{Deadline: opts.Deadline, StallWindow: opts.StallWindow}, rep.Start)
+	wd := flow.NewWatchdog(fcfg, rep.Start)
 	var lastDelay time.Duration
 	for sample := true; ; {
 		if ferr := fault.Inject(faultStep3Propagate); ferr != nil {
@@ -537,7 +487,7 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	var target Backend
 	for len(slaves) > 0 {
 		cand := slaves[0]
-		if err := probePromotion(cand, tenantName, opts); err != nil {
+		if err := probePromotion(cand, tenantName, trace); err != nil {
 			dropDatabase(cand, tenantName)
 			rep.Discarded = append(rep.Discarded, cand.BackendName())
 			obs.Trace.Emit(tenantName, "step4.candidate.discarded",
@@ -591,11 +541,11 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 // a fresh session must round-trip an empty probe transaction. Until the
 // ack arrives nothing is committed — the tenant still points at the
 // source — which is what makes Step 4 all-or-nothing.
-func probePromotion(sl Backend, tenant string, opts MigrateOptions) error {
+func probePromotion(sl Backend, tenant string, trace *wire.TraceContext) error {
 	if ferr := fault.Inject(faultStep4Switch); ferr != nil {
 		return ferr
 	}
-	c, err := connectRetry(sl, tenant, "", opts)
+	c, err := connectRetry(sl, tenant, "", trace)
 	if err != nil {
 		return err
 	}
@@ -609,29 +559,21 @@ func probePromotion(sl Backend, tenant string, opts MigrateOptions) error {
 	return nil
 }
 
-// connectRetry dials a tenant session on node under the migration's
-// retry policy: transient failures (transport losses, injected faults at
-// the optional failpoint site) back off exponentially and redial;
-// server-reported errors fail fast. The session inherits the migration's
-// op timeout.
-func connectRetry(node Backend, tenant, site string, opts MigrateOptions) (*wire.Client, error) {
-	p := opts.Retry
-	sleep := p.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	attempts := p.MaxAttempts
-	if attempts <= 0 {
-		attempts = 1
-	}
+// connectRetry dials a tenant session on node under destRetry: transient
+// failures (transport losses, injected faults at the optional failpoint
+// site) back off exponentially and redial; server-reported errors fail
+// fast. The session carries destOpTimeout and the attempt's trace context
+// (nil when obs is off).
+func connectRetry(node Backend, tenant, site string, trace *wire.TraceContext) (*wire.Client, error) {
+	p := destRetry
 	var rng *rand.Rand // lazily seeded: most dials succeed on attempt 0
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			if rng == nil {
 				rng = p.JitterRNG()
 			}
-			sleep(p.Backoff(attempt, rng))
+			time.Sleep(p.Backoff(attempt, rng))
 			obsMigRetries.Inc()
 		}
 		if site != "" {
@@ -645,11 +587,9 @@ func connectRetry(node Backend, tenant, site string, opts MigrateOptions) (*wire
 		}
 		c, err := node.Connect(tenant)
 		if err == nil {
-			if opts.OpTimeout > 0 {
-				c.SetOpTimeout(opts.OpTimeout)
-			}
-			if opts.trace != nil {
-				c.SetTraceContext(opts.trace)
+			c.SetOpTimeout(destOpTimeout)
+			if trace != nil {
+				c.SetTraceContext(trace)
 			}
 			return c, nil
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"madeus/internal/cluster"
+	"madeus/internal/engine"
 	"madeus/internal/flow"
 	"madeus/internal/sqlmini"
 	"madeus/internal/wire"
@@ -14,35 +15,14 @@ import (
 
 // Options configures the middleware.
 type Options struct {
-	// Players caps the number of concurrent players during Madeus/B-CON
-	// propagation. Defaults to 64.
-	Players int
 	// CatchupTimeout bounds Step 3: if the slave has not caught up with
 	// the master within it, the migration is aborted and reported as
 	// failed ("the slave could not catch up with the master",
 	// Sec 5.3.2's B-CON N/A). Defaults to 2 minutes.
 	CatchupTimeout time.Duration
-	// BConHerdSpin models the pthread mutex competition the paper blames
-	// for B-CON's collapse: "all players compete for the pthread mutex
-	// lock at every commit time" (Sec 5.3.2). Every waiting B-CON player
-	// burns this much CPU at every commit wake-up, so the per-commit cost
-	// grows with the number of in-flight players — the convoy that makes
-	// B-CON worse than B-ALL under load. Defaults to 2ms; negative
-	// disables the model.
-	BConHerdSpin time.Duration
 	// ListenAddr for the customer-facing wire server. Defaults to
 	// "127.0.0.1:0".
 	ListenAddr string
-	// OpTimeout bounds each middleware-issued destination operation
-	// during migrations (restore, propagation replay, promotion probe) so
-	// a hung destination surfaces as a connection loss. Defaults to 10s;
-	// negative disables the bound.
-	OpTimeout time.Duration
-	// Retry is the default policy for retrying the migration's own
-	// idempotent destination operations (dials, the promotion probe).
-	// Defaults to 4 attempts from 25ms exponential backoff capped at
-	// 500ms with 20% jitter; MaxAttempts < 0 disables retries.
-	Retry wire.RetryPolicy
 	// Flow is the backpressure/admission-control configuration (SSL caps,
 	// adaptive pacing, migration watchdog, session limits), validated by
 	// New. The zero value disables the whole layer; flow.DefaultConfig()
@@ -79,6 +59,13 @@ type Middleware struct {
 	opts Options
 	flow *flow.Governor
 
+	// dumpChunk and catchupDebt are the statements per Step-1 chunk and
+	// the Step-3 catch-up threshold, engine.DefaultDumpChunk and
+	// flow.CatchupDebt. Unexported so only this package's tests can shrink
+	// them, and only before a migration starts.
+	dumpChunk   int
+	catchupDebt int
+
 	mu      sync.RWMutex //madeusvet:lockrank middleware 10
 	tenants map[string]*Tenant
 	nodes   map[string]Backend
@@ -95,28 +82,11 @@ type Middleware struct {
 
 // New starts a middleware instance with its customer-facing listener.
 func New(opts Options) (*Middleware, error) {
-	if opts.Players <= 0 {
-		opts.Players = 64
-	}
 	if opts.CatchupTimeout <= 0 {
 		opts.CatchupTimeout = 2 * time.Minute
 	}
-	if opts.BConHerdSpin == 0 {
-		opts.BConHerdSpin = 2 * time.Millisecond
-	}
 	if opts.ListenAddr == "" {
 		opts.ListenAddr = "127.0.0.1:0"
-	}
-	if opts.OpTimeout == 0 {
-		opts.OpTimeout = 10 * time.Second
-	}
-	if opts.Retry.MaxAttempts == 0 {
-		opts.Retry = wire.RetryPolicy{
-			MaxAttempts: 4,
-			BaseBackoff: 25 * time.Millisecond,
-			MaxBackoff:  500 * time.Millisecond,
-			Jitter:      0.2,
-		}
 	}
 	gov, err := flow.NewGovernor(opts.Flow)
 	if err != nil {
@@ -126,12 +96,14 @@ func New(opts Options) (*Middleware, error) {
 		opts.HistoryCadence = time.Second
 	}
 	m := &Middleware{
-		opts:       opts,
-		flow:       gov,
-		tenants:    make(map[string]*Tenant),
-		nodes:      make(map[string]Backend),
-		sampleStop: make(chan struct{}),
-		sampleDone: make(chan struct{}),
+		opts:        opts,
+		flow:        gov,
+		dumpChunk:   engine.DefaultDumpChunk,
+		catchupDebt: flow.CatchupDebt,
+		tenants:     make(map[string]*Tenant),
+		nodes:       make(map[string]Backend),
+		sampleStop:  make(chan struct{}),
+		sampleDone:  make(chan struct{}),
 	}
 	m.sampleCadence.Store(int64(opts.HistoryCadence))
 	srv, err := wire.Listen(opts.ListenAddr, m)

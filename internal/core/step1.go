@@ -22,11 +22,10 @@ const (
 	faultStep1Restore = "core.step1.restore"
 )
 
-// Pipeline shape. Only the chunk size has a MigrateOptions override.
+// Pipeline shape. The chunk size is the middleware's dumpChunk.
 const (
-	defaultChunkStatements = 64 // statements per dump chunk
-	restoreAppliers        = 4  // parallel appliers per slave
-	restoreQueueChunks     = 2  // per-slave bounded channel depth
+	restoreAppliers    = 4 // parallel appliers per slave
+	restoreQueueChunks = 2 // per-slave bounded channel depth
 	// chunkStmtOverhead approximates the per-statement bookkeeping cost
 	// added to the SQL text when charging a chunk against the transfer
 	// budget (string header, slice slot, frame header amortized).
@@ -81,7 +80,8 @@ type slaveRun struct {
 
 // pipelineSnapshot is Step 1 + Step 2 as one three-stage pipeline
 // (dump → transfer → restore). ctl must hold the open dump transaction
-// with its snapshot already pinned.
+// with its snapshot already pinned; chunk is the statements per chunk and
+// trace the attempt's trace context (nil when obs is off).
 //
 //	stage 1  the source session streams bounded statement chunks
 //	         (DUMP STREAM over the wire's multi-frame response)
@@ -99,7 +99,7 @@ type slaveRun struct {
 // The dump transaction COMMITs as soon as the scan finishes — the source
 // stops pinning MVCC versions while slaves are still applying.
 func pipelineSnapshot(ctl *wire.Client, tenant string, slaves []Backend,
-	opts MigrateOptions, budget *flow.TransferBudget) *pipelineResult {
+	chunk int, trace *wire.TraceContext, budget *flow.TransferBudget) *pipelineResult {
 	res := &pipelineResult{slaveErr: make(map[Backend]error)}
 
 	runs := make([]*slaveRun, len(slaves))
@@ -114,7 +114,7 @@ func pipelineSnapshot(ctl *wire.Client, tenant string, slaves []Backend,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := restoreStream(sr, tenant, opts); err != nil {
+			if err := restoreStream(sr, tenant, trace); err != nil {
 				sr.err = err
 				close(sr.done)
 				if atomic.AddInt32(&live, -1) == 0 {
@@ -164,7 +164,7 @@ func pipelineSnapshot(ctl *wire.Client, tenant string, slaves []Backend,
 		return nil
 	}
 
-	_, err := ctl.ExecStream(fmt.Sprintf("DUMP STREAM %d", opts.ChunkStatements), sink)
+	_, err := ctl.ExecStream(fmt.Sprintf("DUMP STREAM %d", chunk), sink)
 	if err == nil {
 		_, err = ctl.Exec("COMMIT")
 	}
@@ -209,7 +209,7 @@ type applyAck struct {
 // connection, each chunk one transaction) and folds their completions into
 // a single ordered acknowledgement cursor — chunk k counts as restored only
 // once chunks 0..k have all committed.
-func restoreStream(sr *slaveRun, tenant string, opts MigrateOptions) error {
+func restoreStream(sr *slaveRun, tenant string, trace *wire.TraceContext) error {
 	if ferr := fault.Inject(faultStep2Restore); ferr != nil {
 		return ferr
 	}
@@ -227,7 +227,7 @@ func restoreStream(sr *slaveRun, tenant string, opts MigrateOptions) error {
 		if i == 0 {
 			site = faultRestoreDial
 		}
-		cn, err := connectRetry(sr.sl, tenant, site, opts)
+		cn, err := connectRetry(sr.sl, tenant, site, trace)
 		if err != nil {
 			return err
 		}

@@ -15,10 +15,10 @@ func TestPipelinedMigrateReportsChunks(t *testing.T) {
 	rig := newRig(t, 2, engine.Options{DumpBatch: 10})
 	rig.provision(t, "a", 200)
 
+	rig.mw.dumpChunk = 4
 	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{
-		Strategy:        Madeus,
-		ChunkStatements: 4,
-		KeepSource:      true,
+		Strategy:   Madeus,
+		KeepSource: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,9 +44,9 @@ func TestPipelinedTransferBudgetCapsPeak(t *testing.T) {
 		engine.Options{DumpBatch: 5}, engine.Options{DumpBatch: 5})
 	rig.provision(t, "a", 300)
 
+	rig.mw.dumpChunk = 2
 	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{
-		Strategy:        Madeus,
-		ChunkStatements: 2,
+		Strategy: Madeus,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,11 +69,11 @@ func TestPipelinedMigrateWithBackups(t *testing.T) {
 	rig := newRig(t, 3, engine.Options{DumpBatch: 10})
 	rig.provision(t, "a", 100)
 
+	rig.mw.dumpChunk = 4
 	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{
-		Strategy:        Madeus,
-		Backups:         []string{"node2"},
-		ChunkStatements: 4,
-		KeepSource:      true,
+		Strategy:   Madeus,
+		Backups:    []string{"node2"},
+		KeepSource: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,10 +123,10 @@ func TestRestoreOneBarrierNoAutocommitInserts(t *testing.T) {
 	c.Close()
 	const insertStmts = 3 * 16
 
+	rig.mw.dumpChunk = 8
 	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{
-		Strategy:        Madeus,
-		ChunkStatements: 8,
-		KeepSource:      true,
+		Strategy:   Madeus,
+		KeepSource: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -301,15 +302,37 @@ func (t *Tenant) commitBoundLocked() uint64 {
 	return bound
 }
 
-// startCapture begins linking committed syncsets to the SSL.
-func (t *Tenant) startCapture(all bool) {
+// claimMigration admits one migration of the tenant to slaves (slaves[0]
+// the destination, the rest backups) and returns its source. Under one
+// t.mu hold it refuses a tenant that already lives on a slave or is
+// already migrating, then begins linking committed syncsets to the SSL.
+func (t *Tenant) claimMigration(slaves []Backend, all bool) (Backend, error) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	source := t.node
+	if slaves[0] == source {
+		return nil, fmt.Errorf("core: tenant %q is already on node %q", t.Name, source.BackendName())
+	}
+	for _, sl := range slaves[1:] {
+		if sl == source || sl == slaves[0] {
+			return nil, fmt.Errorf("core: backup node %q duplicates the source or destination", sl.BackendName())
+		}
+	}
+	if t.migrating {
+		return nil, fmt.Errorf("core: tenant %q is already migrating", t.Name)
+	}
+	t.startCaptureLocked(all)
+	return source, nil
+}
+
+// startCaptureLocked begins linking committed syncsets to the SSL. t.mu
+// must be held.
+func (t *Tenant) startCaptureLocked(all bool) {
 	t.migrating = true
 	t.captureAll = all
 	t.resetSSLLocked()
 	t.capturedOps = 0
 	t.capturedSSBs = 0
-	t.mu.Unlock()
 }
 
 // stopCapture stops linking and clears the SSL (returning its accounting,

@@ -51,9 +51,17 @@ const (
 	DefaultMaxSSLOps = 1_000_000
 	// DefaultMaxSSLBytes bounds the capture buffer's memory footprint.
 	DefaultMaxSSLBytes = 256 << 20
+	// CatchupDebt is the syncset debt a slave may run behind by while it
+	// turns the SSL over: Step 4 (suspend + final drain + switch) begins
+	// once the debt has stayed at or below it from some instant until every
+	// syncset linked at that instant has been applied (internal/core's
+	// catchup rule). Debt counts syncsets that are replayable now but not
+	// yet applied; syncsets the LSIR holds back behind active master
+	// transactions are an irreducible floor and are excluded. It bounds
+	// what Step 4's suspension has left to drain; it is not a time.
+	CatchupDebt = 64
 	// DefaultPaceTargetDebt is the debt the controller steers toward; it
-	// sits below the default catch-up threshold (MigrateOptions.CatchupLag)
-	// so paced migrations reach switch-over.
+	// sits below CatchupDebt so paced migrations reach switch-over.
 	DefaultPaceTargetDebt = 32
 	// DefaultPaceStep seeds the controller's first nonzero delay.
 	DefaultPaceStep = time.Millisecond
@@ -96,7 +104,10 @@ type Config struct {
 	MaxSSLBytes int64
 
 	// PaceTargetDebt is the Step-3 debt the pacing controller steers the
-	// migrating tenant toward. Only meaningful when PaceMaxDelay > 0.
+	// migrating tenant toward. Only meaningful when PaceMaxDelay > 0, and
+	// then at most CatchupDebt: the controller lets the brake off at this
+	// debt, so a higher target would hold a migration at a debt the
+	// catch-up rule never accepts.
 	PaceTargetDebt int
 	// PaceStep is the controller's smallest nonzero delay (the ramp seed).
 	PaceStep time.Duration
@@ -173,6 +184,9 @@ func (c Config) Validate() error {
 	}
 	if c.PaceMaxDelay < 0 || c.PaceMaxDelay > MaxPaceDelay {
 		return fmt.Errorf("flow: PaceMaxDelay %v outside [0, %v]", c.PaceMaxDelay, time.Duration(MaxPaceDelay))
+	}
+	if c.PaceMaxDelay > 0 && c.PaceTargetDebt > CatchupDebt {
+		return fmt.Errorf("flow: PaceTargetDebt %d above the catch-up debt %d with pacing enabled", c.PaceTargetDebt, CatchupDebt)
 	}
 	if c.PaceMaxDelay > 0 && c.PaceStep == 0 {
 		return fmt.Errorf("flow: pacing enabled (PaceMaxDelay %v) with PaceStep 0", c.PaceMaxDelay)

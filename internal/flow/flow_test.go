@@ -26,6 +26,7 @@ func TestValidateRejectsEveryBadField(t *testing.T) {
 		{"neg ssl ops", func(c *Config) { c.MaxSSLOps = -1 }},
 		{"neg ssl bytes", func(c *Config) { c.MaxSSLBytes = -1 }},
 		{"neg target debt", func(c *Config) { c.PaceTargetDebt = -1 }},
+		{"target debt above catch-up", func(c *Config) { c.PaceTargetDebt = CatchupDebt + 1 }},
 		{"neg pace step", func(c *Config) { c.PaceStep = -time.Millisecond }},
 		{"neg pace max", func(c *Config) { c.PaceMaxDelay = -1 }},
 		{"pace max over ceiling", func(c *Config) { c.PaceMaxDelay = MaxPaceDelay + 1 }},
@@ -46,6 +47,26 @@ func TestValidateRejectsEveryBadField(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", tc.name, cfg)
 		}
+	}
+}
+
+// TestPaceTargetAtMostCatchupDebt: the controller releases its brake at
+// PaceTargetDebt and Step 4 starts at CatchupDebt, so a paced target above
+// the threshold could hold a migration where it never switches over.
+// Equality is allowed, and so is any target while pacing is off.
+func TestPaceTargetAtMostCatchupDebt(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PaceTargetDebt = CatchupDebt
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("target equal to the catch-up debt rejected: %v", err)
+	}
+	cfg.PaceTargetDebt = CatchupDebt + 1
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "PaceTargetDebt") {
+		t.Fatalf("target above the catch-up debt with pacing on: err = %v", err)
+	}
+	cfg.PaceMaxDelay = 0
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("target above the catch-up debt with pacing off rejected: %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // On-disk format. The log file is a sequence of frames:
@@ -27,6 +28,11 @@ import (
 const (
 	frameHeaderSize = 8
 	maxFramePayload = 1 << 26 // 64 MiB; far above any record the engine emits
+	// frameReadStep bounds each read of a frame's payload. The length
+	// prefix is not trusted for allocation: a scribbled header claiming
+	// 64 MiB over a short file costs what the file holds, not what the
+	// header claims.
+	frameReadStep = 1 << 16
 )
 
 // ErrCorrupt reports a frame that failed validation somewhere other than a
@@ -56,13 +62,19 @@ func ReadFrame(br *bufio.Reader) ([]byte, error) {
 		}
 		return nil, err // io.EOF: clean end
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n > maxFramePayload {
+	claimed := binary.LittleEndian.Uint32(hdr[0:4])
+	if claimed > maxFramePayload {
 		return nil, ErrCorrupt
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, io.ErrUnexpectedEOF
+	n := int(claimed)
+	payload := make([]byte, 0, min(n, frameReadStep))
+	for len(payload) < n {
+		step := min(n-len(payload), frameReadStep)
+		payload = slices.Grow(payload, step)
+		if _, err := io.ReadFull(br, payload[len(payload):len(payload)+step]); err != nil {
+			return nil, io.ErrUnexpectedEOF
+		}
+		payload = payload[:len(payload)+step]
 	}
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
 		return nil, ErrCorrupt

@@ -1,6 +1,11 @@
 package wal
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -177,4 +182,24 @@ func BenchmarkSerialCommitParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestReadFrameAllocatesWhatItReads: a header claiming the 64 MiB maximum
+// over a 10-byte tail is a torn frame, and reading it allocates what the
+// input holds, not what the header claims.
+func TestReadFrameAllocatesWhatItReads(t *testing.T) {
+	frame := binary.LittleEndian.AppendUint32(nil, maxFramePayload)
+	frame = binary.LittleEndian.AppendUint32(frame, 0)
+	frame = append(frame, "0123456789"...)
+	br := bufio.NewReaderSize(bytes.NewReader(frame), 1<<16)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(br)
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("ReadFrame allocated %d bytes for a 10-byte payload claiming %d", got, maxFramePayload)
+	}
 }

@@ -52,6 +52,11 @@ go test -run '^$' -fuzz '^FuzzDecodeStreamChunk$' -fuzztime 10s ./internal/wire/
 # payload it accepts re-encodes to the same bytes.
 go test -run '^$' -fuzz '^FuzzDecodeTraced$' -fuzztime 10s ./internal/wire/
 
+# The WAL segment scanner Open and Replay run over durable logs likewise: it
+# never panics, a torn or corrupt frame ends the scan at the last good
+# frame, and every record it accepts re-encodes to the same bytes.
+go test -run '^$' -fuzz '^FuzzReplaySegment$' -fuzztime 10s ./internal/wal/
+
 # The SQL parser's fuzz target the same way: it never panics, and every
 # statement it accepts renders to SQL that parses back to the same text.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/sqlmini/
