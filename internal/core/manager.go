@@ -117,6 +117,16 @@ type Report struct {
 	SuspendProbe     time.Duration
 	SuspendFlip      time.Duration
 
+	// GCCPU and GCCycles are the garbage collector's CPU time and its
+	// completed cycles over the attempt: runtime/metrics deltas of
+	// /cpu/classes/gc/total:cpu-seconds and /gc/cycles/total:gc-cycles.
+	// Both are process-wide estimates, updated when a GC cycle ends: they
+	// count the collection work of everything in the process, not this
+	// migration's alone, and a cycle still running when the attempt ends
+	// is not in them.
+	GCCPU    time.Duration
+	GCCycles uint64
+
 	// Chunks and PeakTransferBytes describe the pipelined Step-1 stream:
 	// how many chunks the snapshot shipped in and the high-water mark of
 	// resident transfer memory (bounded by flow.Config.MaxTransferBytes).
@@ -202,6 +212,7 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 		Strategy: opts.Strategy,
 		Start:    time.Now(),
 	}
+	gc0 := readGC()
 
 	// Bookmark the tracer so the report's Timeline carries exactly this
 	// migration's events.
@@ -232,6 +243,7 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 		rep.RollbackStep = step
 		rep.RollbackReason = err.Error()
 		rep.End = time.Now()
+		rep.GCCPU, rep.GCCycles = gc0.since()
 		obsMigFailed.Inc()
 		obsMigRollbacks.Inc()
 		obs.Trace.Emit(tenantName, "migrate.rollback", obs.F("step", step), obs.F("err", err))
@@ -508,6 +520,7 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	t.stopCapture()
 	t.setGate(false)
 	rep.End = time.Now()
+	rep.GCCPU, rep.GCCycles = gc0.since()
 	rep.SuspendDrain = drained.Sub(suspendStart)
 	rep.SuspendPropagate = propagated.Sub(drained)
 	rep.SuspendProbe = probed.Sub(propagated)
@@ -523,7 +536,8 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	t.setProgress("", nil)
 	obsMigCompleted.Inc()
 	obs.Trace.Emit(tenantName, "migrate.end",
-		obs.F("total", rep.Total()), obs.F("syncsets", rep.Propagation.Syncsets))
+		obs.F("total", rep.Total()), obs.F("syncsets", rep.Propagation.Syncsets),
+		obs.F("gc_cpu", rep.GCCPU), obs.F("gc_cycles", rep.GCCycles))
 	rep.Timeline = obs.Trace.Since(seq0, tenantName)
 
 	if !opts.KeepSource {
@@ -641,11 +655,11 @@ func (r *Report) String() string {
 		}
 	}
 	us := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
-	return fmt.Sprintf("migrate %s %s->%s [%s] total=%v drain=%v snap=%v restore=%v propagate=%v switch=%v suspend=%v (drain=%v propagate=%v probe=%v flip=%v) syncsets=%d maxGroup=%d %s",
+	return fmt.Sprintf("migrate %s %s->%s [%s] total=%v drain=%v snap=%v restore=%v propagate=%v switch=%v suspend=%v (drain=%v propagate=%v probe=%v flip=%v) syncsets=%d maxGroup=%d gc=%v/%d %s",
 		r.Tenant, r.Source, r.Dest, r.Strategy, r.Total().Round(time.Millisecond),
 		r.DrainTime.Round(time.Millisecond), r.SnapshotTime.Round(time.Millisecond),
 		r.RestoreTime.Round(time.Millisecond), r.PropagateTime.Round(time.Millisecond),
 		r.SwitchTime.Round(time.Millisecond), us(r.SuspensionWindow),
 		us(r.SuspendDrain), us(r.SuspendPropagate), us(r.SuspendProbe), us(r.SuspendFlip),
-		r.Propagation.Syncsets, r.Propagation.MaxGroup, status)
+		r.Propagation.Syncsets, r.Propagation.MaxGroup, us(r.GCCPU), r.GCCycles, status)
 }

@@ -128,7 +128,9 @@ func scanInserts(tb *mvcc.Table, txn *mvcc.Txn, batch int, emit func(stmt []byte
 		}
 		return err == nil
 	}
-	tb.Scan(txn, func(r storage.Row) bool {
+	r := make(storage.Row, len(tb.Schema.Columns))
+	tb.ScanRecs(txn, func(rec mvcc.Rec) bool {
+		rec.Decode(r, mvcc.AllCols)
 		if rows > 0 {
 			buf = append(buf, ", "...)
 		}

@@ -121,40 +121,47 @@ func (s *Session) execInsert(st *sqlmini.Insert, sql string, out *resultBuf) (*R
 		return nil, fmt.Errorf("engine: table %q does not exist", st.Table)
 	}
 	schema := tb.Schema
-	colIdx := make([]int, len(st.Columns))
+	var colBuf [16]int
+	colIdx := colBuf[:0]
 	inOrder := len(st.Columns) == len(schema.Columns)
 	for i, name := range st.Columns {
 		ci := schema.ColumnIndex(name)
 		if ci < 0 {
 			return nil, fmt.Errorf("engine: table %q has no column %q", st.Table, name)
 		}
-		colIdx[i] = ci
+		colIdx = append(colIdx, ci)
 		inOrder = inOrder && ci == i
 	}
-	rows, computed := st.Values, st.Rows != nil
+	computed := st.Rows != nil
+	n := len(st.Values)
 	if computed {
-		var err error
-		if rows, err = evalRows(st.Rows); err != nil {
-			return nil, err
-		}
+		n = len(st.Rows)
 	}
-	// A row in the schema's column order is stored as it is, when it is the
-	// statement's to give: Insert takes it over and widens it in place.
-	// Evaluated rows are; a literal statement's are unless the parse cache
-	// may hold the statement, which sessions share read-only.
-	own := inOrder && (computed || !sqlmini.Cacheable(st))
 
 	// Value logging: redo never re-evaluates an expression. A literal
-	// INSERT is its own redo; a computed one logs its rows as evaluated,
-	// rendered before Insert widens them.
+	// INSERT is its own redo; a computed one logs its rows as evaluated.
 	var redo []byte
 	if computed {
 		redo = appendInsertHead(make([]byte, 0, len(sql)+64), schema)
 	}
-	for i, vals := range rows {
+	// Insert encodes each row and keeps none of them, so a row in the
+	// schema's column order is inserted as it is, a parsed or evaluated one
+	// included, and any other is built in the session's write row.
+	for i := 0; i < n; i++ {
+		var vals []sqlmini.Value
+		if computed {
+			var err error
+			if s.row, err = evalRow(s.row[:0], st.Rows[i]); err != nil {
+				return nil, err
+			}
+			vals = s.row
+		} else {
+			vals = st.Values[i]
+		}
 		row := storage.Row(vals)
-		if !own {
-			row = make(storage.Row, len(schema.Columns)) // NULL where no value is named
+		if !inOrder {
+			row = s.writeRow(len(schema.Columns))
+			clear(row) // NULL where no value is named
 			for j, v := range vals {
 				row[colIdx[j]] = v
 			}
@@ -169,7 +176,6 @@ func (s *Session) execInsert(st *sqlmini.Insert, sql string, out *resultBuf) (*R
 			return nil, err
 		}
 	}
-	n := len(rows)
 	if n > 0 {
 		data := sql
 		if computed {
@@ -181,21 +187,23 @@ func (s *Session) execInsert(st *sqlmini.Insert, sql string, out *resultBuf) (*R
 	return out.counted(insertTag, n), nil
 }
 
-// evalRows evaluates the rows of an INSERT with a computed item, each into
-// a fresh row of values in the statement's column order.
-func evalRows(exprRows [][]sqlmini.Expr) ([][]sqlmini.Value, error) {
-	rows := make([][]sqlmini.Value, len(exprRows))
-	for i, exprs := range exprRows {
-		rows[i] = make([]sqlmini.Value, len(exprs))
-		for j, e := range exprs {
-			v, err := evalExpr(e, nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			rows[i][j] = v
+// evalRow appends to dst the values of a computed INSERT row, in the
+// statement's column order.
+func evalRow(dst []sqlmini.Value, exprs []sqlmini.Expr) ([]sqlmini.Value, error) {
+	for _, e := range exprs {
+		v, err := evalExpr(e, nil, nil)
+		if err != nil {
+			return nil, err
 		}
+		dst = append(dst, v)
 	}
-	return rows, nil
+	return dst, nil
+}
+
+// writeRow returns the session's write row, w values wide.
+func (s *Session) writeRow(w int) storage.Row {
+	s.write = slices.Grow(s.write[:0], w)[:w]
+	return s.write
 }
 
 func (s *Session) execUpdate(st *sqlmini.Update, sql string, out *resultBuf) (*Result, error) {
@@ -218,7 +226,8 @@ func (s *Session) execUpdate(st *sqlmini.Update, sql string, out *resultBuf) (*R
 	recs := s.walBatch[:0]
 	var scratch [256]byte
 	for _, old := range matches {
-		newRow := old.Clone()
+		newRow := s.writeRow(len(old))
+		copy(newRow, old)
 		for _, a := range st.Set {
 			v, err := evalExpr(a.Value, schema, old)
 			if err != nil {
@@ -227,7 +236,6 @@ func (s *Session) execUpdate(st *sqlmini.Update, sql string, out *resultBuf) (*R
 			}
 			newRow[schema.ColumnIndex(a.Column)] = v
 		}
-		// Rendered before Update takes newRow over and widens it in place.
 		redo := appendUpdateRow(scratch[:0], schema, newRow)
 		ok, err := tb.Update(s.txn, schema.PK(old), newRow)
 		if err != nil {
@@ -340,24 +348,31 @@ func appendWherePK(dst []byte, schema *storage.Schema, row storage.Row) []byte {
 // primary-key map when where pins the key with an equality, through a
 // secondary index when one covers an equality conjunct (candidates are a
 // superset, so the whole predicate re-runs on each), and by a full scan
-// otherwise. Rows are borrowed from version storage: fn must not mutate one
-// (see mvcc.Table.Scan).
-func (s *Session) eachMatch(tb *mvcc.Table, where sqlmini.Expr, fn func(storage.Row) bool) error {
+// otherwise. fn gets the row's encoding, and r, the session's read row with
+// the columns in need and those where reads decoded and the others NULL.
+// fn borrows r until it returns; to keep the row it decodes rec (see
+// retain), whose values stay valid (see mvcc.Rec). So a scan decodes, of
+// every row, only what deciding on it takes.
+func (s *Session) eachMatch(tb *mvcc.Table, where sqlmini.Expr, need mvcc.Cols, fn func(r storage.Row, rec mvcc.Rec) bool) error {
 	schema := tb.Schema
+	w := len(schema.Columns)
+	s.row = slices.Grow(s.row[:0], w)[:w]
+	clear(s.row)
+	need |= exprCols(schema, where)
 	var err error
-	visit := fn
-	if where != nil {
-		visit = func(r storage.Row) bool {
+	visit := func(rec mvcc.Rec) bool {
+		rec.Decode(s.row, need)
+		if where != nil {
 			var match bool
-			if match, err = evalFilter(where, schema, r); err != nil {
-				return false
+			if match, err = evalFilter(where, schema, s.row); err != nil || !match {
+				return err == nil
 			}
-			return !match || fn(r)
 		}
+		return fn(s.row, rec)
 	}
 	if pk, ok := pkEquality(schema, where); ok {
-		if row := tb.Get(s.txn, pk); row != nil {
-			visit(row)
+		if rec, ok := tb.GetRec(s.txn, pk); ok {
+			visit(rec)
 		}
 		return err
 	}
@@ -368,14 +383,14 @@ func (s *Session) eachMatch(tb *mvcc.Table, where sqlmini.Expr, fn func(storage.
 				return c
 			})
 			for _, pk := range pks {
-				if row := tb.Get(s.txn, pk); row != nil && !visit(row) {
+				if rec, ok := tb.GetRec(s.txn, pk); ok && !visit(rec) {
 					break
 				}
 			}
 			return err
 		}
 	}
-	tb.Scan(s.txn, visit)
+	tb.ScanRecs(s.txn, visit)
 	return err
 }
 
@@ -384,16 +399,65 @@ func (s *Session) eachMatch(tb *mvcc.Table, where sqlmini.Expr, fn func(storage.
 // scan runs. The caller hands the rows back to releaseMatches.
 func (s *Session) collectMatches(tb *mvcc.Table, where sqlmini.Expr) ([]storage.Row, error) {
 	rows := s.matches
-	err := s.eachMatch(tb, where, func(r storage.Row) bool { rows = append(rows, r); return true })
+	err := s.eachMatch(tb, where, 0, func(_ storage.Row, rec mvcc.Rec) bool {
+		rows = s.retain(rows, rec, len(tb.Schema.Columns), mvcc.AllCols)
+		return true
+	})
 	return rows, err
 }
 
-// releaseMatches ends a statement's use of the match buffer: it clears the
-// borrowed rows, so the buffer never keeps alive a version vacuum would
-// otherwise free, and keeps the array for the next statement.
+// retain appends to rows the row rec encodes, w values wide, with the
+// columns in need decoded and the others NULL: into a slot a top-k cut
+// freed, or a new one in the session's rowVals. Every kept row has a slot of
+// its own, so sorting the match buffer moves only row headers.
+func (s *Session) retain(rows []storage.Row, rec mvcc.Rec, w int, need mvcc.Cols) []storage.Row {
+	var slot storage.Row
+	if n := len(s.freed); n > 0 {
+		slot = s.freed[n-1]
+		s.freed = s.freed[:n-1]
+		clear(slot)
+	} else {
+		i := len(s.rowVals)
+		s.rowVals = slices.Grow(s.rowVals, w)[:i+w] // zero: releaseMatches clears what it used
+		slot = s.rowVals[i : i+w : i+w]
+	}
+	rec.Decode(slot, need)
+	return append(rows, slot)
+}
+
+// releaseMatches ends a statement's use of the match buffer and of the
+// values its rows hold: it clears both, so neither keeps alive what the
+// statement read, and keeps the arrays for the next statement.
 func (s *Session) releaseMatches(rows []storage.Row) {
 	clear(rows)
-	s.matches = kept(rows)
+	clear(s.rowVals)
+	s.matches, s.rowVals, s.freed = kept(rows), kept(s.rowVals), kept(s.freed)
+}
+
+// exprCols returns the columns of schema that e reads.
+func exprCols(schema *storage.Schema, e sqlmini.Expr) mvcc.Cols {
+	switch e := e.(type) {
+	case nil, *sqlmini.Literal:
+		return 0
+	case *sqlmini.ColumnRef:
+		return colBit(schema.ColumnIndex(e.Name))
+	case *sqlmini.Binary:
+		return exprCols(schema, e.L) | exprCols(schema, e.R)
+	case *sqlmini.Not:
+		return exprCols(schema, e.E)
+	case *sqlmini.Neg:
+		return exprCols(schema, e.E)
+	}
+	return mvcc.AllCols
+}
+
+// colBit returns the set holding column i; none for i < 0, which names no
+// column, or for a column mvcc.Cols always holds.
+func colBit(i int) mvcc.Cols {
+	if i < 0 || i >= 64 {
+		return 0
+	}
+	return 1 << i
 }
 
 // pkEquality detects a top-level `pk = literal` conjunct in where, enabling
@@ -495,12 +559,20 @@ func (s *Session) execSelect(st *sqlmini.Select, out *resultBuf) (*Result, error
 		}
 	}
 	s.proj = kept(proj)
+	// A match is decided on its ORDER BY column (and where's), and only a
+	// row kept for the result has its projection decoded too.
+	var decide, keepCols mvcc.Cols
+	for _, ci := range proj {
+		keepCols |= colBit(ci)
+	}
 	var cmp func(a, b storage.Row) int
 	if st.OrderBy != "" {
 		ci := schema.ColumnIndex(st.OrderBy)
 		if ci < 0 {
 			return nil, fmt.Errorf("engine: table %q has no column %q", st.Table, st.OrderBy)
 		}
+		decide = colBit(ci)
+		keepCols |= decide
 		cmp = func(a, b storage.Row) int {
 			c, err := a[ci].Compare(b[ci])
 			if err != nil {
@@ -513,16 +585,16 @@ func (s *Session) execSelect(st *sqlmini.Select, out *resultBuf) (*Result, error
 		}
 	}
 
-	// rows, the session's match buffer, holds the borrowed rows the result
-	// is made of. Without ORDER BY they are the first matches in
-	// primary-key order and LIMIT stops the scan. With ORDER BY and LIMIT
+	// rows, the session's match buffer, holds copies of the rows the result
+	// is made of (see retain). Without ORDER BY they are the first matches
+	// in primary-key order and LIMIT stops the scan. With ORDER BY and LIMIT
 	// k, rows is a candidate buffer: whenever it holds more than 2k rows it
 	// is stably sorted and cut to the best k, and a match that does not beat
 	// the k-th is skipped — an equal row arrived later, so it never
 	// displaces an earlier one. Either way the result is that of a stable
 	// sort of every match followed by LIMIT; only ORDER BY without LIMIT
-	// holds every match. A cut clears the rows it drops, so releaseMatches
-	// finds every borrowed row below len(rows).
+	// holds every match. A cut frees the slots of the rows it drops for the
+	// matches after it.
 	k := st.Limit
 	rows := s.matches
 	var kth storage.Row
@@ -531,19 +603,21 @@ func (s *Session) execSelect(st *sqlmini.Select, out *resultBuf) (*Result, error
 			slices.SortStableFunc(rows, cmp)
 		}
 		if k >= 0 && int64(len(rows)) > k {
+			s.freed = append(s.freed, rows[k:]...)
 			clear(rows[k:])
 			rows = rows[:k]
 		}
 	}
-	err := s.eachMatch(tb, st.Where, func(r storage.Row) bool {
+	w := len(schema.Columns)
+	err := s.eachMatch(tb, st.Where, decide, func(r storage.Row, rec mvcc.Rec) bool {
 		if cmp == nil {
-			rows = append(rows, r)
+			rows = s.retain(rows, rec, w, keepCols)
 			return k < 0 || int64(len(rows)) < k
 		}
 		if kth != nil && cmp(r, kth) >= 0 {
 			return true
 		}
-		rows = append(rows, r)
+		rows = s.retain(rows, rec, w, keepCols)
 		if k >= 0 && int64(len(rows))-k > k {
 			keep()
 			if k == 0 {
@@ -590,7 +664,7 @@ func (s *Session) aggregate(tb *mvcc.Table, st *sqlmini.Select, out *resultBuf) 
 	floatCol := ci >= 0 && tb.Schema.Columns[ci].Type == sqlmini.KindFloat
 	var n, sumI int64
 	var sumF float64
-	err := s.eachMatch(tb, st.Where, func(r storage.Row) bool {
+	err := s.eachMatch(tb, st.Where, colBit(ci), func(r storage.Row, _ mvcc.Rec) bool {
 		n++
 		// A column holds one kind, and a NULL reads as zero either way,
 		// so the sum skips NULLs.

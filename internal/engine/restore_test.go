@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -124,13 +127,13 @@ func TestDumpAndRedoTextGolden(t *testing.T) {
 	}
 }
 
-// TestWritesStoreTheParsersRows carries mvcc's TestWritesStoreTheCallersRow
-// up to the executor: a multi-row literal INSERT stores the very rows the
-// parser decoded, widened in place. A single-row INSERT, which the parse
-// cache may share across sessions, lends nothing: run twice, it stores two
-// distinct rows, each widened on its own, and the cached statement keeps
-// its INT literal.
-func TestWritesStoreTheParsersRows(t *testing.T) {
+// TestWritesEncodeTheParsersRows carries mvcc's TestWritesEncodeTheCallersRow
+// up to the executor: a multi-row literal INSERT is decoded into the
+// session's parse array and its rows are encoded, widened, without being
+// changed, so the next INSERT reuses the array; and a single-row INSERT,
+// which the parse cache may share across sessions, runs from the cache with
+// its INT literal untouched.
+func TestWritesEncodeTheParsersRows(t *testing.T) {
 	e := New(Options{})
 	defer e.Close()
 	if err := e.CreateDatabase("o"); err != nil {
@@ -145,49 +148,34 @@ func TestWritesStoreTheParsersRows(t *testing.T) {
 		return tb.Get(r, sqlmini.NewInt(k))
 	}
 
-	const batch = "INSERT INTO m (k, x) VALUES (1, 2), (2, 3)"
-	st, err := sqlmini.Parse(batch)
-	if err != nil {
-		t.Fatal(err)
+	mustExec(t, s, "INSERT INTO m (k, x) VALUES (1, 2), (2, 3)")
+	parsed := s.parsed[:4]
+	if want := []sqlmini.Value{sqlmini.NewInt(1), sqlmini.NewInt(2), sqlmini.NewInt(2), sqlmini.NewInt(3)}; !slices.Equal(parsed, want) {
+		t.Errorf("parse array holds %v, want the INSERT's rows unchanged %v", parsed, want)
 	}
-	ins := st.(*sqlmini.Insert)
-	mustExec(t, s, "BEGIN")
-	s.ensureTxn()
-	if _, err := s.execStatement(ins, batch, nil); err != nil {
-		t.Fatal(err)
+	mustExec(t, s, "INSERT INTO m (k, x) VALUES (5, 6), (7, 8)")
+	if &s.parsed[:1][0] != &parsed[0] {
+		t.Error("the second INSERT did not reuse the session's parse array")
 	}
-	mustExec(t, s, "COMMIT")
-	for i, row := range ins.Values {
-		got := stored(int64(i + 1))
-		if &got[0] != &row[0] {
-			t.Errorf("row %d: the table stored a copy of the parser's row", i)
-		}
-		if want := sqlmini.NewFloat(float64(i + 2)); row[1] != want {
-			t.Errorf("row %d: x = %s %v, want it widened in place to FLOAT %v", i, row[1].Kind, row[1], want)
+	for k, x := range map[int64]float64{1: 2, 2: 3, 5: 6, 7: 8} {
+		if got := stored(k); got[1] != sqlmini.NewFloat(x) {
+			t.Errorf("row %d: stored x = %s %v, want FLOAT %v", k, got[1].Kind, got[1], x)
 		}
 	}
 
 	const one = "INSERT INTO m (k, x) VALUES (3, 4)"
 	mustExec(t, s, one)
-	first := stored(3)
 	mustExec(t, s, "DELETE FROM m WHERE k = 3")
 	mustExec(t, s, one)
-	second := stored(3)
 	cached, ok := s.db.pcache.Get(one)
 	if !ok {
 		t.Fatal("the single-row INSERT is not in the parse cache")
 	}
-	vals := cached.(*sqlmini.Insert).Values[0]
-	if &first[0] == &second[0] || &first[0] == &vals[0] || &second[0] == &vals[0] {
-		t.Error("a cached INSERT lent its row to the table")
-	}
-	if vals[1] != sqlmini.NewInt(4) {
+	if vals := cached.(*sqlmini.Insert).Values[0]; vals[1] != sqlmini.NewInt(4) {
 		t.Errorf("the cached INSERT's x = %s %v, want the INT it was parsed as", vals[1].Kind, vals[1])
 	}
-	for _, r := range []storage.Row{first, second} {
-		if r[1] != sqlmini.NewFloat(4) {
-			t.Errorf("stored x = %s %v, want FLOAT 4", r[1].Kind, r[1])
-		}
+	if got := stored(3); got[1] != sqlmini.NewFloat(4) {
+		t.Errorf("stored x = %s %v, want FLOAT 4", got[1].Kind, got[1])
 	}
 }
 
@@ -307,6 +295,64 @@ func BenchmarkDumpStream(b *testing.B) {
 		if _, err := s.DumpStream(DefaultDumpChunk, func([]string) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// restoreChunkAllocs returns what applying chunk — a dump's row chunk — as
+// one transaction allocates, into a fresh database made from schema; the
+// least of three runs, so a collection mid-run does not count.
+func restoreChunkAllocs(tb testing.TB, schema, chunk []string) uint64 {
+	e := New(Options{LockTimeout: time.Second})
+	defer e.Close()
+	least := uint64(math.MaxUint64)
+	for run := 0; run < 3; run++ {
+		if err := e.CreateDatabase("dst"); err != nil {
+			tb.Fatal(err)
+		}
+		s, _ := e.NewSession("dst")
+		for _, stmt := range schema {
+			if _, err := s.Exec(stmt); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		stmts := append(append([]string{"BEGIN"}, chunk...), "COMMIT")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, stmt := range stmts {
+			if _, err := s.ExecLent(stmt); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+		s.Close()
+		if err := e.DropDatabase("dst"); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return least
+}
+
+// TestRestoreChunkAllocs pins what a restore allocates per row: a row's
+// version is encoded into the table's pages, its chain comes from an array
+// of chains and holds its first version itself, and the parser decodes each
+// statement's rows into the session's parse array. So a 2,000-row chunk
+// costs its statements' parse and log records, the directory's growth and
+// well under one object per row.
+func TestRestoreChunkAllocs(t *testing.T) {
+	const rows = 2000
+	src := restoreSource(t, rows, 6)
+	var chunks [][]string
+	if _, err := src.DumpStream(0, func(stmts []string) error {
+		chunks = append(chunks, stmts)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got := restoreChunkAllocs(t, chunks[0], chunks[1])
+	t.Logf("a %d-row chunk in %d statements: %d allocations, %.2f per row", rows, len(chunks[1]), got, float64(got)/rows)
+	if got > rows*3/4 {
+		t.Errorf("a %d-row chunk allocates %d objects, want at most %d", rows, got, rows*3/4)
 	}
 }
 

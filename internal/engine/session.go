@@ -151,10 +151,22 @@ type Session struct {
 	// while each is at most maxKeptScratch: the match buffer and the
 	// projection every SELECT uses (UPDATE and DELETE collect their matches
 	// in the former too), and the arrays ExecLent builds its results in.
-	// The match buffer holds borrowed rows only during a statement.
+	// The match buffer holds copies of the rows it keeps: their values are
+	// in rowVals, and freed lists the slots a top-k cut gave back.
 	matches []storage.Row
+	rowVals []sqlmini.Value
+	freed   []storage.Row
 	proj    []int
 	lent    resultBuf
+
+	// The rows a statement's reads decode into and its writes are built
+	// in: row for every row a scan or lookup yields and for an INSERT's
+	// evaluated row, write for an UPDATE's new row or an INSERT's in schema
+	// column order, and parsed for the literal rows of a multi-row INSERT
+	// (sqlmini.ParseInto).
+	row    storage.Row
+	write  storage.Row
+	parsed []sqlmini.Value
 }
 
 // NewSession opens a session on the named tenant database.
@@ -210,7 +222,8 @@ func (s *Session) exec(sql string, out *resultBuf) (*Result, error) {
 	st, cached := s.db.pcache.Get(sql)
 	if !cached {
 		var err error
-		st, err = sqlmini.Parse(sql)
+		st, err = sqlmini.ParseInto(sql, &s.parsed)
+		s.parsed = kept(s.parsed)
 		if err != nil {
 			s.poison(false)
 			return nil, err

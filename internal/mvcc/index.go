@@ -3,6 +3,7 @@ package mvcc
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 
 	"madeus/internal/sqlmini"
@@ -28,6 +29,8 @@ type colIndex struct {
 	entries map[sqlmini.Value]map[sqlmini.Value]struct{} // value -> set of PKs
 }
 
+// add files pk under val. A TEXT value or key is filed as a copy, so an
+// entry never keeps a caller's statement text or a dropped page alive.
 func (ix *colIndex) add(val, pk sqlmini.Value) {
 	if val.IsNull() {
 		return // NULL never matches an equality predicate
@@ -36,10 +39,20 @@ func (ix *colIndex) add(val, pk sqlmini.Value) {
 	set, ok := ix.entries[val]
 	if !ok {
 		set = make(map[sqlmini.Value]struct{})
-		ix.entries[val] = set
+		ix.entries[owned(val)] = set
 	}
-	set[pk] = struct{}{}
+	if _, ok := set[pk]; !ok {
+		set[owned(pk)] = struct{}{}
+	}
 	ix.mu.Unlock()
+}
+
+// owned returns v with a TEXT's bytes copied.
+func owned(v sqlmini.Value) sqlmini.Value {
+	if v.Kind == sqlmini.KindText {
+		v.Str = strings.Clone(v.Str)
+	}
+	return v
 }
 
 func (ix *colIndex) lookup(val sqlmini.Value) []sqlmini.Value {
@@ -90,7 +103,7 @@ func (tb *Table) CreateIndex(name, column string) error {
 	for _, c := range chains {
 		c.ch.mu.Lock()
 		for i := range c.ch.versions {
-			ix.add(c.ch.versions[i].row[col], c.pk)
+			ix.add(tb.column(c.ch.versions[i].ref, col), c.pk)
 		}
 		c.ch.mu.Unlock()
 	}
@@ -146,10 +159,11 @@ func (tb *Table) IndexLookup(column string, val sqlmini.Value) (pks []sqlmini.Va
 	return nil, false
 }
 
-// indexAdd fans a new version's value out to all matching indexes.
+// indexAdd fans a new version's value, as its column stores it, out to all
+// matching indexes.
 func (tb *Table) indexAdd(row storage.Row, pk sqlmini.Value) {
 	for _, ix := range tb.indexList() {
-		ix.add(row[ix.col], pk)
+		ix.add(tb.Schema.Widen(ix.col, row[ix.col]), pk)
 	}
 }
 
@@ -183,7 +197,7 @@ func (tb *Table) chainContains(pk sqlmini.Value, col int, val sqlmini.Value) boo
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	for i := range ch.versions {
-		if ch.versions[i].row[col] == val {
+		if tb.column(ch.versions[i].ref, col) == val {
 			return true
 		}
 	}

@@ -21,11 +21,14 @@ package mvcc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"madeus/internal/invariant"
+	"madeus/internal/sqlmini"
+	"madeus/internal/storage"
 )
 
 // TxnID identifies a transaction within one tenant database.
@@ -129,7 +132,7 @@ type txnState struct {
 type pendingFreeze struct {
 	id     TxnID
 	csn    CSN
-	chains []*rowChain
+	chains []heldRow
 }
 
 // NewManager returns a transaction manager with the default stripe count.
@@ -173,13 +176,55 @@ type Txn struct {
 	Snapshot CSN
 
 	mgr    *Manager
-	locks  []*rowChain
+	locks  []heldRow
 	done   bool
 	writes int
 
 	// waitTimer is the reusable row-lock wait timer (one allocation per
 	// transaction instead of one per contended wait).
 	waitTimer *time.Timer
+
+	// reads holds the rows Get and Scan decode into, made by the first of
+	// them: the engine reads through GetRec and ScanRecs, and a statement's
+	// transaction stays this small.
+	reads *txnReads
+}
+
+// txnReads is where a transaction's Get and Scan decode: row is the row Get
+// reuses, rows the array newRow carves Scan's rows from, and carved counts
+// the rows carved.
+type txnReads struct {
+	row    storage.Row
+	rows   []sqlmini.Value
+	carved int
+}
+
+// getRow returns the row t's Gets decode into, w values wide.
+func (t *Txn) getRow(w int) storage.Row {
+	if t.reads == nil {
+		t.reads = new(txnReads)
+	}
+	r := t.reads
+	r.row = slices.Grow(r.row[:0], w)[:w]
+	return r.row
+}
+
+// newRow returns a row w values wide that is the caller's to keep. Rows are
+// carved from arrays allocated as needed, each as many rows as were carved
+// before it, up to 64, and never reused: a scan of n rows allocates about
+// log n + n/64 times.
+func (t *Txn) newRow(w int) storage.Row {
+	if t.reads == nil {
+		t.reads = new(txnReads)
+	}
+	r := t.reads
+	if len(r.rows) < w {
+		r.rows = make([]sqlmini.Value, min(max(r.carved, 1), 64)*w)
+	}
+	row := r.rows[:w:w]
+	r.rows = r.rows[w:]
+	r.carved++
+	return row
 }
 
 // Begin starts a transaction, taking its snapshot now. Call it at the
@@ -312,8 +357,8 @@ func (t *Txn) Abort() error {
 	delete(s.states, t.ID)
 	s.mu.Unlock()
 	// Undo before waking waiters so they recheck against clean chains.
-	for _, ch := range t.locks {
-		ch.undo(t.ID)
+	for _, h := range t.locks {
+		h.tb.undo(h.ch, t.ID)
 	}
 	t.releaseLocks()
 	return nil
@@ -353,12 +398,13 @@ func (m *Manager) PruneStates() int {
 	// front of work, which then becomes the queue again — the backlog
 	// buffer is recycled across passes instead of reallocated.
 	kept := work[:0]
+	var shrunk []*Table // tables the pass removed versions from
 	for _, p := range work {
 		if p.csn > h {
 			kept = append(kept, p)
 			continue
 		}
-		pruned += m.freeze(p)
+		pruned += m.freeze(p, &shrunk)
 	}
 	for i := len(kept); i < len(work); i++ {
 		work[i] = pendingFreeze{} // drop chain refs from the recycled tail
@@ -367,6 +413,9 @@ func (m *Manager) PruneStates() int {
 	kept = append(kept, m.pending...) // arrivals during the pass keep their order
 	m.pending = kept
 	m.pruneMu.Unlock()
+	for _, tb := range shrunk {
+		tb.compactIfSparse()
+	}
 	return pruned
 }
 
@@ -374,25 +423,28 @@ func (m *Manager) PruneStates() int {
 // FrozenTxn, versions superseded by p (xmax == p.id) are removed outright
 // (p committed at or below the horizon, so every current and future
 // snapshot sees the supersession) — then drops p's txnState. Returns the
-// number of dead versions removed.
-func (m *Manager) freeze(p pendingFreeze) int {
+// number of dead versions removed, and adds the tables they were removed
+// from to *shrunk.
+func (m *Manager) freeze(p pendingFreeze, shrunk *[]*Table) int {
 	removed := 0
-	for _, ch := range p.chains {
+	for _, h := range p.chains {
+		ch := h.ch
 		ch.mu.Lock()
 		kept := ch.versions[:0]
 		for i := range ch.versions {
 			v := ch.versions[i]
 			if v.xmax == p.id {
 				removed++
+				h.tb.drop(v.ref)
+				if !slices.Contains(*shrunk, h.tb) {
+					*shrunk = append(*shrunk, h.tb)
+				}
 				continue // dead for every snapshot ≥ horizon
 			}
 			if v.xmin == p.id {
 				v.xmin = FrozenTxn
 			}
 			kept = append(kept, v)
-		}
-		for i := len(kept); i < len(ch.versions); i++ {
-			ch.versions[i] = version{}
 		}
 		ch.versions = kept
 		ch.mu.Unlock()
@@ -411,8 +463,8 @@ func (t *Txn) Done() bool { return t.done }
 func (t *Txn) IsUpdate() bool { return t.writes > 0 }
 
 func (t *Txn) releaseLocks() {
-	for _, ch := range t.locks {
-		ch.unlock(t.ID)
+	for _, h := range t.locks {
+		h.ch.unlock(t.ID)
 	}
 	t.locks = nil
 }

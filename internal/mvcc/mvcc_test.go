@@ -472,15 +472,15 @@ func TestWriteSkewAllowed(t *testing.T) {
 	mustCommit(t, b) // SI permits this; serializable would not
 }
 
-// TestWritesStoreTheCallersRow: Insert and Update take ownership of the row
-// they are given. The stored version is that row, widened in place, not a
-// copy, so a write allocates no second row. The engine's
-// TestWritesStoreTheParsersRows carries the contract up to the parser's
-// rows and the parse cache.
-func TestWritesStoreTheCallersRow(t *testing.T) {
+// TestWritesEncodeTheCallersRow: Insert and Update encode the caller's row
+// into the table's pages, widened as the schema stores it, and leave the
+// row itself alone for the caller to reuse; a write allocates nothing of
+// its own but the version chain's amortised growth.
+func TestWritesEncodeTheCallersRow(t *testing.T) {
 	s, err := storage.NewSchema("m", []storage.Column{
 		{Name: "k", Type: sqlmini.KindInt, PrimaryKey: true},
 		{Name: "x", Type: sqlmini.KindFloat},
+		{Name: "s", Type: sqlmini.KindText},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -488,33 +488,32 @@ func TestWritesStoreTheCallersRow(t *testing.T) {
 	m := NewManager()
 	tb := NewTable(s, m)
 	txn := m.Begin()
-	ins := storage.Row{key(1), sqlmini.NewInt(2)}
+	ins := storage.Row{key(1), sqlmini.NewInt(2), sqlmini.NewText("it's")}
 	if err := tb.Insert(txn, ins); err != nil {
 		t.Fatal(err)
 	}
-	if got := tb.Get(txn, key(1)); &got[0] != &ins[0] {
-		t.Error("Insert stored a copy of the row")
+	if ins[1] != sqlmini.NewInt(2) {
+		t.Errorf("Insert rewrote the caller's row: x = %#v", ins[1])
 	}
-	if ins[1] != sqlmini.NewFloat(2) {
-		t.Errorf("Insert did not widen the row in place: x = %#v", ins[1])
+	ins[2] = sqlmini.NewText("changed")
+	want := storage.Row{key(1), sqlmini.NewFloat(2), sqlmini.NewText("it's")}
+	if got := tb.Get(txn, key(1)); !got.Equal(want) {
+		t.Errorf("stored %v, want %v", got, want)
 	}
 
 	const updates = 100
-	rows := make([]storage.Row, updates+1) // AllocsPerRun warms up once
-	for i := range rows {
-		rows[i] = storage.Row{key(1), sqlmini.NewFloat(float64(i))}
-	}
+	row := storage.Row{key(1), {}, sqlmini.NewText("t")}
 	next := 0
 	allocs := testing.AllocsPerRun(updates, func() {
-		if ok, err := tb.Update(txn, key(1), rows[next]); err != nil || !ok {
+		row[1] = sqlmini.NewFloat(float64(next))
+		if ok, err := tb.Update(txn, key(1), row); err != nil || !ok {
 			t.Fatalf("Update: %v %v", ok, err)
 		}
 		next++
 	})
-	if got := tb.Get(txn, key(1)); &got[0] != &rows[updates][0] {
-		t.Error("Update stored a copy of the row")
+	if got := tb.Get(txn, key(1)); got[1].Float() != float64(next-1) {
+		t.Errorf("after %d updates x = %v, want %d", next, got[1], next-1)
 	}
-	// The version chain's amortised growth is all an update allocates.
 	if allocs >= 1 {
 		t.Errorf("Update allocates %.2f times per call, want < 1 (no row copy)", allocs)
 	}

@@ -11,9 +11,9 @@ import (
 )
 
 // Tests for the chain directory (DESIGN.md §5i): chain creation appends to
-// a sorted run or an unsorted tail in O(1), a scan merges the tail and
-// walks the run without copying it; and the amortized prune trigger that
-// keeps the freeze backlog from being rescanned per commit.
+// the main sorted run or a pending one, a scan merges the pending runs and
+// walks the main run without copying it; and the amortized prune trigger
+// that keeps the freeze backlog from being rescanned per commit.
 
 // TestScanSpineOrderAndCompleteness inserts integer keys in random order
 // across many transactions and checks that a scan sees exactly the
@@ -106,7 +106,7 @@ func scanMatchesOracle(t *testing.T, tb *Table, r *Txn, universe []int64) bool {
 	var want []storage.Row
 	for _, k := range universe {
 		if row := tb.Get(r, key(k)); row != nil {
-			want = append(want, row)
+			want = append(want, row.Clone())
 		}
 	}
 	if len(got) != len(want) {
@@ -251,7 +251,9 @@ func TestScanSpineMatchesOracle(t *testing.T) {
 
 // TestSpineInsertNeverMerges: chain creation only ever appends. After a
 // key-ordered load and N out-of-order inserts, and before any scan, the
-// run is the ordered load exactly where it was and the tail holds the N.
+// main run is the ordered load exactly where it was plus the keys that
+// extended it, and the pending runs hold the rest, each extended by the
+// keys it was the greatest run below.
 func TestSpineInsertNeverMerges(t *testing.T) {
 	m, tb := testTable(t)
 	w := m.Begin()
@@ -259,34 +261,85 @@ func TestSpineInsertNeverMerges(t *testing.T) {
 	for k := int64(0); k < ordered; k++ {
 		mustInsert(t, tb, w, 1000+k, k)
 	}
-	if len(tb.run) != ordered || len(tb.tail) != 0 {
-		t.Fatalf("key-ordered load: run %d tail %d, want %d and 0", len(tb.run), len(tb.tail), ordered)
+	if len(tb.run) != ordered || len(tb.runs) != 0 {
+		t.Fatalf("key-ordered load: run %d, %d pending runs; want %d and 0", len(tb.run), len(tb.runs), ordered)
 	}
 	before := slices.Clone(tb.run)
-	first := &tb.run[0]
 
-	// Descending below the run, interleaved above it, and one key above
-	// everything: with chains pending, even that one goes to the tail.
-	outOfOrder := []int64{999, 998, 3, 5000, 4000, 4500, 9000}
-	for _, k := range outOfOrder {
+	// Descending below the run, interleaved above it, and above
+	// everything.
+	for _, k := range []int64{999, 998, 3, 5000, 4000, 4500, 9000} {
 		mustInsert(t, tb, w, k, k)
 	}
 	mustCommit(t, w)
-	if len(tb.run)+len(tb.tail) != ordered+len(outOfOrder) || len(tb.tail) != len(outOfOrder) {
-		t.Fatalf("run %d + tail %d, want %d + %d", len(tb.run), len(tb.tail), ordered, len(outOfOrder))
+	keys := func(run []pkChain) []int64 {
+		var out []int64
+		for _, e := range run {
+			out = append(out, e.pk.Int)
+		}
+		return out
 	}
-	if &tb.run[0] != first || !slices.Equal(tb.run, before) {
+	if !slices.Equal(tb.run[:ordered], before) {
 		t.Fatal("an insert moved entries of the run")
+	}
+	if got := keys(tb.run[ordered:]); !slices.Equal(got, []int64{5000, 9000}) {
+		t.Errorf("keys extending the main run: %v, want [5000 9000]", got)
+	}
+	var pending [][]int64
+	for _, r := range tb.runs {
+		pending = append(pending, keys(r))
+	}
+	if want := [][]int64{{3}, {998}, {999, 4000, 4500}}; !slices.EqualFunc(pending, want, slices.Equal[[]int64]) {
+		t.Errorf("pending runs %v, want %v", pending, want)
 	}
 
 	r := m.Begin()
 	defer r.Abort()
-	if n := tb.Len(r); n != ordered+len(outOfOrder) {
-		t.Fatalf("scan saw %d rows, want %d", n, ordered+len(outOfOrder))
+	if n := tb.Len(r); n != ordered+7 {
+		t.Fatalf("scan saw %d rows, want %d", n, ordered+7)
 	}
-	if len(tb.tail) != 0 || len(tb.run) != ordered+len(outOfOrder) {
-		t.Fatalf("after a scan: run %d tail %d, want everything merged", len(tb.run), len(tb.tail))
+	if len(tb.runs) != 0 || len(tb.run) != ordered+7 {
+		t.Fatalf("after a scan: run %d, %d pending runs; want everything merged", len(tb.run), len(tb.runs))
 	}
+}
+
+// TestSpineRunPerApplier: appliers that take turns landing ascending keys
+// of their own chunks, the way a parallel restore does, leave at most one
+// run each for the first scan to merge.
+func TestSpineRunPerApplier(t *testing.T) {
+	const (
+		appliers = 4
+		chunk    = 300
+		perTxn   = 7
+	)
+	m, tb := testTable(t)
+	var next [appliers]int64
+	for a := range next {
+		next[a] = int64(a * chunk)
+	}
+	for landed := 0; landed < appliers*chunk; {
+		for a := range next {
+			w := m.Begin()
+			for n := 0; n < perTxn && next[a] < int64((a+1)*chunk); n++ {
+				mustInsert(t, tb, w, next[a], 0)
+				next[a]++
+				landed++
+			}
+			mustCommit(t, w)
+		}
+	}
+	if n := len(tb.runs) + 1; n > appliers {
+		t.Errorf("%d runs for %d appliers", n, appliers)
+	}
+	r := m.Begin()
+	defer r.Abort()
+	scanMatchesOracle(t, tb, r, func() []int64 {
+		var u []int64
+		for k := int64(0); k < appliers*chunk; k++ {
+			u = append(u, k)
+		}
+		return u
+	}())
 }
 
 // TestScanBorrowsRun: a scan walks the directory's own array, not a copy —

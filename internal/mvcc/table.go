@@ -3,6 +3,7 @@ package mvcc
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,11 +13,12 @@ import (
 	"madeus/internal/storage"
 )
 
-// version is one physical tuple version in a row chain.
+// version is one physical tuple version in a row chain. Its row is in the
+// table's pages (page.go), so a version holds no pointer.
 type version struct {
 	xmin TxnID // creator
 	xmax TxnID // deleter/updater; 0 when live
-	row  storage.Row
+	ref  ref   // where its row is encoded
 }
 
 // rowChain holds all versions of one logical row (one primary key) plus the
@@ -29,6 +31,9 @@ type rowChain struct {
 	versions  []version
 	lockOwner TxnID
 	waiters   []chan struct{}
+	// first backs versions until a second version outgrows it, so a row
+	// that is never updated costs no array of its own.
+	first [1]version
 }
 
 // tableStripe is one shard of the row map. Single-stripe operations hash
@@ -43,6 +48,9 @@ type tableStripe struct {
 	mu   sync.Mutex //madeusvet:lockrank mvcc-table 40 striped
 	ints map[int64]*rowChain
 	rows map[sqlmini.Value]*rowChain
+
+	// cursor is where rows and chains are allocated (see cursorFor).
+	cursor pageCursor
 }
 
 // get returns the chain keyed pk, or nil. Caller holds s.mu.
@@ -89,16 +97,26 @@ type Table struct {
 	stripes []tableStripe
 
 	// The chain directory (DESIGN.md §5i): run holds chains in strict
-	// primary-key order, tail the chains created out of order since the
-	// last scan, unsorted. Chains are never removed (see Vacuum). run is
-	// only ever appended to in place or replaced wholesale by mergeTail,
+	// primary-key order; runs holds the chains created since the last scan
+	// that did not extend run, as further strictly ascending runs ordered
+	// by their last keys. Chains are never removed (see Vacuum). run is
+	// only ever appended to in place or replaced wholesale by mergeRuns,
 	// so entries below a length observed under spineMu never change and
 	// a scan walks that prefix without copying it. spineMu is never held
 	// together with any other lock: chain creation inserts after the
 	// stripe section, scans borrow before taking any chain lock.
 	spineMu sync.Mutex //madeusvet:lockrank mvcc-spine 39
 	run     []pkChain
-	tail    []pkChain
+	runs    [][]pkChain
+
+	// The table's pages (page.go), indexed by page number; pagesMu
+	// serialises their growth, compactMu whole compactions.
+	pages     atomic.Pointer[[][]byte]
+	pagesMu   sync.Mutex //madeusvet:lockrank mvcc-pages 48
+	compactMu sync.Mutex //madeusvet:lockrank mvcc-compact 38
+	// deadBytes counts the bytes of rows whose versions were removed since
+	// the last compaction.
+	deadBytes atomic.Int64
 
 	// imu serialises index DDL. indexes is the immutable list of
 	// secondary indexes, replaced wholesale by CreateIndex/DropIndex
@@ -115,12 +133,14 @@ func NewTable(schema *storage.Schema, mgr *Manager) *Table {
 	if n < 1 {
 		n = 1
 	}
-	return &Table{
+	tb := &Table{
 		Schema:  schema,
 		mgr:     mgr,
 		mask:    uint64(n - 1),
 		stripes: make([]tableStripe, n),
 	}
+	tb.pages.Store(new([][]byte))
+	return tb
 }
 
 // FNV-1a, inlined so key hashing allocates nothing.
@@ -156,6 +176,37 @@ func (tb *Table) stripeFor(pk sqlmini.Value) *tableStripe {
 	return &tb.stripes[hashValue(pk)&tb.mask]
 }
 
+// cursorFor returns the cursor the chain and rows keyed pk are allocated
+// through: one stripe's, picked so that runs of 64 consecutive INT keys
+// share a cursor, and so their chains share an array and their rows a
+// page, which a scan in key order then reads straight through. Writers of
+// different key ranges, such as restore appliers, still spread over every
+// cursor. Other keys pick their stripe's.
+func (tb *Table) cursorFor(pk sqlmini.Value) *pageCursor {
+	if pk.Kind == sqlmini.KindInt {
+		return &tb.stripes[uint64(pk.Int)>>6&tb.mask].cursor
+	}
+	return &tb.stripeFor(pk).cursor
+}
+
+// newChain returns a new empty chain for the key pk. Chains are never
+// removed, so they are allocated in arrays that live as long as the table,
+// each as long as the chains its cursor allocated before, up to 64: a
+// cursor that allocated n chains holds at most n spare.
+func (tb *Table) newChain(pk sqlmini.Value) *rowChain {
+	c := tb.cursorFor(pk)
+	c.mu.Lock()
+	if len(c.spare) == 0 {
+		c.spare = make([]rowChain, min(64, 1+c.chains))
+	}
+	ch := &c.spare[0]
+	c.spare = c.spare[1:]
+	c.chains++
+	c.mu.Unlock()
+	ch.versions = ch.first[:0]
+	return ch
+}
+
 // Stripes reports the row-map stripe count (observability and tests).
 func (tb *Table) Stripes() int { return len(tb.stripes) }
 
@@ -181,12 +232,20 @@ func (tb *Table) unlockAllStripes() {
 }
 
 func (tb *Table) chain(pk sqlmini.Value, create bool) *rowChain {
-	s := tb.stripeFor(pk)
+	return tb.chainIn(tb.stripeFor(pk), pk, create)
+}
+
+// chainIn is chain with pk's stripe s already picked. A TEXT key is filed as
+// a copy, so the directory never keeps the caller's statement text alive.
+func (tb *Table) chainIn(s *tableStripe, pk sqlmini.Value, create bool) *rowChain {
 	s.mu.Lock()
 	ch := s.get(pk)
 	created := false
 	if ch == nil && create {
-		ch = &rowChain{}
+		if pk.Kind == sqlmini.KindText {
+			pk.Str = strings.Clone(pk.Str)
+		}
+		ch = tb.newChain(pk)
 		s.put(pk, ch)
 		created = true
 	}
@@ -202,39 +261,77 @@ func (tb *Table) chain(pk sqlmini.Value, create bool) *rowChain {
 	return ch
 }
 
-// spineInsert adds a newly created chain to the chain directory in O(1):
-// onto the sorted run when the key extends it and nothing is pending (a
-// key-ordered load never leaves this path), otherwise onto the unsorted
-// tail for the next scan to merge. Neither moves an existing entry. The
-// map insert under the stripe lock already deduplicated creators, so each
-// chain is inserted exactly once.
+// spineInsert adds a newly created chain to the chain directory: onto the
+// run — the main one or a pending one — whose last key is the greatest below
+// pk, or as a new pending run when every run ends above pk. A restore
+// applier lands a chunk's ascending keys, so each applier's keys extend one
+// run, and a key-ordered load never leaves the main run. Runs stay ordered
+// by last key (pk is below the next run's last, or that run would have been
+// picked), so the pick is a binary search. Nothing moves an existing entry.
+// The map insert under the stripe lock already deduplicated creators, so
+// each chain is inserted exactly once.
 func (tb *Table) spineInsert(pk sqlmini.Value, ch *rowChain) {
+	e := pkChain{pk: pk, ch: ch}
+	last := func(r []pkChain) sqlmini.Value { return r[len(r)-1].pk }
 	tb.spineMu.Lock()
-	if n := len(tb.run); len(tb.tail) == 0 && (n == 0 || comparePK(tb.run[n-1].pk, pk) < 0) {
-		tb.run = append(tb.run, pkChain{pk: pk, ch: ch})
-	} else {
-		tb.tail = append(tb.tail, pkChain{pk: pk, ch: ch})
+	// j is the number of pending runs whose last key is below pk.
+	j, _ := slices.BinarySearchFunc(tb.runs, pk, func(r []pkChain, pk sqlmini.Value) int {
+		return comparePK(last(r), pk)
+	})
+	n := len(tb.run)
+	switch mainBelow := n == 0 || comparePK(last(tb.run), pk) < 0; {
+	case j > 0 && (!mainBelow || n > 0 && comparePK(last(tb.runs[j-1]), last(tb.run)) > 0):
+		tb.runs[j-1] = append(tb.runs[j-1], e)
+	case mainBelow:
+		tb.run = append(tb.run, e)
+	default:
+		tb.runs = slices.Insert(tb.runs, 0, []pkChain{e})
 	}
 	tb.spineMu.Unlock()
 }
 
-// mergeTail sorts the pending tail and merges it with the run into a
-// freshly allocated run, leaving the old backing array untouched for the
-// scans still walking it. O(t log t + n) for t pending chains, which only
-// a scan — itself O(n) — ever pays. Caller holds spineMu.
-func (tb *Table) mergeTail() {
-	run, tail := tb.run, tb.tail
-	slices.SortFunc(tail, func(a, b pkChain) int { return comparePK(a.pk, b.pk) })
-	created := len(run) + len(tail)
-	merged := make([]pkChain, 0, created)
-	for _, e := range tail {
-		// Keys are unique, so the search never hits: k is where e belongs.
-		k, _ := slices.BinarySearchFunc(run, e.pk, func(c pkChain, pk sqlmini.Value) int { return comparePK(c.pk, pk) })
-		merged = append(append(merged, run[:k]...), e)
-		run = run[k:]
+// mergeRuns merges the pending runs and the main run into a freshly
+// allocated main run, leaving the old backing array untouched for the scans
+// still walking it. O(n log r) for n chains in r runs, which only a scan —
+// itself O(n) — ever pays. Caller holds spineMu.
+func (tb *Table) mergeRuns() {
+	runs := append(tb.runs, tb.run)
+	created := 0
+	for _, r := range runs {
+		created += len(r)
 	}
-	merged = append(merged, run...)
-	tb.run, tb.tail = merged, nil
+	merged := make([]pkChain, 0, created)
+	// h is a binary min-heap of the runs not yet used up, by their heads.
+	h := slices.DeleteFunc(runs, func(r []pkChain) bool { return len(r) == 0 })
+	less := func(a, b int) bool { return comparePK(h[a][0].pk, h[b][0].pk) < 0 }
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && less(c+1, c) {
+				c++
+			}
+			if !less(c, i) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(h) > 0 {
+		merged = append(merged, h[0][0])
+		if h[0] = h[0][1:]; len(h[0]) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	tb.run, tb.runs = merged, nil
 	invariant.Check(func() error { return checkRun(merged, created) })
 }
 
@@ -254,14 +351,14 @@ func checkRun(run []pkChain, created int) error {
 }
 
 // scanRun returns the chain directory in primary-key order, merging the
-// pending tail first when there is one. The slice is borrowed, not copied:
+// pending runs first when there are any. The slice is borrowed, not copied:
 // its capacity is clipped to its length, later in-order inserts append past
 // that length and a later merge builds a new array, so the caller may walk
 // it with no lock held but must not write to it.
 func (tb *Table) scanRun() []pkChain {
 	tb.spineMu.Lock()
-	if len(tb.tail) > 0 {
-		tb.mergeTail()
+	if len(tb.runs) > 0 {
+		tb.mergeRuns()
 	}
 	run := slices.Clip(tb.run)
 	tb.spineMu.Unlock()
@@ -285,20 +382,35 @@ func comparePK(a, b sqlmini.Value) int {
 	return c
 }
 
-// Get returns the version of the row with primary key pk visible to t, or
-// nil when none is visible. The row is borrowed from version storage and
-// must not be mutated (see visibleRow).
+// Get returns the row with primary key pk visible to t, or nil when none is
+// visible. The row is decoded into one t keeps for its Gets: it is valid
+// until t's next Get, and a caller that keeps it longer clones it.
 func (tb *Table) Get(t *Txn, pk sqlmini.Value) storage.Row {
+	rec, ok := tb.GetRec(t, pk)
+	if !ok {
+		return nil
+	}
+	row := t.getRow(len(tb.Schema.Columns))
+	rec.Decode(row, AllCols)
+	return row
+}
+
+// GetRec returns the encoding of the row with primary key pk visible to t,
+// and whether one is.
+func (tb *Table) GetRec(t *Txn, pk sqlmini.Value) (Rec, bool) {
 	ch := tb.chain(pk, false)
 	if ch == nil {
-		return nil
+		return nil, false
 	}
 	ch.mu.Lock()
 	// SI sanity: a snapshot sees at most one version per logical row.
 	invariant.Check(func() error { return ch.checkAtMostOneVisible(t) })
-	row := ch.visibleRow(t)
+	var rec Rec
+	if v := ch.visibleVersion(t); v != nil {
+		rec = tb.rec(v.ref)
+	}
 	ch.mu.Unlock()
-	return row
+	return rec, rec != nil
 }
 
 // checkAtMostOneVisible verifies the snapshot-isolation guarantee that a
@@ -317,16 +429,12 @@ func (ch *rowChain) checkAtMostOneVisible(t *Txn) error {
 	return nil
 }
 
-// visibleRow returns the visible version in ch, newest first. Caller
-// holds ch.mu. The returned row is the stored version itself, NOT a copy:
-// stored rows are immutable (Insert and Update take ownership of the row
-// they store, and nothing rewrites a version's row in place), so borrowing
-// is safe for every reader that does not mutate. Readers that need an
-// owned copy clone explicitly.
-func (ch *rowChain) visibleRow(t *Txn) storage.Row {
+// visibleVersion returns the version in ch visible to t, newest first, or
+// nil. Caller holds ch.mu, and the version is valid only while it does.
+func (ch *rowChain) visibleVersion(t *Txn) *version {
 	for i := len(ch.versions) - 1; i >= 0; i-- {
 		if t.visible(&ch.versions[i]) {
-			return ch.versions[i].row
+			return &ch.versions[i]
 		}
 	}
 	return nil
@@ -341,20 +449,39 @@ type pkChain struct {
 
 // Scan calls fn for every row visible to t, in primary-key order. fn
 // returning false stops the scan. Ordering is deterministic so that dumps
-// and state comparisons are stable. Rows are borrowed from version
-// storage (see visibleRow): stored rows are immutable so fn may retain
-// them, but must never mutate one — clone first to get an owned copy.
+// and state comparisons are stable. Every row is fn's to keep (see
+// Txn.newRow).
 func (tb *Table) Scan(t *Txn, fn func(storage.Row) bool) error {
+	w := len(tb.Schema.Columns)
+	return tb.ScanRecs(t, func(rec Rec) bool {
+		row := t.newRow(w)
+		rec.Decode(row, AllCols)
+		return fn(row)
+	})
+}
+
+// ScanRecs is Scan handing fn each row's encoding, for fn to decode the
+// columns it reads.
+//
+// The scan loads the page directory once and again only for a page it
+// does not have yet: page numbers grow in the order pages are added, and
+// compaction drops pages only once no chain refers to them, so a ref that
+// is inside a directory loaded earlier names a page that directory holds.
+func (tb *Table) ScanRecs(t *Txn, fn func(Rec) bool) error {
 	pairs := tb.scanRun()
+	dir := tb.pageDir()
 	for i := range pairs {
 		ch := pairs[i].ch
 		ch.mu.Lock()
-		row := ch.visibleRow(t)
-		ch.mu.Unlock()
-		if row == nil {
-			continue
+		var rec Rec
+		if v := ch.visibleVersion(t); v != nil {
+			if v.ref.page() >= len(dir) {
+				dir = tb.pageDir()
+			}
+			rec = Rec(bytesAt(dir, v.ref))
 		}
-		if !fn(row) {
+		ch.mu.Unlock()
+		if rec != nil && !fn(rec) {
 			break
 		}
 	}
@@ -364,7 +491,13 @@ func (tb *Table) Scan(t *Txn, fn func(storage.Row) bool) error {
 // Len reports the number of rows visible to t.
 func (tb *Table) Len(t *Txn) int {
 	n := 0
-	tb.Scan(t, func(storage.Row) bool { n++; return true })
+	for _, c := range tb.scanRun() {
+		c.ch.mu.Lock()
+		if c.ch.visibleVersion(t) != nil {
+			n++
+		}
+		c.ch.mu.Unlock()
+	}
 	return n
 }
 
@@ -372,8 +505,8 @@ func (tb *Table) Len(t *Txn) int {
 // newly committed row with the same key exists, and respects
 // first-updater-wins against a concurrent inserter of the same key.
 //
-// The table takes ownership of row: it is widened in place and stored as
-// the new version, uncopied, so the caller must not write to it again.
+// The row is encoded into the table's pages (an INT in a FLOAT column
+// widened on the way); the caller keeps row, unchanged, and may reuse it.
 func (tb *Table) Insert(t *Txn, row storage.Row) error {
 	if t.done {
 		return ErrTxnDone
@@ -381,9 +514,9 @@ func (tb *Table) Insert(t *Txn, row storage.Row) error {
 	if err := tb.Schema.CheckRow(row); err != nil {
 		return err
 	}
-	tb.Schema.Coerce(row)
-	pk := tb.Schema.PK(row)
-	ch := tb.chain(pk, true)
+	pk := tb.Schema.Widen(tb.Schema.PKIndex(), tb.Schema.PK(row))
+	s := tb.stripeFor(pk)
+	ch := tb.chainIn(s, pk, true)
 
 	var deadline time.Time // set by the first waitUnlocked, if any
 	ch.mu.Lock()
@@ -394,7 +527,7 @@ func (tb *Table) Insert(t *Txn, row storage.Row) error {
 			ch.mu.Unlock()
 			return ErrUniqueViolation
 		}
-		if ch.visibleRow(t) != nil {
+		if ch.visibleVersion(t) != nil {
 			ch.mu.Unlock()
 			return ErrUniqueViolation
 		}
@@ -405,8 +538,8 @@ func (tb *Table) Insert(t *Txn, row storage.Row) error {
 			return err
 		}
 	}
-	ch.acquire(t)
-	ch.versions = append(ch.versions, version{xmin: t.ID, row: row})
+	ch.acquire(tb, t)
+	ch.versions = append(ch.versions, version{xmin: t.ID, ref: tb.store(tb.cursorFor(pk), row)})
 	ch.mu.Unlock()
 	tb.indexAdd(row, pk)
 	t.writes++
@@ -415,8 +548,8 @@ func (tb *Table) Insert(t *Txn, row storage.Row) error {
 
 // Update replaces the visible version of the row keyed pk with newRow
 // (same primary key). It returns false when no version is visible, and
-// ErrSerialization under first-updater-wins. Like Insert, it takes
-// ownership of newRow.
+// ErrSerialization under first-updater-wins. Like Insert, it encodes newRow
+// and leaves it to the caller.
 func (tb *Table) Update(t *Txn, pk sqlmini.Value, newRow storage.Row) (bool, error) {
 	return tb.write(t, pk, newRow, false)
 }
@@ -435,12 +568,12 @@ func (tb *Table) write(t *Txn, pk sqlmini.Value, newRow storage.Row, del bool) (
 		if err := tb.Schema.CheckRow(newRow); err != nil {
 			return false, err
 		}
-		tb.Schema.Coerce(newRow)
-		if tb.Schema.PK(newRow) != pk {
+		if tb.Schema.Widen(tb.Schema.PKIndex(), tb.Schema.PK(newRow)) != pk {
 			return false, ErrPKImmutable
 		}
 	}
-	ch := tb.chain(pk, false)
+	s := tb.stripeFor(pk)
+	ch := tb.chainIn(s, pk, false)
 	if ch == nil {
 		return false, nil
 	}
@@ -464,19 +597,13 @@ func (tb *Table) write(t *Txn, pk sqlmini.Value, newRow storage.Row, del bool) (
 			return false, err
 		}
 	}
-	// Find the version visible to t and supersede it.
-	idx := -1
-	for i := len(ch.versions) - 1; i >= 0; i-- {
-		if t.visible(&ch.versions[i]) {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	// Supersede the version visible to t.
+	v := ch.visibleVersion(t)
+	if v == nil {
 		ch.mu.Unlock()
 		return false, nil
 	}
-	ch.acquire(t)
+	ch.acquire(tb, t)
 	// First-updater-wins must hold at the moment of superseding: with the
 	// row lock ours, no concurrent committed winner may exist.
 	invariant.Check(func() error {
@@ -485,9 +612,9 @@ func (tb *Table) write(t *Txn, pk sqlmini.Value, newRow storage.Row, del bool) (
 		}
 		return nil
 	})
-	ch.versions[idx].xmax = t.ID
+	v.xmax = t.ID
 	if !del {
-		ch.versions = append(ch.versions, version{xmin: t.ID, row: newRow})
+		ch.versions = append(ch.versions, version{xmin: t.ID, ref: tb.store(tb.cursorFor(pk), newRow)})
 	}
 	ch.mu.Unlock()
 	if !del {
@@ -525,14 +652,14 @@ func (ch *rowChain) committedAfter(t *Txn) bool {
 }
 
 // acquire takes the row lock for t (idempotent). Caller holds ch.mu.
-func (ch *rowChain) acquire(t *Txn) {
+func (ch *rowChain) acquire(tb *Table, t *Txn) {
 	invariant.Assertf(ch.lockOwner == 0 || ch.lockOwner == t.ID,
 		"mvcc: txn %d acquiring a row lock held by txn %d", t.ID, ch.lockOwner)
 	if ch.lockOwner == t.ID {
 		return
 	}
 	ch.lockOwner = t.ID
-	t.locks = append(t.locks, ch)
+	t.locks = append(t.locks, heldRow{tb: tb, ch: ch})
 }
 
 // waitUnlocked releases ch.mu, waits until the lock holder resolves or the
@@ -596,25 +723,31 @@ func (ch *rowChain) unlock(id TxnID) {
 	ch.mu.Unlock()
 }
 
-// undo physically removes an aborted transaction's trace from one chain:
-// versions it created disappear, supersession marks it left are cleared.
-// Safe because id's versions were never visible to any other transaction
-// and statusOf already reports the (dropped) transaction as aborted.
-func (ch *rowChain) undo(id TxnID) {
+// heldRow is a row lock a transaction holds: the chain, and the table it
+// belongs to.
+type heldRow struct {
+	tb *Table
+	ch *rowChain
+}
+
+// undo physically removes an aborted transaction's trace from ch, one of
+// tb's chains: versions it created disappear, supersession marks it left are
+// cleared. Safe because id's versions were never visible to any other
+// transaction and statusOf already reports the (dropped) transaction as
+// aborted.
+func (tb *Table) undo(ch *rowChain, id TxnID) {
 	ch.mu.Lock()
 	kept := ch.versions[:0]
 	for i := range ch.versions {
 		v := ch.versions[i]
 		if v.xmin == id {
+			tb.drop(v.ref)
 			continue
 		}
 		if v.xmax == id {
 			v.xmax = 0
 		}
 		kept = append(kept, v)
-	}
-	for i := len(kept); i < len(ch.versions); i++ {
-		ch.versions[i] = version{}
 	}
 	ch.versions = kept
 	ch.mu.Unlock()

@@ -1,6 +1,10 @@
 package mvcc
 
-import "madeus/internal/sqlmini"
+import (
+	"slices"
+
+	"madeus/internal/sqlmini"
+)
 
 // Vacuum support: version chains grow with every update (old versions are
 // superseded, not removed, and aborted versions linger invisibly until the
@@ -37,36 +41,112 @@ func (m *Manager) Horizon() CSN {
 // transaction that committed at or before the horizon. It returns the
 // number of versions removed. Empty chains are kept (their map entries are
 // negligible and removing them would race in-flight primary-key lookups).
+//
+// Vacuum then compacts the table's pages if they hold more dead bytes than
+// live ones (see compactIfSparse).
 func (tb *Table) Vacuum(horizon CSN) int {
 	removed := 0
 	for si := range tb.stripes {
-		s := &tb.stripes[si]
-		s.mu.Lock()
-		var chains []*rowChain
-		s.each(func(_ sqlmini.Value, ch *rowChain) { chains = append(chains, ch) })
-		s.mu.Unlock()
-
-		for _, ch := range chains {
+		for _, ch := range tb.stripes[si].chains() {
 			ch.mu.Lock()
 			kept := ch.versions[:0]
 			for i := range ch.versions {
 				v := ch.versions[i]
 				if tb.dead(&v, horizon) {
 					removed++
+					tb.drop(v.ref)
 					continue
 				}
 				kept = append(kept, v)
-			}
-			// Zero the tail so dropped rows are collectable.
-			for i := len(kept); i < len(ch.versions); i++ {
-				ch.versions[i] = version{}
 			}
 			ch.versions = kept
 			ch.mu.Unlock()
 		}
 	}
 	tb.sweepIndexes()
+	tb.compactIfSparse()
 	return removed
+}
+
+// chains returns every chain of the stripe.
+func (s *tableStripe) chains() []*rowChain {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]*rowChain, 0, len(s.ints)+len(s.rows))
+	s.each(func(_ sqlmini.Value, ch *rowChain) { out = append(out, ch) })
+	return out
+}
+
+// drop counts the row at r as dead: its version has just been removed. The
+// caller holds the lock of the chain it was removed from.
+func (tb *Table) drop(r ref) {
+	tb.deadBytes.Add(int64(tb.encodedSize(bytesAt(tb.pageDir(), r))))
+}
+
+// compactIfSparse compacts the table's pages when, of the bytes they spent
+// since the last compaction, more are dead — rows of removed versions —
+// than not. So a compaction copies fewer bytes than the dead ones it
+// frees, and the pages never hold more than about twice the live rows for
+// long. Vacuum runs it, and so does every prune pass that removed a
+// version of the table.
+func (tb *Table) compactIfSparse() {
+	tb.compactMu.Lock()
+	defer tb.compactMu.Unlock()
+	var written int64
+	for i := range tb.stripes {
+		c := &tb.stripes[i].cursor
+		c.mu.Lock()
+		written += c.written
+		c.mu.Unlock()
+	}
+	if dead := tb.deadBytes.Load(); dead > written-dead {
+		tb.compact()
+	}
+}
+
+// compact copies every version's row into fresh pages and drops the pages
+// they were in. The copies go through one cursor of compaction's own, so
+// they fill whole pages one after another. Writes go on meanwhile, each
+// stripe into a fresh page of its own: a row is encoded under its chain's
+// lock (see store), so once every cursor has been closed a row lands in a
+// fresh page, and a row written before that is in its chain by the time
+// compaction takes the chain's lock to move it. Readers resolve a ref
+// under its chain's lock against a directory loaded there too, so one
+// that read a ref before its move still finds the old page (see pageDir).
+// Caller holds tb.compactMu.
+func (tb *Table) compact() {
+	fresh := len(tb.pageDir()) // pages below fresh are dropped
+	for i := range tb.stripes {
+		c := &tb.stripes[i].cursor
+		c.mu.Lock()
+		c.page, c.used, c.written = nil, 0, 0
+		c.mu.Unlock()
+	}
+	tb.deadBytes.Store(0)
+	var copies pageCursor
+	for si := range tb.stripes {
+		for _, ch := range tb.stripes[si].chains() {
+			ch.mu.Lock()
+			dir := tb.pageDir()
+			for i := range ch.versions {
+				v := &ch.versions[i]
+				if v.ref.page() < fresh {
+					b := bytesAt(dir, v.ref)
+					v.ref = tb.storeEncoded(&copies, b[:tb.encodedSize(b)])
+				}
+			}
+			ch.mu.Unlock()
+		}
+	}
+	c := &tb.stripes[0].cursor
+	c.mu.Lock()
+	c.written += copies.written
+	c.mu.Unlock()
+	tb.pagesMu.Lock()
+	dir := slices.Clone(tb.pageDir())
+	clear(dir[:fresh])
+	tb.pages.Store(&dir)
+	tb.pagesMu.Unlock()
 }
 
 // dead reports whether no snapshot at or after the horizon can see v.

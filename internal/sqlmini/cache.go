@@ -183,9 +183,8 @@ func (c *Cache) remove(e *cacheEntry) {
 // twice, and admitting one would evict a statement the tenant does repeat
 // and keep kilobytes of text and AST live for nothing.
 //
-// A statement this admits may be shared read-only across sessions, so an
-// executor may hand the rows of an INSERT over to storage only when it
-// reports false.
+// A statement this admits may be shared read-only across sessions, so
+// ParseInto never lets one alias the caller's array.
 func Cacheable(st Statement) bool {
 	switch st := st.(type) {
 	case *CreateTable, *DropTable, *CreateIndex, *DropIndex:

@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -9,8 +10,9 @@ import (
 // statements.
 type Parser struct {
 	lx     Lexer
-	tok    Token // the current token
-	lexErr error // the lexical error that ended the token stream, if any
+	tok    Token    // the current token
+	lexErr error    // the lexical error that ended the token stream, if any
+	vals   *[]Value // where an INSERT's literal rows are decoded, if not new memory
 }
 
 // Parse parses a single SQL statement (an optional trailing semicolon is
@@ -19,8 +21,15 @@ type Parser struct {
 // A lexical error anywhere in src outranks a parse error before it, as if
 // the whole input were tokenized first: when parsing fails, the rest of the
 // input is lexed to look for one.
-func Parse(src string) (Statement, error) {
-	p := &Parser{lx: Lexer{src: src}}
+func Parse(src string) (Statement, error) { return ParseInto(src, nil) }
+
+// ParseInto is Parse decoding the literal rows of a multi-row INSERT into
+// *vals, an array the caller keeps from one call to the next, instead of
+// into new memory: the statement's Values alias it until the next call
+// with vals. A statement the parse cache admits never does (see
+// Cacheable), so only one the caller runs and drops may. vals nil is Parse.
+func ParseInto(src string, vals *[]Value) (Statement, error) {
+	p := &Parser{lx: Lexer{src: src}, vals: vals}
 	p.next()
 	st, err := p.parseStatement()
 	if err == nil {
@@ -252,15 +261,23 @@ func (p *Parser) parseInsert() (Statement, error) {
 	if _, err := p.expect(TokKeyword, "VALUES"); err != nil {
 		return nil, err
 	}
-	// Rows are read as values until the first computed item; from then on
-	// every row, the ones already read included, is kept as expressions.
+	// Rows are read as values, one after another into one array, until the
+	// first computed item; from then on every row, the ones already read
+	// included, is kept as expressions.
+	w := len(ins.Columns)
+	var slab []Value
+	if p.vals != nil {
+		slab = (*p.vals)[:0]
+	} else {
+		slab = make([]Value, 0, w)
+	}
 	computed := false
 	for {
 		if _, err := p.expect(TokSymbol, "("); err != nil {
 			return nil, err
 		}
-		vals := make([]Value, 0, len(ins.Columns))
 		var exprs []Expr
+		n := 0
 		for {
 			v, e, err := p.parseValue()
 			if err != nil {
@@ -268,19 +285,21 @@ func (p *Parser) parseInsert() (Statement, error) {
 			}
 			switch {
 			case e == nil && !computed:
-				vals = append(vals, v)
+				slab = append(slab, v)
 			case e == nil:
 				exprs = append(exprs, &Literal{Val: v})
 			default:
 				if !computed {
 					computed = true
-					for _, row := range ins.Values {
-						ins.Rows = append(ins.Rows, literals(row))
+					done := len(slab) - n // values of the rows before this one
+					for r := 0; r < done; r += w {
+						ins.Rows = append(ins.Rows, literals(slab[r:r+w]))
 					}
-					ins.Values, exprs, vals = nil, literals(vals), nil
+					exprs = literals(slab[done:])
 				}
 				exprs = append(exprs, e)
 			}
+			n++
 			if !p.accept(TokSymbol, ",") {
 				break
 			}
@@ -288,16 +307,26 @@ func (p *Parser) parseInsert() (Statement, error) {
 		if _, err := p.expect(TokSymbol, ")"); err != nil {
 			return nil, err
 		}
-		if n := len(vals) + len(exprs); n != len(ins.Columns) {
-			return nil, p.errorf("INSERT row has %d values, want %d", n, len(ins.Columns))
+		if n != w {
+			return nil, p.errorf("INSERT row has %d values, want %d", n, w)
 		}
 		if computed {
 			ins.Rows = append(ins.Rows, exprs)
-		} else {
-			ins.Values = append(ins.Values, vals)
 		}
 		if !p.accept(TokSymbol, ",") {
 			break
+		}
+	}
+	if p.vals != nil {
+		*p.vals = slab
+		if len(slab) == w && !computed {
+			slab = slices.Clone(slab) // a single row may be cached
+		}
+	}
+	if !computed {
+		ins.Values = make([][]Value, len(slab)/w)
+		for i := range ins.Values {
+			ins.Values[i] = slab[i*w : (i+1)*w : (i+1)*w]
 		}
 	}
 	return ins, nil

@@ -120,12 +120,11 @@ func (s *Schema) CheckRow(r Row) error {
 	return nil
 }
 
-// Coerce widens, in place, the INT values of r that the schema declares
-// FLOAT. The caller owns r, and r has passed CheckRow.
-func (s *Schema) Coerce(r Row) {
-	for i, c := range s.Columns {
-		if c.Type == sqlmini.KindFloat && r[i].Kind == sqlmini.KindInt {
-			r[i] = sqlmini.NewFloat(float64(r[i].Int))
-		}
+// Widen returns v as column i stores it: an INT in a column the schema
+// declares FLOAT widened to that FLOAT, any other value as it is.
+func (s *Schema) Widen(i int, v sqlmini.Value) sqlmini.Value {
+	if v.Kind == sqlmini.KindInt && s.Columns[i].Type == sqlmini.KindFloat {
+		return sqlmini.NewFloat(float64(v.Int))
 	}
+	return v
 }

@@ -105,13 +105,11 @@ func TestCheckRow(t *testing.T) {
 
 func TestCoerceWidensIntToFloat(t *testing.T) {
 	s := itemSchema(t)
-	r := Row{sqlmini.NewInt(1), sqlmini.NewText("a"), sqlmini.NewInt(3)}
-	s.Coerce(r)
-	if r[2].Kind != sqlmini.KindFloat || r[2].Float() != 3 {
-		t.Errorf("got %v", r[2])
+	if v := s.Widen(2, sqlmini.NewInt(3)); v.Kind != sqlmini.KindFloat || v.Float() != 3 {
+		t.Errorf("got %v", v)
 	}
-	if r[0].Kind != sqlmini.KindInt {
-		t.Errorf("INT primary key widened: %v", r[0])
+	if v := s.Widen(0, sqlmini.NewInt(1)); v.Kind != sqlmini.KindInt {
+		t.Errorf("INT primary key widened: %v", v)
 	}
 }
 

@@ -61,6 +61,10 @@ go test -run '^$' -fuzz '^FuzzReplaySegment$' -fuzztime 10s ./internal/wal/
 # statement it accepts renders to SQL that parses back to the same text.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/sqlmini/
 
+# The row codec every stored version goes through the same way: any row
+# encodes and decodes back to an equal row, bit for bit.
+go test -run '^$' -fuzz '^FuzzRowCodec$' -fuzztime 10s ./internal/mvcc/
+
 # The executor's read-shape benchmarks, one iteration each, so they keep
 # building and running (the numbers are read with -benchtime of your own).
 go test -count=1 -run '^$' -bench Select -benchtime 1x ./internal/engine/
