@@ -186,6 +186,13 @@ func chaosScenarios() []chaosCase {
 			arm: func() { fault.Enable(faultRestoreDial, fault.Policy{Times: 2}) },
 		},
 		{
+			name: "step3_dial_partition_healed",
+			// The same two-dial partition hits the propagator's first
+			// destination dials: Step 3 dials through the same retry loop
+			// as Steps 2 and 4, so the migration succeeds.
+			arm: func() { fault.Enable(faultStep3Dial, fault.Policy{Times: 2}) },
+		},
+		{
 			name: "slow_destination",
 			arm: func() {
 				fault.Enable(faultStep3Exec, fault.Policy{Delay: 2 * time.Millisecond, Times: 200})

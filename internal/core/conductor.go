@@ -227,6 +227,7 @@ func (p *propagator) noteGroup(n int) {
 
 // --- connection pool ---
 
+// getConn takes an idle pooled session, or dials one through connectRetry.
 func (p *propagator) getConn() (*wire.Client, error) {
 	p.poolMu.Lock()
 	if n := len(p.idle); n > 0 {
@@ -236,18 +237,7 @@ func (p *propagator) getConn() (*wire.Client, error) {
 		return c, nil
 	}
 	p.poolMu.Unlock()
-	if err := fault.Inject(faultStep3Dial); err != nil {
-		return nil, err
-	}
-	c, err := p.dest.Connect(p.t.Name)
-	if err != nil {
-		return nil, err
-	}
-	c.SetOpTimeout(destOpTimeout)
-	if p.trace != nil {
-		c.SetTraceContext(p.trace)
-	}
-	return c, nil
+	return connectRetry(p.dest, p.t.Name, faultStep3Dial, p.trace)
 }
 
 // exec replays one statement on a destination connection through the

@@ -1,7 +1,7 @@
 package core
 
 // Backpressure tests: admission control end to end through the wire
-// protocol, SSL caps aborting a doomed migration through the rollback
+// protocol, the SSL byte cap aborting a doomed migration through the rollback
 // protocol, the gauge-staleness regression (ssl_depth must return to 0
 // after a rollback), and the FLOW admin surface.
 
@@ -202,13 +202,18 @@ func TestAdmissionQueueTimeoutSheds(t *testing.T) {
 }
 
 // TestSSLCapOverflowAbortsMigration pins the bounded-SSL contract: when the
-// capture buffer breaches its configured cap mid-propagation, the migration
+// capture buffer breaches its byte cap mid-propagation, the migration
 // aborts through the rollback protocol (typed flow.ErrSSLOverflow, accurate
 // report) instead of growing without limit, and service continues on the
 // source.
 func TestSSLCapOverflowAbortsMigration(t *testing.T) {
+	// About 16 of loadgen's syncsets (a read and an update each).
+	syncset := (&SSB{Entries: []Entry{
+		{SQL: "SELECT bal FROM acct WHERE id = 100"},
+		{SQL: "UPDATE acct SET bal = bal + 1 WHERE id = 100"},
+	}}).MemSize()
 	rig := newFlowRig(t,
-		Options{Flow: flow.Config{MaxSSLSyncsets: 16}},
+		Options{Flow: flow.Config{MaxSSLBytes: 16 * syncset}},
 		engine.Options{}, // node0: fast source
 		// node1: slow destination. The slowdown must be sleep-based (WAL
 		// fsync latency), not StmtCost: simlat.CPU busy-waits, and on a
@@ -236,7 +241,7 @@ func TestSSLCapOverflowAbortsMigration(t *testing.T) {
 	over0 := flow.Overflows()
 	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{Strategy: Madeus})
 	if err == nil {
-		t.Fatal("migration succeeded; the 16-syncset cap should have aborted it")
+		t.Fatal("migration succeeded; the 16-syncset byte cap should have aborted it")
 	}
 	if !errors.Is(err, flow.ErrSSLOverflow) {
 		t.Fatalf("err = %v, want flow.ErrSSLOverflow", err)
@@ -359,8 +364,11 @@ func TestFlowAdminRoundTrip(t *testing.T) {
 	if _, err := admin.Exec("FLOW SET pace_decay 2"); err == nil {
 		t.Fatal("FLOW SET accepted pace_decay 2")
 	}
-	if _, err := admin.Exec("FLOW SET no_such_knob 1"); err == nil {
-		t.Fatal("FLOW SET accepted an unknown knob")
+	// The byte cap is the SSL's only cap: no syncset-count knob.
+	for _, cmd := range []string{"FLOW SET no_such_knob 1", "FLOW SET max_ssl_syncsets 1"} {
+		if _, err := admin.Exec(cmd); err == nil {
+			t.Fatalf("%s: accepted an unknown knob", cmd)
+		}
 	}
 	if got := knob(list(), "pace_max_delay"); got != "20ms" {
 		t.Fatalf("failed SET mutated config: pace_max_delay = %q", got)

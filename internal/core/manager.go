@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sync/atomic"
 	"time"
 
@@ -46,14 +46,23 @@ const (
 	bconHerdSpin = 2 * time.Millisecond
 )
 
-// destRetry governs redial-and-retry of the migration's own idempotent
-// destination operations (dials, the promotion probe): 4 attempts from
-// 25ms exponential backoff capped at 500ms with 20% jitter.
-var destRetry = wire.RetryPolicy{
-	MaxAttempts: 4,
-	BaseBackoff: 25 * time.Millisecond,
-	MaxBackoff:  500 * time.Millisecond,
-	Jitter:      0.2,
+// Destination dial retries (connectRetry): 4 attempts, the pause before
+// retry n being min(25ms·2^(n-1), 500ms) with ±20% jitter, so a herd of
+// players redialing one slave does not reconnect in lockstep.
+const (
+	dialAttempts   = 4
+	dialBackoff    = 25 * time.Millisecond
+	dialMaxBackoff = 500 * time.Millisecond
+	dialJitter     = 0.2
+)
+
+// retrySleep is connectRetry's pause; tests substitute a recorder.
+var retrySleep = time.Sleep
+
+// dialPause returns the jittered pause before dial retry n (1-based).
+func dialPause(n int) time.Duration {
+	d := min(dialBackoff<<(n-1), dialMaxBackoff)
+	return d + time.Duration((rand.Float64()*2-1)*dialJitter*float64(d))
 }
 
 // MigrateOptions is what differs between two migrations. Everything else —
@@ -432,8 +441,8 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 		if err := wd.Check(now); err != nil {
 			return failProp(err)
 		}
-		if over := t.sslOverflow(); over != "" {
-			return failProp(fmt.Errorf("core: %s cap breached with debt %d: %w", over, debt, flow.ErrSSLOverflow))
+		if t.sslOverflow() {
+			return failProp(fmt.Errorf("core: SSL byte cap breached with debt %d: %w", debt, flow.ErrSSLOverflow))
 		}
 		if sample {
 			// Release the SSL prefix every propagator has applied.
@@ -573,21 +582,16 @@ func probePromotion(sl Backend, tenant string, trace *wire.TraceContext) error {
 	return nil
 }
 
-// connectRetry dials a tenant session on node under destRetry: transient
-// failures (transport losses, injected faults at the optional failpoint
-// site) back off exponentially and redial; server-reported errors fail
-// fast. The session carries destOpTimeout and the attempt's trace context
-// (nil when obs is off).
+// connectRetry dials a tenant session on node, the one way every migration
+// destination session is opened: transient failures (transport losses,
+// injected faults at the optional failpoint site) back off and redial up to
+// dialAttempts times; server-reported errors fail fast. The session carries
+// destOpTimeout and the attempt's trace context (nil when obs is off).
 func connectRetry(node Backend, tenant, site string, trace *wire.TraceContext) (*wire.Client, error) {
-	p := destRetry
-	var rng *rand.Rand // lazily seeded: most dials succeed on attempt 0
 	var lastErr error
-	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < dialAttempts; attempt++ {
 		if attempt > 0 {
-			if rng == nil {
-				rng = p.JitterRNG()
-			}
-			time.Sleep(p.Backoff(attempt, rng))
+			retrySleep(dialPause(attempt))
 			obsMigRetries.Inc()
 		}
 		if site != "" {

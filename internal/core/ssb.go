@@ -21,11 +21,6 @@ type SSB struct {
 	// SSBs are discarded at commit (mapping function, Definition 2) —
 	// except under B-ALL capture, which propagates them too.
 	update bool
-
-	// propagation state, owned by the conductor.
-	started   bool // first operation dispatched to a player
-	firstDone bool // first operation completed on the slave
-	allDone   bool // writes completed; commit may be ordered
 }
 
 // FirstOp returns the first captured operation.
@@ -50,7 +45,8 @@ func (b *SSB) OpCount() int { return len(b.Entries) + 1 }
 // Per-SSB memory accounting used by the flow layer's byte cap: the struct
 // itself plus slice headers, rounded up, and each entry's header plus its
 // SQL text. Deliberately a slight over-estimate — the cap protects the
-// process, so erring high is the safe side.
+// process, so erring high is the safe side. The overheads also make the
+// byte cap bound the counts: accounted bytes ≥ 96·syncsets and ≥ 32·ops.
 const (
 	ssbOverhead   = 96
 	entryOverhead = 32

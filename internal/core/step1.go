@@ -42,7 +42,6 @@ var errAllSlavesDead = errors.New("core: every slave failed during restore")
 // source stream and the restore appliers. refs counts the slaves that still
 // hold it; the last one out returns its bytes to the transfer budget.
 type step1Chunk struct {
-	seq    int
 	stmts  []string
 	bytes  int64
 	refs   atomic.Int32
@@ -90,11 +89,10 @@ type slaveRun struct {
 //	         a slow destination backpressures the dump scan here, so
 //	         resident transfer memory stays under the configured cap
 //	stage 3  per slave, chunk 0 — the schema prologue DUMP STREAM sends
-//	         whole and first — is applied alone; then a dispatcher feeds
-//	         N parallel appliers, each applying a chunk as one
-//	         transaction (one WAL commit per chunk instead of one per
-//	         INSERT batch); completions feed a single ordered
-//	         acknowledgement cursor
+//	         whole and first — is applied alone; then N parallel
+//	         appliers take chunks off the slave's channel, each applying
+//	         a chunk as one transaction (one WAL commit per chunk instead
+//	         of one per INSERT batch)
 //
 // The dump transaction COMMITs as soon as the scan finishes — the source
 // stops pinning MVCC versions while slaves are still applying.
@@ -131,7 +129,7 @@ func pipelineSnapshot(ctl *wire.Client, tenant string, slaves []Backend,
 	}
 
 	start := time.Now()
-	sink := func(seq uint32, stmts []string) error {
+	sink := func(_ uint32, stmts []string) error {
 		if ferr := fault.Inject(faultStep1Chunk); ferr != nil {
 			return ferr
 		}
@@ -140,7 +138,7 @@ func pipelineSnapshot(ctl *wire.Client, tenant string, slaves []Backend,
 			return errAllSlavesDead
 		default:
 		}
-		c := &step1Chunk{seq: int(seq), stmts: stmts, budget: budget}
+		c := &step1Chunk{stmts: stmts, budget: budget}
 		for _, s := range stmts {
 			c.bytes += int64(len(s)) + chunkStmtOverhead
 		}
@@ -176,7 +174,7 @@ func pipelineSnapshot(ctl *wire.Client, tenant string, slaves []Backend,
 	}
 	res.streamErr = err
 	// End of stream (clean or not): closing the channels lets every
-	// dispatcher finish, drain, and exit.
+	// slave's appliers finish, drain, and exit.
 	for _, sr := range runs {
 		close(sr.ch)
 	}
@@ -196,19 +194,13 @@ func pipelineSnapshot(ctl *wire.Client, tenant string, slaves []Backend,
 	return res
 }
 
-// applyAck is one applier's completion report.
-type applyAck struct {
-	seq int
-	err error
-}
-
 // restoreStream restores one slave from the chunk stream. Chunk 0 carries
 // the whole schema (engine.DumpStream's prologue) and is the migration's one
-// serial barrier: it is applied alone, before any applier starts. After it a
-// dispatcher feeds restoreAppliers parallel appliers (each with its own
-// connection, each chunk one transaction) and folds their completions into
-// a single ordered acknowledgement cursor — chunk k counts as restored only
-// once chunks 0..k have all committed.
+// serial barrier: it is applied alone, before any applier starts. After it
+// restoreAppliers parallel appliers (each with its own connection, each
+// chunk one transaction) take chunks straight off the slave's channel. The
+// first failure stops them all: the slave is discarded whole, so nothing
+// tracks which chunks committed.
 func restoreStream(sr *slaveRun, tenant string, trace *wire.TraceContext) error {
 	if ferr := fault.Inject(faultStep2Restore); ferr != nil {
 		return ferr
@@ -234,76 +226,60 @@ func restoreStream(sr *slaveRun, tenant string, trace *wire.TraceContext) error 
 		conns = append(conns, cn)
 	}
 
-	// Ordered-ack bookkeeping: prefix is the contiguous restored front,
-	// pending the out-of-order completions above it.
-	prefix, outstanding, total := 0, 0, 0
-	pending := make(map[int]bool)
-	var firstErr error
-	note := func(a applyAck) {
-		if a.err != nil && firstErr == nil {
-			firstErr = a.err
-		}
-		pending[a.seq] = true
-		for pending[prefix] {
-			delete(pending, prefix)
-			prefix++
-		}
+	schema, ok := <-sr.ch
+	if !ok {
+		return nil
+	}
+	err := applyChunk(conns[0], schema)
+	schema.release()
+	if err != nil {
+		return fmt.Errorf("core: restore on %s: %w", sr.sl.BackendName(), err)
 	}
 
-	if c, ok := <-sr.ch; ok {
-		total++
-		note(applyAck{seq: c.seq, err: applyChunk(conns[0], c)})
-		c.release()
-	}
-
-	work := make(chan *step1Chunk)
-	acks := make(chan applyAck, len(conns))
-	var appliers sync.WaitGroup
+	var (
+		appliers          sync.WaitGroup
+		stop              = make(chan struct{})
+		stopOnce          sync.Once
+		firstErr          error
+		received, applied atomic.Int64
+	)
 	for _, cn := range conns {
 		appliers.Add(1)
-		go func(cn *wire.Client) {
+		go func() {
 			defer appliers.Done()
-			for c := range work {
-				err := applyChunk(cn, c)
-				acks <- applyAck{seq: c.seq, err: err}
-				c.release()
-			}
-		}(cn)
-	}
-
-dispatch:
-	for firstErr == nil {
-		c, ok := <-sr.ch
-		if !ok {
-			break
-		}
-		total++
-		for {
-			select {
-			case work <- c:
-				outstanding++
-				continue dispatch
-			case a := <-acks:
-				outstanding--
-				note(a)
-				if firstErr != nil {
+			for {
+				select {
+				case <-stop:
+					return
+				case c, ok := <-sr.ch:
+					if !ok {
+						return
+					}
+					received.Add(1)
+					err := applyChunk(cn, c)
 					c.release()
-					break dispatch
+					if err != nil {
+						stopOnce.Do(func() {
+							firstErr = err
+							close(stop)
+						})
+						return
+					}
+					applied.Add(1)
 				}
 			}
-		}
-	}
-	close(work)
-	for outstanding > 0 {
-		a := <-acks
-		outstanding--
-		note(a)
+		}()
 	}
 	appliers.Wait()
 	if firstErr != nil {
 		return fmt.Errorf("core: restore on %s: %w", sr.sl.BackendName(), firstErr)
 	}
-	invariant.Assertf(prefix == total, "core: step1 restore acked %d of %d chunks with no error", prefix, total)
+	invariant.Check(func() error {
+		if a, r := applied.Load(), received.Load(); a != r {
+			return fmt.Errorf("core: step1 restore applied %d of %d chunks with no error", a, r)
+		}
+		return nil
+	})
 	return nil
 }
 

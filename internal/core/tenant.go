@@ -37,18 +37,18 @@ type Tenant struct {
 	captureAll bool
 	ssl        []*SSB // retained (linked, not yet released) SSBs in link order
 
-	// SSL accounting for the flow layer's caps and gauges. ssl holds only
+	// SSL accounting for the flow layer's cap and gauges. ssl holds only
 	// the retained window: once every propagator has applied a prefix, the
 	// manager releases it (releaseAppliedSSL) and sslBase advances, so
 	// absolute link index i lives at ssl[i-sslBase]. sslOps/sslBytes track
-	// the retained window's footprint; sslOver records the first cap
-	// breach ("" = none) for the manager to turn into a rollback — the
-	// link path itself never drops a syncset, since a partial SSL would
-	// break the LSIR's contiguous-ETS premise.
+	// the retained window's footprint; sslOver records a breach of the byte
+	// cap for the manager to turn into a rollback — the link path itself
+	// never drops a syncset, since a partial SSL would break the LSIR's
+	// contiguous-ETS premise.
 	sslBase  int
 	sslOps   int
 	sslBytes int64
-	sslOver  string
+	sslOver  bool
 
 	// flow wiring: gov is the process-wide knob set, throttle the pacing
 	// brake Step 3's controller drives, limiter the session admission gate.
@@ -211,34 +211,22 @@ func (t *Tenant) resolveSSBLocked(b *SSB, link bool) {
 		obsSSBLinked.Inc()
 		flow.AccountSSL(b.OpCount(), b.MemSize())
 		obsSSLDepth.Set(int64(len(t.ssl)))
-		if t.sslOver == "" {
-			t.checkSSLCapsLocked()
+		if !t.sslOver {
+			// The manager's Step-3 loop polls sslOverflow and aborts
+			// through the rollback protocol; linking continues meanwhile
+			// so the SSL stays a contiguous ETS prefix until the abort
+			// lands.
+			if limit := t.gov.Config().MaxSSLBytes; limit > 0 && t.sslBytes > limit {
+				t.sslOver = true
+				flow.NoteOverflow()
+			}
 		}
 	}
 	t.cond.Broadcast()
 }
 
-// checkSSLCapsLocked flags the first breach of a configured SSL cap. The
-// manager's Step-3 loop polls sslOverflow and aborts through the rollback
-// protocol; linking continues meanwhile so the SSL stays a contiguous
-// ETS prefix until the abort lands. Caller holds t.mu.
-func (t *Tenant) checkSSLCapsLocked() {
-	cfg := t.gov.Config()
-	switch {
-	case cfg.MaxSSLSyncsets > 0 && len(t.ssl) > cfg.MaxSSLSyncsets:
-		t.sslOver = "syncsets"
-	case cfg.MaxSSLOps > 0 && t.sslOps > cfg.MaxSSLOps:
-		t.sslOver = "ops"
-	case cfg.MaxSSLBytes > 0 && t.sslBytes > cfg.MaxSSLBytes:
-		t.sslOver = "bytes"
-	default:
-		return
-	}
-	flow.NoteOverflow()
-}
-
-// sslOverflow reports which SSL cap has been breached ("" = none).
-func (t *Tenant) sslOverflow() string {
+// sslOverflow reports whether the SSL has breached its byte cap.
+func (t *Tenant) sslOverflow() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.sslOver
@@ -254,7 +242,7 @@ func (t *Tenant) resetSSLLocked() {
 	t.sslBase = 0
 	t.sslOps = 0
 	t.sslBytes = 0
-	t.sslOver = ""
+	t.sslOver = false
 	obsSSLDepth.Set(0)
 }
 

@@ -8,10 +8,9 @@
 //
 // Four mechanisms, one Config:
 //
-//   - Bounded SSL: ops/SSB/byte caps on the capture buffer
-//     (internal/core's syncset list), tracked per tenant. A breach aborts
-//     the migration through the rollback protocol instead of growing
-//     without limit.
+//   - Bounded SSL: a byte cap on the capture buffer (internal/core's
+//     syncset list), tracked per tenant. A breach aborts the migration
+//     through the rollback protocol instead of growing without limit.
 //   - Adaptive source pacing: a feedback controller watches the Step-3
 //     debt trend and injects a small, bounded delay into the migrating
 //     tenant's source-side commits when debt diverges — dirty-rate
@@ -45,10 +44,6 @@ import (
 //
 //madeusvet:knobs
 const (
-	// DefaultMaxSSLSyncsets bounds linked-but-unreleased syncsets.
-	DefaultMaxSSLSyncsets = 100_000
-	// DefaultMaxSSLOps bounds captured operations across those syncsets.
-	DefaultMaxSSLOps = 1_000_000
 	// DefaultMaxSSLBytes bounds the capture buffer's memory footprint.
 	DefaultMaxSSLBytes = 256 << 20
 	// CatchupDebt is the syncset debt a slave may run behind by while it
@@ -93,14 +88,10 @@ const (
 //
 //madeusvet:config
 type Config struct {
-	// MaxSSLSyncsets caps retained (linked but not yet released) syncsets
-	// in a migrating tenant's SSL. 0 = unlimited.
-	MaxSSLSyncsets int
-	// MaxSSLOps caps the captured operations retained in the SSL.
-	// 0 = unlimited.
-	MaxSSLOps int
 	// MaxSSLBytes caps the SSL's accounted memory footprint (SQL text plus
-	// per-entry overhead). 0 = unlimited.
+	// per-syncset and per-entry overhead), the capture buffer's one cap:
+	// the overheads make it bound the retained syncsets and operations
+	// too. 0 = unlimited.
 	MaxSSLBytes int64
 
 	// PaceTargetDebt is the Step-3 debt the pacing controller steers the
@@ -148,8 +139,6 @@ type Config struct {
 // daemon (cmd/madeusd) ships with it; tests and embedders opt in.
 func DefaultConfig() Config {
 	return Config{
-		MaxSSLSyncsets:   DefaultMaxSSLSyncsets,
-		MaxSSLOps:        DefaultMaxSSLOps,
 		MaxSSLBytes:      DefaultMaxSSLBytes,
 		PaceTargetDebt:   DefaultPaceTargetDebt,
 		PaceStep:         DefaultPaceStep,
@@ -167,12 +156,6 @@ func DefaultConfig() Config {
 // that each Config field is referenced here, so a new knob cannot ship
 // unvalidated.
 func (c Config) Validate() error {
-	if c.MaxSSLSyncsets < 0 {
-		return fmt.Errorf("flow: MaxSSLSyncsets %d < 0", c.MaxSSLSyncsets)
-	}
-	if c.MaxSSLOps < 0 {
-		return fmt.Errorf("flow: MaxSSLOps %d < 0", c.MaxSSLOps)
-	}
 	if c.MaxSSLBytes < 0 {
 		return fmt.Errorf("flow: MaxSSLBytes %d < 0", c.MaxSSLBytes)
 	}
@@ -253,8 +236,7 @@ func (g *Governor) Update(cfg Config) error {
 // knobs maps the admin-facing snake_case knob names onto Config fields.
 // Order here is the FLOW listing order.
 var knobNames = []string{
-	"max_ssl_syncsets", "max_ssl_ops", "max_ssl_bytes",
-	"max_transfer_bytes",
+	"max_ssl_bytes", "max_transfer_bytes",
 	"pace_target_debt", "pace_step", "pace_max_delay", "pace_decay",
 	"deadline", "stall_window",
 	"max_sessions", "admit_queue", "admit_timeout",
@@ -266,10 +248,6 @@ func KnobNames() []string { return append([]string(nil), knobNames...) }
 // Knob renders the named knob's current value ("" for unknown names).
 func (c Config) Knob(name string) string {
 	switch name {
-	case "max_ssl_syncsets":
-		return strconv.Itoa(c.MaxSSLSyncsets)
-	case "max_ssl_ops":
-		return strconv.Itoa(c.MaxSSLOps)
 	case "max_ssl_bytes":
 		return strconv.FormatInt(c.MaxSSLBytes, 10)
 	case "max_transfer_bytes":
@@ -303,10 +281,6 @@ func (g *Governor) Set(name, value string) error {
 	cfg := g.Config()
 	var err error
 	switch name {
-	case "max_ssl_syncsets":
-		cfg.MaxSSLSyncsets, err = strconv.Atoi(value)
-	case "max_ssl_ops":
-		cfg.MaxSSLOps, err = strconv.Atoi(value)
 	case "max_ssl_bytes":
 		cfg.MaxSSLBytes, err = strconv.ParseInt(value, 10, 64)
 	case "max_transfer_bytes":
@@ -349,8 +323,8 @@ var (
 	ErrStalled = errors.New("flow: migration stalled: no propagation progress within the stall window")
 	// ErrDeadline aborts a migration that outlived its deadline.
 	ErrDeadline = errors.New("flow: migration deadline exceeded")
-	// ErrSSLOverflow aborts a migration whose capture buffer breached a
-	// configured cap. With pacing on this should never fire; with pacing
+	// ErrSSLOverflow aborts a migration whose capture buffer breached its
+	// configured byte cap. With pacing on this should never fire; with pacing
 	// off it is the bound that keeps memory finite.
 	ErrSSLOverflow = errors.New("flow: syncset list exceeded its configured cap")
 )

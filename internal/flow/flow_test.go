@@ -22,8 +22,6 @@ func TestValidateRejectsEveryBadField(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"neg ssl syncsets", func(c *Config) { c.MaxSSLSyncsets = -1 }},
-		{"neg ssl ops", func(c *Config) { c.MaxSSLOps = -1 }},
 		{"neg ssl bytes", func(c *Config) { c.MaxSSLBytes = -1 }},
 		{"neg target debt", func(c *Config) { c.PaceTargetDebt = -1 }},
 		{"target debt above catch-up", func(c *Config) { c.PaceTargetDebt = CatchupDebt + 1 }},
@@ -77,8 +75,6 @@ func TestGovernorSetRoundTrip(t *testing.T) {
 	}
 	// Every knob must be settable and render back.
 	want := map[string]string{
-		"max_ssl_syncsets":   "10",
-		"max_ssl_ops":        "100",
 		"max_ssl_bytes":      "4096",
 		"pace_target_debt":   "8",
 		"pace_step":          "2ms",

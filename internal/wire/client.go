@@ -4,9 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"madeus/internal/engine"
@@ -31,8 +29,7 @@ var ErrConnLost = errors.New("wire: connection lost")
 // ConnLostError reports that the client's connection is unusable. Once
 // returned, the Client is poisoned: a response to the in-flight request
 // may still arrive and would be misattributed to the next one, so the
-// socket is closed and only a redial (ExecRetry does it) can revive the
-// session.
+// socket is closed and the session is gone; the caller dials a new one.
 type ConnLostError struct {
 	Op    string // "dial", "write", "read", "exec"
 	Cause error
@@ -47,82 +44,20 @@ func (e *ConnLostError) Unwrap() error { return e.Cause }
 // Is matches the ErrConnLost sentinel.
 func (e *ConnLostError) Is(target error) bool { return target == ErrConnLost }
 
-// RetryPolicy controls ExecRetry: exponential backoff from BaseBackoff,
-// doubling per attempt, capped at MaxBackoff, with ±Jitter (a fraction of
-// the backoff) of randomization so a herd of retrying clients does not
-// reconnect in lockstep. Sleep defaults to time.Sleep; tests substitute a
-// fake clock to assert the schedule deterministically.
-type RetryPolicy struct {
-	MaxAttempts int           // total attempts including the first; ≤1 disables retries
-	BaseBackoff time.Duration // backoff before the first retry
-	MaxBackoff  time.Duration // cap on the doubled backoff (0 = no cap)
-	Jitter      float64       // fraction of the backoff randomized, e.g. 0.2
-	// Seed fixes the jitter PRNG so a backoff schedule is reproducible
-	// (tests, deterministic replays). 0 derives a unique per-client seed.
-	Seed  int64
-	Sleep func(time.Duration)
-}
-
-// Backoff returns the pause before retry n (1-based), drawing jitter from
-// rng. Each retrying actor owns its rng (JitterRNG) — the old shared
-// global math/rand source serialized every backing-off client on one lock
-// during exactly the retry storms jitter exists to spread out, and made
-// schedules irreproducible under test. A nil rng disables jitter.
-func (p RetryPolicy) Backoff(n int, rng *rand.Rand) time.Duration {
-	d := p.BaseBackoff
-	if d <= 0 {
-		d = time.Millisecond
-	}
-	for i := 1; i < n; i++ {
-		d *= 2
-		if p.MaxBackoff > 0 && d >= p.MaxBackoff {
-			d = p.MaxBackoff
-			break
-		}
-	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	if p.Jitter > 0 && rng != nil {
-		d += time.Duration((rng.Float64()*2 - 1) * p.Jitter * float64(d))
-		if d < 0 {
-			d = 0
-		}
-	}
-	return d
-}
-
-// seedCounter de-duplicates same-nanosecond automatic seeds.
-var seedCounter atomic.Int64
-
-// JitterRNG builds the policy's private jitter source: seeded from Seed
-// when set, unique otherwise.
-func (p RetryPolicy) JitterRNG() *rand.Rand {
-	seed := p.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano() + seedCounter.Add(1)<<32
-	}
-	return rand.New(rand.NewSource(seed))
-}
-
 // Client is a protocol client bound to one database session. A Client is
 // used by one goroutine at a time (matching the request/response discipline:
 // "After receiving the response of the operation, the customer sends a new
 // operation", Sec 4.2).
 type Client struct {
-	addr     string
-	database string
-	rtt      time.Duration
+	rtt time.Duration
 
 	conn   net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	rbuf   []byte // readMsg's buffer: holds the reply ExecReply lends out
-	broken bool   // connection poisoned; only a redial revives the session
+	broken bool   // connection poisoned; the session is gone
 
 	opTimeout time.Duration
-	retry     RetryPolicy
-	rng       *rand.Rand // this client's private jitter source (lazy)
 
 	trace *TraceContext // when set and obs is on, ops go out as traced frames
 }
@@ -135,8 +70,19 @@ func Dial(addr, database string) (*Client, error) {
 // DialRTT is Dial with a simulated network round-trip time added to every
 // Exec (the latency-injection knob standing in for the paper's 1 GbE LAN).
 func DialRTT(addr, database string, rtt time.Duration) (*Client, error) {
-	c := &Client{addr: addr, database: database, rtt: rtt, broken: true}
-	if err := c.redial(); err != nil {
+	if err := fault.Inject(faultDial); err != nil {
+		if fault.IsConnDrop(err) {
+			return nil, &ConnLostError{Op: "dial", Cause: err}
+		}
+		return nil, err
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	c := &Client{rtt: rtt, conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	if err := c.startup(database); err != nil {
+		conn.Close()
 		return nil, err
 	}
 	return c, nil
@@ -148,26 +94,10 @@ func DialRTT(addr, database string, rtt time.Duration) (*Client, error) {
 // may still arrive later). 0 disables the bound.
 func (c *Client) SetOpTimeout(d time.Duration) { c.opTimeout = d }
 
-// SetRetry installs the policy ExecRetry uses and re-arms the client's
-// jitter source so a new Seed takes effect.
-func (c *Client) SetRetry(p RetryPolicy) {
-	c.retry = p
-	c.rng = nil
-}
-
-// jitterRNG lazily builds this client's jitter source.
-func (c *Client) jitterRNG() *rand.Rand {
-	if c.rng == nil {
-		c.rng = c.retry.JitterRNG()
-	}
-	return c.rng
-}
-
 // SetTraceContext attaches (or, with nil, detaches) a migration trace
 // context. While attached and observability is enabled, every Exec and
 // ExecStream goes out as a traced frame so the server-side events carry
-// the migration's MTS and span id. Survives redials: the context lives on
-// the Client, not the connection.
+// the migration's MTS and span id.
 func (c *Client) SetTraceContext(tc *TraceContext) { c.trace = tc }
 
 // sendQuery is the request half shared by Exec and ExecStream: simulated
@@ -228,38 +158,8 @@ func (c *Client) clearDeadline() {
 }
 
 // Broken reports whether the connection has been poisoned by a transport
-// failure and needs a redial.
+// failure.
 func (c *Client) Broken() bool { return c.broken }
-
-// redial (re)establishes the TCP connection and the session. Usable both
-// for the first dial and to revive a poisoned client.
-func (c *Client) redial() error {
-	if c.conn != nil {
-		_ = c.conn.Close()
-		c.conn = nil
-	}
-	c.broken = true
-	if err := fault.Inject(faultDial); err != nil {
-		if fault.IsConnDrop(err) {
-			return &ConnLostError{Op: "dial", Cause: err}
-		}
-		return err
-	}
-	conn, err := net.Dial("tcp", c.addr)
-	if err != nil {
-		return err
-	}
-	c.conn = conn
-	c.br = bufio.NewReader(conn)
-	c.bw = bufio.NewWriter(conn)
-	if err := c.startup(c.database); err != nil {
-		conn.Close()
-		c.conn = nil
-		return err
-	}
-	c.broken = false
-	return nil
-}
 
 func (c *Client) startup(database string) error {
 	if c.opTimeout > 0 {
@@ -380,48 +280,6 @@ func (c *Client) ExecStream(sql string, sink func(seq uint32, stmts []string) er
 			return nil, c.lost("read", fmt.Errorf("wire: unexpected response type %q", typ))
 		}
 	}
-}
-
-// ExecRetry is Exec plus the client's RetryPolicy: transport failures
-// (and injected faults) on *idempotent* statements are retried with
-// exponential backoff, redialing when the connection was poisoned.
-// Non-idempotent statements are never retried — a lost response leaves
-// the statement's fate unknown, and replaying e.g. an increment would
-// double-apply it; server-reported errors are never retried either.
-func (c *Client) ExecRetry(sql string, idempotent bool) (*engine.Result, error) {
-	res, err := c.Exec(sql)
-	if err == nil || !idempotent || !retryable(err) {
-		return res, err
-	}
-	p := c.retry
-	sleep := p.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	for attempt := 1; attempt < p.MaxAttempts; attempt++ {
-		sleep(p.Backoff(attempt, c.jitterRNG()))
-		obsRetries.Inc()
-		if c.broken {
-			if derr := c.redial(); derr != nil {
-				err = derr
-				if !retryable(err) {
-					return nil, err
-				}
-				continue
-			}
-		}
-		res, err = c.Exec(sql)
-		if err == nil || !retryable(err) {
-			return res, err
-		}
-	}
-	return nil, err
-}
-
-// retryable reports whether err may be transient: transport failures and
-// injected faults, never server-reported statement errors.
-func retryable(err error) bool {
-	return IsTransportError(err) || fault.IsInjected(err)
 }
 
 // Scrape pulls the server process's observability snapshot: its registry

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -263,230 +262,5 @@ func TestMidMessageConnDropIsTypedConnLoss(t *testing.T) {
 	}
 	if !c.Broken() {
 		t.Error("client not poisoned after mid-message drop")
-	}
-}
-
-func TestExecRetryBackoffSchedule(t *testing.T) {
-	// Every session drops right after the query, so every attempt fails:
-	// the captured sleeps must follow the doubling-capped schedule
-	// exactly (Jitter 0 makes it deterministic).
-	addr := scriptedAddr(t, func(sess int, conn net.Conn, br *bufio.Reader) {
-		if !startupOK(conn, br) {
-			return
-		}
-		recvFrame(br) // the query; drop the conn by returning
-	})
-	c, err := Dial(addr, "db")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var sleeps []time.Duration
-	c.SetRetry(RetryPolicy{
-		MaxAttempts: 5,
-		BaseBackoff: 10 * time.Millisecond,
-		MaxBackoff:  40 * time.Millisecond,
-		Jitter:      0,
-		Sleep:       func(d time.Duration) { sleeps = append(sleeps, d) },
-	})
-	if _, err := c.ExecRetry("SELECT 1 FROM t", true); !errors.Is(err, ErrConnLost) {
-		t.Fatalf("got %v, want ErrConnLost after exhausting retries", err)
-	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond, 40 * time.Millisecond}
-	if len(sleeps) != len(want) {
-		t.Fatalf("slept %v, want %v", sleeps, want)
-	}
-	for i := range want {
-		if sleeps[i] != want[i] {
-			t.Errorf("retry %d slept %v, want %v", i+1, sleeps[i], want[i])
-		}
-	}
-}
-
-func TestExecRetryNeverRetriesNonIdempotent(t *testing.T) {
-	var queries atomic.Int32
-	addr := scriptedAddr(t, func(sess int, conn net.Conn, br *bufio.Reader) {
-		if !startupOK(conn, br) {
-			return
-		}
-		if _, _, err := recvFrame(br); err == nil {
-			queries.Add(1)
-		}
-		// drop: the statement's fate is now unknown to the client
-	})
-	c, err := Dial(addr, "db")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var sleeps int
-	c.SetRetry(RetryPolicy{
-		MaxAttempts: 5,
-		BaseBackoff: time.Millisecond,
-		Sleep:       func(time.Duration) { sleeps++ },
-	})
-	_, err = c.ExecRetry("UPDATE t SET n = n + 1", false)
-	if !errors.Is(err, ErrConnLost) {
-		t.Fatalf("got %v, want ErrConnLost", err)
-	}
-	if got := queries.Load(); got != 1 {
-		t.Errorf("server saw %d queries, want exactly 1 (a replay would double-apply)", got)
-	}
-	if sleeps != 0 {
-		t.Errorf("slept %d times, want 0", sleeps)
-	}
-}
-
-func TestExecRetryNeverRetriesServerErrors(t *testing.T) {
-	_, srv := newServer(t)
-	c, err := Dial(srv.Addr(), "db")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var sleeps int
-	c.SetRetry(RetryPolicy{
-		MaxAttempts: 5,
-		BaseBackoff: time.Millisecond,
-		Sleep:       func(time.Duration) { sleeps++ },
-	})
-	_, err = c.ExecRetry("SELECT * FROM missing", true)
-	var se *ServerError
-	if !errors.As(err, &se) {
-		t.Fatalf("got %v, want *ServerError", err)
-	}
-	if sleeps != 0 {
-		t.Errorf("slept %d times on a server-reported error, want 0", sleeps)
-	}
-}
-
-func TestExecRetryRedialsAndSucceeds(t *testing.T) {
-	// Session 0 drops after the query; session 1 answers. ExecRetry must
-	// back off once, redial, and return the healthy session's result.
-	addr := scriptedAddr(t, func(sess int, conn net.Conn, br *bufio.Reader) {
-		if !startupOK(conn, br) {
-			return
-		}
-		for {
-			if _, _, err := recvFrame(br); err != nil {
-				return
-			}
-			if sess == 0 {
-				return // drop mid-conversation
-			}
-			payload := AppendResult(nil, &engine.Result{Tag: "SELECT 0"})
-			if sendFrame(conn, MsgResult, payload) != nil {
-				return
-			}
-		}
-	})
-	c, err := Dial(addr, "db")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var sleeps []time.Duration
-	c.SetRetry(RetryPolicy{
-		MaxAttempts: 3,
-		BaseBackoff: 10 * time.Millisecond,
-		Sleep:       func(d time.Duration) { sleeps = append(sleeps, d) },
-	})
-	res, err := c.ExecRetry("SELECT 1 FROM t", true)
-	if err != nil {
-		t.Fatalf("ExecRetry after heal: %v", err)
-	}
-	if res.Tag != "SELECT 0" {
-		t.Errorf("Tag = %q", res.Tag)
-	}
-	if len(sleeps) != 1 || sleeps[0] != 10*time.Millisecond {
-		t.Errorf("sleeps = %v, want one 10ms backoff", sleeps)
-	}
-	if c.Broken() {
-		t.Error("client still poisoned after successful redial")
-	}
-}
-
-func TestBackoffSeededJitterDeterministic(t *testing.T) {
-	// A fixed Seed makes the jittered schedule byte-for-byte reproducible:
-	// math/rand's generator is part of Go's compatibility promise, so these
-	// golden durations hold on every platform. (The old implementation drew
-	// from the global source — irreproducible, and one lock shared by every
-	// backing-off client in the process.)
-	p := RetryPolicy{
-		MaxAttempts: 5,
-		BaseBackoff: 10 * time.Millisecond,
-		MaxBackoff:  40 * time.Millisecond,
-		Jitter:      0.5,
-		Seed:        42,
-	}
-	want := []time.Duration{8730284, 11320010, 44163754, 28352749}
-	rng := p.JitterRNG()
-	for i, w := range want {
-		if got := p.Backoff(i+1, rng); got != w {
-			t.Errorf("attempt %d: backoff %v, want %v", i+1, got, w)
-		}
-	}
-
-	// Two actors with the same seed walk the same schedule; a different
-	// seed diverges; a nil rng disables jitter entirely.
-	a, b := p.JitterRNG(), p.JitterRNG()
-	other := p
-	other.Seed = 43
-	o := other.JitterRNG()
-	diverged := false
-	for n := 1; n <= 4; n++ {
-		da, db := p.Backoff(n, a), p.Backoff(n, b)
-		if da != db {
-			t.Errorf("attempt %d: same seed diverged: %v vs %v", n, da, db)
-		}
-		if p.Backoff(n, o) != da {
-			diverged = true
-		}
-	}
-	if !diverged {
-		t.Error("different seeds produced identical schedules")
-	}
-	if got := p.Backoff(3, nil); got != 40*time.Millisecond {
-		t.Errorf("nil rng: backoff %v, want the unjittered 40ms", got)
-	}
-}
-
-func TestExecRetrySeededJitterSchedule(t *testing.T) {
-	// End to end: two clients configured with the same Seed observe
-	// identical jittered sleep schedules through ExecRetry.
-	addr := scriptedAddr(t, func(sess int, conn net.Conn, br *bufio.Reader) {
-		if !startupOK(conn, br) {
-			return
-		}
-		recvFrame(br) // drop after the query: every attempt fails
-	})
-	run := func(seed int64) []time.Duration {
-		c, err := Dial(addr, "db")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		var sleeps []time.Duration
-		c.SetRetry(RetryPolicy{
-			MaxAttempts: 4,
-			BaseBackoff: 10 * time.Millisecond,
-			MaxBackoff:  40 * time.Millisecond,
-			Jitter:      0.5,
-			Seed:        seed,
-			Sleep:       func(d time.Duration) { sleeps = append(sleeps, d) },
-		})
-		if _, err := c.ExecRetry("SELECT 1 FROM t", true); !errors.Is(err, ErrConnLost) {
-			t.Fatalf("got %v, want ErrConnLost", err)
-		}
-		return sleeps
-	}
-	s1, s2 := run(7), run(7)
-	if len(s1) != 3 {
-		t.Fatalf("slept %d times, want 3", len(s1))
-	}
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			t.Errorf("retry %d: %v vs %v (same seed must match)", i+1, s1[i], s2[i])
-		}
 	}
 }

@@ -24,7 +24,6 @@ var (
 	obsBytesIn     = obs.NewCounter("wire.bytes.in", "request payload bytes received")
 	obsBytesOut    = obs.NewCounter("wire.bytes.out", "response payload bytes sent")
 	obsOpLatency   = obs.NewHistogram("wire.op.latency", "server-side per-operation latency", obs.DurationBuckets())
-	obsRetries     = obs.NewCounter("wire.retries", "client-side op retries after transport failures")
 	obsStreamOps   = obs.NewCounter("wire.stream.ops", "streaming queries served")
 	obsStreamChunk = obs.NewCounter("wire.stream.chunks", "stream chunk frames sent")
 	obsScrapes     = obs.NewCounter("wire.scrapes", "remote observability snapshots served")

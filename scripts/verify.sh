@@ -18,9 +18,10 @@ go test -race -count=1 ./...
 # Runtime assertions armed, in the packages that carry them.
 go test -tags invariants -count=1 ./internal/wal/ ./internal/mvcc/ ./internal/lsir/ ./internal/engine/
 
-# Failpoints armed: the registry, the chaos migration suite, the hardened
-# wire client.
-go test -tags faultinject -race -count=1 ./internal/fault/ ./internal/core/ ./internal/wire/
+# Failpoints armed: the registry and the hardened wire client; the chaos
+# migration suite with core's runtime assertions armed too.
+go test -tags faultinject -race -count=1 ./internal/fault/ ./internal/wire/
+go test -tags "invariants faultinject" -race -count=1 ./internal/core/
 
 # Tag matrix: every tag-gated variant and the combined build must compile
 # (madeusvet's tagparity keeps the pairs' exported surfaces identical).
