@@ -67,11 +67,11 @@ func (ix *colIndex) lookup(val sqlmini.Value) []sqlmini.Value {
 }
 
 // CreateIndex builds a secondary equality index over the named column. The
-// build is online: the index is registered and the existing chain set
-// snapshotted under the all-stripes lock (stripe order, DESIGN.md §5i) so
-// every chain either lands in the backfill snapshot or was created by a
-// writer that already sees the registered index; then existing chains are
-// backfilled (duplicates are harmless).
+// build is online: the index is registered under the all-stripes lock
+// (stripe order, DESIGN.md §5i), so every chain was either filed in the
+// directory before — and its block is in the spine the backfill walks — or
+// is created by a writer that already sees the registered index; then the
+// directory's chains are backfilled (duplicates are harmless).
 func (tb *Table) CreateIndex(name, column string) error {
 	col := tb.Schema.ColumnIndex(column)
 	if col < 0 {
@@ -90,23 +90,17 @@ func (tb *Table) CreateIndex(name, column string) error {
 	next := append(slices.Clip(old), ix) // a new array: the published one is never written
 	tb.indexes.Store(&next)
 	tb.imu.Unlock()
-	var chains []pkChain
-	for si := range tb.stripes {
-		tb.stripes[si].each(func(pk sqlmini.Value, ch *rowChain) {
-			chains = append(chains, pkChain{pk: pk, ch: ch})
-		})
-	}
 	tb.unlockAllStripes()
 
 	// Backfill every version's value (any version might be visible to
 	// some snapshot).
-	for _, c := range chains {
-		c.ch.mu.Lock()
-		for i := range c.ch.versions {
-			ix.add(tb.column(c.ch.versions[i].ref, col), c.pk)
+	tb.eachChain(func(pk sqlmini.Value, ch *rowChain) {
+		ch.mu.Lock()
+		for i := range ch.versions {
+			ix.add(tb.column(ch.versions[i].ref, col), pk)
 		}
-		c.ch.mu.Unlock()
-	}
+		ch.mu.Unlock()
+	})
 	return nil
 }
 

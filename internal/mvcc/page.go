@@ -44,9 +44,8 @@ type ref uint64
 func (r ref) page() int { return int(r >> 32) }
 func (r ref) off() int  { return int(uint32(r)) }
 
-// pageCursor is the page one stripe appends rows to, and the array it
-// allocates chains from, so that writers of different stripes do not
-// serialise on one allocator.
+// pageCursor is the page one stripe appends rows to, so that writers of
+// different stripes do not serialise on one allocator.
 type pageCursor struct {
 	mu   sync.Mutex //madeusvet:lockrank mvcc-page 47
 	page []byte     // the open page; bytes at used and beyond are unwritten
@@ -55,9 +54,6 @@ type pageCursor struct {
 	// written counts the bytes this cursor has spent since the table's last
 	// compaction: rows, and the page tails left unwritten.
 	written int64
-
-	spare  []rowChain // chains allocated ahead (see newChain)
-	chains int        // chains allocated
 }
 
 // rowSize returns the encoded size of row.

@@ -234,6 +234,59 @@ func BenchmarkInsertInterleavedChunks(b *testing.B) {
 	}
 }
 
+// BenchmarkInsertSparseKeys is one op per load of 20 k rows whose keys
+// leave most of their blocks' slots empty, and the first scan: order_line's
+// oid*10+k (one to three lines per order, orders one to three ids apart, as
+// TPC-W's buy-confirm lands them), and keys a block apart, each alone in
+// its block. B/op over the rows is what the directory costs a row there.
+func BenchmarkInsertSparseKeys(b *testing.B) {
+	const rows = 20_000
+	orderLines := func() []int64 {
+		rng := rand.New(rand.NewSource(1))
+		keys := make([]int64, 0, rows)
+		for oid := int64(10_000_000); len(keys) < rows; oid += 1 + rng.Int63n(3) {
+			for k := int64(0); k <= rng.Int63n(3) && len(keys) < rows; k++ {
+				keys = append(keys, oid*10+k)
+			}
+		}
+		return keys
+	}
+	strided := func() []int64 {
+		keys := make([]int64, rows)
+		for i := range keys {
+			keys[i] = int64(i) * blockKeys
+		}
+		return keys
+	}
+	for _, bc := range []struct {
+		name string
+		keys []int64
+	}{{"order_line", orderLines()}, {"stride=64", strided()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, tb := quickTable(b)
+				for ks := bc.keys; len(ks) > 0; {
+					n := min(50, len(ks))
+					txn := m.Begin()
+					for _, k := range ks[:n] {
+						if err := tb.Insert(txn, row(k, 1)); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if _, err := txn.Commit(); err != nil {
+						b.Fatal(err)
+					}
+					ks = ks[n:]
+				}
+				if n := tb.Len(m.Begin()); n != rows {
+					b.Fatalf("loaded %d rows, want %d", n, rows)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkScan20k is one op per full scan of a settled 20 k-row table
 // (order-large's item table).
 func BenchmarkScan20k(b *testing.B) {

@@ -2,6 +2,7 @@ package mvcc
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -36,59 +37,118 @@ type rowChain struct {
 	first [1]version
 }
 
-// tableStripe is one shard of the row map. Single-stripe operations hash
-// the primary key to a stripe; cross-stripe operations (full scans, index
-// DDL) take stripes in index order via lockAllStripes.
+// tableStripe is one shard of the chain directory. Single-stripe operations
+// pick a key's stripe (stripeFor); cross-stripe operations (index DDL) take
+// stripes in index order via lockAllStripes.
 //
-// INT keys, every TPC-W key among them, are filed in an int64-keyed map —
-// a 16-byte entry that hashes one word — and keys of the other kinds in a
-// Value-keyed one. Both are made on first use and reached only through
-// get, put and each.
+// INT keys, every TPC-W key among them, are filed by block in an
+// int64-keyed map, and keys of the other kinds in a Value-keyed one. Both
+// are made on first use and reached only through block and put.
 type tableStripe struct {
-	mu   sync.Mutex //madeusvet:lockrank mvcc-table 40 striped
-	ints map[int64]*rowChain
-	rows map[sqlmini.Value]*rowChain
+	mu   sync.Mutex            //madeusvet:lockrank mvcc-table 40 striped
+	ints map[int64]*chainBlock // by k >> blockShift
+	rows map[sqlmini.Value]*chainBlock
 
-	// cursor is where rows and chains are allocated (see cursorFor).
+	// spare holds chains allocated ahead (see newChain); chains counts
+	// those handed out. Guarded by mu.
+	spare  []rowChain
+	chains int
+
+	// cursor is the page the stripe's rows are encoded into.
 	cursor pageCursor
 }
 
-// get returns the chain keyed pk, or nil. Caller holds s.mu.
-func (s *tableStripe) get(pk sqlmini.Value) *rowChain {
+// block returns the block filing pk, or nil. Caller holds s.mu.
+func (s *tableStripe) block(pk sqlmini.Value) *chainBlock {
 	if pk.Kind == sqlmini.KindInt {
-		return s.ints[pk.Int]
+		return s.ints[pk.Int>>blockShift]
 	}
 	return s.rows[pk]
 }
 
-// put files ch under pk. Caller holds s.mu.
-func (s *tableStripe) put(pk sqlmini.Value, ch *rowChain) {
+// put files b, the block of pk. Caller holds s.mu.
+func (s *tableStripe) put(pk sqlmini.Value, b *chainBlock) {
 	if pk.Kind == sqlmini.KindInt {
 		if s.ints == nil {
-			s.ints = make(map[int64]*rowChain)
+			s.ints = make(map[int64]*chainBlock)
 		}
-		s.ints[pk.Int] = ch
+		s.ints[pk.Int>>blockShift] = b
 		return
 	}
 	if s.rows == nil {
-		s.rows = make(map[sqlmini.Value]*rowChain)
+		s.rows = make(map[sqlmini.Value]*chainBlock)
 	}
-	s.rows[pk] = ch
+	s.rows[pk] = b
 }
 
-// each calls fn for every chain of the stripe and its key, in no particular
-// order. Caller holds s.mu.
-func (s *tableStripe) each(fn func(pk sqlmini.Value, ch *rowChain)) {
-	for k, ch := range s.ints {
-		fn(sqlmini.NewInt(k), ch)
-	}
-	for pk, ch := range s.rows {
-		fn(pk, ch)
-	}
+// blockKeys consecutive INT keys, those that agree above their low
+// blockShift bits, share a block of the chain directory, a stripe, and
+// so a chain array and a page.
+const (
+	blockShift = 6
+	blockKeys  = 1 << blockShift
+)
+
+// chainBlock is one entry of the chain directory (DESIGN.md §5i "Chain
+// directory"). An INT block holds the chains of the keys first …
+// first+blockKeys-1, key k in slot k-first; a key of another kind is the
+// one slot of a block of its own. A slot is set once, under the lock of
+// the block's stripe, and its bit in used only after it, so a reader that
+// loads used reads every slot it marks with no lock. Blocks, like chains,
+// are never removed.
+type chainBlock struct {
+	first sqlmini.Value // the least key the block can hold
+	used  atomic.Uint64 // bit i is set once slots[i] is
+	slots []*rowChain
 }
 
-// Table is an MVCC table: a schema plus row chains keyed by primary key,
-// striped by key hash (DESIGN.md §5i).
+// intBlock and keyBlock are a block and its slots in one allocation.
+type intBlock struct {
+	chainBlock
+	chains [blockKeys]*rowChain
+}
+
+type keyBlock struct {
+	chainBlock
+	chain [1]*rowChain
+}
+
+// newBlock returns the empty block pk belongs in.
+func newBlock(pk sqlmini.Value) *chainBlock {
+	if pk.Kind == sqlmini.KindInt {
+		b := &intBlock{}
+		b.first, b.slots = sqlmini.NewInt(pk.Int&^(blockKeys-1)), b.chains[:]
+		return &b.chainBlock
+	}
+	b := &keyBlock{}
+	b.first, b.slots = pk, b.chain[:]
+	return &b.chainBlock
+}
+
+// slotOf returns the slot of pk in its block.
+func slotOf(pk sqlmini.Value) int {
+	if pk.Kind == sqlmini.KindInt {
+		return int(pk.Int & (blockKeys - 1))
+	}
+	return 0
+}
+
+// key returns the key of slot i.
+func (b *chainBlock) key(i int) sqlmini.Value {
+	if b.first.Kind == sqlmini.KindInt {
+		return sqlmini.NewInt(b.first.Int + int64(i))
+	}
+	return b.first
+}
+
+// fill sets slot i to ch. Caller holds the lock of the block's stripe.
+func (b *chainBlock) fill(i int, ch *rowChain) {
+	b.slots[i] = ch
+	b.used.Store(b.used.Load() | 1<<i)
+}
+
+// Table is an MVCC table: a schema plus row chains filed by primary key in
+// a striped chain directory (DESIGN.md §5i).
 type Table struct {
 	Schema *storage.Schema
 
@@ -96,18 +156,19 @@ type Table struct {
 	mask    uint64
 	stripes []tableStripe
 
-	// The chain directory (DESIGN.md §5i): run holds chains in strict
-	// primary-key order; runs holds the chains created since the last scan
-	// that did not extend run, as further strictly ascending runs ordered
-	// by their last keys. Chains are never removed (see Vacuum). run is
-	// only ever appended to in place or replaced wholesale by mergeRuns,
-	// so entries below a length observed under spineMu never change and
-	// a scan walks that prefix without copying it. spineMu is never held
-	// together with any other lock: chain creation inserts after the
-	// stripe section, scans borrow before taking any chain lock.
-	spineMu sync.Mutex //madeusvet:lockrank mvcc-spine 39
-	run     []pkChain
-	runs    [][]pkChain
+	// The spine of the chain directory (DESIGN.md §5i): run holds blocks
+	// in strict order of their first keys; runs holds the blocks created
+	// since the last scan that did not extend run, as further strictly
+	// ascending runs ordered by their last blocks. Blocks are never
+	// removed. run is only ever appended to in place or replaced wholesale
+	// by mergeRuns, so entries below a length observed under spineMu never
+	// change and a scan walks that prefix without copying it. spineMu is
+	// the innermost lock: a block is inserted under its stripe's lock, in
+	// the section that files it, so no chain is reachable by key before
+	// its block is reachable by a scan; nothing is taken under spineMu.
+	spineMu sync.Mutex //madeusvet:lockrank mvcc-spine 49
+	run     []*chainBlock
+	runs    [][]*chainBlock
 
 	// The table's pages (page.go), indexed by page number; pagesMu
 	// serialises their growth, compactMu whole compactions.
@@ -158,9 +219,9 @@ func fnvU64(h uint64, x uint64) uint64 {
 	return h
 }
 
-// hashValue hashes a primary key to pick a stripe. Keys of one table share
-// a kind (CheckRow enforces it), so mixing the kind only guards against
-// degenerate cross-kind collisions.
+// hashValue hashes a primary key that is not an INT to pick a stripe. Keys
+// of one table share a kind (CheckRow enforces it), so mixing the kind only
+// guards against degenerate cross-kind collisions.
 func hashValue(v sqlmini.Value) uint64 {
 	h := fnvByte(fnvOffset, byte(v.Kind))
 	if v.Kind == sqlmini.KindText {
@@ -169,40 +230,32 @@ func hashValue(v sqlmini.Value) uint64 {
 		}
 		return h
 	}
-	return fnvU64(h, uint64(v.Int)) // INT, FLOAT bits, BOOL 0/1, NULL 0
+	return fnvU64(h, uint64(v.Int)) // FLOAT bits, BOOL 0/1, NULL 0
 }
 
+// stripeFor returns the stripe pk is filed in. An INT key's is its block's,
+// so the keys of a block share a stripe and, through it, a chain array and
+// a page, which a scan in key order then reads straight through; writers of
+// different key ranges, such as restore appliers, still spread over every
+// stripe. Another key's stripe is picked by its hash.
 func (tb *Table) stripeFor(pk sqlmini.Value) *tableStripe {
+	if pk.Kind == sqlmini.KindInt {
+		return &tb.stripes[uint64(pk.Int>>blockShift)&tb.mask]
+	}
 	return &tb.stripes[hashValue(pk)&tb.mask]
 }
 
-// cursorFor returns the cursor the chain and rows keyed pk are allocated
-// through: one stripe's, picked so that runs of 64 consecutive INT keys
-// share a cursor, and so their chains share an array and their rows a
-// page, which a scan in key order then reads straight through. Writers of
-// different key ranges, such as restore appliers, still spread over every
-// cursor. Other keys pick their stripe's.
-func (tb *Table) cursorFor(pk sqlmini.Value) *pageCursor {
-	if pk.Kind == sqlmini.KindInt {
-		return &tb.stripes[uint64(pk.Int)>>6&tb.mask].cursor
+// newChain returns a new empty chain. Chains are never removed, so they are
+// allocated in arrays that live as long as the table, each as long as the
+// chains the stripe allocated before, up to a block's worth: a stripe that
+// allocated n chains holds at most n spare. Caller holds s.mu.
+func (s *tableStripe) newChain() *rowChain {
+	if len(s.spare) == 0 {
+		s.spare = make([]rowChain, min(blockKeys, 1+s.chains))
 	}
-	return &tb.stripeFor(pk).cursor
-}
-
-// newChain returns a new empty chain for the key pk. Chains are never
-// removed, so they are allocated in arrays that live as long as the table,
-// each as long as the chains its cursor allocated before, up to 64: a
-// cursor that allocated n chains holds at most n spare.
-func (tb *Table) newChain(pk sqlmini.Value) *rowChain {
-	c := tb.cursorFor(pk)
-	c.mu.Lock()
-	if len(c.spare) == 0 {
-		c.spare = make([]rowChain, min(64, 1+c.chains))
-	}
-	ch := &c.spare[0]
-	c.spare = c.spare[1:]
-	c.chains++
-	c.mu.Unlock()
+	ch := &s.spare[0]
+	s.spare = s.spare[1:]
+	s.chains++
 	ch.versions = ch.first[:0]
 	return ch
 }
@@ -239,60 +292,58 @@ func (tb *Table) chain(pk sqlmini.Value, create bool) *rowChain {
 // a copy, so the directory never keeps the caller's statement text alive.
 func (tb *Table) chainIn(s *tableStripe, pk sqlmini.Value, create bool) *rowChain {
 	s.mu.Lock()
-	ch := s.get(pk)
-	created := false
+	b := s.block(pk)
+	var ch *rowChain
+	if b != nil {
+		ch = b.slots[slotOf(pk)]
+	}
 	if ch == nil && create {
-		if pk.Kind == sqlmini.KindText {
-			pk.Str = strings.Clone(pk.Str)
+		if b == nil {
+			if pk.Kind == sqlmini.KindText {
+				pk.Str = strings.Clone(pk.Str)
+			}
+			b = newBlock(pk)
+			s.put(pk, b)
+			tb.spineInsert(b)
 		}
-		ch = tb.newChain(pk)
-		s.put(pk, ch)
-		created = true
+		ch = s.newChain()
+		b.fill(slotOf(pk), ch)
 	}
 	s.mu.Unlock()
-	if created {
-		// Outside the stripe section so spineMu never nests under a
-		// stripe mutex. A scan that borrows the directory in this
-		// window misses a chain that is still empty (the creator
-		// appends its first version only after chain returns), so no
-		// visible row is ever skipped.
-		tb.spineInsert(pk, ch)
-	}
 	return ch
 }
 
-// spineInsert adds a newly created chain to the chain directory: onto the
-// run — the main one or a pending one — whose last key is the greatest below
-// pk, or as a new pending run when every run ends above pk. A restore
-// applier lands a chunk's ascending keys, so each applier's keys extend one
-// run, and a key-ordered load never leaves the main run. Runs stay ordered
-// by last key (pk is below the next run's last, or that run would have been
+// spineInsert adds a new block to the spine: onto the run — the main one or
+// a pending one — whose last block is the greatest below b, or as a new
+// pending run when every run ends above b. A restore applier lands a
+// chunk's ascending keys, so each applier's blocks extend one run, and a
+// key-ordered load never leaves the main run. Runs stay ordered by last
+// block (b is below the next run's last, or that run would have been
 // picked), so the pick is a binary search. Nothing moves an existing entry.
 // The map insert under the stripe lock already deduplicated creators, so
-// each chain is inserted exactly once.
-func (tb *Table) spineInsert(pk sqlmini.Value, ch *rowChain) {
-	e := pkChain{pk: pk, ch: ch}
-	last := func(r []pkChain) sqlmini.Value { return r[len(r)-1].pk }
+// each block is inserted exactly once. Caller holds b's stripe lock.
+func (tb *Table) spineInsert(b *chainBlock) {
+	last := func(r []*chainBlock) sqlmini.Value { return r[len(r)-1].first }
 	tb.spineMu.Lock()
-	// j is the number of pending runs whose last key is below pk.
-	j, _ := slices.BinarySearchFunc(tb.runs, pk, func(r []pkChain, pk sqlmini.Value) int {
-		return comparePK(last(r), pk)
+	// j is the number of pending runs whose last block is below b.
+	j, _ := slices.BinarySearchFunc(tb.runs, b.first, func(r []*chainBlock, first sqlmini.Value) int {
+		return comparePK(last(r), first)
 	})
 	n := len(tb.run)
-	switch mainBelow := n == 0 || comparePK(last(tb.run), pk) < 0; {
+	switch mainBelow := n == 0 || comparePK(last(tb.run), b.first) < 0; {
 	case j > 0 && (!mainBelow || n > 0 && comparePK(last(tb.runs[j-1]), last(tb.run)) > 0):
-		tb.runs[j-1] = append(tb.runs[j-1], e)
+		tb.runs[j-1] = append(tb.runs[j-1], b)
 	case mainBelow:
-		tb.run = append(tb.run, e)
+		tb.run = append(tb.run, b)
 	default:
-		tb.runs = slices.Insert(tb.runs, 0, []pkChain{e})
+		tb.runs = slices.Insert(tb.runs, 0, []*chainBlock{b})
 	}
 	tb.spineMu.Unlock()
 }
 
 // mergeRuns merges the pending runs and the main run into a freshly
 // allocated main run, leaving the old backing array untouched for the scans
-// still walking it. O(n log r) for n chains in r runs, which only a scan —
+// still walking it. O(n log r) for n blocks in r runs, which only a scan —
 // itself O(n) — ever pays. Caller holds spineMu.
 func (tb *Table) mergeRuns() {
 	runs := append(tb.runs, tb.run)
@@ -300,10 +351,10 @@ func (tb *Table) mergeRuns() {
 	for _, r := range runs {
 		created += len(r)
 	}
-	merged := make([]pkChain, 0, created)
+	merged := make([]*chainBlock, 0, created)
 	// h is a binary min-heap of the runs not yet used up, by their heads.
-	h := slices.DeleteFunc(runs, func(r []pkChain) bool { return len(r) == 0 })
-	less := func(a, b int) bool { return comparePK(h[a][0].pk, h[b][0].pk) < 0 }
+	h := slices.DeleteFunc(runs, func(r []*chainBlock) bool { return len(r) == 0 })
+	less := func(a, b int) bool { return comparePK(h[a][0].first, h[b][0].first) < 0 }
 	down := func(i int) {
 		for {
 			c := 2*i + 1
@@ -336,26 +387,26 @@ func (tb *Table) mergeRuns() {
 }
 
 // checkRun verifies that a merge neither lost, duplicated nor misordered a
-// chain: the run is strictly ascending and holds every chain created.
+// block: the run is strictly ascending and holds every block created.
 // Invariants builds only.
-func checkRun(run []pkChain, created int) error {
+func checkRun(run []*chainBlock, created int) error {
 	if len(run) != created {
-		return fmt.Errorf("mvcc: chain directory holds %d chains after a merge, %d were created", len(run), created)
+		return fmt.Errorf("mvcc: chain directory holds %d blocks after a merge, %d were created", len(run), created)
 	}
 	for i := 1; i < len(run); i++ {
-		if comparePK(run[i-1].pk, run[i].pk) >= 0 {
-			return fmt.Errorf("mvcc: chain directory not strictly ascending at %d: %v then %v", i, run[i-1].pk, run[i].pk)
+		if comparePK(run[i-1].first, run[i].first) >= 0 {
+			return fmt.Errorf("mvcc: chain directory not strictly ascending at %d: %v then %v", i, run[i-1].first, run[i].first)
 		}
 	}
 	return nil
 }
 
-// scanRun returns the chain directory in primary-key order, merging the
+// scanRun returns the spine's blocks in primary-key order, merging the
 // pending runs first when there are any. The slice is borrowed, not copied:
 // its capacity is clipped to its length, later in-order inserts append past
 // that length and a later merge builds a new array, so the caller may walk
 // it with no lock held but must not write to it.
-func (tb *Table) scanRun() []pkChain {
+func (tb *Table) scanRun() []*chainBlock {
 	tb.spineMu.Lock()
 	if len(tb.runs) > 0 {
 		tb.mergeRuns()
@@ -440,13 +491,6 @@ func (ch *rowChain) visibleVersion(t *Txn) *version {
 	return nil
 }
 
-// pkChain pairs a primary key with its chain so a scan resolves each row
-// without a second map lookup.
-type pkChain struct {
-	pk sqlmini.Value
-	ch *rowChain
-}
-
 // Scan calls fn for every row visible to t, in primary-key order. fn
 // returning false stops the scan. Ordering is deterministic so that dumps
 // and state comparisons are stable. Every row is fn's to keep (see
@@ -468,35 +512,51 @@ func (tb *Table) Scan(t *Txn, fn func(storage.Row) bool) error {
 // compaction drops pages only once no chain refers to them, so a ref that
 // is inside a directory loaded earlier names a page that directory holds.
 func (tb *Table) ScanRecs(t *Txn, fn func(Rec) bool) error {
-	pairs := tb.scanRun()
+	blocks := tb.scanRun()
 	dir := tb.pageDir()
-	for i := range pairs {
-		ch := pairs[i].ch
-		ch.mu.Lock()
-		var rec Rec
-		if v := ch.visibleVersion(t); v != nil {
-			if v.ref.page() >= len(dir) {
-				dir = tb.pageDir()
+	for _, b := range blocks {
+		for used := b.used.Load(); used != 0; used &= used - 1 {
+			ch := b.slots[bits.TrailingZeros64(used)]
+			ch.mu.Lock()
+			var rec Rec
+			if v := ch.visibleVersion(t); v != nil {
+				if v.ref.page() >= len(dir) {
+					dir = tb.pageDir()
+				}
+				rec = Rec(bytesAt(dir, v.ref))
 			}
-			rec = Rec(bytesAt(dir, v.ref))
-		}
-		ch.mu.Unlock()
-		if rec != nil && !fn(rec) {
-			break
+			ch.mu.Unlock()
+			if rec != nil && !fn(rec) {
+				return nil
+			}
 		}
 	}
 	return nil
 }
 
+// eachChain calls fn for every chain of the directory and its key, in key
+// order, with no lock held.
+func (tb *Table) eachChain(fn func(pk sqlmini.Value, ch *rowChain)) {
+	for _, b := range tb.scanRun() {
+		for used := b.used.Load(); used != 0; used &= used - 1 {
+			i := bits.TrailingZeros64(used)
+			fn(b.key(i), b.slots[i])
+		}
+	}
+}
+
 // Len reports the number of rows visible to t.
 func (tb *Table) Len(t *Txn) int {
 	n := 0
-	for _, c := range tb.scanRun() {
-		c.ch.mu.Lock()
-		if c.ch.visibleVersion(t) != nil {
-			n++
+	for _, b := range tb.scanRun() {
+		for used := b.used.Load(); used != 0; used &= used - 1 {
+			ch := b.slots[bits.TrailingZeros64(used)]
+			ch.mu.Lock()
+			if ch.visibleVersion(t) != nil {
+				n++
+			}
+			ch.mu.Unlock()
 		}
-		c.ch.mu.Unlock()
 	}
 	return n
 }
@@ -539,7 +599,7 @@ func (tb *Table) Insert(t *Txn, row storage.Row) error {
 		}
 	}
 	ch.acquire(tb, t)
-	ch.versions = append(ch.versions, version{xmin: t.ID, ref: tb.store(tb.cursorFor(pk), row)})
+	ch.versions = append(ch.versions, version{xmin: t.ID, ref: tb.store(&s.cursor, row)})
 	ch.mu.Unlock()
 	tb.indexAdd(row, pk)
 	t.writes++
@@ -614,7 +674,7 @@ func (tb *Table) write(t *Txn, pk sqlmini.Value, newRow storage.Row, del bool) (
 	})
 	v.xmax = t.ID
 	if !del {
-		ch.versions = append(ch.versions, version{xmin: t.ID, ref: tb.store(tb.cursorFor(pk), newRow)})
+		ch.versions = append(ch.versions, version{xmin: t.ID, ref: tb.store(&s.cursor, newRow)})
 	}
 	ch.mu.Unlock()
 	if !del {

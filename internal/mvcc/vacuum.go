@@ -39,42 +39,32 @@ func (m *Manager) Horizon() CSN {
 // Vacuum removes dead versions from the table: versions created by aborted
 // transactions, and versions superseded (deleted or overwritten) by a
 // transaction that committed at or before the horizon. It returns the
-// number of versions removed. Empty chains are kept (their map entries are
-// negligible and removing them would race in-flight primary-key lookups).
+// number of versions removed. Empty chains are kept (their directory slots
+// are negligible and removing them would race in-flight primary-key
+// lookups).
 //
 // Vacuum then compacts the table's pages if they hold more dead bytes than
 // live ones (see compactIfSparse).
 func (tb *Table) Vacuum(horizon CSN) int {
 	removed := 0
-	for si := range tb.stripes {
-		for _, ch := range tb.stripes[si].chains() {
-			ch.mu.Lock()
-			kept := ch.versions[:0]
-			for i := range ch.versions {
-				v := ch.versions[i]
-				if tb.dead(&v, horizon) {
-					removed++
-					tb.drop(v.ref)
-					continue
-				}
-				kept = append(kept, v)
+	tb.eachChain(func(_ sqlmini.Value, ch *rowChain) {
+		ch.mu.Lock()
+		kept := ch.versions[:0]
+		for i := range ch.versions {
+			v := ch.versions[i]
+			if tb.dead(&v, horizon) {
+				removed++
+				tb.drop(v.ref)
+				continue
 			}
-			ch.versions = kept
-			ch.mu.Unlock()
+			kept = append(kept, v)
 		}
-	}
+		ch.versions = kept
+		ch.mu.Unlock()
+	})
 	tb.sweepIndexes()
 	tb.compactIfSparse()
 	return removed
-}
-
-// chains returns every chain of the stripe.
-func (s *tableStripe) chains() []*rowChain {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*rowChain, 0, len(s.ints)+len(s.rows))
-	s.each(func(_ sqlmini.Value, ch *rowChain) { out = append(out, ch) })
-	return out
 }
 
 // drop counts the row at r as dead: its version has just been removed. The
@@ -124,20 +114,18 @@ func (tb *Table) compact() {
 	}
 	tb.deadBytes.Store(0)
 	var copies pageCursor
-	for si := range tb.stripes {
-		for _, ch := range tb.stripes[si].chains() {
-			ch.mu.Lock()
-			dir := tb.pageDir()
-			for i := range ch.versions {
-				v := &ch.versions[i]
-				if v.ref.page() < fresh {
-					b := bytesAt(dir, v.ref)
-					v.ref = tb.storeEncoded(&copies, b[:tb.encodedSize(b)])
-				}
+	tb.eachChain(func(_ sqlmini.Value, ch *rowChain) {
+		ch.mu.Lock()
+		dir := tb.pageDir()
+		for i := range ch.versions {
+			v := &ch.versions[i]
+			if v.ref.page() < fresh {
+				b := bytesAt(dir, v.ref)
+				v.ref = tb.storeEncoded(&copies, b[:tb.encodedSize(b)])
 			}
-			ch.mu.Unlock()
 		}
-	}
+		ch.mu.Unlock()
+	})
 	c := &tb.stripes[0].cursor
 	c.mu.Lock()
 	c.written += copies.written

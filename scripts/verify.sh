@@ -70,6 +70,11 @@ go test -run '^$' -fuzz '^FuzzRowCodec$' -fuzztime 10s ./internal/mvcc/
 # building and running (the numbers are read with -benchtime of your own).
 go test -count=1 -run '^$' -bench Select -benchtime 1x ./internal/engine/
 
+# The version store's insert and scan benchmarks likewise: loads through the
+# chain directory (a restore's interleaved chunks, sparse keys, one commit
+# per row) and full scans.
+go test -count=1 -run '^$' -bench '^Benchmark(Insert|Scan)' -benchtime 1x ./internal/mvcc/
+
 # The migration's dump (DumpStream) and restore (one chunk applied as a
 # transaction) benchmarks, likewise.
 go test -count=1 -run '^$' -bench 'Dump|Restore' -benchtime 1x ./internal/engine/
