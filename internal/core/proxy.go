@@ -341,6 +341,11 @@ func (w *worker) Exec(sql string, dst []byte) ([]byte, error) {
 func (w *worker) exec(sql string) ([]byte, error) {
 	obsWorkerOps.Inc()
 	w.tenant.ops.Add(1)
+	if engine.IsRowStatement(sql) {
+		// Relayed, a dump's rows would be a write outside the critical
+		// region and the SSB: Theorem 1 would not hold.
+		return nil, &wire.ServerError{Msg: "core: row statements are for restores, not clients"}
+	}
 	class, err := sqlmini.ClassifyQuery(sql)
 	if err != nil {
 		// Meta commands (DUMP, CREATE DATABASE, ...): relay verbatim.

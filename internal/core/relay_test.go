@@ -135,3 +135,76 @@ func TestRelayMatchesDirect(t *testing.T) {
 	}
 	assertStateEqual(t, rig.nodes[0], rig.nodes[1], db)
 }
+
+// TestProxyRefusesRowStatements: a dump's row statement is for a restore
+// alone. Sent by a client through the middleware it is refused, in
+// autocommit and inside a transaction block: relayed, it would be a write
+// that skips the critical region and the SSB, and Theorem 1 would not hold.
+// So it reaches neither the master nor the capture, and the block it was
+// sent in goes on as if it had not been.
+func TestProxyRefusesRowStatements(t *testing.T) {
+	rig := newRig(t, 1, engine.Options{})
+	rig.provision(t, "a", 10)
+	tn, _ := rig.mw.Tenant("a")
+	tn.startCapture(false)
+	defer tn.stopCapture()
+
+	// A row statement for acct holding a new key, from a dump of a copy.
+	src := engine.New(engine.Options{})
+	defer src.Close()
+	if err := src.CreateDatabase("src"); err != nil {
+		t.Fatal(err)
+	}
+	ss, _ := src.NewSession("src")
+	for _, q := range []string{"CREATE TABLE acct (id INT PRIMARY KEY, bal INT)", "INSERT INTO acct (id, bal) VALUES (100, 1)"} {
+		if _, err := ss.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	script, err := ss.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := script[len(script)-1]
+	if !engine.IsRowStatement(row) {
+		t.Fatalf("the dump's last statement %q is not a row statement", row)
+	}
+
+	db, _ := rig.nodes[0].Engine.Database("a")
+	c := rig.connect(t, "a")
+	defer c.Close()
+	refused := func() {
+		t.Helper()
+		commits := db.Stats().Commits
+		tn.mu.Lock()
+		depth := len(tn.ssl)
+		tn.mu.Unlock()
+		var se *wire.ServerError
+		if _, err := c.Exec(row); !errors.As(err, &se) {
+			t.Fatalf("row statement through the middleware: %v, want a server error", err)
+		}
+		tn.mu.Lock()
+		defer tn.mu.Unlock()
+		if got := db.Stats().Commits; got != commits || len(tn.ssl) != depth {
+			t.Errorf("a refused row statement moved the master's commits %d -> %d and the SSL %d -> %d", commits, got, depth, len(tn.ssl))
+		}
+	}
+	refused()
+	mustExecAll(t, c, "BEGIN", "SELECT bal FROM acct WHERE id = 1")
+	refused()
+	mustExecAll(t, c, "UPDATE acct SET bal = bal + 1 WHERE id = 1", "COMMIT")
+
+	tn.mu.Lock()
+	ssl := append([]*SSB{}, tn.ssl...)
+	tn.mu.Unlock()
+	if len(ssl) != 1 || len(ssl[0].Entries) != 2 {
+		t.Fatalf("SSL %+v, want the one SSB of the block: its SELECT and UPDATE", ssl)
+	}
+	res, err := c.Exec("SELECT COUNT(*) FROM acct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Rows[0][0].Int; n != 10 {
+		t.Errorf("acct holds %d rows, want the 10 provisioned", n)
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,8 +28,8 @@ const (
 	restoreAppliers    = 4 // parallel appliers per slave
 	restoreQueueChunks = 2 // per-slave bounded channel depth
 	// chunkStmtOverhead approximates the per-statement bookkeeping cost
-	// added to the SQL text when charging a chunk against the transfer
-	// budget (string header, slice slot, frame header amortized).
+	// added to the statement bytes when charging a chunk against the
+	// transfer budget (string header, slice slot, frame header amortized).
 	chunkStmtOverhead = 32
 )
 
@@ -90,9 +91,9 @@ type slaveRun struct {
 //	         resident transfer memory stays under the configured cap
 //	stage 3  per slave, chunk 0 — the schema prologue DUMP STREAM sends
 //	         whole and first — is applied alone; then N parallel
-//	         appliers take chunks off the slave's channel, each applying
-//	         a chunk as one transaction (one WAL commit per chunk instead
-//	         of one per INSERT batch)
+//	         appliers take chunks off the slave's channel, each sending
+//	         a chunk's row statements joined as one statement (one round
+//	         trip and one WAL commit per chunk)
 //
 // The dump transaction COMMITs as soon as the scan finishes — the source
 // stops pinning MVCC versions while slaves are still applying.
@@ -198,9 +199,9 @@ func pipelineSnapshot(ctl *wire.Client, tenant string, slaves []Backend,
 // the whole schema (engine.DumpStream's prologue) and is the migration's one
 // serial barrier: it is applied alone, before any applier starts. After it
 // restoreAppliers parallel appliers (each with its own connection, each
-// chunk one transaction) take chunks straight off the slave's channel. The
-// first failure stops them all: the slave is discarded whole, so nothing
-// tracks which chunks committed.
+// chunk one statement and one transaction) take chunks straight off the
+// slave's channel. The first failure stops them all: the slave is discarded
+// whole, so nothing tracks which chunks committed.
 func restoreStream(sr *slaveRun, tenant string, trace *wire.TraceContext) error {
 	if ferr := fault.Inject(faultStep2Restore); ferr != nil {
 		return ferr
@@ -230,7 +231,7 @@ func restoreStream(sr *slaveRun, tenant string, trace *wire.TraceContext) error 
 	if !ok {
 		return nil
 	}
-	err := applyChunk(conns[0], schema)
+	err := applyChunk(conns[0], schema, true)
 	schema.release()
 	if err != nil {
 		return fmt.Errorf("core: restore on %s: %w", sr.sl.BackendName(), err)
@@ -256,7 +257,7 @@ func restoreStream(sr *slaveRun, tenant string, trace *wire.TraceContext) error 
 						return
 					}
 					received.Add(1)
-					err := applyChunk(cn, c)
+					err := applyChunk(cn, c, false)
 					c.release()
 					if err != nil {
 						stopOnce.Do(func() {
@@ -283,28 +284,30 @@ func restoreStream(sr *slaveRun, tenant string, trace *wire.TraceContext) error 
 	return nil
 }
 
-// applyChunk applies one chunk as one transaction: one WAL group commit per
-// chunk instead of one per INSERT batch — the restore throughput half of
-// the pipelining win. The schema chunk goes the same way: the engine applies
-// DDL at once (it is not transactional) but logs it in the enclosing scope,
-// so the whole prologue pays one fsync at COMMIT instead of one per
-// statement. No statement of a restore ever runs in autocommit.
-func applyChunk(cn *wire.Client, c *step1Chunk) error {
+// applyChunk applies one chunk as one transaction, one WAL commit per
+// chunk. The schema chunk is BEGIN, its statements and COMMIT: the engine
+// applies DDL at once (it is not transactional) but logs it in the
+// enclosing scope, so the prologue pays one fsync, not one per statement.
+// A row chunk is its row statements joined into one, sent in autocommit:
+// one round trip. DumpStream promises that every chunk after the schema
+// holds only row statements and that row statements joined are one; the
+// middleware relies on that alone and never looks inside a row.
+func applyChunk(cn *wire.Client, c *step1Chunk, schema bool) error {
 	if ferr := fault.Inject(faultStep1Restore); ferr != nil {
 		return ferr
 	}
 	start := time.Now()
-	if _, err := cn.ExecReply("BEGIN"); err != nil {
-		return err
+	var stmts []string
+	if schema {
+		stmts = append(append([]string{"BEGIN"}, c.stmts...), "COMMIT")
+	} else {
+		stmts = []string{strings.Join(c.stmts, "")}
 	}
-	for _, stmt := range c.stmts {
+	for _, stmt := range stmts {
 		if _, err := cn.ExecReply(stmt); err != nil {
 			_, _ = cn.ExecReply("ROLLBACK") // best-effort; the slave is discarded anyway
 			return err
 		}
-	}
-	if _, err := cn.ExecReply("COMMIT"); err != nil {
-		return err
 	}
 	obsApplyLatency.ObserveDuration(time.Since(start))
 	return nil

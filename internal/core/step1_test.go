@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"madeus/internal/cluster"
 	"madeus/internal/engine"
 	"madeus/internal/flow"
+	"madeus/internal/obs"
 )
 
 // TestPipelinedMigrateReportsChunks: the pipelined Step 1 moves a
@@ -101,13 +103,25 @@ func slaveCommits(t *testing.T, rig *testRig, i int, tenant string) uint64 {
 
 // TestRestoreOneBarrierNoAutocommitInserts pins the shape of Step 2 on a
 // multi-table tenant: the schema crosses as chunk 0 and is the only serial
-// work; it and every row chunk are applied as ONE transaction each. Counted
-// on the slave's own commit counter: a statement applied in autocommit
-// commits by itself, so the restore's commits would track the 6 schema and
-// 48 INSERT statements instead of the chunks.
+// work, applied as one transaction; every row chunk crosses as ONE wire
+// operation — its row statements joined — and commits once. Counted on
+// the slave itself: its commit counter (a statement applied on its own
+// would commit by itself, so the restore's commits would track the 6
+// schema and 48 row statements instead of the chunks), and the traced
+// operations its wire server served for the migration.
 func TestRestoreOneBarrierNoAutocommitInserts(t *testing.T) {
-	rig := newRig(t, 2, engine.Options{DumpBatch: 5})
-	rig.provision(t, "a", 80) // acct: 16 INSERT statements at DumpBatch 5
+	rig := newRig(t, 1, engine.Options{DumpBatch: 5})
+	slave, err := cluster.NewNode("node1", cluster.NodeOptions{
+		Engine: engine.Options{DumpBatch: 5},
+		Scope:  obs.NewScope("scope-restore-shape"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(slave.Close)
+	rig.mw.AddNode(slave)
+	rig.nodes = append(rig.nodes, slave)
+	rig.provision(t, "a", 80) // acct: 16 row statements at DumpBatch 5
 	c := rig.connect(t, "a")
 	mustExecAll(t, c,
 		"CREATE INDEX acct_bal ON acct (bal)",
@@ -121,9 +135,10 @@ func TestRestoreOneBarrierNoAutocommitInserts(t *testing.T) {
 			fmt.Sprintf("INSERT INTO zlog (id) VALUES (%d)", i))
 	}
 	c.Close()
-	const insertStmts = 3 * 16
+	const schemaStmts, rowStmts = 6, 3 * 16
 
 	rig.mw.dumpChunk = 8
+	mark := slave.Scope().Tracer.Seq()
 	rep, err := rig.mw.Migrate("a", "node1", MigrateOptions{
 		Strategy:   Madeus,
 		KeepSource: true,
@@ -131,21 +146,34 @@ func TestRestoreOneBarrierNoAutocommitInserts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowChunks := insertStmts / 8
+	rowChunks := rowStmts / 8
 	if rep.Chunks != 1+rowChunks {
-		t.Errorf("Chunks = %d, want %d (the schema, then %d INSERT statements in eights)", rep.Chunks, 1+rowChunks, insertStmts)
+		t.Errorf("Chunks = %d, want %d (the schema, then %d row statements in eights)", rep.Chunks, 1+rowChunks, rowStmts)
 	}
 	// The idle tenant propagated nothing, so every commit on the slave is
 	// the restore's: one per chunk.
 	if got := slaveCommits(t, rig, 1, "a"); got != uint64(rep.Chunks) {
-		t.Errorf("slave committed %d times for %d chunks: statements ran outside a transaction", got, rep.Chunks)
+		t.Errorf("slave committed %d times for %d chunks: statements ran outside a chunk's transaction", got, rep.Chunks)
+	}
+	// The schema chunk is BEGIN, its statements and COMMIT; a row chunk is
+	// one operation; Step 4's promotion probe is BEGIN and COMMIT.
+	ops := 0
+	for _, ev := range slave.Scope().Tracer.Since(mark, "a") {
+		if ev.Name == "wire.exec" {
+			ops++
+		}
+	}
+	if want := schemaStmts + 2 + rowChunks + 2; ops != want {
+		t.Errorf("slave served %d operations for the migration, want %d (%d for the schema, one per row chunk, 2 for the probe)", ops, want, schemaStmts+2)
 	}
 	assertStateEqual(t, rig.nodes[0], rig.nodes[1], "a")
 }
 
-// TestApplyChunkMixedIsOneTransaction: a chunk that still mixes DDL and rows
-// (an older or foreign dump source) is one transaction like any other — no
-// INSERT of it runs in autocommit.
+// TestApplyChunkMixedIsOneTransaction: each chunk of a restore is one
+// transaction on the slave — the schema chunk, whatever SQL it holds, as
+// BEGIN … COMMIT, and a row chunk, whatever tables its row statements
+// span, as those statements joined into one — and a row chunk that fails
+// leaves none of its rows behind.
 func TestApplyChunkMixedIsOneTransaction(t *testing.T) {
 	rig := newRig(t, 1, engine.Options{})
 	rig.provision(t, "a", 0)
@@ -154,44 +182,82 @@ func TestApplyChunkMixedIsOneTransaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cn.Close()
-	apply := func(stmts ...string) uint64 {
+	commits := func(schema bool, stmts []string) (uint64, error) {
 		t.Helper()
 		before := slaveCommits(t, rig, 0, "a")
-		if err := applyChunk(cn, &step1Chunk{stmts: stmts}); err != nil {
-			t.Fatal(err)
-		}
-		return slaveCommits(t, rig, 0, "a") - before
+		err := applyChunk(cn, &step1Chunk{stmts: stmts}, schema)
+		return slaveCommits(t, rig, 0, "a") - before, err
 	}
-	if n := apply("CREATE TABLE x (id INT PRIMARY KEY)"); n != 1 {
-		t.Errorf("schema chunk committed %d times, want 1", n)
-	}
-	mixed := apply(
+	if n, err := commits(true, []string{
+		"CREATE TABLE x (id INT PRIMARY KEY)",
 		"CREATE TABLE y (id INT PRIMARY KEY)",
 		"INSERT INTO y (id) VALUES (1)",
-		"INSERT INTO y (id) VALUES (2)",
-		"INSERT INTO x (id) VALUES (1)",
-		"CREATE TABLE z (id INT PRIMARY KEY)",
-		"INSERT INTO z (id) VALUES (1)",
-		"INSERT INTO z (id) VALUES (2)")
-	if mixed != 1 {
-		t.Errorf("mixed chunk committed %d times, want 1", mixed)
+		"CREATE TABLE z (id INT PRIMARY KEY)"}); err != nil || n != 1 {
+		t.Errorf("mixed schema chunk: %v, committed %d times, want once", err, n)
 	}
-	for table, want := range map[string]int64{"x": 1, "y": 2, "z": 2} {
+
+	// Row statements of x, y and z, from a dump of a source holding them.
+	src := engine.New(engine.Options{DumpBatch: 1})
+	defer src.Close()
+	if err := src.CreateDatabase("src"); err != nil {
+		t.Fatal(err)
+	}
+	ss, _ := src.NewSession("src")
+	for _, q := range []string{
+		"CREATE TABLE nosuch (id INT PRIMARY KEY)",
+		"CREATE TABLE x (id INT PRIMARY KEY)",
+		"CREATE TABLE y (id INT PRIMARY KEY)",
+		"CREATE TABLE z (id INT PRIMARY KEY)",
+		"INSERT INTO nosuch (id) VALUES (1)",
+		"INSERT INTO x (id) VALUES (1), (2)",
+		"INSERT INTO y (id) VALUES (2), (3)",
+		"INSERT INTO z (id) VALUES (1), (2)",
+	} {
+		if _, err := ss.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rows []string // nosuch 1, x 1, x 2, y 2, y 3, z 1, z 2 (y 1 is the schema chunk's)
+	if _, err := ss.DumpStream(0, func(stmts []string) error {
+		rows = stmts
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 7 {
+		t.Fatalf("dumped %d row statements, want 7", len(rows))
+	}
+	nosuch, x1, x2 := rows[0], rows[1], rows[2]
+	if n, err := commits(false, append([]string{x1}, rows[3:]...)); err != nil || n != 1 {
+		t.Errorf("row chunk over three tables: %v, committed %d times, want once", err, n)
+	}
+	count := func(table string) int64 {
+		t.Helper()
 		res, err := cn.Exec("SELECT COUNT(*) FROM " + table)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Rows[0][0].Int; got != want {
+		return res.Rows[0][0].Int
+	}
+	for table, want := range map[string]int64{"x": 1, "y": 3, "z": 2} {
+		if got := count(table); got != want {
 			t.Errorf("%s has %d rows, want %d", table, got, want)
 		}
 	}
-	// A failing INSERT rolls the chunk's rows back and leaves the session usable.
-	if err := applyChunk(cn, &step1Chunk{stmts: []string{
-		"INSERT INTO x (id) VALUES (2)", "INSERT INTO nosuch (id) VALUES (1)"}}); err == nil {
-		t.Fatal("chunk with a bad INSERT applied cleanly")
+	// A row chunk whose first rows insert and whose last names a table the
+	// slave lacks fails whole: x 2 is rolled back, and the session stays
+	// usable.
+	if n, err := commits(false, []string{x2, nosuch}); err == nil || n != 0 {
+		t.Fatalf("row chunk naming a missing table: %v, committed %d times, want an error and none", err, n)
 	}
-	if res, err := cn.Exec("SELECT COUNT(*) FROM x"); err != nil || res.Rows[0][0].Int != 1 {
-		t.Errorf("after a failed chunk x = %v, %v; want the run rolled back and the session usable", res, err)
+	if got := count("x"); got != 1 {
+		t.Errorf("after a failed chunk x has %d rows, want 1: the chunk's rows were not rolled back", got)
+	}
+	if n, err := commits(false, []string{x2}); err != nil || n != 1 {
+		t.Errorf("x 2 alone after the failed chunk: %v, committed %d times, want once", err, n)
+	}
+	if got := count("x"); got != 2 {
+		t.Errorf("x has %d rows, want 2", got)
 	}
 }
 

@@ -32,11 +32,12 @@ var (
 //	CURRENT            -> base name of the live checkpoint directory
 //	ckpt-<lsn>/        -> one immutable checkpoint
 //	    meta.json      -> ckptMeta (LSN, tenant list)
-//	    db-<i>.tbl     -> tenant i's state as framed SQL statements
+//	    db-<i>.tbl     -> tenant i's state as framed statements
 //
 // A .tbl file is a sequence of wal.AppendFrame frames (the same
-// length-prefixed CRC pages as the log), each carrying one SQL statement:
-// schema DDL first, then batched INSERTs — a dump script in page form.
+// length-prefixed CRC pages as the log), each carrying one statement:
+// schema DDL first, then row statements — a dump script in page form,
+// whose rows load without a parse.
 // Checkpoints become live by writing the directory under a temporary name,
 // renaming it into place, and then atomically swapping CURRENT; a crash at
 // any point leaves CURRENT naming a complete older checkpoint.
@@ -196,7 +197,7 @@ func (e *Engine) Checkpoint() (uint64, error) {
 }
 
 // writeCheckpointDB streams one tenant's pinned snapshot to path as framed
-// SQL statements and returns the bytes written. The scan runs through the
+// statements and returns the bytes written. The scan runs through the
 // pinned transaction, so concurrent commits after the checkpoint LSN are
 // invisible by construction.
 func writeCheckpointDB(path string, cap dbCapture, dumpBatch int) (int64, error) {
@@ -229,7 +230,7 @@ func writeCheckpointDB(path string, cap dbCapture, dumpBatch int) (int64, error)
 				return total, err
 			}
 		}
-		if err := scanInserts(tc.tb, cap.txn, dumpBatch, emit); err != nil {
+		if err := scanRows(tc.tb, cap.txn, dumpBatch, emit); err != nil {
 			f.Close()
 			return total, err
 		}

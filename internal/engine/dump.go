@@ -13,19 +13,25 @@ import (
 // client does not name a chunk size.
 const DefaultDumpChunk = 64
 
-// Dump serializes the session's database as a SQL script at one consistent
-// SI snapshot (the paper's Step-1 "dump transaction": snapshot creation runs
+// Dump serializes the session's database as a script at one consistent SI
+// snapshot (the paper's Step-1 "dump transaction": snapshot creation runs
 // concurrently with customer transactions and never blocks them). The
 // script is the whole schema first — every CREATE TABLE followed by its
-// CREATE INDEXes, in table order — and then batched INSERTs, in
-// deterministic (table, primary key) order, so two consistent states always
-// dump to identical scripts.
+// CREATE INDEXes, in table order — and then row statements of DumpBatch
+// rows each (see IsRowStatement), in deterministic (table, primary key)
+// order, so two consistent states always dump to identical scripts. The
+// DUMP command answers the same script with its rows as INSERT text.
 // When the session has an open transaction block, the dump uses that
 // transaction's snapshot (pin it first with the SNAPSHOT command);
 // otherwise it runs in its own read-only transaction.
-func (s *Session) Dump() ([]string, error) {
+func (s *Session) Dump() ([]string, error) { return s.dump(false) }
+
+// dump is Dump; with asSQL, the script the DUMP command answers: each row
+// statement rendered as INSERT text by the table handle it was scanned
+// from, so a DROP or re-CREATE racing the dump cannot change how it reads.
+func (s *Session) dump(asSQL bool) ([]string, error) {
 	var script []string
-	if _, err := s.DumpStream(0, func(stmts []string) error {
+	if _, err := s.dumpStream(0, asSQL, func(stmts []string) error {
 		script = append(script, stmts...)
 		return nil
 	}); err != nil {
@@ -38,10 +44,10 @@ func (s *Session) Dump() ([]string, error) {
 // statement sequence but hands it to sink in chunks, so a caller can ship
 // and restore the snapshot while the scan is still running instead of
 // materializing the whole script. Chunk 0 is the schema prologue, whole and
-// alone whatever its size; every later chunk holds only INSERTs, at most
-// maxStmts of them (maxStmts <= 0: all rows in one chunk). A restorer can
-// therefore apply chunk 0 serially and every other chunk as one transaction,
-// in parallel.
+// alone whatever its size; every later chunk holds only row statements, at
+// most maxStmts of them (maxStmts <= 0: all rows in one chunk). A restorer
+// can therefore apply chunk 0 serially and every other chunk, joined into
+// one row statement, as one transaction, in parallel.
 //
 // Each chunk slice is owned by the sink (the iterator never reuses it), so
 // sinks may hand chunks to other goroutines. Table.Scan invokes its row
@@ -50,6 +56,12 @@ func (s *Session) Dump() ([]string, error) {
 // pauses the dump, never customer transactions. A sink error stops the
 // scan and is returned verbatim. Returns the statements emitted.
 func (s *Session) DumpStream(maxStmts int, sink func(stmts []string) error) (int, error) {
+	return s.dumpStream(maxStmts, false, sink)
+}
+
+// dumpStream is DumpStream; with asSQL each row statement goes to sink as
+// INSERT text (see dump).
+func (s *Session) dumpStream(maxStmts int, asSQL bool, sink func(stmts []string) error) (int, error) {
 	txn := s.txn
 	if s.inTxn && txn != nil && !txn.Done() {
 		// Use the block's snapshot; the client owns the commit.
@@ -84,7 +96,18 @@ func (s *Session) DumpStream(maxStmts int, sink func(stmts []string) error) (int
 	}
 
 	for _, tb := range tables {
-		if err := scanInserts(tb, txn, s.eng.opts.DumpBatch, func(stmt []byte) error {
+		var text []byte
+		if err := scanRows(tb, txn, s.eng.opts.DumpBatch, func(stmt []byte) error {
+			if asSQL {
+				_, rows, _, err := nextSection(stmt)
+				if err == nil {
+					text, err = appendRowsSQL(text[:0], tb, rows)
+				}
+				if err != nil {
+					return err
+				}
+				stmt = text
+			}
 			chunk = append(chunk, string(stmt))
 			if maxStmts > 0 && len(chunk) >= maxStmts {
 				return flush()
@@ -112,40 +135,8 @@ func schemaSQL(schema *storage.Schema, indexes map[string]string) []string {
 	return out
 }
 
-// scanInserts renders the rows of tb visible to txn, in primary-key order, as
-// the batched INSERTs of a dump, at most batch rows each, and hands each
-// statement to emit. All of them are built in one reused buffer, so emit
-// borrows stmt until it returns. An emit error stops the scan and is
-// returned verbatim.
-func scanInserts(tb *mvcc.Table, txn *mvcc.Txn, batch int, emit func(stmt []byte) error) error {
-	buf := appendInsertHead(nil, tb.Schema)
-	head, rows := len(buf), 0
-	var err error
-	flush := func() bool {
-		if rows > 0 {
-			err = emit(buf)
-			buf, rows = buf[:head], 0
-		}
-		return err == nil
-	}
-	r := make(storage.Row, len(tb.Schema.Columns))
-	tb.ScanRecs(txn, func(rec mvcc.Rec) bool {
-		rec.Decode(r, mvcc.AllCols)
-		if rows > 0 {
-			buf = append(buf, ", "...)
-		}
-		buf = appendTuple(buf, r)
-		rows++
-		return rows < batch || flush()
-	})
-	if err == nil {
-		flush()
-	}
-	return err
-}
-
 // Restore executes a dump script against the session's database, one
-// autocommitted statement at a time. Each INSERT batch pays a WAL commit,
+// autocommitted statement at a time. Each row statement pays a WAL commit,
 // which is why creating a slave takes longer than dumping the master
 // (Sec 5.5): restores go through the full write path.
 func (s *Session) Restore(script []string) error {
@@ -177,10 +168,19 @@ func StateEqual(a, b *Session) (bool, string, error) {
 	}
 	for i := range da {
 		if da[i] != db[i] {
-			return false, fmt.Sprintf("line %d differs:\n  a: %s\n  b: %s", i, da[i], db[i]), nil
+			return false, fmt.Sprintf("line %d differs:\n  a: %s\n  b: %s", i, sqlLine(a, i), sqlLine(b, i)), nil
 		}
 	}
 	return true, "", nil
+}
+
+// sqlLine is line i of s's DUMP text, for a mismatch message.
+func sqlLine(s *Session, i int) string {
+	script, err := s.dump(true)
+	if err != nil || i >= len(script) {
+		return fmt.Sprintf("(line %d does not render: %v)", i, err)
+	}
+	return script[i]
 }
 
 // RowCount returns the number of visible rows in the named table (testing

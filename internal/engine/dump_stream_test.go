@@ -10,7 +10,7 @@ import (
 // TestDumpStreamMatchesDump: the chunked iterator must yield exactly the
 // monolithic dump's statement sequence, for every chunk size, in the shape
 // restorers rely on: chunk 0 is the whole schema and nothing else, every
-// later chunk is INSERT-only and at most chunkSize statements.
+// later chunk holds only row statements, at most chunkSize of them.
 func TestDumpStreamMatchesDump(t *testing.T) {
 	e := newTestEngine(t)
 	s, _ := e.NewSession("shop")
@@ -62,8 +62,8 @@ func TestDumpStreamMatchesDump(t *testing.T) {
 				t.Errorf("chunk %d: row chunk %d has %d stmts", chunkSize, i, len(c))
 			}
 			for _, stmt := range c {
-				if !strings.HasPrefix(stmt, "INSERT ") {
-					t.Errorf("chunk %d: non-INSERT %q in chunk %d", chunkSize, stmt, i)
+				if !IsRowStatement(stmt) {
+					t.Errorf("chunk %d: %q in row chunk %d", chunkSize, stmt, i)
 				}
 			}
 		}
@@ -90,6 +90,39 @@ func TestDumpStreamMatchesDump(t *testing.T) {
 	if eq, diff, err := StateEqual(s, cp); err != nil || !eq {
 		t.Fatalf("StateEqual after Restore(Dump()) = %v, %v: %s", eq, err, diff)
 	}
+	// A difference is reported as the INSERT text of the rows that differ.
+	mustExec(t, cp, "DELETE FROM u WHERE id = 2")
+	mustExec(t, cp, "INSERT INTO u (id) VALUES (3)")
+	eq, diff, err := StateEqual(s, cp)
+	if err != nil || eq || !strings.Contains(diff, "a: INSERT INTO u (id) VALUES (1), (2)\n  b: INSERT INTO u (id) VALUES (1), (3)") {
+		t.Errorf("StateEqual after an UPDATE = %v, %v: %s", eq, err, diff)
+	}
+}
+
+// sqlText renders a script's row statements as INSERT text.
+func sqlText(t *testing.T, s *Session, script []string) []string {
+	t.Helper()
+	out := make([]string, len(script))
+	for i, stmt := range script {
+		out[i] = stmt
+		if !IsRowStatement(stmt) {
+			continue
+		}
+		name, rows, rest, err := nextSection([]byte(stmt))
+		if err != nil || len(rest) > 0 {
+			t.Fatalf("a dump line is not one section: %v", err)
+		}
+		tb, ok := s.db.table(string(name))
+		if !ok {
+			t.Fatalf("no table %s", name)
+		}
+		text, err := appendRowsSQL(nil, tb, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = string(text)
+	}
+	return out
 }
 
 // TestDumpStreamSinkError: a failing sink stops the scan and surfaces the
@@ -140,7 +173,7 @@ func TestDumpStreamSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustExec(t, s, "COMMIT")
-	joined := strings.Join(got, "\n")
+	joined := strings.Join(sqlText(t, s, got), "\n")
 	if !strings.Contains(joined, "(1, 1)") || strings.Contains(joined, "99") {
 		t.Errorf("stream leaked concurrent update: %v", got)
 	}

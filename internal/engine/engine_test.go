@@ -366,8 +366,8 @@ func TestDumpIsConsistentSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1 := strings.Join(script1, "\n")
-	j2 := strings.Join(script2, "\n")
+	j1 := strings.Join(sqlText(t, s, script1), "\n")
+	j2 := strings.Join(sqlText(t, s, script2), "\n")
 	if !strings.Contains(j1, "(1, 1)") {
 		t.Errorf("dump1 = %q", j1)
 	}
@@ -450,6 +450,45 @@ func TestExecSlotLimitsThroughput(t *testing.T) {
 	parallel := run(4)
 	if parallel < 5*time.Millisecond {
 		t.Errorf("4 slots finished in %v, faster than one statement's cost", parallel)
+	}
+}
+
+// TestRowStatementPaysPerSection: a row statement takes an execution slot
+// and pays StmtCost once per section, as the dump-batch INSERTs its sections
+// stand for did, so joining a restore chunk into one statement leaves the CPU
+// model's cost of a restored row as it was.
+func TestRowStatementPaysPerSection(t *testing.T) {
+	var schema, rows []string
+	if _, err := restoreSource(t, 200, 3).DumpStream(0, func(stmts []string) error {
+		if schema == nil {
+			schema = stmts
+		} else {
+			rows = stmts
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("dumped %d row statements, want 4 of 50 rows", len(rows))
+	}
+	const cost = 3 * time.Millisecond
+	e := New(Options{ExecSlots: 1, StmtCost: cost})
+	defer e.Close()
+	if err := e.CreateDatabase("d"); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := e.NewSession("d")
+	for _, q := range schema {
+		mustExec(t, s, q)
+	}
+	start := time.Now()
+	mustExec(t, s, strings.Join(rows, ""))
+	if took := time.Since(start); took < time.Duration(len(rows))*cost {
+		t.Errorf("a 4-section row statement took %v, want >= %v", took, time.Duration(len(rows))*cost)
+	}
+	if n, err := s.RowCount("t"); err != nil || n != 200 {
+		t.Errorf("RowCount = %d, %v", n, err)
 	}
 }
 

@@ -10,11 +10,15 @@ import (
 	"madeus/internal/wal"
 )
 
-// execStatement runs one non-transaction-control statement inside s.txn.
+// execStatement runs one non-transaction-control statement inside s.txn:
+// st, or the row statement sql when st is nil.
 // It acquires an execution slot (the CPU model) for the duration of the
-// statement's in-memory work.
+// statement's in-memory work; a row statement, one per section.
 // A SELECT's or a write's result is built in out (see resultBuf).
 func (s *Session) execStatement(st sqlmini.Statement, sql string, out *resultBuf) (*Result, error) {
+	if st == nil {
+		return s.execRows(sql, out)
+	}
 	release := s.eng.acquireSlot()
 	defer release()
 	switch st := st.(type) {
@@ -290,8 +294,8 @@ func (s *Session) execDelete(st *sqlmini.Delete, sql string, out *resultBuf) (*R
 // The render helpers append the self-contained redo statements the WAL
 // carries: literal values only, rows addressed by primary key. See the
 // wal.Unit doc for why this (plus commit-order replay) is state-exact under
-// snapshot isolation where raw client SQL would not be. A dump's batched
-// INSERTs are built from the same pieces (see scanInserts).
+// snapshot isolation where raw client SQL would not be. DUMP renders a
+// row statement from the same pieces (see insertSQL).
 
 // appendInsertHead appends "INSERT INTO t (c1, c2, ...) VALUES ", naming
 // every column of schema.

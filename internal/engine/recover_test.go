@@ -507,51 +507,70 @@ func walSegments(t *testing.T, dir string) []string {
 	return segs
 }
 
-// TestRecoverRestoredChunks applies a dump the way a migration's restore
-// does — every DumpStream chunk, the schema prologue included, as one
-// transaction — crashes the engine, and requires recovery to rebuild the
-// source's state. The schema chunk's DDL is logged inside its scope, so the
-// whole prologue costs one fsync, not one per statement.
+// TestRecoverRestoredChunks restores a dump the way a migration's restore
+// does — the schema prologue as one transaction, every row chunk joined
+// into one row statement in autocommit — crashes the engine, and requires
+// recovery to rebuild the source's state: by WAL replay, and separately
+// from a checkpoint taken after the restore. The schema chunk's DDL is
+// logged inside its scope and a row chunk is one statement, so each chunk
+// costs one fsync.
 func TestRecoverRestoredChunks(t *testing.T) {
 	src := newOracle(t)
 	mustExec(t, src, "CREATE INDEX kv_n ON kv (n)")
 	mustExec(t, src, "CREATE TABLE empty (id INT PRIMARY KEY)")
-	mustExec(t, src, "CREATE TABLE log (id INT PRIMARY KEY, kv INT)")
+	mustExec(t, src, "CREATE TABLE log (id INT PRIMARY KEY, kv INT, f FLOAT, b BOOL)")
 	for i := 0; i < 40; i++ {
 		mustExec(t, src, fmt.Sprintf("INSERT INTO kv (id, v, n) VALUES (%d, 'v%d', %d)", i, i, i%5))
-		mustExec(t, src, fmt.Sprintf("INSERT INTO log (id, kv) VALUES (%d, %d)", i, i))
+		mustExec(t, src, fmt.Sprintf("INSERT INTO log (id, kv, f, b) VALUES (%d, %d, %d.5, %v)", i, i, i, i%2 == 0))
 	}
+	mustExec(t, src, "INSERT INTO kv (id, v, n) VALUES (-9223372036854775807 - 1, '', NULL)")
 
-	dir := t.TempDir()
-	e := openDurable(t, dir)
-	if err := e.CreateDatabase("tenant"); err != nil {
-		t.Fatal(err)
-	}
-	sess, err := e.NewSession("tenant")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fsyncs []uint64 // per chunk
-	if _, err := src.DumpStream(1, func(stmts []string) error {
-		before := e.WALStats().Fsyncs
-		mustExec(t, sess, "BEGIN")
-		for _, stmt := range stmts {
-			mustExec(t, sess, stmt)
-		}
-		mustExec(t, sess, "COMMIT")
-		fsyncs = append(fsyncs, e.WALStats().Fsyncs-before)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range fsyncs {
-		if n != 1 {
-			t.Errorf("chunk %d paid %d fsyncs, want 1", i, n)
-		}
-	}
-	e.Crash()
+	for _, fromCheckpoint := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpoint=%v", fromCheckpoint), func(t *testing.T) {
+			dir := t.TempDir()
+			e := openDurable(t, dir)
+			if err := e.CreateDatabase("tenant"); err != nil {
+				t.Fatal(err)
+			}
+			sess, err := e.NewSession("tenant")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fsyncs []uint64 // per chunk
+			if _, err := src.DumpStream(3, func(stmts []string) error {
+				before := e.WALStats().Fsyncs
+				if len(fsyncs) == 0 {
+					mustExec(t, sess, "BEGIN")
+					for _, stmt := range stmts {
+						mustExec(t, sess, stmt)
+					}
+					mustExec(t, sess, "COMMIT")
+				} else {
+					mustExec(t, sess, strings.Join(stmts, ""))
+				}
+				fsyncs = append(fsyncs, e.WALStats().Fsyncs-before)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range fsyncs {
+				if n != 1 {
+					t.Errorf("chunk %d paid %d fsyncs, want 1", i, n)
+				}
+			}
+			if fromCheckpoint {
+				if _, err := e.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e.Crash()
 
-	e2 := openDurable(t, dir)
-	defer e2.Close()
-	requireStateEqual(t, src, e2)
+			e2 := openDurable(t, dir)
+			defer e2.Close()
+			if rec := e2.LastRecovery(); (rec.CheckpointLSN != 0) != fromCheckpoint || (rec.Applied == 0) != fromCheckpoint {
+				t.Errorf("recovery loaded checkpoint %d and applied %d units", rec.CheckpointLSN, rec.Applied)
+			}
+			requireStateEqual(t, src, e2)
+		})
+	}
 }

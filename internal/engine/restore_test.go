@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
@@ -36,13 +38,15 @@ var goldenStmts = []string{
 	"DELETE FROM kinds WHERE id >= 7",
 }
 
-// TestDumpAndRedoTextGolden pins the SQL text a dump, the redo records and a
-// checkpoint carry, byte for byte: migrations ship this text and recovery
-// re-reads it, so a renderer change must not move a byte. A literal INSERT
-// is its own redo record, its statement text as the client sent it. Any
-// other write logs its rows as evaluated, before the table widens them
-// (the INT 1000000 and 2 in a FLOAT column), every column named; a dump
-// renders a row as stored (1e+06).
+// TestDumpAndRedoTextGolden pins what a dump, the redo records and a
+// checkpoint carry, byte for byte: migrations ship it and recovery re-reads
+// it, so a renderer or row-encoding change must not move a byte. The DUMP
+// command renders a row as stored (1e+06). A literal INSERT is its own redo
+// record, its statement text as the client sent it. Any other write logs
+// its rows as evaluated, before the table widens them (the INT 1000000 and
+// 2 in a FLOAT column), every column named. A dump's rows are row
+// statements (hex golden below), and a checkpoint file is the dump in
+// frames.
 func TestDumpAndRedoTextGolden(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(Options{DataDir: dir, DumpBatch: 2, WAL: wal.Options{RetainRecords: 64}})
@@ -57,9 +61,9 @@ func TestDumpAndRedoTextGolden(t *testing.T) {
 	for _, q := range goldenStmts {
 		mustExec(t, s, q)
 	}
-	dump, err := s.Dump()
-	if err != nil {
-		t.Fatal(err)
+	var dump []string
+	for _, row := range mustExec(t, s, "DUMP").Rows {
+		dump = append(dump, row[0].Str)
 	}
 	wantDump := []string{
 		"CREATE TABLE kinds (id INT PRIMARY KEY, n INT, f FLOAT, s TEXT, b BOOL)",
@@ -98,7 +102,38 @@ func TestDumpAndRedoTextGolden(t *testing.T) {
 		t.Errorf("redo records:\n got %s\nwant %s", got, want)
 	}
 
-	// A checkpoint file is the dump in frames.
+	// The row statements, once row 6 holds the least INT: a section head
+	// (the NUL mark, the name's u16 length, the name, the rows' u32 length),
+	// then per row its five kind bytes, five 8-byte slots and its TEXT.
+	mustExec(t, s, "UPDATE kinds SET n = -9223372036854775807 - 1 WHERE id = 6")
+	script, err := s.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := "00" + "0500" + hex.EncodeToString([]byte("kinds"))
+	wantRows := []string{
+		head + "5e000000" +
+			// 1, -7, 3, 'it''s' at byte 45, TRUE
+			"0101020304" + "0100000000000000" + "f9ffffffffffffff" + "0000000000000840" + "2d00000004000000" + "0100000000000000" + "69742773" +
+			// 2, 42, 1e+06, '' at byte 45, FALSE
+			"0101020304" + "0200000000000000" + "2a00000000000000" + "0000000080842e41" + "2d00000000000000" + "0000000000000000",
+		head + "62000000" +
+			// 4, NULL, 1.234567e+06, 'a''''b', NULL
+			"0100020300" + "0400000000000000" + "0000000000000000" + "0000000087d63241" + "2d00000004000000" + "0000000000000000" + "61272762" +
+			// 5, -9223372036854775807, 1e-05, 'a''''b', NULL
+			"0101020300" + "0500000000000000" + "0100000000000080" + "f168e388b5f8e43e" + "2d00000004000000" + "0000000000000000" + "61272762",
+		head + "2d000000" +
+			// 6, the least INT, 1.2345675e+06, NULL, NULL
+			"0101020000" + "0600000000000000" + "0000000000000080" + "0000008087d63241" + "0000000000000000" + "0000000000000000",
+	}
+	var gotRows []string
+	for _, stmt := range script[2:] {
+		gotRows = append(gotRows, hex.EncodeToString([]byte(stmt)))
+	}
+	if got, want := strings.Join(gotRows, "\n"), strings.Join(wantRows, "\n"); got != want {
+		t.Errorf("row statements:\n got %s\nwant %s", got, want)
+	}
+
 	if _, err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +157,8 @@ func TestDumpAndRedoTextGolden(t *testing.T) {
 		}
 		framed = append(framed, string(payload))
 	}
-	if got, want := strings.Join(framed, "\n"), strings.Join(wantDump, "\n"); got != want {
-		t.Errorf("checkpoint statements:\n got %s\nwant %s", got, want)
+	if !slices.Equal(framed, script) {
+		t.Errorf("checkpoint statements:\n got %q\nwant %q", framed, script)
 	}
 }
 
@@ -260,6 +295,86 @@ func restoreSource(tb testing.TB, rows, cols int) *Session {
 	return s
 }
 
+// sectionRows is the encoded rows of every section of the row statement
+// b, back to back.
+func sectionRows(t *testing.T, b []byte) []byte {
+	t.Helper()
+	var rows []byte
+	for len(b) > 0 {
+		_, r, rest, err := nextSection(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, b = append(rows, r...), rest
+	}
+	return rows
+}
+
+// FuzzApplyRows checks the decoder every restored, checkpointed and
+// replayed row passes through. Applied in autocommit to an empty copy of
+// restoreSource's table, a row statement of any bytes never panics, and it
+// either fails and leaves no row visible, or is accepted and dumps back to
+// the same rows, byte for byte (a dump may cut them into statements at
+// other points). The seed corpus (testdata/fuzz/FuzzApplyRows) holds real
+// row statements of restoreSource: one, three joined, the middle one of
+// those, and one cut short.
+func FuzzApplyRows(f *testing.F) {
+	var schema []string
+	if _, err := restoreSource(f, 1, 6).DumpStream(0, func(stmts []string) error {
+		if schema == nil {
+			schema = stmts
+		}
+		return nil
+	}); err != nil {
+		f.Fatal(err)
+	}
+	e := New(Options{LockTimeout: time.Second})
+	f.Cleanup(e.Close)
+	f.Fuzz(func(t *testing.T, stmt []byte) {
+		if !IsRowStatement(string(stmt)) {
+			return // SQL text is FuzzParse's
+		}
+		if err := e.CreateDatabase("dst"); err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if err := e.DropDatabase("dst"); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		s, _ := e.NewSession("dst")
+		defer s.Close()
+		for _, q := range schema {
+			mustExec(t, s, q)
+		}
+		_, err := s.Exec(string(stmt))
+		n, cerr := s.RowCount("t")
+		if cerr != nil {
+			t.Fatal(cerr)
+		}
+		if err != nil {
+			if n != 0 {
+				t.Fatalf("a rejected row statement (%v) left %d rows visible", err, n)
+			}
+			return
+		}
+		var again []byte
+		if _, err := s.DumpStream(0, func(stmts []string) error {
+			for _, st := range stmts {
+				if IsRowStatement(st) {
+					again = append(again, sectionRows(t, []byte(st))...)
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want := sectionRows(t, stmt); !bytes.Equal(again, want) {
+			t.Fatalf("%d accepted rows dump back differently:\n got %x\nwant %x", n, again, want)
+		}
+	})
+}
+
 // TestDumpStreamAllocsPerStatement pins the dump side of a migration: each
 // batched INSERT is rendered into one reused buffer and costs one string,
 // so a dump allocates about once per statement, however wide its rows. The
@@ -298,9 +413,10 @@ func BenchmarkDumpStream(b *testing.B) {
 	}
 }
 
-// restoreChunkAllocs returns what applying chunk — a dump's row chunk — as
-// one transaction allocates, into a fresh database made from schema; the
-// least of three runs, so a collection mid-run does not count.
+// restoreChunkAllocs returns what applying chunk — a dump's row chunk —
+// allocates when it is applied as a restore applier sends it, joined into
+// one row statement in autocommit, into a fresh database made from schema;
+// the least of three runs, so a collection mid-run does not count.
 func restoreChunkAllocs(tb testing.TB, schema, chunk []string) uint64 {
 	e := New(Options{LockTimeout: time.Second})
 	defer e.Close()
@@ -315,13 +431,11 @@ func restoreChunkAllocs(tb testing.TB, schema, chunk []string) uint64 {
 				tb.Fatal(err)
 			}
 		}
-		stmts := append(append([]string{"BEGIN"}, chunk...), "COMMIT")
+		joined := strings.Join(chunk, "")
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for _, stmt := range stmts {
-			if _, err := s.ExecLent(stmt); err != nil {
-				tb.Fatal(err)
-			}
+		if _, err := s.ExecLent(joined); err != nil {
+			tb.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
 		least = min(least, after.Mallocs-before.Mallocs)
@@ -336,10 +450,10 @@ func restoreChunkAllocs(tb testing.TB, schema, chunk []string) uint64 {
 // TestRestoreChunkAllocs pins what a restore allocates per row: a row's
 // version is encoded into the table's pages, its chain comes from an array
 // of chains and holds its first version itself, the chain directory files
-// it in a block shared with 63 other keys, and the parser decodes each
-// statement's rows into the session's parse array. So a 2,000-row chunk
-// costs its statements' parse and log records, the directory's blocks and
-// growth and well under one object per row: 818 objects, bound at 900.
+// it in a block shared with 63 other keys, and a row statement is decoded
+// into the session's write row, not parsed. So a 2,000-row chunk costs one
+// log record, the directory's blocks and growth and well under one object
+// per row: 290 objects, bound at 320.
 func TestRestoreChunkAllocs(t *testing.T) {
 	const rows = 2000
 	src := restoreSource(t, rows, 6)
@@ -352,15 +466,16 @@ func TestRestoreChunkAllocs(t *testing.T) {
 	}
 	got := restoreChunkAllocs(t, chunks[0], chunks[1])
 	t.Logf("a %d-row chunk in %d statements: %d allocations, %.2f per row", rows, len(chunks[1]), got, float64(got)/rows)
-	const bound = 900
+	const bound = 320
 	if got > bound {
 		t.Errorf("a %d-row chunk allocates %d objects, want at most %d", rows, got, bound)
 	}
 }
 
 // BenchmarkRestoreChunk measures Step 2's apply of one chunk the way a
-// restore applier runs it: BEGIN, the chunk's dump INSERTs (2,000 rows of
-// six columns), COMMIT, into a fresh database each time.
+// restore applier runs it: the chunk's row statements (2,000 rows of six
+// columns) joined into one, applied in autocommit, into a fresh database
+// each time.
 func BenchmarkRestoreChunk(b *testing.B) {
 	src := restoreSource(b, 2000, 6)
 	var chunks [][]string
@@ -370,7 +485,7 @@ func BenchmarkRestoreChunk(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	schema, rows := chunks[0], chunks[1]
+	schema, rows := chunks[0], strings.Join(chunks[1], "")
 	e := New(Options{LockTimeout: time.Second})
 	defer e.Close()
 	b.ReportAllocs()
@@ -387,10 +502,8 @@ func BenchmarkRestoreChunk(b *testing.B) {
 			}
 		}
 		b.StartTimer()
-		for _, stmt := range append(append([]string{"BEGIN"}, rows...), "COMMIT") {
-			if _, err := s.Exec(stmt); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := s.Exec(rows); err != nil {
+			b.Fatal(err)
 		}
 		b.StopTimer()
 		s.Close()

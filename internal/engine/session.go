@@ -216,27 +216,30 @@ func (s *Session) ExecLent(sql string) (*Result, error) { return s.exec(sql, &s.
 // exec is Exec and ExecLent: out is where the result is built, nil for an
 // owned one.
 func (s *Session) exec(sql string, out *resultBuf) (*Result, error) {
-	if meta, handled, err := s.execMeta(sql); handled {
-		return meta, err
-	}
-	st, cached := s.db.pcache.Get(sql)
-	if !cached {
-		var err error
-		st, err = sqlmini.ParseInto(sql, &s.parsed)
-		s.parsed = kept(s.parsed)
-		if err != nil {
-			s.poison(false)
-			return nil, err
+	var st sqlmini.Statement // nil for a row statement, which is not parsed
+	if !IsRowStatement(sql) {
+		if meta, handled, err := s.execMeta(sql); handled {
+			return meta, err
 		}
-		s.db.pcache.Put(sql, st)
-	}
-	switch st.(type) {
-	case *sqlmini.Begin:
-		return s.execBegin(out)
-	case *sqlmini.Commit:
-		return s.execCommit(out)
-	case *sqlmini.Rollback:
-		return s.execRollback(out)
+		var cached bool
+		if st, cached = s.db.pcache.Get(sql); !cached {
+			var err error
+			st, err = sqlmini.ParseInto(sql, &s.parsed)
+			s.parsed = kept(s.parsed)
+			if err != nil {
+				s.poison(false)
+				return nil, err
+			}
+			s.db.pcache.Put(sql, st)
+		}
+		switch st.(type) {
+		case *sqlmini.Begin:
+			return s.execBegin(out)
+		case *sqlmini.Commit:
+			return s.execCommit(out)
+		case *sqlmini.Rollback:
+			return s.execRollback(out)
+		}
 	}
 	if s.inTxn && s.txnFail {
 		return nil, ErrTxnAborted
@@ -469,13 +472,14 @@ func (s *Session) execMeta(sql string) (*Result, bool, error) {
 	case head == "DUMP" && (len(fields) == 1 || second == "STREAM"):
 		// A plain Exec is a non-streaming transport (e.g. relayed through
 		// a middleware worker): chunking is a transport concern, so DUMP
-		// STREAM answers like DUMP, with the full single-result dump.
+		// STREAM answers with the whole stream — row statements — as one
+		// result. DUMP answers the same script as SQL text.
 		if second == "STREAM" {
 			if _, err := parseDumpChunk(fields); err != nil {
 				return nil, true, err
 			}
 		}
-		script, err := s.Dump()
+		script, err := s.dump(second != "STREAM")
 		if err != nil {
 			return nil, true, err
 		}

@@ -2,6 +2,7 @@ package mvcc
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -125,8 +126,9 @@ func (tb *Table) pageDir() [][]byte { return *tb.pages.Load() }
 // bytesAt returns the encoded row at r and everything after it in its page.
 func bytesAt(dir [][]byte, r ref) []byte { return dir[r.page()][r.off():] }
 
-// encodedSize returns the size of the row encoded at the start of b.
-func (tb *Table) encodedSize(b []byte) int {
+// EncodedSize returns the size of the row encoded at the start of b, one of
+// the table's own: a Rec, or a page's bytes.
+func (tb *Table) EncodedSize(b []byte) int {
 	n := len(tb.Schema.Columns)
 	size := 9 * n
 	for i := range n {
@@ -135,6 +137,35 @@ func (tb *Table) encodedSize(b []byte) int {
 		}
 	}
 	return size
+}
+
+// DecodeRec decodes the row encoded at the start of b into dst, as wide as
+// the table's rows, and returns the row's size. Unlike Rec.Decode it trusts
+// nothing in b: it accepts only what the table stores for a row — each kind
+// its column's type or NULL, a NULL's slot zero, a BOOL 0 or 1, each TEXT's
+// bytes right after the previous one's and inside b — so a row it accepts
+// encodes back to the same bytes. A TEXT aliases b.
+func (tb *Table) DecodeRec(b []byte, dst storage.Row) (int, error) {
+	n := len(tb.Schema.Columns)
+	size := 9 * n
+	if len(b) < size {
+		return 0, fmt.Errorf("mvcc: table %s: row of %d bytes, want at least %d", tb.Schema.Name, len(b), size)
+	}
+	for i, c := range tb.Schema.Columns {
+		kind, x := sqlmini.ValueKind(b[i]), binary.LittleEndian.Uint64(b[n+8*i:])
+		ok := kind == sqlmini.KindNull && x == 0 ||
+			kind == c.Type && (kind != sqlmini.KindBool || x <= 1)
+		if ok && kind == sqlmini.KindText {
+			off, l := uint32(x), x>>32
+			ok = int(off) == size && l <= uint64(len(b)-size)
+			size += int(l)
+		}
+		if !ok {
+			return 0, fmt.Errorf("mvcc: table %s: column %s: malformed %s", tb.Schema.Name, c.Name, kind)
+		}
+	}
+	decodeRow(b, dst)
+	return size, nil
 }
 
 // Cols is a set of a table's columns, bit i for column i. A column past the

@@ -69,7 +69,8 @@ func codecSchema(t *testing.T, row storage.Row) *storage.Schema {
 
 // FuzzRowCodec: any row encodes to rowSize bytes and decodes back to an
 // Equal row, bit for bit — a FLOAT's bits as they were, −0 included — and
-// the decoder reads exactly the bytes the encoder wrote. spec picks each
+// the decoder reads exactly the bytes the encoder wrote; DecodeRec, which
+// trusts nothing, accepts it and reads it the same. spec picks each
 // column's kind (spec[i] % 5: NULL, INT, FLOAT, TEXT, BOOL) and varies its
 // value; n, bits and text feed the INTs, FLOATs and TEXTs.
 func FuzzRowCodec(f *testing.F) {
@@ -128,13 +129,18 @@ func FuzzRowCodec(f *testing.F) {
 			t.Fatalf("%v encodes to %d bytes, rowSize says %d", row, len(enc), rowSize(row))
 		}
 		tb := &Table{Schema: sch}
-		if got := tb.encodedSize(append(enc, 0xff, 0xff)); got != len(enc) {
+		if got := tb.EncodedSize(append(enc, 0xff, 0xff)); got != len(enc) {
 			t.Fatalf("%v: the decoder reads %d bytes of %d", row, got, len(enc))
 		}
 		got := make(storage.Row, len(row))
 		decodeRow(enc, got)
 		if !got.Equal(row) {
 			t.Fatalf("round trip:\n got %#v\nwant %#v", got, row)
+		}
+		// The untrusting decoder accepts every row the encoder writes.
+		clear(got)
+		if size, err := tb.DecodeRec(append(enc, 0xff), got); err != nil || size != len(enc) || !got.Equal(row) {
+			t.Fatalf("DecodeRec = %d, %v, %#v; want %d, nil, %#v", size, err, got, len(enc), row)
 		}
 	})
 }

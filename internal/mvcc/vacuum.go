@@ -70,7 +70,7 @@ func (tb *Table) Vacuum(horizon CSN) int {
 // drop counts the row at r as dead: its version has just been removed. The
 // caller holds the lock of the chain it was removed from.
 func (tb *Table) drop(r ref) {
-	tb.deadBytes.Add(int64(tb.encodedSize(bytesAt(tb.pageDir(), r))))
+	tb.deadBytes.Add(int64(tb.EncodedSize(bytesAt(tb.pageDir(), r))))
 }
 
 // compactIfSparse compacts the table's pages when, of the bytes they spent
@@ -121,7 +121,7 @@ func (tb *Table) compact() {
 			v := &ch.versions[i]
 			if v.ref.page() < fresh {
 				b := bytesAt(dir, v.ref)
-				v.ref = tb.storeEncoded(&copies, b[:tb.encodedSize(b)])
+				v.ref = tb.storeEncoded(&copies, b[:tb.EncodedSize(b)])
 			}
 		}
 		ch.mu.Unlock()

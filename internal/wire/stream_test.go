@@ -51,7 +51,7 @@ func TestExecStreamRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	full, err := c.Exec("DUMP")
+	full, err := c.Exec("DUMP STREAM")
 	if err != nil {
 		t.Fatal(err)
 	}

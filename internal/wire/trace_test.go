@@ -272,7 +272,7 @@ func TestAllQueryShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	full, err := c.Exec("DUMP")
+	full, err := c.Exec("DUMP STREAM")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,6 +49,11 @@ go test -run '^$' -fuzz '^FuzzDecodeResult$' -fuzztime 10s ./internal/wire/
 # re-encodes to the same bytes.
 go test -run '^$' -fuzz '^FuzzDecodeStreamChunk$' -fuzztime 10s ./internal/wire/
 
+# The row-statement decoder every restored, checkpointed and replayed row
+# goes through likewise: any bytes leave no row behind or are accepted and
+# dump back to the same rows.
+go test -run '^$' -fuzz '^FuzzApplyRows$' -fuzztime 10s ./internal/engine/
+
 # The traced-query decoder a node runs on every migration frame likewise: a
 # payload it accepts re-encodes to the same bytes.
 go test -run '^$' -fuzz '^FuzzDecodeTraced$' -fuzztime 10s ./internal/wire/
@@ -75,8 +80,8 @@ go test -count=1 -run '^$' -bench Select -benchtime 1x ./internal/engine/
 # per row) and full scans.
 go test -count=1 -run '^$' -bench '^Benchmark(Insert|Scan)' -benchtime 1x ./internal/mvcc/
 
-# The migration's dump (DumpStream) and restore (one chunk applied as a
-# transaction) benchmarks, likewise.
+# The migration's dump (DumpStream) and restore (one chunk applied as one
+# row statement) benchmarks, likewise.
 go test -count=1 -run '^$' -bench 'Dump|Restore' -benchtime 1x ./internal/engine/
 
 # The benchmark instrument is its own module.
