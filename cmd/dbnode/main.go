@@ -89,7 +89,8 @@ func main() {
 		// No History: dbnode runs no sampler; the middleware owns the
 		// per-tenant time series.
 		srv := &http.Server{Handler: obs.Handler(obs.Default, obs.Trace, nil)}
-		//madeusvet:ignore goroleak Serve returns ErrServerClosed when the deferred srv.Close runs at shutdown
+		// Serve returns ErrServerClosed when the deferred srv.Close runs at
+		// shutdown.
 		go func() {
 			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "dbnode: debug server:", err)

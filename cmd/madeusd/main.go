@@ -116,7 +116,8 @@ func main() {
 			fatal(err)
 		}
 		srv := &http.Server{Handler: obs.Handler(obs.Default, obs.Trace, obs.Hist)}
-		//madeusvet:ignore goroleak Serve returns ErrServerClosed when the deferred srv.Close runs at shutdown
+		// Serve returns ErrServerClosed when the deferred srv.Close runs at
+		// shutdown.
 		go func() {
 			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "madeusd: debug server:", err)

@@ -1,5 +1,5 @@
-// Command madeusvet runs the repo's custom concurrency analyzers over the
-// tree and fails loudly on findings:
+// Command madeusvet runs the repo's lock-hierarchy linter over the tree and
+// fails loudly on findings:
 //
 //	go run ./cmd/madeusvet ./...
 //
@@ -7,23 +7,16 @@
 // exit status is 1 when anything fired (2 on load or usage errors), so the
 // command slots straight into scripts/verify.sh and CI. Flags:
 //
-//	-rules lockorder,holdblock   run only the named rules (default: all)
-//	-list                        list the analyzers and exit
-//	-json                        emit findings as a JSON array on stdout
-//	-baseline vet-baseline.json  filter findings recorded in the baseline
-//	-write-baseline              write current findings to -baseline and exit 0
+//	-rules lockorder   run only the named rules (default: all)
+//	-list              list the analyzers and exit
 //
-// A baseline entry matches on (file, rule, message) — line numbers drift
-// with unrelated edits, so they are not part of the key. Suppress an
-// intentional deviation at its site with `//madeusvet:ignore rule reason`
-// instead; the baseline exists only to ratchet legacy findings down.
-// The analyzer set and the discipline each rule enforces are documented in
-// internal/analysis and DESIGN.md ("Concurrency invariants & lock
-// hierarchy", "Interprocedural analysis").
+// Suppress a finding the analysis cannot see is safe at its site with
+// `//madeusvet:ignore rule reason`. The rules and the discipline they
+// enforce are documented in internal/analysis and DESIGN.md ("Concurrency
+// invariants & lock hierarchy", "Interprocedural analysis").
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -34,25 +27,9 @@ import (
 	"madeus/internal/analysis"
 )
 
-// jsonFinding is the stable wire form of one finding.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-}
-
-func (f jsonFinding) key() string {
-	return f.File + "\x00" + f.Rule + "\x00" + f.Message
-}
-
 func main() {
 	rules := flag.String("rules", "", "comma-separated rule names to run (default: all)")
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	baselinePath := flag.String("baseline", "", "baseline file of accepted findings to filter out")
-	writeBaseline := flag.Bool("write-baseline", false, "write current findings to -baseline and exit")
 	flag.Parse()
 
 	if *list {
@@ -77,73 +54,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "madeusvet:", err)
 		os.Exit(2)
 	}
-	for _, pkg := range pkgs {
-		if pkg.TypeErr != nil {
-			fmt.Fprintf(os.Stderr, "madeusvet: note: %s type-checked partially: %v\n", pkg.Path, pkg.TypeErr)
-		}
-	}
 
 	cwd, _ := os.Getwd()
-	var findings []jsonFinding
-	for _, d := range analysis.RunAll(pkgs, analyzers) {
-		file := d.Pos.Filename
-		if rel, err := filepath.Rel(cwd, file); err == nil && !filepath.IsAbs(rel) {
-			file = rel
+	findings := analysis.RunAll(pkgs, analyzers)
+	for _, d := range findings {
+		if rel, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && !filepath.IsAbs(rel) {
+			d.Pos.Filename = rel
 		}
-		findings = append(findings, jsonFinding{
-			File: file, Line: d.Pos.Line, Col: d.Pos.Column,
-			Rule: d.Rule, Message: d.Message,
-		})
-	}
-
-	if *writeBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "madeusvet: -write-baseline requires -baseline <path>")
-			os.Exit(2)
-		}
-		if err := saveBaseline(*baselinePath, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "madeusvet:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "madeusvet: wrote %d finding(s) to %s\n", len(findings), *baselinePath)
-		return
-	}
-
-	if *baselinePath != "" {
-		accepted, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "madeusvet:", err)
-			os.Exit(2)
-		}
-		kept := findings[:0]
-		filtered := 0
-		for _, f := range findings {
-			if accepted[f.key()] {
-				filtered++
-				continue
-			}
-			kept = append(kept, f)
-		}
-		findings = kept
-		if filtered > 0 {
-			fmt.Fprintf(os.Stderr, "madeusvet: %d finding(s) filtered by baseline %s\n", filtered, *baselinePath)
-		}
-	}
-
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []jsonFinding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, "madeusvet:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Printf("%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Rule, f.Message)
-		}
+		fmt.Println(d)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "madeusvet: %d finding(s)\n", len(findings))
@@ -181,33 +99,4 @@ func selectAnalyzers(spec string) ([]*analysis.Analyzer, error) {
 		out = append(out, a)
 	}
 	return out, nil
-}
-
-func saveBaseline(path string, findings []jsonFinding) error {
-	if findings == nil {
-		findings = []jsonFinding{}
-	}
-	var buf strings.Builder
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(findings); err != nil {
-		return err
-	}
-	return os.WriteFile(path, []byte(buf.String()), 0o644)
-}
-
-func loadBaseline(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var entries []jsonFinding
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	accepted := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		accepted[e.key()] = true
-	}
-	return accepted, nil
 }

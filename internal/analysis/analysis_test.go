@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,8 +12,7 @@ import (
 // TestAnalyzerFixtures drives every analyzer over its fixture package under
 // testdata/src (a self-contained module loaded with the real loader). A
 // fixture line carrying a `// want` marker must yield exactly one finding of
-// the package's namesake rule; every other line must yield none. The errdrop
-// fixture additionally covers the //madeusvet:ignore suppression path.
+// the package's namesake rule; every other line must yield none.
 //
 // staleignore is the one analyzer exercised outside this harness: its
 // findings land ON the //madeusvet:ignore directive line, which cannot also
@@ -34,32 +32,12 @@ func TestAnalyzerFixtures(t *testing.T) {
 		base := pkg.Path[strings.LastIndex(pkg.Path, "/")+1:]
 		a, ok := analyzers[base]
 		if !ok || base == StaleIgnore.Name {
-			continue // helper packages (the invariant stub, degraded)
+			continue
 		}
 		tested[base] = true
 		pkg := pkg
 		t.Run(base, func(t *testing.T) {
-			if pkg.TypeErr != nil {
-				t.Fatalf("fixture failed to type-check: %v", pkg.TypeErr)
-			}
-			got := make(map[string]int)
-			for _, d := range RunAnalyzers(pkg, []*Analyzer{a}) {
-				got[fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)]++
-			}
-			want := wantMarkers(pkg)
-			for loc, n := range want {
-				if got[loc] != n {
-					t.Errorf("%s: got %d findings, want %d", loc, got[loc], n)
-				}
-			}
-			for loc, n := range got {
-				if want[loc] == 0 {
-					t.Errorf("%s: %d unexpected finding(s)", loc, n)
-				}
-			}
-			if len(want) == 0 {
-				t.Fatalf("fixture has no want markers; the positive case is missing")
-			}
+			checkWant(t, pkg, RunAll([]*Package{pkg}, []*Analyzer{a}), a.Name)
 		})
 	}
 	for name := range analyzers {
@@ -69,57 +47,60 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}
 }
 
-// wantMarkers returns the expected finding count per "file:line", parsed
-// from `// want` trailing comments. Tag-excluded files are scanned too:
-// tagparity reports at positions inside them.
-func wantMarkers(pkg *Package) map[string]int {
-	out := make(map[string]int)
-	scanFile := func(f *ast.File) {
+// checkWant compares the findings of rule in diags with the fixture's
+// `// want` trailing comments: exactly one finding per marked line, none
+// elsewhere.
+func checkWant(t *testing.T, pkg *Package, diags []Diagnostic, rule string) {
+	t.Helper()
+	got := make(map[string]int)
+	for _, d := range diags {
+		if d.Rule == rule {
+			got[fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)]++
+		}
+	}
+	want := make(map[string]int)
+	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if strings.TrimSpace(strings.TrimPrefix(c.Text, "//")) != "want" {
-					continue
+				if strings.TrimSpace(strings.TrimPrefix(c.Text, "//")) == "want" {
+					pos := pkg.Fset.Position(c.Pos())
+					want[fmt.Sprintf("%s:%d", pos.Filename, pos.Line)]++
 				}
-				pos := pkg.Fset.Position(c.Pos())
-				out[fmt.Sprintf("%s:%d", pos.Filename, pos.Line)]++
 			}
 		}
 	}
-	for _, f := range pkg.Files {
-		scanFile(f)
+	if len(want) == 0 {
+		t.Fatalf("fixture has no want markers; the positive case is missing")
 	}
-	for _, tf := range pkg.Tagged {
-		scanFile(tf.File)
+	for loc, n := range want {
+		if got[loc] != n {
+			t.Errorf("%s: got %d findings, want %d", loc, got[loc], n)
+		}
 	}
-	return out
+	for loc, n := range got {
+		if want[loc] == 0 {
+			t.Errorf("%s: %d unexpected finding(s)", loc, n)
+		}
+	}
 }
 
-// TestIgnoreDirectiveScope pins the suppression contract: a directive
-// suppresses its own line and the next, for the named rules only.
+// TestIgnoreDirectiveScope pins the suppression contract under the full
+// rule set: a directive suppresses its own line and the next, for the
+// named rules only (the lockorder fixture's suppressedInversion and
+// outOfScope).
 func TestIgnoreDirectiveScope(t *testing.T) {
-	pkgs, err := Load(filepath.Join("testdata", "src"), "./errdrop")
+	pkgs, err := Load(filepath.Join("testdata", "src"), "./lockorder")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pkgs) != 1 {
 		t.Fatalf("got %d packages, want 1", len(pkgs))
 	}
-	diags := RunAnalyzers(pkgs[0], All())
-	n := 0
-	for _, d := range diags {
-		if d.Rule == "errdrop" {
-			n++
-		}
-	}
-	// The fixture carries three `// want` positives (dropsCommit plus the
-	// two obs-encoder drops); dropsIgnored must NOT add a fourth.
-	if n != 3 {
-		t.Fatalf("got %d errdrop findings in the fixture, want exactly 3 (the ignored site must be suppressed): %v", n, diags)
-	}
+	checkWant(t, pkgs[0], RunAll(pkgs, All()), LockOrder.Name)
 }
 
 // TestStaleIgnore pins stale-suppression reporting on the staleignore
-// fixture: the directive guarding a live errdrop finding stays silent, the
+// fixture: the directive guarding a live lockorder finding stays silent, the
 // one guarding nothing is reported, and the one naming an unknown rule is
 // never eligible.
 func TestStaleIgnore(t *testing.T) {
@@ -130,7 +111,7 @@ func TestStaleIgnore(t *testing.T) {
 	if len(pkgs) != 1 {
 		t.Fatalf("got %d packages, want 1", len(pkgs))
 	}
-	diags := RunAnalyzers(pkgs[0], All())
+	diags := RunAll(pkgs, All())
 	var stale []Diagnostic
 	for _, d := range diags {
 		if d.Rule == StaleIgnore.Name {
@@ -140,7 +121,7 @@ func TestStaleIgnore(t *testing.T) {
 	if len(stale) != 1 {
 		t.Fatalf("got %d staleignore findings, want exactly 1: %v", len(stale), diags)
 	}
-	if !strings.Contains(stale[0].Message, "errdrop") {
+	if !strings.Contains(stale[0].Message, "lockorder") {
 		t.Errorf("stale finding should name the dead rule list: %s", stale[0].Message)
 	}
 	// The stale directive sits inside deadDirective; the live one inside
@@ -149,12 +130,12 @@ func TestStaleIgnore(t *testing.T) {
 		t.Errorf("stale finding anchored at the wrong directive: %s", stale[0])
 	}
 
-	// With a narrowed rule set that does not include errdrop, the dead
+	// With a narrowed rule set that does not include lockorder, the dead
 	// directive is NOT eligible (its rule did not run) and stays silent.
-	narrowed := RunAnalyzers(pkgs[0], []*Analyzer{TimerChurn, StaleIgnore})
+	narrowed := RunAll(pkgs, []*Analyzer{StaleIgnore})
 	for _, d := range narrowed {
 		if d.Rule == StaleIgnore.Name {
-			t.Errorf("stale reported under a narrowed rule set that never ran errdrop: %s", d)
+			t.Errorf("stale reported under a narrowed rule set that never ran lockorder: %s", d)
 		}
 	}
 }
@@ -185,7 +166,7 @@ func TestLockOrderCycleMessage(t *testing.T) {
 		t.Fatalf("got %d packages, want 1", len(pkgs))
 	}
 	var inversion *Diagnostic
-	for _, d := range RunAnalyzers(pkgs[0], []*Analyzer{LockOrder}) {
+	for _, d := range RunAll(pkgs, []*Analyzer{LockOrder}) {
 		d := d
 		if strings.Contains(d.Message, "via lockorder.lockFirst") {
 			inversion = &d
@@ -209,32 +190,16 @@ func TestLockOrderCycleMessage(t *testing.T) {
 	}
 }
 
-// TestLoaderDegradedMode pins the degraded contract: a package with a type
-// error still loads, records the failure, and runs the AST-heuristic rules.
-func TestLoaderDegradedMode(t *testing.T) {
-	pkgs, err := Load(filepath.Join("testdata", "src"), "./degraded")
-	if err != nil {
-		t.Fatal(err)
+// TestLoaderRejectsTypeErrors pins the loader's contract: a package that
+// does not type-check is an error naming the package, not a partial load
+// the call graph would silently under-resolve.
+func TestLoaderRejectsTypeErrors(t *testing.T) {
+	_, err := Load(filepath.Join("testdata", "src"), "./_typeerror")
+	if err == nil {
+		t.Fatal("Load accepted a package with a type error")
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("got %d packages, want 1", len(pkgs))
-	}
-	pkg := pkgs[0]
-	if pkg.TypeErr == nil {
-		t.Fatal("the degraded fixture must fail type-checking; its seeded error disappeared")
-	}
-	diags := RunAnalyzers(pkg, All())
-	churn := 0
-	for _, d := range diags {
-		if d.Rule == "timerchurn" {
-			churn++
-		}
-		if d.Rule == StaleIgnore.Name {
-			t.Errorf("staleignore must not fire on a package that failed type-checking: %s", d)
-		}
-	}
-	if churn != 1 {
-		t.Fatalf("got %d timerchurn findings in degraded mode, want 1 (AST heuristics must survive the type error): %v", churn, diags)
+	if !strings.Contains(err.Error(), "fixture/_typeerror") || !strings.Contains(err.Error(), "undefinedIdentifier") {
+		t.Errorf("error should name the package and the type error: %v", err)
 	}
 }
 

@@ -6,13 +6,11 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// This file builds the whole-load view the interprocedural analyzers
-// (lockorder, holdblock) run on: a static call graph plus, per function, a
-// summary of the mutexes it acquires and the blocking operations it can
-// reach, propagated to a fixpoint over the graph.
+// This file builds the whole-load view lockorder runs on: a static call
+// graph plus, per function, a summary of the mutexes it acquires,
+// propagated to a fixpoint over the graph.
 //
 // Soundness (documented in DESIGN.md §5f): the graph is conservative at
 // interface call sites — a call through interface type I resolves to every
@@ -20,11 +18,11 @@ import (
 // values: calling a stored func value, a callback parameter, or a func
 // literal bound to a variable resolves to nothing, so effects behind such
 // calls are missed. Func literal bodies are still scanned standalone (their
-// own lock acquisitions produce edges), an immediately-invoked literal is
-// inlined into its enclosing function, `go` statements sever the held-lock
-// context (the goroutine does not run under the caller's locks), and
-// deferred calls contribute only their Lock/Unlock bookkeeping, exactly
-// like the intra-procedural lockdiscipline rule.
+// own lock acquisitions and calls under their own locks produce edges), an
+// immediately-invoked literal is inlined into its enclosing function, `go`
+// statements sever the held-lock context (the goroutine does not run under
+// the caller's locks), and deferred calls are skipped (a deferred Unlock
+// keeps its lock held to the end of the function).
 
 // Program is the interprocedural view over one Load (targets plus their
 // cached dependency closure).
@@ -37,9 +35,6 @@ type Program struct {
 
 	namedTypes []types.Type // all in-module named types, for interface resolution
 	ifaceCache map[string][]*types.Func
-
-	mu       sync.Mutex
-	findings map[string][]Diagnostic // memoized per interprocedural rule
 }
 
 // FuncInfo is one function's facts and propagated summary.
@@ -49,24 +44,22 @@ type FuncInfo struct {
 	Pkg  *Package
 
 	acquires []acqSite
-	blocks   []blockSite
 	calls    []callSite
 
-	sumAcquires map[types.Object]witness // annotated-or-resolved lock -> path
-	sumBlocks   map[string]witness       // blocking kind -> path
+	sumAcquires map[types.Object]witness // lock -> one path to its acquisition
 }
 
 // witness is one example call chain (below the summarized function) leading
-// to an effect, with the ultimate site's position.
+// to an acquisition, with the acquisition's position and method.
 type witness struct {
 	path   []string // display names of the callee chain; empty = direct
 	pos    token.Pos
-	method string // acquisition method (Lock/RLock); empty for blocking kinds
+	method string // Lock or RLock
 }
 
 // heldLock is one mutex held at a program point.
 type heldLock struct {
-	obj    types.Object // resolved field/var; nil when only name-matched
+	obj    types.Object // resolved field/var; nil for an embedded or computed mutex
 	key    string       // rendered expression, e.g. "t.mu"
 	method string       // Lock or RLock
 	pos    token.Pos
@@ -74,23 +67,14 @@ type heldLock struct {
 
 type acqSite struct {
 	obj      types.Object
-	key      string
 	method   string
 	pos      token.Pos
 	held     []heldLock
 	detached bool // inside a func literal: edges count, summary does not
 }
 
-type blockSite struct {
-	kind     string
-	pos      token.Pos
-	held     []heldLock
-	detached bool
-}
-
 type callSite struct {
 	callees  []*types.Func
-	display  string // rendered callee expression, for messages
 	pos      token.Pos
 	held     []heldLock
 	detached bool
@@ -110,7 +94,6 @@ func NewProgram(pkgs []*Package) *Program {
 		Ranks:      collectRanks(all),
 		funcs:      make(map[*types.Func]*FuncInfo),
 		ifaceCache: make(map[string][]*types.Func),
-		findings:   make(map[string][]Diagnostic),
 	}
 	prog.collectTypes()
 	prog.collectFuncs()
@@ -120,9 +103,6 @@ func NewProgram(pkgs []*Package) *Program {
 
 func (prog *Program) collectTypes() {
 	for _, pkg := range prog.Pkgs {
-		if pkg.Info == nil {
-			continue
-		}
 		for _, obj := range pkg.Info.Defs {
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() || tn.Parent() == nil || tn.Parent() != tn.Pkg().Scope() {
@@ -136,37 +116,40 @@ func (prog *Program) collectTypes() {
 	})
 }
 
+// collectFuncs registers every function before it walks any body: a call
+// resolves only to a registered function, so a body walked earlier would
+// miss every callee declared after it in load order.
 func (prog *Program) collectFuncs() {
+	var infos []*FuncInfo
 	for _, pkg := range prog.Pkgs {
 		for _, f := range pkg.Files {
-			if isTestFile(pkg.Fset, f.Pos()) {
-				continue
-			}
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
 				if !ok || fn.Body == nil {
 					continue
 				}
 				info := &FuncInfo{Decl: fn, Pkg: pkg}
-				if pkg.Info != nil {
-					if obj, ok := pkg.Info.Defs[fn.Name].(*types.Func); ok {
-						info.Obj = obj
-						prog.funcs[obj] = info
-					}
+				if obj, ok := pkg.Info.Defs[fn.Name].(*types.Func); ok {
+					info.Obj = obj
+					prog.funcs[obj] = info
 				}
-				w := &factWalker{prog: prog, pkg: pkg, fn: info}
-				w.stmts(fn.Body.List, map[string]heldLock{})
+				infos = append(infos, info)
 			}
 		}
 	}
+	for _, info := range infos {
+		w := &factWalker{prog: prog, pkg: info.Pkg, fn: info}
+		w.stmts(info.Decl.Body.List, map[string]heldLock{})
+	}
 }
 
-// displayName renders a function for messages, trimming the module prefix.
+// displayName renders a function for messages with its package's name in
+// place of its path: "(*madeus/internal/wal.Log).Commit" reads
+// "(*wal.Log).Commit".
 func displayName(obj *types.Func) string {
 	name := obj.FullName()
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		// "madeus/internal/wal.(*Log).Commit" -> "wal.(*Log).Commit"
-		name = name[i+1:]
+	if pkg := obj.Pkg(); pkg != nil {
+		name = strings.Replace(name, pkg.Path()+".", pkg.Name()+".", 1)
 	}
 	return name
 }
@@ -205,33 +188,17 @@ func fieldOwner(prog *Program, v *types.Var) string {
 }
 
 // propagate runs the fixpoint: each function's summary absorbs its callees'
-// acquisitions and blocking reach, keeping one witness path per effect.
+// acquisitions, keeping one witness path per lock.
 func (prog *Program) propagate() {
-	infos := make([]*FuncInfo, 0, len(prog.funcs))
-	for _, fi := range prog.funcs {
-		infos = append(infos, fi)
-	}
-	sort.Slice(infos, func(i, j int) bool {
-		return infos[i].Obj.FullName() < infos[j].Obj.FullName()
-	})
-
+	infos := prog.sortedFuncs()
 	for _, fi := range infos {
 		fi.sumAcquires = make(map[types.Object]witness)
-		fi.sumBlocks = make(map[string]witness)
 		for _, a := range fi.acquires {
 			if a.detached || a.obj == nil {
 				continue
 			}
 			if _, ok := fi.sumAcquires[a.obj]; !ok {
 				fi.sumAcquires[a.obj] = witness{pos: a.pos, method: a.method}
-			}
-		}
-		for _, b := range fi.blocks {
-			if b.detached {
-				continue
-			}
-			if _, ok := fi.sumBlocks[b.kind]; !ok {
-				fi.sumBlocks[b.kind] = witness{pos: b.pos}
 			}
 		}
 	}
@@ -245,19 +212,12 @@ func (prog *Program) propagate() {
 				}
 				for _, callee := range cs.callees {
 					g := prog.funcs[callee]
-					if g == nil || g == fi {
+					if g == fi {
 						continue
 					}
-					gname := displayName(callee)
 					for lock, w := range g.sumAcquires {
 						if _, ok := fi.sumAcquires[lock]; !ok {
-							fi.sumAcquires[lock] = witness{path: prependPath(gname, w.path), pos: w.pos, method: w.method}
-							changed = true
-						}
-					}
-					for kind, w := range g.sumBlocks {
-						if _, ok := fi.sumBlocks[kind]; !ok {
-							fi.sumBlocks[kind] = witness{path: prependPath(gname, w.path), pos: w.pos}
+							fi.sumAcquires[lock] = witness{path: prependPath(displayName(callee), w.path), pos: w.pos, method: w.method}
 							changed = true
 						}
 					}
@@ -267,28 +227,27 @@ func (prog *Program) propagate() {
 	}
 }
 
+func (prog *Program) sortedFuncs() []*FuncInfo {
+	infos := make([]*FuncInfo, 0, len(prog.funcs))
+	for _, fi := range prog.funcs {
+		infos = append(infos, fi)
+	}
+	sort.Slice(infos, func(i, j int) bool {
+		return infos[i].Obj.FullName() < infos[j].Obj.FullName()
+	})
+	return infos
+}
+
 func prependPath(head string, rest []string) []string {
 	out := make([]string, 0, len(rest)+1)
 	out = append(out, head)
 	return append(out, rest...)
 }
 
-// cached returns rule's memoized program-wide findings, computing them once.
-func (prog *Program) cached(rule string, compute func() []Diagnostic) []Diagnostic {
-	prog.mu.Lock()
-	defer prog.mu.Unlock()
-	if d, ok := prog.findings[rule]; ok {
-		return d
-	}
-	d := compute()
-	prog.findings[rule] = d
-	return d
-}
-
 // --- per-function fact extraction ---
 
-// factWalker mirrors lockdiscipline's held-set statement walk, but emits
-// acquisition, blocking, and call-site facts instead of diagnostics.
+// factWalker walks one function body tracking the set of held locks, and
+// records each acquisition and each resolvable call with that set.
 type factWalker struct {
 	prog     *Program
 	pkg      *Package
@@ -317,12 +276,9 @@ func copyHeldLocks(held map[string]heldLock) map[string]heldLock {
 }
 
 // lockObj resolves the mutex expression of a Lock/Unlock call to its
-// declared field or var object, when type info allows.
+// declared field or var object.
 func (w *factWalker) lockObj(e ast.Expr) types.Object {
 	info := w.pkg.Info
-	if info == nil {
-		return nil
-	}
 	switch e := e.(type) {
 	case *ast.Ident:
 		if o := info.Uses[e]; o != nil {
@@ -342,15 +298,8 @@ func (w *factWalker) lockObj(e ast.Expr) types.Object {
 	return nil
 }
 
-func (w *factWalker) typeOf(e ast.Expr) types.Type {
-	if w.pkg.Info == nil {
-		return nil
-	}
-	return w.pkg.Info.TypeOf(e)
-}
-
-// lockFact classifies a call as a Lock/Unlock-family operation, resolving
-// the mutex identity.
+// lockFact classifies a call as a Lock/Unlock-family operation on a
+// sync.Mutex or sync.RWMutex, resolving the mutex identity.
 func (w *factWalker) lockFact(call *ast.CallExpr) (key string, obj types.Object, method string, ok bool) {
 	sel, okSel := call.Fun.(*ast.SelectorExpr)
 	if !okSel {
@@ -362,30 +311,14 @@ func (w *factWalker) lockFact(call *ast.CallExpr) (key string, obj types.Object,
 		return "", nil, "", false
 	}
 	key = exprString(sel.X)
-	if key == "" {
-		return "", nil, "", false
-	}
-	if t := w.typeOf(sel.X); t != nil {
-		if !isSyncType(t, "Mutex") && !isSyncType(t, "RWMutex") {
-			return "", nil, "", false
-		}
-	} else if !muName(key) {
+	if key == "" || !isMutex(w.pkg.Info.TypeOf(sel.X)) {
 		return "", nil, "", false
 	}
 	obj = w.lockObj(sel.X)
-	if v, okVar := obj.(*types.Var); obj != nil && (!okVar || (!isSyncType(v.Type(), "Mutex") && !isSyncType(v.Type(), "RWMutex"))) {
-		obj = nil // embedded sync.Mutex promotions etc.: fall back to key identity
+	if v, isVar := obj.(*types.Var); !isVar || !isMutex(v.Type()) {
+		obj = nil // an embedded mutex's promoted method: key identity only
 	}
 	return key, obj, sel.Sel.Name, true
-}
-
-func muName(rendered string) bool {
-	last := rendered
-	if i := strings.LastIndexByte(last, '.'); i >= 0 {
-		last = last[i+1:]
-	}
-	lower := strings.ToLower(last)
-	return lower == "mu" || strings.HasSuffix(lower, "mu") || strings.HasSuffix(lower, "mutex") || strings.HasSuffix(lower, "lock")
 }
 
 func (w *factWalker) stmts(list []ast.Stmt, held map[string]heldLock) {
@@ -402,7 +335,7 @@ func (w *factWalker) stmt(st ast.Stmt, held map[string]heldLock) {
 				switch method {
 				case "Lock", "RLock":
 					w.fn.acquires = append(w.fn.acquires, acqSite{
-						obj: obj, key: key, method: method, pos: call.Pos(),
+						obj: obj, method: method, pos: call.Pos(),
 						held: w.snapshot(held), detached: w.detached,
 					})
 					held[key] = heldLock{obj: obj, key: key, method: method, pos: call.Pos()}
@@ -414,29 +347,17 @@ func (w *factWalker) stmt(st ast.Stmt, held map[string]heldLock) {
 		}
 		w.expr(st.X, held)
 	case *ast.DeferStmt:
-		// Deferred Unlock keeps the lock held through the function (the
-		// release runs at return); other deferred calls are skipped, as
-		// in lockdiscipline.
+		// A deferred Unlock keeps the lock held through the function (the
+		// release runs at return); other deferred calls are skipped.
 	case *ast.GoStmt:
 		// The goroutine does not run under the caller's locks, and its
 		// effects do not propagate to the caller's summary. Named
 		// functions it calls are analyzed standalone; a literal body is
-		// scanned detached below (via expr's FuncLit handling).
+		// scanned detached.
 		if lit, ok := st.Call.Fun.(*ast.FuncLit); ok {
 			w.detachedScan(lit)
 		}
-	case *ast.SendStmt:
-		w.block("channel send", st.Pos(), held)
 	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			w.block("select", st.Pos(), held)
-		}
 		for _, c := range st.Body.List {
 			if cc, ok := c.(*ast.CommClause); ok {
 				w.stmts(cc.Body, copyHeldLocks(held))
@@ -466,6 +387,8 @@ func (w *factWalker) stmt(st ast.Stmt, held map[string]heldLock) {
 		if st.Cond != nil {
 			w.expr(st.Cond, held)
 		}
+		// A lock the body takes and keeps is held on the next iteration
+		// and after the loop.
 		body := copyHeldLocks(held)
 		w.stmts(st.Body.List, body)
 		for k, v := range body {
@@ -511,45 +434,32 @@ func (w *factWalker) stmt(st ast.Stmt, held map[string]heldLock) {
 	}
 }
 
-// expr records blocking ops and call sites inside e. Func literals are
-// inlined when immediately invoked, otherwise scanned detached.
+// expr records the call sites inside e. Func literals are inlined when
+// immediately invoked, otherwise scanned detached.
 func (w *factWalker) expr(e ast.Expr, held map[string]heldLock) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			w.detachedScan(n)
 			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				w.block("channel receive", n.Pos(), held)
-			}
 		case *ast.CallExpr:
 			if lit, ok := n.Fun.(*ast.FuncLit); ok {
 				// Immediately-invoked literal: inline its body under the
-				// current held set; arguments are scanned by Inspect.
+				// current held set.
 				w.stmts(lit.Body.List, copyHeldLocks(held))
 				for _, arg := range n.Args {
 					w.expr(arg, held)
 				}
 				return false
 			}
-			if kind, ok := blockingKind(n, w.typeOf); ok {
-				w.block(kind, n.Pos(), held)
-			}
-			if callees, display := w.resolveCallees(n); len(callees) > 0 {
+			if callees := w.resolveCallees(n); len(callees) > 0 {
 				w.fn.calls = append(w.fn.calls, callSite{
-					callees: callees, display: display, pos: n.Pos(),
+					callees: callees, pos: n.Pos(),
 					held: w.snapshot(held), detached: w.detached,
 				})
 			}
 		}
 		return true
-	})
-}
-
-func (w *factWalker) block(kind string, pos token.Pos, held map[string]heldLock) {
-	w.fn.blocks = append(w.fn.blocks, blockSite{
-		kind: kind, pos: pos, held: w.snapshot(held), detached: w.detached,
 	})
 }
 
@@ -561,126 +471,76 @@ func (w *factWalker) detachedScan(lit *ast.FuncLit) {
 	inner.stmts(lit.Body.List, map[string]heldLock{})
 }
 
-// condWait is blockingKind's name for sync.Cond.Wait, which releases its
-// mutex while it waits: holdblock counts it, lockdiscipline exempts it.
-const condWait = "sync.Cond.Wait"
-
-// blockingKind classifies known blocking primitives and module boundaries
-// (the wire client round trips, the WAL commit wait, pacing, the transfer
-// budget) that findings name explicitly. It is the one list both
-// lockdiscipline and holdblock use. typeOf may return nil (degraded mode);
-// receivers then classify by name. For holdblock's summaries everything
-// else blocks only through primitives its own body reaches, which
-// propagation covers.
-func blockingKind(call *ast.CallExpr, typeOf func(ast.Expr) types.Type) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	name := sel.Sel.Name
-	if base, ok := sel.X.(*ast.Ident); ok {
-		switch base.Name + "." + name {
-		case "time.Sleep":
-			return "time.Sleep", true
-		case "simlat.IO":
-			return "simulated I/O (simlat.IO)", true
-		case "net.Dial", "net.DialTimeout", "net.Listen":
-			return "net." + name, true
+// exprString renders a (simple) expression as source-ish text, enough to key
+// lock identity ("t.mu", "ch.mu", "p.herdMu"). Unrenderable expressions
+// return "".
+func exprString(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		if base := exprString(e.X); base != "" {
+			return base + "." + e.Sel.Name
+		}
+	case *ast.ParenExpr:
+		return exprString(e.X)
+	case *ast.StarExpr:
+		return exprString(e.X)
+	case *ast.IndexExpr:
+		if base := exprString(e.X); base != "" {
+			return base + "[...]"
 		}
 	}
-	recvType := typeOf(sel.X)
-	switch name {
-	case "Wait":
-		if recvType != nil {
-			switch {
-			case isSyncType(recvType, "Cond"):
-				return condWait, true
-			case isSyncType(recvType, "WaitGroup"):
-				return "WaitGroup.Wait", true
-			case isModuleType(recvType, "internal/flow", "Throttle"):
-				return "pacing wait (flow.Throttle.Wait)", true
-			}
-			return "Wait", true
-		}
-		if strings.Contains(strings.ToLower(exprString(sel.X)), "cond") {
-			return condWait, true
-		}
-		return "Wait", true
-	case "fsync", "Fsync":
-		return "WAL fsync", true
-	case "Commit":
-		if isModuleType(recvType, "internal/wal", "Log") {
-			return "WAL group-commit wait", true
-		}
-	case "Exec", "ExecReply", "ExecStream", "ExecRetry":
-		if isModuleType(recvType, "internal/wire", "Client") {
-			return "wire round-trip (Client." + name + ")", true
-		}
-	case "Acquire":
-		if isModuleType(recvType, "internal/flow", "TransferBudget") {
-			return "transfer-budget wait (TransferBudget.Acquire)", true
-		}
-	}
-	return "", false
+	return ""
 }
 
-// isModuleType reports whether t is the named type pkgSuffix.name (or a
-// pointer to it) from this module.
-func isModuleType(t types.Type, pkgSuffix, name string) bool {
-	n := namedType(t)
-	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil {
+// isMutex reports whether t is sync.Mutex or sync.RWMutex, or a pointer to
+// one.
+func isMutex(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != "sync" {
 		return false
 	}
-	return strings.HasSuffix(n.Obj().Pkg().Path(), pkgSuffix) && n.Obj().Name() == name
+	return n.Obj().Name() == "Mutex" || n.Obj().Name() == "RWMutex"
 }
 
 // resolveCallees maps a call expression to in-module function declarations:
 // direct calls resolve exactly; interface method calls resolve to every
 // in-module implementation (conservative); func values resolve to nothing
 // (see the soundness note at the top of the file).
-func (w *factWalker) resolveCallees(call *ast.CallExpr) ([]*types.Func, string) {
+func (w *factWalker) resolveCallees(call *ast.CallExpr) []*types.Func {
 	info := w.pkg.Info
-	if info == nil {
-		return nil, ""
-	}
+	var fn *types.Func
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			if w.prog.funcs[fn] != nil {
-				return []*types.Func{fn}, fun.Name
-			}
-		}
+		fn, _ = info.Uses[fun].(*types.Func)
 	case *ast.SelectorExpr:
-		display := exprString(fun)
-		if display == "" {
-			display = fun.Sel.Name
-		}
-		if sel := info.Selections[fun]; sel != nil && sel.Kind() == types.MethodVal {
-			fn, _ := sel.Obj().(*types.Func)
-			if fn == nil {
-				return nil, ""
+		if sel := info.Selections[fun]; sel != nil {
+			if sel.Kind() != types.MethodVal {
+				return nil
 			}
-			recv := sel.Recv()
-			if types.IsInterface(recv) {
-				return w.ifaceImpls(recv.Underlying().(*types.Interface), fn.Name()), display
+			fn, _ = sel.Obj().(*types.Func)
+			if recv := sel.Recv(); fn != nil && types.IsInterface(recv) {
+				return w.ifaceImpls(recv.Underlying().(*types.Interface), fn)
 			}
-			if w.prog.funcs[fn] != nil {
-				return []*types.Func{fn}, display
-			}
-			return nil, ""
-		}
-		// Package-qualified call: pkg.F().
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok && w.prog.funcs[fn] != nil {
-			return []*types.Func{fn}, display
+		} else {
+			fn, _ = info.Uses[fun.Sel].(*types.Func) // package-qualified pkg.F()
 		}
 	}
-	return nil, ""
+	if fn == nil || w.prog.funcs[fn] == nil {
+		return nil
+	}
+	return []*types.Func{fn}
 }
 
-// ifaceImpls returns every in-module method named m whose receiver type
-// implements iface (class-hierarchy resolution), memoized per interface+name.
-func (w *factWalker) ifaceImpls(iface *types.Interface, m string) []*types.Func {
-	key := iface.String() + "\x00" + m
+// ifaceImpls returns every in-module method named like m whose receiver
+// type implements iface (class-hierarchy resolution), memoized per
+// interface+name.
+func (w *factWalker) ifaceImpls(iface *types.Interface, m *types.Func) []*types.Func {
+	key := iface.String() + "\x00" + m.Name()
 	prog := w.prog
 	if impls, ok := prog.ifaceCache[key]; ok {
 		return impls
@@ -694,7 +554,7 @@ func (w *factWalker) ifaceImpls(iface *types.Interface, m string) []*types.Func 
 		if !impl {
 			continue
 		}
-		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(t), true, nil, m)
+		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(t), true, m.Pkg(), m.Name())
 		fn, ok := obj.(*types.Func)
 		if !ok {
 			continue

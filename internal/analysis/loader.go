@@ -17,42 +17,18 @@ import (
 	"sync"
 )
 
-// Package is one loaded, parsed, and (best-effort) type-checked package.
+// Package is one loaded, parsed, and type-checked package.
 type Package struct {
 	Path  string // import path, e.g. madeus/internal/wal
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 
-	// Tagged holds files excluded from the production build by a custom
-	// build tag (e.g. `//go:build invariants`). They are parsed but never
-	// type-checked; the tagparity analyzer compares their exported
-	// surface against the no-tag variants in Files.
-	Tagged []TaggedFile
-
-	// Constraints records the //go:build expression of each *included*
-	// file that carries one (e.g. the `!faultinject` stub variant); files
-	// without constraints are absent.
-	Constraints map[*ast.File]constraint.Expr
-
-	// Target marks packages matched by the Load patterns. Dependencies
-	// pulled in only so the targets type-check completely are loaded with
-	// Target=false and are not returned by Load (they stay in the cache
-	// and are reachable through the call graph).
-	Target bool
-
-	Types   *types.Package // nil when type-checking failed outright
-	Info    *types.Info    // always non-nil after Load; may be partial
-	TypeErr error          // first type-checking error, if any
+	Types   *types.Package
+	Info    *types.Info
+	TypeErr error // first type-checking error, if any
 
 	imports []string // module-internal import paths
 	checked bool     // type-check attempted (success or not)
-}
-
-// TaggedFile is a parsed file excluded by a custom build tag.
-type TaggedFile struct {
-	File *ast.File
-	Expr constraint.Expr
 }
 
 // loaderCache shares parse and type-check work across Load calls in one
@@ -89,19 +65,18 @@ func CacheStats() (parsed, cacheHits, typeChecked int) {
 // Load parses and type-checks the packages matched by patterns, rooted at
 // dir (the directory holding go.mod). Patterns follow the go tool's shape:
 // "./..." walks everything; "./internal/wal" is one package. Test files are
-// skipped, and files excluded by default build tags (notably `invariants`
-// and `faultinject`) are parsed but withheld from type-checking — madeusvet
-// checks the production build, while tagparity still sees the tagged
-// variants.
+// skipped, and so are files excluded by the default build tags (notably
+// `invariants` and `faultinject`): madeusvet checks the production build.
 //
 // Module-internal dependencies of the matched packages are loaded and
 // type-checked too (once each, shared through a process-wide cache), so a
 // narrow `madeusvet ./internal/core` run resolves imports exactly like a
-// full `./...` run instead of degrading to AST heuristics. Only the
-// pattern-matched packages are returned. Standard-library imports compile
-// from stdlib source (go/importer "source" mode), so the loader needs no
-// pre-built export data and no external dependencies. A package that fails
-// to type-check is still analyzed with whatever partial info was collected.
+// full `./...` run. Only the pattern-matched packages are returned.
+// Standard-library imports compile from stdlib source (go/importer "source"
+// mode), so the loader needs no pre-built export data and no external
+// dependencies. A package that does not type-check is an error: the call
+// graph needs every call resolved, and `go build` rejects such a tree
+// anyway.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	loaderCache.mu.Lock()
 	defer loaderCache.mu.Unlock()
@@ -162,7 +137,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, err
 		}
 		if pkg != nil {
-			pkg.Target = true
 			targets = append(targets, pkg)
 			loaded = append(loaded, pkg)
 		}
@@ -193,6 +167,11 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	typeCheck(loaderCache.fset, modPath, loaded)
+	for _, p := range loaded {
+		if p.TypeErr != nil {
+			return nil, fmt.Errorf("analysis: %s does not type-check: %w", p.Path, p.TypeErr)
+		}
+	}
 	return targets, nil
 }
 
@@ -246,17 +225,14 @@ func findModule(dir string) (root, path string, err error) {
 	}
 }
 
-// parseDir parses the production (non-test) files of one directory, keeping
-// default-tag-excluded files aside as Tagged. It returns nil when the
-// directory holds no production files.
+// parseDir parses the production (non-test, default-tag) files of one
+// directory. It returns nil when the directory holds none.
 func parseDir(fset *token.FileSet, dir, modRoot, modPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var files []*ast.File
-	var tagged []TaggedFile
-	constraints := make(map[*ast.File]constraint.Expr)
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -267,36 +243,18 @@ func parseDir(fset *token.FileSet, dir, modRoot, modPath string) (*Package, erro
 		if err != nil {
 			return nil, err
 		}
-		expr, satisfied := buildConstraint(string(src))
+		if !inDefaultBuild(string(src)) {
+			continue
+		}
 		f, err := parser.ParseFile(fset, full, src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			if satisfied {
-				return nil, fmt.Errorf("analysis: parse %s: %w", full, err)
-			}
-			continue // a tagged file that does not parse is not our build
+			return nil, fmt.Errorf("analysis: parse %s: %w", full, err)
 		}
-		if satisfied {
-			files = append(files, f)
-			if expr != nil {
-				constraints[f] = expr
-			}
-		} else {
-			tagged = append(tagged, TaggedFile{File: f, Expr: expr})
-		}
+		files = append(files, f)
 	}
 	if len(files) == 0 {
 		return nil, nil
 	}
-	// Drop tagged files that belong to a different package (e.g.
-	// `//go:build ignore` tool files with package main).
-	pkgName := files[0].Name.Name
-	kept := tagged[:0]
-	for _, tf := range tagged {
-		if tf.File.Name.Name == pkgName {
-			kept = append(kept, tf)
-		}
-	}
-	tagged = kept
 
 	rel, err := filepath.Rel(modRoot, dir)
 	if err != nil {
@@ -306,14 +264,7 @@ func parseDir(fset *token.FileSet, dir, modRoot, modPath string) (*Package, erro
 	if rel != "." {
 		path = modPath + "/" + filepath.ToSlash(rel)
 	}
-	pkg := &Package{
-		Path:        path,
-		Dir:         dir,
-		Fset:        fset,
-		Files:       files,
-		Tagged:      tagged,
-		Constraints: constraints,
-	}
+	pkg := &Package{Path: path, Fset: fset, Files: files}
 	for _, f := range files {
 		for _, imp := range f.Imports {
 			ip, err := strconv.Unquote(imp.Path.Value)
@@ -328,22 +279,22 @@ func parseDir(fset *token.FileSet, dir, modRoot, modPath string) (*Package, erro
 	return pkg, nil
 }
 
-// buildConstraint extracts a file's //go:build (or // +build) expression and
-// evaluates it against the default production tag set: GOOS, GOARCH, the
-// compiler, and every supported go1.N release tag — and nothing else, so
-// files gated on custom tags like `invariants` report satisfied=false.
-func buildConstraint(src string) (expr constraint.Expr, satisfied bool) {
+// inDefaultBuild evaluates a file's //go:build (or // +build) line against
+// the default production tag set: GOOS, GOARCH, the compiler, and every
+// supported go1.N release tag — and nothing else, so files gated on custom
+// tags like `invariants` are left out.
+func inDefaultBuild(src string) bool {
 	for _, line := range strings.Split(src, "\n") {
 		trimmed := strings.TrimSpace(line)
 		if trimmed == "" || strings.HasPrefix(trimmed, "//") {
 			if e, err := constraint.Parse(trimmed); err == nil {
-				return e, e.Eval(defaultTag)
+				return e.Eval(defaultTag)
 			}
 			continue
 		}
 		break // first non-comment, non-blank line: constraints must precede it
 	}
-	return nil, true
+	return true
 }
 
 func defaultTag(tag string) bool {

@@ -21,30 +21,22 @@ import (
 //   - acquisition cycles among unranked (but identity-resolved) mutexes,
 //     which are deadlocks the rank table does not yet name.
 //
-// Edges are built conservatively at interface call sites and not at all at
-// dynamic func values — see the soundness note in callgraph.go.
+// Every function's body is walked with every callee already registered, so
+// a call resolves whatever the declaration order; edges are built
+// conservatively at interface call sites and not at all at dynamic func
+// values — see the soundness note in callgraph.go.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "cross-function lock acquisitions must follow the declared //madeusvet:lockrank hierarchy; no acquisition cycles",
-	Run:  runLockOrder,
+	Doc:  "lock acquisitions, through any chain of calls, must follow the declared //madeusvet:lockrank hierarchy; no acquisition cycles",
+	run:  lockOrderFindings,
 }
 
-func runLockOrder(pass *Pass) {
-	prog := pass.Prog
-	if prog == nil {
-		return
-	}
-	all := prog.cached("lockorder", func() []Diagnostic {
-		return lockOrderFindings(prog)
-	})
-	pass.adoptOwned(all)
-}
-
-// lockEdge: `to` can be acquired while `from` is held, at pos inside fn
-// (directly, or through chain ending at acqPos).
+// lockEdge: `to` can be acquired while `from` (taken at fromPos) is held, at
+// pos inside fn (directly, or through chain ending at acqPos).
 type lockEdge struct {
 	from, to         types.Object
 	fromMeth, toMeth string
+	fromPos          token.Pos // where the held lock was taken
 	pos              token.Pos // site in fn (acquisition or call)
 	acqPos           token.Pos // ultimate acquisition site
 	fn               *FuncInfo
@@ -84,12 +76,13 @@ func lockOrderFindings(prog *Program) []Diagnostic {
 			}
 			if fromRanked && fromRank.Striped {
 				// Striped locks have many instances: acquiring another
-				// stripe of the same field is legal when index-ordered.
-				// The stripeorder analyzer owns that discipline.
+				// stripe of the same field is legal when index-ordered
+				// (DESIGN.md §5i).
 				continue
 			}
-			msg = fmt.Sprintf("re-acquires %s already held since %s — self-deadlock%s",
-				prog.lockDesc(e.to, ""), prog.position(e.fn, e.pos), chainText(e))
+			p := prog.Fset.Position(e.fromPos)
+			msg = fmt.Sprintf("re-acquires %s already held since %s:%d — self-deadlock%s",
+				prog.lockDesc(e.to, ""), shortFile(p.Filename), p.Line, chainText(e))
 		case fromRanked && toRanked && toRank.Rank <= fromRank.Rank:
 			msg = fmt.Sprintf("lock order violation: acquiring %s (rank %d)%s while holding %s (rank %d); the declared hierarchy requires strictly increasing rank",
 				toRank.Name, toRank.Rank, chainText(e), fromRank.Name, fromRank.Rank)
@@ -127,11 +120,6 @@ func lockOrderFindings(prog *Program) []Diagnostic {
 		})
 	}
 	return out
-}
-
-func (prog *Program) position(fn *FuncInfo, pos token.Pos) string {
-	p := prog.Fset.Position(pos)
-	return fmt.Sprintf("%s:%d", shortFile(p.Filename), p.Line)
 }
 
 func shortFile(name string) string {
@@ -205,11 +193,7 @@ func collectLockEdges(prog *Program) []lockEdge {
 				continue
 			}
 			for _, callee := range cs.callees {
-				g := prog.funcs[callee]
-				if g == nil {
-					continue
-				}
-				for lock, w := range g.sumAcquires {
+				for lock, w := range prog.funcs[callee].sumAcquires {
 					for _, h := range cs.held {
 						if h.obj == nil {
 							continue
@@ -217,7 +201,7 @@ func collectLockEdges(prog *Program) []lockEdge {
 						edges = append(edges, lockEdge{
 							from: h.obj, to: lock,
 							fromMeth: h.method, toMeth: w.method,
-							pos: cs.pos, acqPos: w.pos, fn: fi,
+							fromPos: h.pos, pos: cs.pos, acqPos: w.pos, fn: fi,
 							chain: prependPath(displayName(callee), w.path),
 						})
 					}
@@ -238,17 +222,6 @@ func collectLockEdges(prog *Program) []lockEdge {
 		return prog.lockDesc(a.to, "") < prog.lockDesc(b.to, "")
 	})
 	return edges
-}
-
-func (prog *Program) sortedFuncs() []*FuncInfo {
-	infos := make([]*FuncInfo, 0, len(prog.funcs))
-	for _, fi := range prog.funcs {
-		infos = append(infos, fi)
-	}
-	sort.Slice(infos, func(i, j int) bool {
-		return infos[i].Obj.FullName() < infos[j].Obj.FullName()
-	})
-	return infos
 }
 
 // findLockCycles finds elementary acquisition cycles (bounded length) in

@@ -15,9 +15,7 @@ import (
 //	mu sync.Mutex //madeusvet:lockrank tenant 20
 //
 // Locks must be acquired in strictly increasing rank order; the lockorder
-// analyzer reports inversions and cycles against these declarations, and
-// holdblock treats every lock with rank >= RankSession as one that must
-// never be held across a (transitively reachable) blocking operation.
+// analyzer reports inversions and cycles against these declarations.
 //
 // Rank bands, mirroring the conductor → tenant → engine → mvcc → wal
 // hierarchy:
@@ -25,16 +23,15 @@ import (
 //	 1..9   process infrastructure (wire server bookkeeping)
 //	10..19  middleware / conductor / propagator
 //	20..29  tenant critical region, flow-control and propagation bookkeeping
-//	30..39  session/engine layer (RankSession starts here)
+//	30..39  session/engine layer
 //	40..49  mvcc storage structures
 //	50..59  wal
-const RankSession = 30
 
 // LockRank is one annotated mutex declaration.
 type LockRank struct {
 	Name    string
 	Rank    int
-	Striped bool // many instances striped by hash; index-ordered cross-stripe sections allowed
+	Striped bool         // many instances striped by hash; index-ordered cross-stripe sections allowed
 	Obj     types.Object // the mutex field or package-level var
 	Pos     token.Pos
 }
@@ -59,8 +56,7 @@ const lockrankDirective = "madeusvet:lockrank"
 
 // collectRanks scans every package's struct fields and package-level vars
 // for //madeusvet:lockrank directives. Annotations on anything that is not
-// a sync.Mutex/RWMutex (or in a package whose type info is unavailable)
-// are recorded as problems for lockorder to report.
+// a sync.Mutex/RWMutex are recorded as problems for lockorder to report.
 func collectRanks(pkgs []*Package) *RankTable {
 	t := &RankTable{
 		byObj:  make(map[types.Object]LockRank),
@@ -92,16 +88,12 @@ func collectFileRanks(t *RankTable, pkg *Package, f *ast.File) {
 			problem(pos, "bad lockrank directive: %s (want //madeusvet:lockrank <name> <rank> [striped])", err)
 			return
 		}
-		if pkg.Info == nil {
-			problem(pos, "lockrank %s ignored: package %s has no type information", rankName, pkg.Path)
-			return
-		}
 		obj := pkg.Info.Defs[name]
 		if obj == nil {
 			problem(pos, "lockrank %s ignored: %s did not resolve", rankName, name.Name)
 			return
 		}
-		if !isSyncType(obj.Type(), "Mutex") && !isSyncType(obj.Type(), "RWMutex") {
+		if !isMutex(obj.Type()) {
 			problem(pos, "lockrank %s on %s: not a sync.Mutex/RWMutex", rankName, name.Name)
 			return
 		}
@@ -159,8 +151,9 @@ func lockrankIn(groups []*ast.CommentGroup) (args string, pos token.Pos, ok bool
 }
 
 // parseLockrank parses `<name> <rank>` with an optional trailing `striped`
-// marker. Striped locks have many instances selected by hash; the
-// stripeorder analyzer owns their cross-stripe acquisition discipline.
+// marker. A striped lock has many instances selected by hash, and a
+// section that holds several walks them in index order (DESIGN.md §5i), so
+// taking a second instance of one striped field is not a self-deadlock.
 func parseLockrank(args string) (name string, rank int, striped bool, errMsg string) {
 	fields := strings.Fields(args)
 	switch len(fields) {

@@ -1,7 +1,8 @@
 // Package lockorder exercises the lockorder analyzer: each line marked
 // `// want` must produce exactly one finding; unmarked lines none. The
 // seeded cycle (chainFirst/chainSecond) must be diagnosed with the full
-// acquisition cycle in the inversion message.
+// acquisition cycle in the inversion message, and the ignore cases pin a
+// directive's scope: its own line and the next, for the rules it names.
 package lockorder
 
 import "sync"
@@ -85,12 +86,28 @@ func sharedReaders(s *shared) {
 	readMore(s)
 }
 
-// suppressedInversion carries the same violation as directInversion with an
-// inline suppression; it must stay silent.
+// suppressedInversion carries the same violation as directInversion with
+// suppressions on the line above and on the same line; both stay silent.
 func suppressedInversion(s *shared) {
 	s.high.Lock()
 	defer s.high.Unlock()
 	//madeusvet:ignore lockorder seeded inversion kept to prove the suppression path
 	s.low.Lock()
+	s.low.Unlock()
+	s.low.Lock() //madeusvet:ignore lockorder a trailing directive covers its own line
+	s.low.Unlock()
+}
+
+// outOfScope carries directives that do not cover the inversion: one two
+// lines above it, one naming another rule.
+func outOfScope(s *shared) {
+	s.high.Lock()
+	defer s.high.Unlock()
+	//madeusvet:ignore lockorder two lines above the finding: out of scope
+
+	s.low.Lock() // want
+	s.low.Unlock()
+	//madeusvet:ignore otherrule names a rule other than lockorder
+	s.low.Lock() // want
 	s.low.Unlock()
 }

@@ -190,6 +190,41 @@ func TestProxyUnknownTenant(t *testing.T) {
 	}
 }
 
+// TestAddTenantProbesOutsideLock: AddTenant's probe dial runs with no
+// middleware lock held, so a Backend whose Connect reads the middleware, as
+// examples/multislave's dying node does, cannot deadlock it. The first dial
+// also registers the same tenant, so the re-check under the lock must refuse
+// the outer call.
+func TestAddTenantProbesOutsideLock(t *testing.T) {
+	rig := newRig(t, 1, engine.Options{})
+	if err := rig.nodes[0].CreateDatabase("t"); err != nil {
+		t.Fatal(err)
+	}
+	var inner error
+	rig.hook(0, func(call int) {
+		rig.mw.Tenant("t")
+		if call == 1 {
+			inner = rig.mw.AddTenant("t", "node0")
+		}
+	})
+	done := make(chan error, 1)
+	go func() { done <- rig.mw.AddTenant("t", "node0") }()
+	select {
+	case err := <-done:
+		if inner != nil {
+			t.Fatalf("AddTenant from inside the probe: %v", inner)
+		}
+		if err == nil || !strings.Contains(err.Error(), "already registered") {
+			t.Fatalf("AddTenant of a tenant registered during its probe: %v, want already registered", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("AddTenant hung: its probe dial ran under the middleware lock")
+	}
+	if _, ok := rig.mw.Tenant("t"); !ok {
+		t.Fatal("tenant t is not registered")
+	}
+}
+
 func TestMLCAdvancesOnUpdateCommitsOnly(t *testing.T) {
 	rig := newRig(t, 1, engine.Options{})
 	rig.provision(t, "a", 5)

@@ -288,9 +288,9 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	dumpSpan := obs.Trace.Start(tenantName, "step1.dump")
 	// Critical region: no commits or first operations execute while the
 	// dump transaction pins its snapshot and the MTS is recorded
-	// (Algorithm 3, lines 1-5).
+	// (Algorithm 3, lines 1-5), so the SNAPSHOT round trip runs under the
+	// tenant mutex by design.
 	t.mu.Lock()
-	//madeusvet:ignore lockdiscipline critical region: the snapshot must pin while first ops and commits are excluded (Algorithm 3, lines 1-5)
 	_, err = ctl.Exec("SNAPSHOT")
 	mts := t.mlc
 	t.resetSSLLocked() // everything committed so far is inside the snapshot

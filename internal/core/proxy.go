@@ -171,14 +171,17 @@ func (m *Middleware) Node(name string) (Backend, bool) {
 }
 
 // AddTenant registers an existing tenant database living on the named node.
+// The probe dial runs outside m.mu: a slow dial must not stall every
+// Tenant lookup, and a Backend's Connect may itself read the middleware.
 func (m *Middleware) AddTenant(tenant, nodeName string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
 	node, ok := m.nodes[nodeName]
+	_, dup := m.tenants[tenant]
+	m.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("core: unknown node %q", nodeName)
 	}
-	if _, dup := m.tenants[tenant]; dup {
+	if dup {
 		return fmt.Errorf("core: tenant %q already registered", tenant)
 	}
 	// Probe that the tenant database exists on the node.
@@ -188,6 +191,11 @@ func (m *Middleware) AddTenant(tenant, nodeName string) error {
 	}
 	probe.Close()
 	t := NewTenant(tenant, node, m.flow)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, dup := m.tenants[tenant]; dup {
+		return fmt.Errorf("core: tenant %q already registered", tenant)
+	}
 	t.registerObs()
 	m.tenants[tenant] = t
 	return nil
@@ -403,8 +411,8 @@ func (w *worker) execFirstOp(sql string, class sqlmini.OpClass) ([]byte, error) 
 	}
 	t.mu.Lock()
 	// Algorithm 1's critical region REQUIRES the master round-trip under
-	// t.mu: the STS stamp must equal the master-side snapshot order.
-	//madeusvet:ignore lockdiscipline critical region: first op executes under the tenant mutex by design (Algorithm 1)
+	// t.mu: the STS stamp must equal the master-side snapshot order, so the
+	// first op executes under the tenant mutex by design.
 	reply, err := w.backend.ExecReply(sql)
 	if err != nil {
 		t.mu.Unlock()
@@ -464,9 +472,9 @@ func (w *worker) execCommit(sql string) ([]byte, error) {
 		return nil, err
 	}
 	t.mu.Lock()
-	// COMMIT executes under the critical region so ETS assignment matches
-	// the master's commit order (Algorithm 1, lines 16-29).
-	//madeusvet:ignore lockdiscipline critical region: commit executes under the tenant mutex by design (Algorithm 1)
+	// COMMIT executes under the critical region, holding the tenant mutex
+	// across the round trip by design, so ETS assignment matches the
+	// master's commit order (Algorithm 1, lines 16-29).
 	reply, err := w.backend.ExecReply(sql)
 	if err == nil && wire.ResultTagIs(reply, "COMMIT") {
 		b.ETS = t.mlc
@@ -539,8 +547,8 @@ func (w *worker) execAutocommit(sql string, class sqlmini.OpClass) ([]byte, erro
 		}
 		t.mu.Lock()
 		// One-statement update transaction: stamped and committed inside
-		// the critical region like any other commit.
-		//madeusvet:ignore lockdiscipline critical region: autocommit write executes under the tenant mutex by design (Algorithm 1)
+		// the critical region like any other commit, so the autocommit
+		// write executes under the tenant mutex by design (Algorithm 1).
 		reply, err := w.backend.ExecReply(sql)
 		if err == nil {
 			b := &SSB{STS: t.mlc, ETS: t.mlc, update: true}

@@ -24,8 +24,7 @@
 // Site names are dot-separated constants owned by the package declaring
 // them (wire.dial, wal.fsync, core.step1.dump, ...). They must be
 // precomputed constants: building the name at the call site would be paid
-// in production builds, and madeusvet's invariantcall rule flags calls
-// inside Inject arguments for exactly that reason.
+// in production builds, where Inject is a no-op.
 package fault
 
 import (

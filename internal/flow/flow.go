@@ -39,10 +39,7 @@ import (
 )
 
 // Knob constants: the calibrated defaults DefaultConfig applies and the
-// hard ceilings Validate enforces. madeusvet's invariantcall rule checks
-// that every constant below is actually applied somewhere in the package.
-//
-//madeusvet:knobs
+// hard ceilings Validate enforces.
 const (
 	// DefaultMaxSSLBytes bounds the capture buffer's memory footprint.
 	DefaultMaxSSLBytes = 256 << 20
@@ -85,8 +82,6 @@ const (
 // startup (core.New) and tunable at runtime through the admin FLOW command.
 // The zero value disables everything — seed behaviour is unchanged and the
 // hot paths cost one atomic load.
-//
-//madeusvet:config
 type Config struct {
 	// MaxSSLBytes caps the SSL's accounted memory footprint (SQL text plus
 	// per-syncset and per-entry overhead), the capture buffer's one cap:
@@ -152,9 +147,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate range-checks every knob. madeusvet's invariantcall rule enforces
-// that each Config field is referenced here, so a new knob cannot ship
-// unvalidated.
+// Validate range-checks every knob; a new Config field needs its check
+// here.
 func (c Config) Validate() error {
 	if c.MaxSSLBytes < 0 {
 		return fmt.Errorf("flow: MaxSSLBytes %d < 0", c.MaxSSLBytes)

@@ -14,8 +14,7 @@
 // MVCC snapshot-visibility discipline, LSIR propagation ordering — held
 // throughout the run.
 //
-// Discipline for call sites (enforced statically by the invariantcall
-// analyzer in internal/analysis):
+// Discipline for call sites:
 //
 //   - Assert/Assertf conditions must be cheap expressions (comparisons on
 //     values already in hand). They are evaluated even in no-tag builds,

@@ -163,33 +163,67 @@ func (tb *Table) indexAdd(row storage.Row, pk sqlmini.Value) {
 
 // sweepIndexes drops entries whose chains no longer contain the value in
 // any version. Called by Vacuum after version pruning.
+//
+// No index lock is held while a row lock is taken: a backfill files rows
+// into a new index under their row locks (CreateIndex), so the order is row
+// lock, then index lock. The sweep collects an index's entries first, then
+// for each one takes its chain's lock and, only while that lock proves the
+// value gone, the index lock to delete it. A writer stores a version under
+// the chain lock and files its value after, so either the sweep sees the
+// version and keeps the entry, or the writer files the entry again after
+// the sweep deleted it.
 func (tb *Table) sweepIndexes() int {
 	removed := 0
 	for _, ix := range tb.indexList() {
-		ix.mu.Lock()
-		for val, set := range ix.entries {
-			for pk := range set {
-				if !tb.chainContains(pk, ix.col, val) {
-					delete(set, pk)
-					removed++
-				}
+		for _, e := range ix.snapshot() {
+			ch := tb.chain(e.pk, false)
+			ch.mu.Lock()
+			if !tb.chainHolds(ch, ix.col, e.val) && ix.remove(e.val, e.pk) {
+				removed++
 			}
-			if len(set) == 0 {
-				delete(ix.entries, val)
-			}
+			ch.mu.Unlock()
 		}
-		ix.mu.Unlock()
 	}
 	return removed
 }
 
-func (tb *Table) chainContains(pk sqlmini.Value, col int, val sqlmini.Value) bool {
-	ch := tb.chain(pk, false)
-	if ch == nil {
+// indexEntry is one (value, primary key) pair of an index.
+type indexEntry struct{ val, pk sqlmini.Value }
+
+// snapshot returns the index's entries.
+func (ix *colIndex) snapshot() []indexEntry {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	var out []indexEntry
+	for val, set := range ix.entries {
+		for pk := range set {
+			out = append(out, indexEntry{val, pk})
+		}
+	}
+	return out
+}
+
+// remove deletes pk from val's entry and reports whether it was there.
+func (ix *colIndex) remove(val, pk sqlmini.Value) bool {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	set, ok := ix.entries[val]
+	if !ok {
 		return false
 	}
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
+	if _, ok := set[pk]; !ok {
+		return false
+	}
+	delete(set, pk)
+	if len(set) == 0 {
+		delete(ix.entries, val)
+	}
+	return true
+}
+
+// chainHolds reports whether a version of ch stores val in column col.
+// Caller holds ch.mu.
+func (tb *Table) chainHolds(ch *rowChain, col int, val sqlmini.Value) bool {
 	for i := range ch.versions {
 		if tb.column(ch.versions[i].ref, col) == val {
 			return true

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"madeus/internal/sqlmini"
 	"madeus/internal/storage"
@@ -106,6 +107,86 @@ func TestIndexBuildOnlineUnderWriters(t *testing.T) {
 			if !have[key(k)] {
 				t.Fatalf("row %d (v=%d) committed but missing from the index", k, v)
 			}
+		}
+	}
+}
+
+// TestVacuumDuringCreateIndex runs index DDL against Vacuum on one table. A
+// backfill files each row into the new index under the row's lock, so a
+// sweep that took row locks while it held the index's lock deadlocked
+// against it on the first key both reached. Each row has two versions and a
+// pinned snapshot keeps both, so every sweep visits every row. Afterwards
+// the sweep must still drop the values no version holds, and a lookup must
+// find every row that holds its value.
+func TestVacuumDuringCreateIndex(t *testing.T) {
+	const keys = 2000
+	m, tb := testTableStriped(t, 8)
+	w := m.Begin()
+	for k := int64(0); k < keys; k++ {
+		mustInsert(t, tb, w, k, k)
+	}
+	if _, err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	pin := m.Begin()
+	u := m.Begin()
+	for k := int64(0); k < keys; k++ {
+		if ok, err := tb.Update(u, key(k), row(k, keys+k)); !ok || err != nil {
+			t.Fatalf("update %d: %v, %v", k, ok, err)
+		}
+	}
+	if _, err := u.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	stop, vacuumed := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(vacuumed)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				tb.Vacuum(m.Horizon())
+			}
+		}
+	}()
+	ddl := make(chan error, 1)
+	go func() {
+		for end := time.Now().Add(time.Second); time.Now().Before(end); {
+			if err := tb.CreateIndex("by_v", "v"); err != nil {
+				ddl <- err
+				return
+			}
+			if err := tb.DropIndex("by_v"); err != nil {
+				ddl <- err
+				return
+			}
+		}
+		ddl <- nil
+	}()
+	select {
+	case err := <-ddl:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("CREATE/DROP INDEX against VACUUM made no progress in 10s: deadlock")
+	}
+	close(stop)
+	<-vacuumed
+
+	if err := tb.CreateIndex("by_v", "v"); err != nil {
+		t.Fatal(err)
+	}
+	pin.Abort()
+	tb.Vacuum(m.Horizon())
+	for k := int64(0); k < keys; k++ {
+		if pks, _ := tb.IndexLookup("v", sqlmini.NewInt(keys+k)); len(pks) != 1 || pks[0] != key(k) {
+			t.Fatalf("lookup of v=%d = %v, want row %d", keys+k, pks, k)
+		}
+		if pks, _ := tb.IndexLookup("v", sqlmini.NewInt(k)); len(pks) != 0 {
+			t.Fatalf("lookup of v=%d = %v after vacuum, want no candidates", k, pks)
 		}
 	}
 }

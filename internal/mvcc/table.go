@@ -267,12 +267,11 @@ func (tb *Table) Stripes() int { return len(tb.stripes) }
 // stripe-order invariant (DESIGN.md §5i): every cross-stripe section walks
 // stripes 0..n-1, so two cross-stripe operations can never deadlock
 // against each other, and a single-stripe operation (which holds at most
-// one stripe) can never participate in a cycle.
-//
-//madeusvet:stripeorder
+// one stripe) can never participate in a cycle. It is a cross-stripe
+// section: every stripe is held on return, and unlockAllStripes is the
+// paired release.
 func (tb *Table) lockAllStripes() {
 	for i := range tb.stripes {
-		//madeusvet:ignore lockdiscipline cross-stripe section: every stripe is held on return; unlockAllStripes is the paired release
 		tb.stripes[i].mu.Lock()
 	}
 }
@@ -594,9 +593,12 @@ func (tb *Table) Insert(t *Txn, row storage.Row) error {
 		if ch.lockOwner == 0 || ch.lockOwner == t.ID {
 			break
 		}
-		if err := ch.waitUnlocked(t, &deadline); err != nil {
+		wake := ch.waiter()
+		ch.mu.Unlock()
+		if err := ch.await(t, wake, &deadline); err != nil {
 			return err
 		}
+		ch.mu.Lock()
 	}
 	ch.acquire(tb, t)
 	ch.versions = append(ch.versions, version{xmin: t.ID, ref: tb.store(&s.cursor, row)})
@@ -653,9 +655,12 @@ func (tb *Table) write(t *Txn, pk sqlmini.Value, newRow storage.Row, del bool) (
 		// First-updater-wins, active-winner path: wait for the lock
 		// holder; if it commits we will see committedAfter above and
 		// abort, if it aborts we proceed.
-		if err := ch.waitUnlocked(t, &deadline); err != nil {
+		wake := ch.waiter()
+		ch.mu.Unlock()
+		if err := ch.await(t, wake, &deadline); err != nil {
 			return false, err
 		}
+		ch.mu.Lock()
 	}
 	// Supersede the version visible to t.
 	v := ch.visibleVersion(t)
@@ -722,42 +727,38 @@ func (ch *rowChain) acquire(tb *Table, t *Txn) {
 	t.locks = append(t.locks, heldRow{tb: tb, ch: ch})
 }
 
-// waitUnlocked releases ch.mu, waits until the lock holder resolves or the
-// deadline passes, and reacquires ch.mu. Caller holds ch.mu on entry; on a
-// nil return the caller holds it again and must recheck all conditions.
-//
-// The wake channel is registered before ch.mu is released and the holder
-// closes it under ch.mu, so a release between our unlock and our select
-// cannot be missed — the close is already observable on the channel.
+// waiter registers and returns a channel the row lock's holder closes when
+// it releases the lock. Caller holds ch.mu, and releases it to await the
+// channel: the holder closes it under ch.mu, so a release between that
+// unlock and the wait cannot be missed.
+func (ch *rowChain) waiter() chan struct{} {
+	wake := make(chan struct{})
+	ch.waiters = append(ch.waiters, wake)
+	return wake
+}
+
+// await waits, with ch.mu released, until wake is closed or the deadline
+// passes. On a nil return the caller takes ch.mu again and must recheck all
+// conditions.
 //
 // *deadline bounds all of one statement's waits on this row. It is set on
 // the first wait, not when the statement started, so the uncontended path
 // reads no clock and the lock-timeout budget starts when the waiting does.
-func (ch *rowChain) waitUnlocked(t *Txn, deadline *time.Time) error {
-	wake := make(chan struct{})
-	ch.waiters = append(ch.waiters, wake)
-	ch.mu.Unlock()
-
+func (ch *rowChain) await(t *Txn, wake chan struct{}, deadline *time.Time) error {
 	if deadline.IsZero() {
 		*deadline = time.Now().Add(t.lockTimeout())
 	}
-	wait := time.Until(*deadline)
-	if wait <= 0 {
-		ch.mu.Lock()
-		ch.dropWaiter(wake)
-		ch.mu.Unlock()
-		return ErrLockTimeout
+	if wait := time.Until(*deadline); wait > 0 {
+		select {
+		case <-wake:
+			return nil
+		case <-t.waitTimerFor(wait):
+		}
 	}
-	select {
-	case <-wake:
-		ch.mu.Lock()
-		return nil
-	case <-t.waitTimerFor(wait):
-		ch.mu.Lock()
-		ch.dropWaiter(wake)
-		ch.mu.Unlock()
-		return ErrLockTimeout
-	}
+	ch.mu.Lock()
+	ch.dropWaiter(wake)
+	ch.mu.Unlock()
+	return ErrLockTimeout
 }
 
 // dropWaiter removes a timed-out waiter channel. Caller holds ch.mu.

@@ -7,8 +7,7 @@ import (
 )
 
 // WriteText renders the registry snapshot as aligned "name value" lines.
-// The error is the writer's — snapshot encoding must not silently drop it
-// (the errdrop analyzer enforces this at call sites).
+// The error is the writer's — snapshot encoding must not silently drop it.
 func WriteText(w io.Writer, snap []Metric) error {
 	width := 0
 	for _, m := range snap {

@@ -122,9 +122,7 @@ func (r *Registry) UnregisterPrefix(prefix string) int {
 // API for DYNAMIC series — per-tenant gauges keyed by tenant name — where
 // replace semantics keep remove/re-add cycles (and two middleware
 // instances in one test process) safe. Static one-per-process metrics must
-// keep using NewGaugeFunc with a constant name; the madeusvet obsname rule
-// enforces that split by exempting only Replace* from the literal-name
-// requirement.
+// keep using NewGaugeFunc with a constant name.
 func (r *Registry) ReplaceGaugeFunc(name, help string, fn func() int64) *GaugeFunc {
 	g := &GaugeFunc{name: name, help: help, fn: fn}
 	r.mu.Lock()

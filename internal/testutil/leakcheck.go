@@ -1,8 +1,7 @@
 // Package testutil holds shared test helpers. Its centerpiece is the
 // goroutine leak checker: the middleware's proxy/propagator/committer
-// machinery spawns goroutines whose shutdown paths are exactly the code the
-// goroleak analyzer polices statically — the leak checker verifies the same
-// property dynamically, per test.
+// machinery spawns goroutines whose shutdown paths the leak checker
+// verifies, per test.
 package testutil
 
 import (

@@ -49,7 +49,7 @@ import (
 // batch — half the buffered bytes reach the file, then the device fails —
 // and the failure is sticky, like a real dying disk. wal.replay fails the
 // recovery scan (a corrupt-media read). All sites are precomputed
-// constants: invariantcall rejects site names built on the hot path.
+// constants, so no site name is built on the hot path.
 const (
 	faultAppend = "wal.append"
 	faultFsync  = "wal.fsync"
@@ -380,13 +380,13 @@ func (l *Log) Commit() error {
 	l.commits.Add(1)
 	obsCommits.Inc()
 	if l.opts.Mode == SerialCommit {
+		// Serial mode models an EXCLUSIVE fsync per commit: the log mutex
+		// is held across it by design, the modeled cost (B-CON's
+		// baseline).
 		l.mu.Lock()
-		// Serial mode models an EXCLUSIVE fsync per commit — holding the
-		// log mutex across it is the modeled cost (B-CON's baseline).
-		//madeusvet:ignore lockdiscipline,holdblock serial mode holds the log mutex across the modeled fsync by design
 		err := l.fsync()
-		l.noteBatch(1)
 		l.mu.Unlock()
+		l.noteBatch(1)
 		return err
 	}
 	done := make(chan error, 1)
@@ -558,13 +558,6 @@ func (l *Log) Rotate() (retired []string, safeToDelete bool, err error) {
 func (l *Log) noteBatch(n int) {
 	invariant.Assertf(n >= 1, "wal: batch of %d commits noted", n)
 	obsBatch.Observe(int64(n))
-	if l.opts.Mode == SerialCommit {
-		// mu already held by Commit.
-		if n > l.maxBatch {
-			l.maxBatch = n
-		}
-		return
-	}
 	l.mu.Lock()
 	if n > l.maxBatch {
 		l.maxBatch = n

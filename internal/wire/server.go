@@ -132,7 +132,8 @@ func (s *Server) traceOp(tc *TraceContext, name string, dur time.Duration, err e
 	if err != nil {
 		fields = append(fields, obs.F("err", err))
 	}
-	//madeusvet:ignore obsname name is forwarded verbatim; both call sites pass the obsEvWire* package consts
+	// name is forwarded verbatim; both call sites pass the obsEvWire*
+	// package consts.
 	s.scope.Load().Tracer.EmitDur(tc.Tenant, name, dur, fields...)
 }
 

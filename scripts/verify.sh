@@ -6,8 +6,9 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
-# Plain build, go vet (copylocks included), and the in-tree interprocedural
-# linter with every rule (`madeusvet -list`).
+# Plain build, go vet (copylocks included), and the in-tree lock-hierarchy
+# linter with every rule (`madeusvet -list`). The build comes first: the
+# linter refuses a package that does not type-check.
 go build ./...
 go vet ./...
 go run ./cmd/madeusvet ./...
@@ -23,8 +24,9 @@ go test -tags invariants -count=1 ./internal/wal/ ./internal/mvcc/ ./internal/ls
 go test -tags faultinject -race -count=1 ./internal/fault/ ./internal/wire/
 go test -tags "invariants faultinject" -race -count=1 ./internal/core/
 
-# Tag matrix: every tag-gated variant and the combined build must compile
-# (madeusvet's tagparity keeps the pairs' exported surfaces identical).
+# Tag matrix: every tag-gated variant and the combined build must compile,
+# so a tagged file and its stub cannot drift apart in any name a caller
+# uses.
 go build -tags invariants ./...
 go build -tags faultinject ./...
 go build -tags "invariants faultinject" ./...
