@@ -33,8 +33,8 @@ func Recovery(cfg Config) (*Table, error) {
 		every int // commits between checkpoints; 0 = never
 	}{
 		{"none", 0},
-		{fmt.Sprintf("every %d txns", txns / 4), txns / 4},
-		{fmt.Sprintf("every %d txns", txns / 16), txns / 16},
+		{fmt.Sprintf("every %d txns", txns/4), txns / 4},
+		{fmt.Sprintf("every %d txns", txns/16), txns / 16},
 	}
 
 	t := &Table{

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"madeus/internal/engine"
 	"madeus/internal/fault"
 	"madeus/internal/flow"
 	"madeus/internal/invariant"
@@ -39,9 +40,11 @@ const (
 // errors).
 var errAllSlavesDead = errors.New("core: every slave failed during restore")
 
-// step1Chunk is one bounded batch of dump statements in flight between the
-// source stream and the restore appliers. refs counts the slaves that still
-// hold it; the last one out returns its bytes to the transfer budget.
+// step1Chunk is one chunk of the dump in flight between the source stream
+// and the restore appliers: the schema prologue's statements, or one row
+// statement, each aliasing the frame the chunk arrived in. refs counts the
+// slaves that still hold it; the last one out returns its bytes to the
+// transfer budget.
 type step1Chunk struct {
 	stmts  []string
 	bytes  int64
@@ -59,7 +62,7 @@ func (c *step1Chunk) release() {
 // pipelineResult is what pipelineSnapshot hands back to Migrate.
 type pipelineResult struct {
 	chunks    int   // chunks streamed from the source
-	stmts     int   // statements streamed
+	stmts     int   // Dump's statements streamed: DDL, and row sections
 	peakBytes int64 // high-water mark of resident transfer bytes
 	dumpTime  time.Duration
 	// streamErr is a source-side failure (the dump stream or its COMMIT):
@@ -80,7 +83,7 @@ type slaveRun struct {
 
 // pipelineSnapshot is Step 1 + Step 2 as one three-stage pipeline
 // (dump → transfer → restore). ctl must hold the open dump transaction
-// with its snapshot already pinned; chunk is the statements per chunk and
+// with its snapshot already pinned; chunk is the sections per chunk and
 // trace the attempt's trace context (nil when obs is off).
 //
 //	stage 1  the source session streams bounded statement chunks
@@ -92,8 +95,9 @@ type slaveRun struct {
 //	stage 3  per slave, chunk 0 — the schema prologue DUMP STREAM sends
 //	         whole and first — is applied alone; then N parallel
 //	         appliers take chunks off the slave's channel, each sending
-//	         a chunk's row statements joined as one statement (one round
-//	         trip and one WAL commit per chunk)
+//	         a chunk's one row statement as it arrived, from the frame
+//	         the chunk was read into (one round trip and one WAL commit
+//	         per chunk)
 //
 // The dump transaction COMMITs as soon as the scan finishes — the source
 // stops pinning MVCC versions while slaves are still applying.
@@ -140,8 +144,10 @@ func pipelineSnapshot(ctl *wire.Client, tenant string, slaves []Backend,
 		default:
 		}
 		c := &step1Chunk{stmts: stmts, budget: budget}
+		sections := 0
 		for _, s := range stmts {
 			c.bytes += int64(len(s)) + chunkStmtOverhead
+			sections += max(1, engine.Sections(s))
 		}
 		c.refs.Store(int32(len(runs)))
 		stall := time.Now()
@@ -149,7 +155,7 @@ func pipelineSnapshot(ctl *wire.Client, tenant string, slaves []Backend,
 			return err
 		}
 		res.chunks++
-		res.stmts += len(stmts)
+		res.stmts += sections
 		obsChunkBytes.Observe(c.bytes)
 		obsChunks.Inc()
 		for _, sr := range runs {
@@ -291,7 +297,9 @@ func restoreStream(sr *slaveRun, tenant string, trace *wire.TraceContext) error 
 // A row chunk is its row statements joined into one, sent in autocommit:
 // one round trip. DumpStream promises that every chunk after the schema
 // holds only row statements and that row statements joined are one; the
-// middleware relies on that alone and never looks inside a row.
+// middleware relies on that alone and never looks inside a row. A DUMP
+// STREAM chunk is one row statement already, which the join returns as it
+// is: it goes out from the frame it arrived in, with no copy.
 func applyChunk(cn *wire.Client, c *step1Chunk, schema bool) error {
 	if ferr := fault.Inject(faultStep1Restore); ferr != nil {
 		return ferr

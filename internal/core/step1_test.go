@@ -2,12 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"madeus/internal/cluster"
 	"madeus/internal/engine"
 	"madeus/internal/flow"
 	"madeus/internal/obs"
+	"madeus/internal/tpcw"
 )
 
 // TestPipelinedMigrateReportsChunks: the pipelined Step 1 moves a
@@ -278,4 +281,40 @@ func TestMigrateExponentFloats(t *testing.T) {
 		t.Fatalf("migrate: %v (%s)", err, rep)
 	}
 	assertStateEqual(t, rig.nodes[0], rig.nodes[1], "a")
+}
+
+// TestMigrationAllocBytes pins what one migration of an idle tenant of
+// 85,000 TPC-W rows (the benchmark's order-large scale) allocates, process
+// wide: a restore chunk costs the middleware one frame and the slave one,
+// the slave files its rows' bytes as they arrived, and the dump builds every
+// chunk in one buffer. The least of two migrations, there and back, so a
+// stray collection or a first-use growth does not count.
+func TestMigrationAllocBytes(t *testing.T) {
+	rig := newRig(t, 2, engine.Options{})
+	if err := rig.mw.ProvisionTenant("shop", "node0"); err != nil {
+		t.Fatal(err)
+	}
+	c := rig.connect(t, "shop")
+	err := tpcw.Load(c, tpcw.Scale{Items: 20000, Customers: 60000, Authors: 5000})
+	c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	least := uint64(math.MaxUint64)
+	for _, dest := range []string{"node1", "node0"} {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := rig.mw.Migrate("shop", dest, MigrateOptions{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("migrate to %s: %v (%s)", dest, err, rep)
+		}
+		t.Logf("to %s: %.1f MB in %d chunks, %d GC cycles", dest, float64(after.TotalAlloc-before.TotalAlloc)/1e6, rep.Chunks, rep.GCCycles)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	const bound = 40e6
+	if least > bound {
+		t.Errorf("a migration of 85k rows allocates %.1f MB, want at most %.0f", float64(least)/1e6, bound/1e6)
+	}
 }

@@ -206,7 +206,7 @@ func writeCheckpointDB(path string, cap dbCapture, dumpBatch int) (int64, error)
 		return 0, err
 	}
 	var total int64
-	var buf []byte
+	var buf, stmt []byte
 	flush := func() error {
 		if len(buf) == 0 {
 			return nil
@@ -230,7 +230,10 @@ func writeCheckpointDB(path string, cap dbCapture, dumpBatch int) (int64, error)
 				return total, err
 			}
 		}
-		if err := scanRows(tc.tb, cap.txn, dumpBatch, emit); err != nil {
+		var err error
+		if stmt, err = scanRows(stmt, tc.tb, cap.txn, dumpBatch, func(b []byte) ([]byte, error) {
+			return b[:0], emit(b)
+		}); err != nil {
 			f.Close()
 			return total, err
 		}

@@ -3,13 +3,15 @@ package engine
 import (
 	"fmt"
 	"sort"
+	"strings"
+	"unsafe"
 
 	"madeus/internal/mvcc"
 	"madeus/internal/sqlmini"
 	"madeus/internal/storage"
 )
 
-// DefaultDumpChunk is the statements-per-chunk DUMP STREAM uses when the
+// DefaultDumpChunk is the sections per chunk DUMP STREAM uses when the
 // client does not name a chunk size.
 const DefaultDumpChunk = 64
 
@@ -17,13 +19,13 @@ const DefaultDumpChunk = 64
 // snapshot (the paper's Step-1 "dump transaction": snapshot creation runs
 // concurrently with customer transactions and never blocks them). The
 // script is the whole schema first — every CREATE TABLE followed by its
-// CREATE INDEXes, in table order — and then row statements of DumpBatch
-// rows each (see IsRowStatement), in deterministic (table, primary key)
-// order, so two consistent states always dump to identical scripts. The
-// DUMP command answers the same script with its rows as INSERT text.
-// When the session has an open transaction block, the dump uses that
-// transaction's snapshot (pin it first with the SNAPSHOT command);
-// otherwise it runs in its own read-only transaction.
+// CREATE INDEXes, in table order — and then row statements of one section
+// of DumpBatch rows each (see IsRowStatement), in deterministic (table,
+// primary key) order, so two consistent states always dump to identical
+// scripts. The DUMP command answers the same script with its rows as
+// INSERT text. When the session has an open transaction block, the dump
+// uses that transaction's snapshot (pin it first with the SNAPSHOT
+// command); otherwise it runs in its own read-only transaction.
 func (s *Session) Dump() ([]string, error) { return s.dump(false) }
 
 // dump is Dump; with asSQL, the script the DUMP command answers: each row
@@ -31,8 +33,10 @@ func (s *Session) Dump() ([]string, error) { return s.dump(false) }
 // from, so a DROP or re-CREATE racing the dump cannot change how it reads.
 func (s *Session) dump(asSQL bool) ([]string, error) {
 	var script []string
-	if _, err := s.dumpStream(0, asSQL, func(stmts []string) error {
-		script = append(script, stmts...)
+	if _, err := s.dumpStream(1, asSQL, func(stmts []string) error {
+		for _, stmt := range stmts {
+			script = append(script, strings.Clone(stmt))
+		}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -40,28 +44,46 @@ func (s *Session) dump(asSQL bool) ([]string, error) {
 	return script, nil
 }
 
-// DumpStream is the cursor form of Dump: it produces the identical
-// statement sequence but hands it to sink in chunks, so a caller can ship
-// and restore the snapshot while the scan is still running instead of
-// materializing the whole script. Chunk 0 is the schema prologue, whole and
-// alone whatever its size; every later chunk holds only row statements, at
-// most maxStmts of them (maxStmts <= 0: all rows in one chunk). A restorer
-// can therefore apply chunk 0 serially and every other chunk, joined into
-// one row statement, as one transaction, in parallel.
+// DumpStream is the cursor form of Dump: it produces the same schema and
+// the same rows in the same order, but hands them to sink in chunks, so a
+// caller can ship and restore the snapshot while the scan is still running
+// instead of materializing the whole script. Chunk 0 is the schema
+// prologue, whole and alone whatever its size; every later chunk is one row
+// statement, at most maxSections of Dump's joined (maxSections <= 0: all of
+// Dump's row statements, as they are, in one chunk). A restorer can
+// therefore apply chunk 0 serially and every other chunk as one
+// transaction, in parallel.
 //
-// Each chunk slice is owned by the sink (the iterator never reuses it), so
-// sinks may hand chunks to other goroutines. Table.Scan invokes its row
-// callback with no storage locks held, which is what makes it safe for a
-// sink to block on a bounded channel or a byte budget: backpressure here
-// pauses the dump, never customer transactions. A sink error stops the
-// scan and is returned verbatim. Returns the statements emitted.
-func (s *Session) DumpStream(maxStmts int, sink func(stmts []string) error) (int, error) {
-	return s.dumpStream(maxStmts, false, sink)
+// Each chunk, its slice and its strings, is owned by the sink, so sinks may
+// hand chunks to other goroutines. Table.Scan invokes its row callback with
+// no storage locks held, which is what makes it safe for a sink to block on
+// a bounded channel or a byte budget: backpressure here pauses the dump,
+// never customer transactions. A sink error stops the scan and is returned
+// verbatim. Returns the statements emitted.
+func (s *Session) DumpStream(maxSections int, sink func(stmts []string) error) (int, error) {
+	var rows []string // maxSections <= 0: the one row chunk
+	total, err := s.dumpStream(max(maxSections, 1), false, func(stmts []string) error {
+		owned := make([]string, len(stmts))
+		for i, stmt := range stmts {
+			owned[i] = strings.Clone(stmt)
+		}
+		if maxSections > 0 || !IsRowStatement(owned[0]) {
+			return sink(owned)
+		}
+		rows = append(rows, owned...)
+		return nil
+	})
+	if err == nil && len(rows) > 0 {
+		err = sink(rows)
+	}
+	return total, err
 }
 
-// dumpStream is DumpStream; with asSQL each row statement goes to sink as
-// INSERT text (see dump).
-func (s *Session) dumpStream(maxStmts int, asSQL bool, sink func(stmts []string) error) (int, error) {
+// dumpStream is DumpStream lending its chunks: emit borrows each chunk, its
+// slice and its strings, until it returns, and a row chunk's statement is
+// the buffer the scan builds it in. With asSQL, each section goes to emit as
+// INSERT text, a statement of its own whatever maxSections is (see dump).
+func (s *Session) dumpStream(maxSections int, asSQL bool, emit func(stmts []string) error) (int, error) {
 	txn := s.txn
 	if s.inTxn && txn != nil && !txn.Done() {
 		// Use the block's snapshot; the client owns the commit.
@@ -70,54 +92,59 @@ func (s *Session) dumpStream(maxStmts int, asSQL bool, sink func(stmts []string)
 		defer txn.Commit()
 	}
 
-	total := 0
-	var chunk []string
-	flush := func() error {
-		if len(chunk) == 0 {
-			return nil
-		}
-		out := chunk
-		chunk = nil
-		total += len(out)
-		return sink(out)
-	}
-
 	var tables []*mvcc.Table
+	var schema []string
 	for _, name := range s.db.Tables() {
 		tb, ok := s.db.table(name)
 		if !ok {
 			continue
 		}
 		tables = append(tables, tb)
-		chunk = append(chunk, schemaSQL(tb.Schema, tb.Indexes())...)
+		schema = append(schema, schemaSQL(tb.Schema, tb.Indexes())...)
 	}
-	if err := flush(); err != nil {
-		return total, err
-	}
-
-	for _, tb := range tables {
-		var text []byte
-		if err := scanRows(tb, txn, s.eng.opts.DumpBatch, func(stmt []byte) error {
-			if asSQL {
-				_, rows, _, err := nextSection(stmt)
-				if err == nil {
-					text, err = appendRowsSQL(text[:0], tb, rows)
-				}
-				if err != nil {
-					return err
-				}
-				stmt = text
-			}
-			chunk = append(chunk, string(stmt))
-			if maxStmts > 0 && len(chunk) >= maxStmts {
-				return flush()
-			}
-			return nil
-		}); err != nil {
+	total := 0
+	if len(schema) > 0 {
+		total = len(schema)
+		if err := emit(schema); err != nil {
 			return total, err
 		}
 	}
-	return total, flush()
+
+	var stmt, text []byte
+	lent := make([]string, 1)
+	send := func(b []byte) error {
+		lent[0] = unsafe.String(unsafe.SliceData(b), len(b))
+		total++
+		return emit(lent)
+	}
+	sections := 0
+	for _, tb := range tables {
+		var err error
+		stmt, err = scanRows(stmt, tb, txn, s.eng.opts.DumpBatch, func(b []byte) ([]byte, error) {
+			if asSQL {
+				_, rows, _, err := nextSection(b)
+				if err == nil {
+					text, err = appendRowsSQL(text[:0], tb, rows)
+				}
+				if err == nil {
+					err = send(text)
+				}
+				return b[:0], err
+			}
+			if sections++; sections < maxSections {
+				return b, nil
+			}
+			sections = 0
+			return b[:0], send(b)
+		})
+		if err != nil {
+			return total, err
+		}
+	}
+	if len(stmt) > 0 {
+		return total, send(stmt)
+	}
+	return total, nil
 }
 
 // schemaSQL returns the DDL that recreates a table: its CREATE TABLE, then a

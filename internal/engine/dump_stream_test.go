@@ -8,9 +8,10 @@ import (
 )
 
 // TestDumpStreamMatchesDump: the chunked iterator must yield exactly the
-// monolithic dump's statement sequence, for every chunk size, in the shape
-// restorers rely on: chunk 0 is the whole schema and nothing else, every
-// later chunk holds only row statements, at most chunkSize of them.
+// monolithic dump's schema and rows, in order, for every chunk size, in the
+// shape restorers rely on: chunk 0 is the whole schema and nothing else,
+// every later chunk is one row statement of at most chunkSize of Dump's
+// (chunkSize 0: all of Dump's row statements).
 func TestDumpStreamMatchesDump(t *testing.T) {
 	e := newTestEngine(t)
 	s, _ := e.NewSession("shop")
@@ -58,19 +59,21 @@ func TestDumpStreamMatchesDump(t *testing.T) {
 				}
 				continue
 			}
-			if chunkSize > 0 && len(c) > chunkSize {
-				t.Errorf("chunk %d: row chunk %d has %d stmts", chunkSize, i, len(c))
+			if chunkSize > 0 && len(c) != 1 {
+				t.Errorf("chunk %d: row chunk %d has %d stmts, want one", chunkSize, i, len(c))
 			}
 			for _, stmt := range c {
 				if !IsRowStatement(stmt) {
 					t.Errorf("chunk %d: %q in row chunk %d", chunkSize, stmt, i)
+				} else if n := Sections(stmt); chunkSize > 0 && n > chunkSize {
+					t.Errorf("chunk %d: row chunk %d has %d sections", chunkSize, i, n)
 				}
 			}
 		}
 		if total != len(got) {
 			t.Errorf("chunk %d: total %d, sunk %d", chunkSize, total, len(got))
 		}
-		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		if strings.Join(got, "") != strings.Join(want, "") {
 			t.Errorf("chunk %d: stream differs from Dump:\n got %v\nwant %v", chunkSize, got, want)
 		}
 		if chunkSize <= 0 && len(chunks) != 2 {

@@ -46,9 +46,10 @@ type Options struct {
 	StmtCost time.Duration
 	// LockTimeout bounds row-lock waits (see mvcc.Manager).
 	LockTimeout time.Duration
-	// DumpBatch is the number of rows per row statement of a dump (and
-	// per INSERT of the DUMP command's text); it controls how much slower
-	// a restore is than a dump. Defaults to 50.
+	// DumpBatch is the number of rows per section of a dump's row
+	// statements, each of Dump's own (and per INSERT of the DUMP command's
+	// text); it controls how much slower a restore is than a dump.
+	// Defaults to 50.
 	DumpBatch int
 	// DataDir, when non-empty, makes the engine durable: the WAL lives
 	// in DataDir as on-disk segment files, checkpoints are written under

@@ -375,12 +375,13 @@ func FuzzApplyRows(f *testing.F) {
 	})
 }
 
-// TestDumpStreamAllocsPerStatement pins the dump side of a migration: each
-// batched INSERT is rendered into one reused buffer and costs one string,
-// so a dump allocates about once per statement, however wide its rows. The
-// cost is read as the difference between dumps of 1,000 and 2,000 rows, 20
-// statements apart at the default DumpBatch, which leaves out the fixed
-// costs of a dump (its transaction, the schema, buffer growth).
+// TestDumpStreamAllocsPerStatement pins the dump side of a migration: every
+// chunk is built in one reused buffer, and a chunk, one row statement of up
+// to 64 sections, costs DumpStream's sink one string and its slice, so a
+// dump allocates at most about once per section of DumpBatch rows, however
+// wide its rows. The cost is read as the difference between dumps of 1,000
+// and 2,000 rows, 20 sections apart at the default DumpBatch, which leaves
+// out the fixed costs of a dump (its transaction, the schema).
 func TestDumpStreamAllocsPerStatement(t *testing.T) {
 	dumpAllocs := func(rows, cols int) float64 {
 		s := restoreSource(t, rows, cols)
@@ -393,9 +394,9 @@ func TestDumpStreamAllocsPerStatement(t *testing.T) {
 	for _, cols := range []int{2, 8} {
 		small, large := dumpAllocs(1000, cols), dumpAllocs(2000, cols)
 		perStmt := (large - small) / 20
-		t.Logf("%d columns: %.0f allocs at 1000 rows, %.0f at 2000: %.2f per statement", cols, small, large, perStmt)
+		t.Logf("%d columns: %.0f allocs at 1000 rows, %.0f at 2000: %.2f per section", cols, small, large, perStmt)
 		if perStmt > 1.25 {
-			t.Errorf("%d columns: %.2f allocs per INSERT statement, want about 1", cols, perStmt)
+			t.Errorf("%d columns: %.2f allocs per section, want at most about 1", cols, perStmt)
 		}
 	}
 }
@@ -413,14 +414,15 @@ func BenchmarkDumpStream(b *testing.B) {
 	}
 }
 
-// restoreChunkAllocs returns what applying chunk — a dump's row chunk —
-// allocates when it is applied as a restore applier sends it, joined into
-// one row statement in autocommit, into a fresh database made from schema;
-// the least of three runs, so a collection mid-run does not count.
-func restoreChunkAllocs(tb testing.TB, schema, chunk []string) uint64 {
+// restoreChunkAllocs returns the objects and bytes applying chunk — a
+// dump's row chunk — allocates when it is applied as a restore applier sends
+// it, joined into one row statement in autocommit, into a fresh database
+// made from schema; the least of three runs, so a collection mid-run does
+// not count.
+func restoreChunkAllocs(tb testing.TB, schema, chunk []string) (objects, bytes uint64) {
 	e := New(Options{LockTimeout: time.Second})
 	defer e.Close()
-	least := uint64(math.MaxUint64)
+	objects, bytes = math.MaxUint64, math.MaxUint64
 	for run := 0; run < 3; run++ {
 		if err := e.CreateDatabase("dst"); err != nil {
 			tb.Fatal(err)
@@ -438,22 +440,26 @@ func restoreChunkAllocs(tb testing.TB, schema, chunk []string) uint64 {
 			tb.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		least = min(least, after.Mallocs-before.Mallocs)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 		s.Close()
 		if err := e.DropDatabase("dst"); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	return least
+	return objects, bytes
 }
 
-// TestRestoreChunkAllocs pins what a restore allocates per row: a row's
-// version is encoded into the table's pages, its chain comes from an array
-// of chains and holds its first version itself, the chain directory files
-// it in a block shared with 63 other keys, and a row statement is decoded
-// into the session's write row, not parsed. So a 2,000-row chunk costs one
-// log record, the directory's blocks and growth and well under one object
-// per row: 290 objects, bound at 320.
+// TestRestoreChunkAllocs pins what a restore allocates per row: a block of
+// 64 keys is filed in one hold of its stripe, its rows' bytes copied into
+// the table's pages as they arrived, each row a chain from an array of
+// chains that holds its first version itself and takes its row lock there,
+// the chain directory filing the block in one entry; a row statement is
+// decoded only to check it, into the session's write row, never parsed or
+// encoded again. So a 2,000-row chunk costs its pages, its chains, the
+// directory's blocks and the transaction's lock list, well under one object
+// and about 300 bytes per row: 290 objects and 597 KB, bound at 320 and
+// 660 KB.
 func TestRestoreChunkAllocs(t *testing.T) {
 	const rows = 2000
 	src := restoreSource(t, rows, 6)
@@ -464,11 +470,15 @@ func TestRestoreChunkAllocs(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got := restoreChunkAllocs(t, chunks[0], chunks[1])
-	t.Logf("a %d-row chunk in %d statements: %d allocations, %.2f per row", rows, len(chunks[1]), got, float64(got)/rows)
-	const bound = 320
-	if got > bound {
-		t.Errorf("a %d-row chunk allocates %d objects, want at most %d", rows, got, bound)
+	objects, bytes := restoreChunkAllocs(t, chunks[0], chunks[1])
+	t.Logf("a %d-row chunk in %d statements: %d allocations, %.2f per row; %d bytes, %.0f per row",
+		rows, len(chunks[1]), objects, float64(objects)/rows, bytes, float64(bytes)/rows)
+	const bound, byteBound = 320, 660 << 10
+	if objects > bound {
+		t.Errorf("a %d-row chunk allocates %d objects, want at most %d", rows, objects, bound)
+	}
+	if bytes > byteBound {
+		t.Errorf("a %d-row chunk allocates %d KB, want at most %d KB", rows, bytes>>10, byteBound>>10)
 	}
 }
 

@@ -28,36 +28,55 @@ const rowMark = 0x00
 // then bypass its capture.
 func IsRowStatement(stmt string) bool { return len(stmt) > 0 && stmt[0] == rowMark }
 
-// scanRows emits the rows of tb visible to txn, in primary-key order, as
-// row statements of at most batch rows each. All of them are built in one
-// reused buffer, so emit borrows stmt until it returns. An emit error stops
-// the scan and is returned verbatim.
-func scanRows(tb *mvcc.Table, txn *mvcc.Txn, batch int, emit func(stmt []byte) error) error {
+// Sections returns how many sections the row statement stmt holds, read
+// from their heads alone: the number of Dump's statements it joins. SQL
+// text holds none, and a section cut short is not counted.
+func Sections(stmt string) int {
+	n := 0
+	for b := rowBytes(stmt); len(b) > 0; n++ {
+		var err error
+		if _, _, b, err = nextSection(b); err != nil {
+			break
+		}
+	}
+	return n
+}
+
+// scanRows appends the rows of tb visible to txn, in primary-key order, to
+// buf as sections of at most batch rows each, and returns buf. Once a
+// section is whole it calls cut with buf, which ends in it, and goes on
+// appending to the buffer cut returns: buf itself, to add the next section
+// to the same row statement, or buf[:0], once cut has passed the statement
+// on. So every row statement is built in one reused buffer, which cut
+// borrows until it returns. A cut error stops the scan and is returned
+// verbatim.
+func scanRows(buf []byte, tb *mvcc.Table, txn *mvcc.Txn, batch int, cut func(buf []byte) ([]byte, error)) ([]byte, error) {
 	name := tb.Schema.Name
 	if len(name) > math.MaxUint16 {
-		return fmt.Errorf("engine: table name of %d bytes does not fit a row statement", len(name))
+		return buf, fmt.Errorf("engine: table name of %d bytes does not fit a row statement", len(name))
 	}
-	buf := append([]byte{rowMark}, byte(len(name)), byte(len(name)>>8))
-	buf = append(append(buf, name...), 0, 0, 0, 0)
-	head, rows := len(buf), 0
+	head, rows := 0, 0
 	var err error
-	flush := func() bool {
-		if rows > 0 {
-			binary.LittleEndian.PutUint32(buf[head-4:], uint32(len(buf)-head))
-			err = emit(buf)
-			buf, rows = buf[:head], 0
-		}
+	end := func() bool {
+		binary.LittleEndian.PutUint32(buf[head-4:], uint32(len(buf)-head))
+		buf, err = cut(buf)
+		rows = 0
 		return err == nil
 	}
 	tb.ScanRecs(txn, func(rec mvcc.Rec) bool {
+		if rows == 0 {
+			buf = append(buf, rowMark, byte(len(name)), byte(len(name)>>8))
+			buf = append(append(buf, name...), 0, 0, 0, 0)
+			head = len(buf)
+		}
 		buf = append(buf, rec[:tb.EncodedSize(rec)]...)
 		rows++
-		return rows < batch || flush()
+		return rows < batch || end()
 	})
-	if err == nil {
-		flush()
+	if err == nil && rows > 0 {
+		end()
 	}
-	return err
+	return buf, err
 }
 
 // rowBytes is stmt's bytes, not copied: they are only read, and a decoded
@@ -79,18 +98,24 @@ func nextSection(b []byte) (name, rows, rest []byte, err error) {
 	return name, b[4 : 4+size], b[4+size:], nil
 }
 
-// execRows inserts the rows of a row statement, each through Table.Insert
-// as a literal INSERT's rows go, and logs the statement as its own redo
-// record. Within a run of sections of one table the rows must ascend
-// strictly by key, as a dump emits them. Each section takes an execution
-// slot, as the INSERT of a dump batch it stands for would, so the CPU model
-// (Options.StmtCost) charges a restored row what it did when a dump was SQL.
+// execRows inserts the rows of a row statement, each section's through
+// Table.InsertRecs, which files them a block of keys at a time as their
+// bytes stand, and logs the statement as its own redo record. Within a run
+// of sections of one table the rows must ascend strictly by key, as a dump
+// emits them. Each section takes an execution slot, as the INSERT of a dump
+// batch it stands for would, so the CPU model (Options.StmtCost) charges a
+// restored row what it did when a dump was SQL.
+//
+// stmt may be lent, as a node's wire server lends the frame a restore chunk
+// arrived in: nothing kept past the call refers to it. The table's pages
+// and indexes keep copies, and the log copies the record it keeps.
 func (s *Session) execRows(stmt string, out *resultBuf) (*Result, error) {
 	release := func() {}
 	defer func() { release() }()
 	var tb *mvcc.Table
 	var row storage.Row
 	var last sqlmini.Value
+	defer func() { clear(s.write[:cap(s.write)]) }() // its TEXTs alias stmt
 	n := 0
 	for b := rowBytes(stmt); len(b) > 0; {
 		name, rows, rest, err := nextSection(b)
@@ -107,24 +132,11 @@ func (s *Session) execRows(stmt string, out *resultBuf) (*Result, error) {
 			}
 			row, last = s.writeRow(len(tb.Schema.Columns)), sqlmini.Value{}
 		}
-		for len(rows) > 0 {
-			size, err := tb.DecodeRec(rows, row)
-			if err != nil {
-				return nil, err
-			}
-			rows = rows[size:]
-			pk := tb.Schema.PK(row)
-			if !last.IsNull() {
-				if c, err := pk.Compare(last); err != nil || c <= 0 {
-					return nil, fmt.Errorf("engine: row statement: table %s: rows out of key order", name)
-				}
-			}
-			if err := tb.Insert(s.txn, row); err != nil {
-				return nil, err
-			}
-			last = pk
-			n++
+		filed, after, err := tb.InsertRecs(s.txn, rows, last, row)
+		if err != nil {
+			return nil, err
 		}
+		n, last = n+filed, after
 	}
 	s.eng.logAppend(wal.Record{TxnID: uint64(s.txn.ID), Kind: wal.RecInsert, DB: s.db.Name, Data: stmt})
 	return out.counted(insertTag, n), nil

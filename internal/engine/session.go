@@ -493,9 +493,9 @@ func (s *Session) execMeta(sql string) (*Result, bool, error) {
 }
 
 // parseDumpChunk extracts the chunk size from a DUMP STREAM command
-// ("DUMP STREAM" or "DUMP STREAM <statements>").
+// ("DUMP STREAM" or "DUMP STREAM <sections>").
 func parseDumpChunk(fields []string) (int, error) {
-	usage := fmt.Errorf("engine: usage: DUMP STREAM [statements-per-chunk]")
+	usage := fmt.Errorf("engine: usage: DUMP STREAM [sections-per-chunk]")
 	switch len(fields) {
 	case 2:
 		return DefaultDumpChunk, nil
@@ -512,9 +512,11 @@ func parseDumpChunk(fields []string) (int, error) {
 // ExecStream executes sql, delivering bulk payload through emit in bounded
 // chunks before the final Result. handled reports whether sql has a
 // streaming form — only DUMP STREAM does; for everything else the caller
-// (the wire server) falls back to plain Exec. Chunks handed to emit are
-// owned by the callee, and an emit error aborts the dump and is returned
-// verbatim.
+// (the wire server) falls back to plain Exec. Chunks are DumpStream's, but
+// lent: emit borrows each, its slice and its strings, only until it
+// returns, and a row chunk's statement is the buffer the scan builds every
+// chunk in, so the wire server writes it to its frame with no copy of its
+// own. An emit error aborts the dump and is returned verbatim.
 func (s *Session) ExecStream(sql string, emit func(stmts []string) error) (*Result, bool, error) {
 	if !strings.EqualFold(firstField(sql), "DUMP") {
 		return nil, false, nil
@@ -528,7 +530,7 @@ func (s *Session) ExecStream(sql string, emit func(stmts []string) error) (*Resu
 	if err != nil {
 		return nil, true, err
 	}
-	total, err := s.DumpStream(chunk, emit)
+	total, err := s.dumpStream(chunk, false, emit)
 	if err != nil {
 		return nil, true, err
 	}

@@ -166,9 +166,9 @@ func tortureSweep(t *testing.T, seed int64) {
 	for _, end := range ends {
 		points[end] = true
 		if start+1 < end {
-			points[start+1] = true        // torn header
-			points[(start+end)/2] = true  // torn mid-frame
-			points[end-1] = true          // one byte short: torn final record
+			points[start+1] = true       // torn header
+			points[(start+end)/2] = true // torn mid-frame
+			points[end-1] = true         // one byte short: torn final record
 		}
 		start = end
 	}

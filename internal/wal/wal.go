@@ -308,10 +308,18 @@ func (l *Log) Append(rec Record) {
 				invariant.Assertf(rec.LSN > l.retained[n-1].LSN,
 					"wal: LSN %d not monotonic (last retained %d)", rec.LSN, l.retained[n-1].LSN)
 			}
-			l.retained = append(l.retained, rec)
+			l.retained = append(l.retained, retain(rec))
 		}
 		l.mu.Unlock()
 	}
+}
+
+// retain returns rec as the log keeps it for inspection: with its data
+// copied, since a record's data may be lent (a row statement is applied
+// from the wire frame it arrived in) and the log keeps it past the append.
+func retain(rec Record) Record {
+	rec.Data = strings.Clone(rec.Data)
+	return rec
 }
 
 // AppendBatch buffers recs in order under a single lock acquisition,
@@ -358,7 +366,7 @@ func (l *Log) AppendBatch(recs []Record) {
 				invariant.Assertf(recs[i].LSN > l.retained[n-1].LSN,
 					"wal: LSN %d not monotonic (last retained %d)", recs[i].LSN, l.retained[n-1].LSN)
 			}
-			l.retained = append(l.retained, recs[i])
+			l.retained = append(l.retained, retain(recs[i]))
 		}
 		l.mu.Unlock()
 	}

@@ -106,9 +106,8 @@ func (c *Client) SetTraceContext(tc *TraceContext) { c.trace = tc }
 // the frame types of the statement's shape; the traced one (trace context
 // prefixed to the SQL) goes out only while a context is attached and
 // observability is on — that guard keeps the disabled cost at one atomic
-// load, no context encoding. The payload is encoded into a pooled frame
-// buffer: the connection is single-goroutine and writeMsg is synchronous,
-// so the buffer is released right after the write.
+// load, no context encoding. The frame is written straight from sql (see
+// writeQuery), so relaying a restore chunk costs no copy of it.
 func (c *Client) sendQuery(plain, traced byte, sql string) error {
 	if c.rtt > 0 {
 		time.Sleep(c.rtt)
@@ -123,18 +122,12 @@ func (c *Client) sendQuery(plain, traced byte, sql string) error {
 	if err := fault.Inject(faultWrite); err != nil {
 		return c.faulted("write", err)
 	}
-	f := getFrameBuf()
-	typ := plain
+	typ, tc := plain, (*TraceContext)(nil)
 	if c.trace != nil && obs.On() {
-		typ = traced
-		f.buf = appendTraced(f.buf, c.trace, sql)
-	} else {
-		f.buf = append(f.buf, sql...)
+		typ, tc = traced, c.trace
 	}
-	werr := writeMsg(c.bw, typ, f.buf)
-	putFrameBuf(f)
-	if werr != nil {
-		return c.lost("write", werr)
+	if err := writeQuery(c.bw, typ, tc, sql); err != nil {
+		return c.lost("write", err)
 	}
 	if err := c.bw.Flush(); err != nil {
 		return c.lost("write", err)
@@ -226,7 +219,8 @@ func (c *Client) ExecReply(sql string) ([]byte, error) {
 
 // ExecStream sends one statement as a streaming query and hands each
 // response chunk to sink as it arrives, returning the trailer's final
-// result. The server assigns contiguous sequence numbers from 0; a gap,
+// result. A chunk's statements are the sink's to keep: they alias the
+// chunk's frame, which is the sink's own and never read into again. The server assigns contiguous sequence numbers from 0; a gap,
 // reorder, or count mismatch poisons the connection like any other
 // protocol desynchronization. A sink error also poisons the connection —
 // the stream is abandoned with frames still in flight, so the session
@@ -252,7 +246,7 @@ func (c *Client) ExecStream(sql string, sink func(seq uint32, stmts []string) er
 		}
 		switch typ {
 		case MsgStreamChunk:
-			seq, stmts, err := DecodeStreamChunk(payload)
+			seq, stmts, err := DecodeStreamChunk(ownedPayload(payload))
 			if err != nil {
 				return nil, c.lost("read", err)
 			}

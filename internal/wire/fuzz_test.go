@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 )
 
 // FuzzDecodeResult checks the decoder every reply passes through: it never
@@ -32,9 +33,12 @@ func FuzzDecodeResult(f *testing.F) {
 // through on its way from a migration's source to its slaves: it never
 // panics on any payload, and a payload it accepts re-encodes to the same
 // bytes, so a chunk decodes to exactly the statements that were sent. The
-// seed corpus (testdata/fuzz/FuzzDecodeStreamChunk) holds real DUMP STREAM
-// chunks: a schema prologue, INSERT batches of every value kind, signed and
-// exponent numbers and quoted text among them, and an empty chunk.
+// statements are the payload's own bytes, not copies: a restore chunk is
+// forwarded from the frame it arrived in. The seed corpus
+// (testdata/fuzz/FuzzDecodeStreamChunk) holds real DUMP STREAM chunks: a
+// schema prologue, a row statement of two sections holding every value
+// kind, INSERT batches of every value kind, signed and exponent numbers and
+// quoted text among them, and an empty chunk.
 func FuzzDecodeStreamChunk(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		seq, stmts, err := DecodeStreamChunk(payload)
@@ -43,6 +47,12 @@ func FuzzDecodeStreamChunk(f *testing.F) {
 		}
 		if again := EncodeStreamChunk(seq, stmts); !bytes.Equal(again, payload) {
 			t.Fatalf("chunk %d of %d statements re-encodes differently:\n got %q\nwant %q", seq, len(stmts), again, payload)
+		}
+		base := uintptr(unsafe.Pointer(unsafe.SliceData(payload)))
+		for i, s := range stmts {
+			if at := uintptr(unsafe.Pointer(unsafe.StringData(s))); len(s) > 0 && (at < base || at+uintptr(len(s)) > base+uintptr(len(payload))) {
+				t.Fatalf("statement %d of chunk %d is a copy, not the payload's bytes", i, seq)
+			}
 		}
 	})
 }
@@ -61,7 +71,7 @@ func FuzzDecodeTraced(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if again := appendTraced(nil, &tc, string(sql)); !bytes.Equal(again, payload) {
+		if again := append(appendTraceContext(nil, &tc), sql...); !bytes.Equal(again, payload) {
 			t.Fatalf("traced query %+v %q re-encodes differently:\n got %q\nwant %q", tc, sql, again, payload)
 		}
 	})

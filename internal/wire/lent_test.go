@@ -3,6 +3,9 @@ package wire_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"madeus/internal/engine"
@@ -159,5 +162,93 @@ func TestLentRepliesMatchOwned(t *testing.T) {
 		if _, err := step.s.Exec(step.sql); (err != nil) != step.wantErr {
 			t.Fatalf("%s: error %v, want error %v", step.sql, err, step.wantErr)
 		}
+	}
+}
+
+// TestStreamChunksOutliveTheirFrames: a restore chunk waits in a slave's
+// queue while its connection reads on, so the statements a stream hands its
+// sink must alias a frame of their own, never the connection's read buffer.
+// Chunks below and above the 64 KiB a connection keeps are held unapplied
+// while the rest of the stream, other queries and a second stream are read
+// on the same connection; every held chunk must still be the bytes a dump
+// of the same state makes.
+func TestStreamChunksOutliveTheirFrames(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	e := engine.New(engine.Options{DumpBatch: 10})
+	defer e.Close()
+	if err := e.CreateDatabase("db"); err != nil {
+		t.Fatal(err)
+	}
+	s, err := e.NewSession("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	big := strings.Repeat("x", 8<<10) // ten rows of it: a chunk above 64 KiB
+	for _, q := range []string{
+		"CREATE TABLE small (id INT PRIMARY KEY, v TEXT)",
+		"CREATE TABLE big (id INT PRIMARY KEY, v TEXT)",
+	} {
+		if _, err := s.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		for _, q := range []string{
+			fmt.Sprintf("INSERT INTO small (id, v) VALUES (%d, 'row %d')", i, i),
+			fmt.Sprintf("INSERT INTO big (id, v) VALUES (%d, '%d%s')", i, i, big),
+		} {
+			if _, err := s.Exec(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var want [][]string
+	if _, err := s.DumpStream(1, func(stmts []string) error {
+		want = append(want, stmts)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := wire.Listen("127.0.0.1:0", wire.EngineHandler(e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := wire.Dial(srv.Addr(), "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var held [][]string
+	if _, err := c.ExecStream("DUMP STREAM 1", func(_ uint32, stmts []string) error {
+		held = append(held, stmts)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec("SELECT * FROM small"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ExecStream("DUMP STREAM 1", func(uint32, []string) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec("SELECT v FROM big WHERE id = 3"); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(held) != len(want) {
+		t.Fatalf("held %d chunks, the dump makes %d", len(held), len(want))
+	}
+	sizes := map[bool]int{} // chunks above 64 KiB, and below
+	for i := range want {
+		if !slices.Equal(held[i], want[i]) {
+			t.Fatalf("chunk %d changed after its connection read on", i)
+		}
+		sizes[len(strings.Join(want[i], "")) > 64<<10]++
+	}
+	if sizes[true] == 0 || sizes[false] < 2 {
+		t.Fatalf("chunks above and below 64 KiB: %d and %d, want both", sizes[true], sizes[false])
 	}
 }

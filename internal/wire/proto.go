@@ -24,12 +24,14 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"madeus/internal/engine"
 	"madeus/internal/sqlmini"
@@ -86,15 +88,16 @@ const msgHeaderLen = 5
 // that dies with the frame, so an idle session pins at most this much.
 const maxKeptFrame = 64 << 10
 
-// frameBufPool recycles payload encode buffers on the hot send paths:
-// client query frames and server result and stream-end frames. Reuse is
-// safe because each connection is driven by one goroutine at a time and
-// writeMsg hands the bytes to the writer synchronously, so a buffer may
-// return to the pool as soon as writeMsg does. Like a connection's read
-// buffer, a pooled buffer is at most maxKeptFrame: one that grew past it (a
-// non-streamed DUMP, an unbounded SELECT) is left to the collector, so the
-// next point read is never handed hundreds of KB to pin. Stream chunks
-// never pass through the pool (see execStream).
+// frameBufPool recycles payload encode buffers on the server's hot send
+// paths: result and stream-end frames. Reuse is safe because each
+// connection is driven by one goroutine at a time and writeMsg hands the
+// bytes to the writer synchronously, so a buffer may return to the pool as
+// soon as writeMsg does. Like a connection's read buffer, a pooled buffer
+// is at most maxKeptFrame: one that grew past it (a non-streamed DUMP, an
+// unbounded SELECT) is left to the collector, so the next point read is
+// never handed hundreds of KB to pin. Queries and stream chunks never pass
+// through the pool: they are written straight from their own bytes (see
+// writeQuery and writeStreamChunk).
 var frameBufPool = sync.Pool{
 	New: func() any { return &frameBuf{buf: make([]byte, 0, 1024)} },
 }
@@ -131,11 +134,56 @@ func writeMsg(w *bufio.Writer, typ byte, payload []byte) error {
 	return err
 }
 
+// writeQuery buffers one query frame in w: the trace context tc, when not
+// nil, then sql. The header and the context are built in w's free space
+// and sql is written from the caller's string, so a query of any size is
+// never copied into a payload buffer first.
+func writeQuery(w *bufio.Writer, typ byte, tc *TraceContext, sql string) error {
+	b := append(w.AvailableBuffer(), typ, 0, 0, 0, 0)
+	if tc != nil {
+		b = appendTraceContext(b, tc)
+	}
+	binary.BigEndian.PutUint32(b[1:], uint32(len(b)-msgHeaderLen+len(sql)))
+	if _, err := w.Write(b); err != nil {
+		return err
+	}
+	_, err := w.Write(stringBytes(sql))
+	return err
+}
+
+// writeStreamChunk buffers one MsgStreamChunk frame in w, chunk seq of
+// stmts (EncodeStreamChunk's payload), each statement written from the
+// caller's string: a DUMP STREAM chunk goes from the buffer the dump built
+// it in to the socket with no copy of its own. It returns the payload size.
+func writeStreamChunk(w *bufio.Writer, seq uint32, stmts []string) (int, error) {
+	n := 8
+	for _, s := range stmts {
+		n += 4 + len(s)
+	}
+	b := binary.BigEndian.AppendUint32(append(w.AvailableBuffer(), MsgStreamChunk), uint32(n))
+	b = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(b, seq), uint32(len(stmts)))
+	if _, err := w.Write(b); err != nil {
+		return n, err
+	}
+	for _, s := range stmts {
+		if _, err := w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(s)))); err != nil {
+			return n, err
+		}
+		if _, err := w.Write(stringBytes(s)); err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// stringBytes is s's bytes, not copied, for a writer that only reads them.
+func stringBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
+
 // readMsg reads one frame. The payload lands in *buf, the connection's own
 // read buffer, grown as needed and kept while it is at most maxKeptFrame; a
 // larger payload gets a buffer of its own. Either way the payload is valid
 // only until the next readMsg on the same connection: a caller that keeps
-// bytes past that copies them.
+// bytes past that takes them through ownedPayload.
 func readMsg(r *bufio.Reader, buf *[]byte) (byte, []byte, error) {
 	hdr, err := r.Peek(msgHeaderLen)
 	if err != nil {
@@ -157,6 +205,16 @@ func readMsg(r *bufio.Reader, buf *[]byte) (byte, []byte, error) {
 		return 0, nil, err
 	}
 	return typ, payload, nil
+}
+
+// ownedPayload returns payload, as readMsg returned it, as bytes the caller may
+// keep: a payload above maxKeptFrame already has a buffer of its own, and a
+// smaller one is copied out of the connection's.
+func ownedPayload(payload []byte) []byte {
+	if len(payload) > maxKeptFrame {
+		return payload
+	}
+	return bytes.Clone(payload)
 }
 
 // --- Result encoding ---
@@ -217,16 +275,22 @@ func (d *decoder) u64() (uint64, error) {
 }
 
 func (d *decoder) str() (string, error) {
+	b, err := d.bytes()
+	return string(b), err
+}
+
+// bytes reads a length-prefixed string's bytes, not copied.
+func (d *decoder) bytes() ([]byte, error) {
 	n, err := d.u32()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if d.off+int(n) > len(d.buf) {
-		return "", io.ErrUnexpectedEOF
+	if uint64(n) > uint64(len(d.buf)-d.off) {
+		return nil, io.ErrUnexpectedEOF
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
+	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
-	return s, nil
+	return b, nil
 }
 
 func (d *decoder) byte() (byte, error) {
@@ -265,13 +329,7 @@ func (d *decoder) value() (sqlmini.Value, error) {
 // EncodeStreamChunk serializes one stream chunk: its sequence number
 // (contiguous from 0, assigned by the server) and its statements.
 func EncodeStreamChunk(seq uint32, stmts []string) []byte {
-	return appendStreamChunk(nil, seq, stmts)
-}
-
-// appendStreamChunk is the allocation-free core of EncodeStreamChunk: it
-// encodes into dst (a streaming query's own buffer) and returns it.
-func appendStreamChunk(dst []byte, seq uint32, stmts []string) []byte {
-	e := encoder{buf: dst}
+	e := encoder{}
 	e.u32(seq)
 	e.u32(uint32(len(stmts)))
 	for _, s := range stmts {
@@ -281,7 +339,9 @@ func appendStreamChunk(dst []byte, seq uint32, stmts []string) []byte {
 }
 
 // DecodeStreamChunk parses an encoded stream chunk, which is the whole of
-// buf: bytes after its last statement are an error.
+// buf: bytes after its last statement are an error. The statements alias
+// buf, which the caller must own and never write again: a restore chunk
+// goes from the frame it arrived in to the slaves with no copy.
 func DecodeStreamChunk(buf []byte) (uint32, []string, error) {
 	d := decoder{buf: buf}
 	seq, err := d.u32()
@@ -294,9 +354,11 @@ func DecodeStreamChunk(buf []byte) (uint32, []string, error) {
 	}
 	stmts := make([]string, n)
 	for i := range stmts {
-		if stmts[i], err = d.str(); err != nil {
+		b, err := d.bytes()
+		if err != nil {
 			return 0, nil, err
 		}
+		stmts[i] = unsafe.String(unsafe.SliceData(b), len(b))
 	}
 	if d.off != len(buf) {
 		return 0, nil, fmt.Errorf("wire: %d bytes after the stream chunk's last statement", len(buf)-d.off)

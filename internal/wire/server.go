@@ -6,9 +6,11 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"madeus/internal/engine"
 	"madeus/internal/fault"
@@ -54,7 +56,8 @@ type Conn interface {
 
 // StreamConn is the optional streaming capability of a Conn: ExecStream
 // runs sql, handing bulk payload to emit in bounded chunks before it
-// appends the final result to dst as Exec does. handled=false means sql
+// appends the final result to dst as Exec does. emit borrows each chunk,
+// its slice and its strings, only until it returns. handled=false means sql
 // has no streaming form and the server answers through plain Exec instead.
 // Sessions without this capability (e.g. middleware worker sessions) still
 // accept MsgQueryStream — they just answer with a chunkless trailer.
@@ -247,9 +250,15 @@ func (s *Server) serve(conn net.Conn) {
 				}
 				tc, payload = &ctx, q
 			}
-			// The one copy of the query: the session may keep the text (the
-			// parse cache keys on it) past the next read into rbuf.
-			sql := string(payload)
+			// The one copy of a query: the session may keep SQL text (the
+			// parse cache keys on it) past the next read into rbuf. A row
+			// statement, a restore chunk, is applied from the frame it
+			// arrived in: the session keeps nothing of one (see
+			// engine.Session.execRows).
+			sql := unsafe.String(unsafe.SliceData(payload), len(payload))
+			if !engine.IsRowStatement(sql) {
+				sql = strings.Clone(sql)
+			}
 			start := time.Now()
 			f := getFrameBuf()
 			var err error
@@ -318,16 +327,15 @@ func (s *Server) serve(conn net.Conn) {
 // payload to dst: sessions with the StreamConn capability send their bulk
 // payload as chunk frames first; everything else (and any sql without a
 // streaming form) runs through plain Exec and yields a chunkless trailer.
-// Kept out of serve so what the emit closure captures is allocated per
-// streaming query, not per query: the chunk counter, and the buffer every
-// chunk of this stream is encoded into. A chunk frame (64 INSERTs of 50
-// rows) is far above what frameBufPool keeps, so the stream owns its
-// buffer, grown once and reused chunk after chunk, and drops it at the end.
+// Kept out of serve so what the emit closure captures, the chunk counter,
+// is allocated per streaming query, not per query. A chunk is written from
+// the statements the session lends (writeStreamChunk): a DUMP STREAM row
+// chunk, one row statement of 64 sections of 50 rows, goes from the
+// buffer the dump built it in to the socket.
 func execStream(sess Conn, bw *bufio.Writer, sql string, dst []byte) ([]byte, error) {
 	at := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // the chunk total, patched in once known
 	var chunks uint32
-	var chunk []byte
 	handled := false
 	var err error
 	if sc, ok := sess.(StreamConn); ok {
@@ -335,11 +343,11 @@ func execStream(sess Conn, bw *bufio.Writer, sql string, dst []byte) ([]byte, er
 		// pipeline overlaps the ongoing scan; a write failure surfaces
 		// through ExecStream's emit error and ends the session in serve.
 		dst, handled, err = sc.ExecStream(sql, func(stmts []string) error {
-			chunk = appendStreamChunk(chunk[:0], chunks, stmts)
+			n, err := writeStreamChunk(bw, chunks, stmts)
 			chunks++
 			obsStreamChunk.Inc()
-			obsBytesOut.Add(uint64(len(chunk) + msgHeaderLen))
-			if err := writeMsg(bw, MsgStreamChunk, chunk); err != nil {
+			obsBytesOut.Add(uint64(n + msgHeaderLen))
+			if err != nil {
 				return err
 			}
 			return bw.Flush()

@@ -19,15 +19,15 @@ type TraceContext struct {
 	Span   uint64 // middleware-assigned id for this migration attempt
 }
 
-// appendTraced builds a traced-query payload into dst: the fixed-width
-// context first so a decoder can reject short frames before touching the
-// SQL.
-func appendTraced(dst []byte, tc *TraceContext, sql string) []byte {
+// appendTraceContext appends a traced query's context, the prefix of its
+// payload, to dst: the fixed-width fields first so a decoder can reject
+// short frames before touching the SQL, which follows the context.
+func appendTraceContext(dst []byte, tc *TraceContext) []byte {
 	e := encoder{buf: dst}
 	e.u64(tc.MTS)
 	e.u64(tc.Span)
 	e.str(tc.Tenant)
-	return append(e.buf, sql...)
+	return e.buf
 }
 
 // decodeTraced splits a traced-query payload into its context and the SQL

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -12,7 +14,17 @@ import (
 func TestTracedPayloadRoundTrip(t *testing.T) {
 	tc := &TraceContext{Tenant: "shop", MTS: 42, Span: 7}
 	sql := "INSERT INTO t (id) VALUES (1)"
-	got, gotSQL, err := decodeTraced(appendTraced(nil, tc, sql))
+	var frame bytes.Buffer
+	w := bufio.NewWriter(&frame)
+	if err := writeQuery(w, MsgQueryTraced, tc, sql); err != nil || w.Flush() != nil {
+		t.Fatal(err)
+	}
+	var rbuf []byte
+	typ, query, err := readMsg(bufio.NewReader(&frame), &rbuf)
+	if err != nil || typ != MsgQueryTraced {
+		t.Fatalf("readMsg = %q, %v", typ, err)
+	}
+	got, gotSQL, err := decodeTraced(query)
 	if err != nil {
 		t.Fatal(err)
 	}

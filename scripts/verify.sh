@@ -13,6 +13,9 @@ go build ./...
 go vet ./...
 go run ./cmd/madeusvet ./...
 
+# Every Go file, the benchmark module's too, is gofmt-clean.
+test -z "$(gofmt -l .)"
+
 # The whole suite under the race detector.
 go test -race -count=1 ./...
 
