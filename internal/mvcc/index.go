@@ -96,8 +96,8 @@ func (tb *Table) CreateIndex(name, column string) error {
 	// some snapshot).
 	tb.eachChain(func(pk sqlmini.Value, ch *rowChain) {
 		ch.mu.Lock()
-		for i := range ch.versions {
-			ix.add(tb.column(ch.versions[i].ref, col), pk)
+		for _, v := range tb.versions(ch) {
+			ix.add(tb.column(v.ref, col), pk)
 		}
 		ch.mu.Unlock()
 	})
@@ -224,8 +224,8 @@ func (ix *colIndex) remove(val, pk sqlmini.Value) bool {
 // chainHolds reports whether a version of ch stores val in column col.
 // Caller holds ch.mu.
 func (tb *Table) chainHolds(ch *rowChain, col int, val sqlmini.Value) bool {
-	for i := range ch.versions {
-		if tb.column(ch.versions[i].ref, col) == val {
+	for _, v := range tb.versions(ch) {
+		if tb.column(v.ref, col) == val {
 			return true
 		}
 	}

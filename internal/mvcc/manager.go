@@ -430,9 +430,9 @@ func (m *Manager) freeze(p pendingFreeze, shrunk *[]*Table) int {
 	for _, h := range p.chains {
 		ch := h.ch
 		ch.mu.Lock()
-		kept := ch.versions[:0]
-		for i := range ch.versions {
-			v := ch.versions[i]
+		vs := h.tb.versions(ch)
+		kept := vs[:0]
+		for _, v := range vs {
 			if v.xmax == p.id {
 				removed++
 				h.tb.drop(v.ref)
@@ -446,7 +446,7 @@ func (m *Manager) freeze(p pendingFreeze, shrunk *[]*Table) int {
 			}
 			kept = append(kept, v)
 		}
-		ch.versions = kept
+		h.tb.setVersions(ch, kept)
 		ch.mu.Unlock()
 	}
 	s := m.stripe(p.id)
@@ -464,7 +464,7 @@ func (t *Txn) IsUpdate() bool { return t.writes > 0 }
 
 func (t *Txn) releaseLocks() {
 	for _, h := range t.locks {
-		h.ch.unlock(t.ID)
+		h.tb.unlock(h.ch, t.ID)
 	}
 	t.locks = nil
 }

@@ -49,9 +49,9 @@ func (tb *Table) Vacuum(horizon CSN) int {
 	removed := 0
 	tb.eachChain(func(_ sqlmini.Value, ch *rowChain) {
 		ch.mu.Lock()
-		kept := ch.versions[:0]
-		for i := range ch.versions {
-			v := ch.versions[i]
+		vs := tb.versions(ch)
+		kept := vs[:0]
+		for _, v := range vs {
 			if tb.dead(&v, horizon) {
 				removed++
 				tb.drop(v.ref)
@@ -59,7 +59,7 @@ func (tb *Table) Vacuum(horizon CSN) int {
 			}
 			kept = append(kept, v)
 		}
-		ch.versions = kept
+		tb.setVersions(ch, kept)
 		ch.mu.Unlock()
 	})
 	tb.sweepIndexes()
@@ -117,8 +117,9 @@ func (tb *Table) compact() {
 	tb.eachChain(func(_ sqlmini.Value, ch *rowChain) {
 		ch.mu.Lock()
 		dir := tb.pageDir()
-		for i := range ch.versions {
-			v := &ch.versions[i]
+		vs := tb.versions(ch)
+		for i := range vs {
+			v := &vs[i]
 			if v.ref.page() < fresh {
 				b := bytesAt(dir, v.ref)
 				v.ref = tb.storeEncoded(&copies, b[:tb.EncodedSize(b)])

@@ -15,7 +15,7 @@ func chainLen(tb *Table, k int64) int {
 	}
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	return len(ch.versions)
+	return len(tb.versions(ch))
 }
 
 func TestVacuumRemovesSupersededVersions(t *testing.T) {

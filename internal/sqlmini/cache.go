@@ -39,12 +39,14 @@ type CacheStats struct {
 }
 
 // NewCache returns a parse cache bounded to capacity entries, or nil
-// (caching disabled) when capacity <= 0.
+// (caching disabled) when capacity <= 0. The map grows with its entries:
+// sized for capacity up front, an empty cache would be 200 KB of buckets
+// the collector scans every cycle, one more for each database created.
 func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		return nil
 	}
-	return &Cache{cap: capacity, entries: make(map[string]*cacheEntry, capacity)}
+	return &Cache{cap: capacity, entries: make(map[string]*cacheEntry)}
 }
 
 // Get returns the cached parse of sql, promoting the entry to most
