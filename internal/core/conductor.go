@@ -1,12 +1,12 @@
 package core
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sync"
 
 	"madeus/internal/fault"
+	"madeus/internal/lsir"
 	"madeus/internal/simlat"
 	"madeus/internal/wire"
 )
@@ -30,12 +30,16 @@ type PropagationStats struct {
 }
 
 // propagator drives Step 3 for one migration: it consumes the tenant's SSL
-// and replays syncsets on the destination according to the strategy.
+// and replays syncsets on the destination in the order its strategy's
+// lsir.Scheduler decides.
 type propagator struct {
-	t        *Tenant
-	dest     Backend
-	strategy Strategy
-	mts      uint64
+	t     *Tenant
+	dest  Backend
+	sched *lsir.Scheduler // owned by the run loop; snapshot reads only Debt
+	// herd is B-CON's cost model: concurrent players, commits released
+	// one at a time (CON-FW without CON-COM), the players contending on
+	// herdCond.
+	herd bool
 
 	// trace is the migration's wire trace context (nil when obs is off);
 	// every pooled destination connection carries it so the slave-side
@@ -78,11 +82,12 @@ type propagator struct {
 // value at the snapshot; the first commit to replay has ETS == mts. The
 // number of players in flight is the LSIR wave size; nothing caps it.
 func startPropagation(t *Tenant, dest Backend, strategy Strategy, mts uint64, trace *wire.TraceContext, progress chan<- struct{}) *propagator {
+	caps := strategy.Capabilities()
 	p := &propagator{
 		t:        t,
 		dest:     dest,
-		strategy: strategy,
-		mts:      mts,
+		sched:    lsir.NewScheduler(caps, mts),
+		herd:     caps.ConFW && !caps.ConCom,
 		trace:    trace,
 		progress: progress,
 		abort:    make(chan struct{}),
@@ -116,14 +121,11 @@ func (p *propagator) Stats() PropagationStats {
 }
 
 // snapshot reads the propagator's position in one consistent cut: syncsets
-// linked to the SSL so far, syncsets applied on the slave, and the DEBT —
-// how many syncsets the slave is behind by: linked syncsets that are
-// eligible for full replay now but have not been applied. Syncsets whose
-// commits the LSIR holds back (rule 1-b: a still-active master transaction
-// with a stamped STS precedes them) are an irreducible floor, not debt —
-// under sustained load that floor never reaches zero, so catch-up detection
-// thresholds the debt, not the lag (linked - applied). The serial
-// strategies replay in link order with no LSIR holds: their debt is the lag.
+// linked to the SSL so far, syncsets applied on the slave, and the debt the
+// scheduler counts (lsir.Scheduler.Debt): the syncsets the slave is behind
+// by, not counting those whose commits the LSIR holds back behind a
+// still-active master transaction. Catch-up detection thresholds the debt,
+// not the lag (linked - applied).
 func (p *propagator) snapshot() (linked, applied, debt int) {
 	t := p.t
 	t.mu.Lock()
@@ -133,13 +135,7 @@ func (p *propagator) snapshot() (linked, applied, debt int) {
 	applied = p.applied
 	p.mu.Unlock()
 	t.mu.Unlock()
-	// ETS values are contiguous from the MTS, so the number of linked
-	// syncsets whose commits are below the bound is min(linked, bound-mts).
-	flushable := linked
-	if p.strategy != BAll && p.strategy != BMin && bound != ^uint64(0) && bound >= p.mts {
-		flushable = min(linked, int(bound-p.mts))
-	}
-	return linked, applied, max(flushable-applied, 0)
+	return linked, applied, p.sched.Debt(linked, applied, bound)
 }
 
 // RequestStop asks the run loop to exit once the SSL is fully drained.
@@ -303,73 +299,86 @@ func (p *propagator) takeLinked(block bool) (news []*SSB, bound uint64, stopped 
 	return news, t.commitBoundLocked(), p.stopRequested()
 }
 
-// run dispatches to the strategy-specific loop and cleans up.
+// run replays the SSL on the slave and cleans up.
 func (p *propagator) run() {
 	defer close(p.done)
 	defer p.closeConns()
-	var err error
-	switch p.strategy {
-	case BAll, BMin:
-		err = p.runSerial()
-	default:
-		err = p.runConcurrent()
-	}
-	if err != nil {
+	if err := p.conduct(); err != nil {
 		p.fail(err)
 	}
 }
 
-// runSerial is the B-ALL / B-MIN loop: replay whole syncsets one at a time
-// in commit (link) order over a single connection.
-func (p *propagator) runSerial() error {
-	conn, err := p.getConn()
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
+// conduct is the conductor of Algorithm 4 over a streaming SSL. The
+// scheduler makes every ordering decision (its doc comment states the LSIR
+// invariants it keeps); conduct starts a player per dispatched syncset,
+// completes each wave's first operations before it asks for the next
+// commit group, as rule 1-b requires, and releases a group once its
+// players' writes are done.
+func (p *propagator) conduct() error {
+	runs := make(map[uint64]*runState) // linked syncsets by slot, until released
+	var wave []uint64
+	var bound uint64
 	for {
-		news, _, stop := p.takeLinked(true)
-		if stop && len(news) == 0 {
+		news, b, stopped := p.takeLinked(!p.sched.Ready(bound))
+		bound = b
+		if err := p.Err(); err != nil {
+			return err
+		}
+		for _, ssb := range news {
+			runs[p.sched.Link(ssb.STS, ssb.ETS)] = &runState{
+				b:          ssb,
+				firstDone:  make(chan struct{}),
+				writesDone: make(chan struct{}),
+				commitGo:   make(chan struct{}),
+				done:       make(chan struct{}),
+			}
+		}
+		if stopped && len(news) == 0 && !p.sched.Ready(bound) {
+			// With the gate closed and the active transactions
+			// drained nothing is held back (ETS values are
+			// contiguous); guard anyway.
+			if n := p.sched.Pending(); n > 0 {
+				return fmt.Errorf("core: propagation stalled with %d unreleased syncsets", n)
+			}
 			return nil
 		}
-		for _, b := range news {
-			if err := p.replaySerial(conn, b); err != nil {
+
+		wave = p.sched.Dispatch(wave[:0])
+		for _, slot := range wave {
+			go p.player(runs[slot])
+		}
+		// Barrier: all first operations of the wave propagated
+		// (Algorithm 4, line 5).
+		for _, slot := range wave {
+			r := runs[slot]
+			<-r.firstDone
+			if err := r.Err(); err != nil {
 				return err
 			}
-			p.markApplied(b.OpCount() + 1) // + BEGIN
+		}
+
+		first, n := p.sched.Release(bound)
+		if n == 0 {
+			continue
+		}
+		batch := make([]*runState, n)
+		for i := range batch {
+			slot := first + uint64(i)
+			batch[i] = runs[slot]
+			delete(runs, slot)
+		}
+		if err := p.flushCommits(batch); err != nil {
+			return err
 		}
 	}
 }
-
-func (p *propagator) replaySerial(conn *wire.Client, b *SSB) error {
-	select {
-	case <-p.abort:
-		return errAborted
-	default:
-	}
-	if err := p.exec(conn, "BEGIN"); err != nil {
-		return fmt.Errorf("core: replay BEGIN: %w", err)
-	}
-	for _, e := range b.Entries {
-		if err := p.exec(conn, e.SQL); err != nil {
-			return fmt.Errorf("core: replay %q: %w", e.SQL, err)
-		}
-	}
-	if err := p.exec(conn, "COMMIT"); err != nil {
-		return fmt.Errorf("core: replay COMMIT: %w", err)
-	}
-	p.noteGroup(1)
-	return nil
-}
-
-// --- concurrent propagation (Madeus and B-CON) ---
 
 // runState is one in-flight syncset replay handled by a player goroutine.
 type runState struct {
 	b          *SSB
 	firstDone  chan struct{}
 	writesDone chan struct{}
-	commitGo   chan struct{} // Madeus: closed by the conductor
+	commitGo   chan struct{} // closed by the conductor (not B-CON)
 	herdGo     bool          // B-CON: set under herdMu
 	done       chan struct{}
 
@@ -393,133 +402,26 @@ func (r *runState) Err() error {
 	return r.err
 }
 
-// ssbHeap orders pending SSBs by STS (ties by ETS) for dispatch.
-type ssbHeap []*SSB
-
-func (h ssbHeap) Len() int { return len(h) }
-func (h ssbHeap) Less(i, j int) bool {
-	if h[i].STS != h[j].STS {
-		return h[i].STS < h[j].STS
-	}
-	return h[i].ETS < h[j].ETS
-}
-func (h ssbHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *ssbHeap) Push(x any)   { *h = append(*h, x.(*SSB)) }
-func (h *ssbHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h ssbHeap) peek() *SSB    { return h[0] }
-func (h ssbHeap) empty() bool   { return len(h) == 0 }
-
-// runConcurrent is the conductor of Algorithm 4, generalized to a streaming
-// SSL. Invariants enforced (see the LSIR, Definition 3):
-//
-//   - a syncset's first read is dispatched only when every commit with
-//     ETS < its STS has completed on the slave (rule 1-a): dispatch
-//     eligibility is STS <= nextETS;
-//   - a commit with ETS = e is propagated only after every first read with
-//     STS <= e has completed (rule 1-b): commits flush contiguously from
-//     nextETS, only below the commit bound (no unresolved master
-//     transaction with a stamped STS <= e), and only after the wave's
-//     first-read barrier;
-//   - writes replay FIFO within each player (rule 2);
-//   - commits eligible together flush concurrently — the slave group
-//     commits them (Madeus) — or serially in ETS order through the
-//     contended token (B-CON).
-func (p *propagator) runConcurrent() error {
-	var pending ssbHeap
-	runs := make(map[uint64]*runState)
-	nextETS := p.mts
-	lastBound := uint64(0)
-
-	for {
-		eligible := !pending.empty() && pending.peek().STS <= nextETS
-		_, flushCandidate := runs[nextETS]
-		canFlush := flushCandidate && nextETS < lastBound
-		news, bound, stopped := p.takeLinked(!eligible && !canFlush)
-		lastBound = bound
-		for _, b := range news {
-			heap.Push(&pending, b)
-		}
-		if stopped && len(news) == 0 && pending.empty() && len(runs) == 0 {
-			return nil
-		}
-		if stopped && len(news) == 0 && !(!pending.empty() && pending.peek().STS <= nextETS) && !flushCandidate && len(runs) == 0 {
-			// Stop requested but ineligible syncsets remain: with the
-			// gate closed and active transactions drained this cannot
-			// happen (ETS values are contiguous); guard anyway.
-			return fmt.Errorf("core: propagation stalled with %d undispatchable syncsets at ETS %d", pending.Len(), nextETS)
-		}
-
-		// Dispatch every eligible syncset (first reads of the wave).
-		var wave []*runState
-		for !pending.empty() && pending.peek().STS <= nextETS {
-			b := heap.Pop(&pending).(*SSB)
-			r := &runState{
-				b:          b,
-				firstDone:  make(chan struct{}),
-				writesDone: make(chan struct{}),
-				commitGo:   make(chan struct{}),
-				done:       make(chan struct{}),
-			}
-			runs[b.ETS] = r
-			wave = append(wave, r)
-			go p.player(r)
-		}
-		// Barrier: all first operations of the wave propagated
-		// (Algorithm 4, line 5).
-		for _, r := range wave {
-			<-r.firstDone
-			if err := r.Err(); err != nil {
-				return err
-			}
-		}
-
-		// Flush commits contiguously from nextETS (Equation 1's batch).
-		var batch []*runState
-		for {
-			r, ok := runs[nextETS]
-			if !ok || r.b.ETS >= bound {
-				break
-			}
-			<-r.writesDone
-			if err := r.Err(); err != nil {
-				return err
-			}
-			batch = append(batch, r)
-			delete(runs, nextETS)
-			nextETS++
-		}
-		if len(batch) > 0 {
-			if err := p.flushCommits(batch); err != nil {
-				return err
-			}
-		}
-		if p.Err() != nil {
-			return p.Err()
-		}
-	}
-}
-
-// flushCommits propagates one batch of commits. Madeus releases them all
-// concurrently (the slave's WAL group commits them); B-CON walks them in
-// master commit order through the thundering-herd token.
+// flushCommits propagates one commit group once its players' writes are
+// done. With CON-COM the group's commits go at once (the slave's WAL group
+// commits them); B-CON's groups of one go through the thundering-herd
+// token.
 func (p *propagator) flushCommits(batch []*runState) error {
-	if p.strategy == BCon {
-		for _, r := range batch {
+	for _, r := range batch {
+		<-r.writesDone
+		if err := r.Err(); err != nil {
+			return err
+		}
+	}
+	for _, r := range batch {
+		if p.herd {
 			p.herdMu.Lock()
 			r.herdGo = true
 			p.herdCond.Broadcast() // wake EVERY waiting player
 			p.herdMu.Unlock()
-			<-r.done
-			if err := r.Err(); err != nil {
-				return err
-			}
-			p.noteGroup(1)
-			p.markApplied(r.b.OpCount() + 1)
+		} else {
+			close(r.commitGo)
 		}
-		return nil
-	}
-	for _, r := range batch {
-		close(r.commitGo)
 	}
 	for _, r := range batch {
 		<-r.done
@@ -582,7 +484,7 @@ func (p *propagator) player(r *runState) {
 	writesClosed = true
 
 	// Wait for the commit order.
-	if p.strategy == BCon {
+	if p.herd {
 		p.herdMu.Lock()
 		for !r.herdGo && !p.isAborted() {
 			p.herdCond.Wait()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"testing"
@@ -9,6 +8,7 @@ import (
 
 	"madeus/internal/cluster"
 	"madeus/internal/engine"
+	"madeus/internal/lsir"
 	"madeus/internal/sqlmini"
 )
 
@@ -112,6 +112,20 @@ func TestPropagatorAppliesMadeusSyncsets(t *testing.T) {
 // transaction's STS must not reach the slave until that transaction
 // resolves.
 func TestPropagatorHoldsCommitsBehindActiveFirstOp(t *testing.T) {
+	// The decision, without a clock: the propagator's scheduler releases
+	// nothing while the bound is <= the ETS, and the group once it lifts.
+	sched := lsir.NewScheduler(Madeus.Capabilities(), 0)
+	sched.Link(0, 0)
+	if wave := sched.Dispatch(nil); len(wave) != 1 || wave[0] != 0 {
+		t.Fatalf("dispatched %v, want [0]", wave)
+	}
+	if first, n := sched.Release(0); n != 0 {
+		t.Fatalf("released %d commits from %d past bound 0", n, first)
+	}
+	if first, n := sched.Release(^uint64(0)); first != 0 || n != 1 {
+		t.Fatalf("after the bound lifts released (%d, %d), want (0, 1)", first, n)
+	}
+
 	tn, dst := slaveRig(t)
 
 	// An active transaction stamped at STS 0 (first op done, not
@@ -128,10 +142,6 @@ func TestPropagatorHoldsCommitsBehindActiveFirstOp(t *testing.T) {
 		p.Wait()
 	}()
 
-	time.Sleep(100 * time.Millisecond)
-	if got := slaveValue(t, dst, 3); got != 0 {
-		t.Fatalf("commit leaked past the bound: k=3 v=%d", got)
-	}
 	if linked, applied, debt := p.snapshot(); linked != 1 || applied != 0 || debt != 0 {
 		t.Errorf("snapshot = (%d, %d, %d), want (1, 0, 0): a held-back syncset is lag, not debt", linked, applied, debt)
 	}
@@ -146,6 +156,33 @@ func TestPropagatorHoldsCommitsBehindActiveFirstOp(t *testing.T) {
 			t.Fatal("commit never propagated after bound release")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestPropagatorWaitsForFirstOpEligibleMidFlush pins rule 1-b across a
+// commit run: once ETS 0 commits, the syncset stamped at STS 1 becomes
+// eligible, and its first operation must reach the slave before commit 1
+// does. On the master it ran before commit 1, on a snapshot where k=2 was
+// still 0, so it leaves k=2 at 5; replayed after commit 1 it would turn
+// k=2 into 9.
+func TestPropagatorWaitsForFirstOpEligibleMidFlush(t *testing.T) {
+	for _, st := range []Strategy{Madeus, BCon} {
+		t.Run(st.String(), func(t *testing.T) {
+			tn, dst := slaveRig(t)
+			linkSSB(tn, 0, 0, "SELECT v FROM kv WHERE k = 1", "UPDATE kv SET v = 1 WHERE k = 1")
+			linkSSB(tn, 0, 1, "SELECT v FROM kv WHERE k = 2", "UPDATE kv SET v = 5 WHERE k = 2")
+			linkSSB(tn, 1, 2, "UPDATE kv SET v = 9 WHERE v = 5", "UPDATE kv SET v = 3 WHERE k = 3")
+			p := startPropagation(tn, dst, st, 0, nil, nil)
+			p.RequestStop()
+			if err := p.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			for k, want := range map[int]int64{1: 1, 2: 5, 3: 3} {
+				if got := slaveValue(t, dst, k); got != want {
+					t.Errorf("k=%d v=%d, want %d (the master's)", k, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -222,25 +259,6 @@ func TestPropagatorSignalsProgress(t *testing.T) {
 		}
 		p.Wait() //nolint:errcheck // judged via Err above
 	})
-}
-
-func TestSSBHeapOrdersBySTSThenETS(t *testing.T) {
-	var h ssbHeap
-	heap.Push(&h, &SSB{STS: 3, ETS: 9})
-	heap.Push(&h, &SSB{STS: 1, ETS: 5})
-	heap.Push(&h, &SSB{STS: 3, ETS: 4})
-	heap.Push(&h, &SSB{STS: 1, ETS: 2})
-	var got []uint64
-	for !h.empty() {
-		b := heap.Pop(&h).(*SSB)
-		got = append(got, b.STS*100+b.ETS)
-	}
-	want := []uint64{102, 105, 304, 309}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop order %v, want %v", got, want)
-		}
-	}
 }
 
 func TestTenantGateBlocksNewTxns(t *testing.T) {

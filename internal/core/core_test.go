@@ -12,6 +12,7 @@ import (
 
 	"madeus/internal/cluster"
 	"madeus/internal/engine"
+	"madeus/internal/lsir"
 	"madeus/internal/testutil"
 	"madeus/internal/wal"
 	"madeus/internal/wire"
@@ -913,7 +914,7 @@ func TestOtherTenantUnaffectedByMigration(t *testing.T) {
 }
 
 func TestTable2CapabilityMatrix(t *testing.T) {
-	want := map[Strategy]Capabilities{
+	want := map[Strategy]lsir.Capabilities{
 		BAll:   {},
 		BMin:   {Min: true},
 		BCon:   {Min: true, ConFW: true},

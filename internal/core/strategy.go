@@ -12,6 +12,8 @@
 // consistent with the master (Theorems 1 and 2).
 package core
 
+import "madeus/internal/lsir"
+
 // Strategy selects a propagation protocol (Table 2).
 type Strategy int
 
@@ -45,26 +47,20 @@ func (s Strategy) String() string {
 	return "Strategy(?)"
 }
 
-// Capabilities reports which of the paper's three mechanisms a strategy
-// implements: MIN (minimum query set), CON-FW (concurrent first reads and
-// writes), CON-COM (concurrent commits). This is exactly Table 2.
-type Capabilities struct {
-	Min    bool // minimum query set (LSIR mapping function)
-	ConFW  bool // concurrent first-read/write propagation
-	ConCom bool // concurrent commit propagation (group commit)
-}
-
-// Capabilities returns the Table-2 row for s.
-func (s Strategy) Capabilities() Capabilities {
+// Capabilities returns the Table-2 row for s: which of the paper's three
+// mechanisms it implements, MIN (minimum query set), CON-FW (concurrent
+// first reads and writes) and CON-COM (concurrent commits). The propagator's
+// scheduler reads the last two.
+func (s Strategy) Capabilities() lsir.Capabilities {
 	switch s {
 	case BMin:
-		return Capabilities{Min: true}
+		return lsir.Capabilities{Min: true}
 	case BCon:
-		return Capabilities{Min: true, ConFW: true}
+		return lsir.Capabilities{Min: true, ConFW: true}
 	case Madeus:
-		return Capabilities{Min: true, ConFW: true, ConCom: true}
+		return lsir.Capabilities{Min: true, ConFW: true, ConCom: true}
 	default: // BAll
-		return Capabilities{}
+		return lsir.Capabilities{}
 	}
 }
 

@@ -2,7 +2,9 @@
 // (Sections 2–3 and the appendix proofs): operations, histories, the six
 // transactional dependency types, the mapping function ℱ (Definition 2),
 // and the lazy snapshot isolation rule itself (Definition 3), together with
-// a model replayer used to machine-check Theorem 1 on randomized histories.
+// a model replayer used to machine-check Theorem 1 on randomized histories,
+// and the propagation scheduler (Algorithm 4's decisions, sched.go) that
+// the middleware's Step 3 runs, so the checks test the production schedule.
 //
 // The package is independent of the storage engine: it works on abstract
 // data items and version numbers, exactly like the paper's notation

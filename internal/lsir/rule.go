@@ -1,11 +1,6 @@
 package lsir
 
-import (
-	"fmt"
-	"sort"
-
-	"madeus/internal/invariant"
-)
+import "fmt"
 
 // Schedule is a candidate slave schedule: a total order over syncset
 // operations. (Operations the slave executes concurrently appear in some
@@ -106,67 +101,6 @@ func CheckLSIR(h History, s Schedule) error {
 	return nil
 }
 
-// MadeusSchedule builds the concrete slave schedule the Madeus conductor
-// and players produce (Algorithms 4 and 5): syncsets are grouped by STS;
-// for each group, first reads are propagated (concurrently — here in txn
-// order), then the groups' writes, then every pending commit whose ETS
-// precedes the next group's STS (Equation 1), which is the batch that group
-// commits on the slave.
-func MadeusSchedule(sets []Syncset) Schedule {
-	bySTS := make(map[int][]Syncset)
-	var stsList []int
-	for _, ss := range sets {
-		if _, ok := bySTS[ss.STS]; !ok {
-			stsList = append(stsList, ss.STS)
-		}
-		bySTS[ss.STS] = append(bySTS[ss.STS], ss)
-	}
-	sort.Ints(stsList)
-
-	var out []Op
-	var pending []Syncset // first read + writes emitted, commit pending
-	flushCommits := func(bound int) {
-		// Emit pending commits with ETS < bound, in ETS order (they
-		// form one concurrent group-commit batch on the slave).
-		sort.Slice(pending, func(i, j int) bool { return pending[i].ETS < pending[j].ETS })
-		rest := pending[:0]
-		for _, ss := range pending {
-			if ss.ETS < bound {
-				out = append(out, Op{Txn: ss.Txn, Kind: OpCommit})
-			} else {
-				rest = append(rest, ss)
-			}
-		}
-		pending = rest
-	}
-	for gi, sts := range stsList {
-		group := bySTS[sts]
-		// Concurrent first reads of the group.
-		for _, ss := range group {
-			if fr := ss.FirstRead(); fr != nil {
-				out = append(out, *fr)
-			}
-		}
-		// Their writes (players propagate autonomously, FIFO per txn).
-		for _, ss := range group {
-			out = append(out, ss.Writes()...)
-		}
-		pending = append(pending, group...)
-		// The next SLC bounds which commits may propagate (Eq. 1).
-		bound := int(^uint(0) >> 1) // +inf on the last group
-		if gi+1 < len(stsList) {
-			bound = stsList[gi+1]
-		}
-		flushCommits(bound)
-	}
-	flushCommits(int(^uint(0) >> 1))
-	// The conductor/player schedule must itself be well-formed: every
-	// syncset appears as its exact FIFO op sequence with the commit last
-	// (invariants builds re-verify this on every schedule built).
-	invariant.Check(func() error { return checkScheduleOrdering(sets, out) })
-	return Schedule{Ops: out}
-}
-
 // checkScheduleOrdering verifies that out contains, for each syncset, its
 // preserved operations as an exact subsequence in syncset (FIFO) order, with
 // the transaction's commit as its final operation, and nothing else.
@@ -194,48 +128,4 @@ func checkScheduleOrdering(sets []Syncset, out []Op) error {
 		return fmt.Errorf("lsir: schedule contains ops for unknown txn %d", txn)
 	}
 	return nil
-}
-
-// CommitBatches reports the group-commit batches the Madeus schedule
-// produces: for each STS step, the number of commits propagated
-// concurrently. Used to quantify the group-commit advantage (Sec 4.1).
-func CommitBatches(sets []Syncset) []int {
-	bySTS := make(map[int]int)
-	var stsList []int
-	for _, ss := range sets {
-		if _, ok := bySTS[ss.STS]; !ok {
-			stsList = append(stsList, ss.STS)
-		}
-		bySTS[ss.STS]++
-	}
-	sort.Ints(stsList)
-
-	var batches []int
-	pending := 0
-	etss := make([]int, 0, len(sets))
-	for _, ss := range sets {
-		etss = append(etss, ss.ETS)
-	}
-	sort.Ints(etss)
-	ei := 0
-	for gi, sts := range stsList {
-		pending += bySTS[sts]
-		bound := int(^uint(0) >> 1)
-		if gi+1 < len(stsList) {
-			bound = stsList[gi+1]
-		}
-		n := 0
-		for ei < len(etss) && etss[ei] < bound {
-			ei++
-			n++
-		}
-		if n > 0 {
-			batches = append(batches, n)
-			pending -= n
-		}
-	}
-	if pending > 0 {
-		batches = append(batches, pending)
-	}
-	return batches
 }
