@@ -103,8 +103,9 @@ type Database struct {
 
 	mgr *mvcc.Manager
 
-	// pcache caches parsed statements by exact text; shared by every
-	// session of this tenant. Execution treats cached ASTs as immutable.
+	// pcache caches parsed statements by shape (sqlmini.Shape); shared by
+	// every session of this tenant. Execution binds each statement's
+	// arguments and treats cached ASTs as immutable.
 	pcache *sqlmini.Cache
 
 	mu     sync.RWMutex //madeusvet:lockrank database 32

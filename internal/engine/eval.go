@@ -9,21 +9,23 @@ import (
 
 // evalFilter evaluates a WHERE expression against a row: only a result of
 // boolean TRUE selects the row (NULL behaves as not-selected, matching SQL).
-func evalFilter(e sqlmini.Expr, schema *storage.Schema, row storage.Row) (bool, error) {
-	v, err := evalExpr(e, schema, row)
+func evalFilter(e sqlmini.Expr, args []sqlmini.Value, schema *storage.Schema, row storage.Row) (bool, error) {
+	v, err := evalExpr(e, args, schema, row)
 	if err != nil {
 		return false, err
 	}
 	return v.Kind == sqlmini.KindBool && v.Bool(), nil
 }
 
-// evalExpr evaluates an expression. schema/row may be nil for constant
-// expressions (INSERT values). Comparisons or arithmetic with NULL yield
-// NULL.
-func evalExpr(e sqlmini.Expr, schema *storage.Schema, row storage.Row) (sqlmini.Value, error) {
+// evalExpr evaluates an expression, its Params bound to args. schema/row
+// may be nil for constant expressions (INSERT values). Comparisons or
+// arithmetic with NULL yield NULL.
+func evalExpr(e sqlmini.Expr, args []sqlmini.Value, schema *storage.Schema, row storage.Row) (sqlmini.Value, error) {
 	switch e := e.(type) {
 	case *sqlmini.Literal:
 		return e.Val, nil
+	case *sqlmini.Param:
+		return args[e.Index], nil
 	case *sqlmini.ColumnRef:
 		if schema == nil {
 			return sqlmini.Value{}, fmt.Errorf("engine: column %q in constant context", e.Name)
@@ -34,7 +36,7 @@ func evalExpr(e sqlmini.Expr, schema *storage.Schema, row storage.Row) (sqlmini.
 		}
 		return row[ci], nil
 	case *sqlmini.Neg:
-		v, err := evalExpr(e.E, schema, row)
+		v, err := evalExpr(e.E, args, schema, row)
 		if err != nil {
 			return sqlmini.Value{}, err
 		}
@@ -48,7 +50,7 @@ func evalExpr(e sqlmini.Expr, schema *storage.Schema, row storage.Row) (sqlmini.
 		}
 		return sqlmini.Value{}, fmt.Errorf("engine: cannot negate %s", v.Kind)
 	case *sqlmini.Not:
-		v, err := evalExpr(e.E, schema, row)
+		v, err := evalExpr(e.E, args, schema, row)
 		if err != nil {
 			return sqlmini.Value{}, err
 		}
@@ -60,25 +62,25 @@ func evalExpr(e sqlmini.Expr, schema *storage.Schema, row storage.Row) (sqlmini.
 		}
 		return sqlmini.NewBool(!v.Bool()), nil
 	case *sqlmini.Binary:
-		return evalBinary(e, schema, row)
+		return evalBinary(e, args, schema, row)
 	}
 	return sqlmini.Value{}, fmt.Errorf("engine: unsupported expression %T", e)
 }
 
-func evalBinary(e *sqlmini.Binary, schema *storage.Schema, row storage.Row) (sqlmini.Value, error) {
-	l, err := evalExpr(e.L, schema, row)
+func evalBinary(e *sqlmini.Binary, args []sqlmini.Value, schema *storage.Schema, row storage.Row) (sqlmini.Value, error) {
+	l, err := evalExpr(e.L, args, schema, row)
 	if err != nil {
 		return sqlmini.Value{}, err
 	}
 	// AND/OR get SQL three-valued shortcuts.
 	if e.Op == sqlmini.OpAnd || e.Op == sqlmini.OpOr {
-		r, err := evalExpr(e.R, schema, row)
+		r, err := evalExpr(e.R, args, schema, row)
 		if err != nil {
 			return sqlmini.Value{}, err
 		}
 		return evalLogic(e.Op, l, r)
 	}
-	r, err := evalExpr(e.R, schema, row)
+	r, err := evalExpr(e.R, args, schema, row)
 	if err != nil {
 		return sqlmini.Value{}, err
 	}

@@ -16,7 +16,7 @@ func evalOn(t *testing.T, expr string, schema *storage.Schema, row storage.Row) 
 	if err != nil {
 		t.Fatalf("parse %q: %v", expr, err)
 	}
-	return evalExpr(st.(*sqlmini.Select).Where, schema, row)
+	return evalExpr(st.(*sqlmini.Select).Where, nil, schema, row)
 }
 
 func evalSchema(t *testing.T) (*storage.Schema, storage.Row) {
@@ -145,7 +145,7 @@ func TestEvalFilterSelectsOnlyTrue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := evalFilter(st.(*sqlmini.Select).Where, schema, row)
+		got, err := evalFilter(st.(*sqlmini.Select).Where, nil, schema, row)
 		if err != nil {
 			t.Fatal(err)
 		}

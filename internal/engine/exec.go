@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"madeus/internal/mvcc"
 	"madeus/internal/sqlmini"
@@ -11,11 +12,11 @@ import (
 )
 
 // execStatement runs one non-transaction-control statement inside s.txn:
-// st, or the row statement sql when st is nil.
+// st bound to args, or the row statement sql when st is nil.
 // It acquires an execution slot (the CPU model) for the duration of the
 // statement's in-memory work; a row statement, one per section.
 // A SELECT's or a write's result is built in out (see resultBuf).
-func (s *Session) execStatement(st sqlmini.Statement, sql string, out *resultBuf) (*Result, error) {
+func (s *Session) execStatement(st sqlmini.Statement, args []sqlmini.Value, sql string, out *resultBuf) (*Result, error) {
 	if st == nil {
 		return s.execRows(sql, out)
 	}
@@ -23,13 +24,13 @@ func (s *Session) execStatement(st sqlmini.Statement, sql string, out *resultBuf
 	defer release()
 	switch st := st.(type) {
 	case *sqlmini.Select:
-		return s.execSelect(st, out)
+		return s.execSelect(st, args, out)
 	case *sqlmini.Insert:
-		return s.execInsert(st, sql, out)
+		return s.execInsert(st, args, sql, out)
 	case *sqlmini.Update:
-		return s.execUpdate(st, sql, out)
+		return s.execUpdate(st, args, out)
 	case *sqlmini.Delete:
-		return s.execDelete(st, sql, out)
+		return s.execDelete(st, args, out)
 	case *sqlmini.CreateTable:
 		return s.execCreateTable(st, sql)
 	case *sqlmini.DropTable:
@@ -47,18 +48,23 @@ func (s *Session) execStatement(st sqlmini.Statement, sql string, out *resultBuf
 // record are fenced together against checkpoints by the caller holding
 // ckptMu's read side (a checkpoint must never capture the mutation while
 // the record lands on the checkpoint's side of the LSN). The transaction
-// scope is marked so COMMIT pays an fsync even if no rows changed.
+// scope is marked so COMMIT pays an fsync even if no rows changed. table
+// must be a name the catalog owns: the log may keep the record, and sql is
+// the only part of it that the log copies.
 func (s *Session) logDDL(table, sql string) {
 	s.eng.logAppend(wal.Record{Kind: wal.RecDDL, DB: s.db.Name, Table: table, Data: sql})
 	s.ddl = true
 }
 
+// execCreateTable copies every name it gives the catalog, as
+// execCreateIndex does: a statement's names are slices of its text, which
+// may be a lent wire frame.
 func (s *Session) execCreateTable(st *sqlmini.CreateTable, sql string) (*Result, error) {
 	cols := make([]storage.Column, len(st.Columns))
 	for i, c := range st.Columns {
-		cols[i] = storage.Column{Name: c.Name, Type: c.Type, PrimaryKey: c.PrimaryKey}
+		cols[i] = storage.Column{Name: strings.Clone(c.Name), Type: c.Type, PrimaryKey: c.PrimaryKey}
 	}
-	schema, err := storage.NewSchema(st.Table, cols)
+	schema, err := storage.NewSchema(strings.Clone(st.Table), cols)
 	if err != nil {
 		return nil, err
 	}
@@ -69,9 +75,9 @@ func (s *Session) execCreateTable(st *sqlmini.CreateTable, sql string) (*Result,
 	if _, ok := s.db.tables[st.Table]; ok {
 		return nil, fmt.Errorf("engine: table %q already exists", st.Table)
 	}
-	s.db.tables[st.Table] = mvcc.NewTable(schema, s.db.mgr)
-	s.db.pcache.InvalidateTable(st.Table)
-	s.logDDL(st.Table, sql)
+	s.db.tables[schema.Name] = mvcc.NewTable(schema, s.db.mgr)
+	s.db.pcache.InvalidateTable(schema.Name)
+	s.logDDL(schema.Name, sql)
 	return &Result{Tag: "CREATE TABLE"}, nil
 }
 
@@ -80,12 +86,13 @@ func (s *Session) execDropTable(st *sqlmini.DropTable, sql string) (*Result, err
 	defer s.eng.ckptMu.RUnlock()
 	s.db.mu.Lock()
 	defer s.db.mu.Unlock()
-	if _, ok := s.db.tables[st.Table]; !ok {
+	tb, ok := s.db.tables[st.Table]
+	if !ok {
 		return nil, fmt.Errorf("engine: table %q does not exist", st.Table)
 	}
 	delete(s.db.tables, st.Table)
 	s.db.pcache.InvalidateTable(st.Table)
-	s.logDDL(st.Table, sql)
+	s.logDDL(tb.Schema.Name, sql)
 	return &Result{Tag: "DROP TABLE"}, nil
 }
 
@@ -96,11 +103,11 @@ func (s *Session) execCreateIndex(st *sqlmini.CreateIndex, sql string) (*Result,
 	}
 	s.eng.ckptMu.RLock()
 	defer s.eng.ckptMu.RUnlock()
-	if err := tb.CreateIndex(st.Name, st.Column); err != nil {
+	if err := tb.CreateIndex(strings.Clone(st.Name), strings.Clone(st.Column)); err != nil {
 		return nil, err
 	}
 	s.db.pcache.InvalidateTable(st.Table)
-	s.logDDL(st.Table, sql)
+	s.logDDL(tb.Schema.Name, sql)
 	return &Result{Tag: "CREATE INDEX"}, nil
 }
 
@@ -115,11 +122,13 @@ func (s *Session) execDropIndex(st *sqlmini.DropIndex, sql string) (*Result, err
 		return nil, err
 	}
 	s.db.pcache.InvalidateTable(st.Table)
-	s.logDDL(st.Table, sql)
+	s.logDDL(tb.Schema.Name, sql)
 	return &Result{Tag: "DROP INDEX"}, nil
 }
 
-func (s *Session) execInsert(st *sqlmini.Insert, sql string, out *resultBuf) (*Result, error) {
+// execInsert inserts st's rows: its computed Rows as evaluated, or its
+// literal rows as they are, which in a shape are the arguments.
+func (s *Session) execInsert(st *sqlmini.Insert, args []sqlmini.Value, sql string, out *resultBuf) (*Result, error) {
 	tb, ok := s.db.table(st.Table)
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q does not exist", st.Table)
@@ -137,10 +146,8 @@ func (s *Session) execInsert(st *sqlmini.Insert, sql string, out *resultBuf) (*R
 		inOrder = inOrder && ci == i
 	}
 	computed := st.Rows != nil
-	n := len(st.Values)
-	if computed {
-		n = len(st.Rows)
-	}
+	n := len(st.Values) + len(st.Rows) + st.ArgRows
+	w := len(st.Columns)
 
 	// Value logging: redo never re-evaluates an expression. A literal
 	// INSERT is its own redo; a computed one logs its rows as evaluated.
@@ -153,13 +160,16 @@ func (s *Session) execInsert(st *sqlmini.Insert, sql string, out *resultBuf) (*R
 	// included, and any other is built in the session's write row.
 	for i := 0; i < n; i++ {
 		var vals []sqlmini.Value
-		if computed {
+		switch {
+		case computed:
 			var err error
-			if s.row, err = evalRow(s.row[:0], st.Rows[i]); err != nil {
+			if s.row, err = evalRow(s.row[:0], st.Rows[i], args); err != nil {
 				return nil, err
 			}
 			vals = s.row
-		} else {
+		case st.ArgRows > 0:
+			vals = args[i*w : (i+1)*w]
+		default:
 			vals = st.Values[i]
 		}
 		row := storage.Row(vals)
@@ -186,16 +196,16 @@ func (s *Session) execInsert(st *sqlmini.Insert, sql string, out *resultBuf) (*R
 			data = string(redo)
 		}
 		s.eng.logAppend(wal.Record{TxnID: uint64(s.txn.ID), Kind: wal.RecInsert,
-			DB: s.db.Name, Table: st.Table, Data: data})
+			DB: s.db.Name, Table: schema.Name, Data: data})
 	}
 	return out.counted(insertTag, n), nil
 }
 
 // evalRow appends to dst the values of a computed INSERT row, in the
 // statement's column order.
-func evalRow(dst []sqlmini.Value, exprs []sqlmini.Expr) ([]sqlmini.Value, error) {
+func evalRow(dst []sqlmini.Value, exprs []sqlmini.Expr, args []sqlmini.Value) ([]sqlmini.Value, error) {
 	for _, e := range exprs {
-		v, err := evalExpr(e, nil, nil)
+		v, err := evalExpr(e, args, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +220,7 @@ func (s *Session) writeRow(w int) storage.Row {
 	return s.write
 }
 
-func (s *Session) execUpdate(st *sqlmini.Update, sql string, out *resultBuf) (*Result, error) {
+func (s *Session) execUpdate(st *sqlmini.Update, args []sqlmini.Value, out *resultBuf) (*Result, error) {
 	tb, ok := s.db.table(st.Table)
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q does not exist", st.Table)
@@ -221,7 +231,7 @@ func (s *Session) execUpdate(st *sqlmini.Update, sql string, out *resultBuf) (*R
 			return nil, fmt.Errorf("engine: table %q has no column %q", st.Table, a.Column)
 		}
 	}
-	matches, err := s.collectMatches(tb, st.Where)
+	matches, err := s.collectMatches(tb, st.Where, args)
 	defer s.releaseMatches(matches)
 	if err != nil {
 		return nil, err
@@ -233,7 +243,7 @@ func (s *Session) execUpdate(st *sqlmini.Update, sql string, out *resultBuf) (*R
 		newRow := s.writeRow(len(old))
 		copy(newRow, old)
 		for _, a := range st.Set {
-			v, err := evalExpr(a.Value, schema, old)
+			v, err := evalExpr(a.Value, args, schema, old)
 			if err != nil {
 				s.walBatch = recs[:0]
 				return nil, err
@@ -252,7 +262,7 @@ func (s *Session) execUpdate(st *sqlmini.Update, sql string, out *resultBuf) (*R
 			// different rows at redo time; the literal image cannot. The
 			// rows of one statement go to the log as a single batch.
 			recs = append(recs, wal.Record{TxnID: uint64(s.txn.ID), Kind: wal.RecUpdate,
-				DB: s.db.Name, Table: st.Table, Data: string(redo)})
+				DB: s.db.Name, Table: schema.Name, Data: string(redo)})
 			n++
 		}
 	}
@@ -261,12 +271,12 @@ func (s *Session) execUpdate(st *sqlmini.Update, sql string, out *resultBuf) (*R
 	return out.counted(updateTag, n), nil
 }
 
-func (s *Session) execDelete(st *sqlmini.Delete, sql string, out *resultBuf) (*Result, error) {
+func (s *Session) execDelete(st *sqlmini.Delete, args []sqlmini.Value, out *resultBuf) (*Result, error) {
 	tb, ok := s.db.table(st.Table)
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q does not exist", st.Table)
 	}
-	matches, err := s.collectMatches(tb, st.Where)
+	matches, err := s.collectMatches(tb, st.Where, args)
 	defer s.releaseMatches(matches)
 	if err != nil {
 		return nil, err
@@ -282,7 +292,7 @@ func (s *Session) execDelete(st *sqlmini.Delete, sql string, out *resultBuf) (*R
 		}
 		if ok {
 			recs = append(recs, wal.Record{TxnID: uint64(s.txn.ID), Kind: wal.RecDelete,
-				DB: s.db.Name, Table: st.Table, Data: string(appendDeleteRow(scratch[:0], tb.Schema, old))})
+				DB: s.db.Name, Table: tb.Schema.Name, Data: string(appendDeleteRow(scratch[:0], tb.Schema, old))})
 			n++
 		}
 	}
@@ -348,16 +358,16 @@ func appendWherePK(dst []byte, schema *storage.Schema, row storage.Row) []byte {
 }
 
 // eachMatch calls fn, in primary-key order, for every row visible to s.txn
-// that satisfies where, until fn returns false. It reads through the
-// primary-key map when where pins the key with an equality, through a
-// secondary index when one covers an equality conjunct (candidates are a
-// superset, so the whole predicate re-runs on each), and by a full scan
-// otherwise. fn gets the row's encoding, and r, the session's read row with
+// that satisfies where, bound to args, until fn returns false. It reads
+// through the primary-key map when where pins the key with an equality,
+// through a secondary index when one covers an equality conjunct
+// (candidates are a superset, so the whole predicate re-runs on each), and
+// by a full scan otherwise. fn gets the row's encoding, and r, the session's read row with
 // the columns in need and those where reads decoded and the others NULL.
 // fn borrows r until it returns; to keep the row it decodes rec (see
 // retain), whose values stay valid (see mvcc.Rec). So a scan decodes, of
 // every row, only what deciding on it takes.
-func (s *Session) eachMatch(tb *mvcc.Table, where sqlmini.Expr, need mvcc.Cols, fn func(r storage.Row, rec mvcc.Rec) bool) error {
+func (s *Session) eachMatch(tb *mvcc.Table, where sqlmini.Expr, args []sqlmini.Value, need mvcc.Cols, fn func(r storage.Row, rec mvcc.Rec) bool) error {
 	schema := tb.Schema
 	w := len(schema.Columns)
 	s.row = slices.Grow(s.row[:0], w)[:w]
@@ -368,19 +378,19 @@ func (s *Session) eachMatch(tb *mvcc.Table, where sqlmini.Expr, need mvcc.Cols, 
 		rec.Decode(s.row, need)
 		if where != nil {
 			var match bool
-			if match, err = evalFilter(where, schema, s.row); err != nil || !match {
+			if match, err = evalFilter(where, args, schema, s.row); err != nil || !match {
 				return err == nil
 			}
 		}
 		return fn(s.row, rec)
 	}
-	if pk, ok := pkEquality(schema, where); ok {
+	if pk, ok := pkEquality(schema, where, args); ok {
 		if rec, ok := tb.GetRec(s.txn, pk); ok {
 			visit(rec)
 		}
 		return err
 	}
-	if col, val, ok := indexableEquality(schema, where); ok {
+	if col, val, ok := indexableEquality(schema, where, args); ok {
 		if pks, ok := tb.IndexLookup(col, val); ok {
 			slices.SortFunc(pks, func(a, b sqlmini.Value) int {
 				c, _ := a.Compare(b)
@@ -401,9 +411,9 @@ func (s *Session) eachMatch(tb *mvcc.Table, where sqlmini.Expr, need mvcc.Cols, 
 // collectMatches is eachMatch into the session's match buffer, for the
 // statements that write the rows they match and so must not do it while the
 // scan runs. The caller hands the rows back to releaseMatches.
-func (s *Session) collectMatches(tb *mvcc.Table, where sqlmini.Expr) ([]storage.Row, error) {
+func (s *Session) collectMatches(tb *mvcc.Table, where sqlmini.Expr, args []sqlmini.Value) ([]storage.Row, error) {
 	rows := s.matches
-	err := s.eachMatch(tb, where, 0, func(_ storage.Row, rec mvcc.Rec) bool {
+	err := s.eachMatch(tb, where, args, 0, func(_ storage.Row, rec mvcc.Rec) bool {
 		rows = s.retain(rows, rec, len(tb.Schema.Columns), mvcc.AllCols)
 		return true
 	})
@@ -441,7 +451,7 @@ func (s *Session) releaseMatches(rows []storage.Row) {
 // exprCols returns the columns of schema that e reads.
 func exprCols(schema *storage.Schema, e sqlmini.Expr) mvcc.Cols {
 	switch e := e.(type) {
-	case nil, *sqlmini.Literal:
+	case nil, *sqlmini.Literal, *sqlmini.Param:
 		return 0
 	case *sqlmini.ColumnRef:
 		return colBit(schema.ColumnIndex(e.Name))
@@ -464,61 +474,75 @@ func colBit(i int) mvcc.Cols {
 	return 1 << i
 }
 
-// pkEquality detects a top-level `pk = literal` conjunct in where, enabling
+// pkEquality detects a top-level `pk = constant` conjunct in where, enabling
 // the point-lookup fast path that makes TPC-W style workloads cheap.
-func pkEquality(schema *storage.Schema, where sqlmini.Expr) (sqlmini.Value, bool) {
+func pkEquality(schema *storage.Schema, where sqlmini.Expr, args []sqlmini.Value) (sqlmini.Value, bool) {
 	b, ok := where.(*sqlmini.Binary)
 	if !ok {
 		return sqlmini.Value{}, false
 	}
 	switch b.Op {
 	case sqlmini.OpAnd:
-		if v, ok := pkEquality(schema, b.L); ok {
+		if v, ok := pkEquality(schema, b.L, args); ok {
 			return v, true
 		}
-		return pkEquality(schema, b.R)
+		return pkEquality(schema, b.R, args)
 	case sqlmini.OpEq:
 		pkName := schema.Columns[schema.PKIndex()].Name
-		if col, ok := b.L.(*sqlmini.ColumnRef); ok && col.Name == pkName {
-			if lit, ok := b.R.(*sqlmini.Literal); ok {
-				return coercePK(schema, lit.Val), true
-			}
-		}
-		if col, ok := b.R.(*sqlmini.ColumnRef); ok && col.Name == pkName {
-			if lit, ok := b.L.(*sqlmini.Literal); ok {
-				return coercePK(schema, lit.Val), true
-			}
+		if col, v, ok := columnEquality(b, args); ok && col == pkName {
+			return coercePK(schema, v), true
 		}
 	}
 	return sqlmini.Value{}, false
 }
 
-// indexableEquality finds a top-level `col = literal` conjunct over a
+// indexableEquality finds a top-level `col = constant` conjunct over a
 // non-PK column (PK equalities use the faster point lookup).
-func indexableEquality(schema *storage.Schema, where sqlmini.Expr) (string, sqlmini.Value, bool) {
+func indexableEquality(schema *storage.Schema, where sqlmini.Expr, args []sqlmini.Value) (string, sqlmini.Value, bool) {
 	b, ok := where.(*sqlmini.Binary)
 	if !ok {
 		return "", sqlmini.Value{}, false
 	}
 	switch b.Op {
 	case sqlmini.OpAnd:
-		if c, v, ok := indexableEquality(schema, b.L); ok {
+		if c, v, ok := indexableEquality(schema, b.L, args); ok {
 			return c, v, true
 		}
-		return indexableEquality(schema, b.R)
+		return indexableEquality(schema, b.R, args)
 	case sqlmini.OpEq:
-		if col, ok := b.L.(*sqlmini.ColumnRef); ok {
-			if lit, ok := b.R.(*sqlmini.Literal); ok {
-				return col.Name, coerceCol(schema, col.Name, lit.Val), true
-			}
-		}
-		if col, ok := b.R.(*sqlmini.ColumnRef); ok {
-			if lit, ok := b.L.(*sqlmini.Literal); ok {
-				return col.Name, coerceCol(schema, col.Name, lit.Val), true
-			}
+		if col, v, ok := columnEquality(b, args); ok {
+			return col, coerceCol(schema, col, v), true
 		}
 	}
 	return "", sqlmini.Value{}, false
+}
+
+// columnEquality reads the equality b as `column = constant`, either way
+// round, with a Param bound to args.
+func columnEquality(b *sqlmini.Binary, args []sqlmini.Value) (string, sqlmini.Value, bool) {
+	col, ok := b.L.(*sqlmini.ColumnRef)
+	c := b.R
+	if !ok {
+		col, ok = b.R.(*sqlmini.ColumnRef)
+		c = b.L
+	}
+	if !ok {
+		return "", sqlmini.Value{}, false
+	}
+	v, ok := constant(c, args)
+	return col.Name, v, ok
+}
+
+// constant returns the value of e when it is a literal, or a Param bound to
+// args.
+func constant(e sqlmini.Expr, args []sqlmini.Value) (sqlmini.Value, bool) {
+	switch e := e.(type) {
+	case *sqlmini.Literal:
+		return e.Val, true
+	case *sqlmini.Param:
+		return args[e.Index], true
+	}
+	return sqlmini.Value{}, false
 }
 
 func coerceCol(schema *storage.Schema, col string, v sqlmini.Value) sqlmini.Value {
@@ -536,14 +560,14 @@ func coercePK(schema *storage.Schema, v sqlmini.Value) sqlmini.Value {
 	return v
 }
 
-func (s *Session) execSelect(st *sqlmini.Select, out *resultBuf) (*Result, error) {
+func (s *Session) execSelect(st *sqlmini.Select, args []sqlmini.Value, out *resultBuf) (*Result, error) {
 	tb, ok := s.db.table(st.Table)
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q does not exist", st.Table)
 	}
 	schema := tb.Schema
 	if len(st.Items) == 1 && st.Items[0].Aggregate != "" {
-		return s.aggregate(tb, st, out)
+		return s.aggregate(tb, st, args, out)
 	}
 	proj := s.proj[:0]
 	for _, it := range st.Items {
@@ -599,7 +623,11 @@ func (s *Session) execSelect(st *sqlmini.Select, out *resultBuf) (*Result, error
 	// sort of every match followed by LIMIT; only ORDER BY without LIMIT
 	// holds every match. A cut frees the slots of the rows it drops for the
 	// matches after it.
-	k := st.Limit
+	k := int64(-1)
+	if st.Limit != nil {
+		lim, _ := constant(st.Limit, args)
+		k = lim.Int
+	}
 	rows := s.matches
 	var kth storage.Row
 	keep := func() {
@@ -613,7 +641,7 @@ func (s *Session) execSelect(st *sqlmini.Select, out *resultBuf) (*Result, error
 		}
 	}
 	w := len(schema.Columns)
-	err := s.eachMatch(tb, st.Where, decide, func(r storage.Row, rec mvcc.Rec) bool {
+	err := s.eachMatch(tb, st.Where, args, decide, func(r storage.Row, rec mvcc.Rec) bool {
 		if cmp == nil {
 			rows = s.retain(rows, rec, w, keepCols)
 			return k < 0 || int64(len(rows)) < k
@@ -653,7 +681,7 @@ func (s *Session) execSelect(st *sqlmini.Select, out *resultBuf) (*Result, error
 
 // aggregate folds a single COUNT or SUM over the matches as they stream by;
 // ORDER BY and LIMIT do not apply to its one-row result.
-func (s *Session) aggregate(tb *mvcc.Table, st *sqlmini.Select, out *resultBuf) (*Result, error) {
+func (s *Session) aggregate(tb *mvcc.Table, st *sqlmini.Select, args []sqlmini.Value, out *resultBuf) (*Result, error) {
 	item := st.Items[0]
 	col, ci := "count", -1
 	switch item.Aggregate {
@@ -668,7 +696,7 @@ func (s *Session) aggregate(tb *mvcc.Table, st *sqlmini.Select, out *resultBuf) 
 	floatCol := ci >= 0 && tb.Schema.Columns[ci].Type == sqlmini.KindFloat
 	var n, sumI int64
 	var sumF float64
-	err := s.eachMatch(tb, st.Where, colBit(ci), func(r storage.Row, _ mvcc.Rec) bool {
+	err := s.eachMatch(tb, st.Where, args, colBit(ci), func(r storage.Row, _ mvcc.Rec) bool {
 		n++
 		// A column holds one kind, and a NULL reads as zero either way,
 		// so the sum skips NULLs.

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"madeus/internal/sqlmini"
 )
 
 // TestParseCacheSharedStatementConcurrent runs the same UPDATE text from
@@ -64,9 +66,18 @@ func TestParseCacheDDLInvalidation(t *testing.T) {
 	mustExec(t, s, "INSERT INTO a (id, v) VALUES (1, 1)")
 	mustExec(t, s, "INSERT INTO b (id, v) VALUES (1, 1)")
 
+	// cached reports whether the shape of sql is cached: whether running it
+	// would be a hit. It asks the cache for the shape, and so caches it.
 	cached := func(sql string) bool {
-		_, ok := s.db.pcache.Get(sql)
-		return ok
+		key, _, err := sqlmini.Shape(nil, nil, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := s.db.ParseCacheStats().Hits
+		if _, err := s.db.pcache.Get(string(key)); err != nil {
+			t.Fatal(err)
+		}
+		return s.db.ParseCacheStats().Hits > before
 	}
 	warm := func() {
 		mustExec(t, s, "SELECT v FROM a WHERE id = 1")
@@ -106,8 +117,10 @@ func TestParseCacheDDLInvalidation(t *testing.T) {
 	}
 }
 
-// TestParseCacheBoundedUnderChurn: distinct statement texts beyond the
-// cache capacity never grow the map past the bound.
+// TestParseCacheBoundedUnderChurn: distinct statement shapes beyond the
+// cache capacity never grow the map past the bound. Statement i adds to v
+// thirteen zeros, each an INT or a FLOAT as the bits of i say, so every
+// statement is a shape of its own.
 func TestParseCacheBoundedUnderChurn(t *testing.T) {
 	e := New(Options{LockTimeout: time.Second})
 	t.Cleanup(e.Close)
@@ -116,8 +129,13 @@ func TestParseCacheBoundedUnderChurn(t *testing.T) {
 	}
 	s, _ := e.NewSession("shop")
 	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+	mustExec(t, s, "INSERT INTO t (id, v) VALUES (1, 1)")
 	for i := 0; i < parseCacheEntries+500; i++ {
-		mustExec(t, s, fmt.Sprintf("INSERT INTO t (id, v) VALUES (%d, %d)", i, i))
+		var sum strings.Builder
+		for bit := 0; bit < 13; bit++ {
+			sum.WriteString([]string{" + 0", " + 0.0"}[i>>bit&1])
+		}
+		mustExec(t, s, fmt.Sprintf("SELECT v FROM t WHERE id = %d AND v%s >= 0", i, sum.String()))
 	}
 	if st := s.db.ParseCacheStats(); st.Len != parseCacheEntries {
 		t.Errorf("cache len after churn = %d, want exactly the %d-entry bound: %+v", st.Len, parseCacheEntries, st)

@@ -164,10 +164,10 @@ func TestDumpAndRedoTextGolden(t *testing.T) {
 
 // TestWritesEncodeTheParsersRows carries mvcc's TestWritesEncodeTheCallersRow
 // up to the executor: a multi-row literal INSERT is decoded into the
-// session's parse array and its rows are encoded, widened, without being
-// changed, so the next INSERT reuses the array; and a single-row INSERT,
-// which the parse cache may share across sessions, runs from the cache with
-// its INT literal untouched.
+// session's argument array and its rows are encoded, widened, without being
+// changed, so the next INSERT reuses the array; and a single-row INSERT runs
+// from the parse cache, whose statement holds no value of its own, with its
+// INT argument untouched.
 func TestWritesEncodeTheParsersRows(t *testing.T) {
 	e := New(Options{})
 	defer e.Close()
@@ -184,13 +184,13 @@ func TestWritesEncodeTheParsersRows(t *testing.T) {
 	}
 
 	mustExec(t, s, "INSERT INTO m (k, x) VALUES (1, 2), (2, 3)")
-	parsed := s.parsed[:4]
+	parsed := s.args[:4]
 	if want := []sqlmini.Value{sqlmini.NewInt(1), sqlmini.NewInt(2), sqlmini.NewInt(2), sqlmini.NewInt(3)}; !slices.Equal(parsed, want) {
-		t.Errorf("parse array holds %v, want the INSERT's rows unchanged %v", parsed, want)
+		t.Errorf("argument array holds %v, want the INSERT's rows unchanged %v", parsed, want)
 	}
 	mustExec(t, s, "INSERT INTO m (k, x) VALUES (5, 6), (7, 8)")
-	if &s.parsed[:1][0] != &parsed[0] {
-		t.Error("the second INSERT did not reuse the session's parse array")
+	if &s.args[:1][0] != &parsed[0] {
+		t.Error("the second INSERT did not reuse the session's argument array")
 	}
 	for k, x := range map[int64]float64{1: 2, 2: 3, 5: 6, 7: 8} {
 		if got := stored(k); got[1] != sqlmini.NewFloat(x) {
@@ -201,13 +201,20 @@ func TestWritesEncodeTheParsersRows(t *testing.T) {
 	const one = "INSERT INTO m (k, x) VALUES (3, 4)"
 	mustExec(t, s, one)
 	mustExec(t, s, "DELETE FROM m WHERE k = 3")
+	hits := s.db.ParseCacheStats().Hits
 	mustExec(t, s, one)
-	cached, ok := s.db.pcache.Get(one)
-	if !ok {
-		t.Fatal("the single-row INSERT is not in the parse cache")
+	if s.db.ParseCacheStats().Hits != hits+1 {
+		t.Fatal("the single-row INSERT did not run from the parse cache")
 	}
-	if vals := cached.(*sqlmini.Insert).Values[0]; vals[1] != sqlmini.NewInt(4) {
-		t.Errorf("the cached INSERT's x = %s %v, want the INT it was parsed as", vals[1].Kind, vals[1])
+	if vals := s.args[:2]; vals[1] != sqlmini.NewInt(4) {
+		t.Errorf("the INSERT's x argument = %s %v, want the INT it was lexed as", vals[1].Kind, vals[1])
+	}
+	cached, err := s.db.pcache.Get(string(s.key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ins := cached.(*sqlmini.Insert); ins.Values != nil || ins.Rows != nil {
+		t.Errorf("the cached INSERT holds rows of its own: %v %v", ins.Values, ins.Rows)
 	}
 	if got := stored(3); got[1] != sqlmini.NewFloat(4) {
 		t.Errorf("stored x = %s %v, want FLOAT 4", got[1].Kind, got[1])

@@ -161,12 +161,17 @@ type Session struct {
 
 	// The rows a statement's reads decode into and its writes are built
 	// in: row for every row a scan or lookup yields and for an INSERT's
-	// evaluated row, write for an UPDATE's new row or an INSERT's in schema
-	// column order, and parsed for the literal rows of a multi-row INSERT
-	// (sqlmini.ParseInto).
-	row    storage.Row
-	write  storage.Row
-	parsed []sqlmini.Value
+	// evaluated row, and write for an UPDATE's new row or an INSERT's in
+	// schema column order.
+	row   storage.Row
+	write storage.Row
+
+	// The statement's shape and its arguments, which sqlmini.Shape lexes
+	// it into: the parse cache's key, and the values its Params are bound
+	// to. A literal INSERT's rows are its arguments, so a dump batch is
+	// decoded into args once.
+	key  []byte
+	args []sqlmini.Value
 }
 
 // NewSession opens a session on the named tenant database.
@@ -221,25 +226,46 @@ func (s *Session) exec(sql string, out *resultBuf) (*Result, error) {
 		if meta, handled, err := s.execMeta(sql); handled {
 			return meta, err
 		}
-		var cached bool
-		if st, cached = s.db.pcache.Get(sql); !cached {
-			var err error
-			st, err = sqlmini.ParseInto(sql, &s.parsed)
-			s.parsed = kept(s.parsed)
-			if err != nil {
-				s.poison(false)
-				return nil, err
-			}
-			s.db.pcache.Put(sql, st)
+		var err error
+		if st, err = s.parse(sql); err != nil {
+			s.poison(false)
+			return nil, err
 		}
-		switch st.(type) {
-		case *sqlmini.Begin:
-			return s.execBegin(out)
-		case *sqlmini.Commit:
-			return s.execCommit(out)
-		case *sqlmini.Rollback:
-			return s.execRollback(out)
+	}
+	return s.run(st, s.args, sql, out)
+}
+
+// parse returns the statement sql is: its shape's, from the tenant's parse
+// cache, with its arguments in s.args. The statement and the arguments are
+// good until the session's next statement.
+func (s *Session) parse(sql string) (sqlmini.Statement, error) {
+	var err error
+	s.key, s.args, err = sqlmini.Shape(kept(s.key), kept(s.args), sql)
+	var st sqlmini.Statement
+	if err == nil {
+		st, err = s.db.pcache.Get(unsafe.String(unsafe.SliceData(s.key), len(s.key)))
+	}
+	if err != nil {
+		// A shape fails exactly where the text does. Parse words the error
+		// against the text the client sent.
+		if _, perr := sqlmini.Parse(sql); perr != nil {
+			err = perr
 		}
+		return nil, err
+	}
+	return st, nil
+}
+
+// run executes st, bound to args (sqlmini.ParseShape), or the row statement
+// sql when st is nil.
+func (s *Session) run(st sqlmini.Statement, args []sqlmini.Value, sql string, out *resultBuf) (*Result, error) {
+	switch st.(type) {
+	case *sqlmini.Begin:
+		return s.execBegin(out)
+	case *sqlmini.Commit:
+		return s.execCommit(out)
+	case *sqlmini.Rollback:
+		return s.execRollback(out)
 	}
 	if s.inTxn && s.txnFail {
 		return nil, ErrTxnAborted
@@ -247,7 +273,7 @@ func (s *Session) exec(sql string, out *resultBuf) (*Result, error) {
 
 	if s.inTxn {
 		s.ensureTxn()
-		res, err := s.execStatement(st, sql, out)
+		res, err := s.execStatement(st, args, sql, out)
 		if err != nil {
 			s.poison(errors.Is(err, mvcc.ErrSerialization))
 		}
@@ -256,7 +282,7 @@ func (s *Session) exec(sql string, out *resultBuf) (*Result, error) {
 
 	// Autocommit: the statement runs in its own transaction.
 	s.ensureTxn()
-	res, err := s.execStatement(st, sql, out)
+	res, err := s.execStatement(st, args, sql, out)
 	if err != nil {
 		txn := s.txn
 		s.txn = nil
@@ -427,7 +453,8 @@ func (s *Session) execMeta(sql string) (*Result, bool, error) {
 		if len(fields) != 3 {
 			return nil, true, fmt.Errorf("engine: usage: CREATE DATABASE name")
 		}
-		name := strings.TrimSuffix(fields[2], ";")
+		// The catalog and the log keep the name: a copy, not a slice of sql.
+		name := strings.Clone(strings.TrimSuffix(fields[2], ";"))
 		if err := s.eng.CreateDatabase(name); err != nil {
 			return nil, true, err
 		}
@@ -436,7 +463,7 @@ func (s *Session) execMeta(sql string) (*Result, bool, error) {
 		if len(fields) != 3 {
 			return nil, true, fmt.Errorf("engine: usage: DROP DATABASE name")
 		}
-		name := strings.TrimSuffix(fields[2], ";")
+		name := strings.Clone(strings.TrimSuffix(fields[2], ";"))
 		if err := s.eng.DropDatabase(name); err != nil {
 			return nil, true, err
 		}

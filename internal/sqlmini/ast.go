@@ -1,6 +1,9 @@
 package sqlmini
 
-import "strings"
+import (
+	"strconv"
+	"strings"
+)
 
 // Statement is any parsed SQL statement.
 type Statement interface {
@@ -47,16 +50,19 @@ type DropIndex struct {
 	Table string
 }
 
-// Insert is INSERT INTO t (cols) VALUES (...), (...). Exactly one of Values
-// and Rows holds the rows, in column-list order. When every item of the
-// statement is a literal — every dump batch and redo INSERT — each row is
-// decoded straight into one []Value sized to the column list (Values);
-// when any item is computed, every row is kept as expressions (Rows).
+// Insert is INSERT INTO t (cols) VALUES (...), (...). The rows are in
+// column-list order. When every item of the statement is a literal — every
+// dump batch and redo INSERT — Parse decodes each row straight into one
+// []Value sized to the column list (Values), and a shape (ParseShape) only
+// counts them (ArgRows): its rows are the statement's arguments, one after
+// another. When any item is computed, every row is kept as expressions
+// (Rows).
 type Insert struct {
 	Table   string
 	Columns []string
 	Values  [][]Value
 	Rows    [][]Expr
+	ArgRows int
 }
 
 // SelectItem is one projection item: a column name, *, or an aggregate.
@@ -74,8 +80,8 @@ type Select struct {
 	Where     Expr // nil when absent
 	OrderBy   string
 	OrderDesc bool
-	Limit     int64 // -1 when absent
-	ForShare  bool  // SELECT ... FOR SHARE (parsed, treated as a read)
+	Limit     Expr // nil when absent; else an INT Literal, or in a shape a Param
+	ForShare  bool // SELECT ... FOR SHARE (parsed, treated as a read)
 }
 
 // Assignment is one c = expr pair in UPDATE ... SET.
@@ -121,6 +127,12 @@ func (*Rollback) stmt()    {}
 // Literal is a constant value.
 type Literal struct {
 	Val Value
+}
+
+// Param is the literal of a statement's shape (see ParseShape) whose value
+// is argument Index, bound when the statement runs.
+type Param struct {
+	Index int
 }
 
 // ColumnRef references a column by name.
@@ -194,12 +206,14 @@ type Neg struct {
 }
 
 func (*Literal) expr()   {}
+func (*Param) expr()     {}
 func (*ColumnRef) expr() {}
 func (*Binary) expr()    {}
 func (*Not) expr()       {}
 func (*Neg) expr()       {}
 
 func (l *Literal) String() string   { return l.Val.String() }
+func (p *Param) String() string     { return "$" + strconv.Itoa(p.Index+1) }
 func (c *ColumnRef) String() string { return c.Name }
 func (b *Binary) String() string {
 	return "(" + b.L.String() + " " + b.Op.String() + " " + b.R.String() + ")"
@@ -305,9 +319,9 @@ func (s *Select) String() string {
 			sb.WriteString(" DESC")
 		}
 	}
-	if s.Limit >= 0 {
+	if s.Limit != nil {
 		sb.WriteString(" LIMIT ")
-		sb.WriteString(NewInt(s.Limit).String())
+		sb.WriteString(s.Limit.String())
 	}
 	if s.ForShare {
 		sb.WriteString(" FOR SHARE")

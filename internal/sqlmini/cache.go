@@ -1,19 +1,27 @@
 package sqlmini
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
-// Cache is a bounded LRU parse cache keyed on exact statement text — the
-// C-JDBC trick for middleware-side statement processing: the TPC-W mix
-// draws its literals from bounded id domains, so hot statements repeat
-// verbatim and the lexer/parser drop out of the per-statement path.
+// Cache is a bounded LRU parse cache keyed on statement shape (see Shape)
+// — the C-JDBC trick for middleware-side statement processing, with the
+// literals taken out: a TPC-W mix draws its statements from a few dozen
+// shapes, so after its first statement of each the parser drops out of the
+// per-statement path, and the cache stays a few dozen entries however wide
+// the id domains the literals come from.
 //
-// Cached statements are shared across sessions and MUST be treated as
-// immutable by execution (the engine's evaluators only read the AST; the
-// race-enabled concurrent-execution test pins this). DDL on a table
-// invalidates every cached statement targeting it.
+// A cached statement holds a Param where its text had a literal, and is
+// shared across sessions: execution binds each statement's arguments
+// without writing the tree (the race-enabled concurrent-execution test pins
+// this). It is parsed from the cache's own copy of its shape, so every name
+// it holds is memory the cache owns, and nothing in it aliases the text a
+// client sent. DDL on a table invalidates every cached statement targeting
+// it.
 //
-// A nil *Cache is valid and means "caching disabled": every method is a
-// cheap no-op.
+// A nil *Cache is valid and means "caching disabled": Get parses every
+// shape, and the other methods are cheap no-ops.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
@@ -49,49 +57,53 @@ func NewCache(capacity int) *Cache {
 	return &Cache{cap: capacity, entries: make(map[string]*cacheEntry)}
 }
 
-// Get returns the cached parse of sql, promoting the entry to most
-// recently used.
-func (c *Cache) Get(sql string) (Statement, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	e, ok := c.entries[sql]
-	if !ok {
+// Get returns ParseShape(key): the cached statement, promoted to most
+// recently used, or on a miss a new parse. One that Cacheable admits is
+// parsed again from the cache's own copy of key and cached, evicting the
+// least recently used entry at capacity; any other is returned as parsed
+// from key, whose memory it shares, for the caller to run and drop. Get
+// keeps nothing of key itself.
+func (c *Cache) Get(key string) (Statement, error) {
+	if c != nil {
+		c.mu.Lock()
+		if e, ok := c.entries[key]; ok {
+			c.hits++
+			c.moveToFront(e)
+			st := e.st
+			c.mu.Unlock()
+			return st, nil
+		}
 		c.misses++
 		c.mu.Unlock()
-		return nil, false
 	}
-	c.hits++
-	c.moveToFront(e)
-	st := e.st
-	c.mu.Unlock()
-	return st, true
+	st, err := ParseShape(key)
+	if err != nil || c == nil || !Cacheable(st) {
+		return st, err
+	}
+	key = strings.Clone(key)
+	if st, err = ParseShape(key); err != nil {
+		return nil, err
+	}
+	c.put(key, st)
+	return st, nil
 }
 
-// Put caches the parse of sql, evicting the least recently used entry at
-// capacity. Statements that cannot repeat are not admitted (see Cacheable).
-func (c *Cache) Put(sql string, st Statement) {
-	if c == nil || !Cacheable(st) {
-		return
-	}
+// put caches st under key, which the cache owns.
+func (c *Cache) put(key string, st Statement) {
 	c.mu.Lock()
-	if e, ok := c.entries[sql]; ok {
-		e.st = st
-		e.table = TargetTable(st)
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok { // another session's miss cached it first
 		c.moveToFront(e)
-		c.mu.Unlock()
 		return
 	}
-	e := &cacheEntry{key: sql, st: st, table: TargetTable(st)}
-	c.entries[sql] = e
+	e := &cacheEntry{key: key, st: st, table: TargetTable(st)}
+	c.entries[key] = e
 	c.pushFront(e)
 	if len(c.entries) > c.cap {
 		lru := c.tail
 		c.remove(lru)
 		delete(c.entries, lru.key)
 	}
-	c.mu.Unlock()
 }
 
 // InvalidateTable drops every cached statement targeting the named table.
@@ -180,19 +192,16 @@ func (c *Cache) remove(e *cacheEntry) {
 
 // Cacheable reports whether a statement may be cached. DML and transaction
 // control repeat. DDL runs once, and caching it would complicate its own
-// invalidation story for no win. A multi-row INSERT is a dump batch being
-// restored: its text names a batch of primary keys, so it can never run
-// twice, and admitting one would evict a statement the tenant does repeat
-// and keep kilobytes of text and AST live for nothing.
-//
-// A statement this admits may be shared read-only across sessions, so
-// ParseInto never lets one alias the caller's array.
+// invalidation story for no win. A multi-row INSERT is a dump or load batch:
+// its shape holds a slot per value, kilobytes of key for a statement that
+// runs once per batch, and admitting one would evict a statement the
+// tenant does repeat.
 func Cacheable(st Statement) bool {
 	switch st := st.(type) {
 	case *CreateTable, *DropTable, *CreateIndex, *DropIndex:
 		return false
 	case *Insert:
-		return len(st.Values)+len(st.Rows) == 1
+		return len(st.Values)+len(st.Rows)+st.ArgRows == 1
 	case nil:
 		return false
 	}

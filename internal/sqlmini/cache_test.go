@@ -1,16 +1,36 @@
 package sqlmini
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// shapeOf returns the shape of sql.
+func shapeOf(t *testing.T, sql string) string {
+	t.Helper()
+	key, _, err := Shape(nil, nil, sql)
+	if err != nil {
+		t.Fatalf("Shape(%q): %v", sql, err)
+	}
+	return string(key)
+}
+
+// get is c.Get(shapeOf(sql)), failing on a parse error.
+func get(t *testing.T, c *Cache, sql string) Statement {
+	t.Helper()
+	st, err := c.Get(shapeOf(t, sql))
+	if err != nil {
+		t.Fatalf("Get(%q): %v", sql, err)
+	}
+	return st
+}
 
 func TestCacheHitMissCounters(t *testing.T) {
 	c := NewCache(8)
-	sql := "SELECT id FROM t WHERE id = 1"
-	if _, ok := c.Get(sql); ok {
-		t.Fatal("hit on empty cache")
-	}
-	c.Put(sql, mustParse(t, sql))
-	if _, ok := c.Get(sql); !ok {
-		t.Fatal("miss after Put")
+	first := get(t, c, "SELECT id FROM t WHERE id = 1")
+	// Another literal is the same shape: a hit, and the same statement.
+	if again := get(t, c, "SELECT id FROM t WHERE id = 2"); again != first {
+		t.Fatal("a statement of a cached shape was parsed again")
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Len != 1 {
@@ -21,26 +41,24 @@ func TestCacheHitMissCounters(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
 	a := "SELECT id FROM t WHERE id = 1"
-	b := "SELECT id FROM t WHERE id = 2"
-	d := "SELECT id FROM t WHERE id = 3"
-	c.Put(a, mustParse(t, a))
-	c.Put(b, mustParse(t, b))
-	// Touch a so b becomes the LRU entry.
-	if _, ok := c.Get(a); !ok {
-		t.Fatal("a should be cached")
-	}
-	c.Put(d, mustParse(t, d))
+	b := "SELECT v FROM t WHERE id = 1"
+	d := "SELECT w FROM t WHERE id = 1"
+	get(t, c, a)
+	get(t, c, b)
+	get(t, c, a) // touch a so b becomes the LRU entry
+	get(t, c, d)
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
-	if _, ok := c.Get(b); ok {
+	misses := c.Stats().Misses
+	get(t, c, a)
+	get(t, c, d)
+	if got := c.Stats().Misses; got != misses {
+		t.Errorf("a (recently used) or d (just added) was evicted: %d more misses", got-misses)
+	}
+	get(t, c, b)
+	if got := c.Stats().Misses; got != misses+1 {
 		t.Error("b should have been evicted as LRU")
-	}
-	if _, ok := c.Get(a); !ok {
-		t.Error("a should have survived (recently used)")
-	}
-	if _, ok := c.Get(d); !ok {
-		t.Error("d should be cached (just inserted)")
 	}
 }
 
@@ -51,11 +69,9 @@ func TestCacheDDLNotCached(t *testing.T) {
 		"DROP TABLE t",
 		"CREATE INDEX idx ON t (id)",
 		"DROP INDEX idx ON t",
+		"INSERT INTO t (id) VALUES (1), (2)",
 	} {
-		c.Put(sql, mustParse(t, sql))
-		if _, ok := c.Get(sql); ok {
-			t.Errorf("DDL %q was cached", sql)
-		}
+		get(t, c, sql)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", c.Len())
@@ -71,19 +87,40 @@ func TestCacheInvalidateTable(t *testing.T) {
 		"BEGIN":                           "",
 	}
 	for sql := range stmts {
-		c.Put(sql, mustParse(t, sql))
+		get(t, c, sql)
 	}
 	if n := c.InvalidateTable("t"); n != 2 {
 		t.Fatalf("InvalidateTable(t) = %d, want 2", n)
 	}
 	for sql, table := range stmts {
-		_, ok := c.Get(sql)
-		if table == "t" && ok {
+		misses := c.Stats().Misses
+		get(t, c, sql)
+		hit := c.Stats().Misses == misses
+		if table == "t" && hit {
 			t.Errorf("%q survived invalidation of t", sql)
 		}
-		if table != "t" && !ok {
+		if table != "t" && !hit {
 			t.Errorf("%q was wrongly flushed", sql)
 		}
+	}
+}
+
+// TestCacheOwnsItsStatements: a cached statement is parsed from the cache's
+// own copy of its shape, so overwriting the caller's key, as a session does
+// with its next statement, changes nothing the cache holds.
+func TestCacheOwnsItsStatements(t *testing.T) {
+	c := NewCache(4)
+	key := []byte(shapeOf(t, "SELECT v FROM t WHERE id = 1"))
+	want := "SELECT v FROM t WHERE (id = $1)"
+	st, err := c.Get(unsafe.String(&key[0], len(key)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range key {
+		key[i] = 'x'
+	}
+	if got := st.String(); got != want {
+		t.Errorf("cached statement reads %s after its key was overwritten, want %s", got, want)
 	}
 }
 
@@ -92,9 +129,8 @@ func TestCacheNilIsDisabled(t *testing.T) {
 	if c != NewCache(0) || c != NewCache(-1) {
 		t.Fatal("NewCache(<=0) should return nil")
 	}
-	c.Put("BEGIN", mustParse(t, "BEGIN"))
-	if _, ok := c.Get("BEGIN"); ok {
-		t.Error("nil cache returned a hit")
+	if _, ok := get(t, c, "BEGIN").(*Begin); !ok {
+		t.Error("nil cache did not parse")
 	}
 	if c.InvalidateTable("t") != 0 || c.Len() != 0 {
 		t.Error("nil cache should report zero everywhere")
@@ -108,8 +144,8 @@ func TestCacheNilIsDisabled(t *testing.T) {
 func TestCacheReset(t *testing.T) {
 	c := NewCache(4)
 	sql := "SELECT id FROM t WHERE id = 1"
-	c.Put(sql, mustParse(t, sql))
-	c.Get(sql)
+	get(t, c, sql)
+	get(t, c, sql)
 	c.Reset()
 	if c.Len() != 0 {
 		t.Fatalf("Len after Reset = %d", c.Len())

@@ -1,9 +1,6 @@
 package sqlmini
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // OpClass is the middleware-level classification of one operation. Madeus
 // only needs to know whether an operation reads, writes, or ends a
@@ -77,7 +74,7 @@ func ClassifyQuery(sql string) (OpClass, error) {
 	if j == i {
 		return 0, fmt.Errorf("sqlmini: cannot classify %q", sql)
 	}
-	switch strings.ToUpper(sql[i:j]) {
+	switch keyword(sql[i:j]) {
 	case "SELECT":
 		return OpRead, nil
 	case "INSERT", "UPDATE", "DELETE":

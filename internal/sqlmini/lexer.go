@@ -2,13 +2,15 @@ package sqlmini
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
 // Lexer turns a SQL string into a token stream, one token per Next call.
 type Lexer struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	shape bool // src is a shape (see Shape): it holds slots, not literals
 }
 
 // NewLexer returns a lexer over src.
@@ -29,6 +31,9 @@ func (lx *Lexer) Next() (Token, error) {
 		return lx.lexNumber(start)
 	case c == '\'':
 		return lx.lexString(start)
+	case c == '?' && lx.shape && lx.pos+1 < len(lx.src):
+		lx.pos += 2
+		return Token{Kind: TokParam, Text: lx.src[start:lx.pos], Pos: start}, nil
 	default:
 		return lx.lexSymbol(start)
 	}
@@ -59,9 +64,8 @@ func (lx *Lexer) lexWord(start int) Token {
 		lx.pos++
 	}
 	word := lx.src[start:lx.pos]
-	upper := strings.ToUpper(word)
-	if keywords[upper] {
-		return Token{Kind: TokKeyword, Text: upper, Pos: start}
+	if kw := keyword(word); kw != "" {
+		return Token{Kind: TokKeyword, Text: kw, Pos: start}
 	}
 	return Token{Kind: TokIdent, Text: word, Pos: start}
 }
@@ -156,3 +160,67 @@ func isAlpha(c byte) bool {
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isWordChar(c byte) bool { return isAlpha(c) || isDigit(c) }
+
+// Shape lexes the statement sql once and appends its shape to key and its
+// literals to args, so that statements differing only in their literals
+// share one parse (the parse cache keys on the shape). The shape is the
+// statement's tokens one space apart, keywords in upper case, with each
+// literal replaced by a slot naming its kind: ?i INT, ?f FLOAT, ?s TEXT,
+// ?b TRUE or FALSE, ?n NULL. args gets the literals' values in text order,
+// the order of the Params ParseShape numbers; a TEXT one is a slice of sql,
+// as its token is.
+//
+// A '-' directly before a number where an operand begins is the number's
+// sign, as Parse reads it (see Parser.signedNumber): the value in args is
+// the signed one, and the shape keeps the '-' directly before the slot. Any
+// other '-' is an operator, spaced off. So ParseShape(key) fails exactly
+// where Parse(sql) does, and with args bound is the statement Parse
+// returns. Shape itself fails where sql does not lex or a number in it is
+// out of range, and allocates nothing beyond growing key and args, and an
+// unquoted copy of a string literal with a doubled quote in it.
+func Shape(key []byte, args []Value, sql string) ([]byte, []Value, error) {
+	lx := Lexer{src: sql}
+	operand := false // the last token ended an operand: a '-' after it is an operator
+	for first := true; ; first = false {
+		t, err := lx.Next()
+		if err != nil || t.Kind == TokEOF {
+			return key, args, err
+		}
+		if !first {
+			key = append(key, ' ')
+		}
+		text := t.Text
+		if !operand && t.Kind == TokSymbol && text == "-" && lx.pos == t.Pos+1 &&
+			lx.pos < len(sql) && isDigit(sql[lx.pos]) {
+			if t, err = lx.Next(); err != nil {
+				return key, args, err
+			}
+			key = append(key, '-')
+			text = sql[t.Pos-1 : t.Pos+len(t.Text)]
+		}
+		operand = true
+		switch {
+		case t.Kind == TokInt:
+			var n int64
+			if n, err = strconv.ParseInt(text, 10, 64); err != nil {
+				return key, args, fmt.Errorf("sqlmini: bad integer literal at offset %d: %v", t.Pos, err)
+			}
+			key, args = append(key, "?i"...), append(args, NewInt(n))
+		case t.Kind == TokFloat:
+			var f float64
+			if f, err = strconv.ParseFloat(text, 64); err != nil {
+				return key, args, fmt.Errorf("sqlmini: bad float literal at offset %d: %v", t.Pos, err)
+			}
+			key, args = append(key, "?f"...), append(args, NewFloat(f))
+		case t.Kind == TokString:
+			key, args = append(key, "?s"...), append(args, NewText(text))
+		case t.Kind == TokKeyword && text == "NULL":
+			key, args = append(key, "?n"...), append(args, Null())
+		case t.Kind == TokKeyword && (text == "TRUE" || text == "FALSE"):
+			key, args = append(key, "?b"...), append(args, NewBool(text == "TRUE"))
+		default:
+			key = append(key, text...)
+			operand = t.Kind == TokIdent || text == ")"
+		}
+	}
+}

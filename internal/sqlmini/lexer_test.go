@@ -191,4 +191,16 @@ func TestLexStringSlicesInput(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("lexing a plain literal allocates %.0f times, want 0", n)
 	}
+	// Keywords in any case are recognised without an upper-cased copy.
+	const lower = "select i_title, i_cost from item where i_id = 7 and i_subject = 'ARTS' limit 20"
+	if n := testing.AllocsPerRun(100, func() {
+		lx := Lexer{src: lower}
+		for {
+			if tok, err := lx.Next(); err != nil || tok.Kind == TokEOF {
+				return
+			}
+		}
+	}); n != 0 {
+		t.Errorf("lexing a lower-case statement allocates %.0f times, want 0", n)
+	}
 }

@@ -2,7 +2,6 @@ package sqlmini
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 )
 
@@ -10,9 +9,9 @@ import (
 // statements.
 type Parser struct {
 	lx     Lexer
-	tok    Token    // the current token
-	lexErr error    // the lexical error that ended the token stream, if any
-	vals   *[]Value // where an INSERT's literal rows are decoded, if not new memory
+	tok    Token // the current token
+	lexErr error // the lexical error that ended the token stream, if any
+	params int   // the slots of a shape read so far: the next Param's index
 }
 
 // Parse parses a single SQL statement (an optional trailing semicolon is
@@ -21,15 +20,17 @@ type Parser struct {
 // A lexical error anywhere in src outranks a parse error before it, as if
 // the whole input were tokenized first: when parsing fails, the rest of the
 // input is lexed to look for one.
-func Parse(src string) (Statement, error) { return ParseInto(src, nil) }
+func Parse(src string) (Statement, error) { return parse(Lexer{src: src}) }
 
-// ParseInto is Parse decoding the literal rows of a multi-row INSERT into
-// *vals, an array the caller keeps from one call to the next, instead of
-// into new memory: the statement's Values alias it until the next call
-// with vals. A statement the parse cache admits never does (see
-// Cacheable), so only one the caller runs and drops may. vals nil is Parse.
-func ParseInto(src string, vals *[]Value) (Statement, error) {
-	p := &Parser{lx: Lexer{src: src}, vals: vals}
+// ParseShape parses a statement's shape (see Shape), and returns the
+// statement with a Param where Parse returns a Literal, numbered in text
+// order: the index of its value in the arguments Shape returned. A literal
+// INSERT has no Values, but ArgRows: its rows are the arguments. Every name
+// the statement holds is a slice of key.
+func ParseShape(key string) (Statement, error) { return parse(Lexer{src: key, shape: true}) }
+
+func parse(lx Lexer) (Statement, error) {
+	p := &Parser{lx: lx}
 	p.next()
 	st, err := p.parseStatement()
 	if err == nil {
@@ -137,7 +138,7 @@ func (p *Parser) parseIdent() (string, error) {
 
 func (p *Parser) parseSelect() (Statement, error) {
 	p.next() // SELECT
-	sel := &Select{Limit: -1}
+	sel := &Select{}
 	for {
 		item, err := p.parseSelectItem()
 		if err != nil {
@@ -177,15 +178,15 @@ func (p *Parser) parseSelect() (Statement, error) {
 		}
 	}
 	if p.accept(TokKeyword, "LIMIT") {
-		t, err := p.expect(TokInt, "")
+		if !p.at(TokInt, "") && !p.at(TokParam, "?i") {
+			_, err := p.expect(TokInt, "")
+			return nil, err
+		}
+		v, _, err := p.literal()
 		if err != nil {
 			return nil, err
 		}
-		n, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
-			return nil, p.errorf("bad LIMIT: %v", err)
-		}
-		sel.Limit = n
+		sel.Limit = p.constant(v, p.params-1)
 	}
 	if p.accept(TokKeyword, "FOR") {
 		if _, err := p.expect(TokKeyword, "SHARE"); err != nil {
@@ -263,14 +264,14 @@ func (p *Parser) parseInsert() (Statement, error) {
 	}
 	// Rows are read as values, one after another into one array, until the
 	// first computed item; from then on every row, the ones already read
-	// included, is kept as expressions.
+	// included, is kept as expressions. In a shape the values are the
+	// arguments, and only counted.
 	w := len(ins.Columns)
-	var slab []Value
-	if p.vals != nil {
-		slab = (*p.vals)[:0]
-	} else {
+	var slab []Value // the literal items' values, but in a shape
+	if !p.lx.shape {
 		slab = make([]Value, 0, w)
 	}
+	lone := 0 // the literal items before the first computed one
 	computed := false
 	for {
 		if _, err := p.expect(TokSymbol, "("); err != nil {
@@ -285,17 +286,20 @@ func (p *Parser) parseInsert() (Statement, error) {
 			}
 			switch {
 			case e == nil && !computed:
-				slab = append(slab, v)
+				if !p.lx.shape {
+					slab = append(slab, v)
+				}
+				lone++
 			case e == nil:
-				exprs = append(exprs, &Literal{Val: v})
+				exprs = append(exprs, p.constant(v, p.params-1))
 			default:
 				if !computed {
 					computed = true
-					done := len(slab) - n // values of the rows before this one
+					done := lone - n // items of the rows before this one
 					for r := 0; r < done; r += w {
-						ins.Rows = append(ins.Rows, literals(slab[r:r+w]))
+						ins.Rows = append(ins.Rows, p.constants(slab, r, r+w))
 					}
-					exprs = literals(slab[done:])
+					exprs = p.constants(slab, done, lone)
 				}
 				exprs = append(exprs, e)
 			}
@@ -317,13 +321,11 @@ func (p *Parser) parseInsert() (Statement, error) {
 			break
 		}
 	}
-	if p.vals != nil {
-		*p.vals = slab
-		if len(slab) == w && !computed {
-			slab = slices.Clone(slab) // a single row may be cached
-		}
-	}
-	if !computed {
+	switch {
+	case computed:
+	case p.lx.shape:
+		ins.ArgRows = lone / w
+	default:
 		ins.Values = make([][]Value, len(slab)/w)
 		for i := range ins.Values {
 			ins.Values[i] = slab[i*w : (i+1)*w : (i+1)*w]
@@ -332,11 +334,26 @@ func (p *Parser) parseInsert() (Statement, error) {
 	return ins, nil
 }
 
-// literals returns a row of values as a row of expressions.
-func literals(vals []Value) []Expr {
-	row := make([]Expr, len(vals))
-	for i, v := range vals {
-		row[i] = &Literal{Val: v}
+// constant returns the statement's literal number i, of value v, as an
+// expression: a Literal, or in a shape the Param i.
+func (p *Parser) constant(v Value, i int) Expr {
+	if p.lx.shape {
+		return &Param{Index: i}
+	}
+	return &Literal{Val: v}
+}
+
+// constants returns the literal items from to to of an INSERT, the
+// statement's first literals, as a row of expressions: in a shape they are
+// the Params of those indexes, else the values slab holds.
+func (p *Parser) constants(slab []Value, from, to int) []Expr {
+	row := make([]Expr, 0, to-from)
+	for i := from; i < to; i++ {
+		var v Value
+		if !p.lx.shape {
+			v = slab[i]
+		}
+		row = append(row, p.constant(v, i))
 	}
 	return row
 }
@@ -654,29 +671,37 @@ func (p *Parser) parseUnary() (Expr, error) {
 }
 
 // signedNumber reports whether the current token is a '-' directly before a
-// number. The two make one signed literal, parsed from the signed text:
-// read as the negation of 9223372036854775808, the INT -9223372036854775808
-// would overflow.
+// number, or in a shape before a slot. The two make one signed literal,
+// parsed from the signed text: read as the negation of
+// 9223372036854775808, the INT -9223372036854775808 would overflow.
 func (p *Parser) signedNumber() bool {
 	lx := &p.lx
-	return p.tok.Kind == TokSymbol && p.tok.Text == "-" &&
-		lx.pos == p.tok.Pos+1 && lx.pos < len(lx.src) && isDigit(lx.src[lx.pos])
+	if p.tok.Kind != TokSymbol || p.tok.Text != "-" || lx.pos != p.tok.Pos+1 || lx.pos >= len(lx.src) {
+		return false
+	}
+	if lx.shape {
+		return lx.src[lx.pos] == '?'
+	}
+	return isDigit(lx.src[lx.pos])
 }
 
 // literal consumes the current token when it is a literal, or the two
-// tokens of a signed number, and returns its value. For any other token ok
-// is false and nothing is consumed (but the '-' of a signed number whose
-// digits fail to lex).
+// tokens of a signed number, and returns its value; in a shape it consumes
+// a slot, counts it, and returns no value. For any other token ok is false
+// and nothing is consumed (but the '-' of a signed number whose digits fail
+// to lex).
 func (p *Parser) literal() (v Value, ok bool, err error) {
 	t := p.cur()
 	text := t.Text
 	if p.signedNumber() {
 		p.next()
-		if n := p.cur(); n.Kind == TokInt || n.Kind == TokFloat {
+		if n := p.cur(); n.Kind == TokInt || n.Kind == TokFloat || n.Kind == TokParam {
 			t.Kind, text = n.Kind, p.lx.src[t.Pos:n.Pos+len(n.Text)]
 		}
 	}
 	switch {
+	case t.Kind == TokParam:
+		p.params++
 	case t.Kind == TokInt:
 		var n int64
 		n, err = strconv.ParseInt(text, 10, 64)
@@ -705,7 +730,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Literal{Val: v}, nil
+		return p.constant(v, p.params-1), nil
 	}
 	t := p.cur()
 	switch t.Kind {

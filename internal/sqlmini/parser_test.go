@@ -26,8 +26,8 @@ func TestParseSelectStar(t *testing.T) {
 	if !sel.Items[0].Star || sel.Table != "items" {
 		t.Errorf("got %+v", sel)
 	}
-	if sel.Limit != -1 {
-		t.Errorf("Limit = %d, want -1", sel.Limit)
+	if sel.Limit != nil {
+		t.Errorf("Limit = %v, want none", sel.Limit)
 	}
 }
 
@@ -37,7 +37,7 @@ func TestParseSelectColumnsWhereOrderLimit(t *testing.T) {
 	if len(sel.Items) != 2 || sel.Items[0].Column != "id" || sel.Items[1].Column != "title" {
 		t.Errorf("items: %+v", sel.Items)
 	}
-	if sel.OrderBy != "title" || !sel.OrderDesc || sel.Limit != 3 {
+	if sel.OrderBy != "title" || !sel.OrderDesc || sel.Limit == nil || sel.Limit.String() != "3" {
 		t.Errorf("order/limit: %+v", sel)
 	}
 	b, ok := sel.Where.(*Binary)
@@ -419,11 +419,15 @@ func TestParseDumpInsertAllocs(t *testing.T) {
 // FuzzParse: Parse never panics, and any statement it accepts renders to
 // SQL that parses again and renders identically — String is a fixed point
 // after one round, which is what lets dumps and redo records be re-read.
-// The seed corpus in testdata/fuzz/FuzzParse holds TPC-W statements, dump
-// and redo texts, quoting and number edge cases and error inputs.
+// And the input's shape, parsed and bound to its arguments, renders as
+// Parse's statement does and fails exactly when Parse does (checkShape),
+// so that the engine, which runs shapes, runs what Parse reads. The seed
+// corpus in testdata/fuzz/FuzzParse holds TPC-W statements, dump and redo
+// texts, quoting and number edge cases and error inputs.
 func FuzzParse(f *testing.F) {
 	f.Add("INSERT INTO t (a, b, c, d) VALUES (-5, 1 + 2, NULL, TRUE)")
 	f.Fuzz(func(t *testing.T, sql string) {
+		checkShape(t, sql)
 		st, err := Parse(sql)
 		if err != nil {
 			return

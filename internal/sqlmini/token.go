@@ -31,6 +31,7 @@ const (
 	TokFloat
 	TokString
 	TokSymbol // punctuation and operators: ( ) , * = <> != < <= > >= + - / ;
+	TokParam  // a literal's slot in a statement's shape: ?i ?f ?s ?b ?n (see Shape)
 )
 
 func (k TokenKind) String() string {
@@ -49,6 +50,8 @@ func (k TokenKind) String() string {
 		return "string"
 	case TokSymbol:
 		return "symbol"
+	case TokParam:
+		return "parameter"
 	}
 	return fmt.Sprintf("TokenKind(%d)", int(k))
 }
@@ -67,15 +70,39 @@ func (t Token) String() string {
 	return fmt.Sprintf("%s %q", t.Kind, t.Text)
 }
 
-// keywords is the set of reserved words. Matching is case-insensitive.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "INSERT": true,
-	"INTO": true, "VALUES": true, "UPDATE": true, "SET": true,
-	"DELETE": true, "CREATE": true, "TABLE": true, "DROP": true,
-	"PRIMARY": true, "KEY": true, "BEGIN": true, "COMMIT": true,
-	"ROLLBACK": true, "ABORT": true, "AND": true, "OR": true, "NOT": true,
-	"ORDER": true, "BY": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"COUNT": true, "SUM": true, "NULL": true, "TRUE": true, "FALSE": true,
-	"INT": true, "FLOAT": true, "TEXT": true, "BOOL": true,
-	"FOR": true, "SHARE": true, "INDEX": true, "ON": true,
+// keywords maps each reserved word to itself, the canonical spelling a
+// keyword token carries.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "INSERT", "INTO", "VALUES", "UPDATE", "SET",
+		"DELETE", "CREATE", "TABLE", "DROP", "PRIMARY", "KEY", "BEGIN", "COMMIT",
+		"ROLLBACK", "ABORT", "AND", "OR", "NOT", "ORDER", "BY", "ASC", "DESC",
+		"LIMIT", "COUNT", "SUM", "NULL", "TRUE", "FALSE", "INT", "FLOAT", "TEXT",
+		"BOOL", "FOR", "SHARE", "INDEX", "ON",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen is the length of the longest keyword, ROLLBACK.
+const maxKeywordLen = 8
+
+// keyword returns the canonical spelling of word when it is a keyword in
+// any case, and "" when it is not. It upper-cases into an array on the
+// stack and looks that up, so it allocates nothing.
+func keyword(word string) string {
+	var up [maxKeywordLen]byte
+	if len(word) > len(up) {
+		return ""
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	return keywords[string(up[:len(word)])]
 }

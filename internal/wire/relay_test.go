@@ -41,7 +41,8 @@ const pointReadSQL = "SELECT i_title, i_cost FROM item WHERE i_id = 7"
 // buffers have grown and the frame pool is warm, a whole ExecReply round
 // trip — client encode and write, server read, session, server encode and
 // write, client read — allocates at most the server's copy of the SQL text,
-// and Exec adds only what DecodeResult allocates.
+// which a session that is not a node's gets (the stub here), and Exec adds
+// only what DecodeResult allocates.
 func TestRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers at random")
@@ -314,5 +315,21 @@ func TestNodeExecAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(100, run); got > tc.max {
 			t.Errorf("%s allocates %.0f objects, want at most %.0f", tc.name, got, tc.max)
 		}
+	}
+
+	// A point SELECT of a new text every run, as a key space wider than
+	// any cache of texts makes nearly every one, costs what a repeated one
+	// does: the parse cache keys on the statement's shape.
+	const point = "SELECT i_title, i_cost FROM item WHERE i_id = %d AND i_stock > -%d"
+	texts := make([]string, 102)
+	for i := range texts {
+		texts[i] = fmt.Sprintf(point, i%100+1, i+1)
+	}
+	repeated := testing.AllocsPerRun(100, func() { exec(texts[0]) })
+	next := 0
+	fresh := testing.AllocsPerRun(100, func() { exec(texts[next]); next++ })
+	t.Logf("point SELECT allocates %.0f objects repeated, %.0f with a new text each run", repeated, fresh)
+	if fresh > repeated || fresh > 2 {
+		t.Errorf("a point SELECT of a new text allocates %.0f objects, want at most the repeated one's %.0f, and at most 2", fresh, repeated)
 	}
 }

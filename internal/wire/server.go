@@ -250,13 +250,16 @@ func (s *Server) serve(conn net.Conn) {
 				}
 				tc, payload = &ctx, q
 			}
-			// The one copy of a query: the session may keep SQL text (the
-			// parse cache keys on it) past the next read into rbuf. A row
-			// statement, a restore chunk, is applied from the frame it
-			// arrived in: the session keeps nothing of one (see
-			// engine.Session.execRows).
+			// A node's session runs a query from the frame it arrived in:
+			// it keeps nothing of the text past the call (its parse cache
+			// owns the shapes it keys on, and DDL copies the names it gives
+			// the catalog), and neither does it of a row statement, a
+			// restore chunk (see engine.Session.execRows). Any other
+			// session, a middleware worker capturing its writes, may keep
+			// the text past the next read into rbuf, and gets the one copy
+			// of a query.
 			sql := unsafe.String(unsafe.SliceData(payload), len(payload))
-			if !engine.IsRowStatement(sql) {
+			if _, node := sess.(engineConn); !node && !engine.IsRowStatement(sql) {
 				sql = strings.Clone(sql)
 			}
 			start := time.Now()

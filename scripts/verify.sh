@@ -68,8 +68,11 @@ go test -run '^$' -fuzz '^FuzzDecodeTraced$' -fuzztime 10s ./internal/wire/
 # frame, and every record it accepts re-encodes to the same bytes.
 go test -run '^$' -fuzz '^FuzzReplaySegment$' -fuzztime 10s ./internal/wal/
 
-# The SQL parser's fuzz target the same way: it never panics, and every
-# statement it accepts renders to SQL that parses back to the same text.
+# The SQL parser's fuzz target the same way: it never panics, every
+# statement it accepts renders to SQL that parses back to the same text,
+# and the input's shape, parsed and bound to its arguments (what the
+# engine runs), renders as Parse's statement and fails exactly when Parse
+# does.
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/sqlmini/
 
 # The row codec every stored version goes through the same way: any row
