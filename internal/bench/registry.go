@@ -133,7 +133,7 @@ func printMigrationTimeline(rep *core.Report, w io.Writer) {
 // printHistoryCurve renders the middleware's sampled time series for one
 // tenant: the same lag/debt/throughput curve the fig7/fig8 tables derive from
 // the workload recorder, but as observed by the obs.History sampler. Skipped
-// silently when the sampler recorded nothing (obs disabled or run too short).
+// silently when the sampler recorded nothing (sampler paused or run too short).
 func printHistoryCurve(tenant string, w io.Writer) {
 	samples := obs.Hist.Last(tenant, -1)
 	if len(samples) == 0 {

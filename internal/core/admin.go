@@ -54,9 +54,11 @@ type adminConn struct {
 // Close implements wire.Conn.
 func (a *adminConn) Close() {}
 
-// Exec implements wire.Conn for the admin channel.
+// Exec implements wire.Conn for the admin channel. cmd is lent for the
+// call; run keeps fields of it (strings.Fields aliases its input) as
+// tenant, node and site names, so it gets a copy.
 func (a *adminConn) Exec(cmd string, dst []byte) ([]byte, error) {
-	res, err := a.run(cmd)
+	res, err := a.run(strings.Clone(cmd))
 	if err != nil {
 		return dst, err
 	}

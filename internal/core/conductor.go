@@ -41,7 +41,7 @@ type propagator struct {
 	// herdCond.
 	herd bool
 
-	// trace is the migration's wire trace context (nil when obs is off);
+	// trace is the migration's wire trace context (nil: plain frames);
 	// every pooled destination connection carries it so the slave-side
 	// replay traffic is attributable to the migration.
 	trace *wire.TraceContext

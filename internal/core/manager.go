@@ -304,13 +304,9 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	// migration itself issues — the dump stream on this control session,
 	// restores, propagation replays, the promotion probe — carries the
 	// migration's MTS and span, so dbnode-side wire events are attributable
-	// to this attempt. Gated on obs: disabled observability means plain
-	// frames and zero overhead.
-	var trace *wire.TraceContext
-	if obs.On() {
-		trace = &wire.TraceContext{Tenant: tenantName, MTS: mts, Span: rep.Span}
-		ctl.SetTraceContext(trace)
-	}
+	// to this attempt.
+	trace := &wire.TraceContext{Tenant: tenantName, MTS: mts, Span: rep.Span}
+	ctl.SetTraceContext(trace)
 	t.setGate(false) // customers resume while the dump streams
 
 	if ferr := fault.Inject(faultStep1Dump); ferr != nil {
@@ -586,7 +582,7 @@ func probePromotion(sl Backend, tenant string, trace *wire.TraceContext) error {
 // destination session is opened: transient failures (transport losses,
 // injected faults at the optional failpoint site) back off and redial up to
 // dialAttempts times; server-reported errors fail fast. The session carries
-// destOpTimeout and the attempt's trace context (nil when obs is off).
+// destOpTimeout and the attempt's trace context (nil: plain frames).
 func connectRetry(node Backend, tenant, site string, trace *wire.TraceContext) (*wire.Client, error) {
 	var lastErr error
 	for attempt := 0; attempt < dialAttempts; attempt++ {
@@ -606,9 +602,7 @@ func connectRetry(node Backend, tenant, site string, trace *wire.TraceContext) (
 		c, err := node.Connect(tenant)
 		if err == nil {
 			c.SetOpTimeout(destOpTimeout)
-			if trace != nil {
-				c.SetTraceContext(trace)
-			}
+			c.SetTraceContext(trace)
 			return c, nil
 		}
 		lastErr = err

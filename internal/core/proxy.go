@@ -391,7 +391,7 @@ func (w *worker) execInTxn(sql string, class sqlmini.OpClass) ([]byte, error) {
 		isWrite := class == sqlmini.OpWrite || class == sqlmini.OpDDL
 		t.mu.Lock()
 		if w.ssb != nil && (isWrite || t.captureAll) {
-			w.ssb.Entries = append(w.ssb.Entries, Entry{SQL: sql, Class: class})
+			w.ssb.Entries = append(w.ssb.Entries, newEntry(sql, class))
 			if isWrite {
 				w.ssb.update = true
 			}
@@ -419,7 +419,7 @@ func (w *worker) execFirstOp(sql string, class sqlmini.OpClass) ([]byte, error) 
 		return nil, err
 	}
 	b := &SSB{STS: t.mlc}
-	b.Entries = append(b.Entries, Entry{SQL: sql, Class: class})
+	b.Entries = append(b.Entries, newEntry(sql, class))
 	if class == sqlmini.OpWrite || class == sqlmini.OpDDL {
 		b.update = true
 	}
@@ -531,7 +531,7 @@ func (w *worker) execAutocommit(sql string, class sqlmini.OpClass) ([]byte, erro
 			t.mu.Lock()
 			if t.migrating && t.captureAll {
 				b := &SSB{STS: t.mlc, ETS: t.mlc}
-				b.Entries = append(b.Entries, Entry{SQL: sql, Class: class})
+				b.Entries = append(b.Entries, newEntry(sql, class))
 				t.resolveSSBLocked(b, true)
 			}
 			t.mu.Unlock()
@@ -552,7 +552,7 @@ func (w *worker) execAutocommit(sql string, class sqlmini.OpClass) ([]byte, erro
 		reply, err := w.backend.ExecReply(sql)
 		if err == nil {
 			b := &SSB{STS: t.mlc, ETS: t.mlc, update: true}
-			b.Entries = append(b.Entries, Entry{SQL: sql, Class: class})
+			b.Entries = append(b.Entries, newEntry(sql, class))
 			t.mlc++
 			obsMLCAdvance.Inc()
 			t.resolveSSBLocked(b, true)

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"madeus/internal/engine"
@@ -206,5 +208,64 @@ func TestProxyRefusesRowStatements(t *testing.T) {
 	}
 	if n := res.Rows[0][0].Int; n != 10 {
 		t.Errorf("acct holds %d rows, want the 10 provisioned", n)
+	}
+}
+
+// TestCapturedStatementsOutliveTheirFrames pins the worker's side of the
+// wire server's lending contract (see wire.Conn): the server reads each
+// query into one buffer per connection and lends it for the call, so a
+// statement the worker captures must be its own copy. Statements captured
+// at every capture site (an autocommit read under B-ALL, an autocommit
+// write, a transaction's first operation and its write) must read the
+// same after their connection has sent hundreds more frames of the same
+// length through that buffer.
+func TestCapturedStatementsOutliveTheirFrames(t *testing.T) {
+	rig := newRig(t, 1, engine.Options{})
+	rig.provision(t, "a", 10)
+	tn, _ := rig.mw.Tenant("a")
+	tn.startCapture(true)
+	defer tn.stopCapture()
+
+	c := rig.connect(t, "a")
+	defer c.Close()
+	// Size the connection's read buffer first, so every later frame
+	// lands in the same bytes.
+	mustExecAll(t, c, "SELECT bal FROM acct WHERE id = 0"+strings.Repeat(" ", 64))
+	tn.mu.Lock()
+	tn.resetSSLLocked()
+	tn.mu.Unlock()
+
+	stmts := func(i int) []string {
+		return []string{
+			fmt.Sprintf("SELECT bal FROM acct WHERE id = %d", i%10),
+			fmt.Sprintf("UPDATE acct SET bal = bal + %d WHERE id = %d", i%10, (i+3)%10),
+			"BEGIN",
+			fmt.Sprintf("SELECT bal FROM acct WHERE id = %d", (i+5)%10),
+			fmt.Sprintf("UPDATE acct SET bal = bal - %d WHERE id = %d", (i+7)%10, (i+1)%10),
+			"COMMIT",
+		}
+	}
+	mustExecAll(t, c, stmts(1)...)
+	tn.mu.Lock()
+	ssl := append([]*SSB{}, tn.ssl...)
+	tn.mu.Unlock()
+	var captured []string
+	for _, b := range ssl {
+		for _, e := range b.Entries {
+			captured = append(captured, e.SQL)
+		}
+	}
+	sent := stmts(1)
+	want := []string{sent[0], sent[1], sent[3], sent[4]} // not BEGIN, COMMIT
+	if strings.Join(captured, "; ") != strings.Join(want, "; ") {
+		t.Fatalf("captured %q, want %q", captured, want)
+	}
+	for i := 2; i < 200; i++ {
+		mustExecAll(t, c, stmts(i)...)
+	}
+	for i, sql := range captured {
+		if sql != want[i] {
+			t.Errorf("captured statement %d reads %q after later frames, want %q", i, sql, want[i])
+		}
 	}
 }

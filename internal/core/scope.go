@@ -141,11 +141,10 @@ func (m *Middleware) sampleLoop() {
 	}
 }
 
-// sampleOnce records one Sample per tenant into the process history. The
-// disabled-obs (and paused-cadence) path returns before touching any
-// tenant, keeping the idle cost of the sampler a couple of atomic loads.
+// sampleOnce records one Sample per tenant into the process history. A
+// paused cadence returns before touching any tenant.
 func (m *Middleware) sampleOnce(now time.Time) {
-	if !obs.On() || m.sampleCadence.Load() <= 0 {
+	if m.sampleCadence.Load() <= 0 {
 		return
 	}
 	m.mu.RLock()
@@ -178,9 +177,6 @@ func (m *Middleware) sampleOnce(now time.Time) {
 // abort flavor (step failures, watchdog deadline/stall, SSL overflow) —
 // after the report's Timeline is populated.
 func (m *Middleware) captureFlight(t *Tenant, rep *Report, step string, cause error) {
-	if !obs.On() {
-		return
-	}
 	mon := t.Monitor()
 	detail := []obs.Field{
 		obs.F("step", step),
@@ -215,8 +211,5 @@ func (m *Middleware) captureFlight(t *Tenant, rep *Report, step string, cause er
 		Metrics: obs.Default.Snapshot(),
 		History: obs.Hist.Last(t.Name, 128),
 	})
-	if id > 0 {
-		obs.Trace.Emit(t.Name, obsEvFlightCapture,
-			obs.F("bundle", id), obs.F("step", step))
-	}
+	obs.Trace.Emit(t.Name, obsEvFlightCapture, obs.F("bundle", id), obs.F("step", step))
 }

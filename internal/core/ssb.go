@@ -1,6 +1,10 @@
 package core
 
-import "madeus/internal/sqlmini"
+import (
+	"strings"
+
+	"madeus/internal/sqlmini"
+)
 
 // Entry is one captured operation inside an SSB. Entries are held in FIFO
 // order (Fig 3): the syncset's first operation, then its writes (or, in
@@ -8,6 +12,13 @@ import "madeus/internal/sqlmini"
 type Entry struct {
 	SQL   string
 	Class sqlmini.OpClass
+}
+
+// newEntry captures sql, lent by the wire server for the call (see
+// wire.Conn), as an entry that owns a copy: the one statement copy a worker
+// takes.
+func newEntry(sql string, class sqlmini.OpClass) Entry {
+	return Entry{SQL: strings.Clone(sql), Class: class}
 }
 
 // SSB is a syncset buffer (Fig 3): the captured operations of one

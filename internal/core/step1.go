@@ -84,7 +84,7 @@ type slaveRun struct {
 // pipelineSnapshot is Step 1 + Step 2 as one three-stage pipeline
 // (dump → transfer → restore). ctl must hold the open dump transaction
 // with its snapshot already pinned; chunk is the sections per chunk and
-// trace the attempt's trace context (nil when obs is off).
+// trace the attempt's trace context (nil: plain frames).
 //
 //	stage 1  the source session streams bounded statement chunks
 //	         (DUMP STREAM over the wire's multi-frame response)

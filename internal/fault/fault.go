@@ -13,13 +13,12 @@
 // and a fixed interleaving, the same faults fire at the same hits.
 //
 // The registry follows the repo's tag-gating contract (see
-// internal/invariant and internal/obs): the real implementation builds
-// only under `-tags faultinject`. In a default build every exported
-// function is a no-op stub, Inject returns nil unconditionally, and the
-// whole layer costs at most one atomic load per site — guarded by
-// TestFaultDisabledOverhead at the repo root. In a faultinject build an
-// unarmed registry still costs only one atomic load (the `armed` flag)
-// before bailing out.
+// internal/invariant): the real implementation builds only under
+// `-tags faultinject`. In a default build every exported function is a
+// no-op stub and an Inject site compiles to nothing. In a faultinject
+// build an unarmed site costs one inlined atomic load (the `armed` flag)
+// in front of the outlined slow path. TestDisabledOverhead at the repo
+// root checks both on the compiled code.
 //
 // Site names are dot-separated constants owned by the package declaring
 // them (wire.dial, wal.fsync, core.step1.dump, ...). They must be

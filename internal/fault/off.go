@@ -5,7 +5,8 @@ package fault
 // Enabled reports whether failpoints are compiled in. In this build they
 // are not: every function below is an inlinable no-op and Inject always
 // returns nil, so a production binary pays nothing for the sites threaded
-// through its hot paths (guarded by TestFaultDisabledOverhead).
+// through its hot paths (checked on the compiled code by
+// TestDisabledOverhead/TestFaultDisabledOverhead at the repo root).
 const Enabled = false
 
 // Inject is the no-op stub; sites always pass.

@@ -6,8 +6,9 @@ import "testing"
 
 // TestStubsAreInert pins the no-tag contract: Enabled is false and every
 // entry point is a no-op, so armed-looking call sequences change nothing.
-// The performance half of the contract (an Inject call costs nothing) is
-// guarded by TestFaultDisabledOverhead at the repo root.
+// The performance half of the contract (an Inject call compiles to
+// nothing) is checked by TestDisabledOverhead/TestFaultDisabledOverhead at
+// the repo root.
 func TestStubsAreInert(t *testing.T) {
 	if Enabled {
 		t.Fatal("Enabled must be false without the faultinject tag")

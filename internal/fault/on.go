@@ -48,10 +48,17 @@ type siteState struct {
 // counting down Times, rolling the seeded PRNG for P, sleeping Delay,
 // parking on Hang, and finally returning the policy's error (ErrInjected
 // by default, a *DropError for Drop, nil for pure delay/hang).
+//
+// Inject is the inlined fast path, one atomic load; inject is the slow
+// path, reached only while some site is armed.
 func Inject(site string) error {
 	if !armed.Load() {
 		return nil
 	}
+	return inject(site)
+}
+
+func inject(site string) error {
 	mu.Lock()
 	s := sites[site]
 	if s == nil {
@@ -79,9 +86,7 @@ func Inject(site string) error {
 
 	fired.Add(1)
 	obsFaultHits.Add(1)
-	if obs.On() {
-		obs.Trace.Emit("", "fault.fired", obs.F("site", site))
-	}
+	obs.Trace.Emit("", "fault.fired", obs.F("site", site))
 
 	if p.Delay > 0 {
 		time.Sleep(p.Delay)

@@ -25,9 +25,10 @@
 //     degrades gracefully instead of exhausting goroutines.
 //
 // The layer follows the repo's overhead contract (internal/invariant,
-// internal/obs, internal/fault): with every knob at its zero value the
-// per-commit pace check and the per-session admission check each cost one
-// atomic load, guarded by TestFlowDisabledOverhead at the repo root.
+// internal/fault): with every knob at its zero value the per-commit pace
+// check costs one inlined atomic load and the per-session admission check
+// one config load, checked by TestDisabledOverhead/TestFlowDisabledOverhead
+// at the repo root.
 package flow
 
 import (

@@ -190,16 +190,13 @@ func TestThrottleClampAndIdle(t *testing.T) {
 	if d := th.Delay(); d != MaxPaceDelay {
 		t.Fatalf("ceiling clamp: delay %v, want %v", d, time.Duration(MaxPaceDelay))
 	}
+	// An idle Wait returns at once; its cost is pinned on the compiled
+	// code by TestDisabledOverhead/TestFlowDisabledOverhead at the repo
+	// root.
 	th.Set(0)
-	start := time.Now()
-	for i := 0; i < 1000; i++ {
-		th.Wait()
-	}
-	if el := time.Since(start); el > 100*time.Millisecond {
-		t.Fatalf("idle Wait too slow: %v for 1000 calls", el)
-	}
+	th.Wait()
 	th.Set(5 * time.Millisecond)
-	start = time.Now()
+	start := time.Now()
 	th.Wait()
 	if el := time.Since(start); el < 4*time.Millisecond {
 		t.Fatalf("armed Wait returned after %v, want >= ~5ms", el)

@@ -3,7 +3,7 @@ package flow
 import "madeus/internal/obs"
 
 // Backpressure metrics. Registered once at init like every other obs user;
-// with obs disabled each update is one atomic load.
+// each update is one atomic.
 var (
 	// obsSSLBytes tracks the accounted memory footprint of the migrating
 	// tenant's syncset list (sum over tenants currently capturing).

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"madeus/internal/fault"
-	"madeus/internal/obs"
 )
 
 // faultPaceWait lets the chaos suite observe or distort the commit-side
@@ -36,13 +35,17 @@ func (th *Throttle) Set(d time.Duration) {
 // Delay returns the currently applied per-commit delay.
 func (th *Throttle) Delay() time.Duration { return time.Duration(th.delay.Load()) }
 
-// Wait applies the current delay, if any. The single atomic load up front
-// is the whole cost when pacing is off.
+// Wait applies the current delay, if any. It inlines into its caller as
+// one atomic load, the whole cost when pacing is off; pace is the slow
+// path.
 func (th *Throttle) Wait() {
-	d := th.delay.Load()
-	if d == 0 {
-		return
+	if d := th.delay.Load(); d != 0 {
+		pace(d)
 	}
+}
+
+// pace sleeps one commit's delay d, in nanoseconds.
+func pace(d int64) {
 	_ = fault.Inject(faultPaceWait) // latency-only site: errors have nowhere to go mid-commit
 	// Re-clamp at the spend site: the ceiling holds even if a future
 	// writer bypasses Set.
@@ -50,9 +53,7 @@ func (th *Throttle) Wait() {
 		d = int64(MaxPaceDelay)
 	}
 	time.Sleep(time.Duration(d))
-	if obs.On() {
-		obsPaceDelay.ObserveDuration(time.Duration(d))
-	}
+	obsPaceDelay.ObserveDuration(time.Duration(d))
 }
 
 // Controller turns the Step-3 debt trend into a pace delay. The law is

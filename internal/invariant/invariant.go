@@ -3,8 +3,9 @@
 //
 // By default every function in this package is an empty no-op that the
 // compiler inlines away, so production builds pay nothing for the assertion
-// call sites sprinkled through the hot paths (bench guard:
-// TestInvariantZeroOverhead at the repo root). Building with
+// call sites sprinkled through the hot paths (checked on the compiled code
+// by TestDisabledOverhead/TestInvariantZeroOverhead at the repo root).
+// Building with
 //
 //	go test -tags invariants ./...
 //

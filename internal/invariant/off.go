@@ -2,9 +2,6 @@
 
 package invariant
 
-// Enabled reports whether invariant checking is compiled in.
-const Enabled = false
-
 // Assert is a no-op without the invariants build tag.
 func Assert(cond bool, msg string) {}
 

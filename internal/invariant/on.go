@@ -7,9 +7,6 @@ import (
 	"sync/atomic"
 )
 
-// Enabled reports whether invariant checking is compiled in.
-const Enabled = true
-
 // hits counts evaluated assertions so tag-gated tests can prove the
 // instrumented call sites were actually exercised.
 var hits atomic.Uint64

@@ -29,6 +29,29 @@ func row(k, v int64) storage.Row {
 
 func key(k int64) sqlmini.Value { return sqlmini.NewInt(k) }
 
+// awaitWaiter returns once a transaction waits for pk's row lock, read off
+// the row's chain under its lock: a test that then releases the lock runs
+// the wake-up path every time, where a sleep would let a late waiter find
+// the lock already free.
+func awaitWaiter(t *testing.T, tb *Table, pk sqlmini.Value) {
+	t.Helper()
+	ch := tb.chain(pk, false)
+	if ch == nil {
+		t.Fatalf("no chain for %v", pk)
+	}
+	for start := time.Now(); ; time.Sleep(100 * time.Microsecond) {
+		ch.mu.Lock()
+		waiting := ch.ext != 0 && len(tb.ext(ch).waiters) > 0
+		ch.mu.Unlock()
+		if waiting {
+			return
+		}
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("no transaction waits for the row lock of %v", pk)
+		}
+	}
+}
+
 func mustInsert(t *testing.T, tb *Table, txn *Txn, k, v int64) {
 	t.Helper()
 	if err := tb.Insert(txn, row(k, v)); err != nil {
@@ -172,7 +195,7 @@ func TestFirstUpdaterWinsActiveWinnerCommits(t *testing.T) {
 		_, err := tb.Update(b, key(1), row(1, 12)) // blocks on a's lock
 		errc <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let b block
+	awaitWaiter(t, tb, key(1))
 	mustCommit(t, a)
 	if err := <-errc; !errors.Is(err, ErrSerialization) {
 		t.Fatalf("got %v, want ErrSerialization", err)
@@ -199,7 +222,7 @@ func TestFirstUpdaterWinsActiveWinnerAborts(t *testing.T) {
 		ok, err := tb.Update(b, key(1), row(1, 12))
 		resc <- res{ok, err}
 	}()
-	time.Sleep(20 * time.Millisecond)
+	awaitWaiter(t, tb, key(1))
 	if err := a.Abort(); err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +281,7 @@ func TestConcurrentInsertSameKeyFirstUpdaterWins(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- tb.Insert(b, row(1, 2)) }()
-	time.Sleep(20 * time.Millisecond)
+	awaitWaiter(t, tb, key(1))
 	mustCommit(t, a)
 	if err := <-errc; !errors.Is(err, ErrUniqueViolation) {
 		t.Fatalf("got %v, want ErrUniqueViolation", err)

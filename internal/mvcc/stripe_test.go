@@ -112,10 +112,8 @@ func TestContendedWaiterProceedsAfterAbort(t *testing.T) {
 	}
 
 	waiterDone := make(chan error, 1)
-	waiterStarted := make(chan struct{})
 	go func() {
 		w := m.Begin()
-		close(waiterStarted)
 		ok, err := tb.Update(w, key(1), row(1, 2))
 		if err != nil {
 			waiterDone <- err
@@ -129,8 +127,7 @@ func TestContendedWaiterProceedsAfterAbort(t *testing.T) {
 		waiterDone <- err
 	}()
 
-	<-waiterStarted
-	time.Sleep(20 * time.Millisecond) // let the waiter block on the row lock
+	awaitWaiter(t, tb, key(1))
 	if err := holder.Abort(); err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +261,16 @@ func TestCrossShardSnapshotCut(t *testing.T) {
 // TestStripedRaceStress mixes Begin/Commit/Abort, point reads, full
 // scans, and vacuum across goroutines. It asserts nothing beyond "no
 // race, no deadlock, no invariant failure" — the race detector and the
-// invariants build are the oracle.
+// invariants build are the oracle. The writers and scanners run a fixed
+// number of operations each; vacuum runs until they are done.
 func TestStripedRaceStress(t *testing.T) {
 	m, tb := testTableStriped(t, 8)
 	m.LockTimeout = 2 * time.Second
-	const keys = 32
+	const (
+		keys      = 32
+		writerOps = 3000 // per writer
+		scans     = 300  // per scanner
+	)
 
 	seed := m.Begin()
 	for k := int64(0); k < keys; k++ {
@@ -284,12 +286,7 @@ func TestStripedRaceStress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < writerOps; i++ {
 				w := m.Begin()
 				k := int64(rng.Intn(keys))
 				_, err := tb.Update(w, key(k), row(k, rng.Int63()))
@@ -306,12 +303,7 @@ func TestStripedRaceStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < scans; i++ {
 				r := m.Begin()
 				n := tb.Len(r)
 				if n != keys {
@@ -323,9 +315,9 @@ func TestStripedRaceStress(t *testing.T) {
 		}()
 	}
 	// Vacuum + explicit prune.
-	wg.Add(1)
+	vacuumDone := make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(vacuumDone)
 		for {
 			select {
 			case <-stop:
@@ -338,9 +330,9 @@ func TestStripedRaceStress(t *testing.T) {
 		}
 	}()
 
-	time.Sleep(500 * time.Millisecond)
-	close(stop)
 	wg.Wait()
+	close(stop)
+	<-vacuumDone
 
 	// With no transaction active the horizon is the last CSN, so one
 	// prune pass drains everything still queued.

@@ -35,11 +35,8 @@ func cellIndex() uint {
 	return uint(uintptr(unsafe.Pointer(&b))>>10) & (numCells - 1)
 }
 
-// Add increments the counter. No-op while obs is disabled.
+// Add increments the counter.
 func (c *Counter) Add(n uint64) {
-	if !enabled.Load() {
-		return
-	}
 	c.cells[cellIndex()].v.Add(n)
 }
 
@@ -66,20 +63,14 @@ type Gauge struct {
 	v    atomic.Int64
 }
 
-// Set stores the gauge value. No-op while obs is disabled.
+// Set stores the gauge value.
 func (g *Gauge) Set(v int64) {
-	if !enabled.Load() {
-		return
-	}
 	g.v.Store(v)
 }
 
 // Add moves the gauge by delta (use for inc/dec pairs around a resource's
-// lifetime). No-op while obs is disabled.
+// lifetime).
 func (g *Gauge) Add(delta int64) {
-	if !enabled.Load() {
-		return
-	}
 	g.v.Add(delta)
 }
 

@@ -50,12 +50,8 @@ func NewFlightRecorder(n int) *FlightRecorder {
 }
 
 // Capture stores one bundle, assigning its ID and timestamp, and returns
-// the ID. While obs is disabled nothing is stored and 0 is returned — the
-// caller should have skipped assembling the bundle behind On() anyway.
+// the ID.
 func (f *FlightRecorder) Capture(b Bundle) int {
-	if !enabled.Load() {
-		return 0
-	}
 	f.mu.Lock()
 	b.ID = f.nextID
 	f.nextID++

@@ -44,17 +44,6 @@ func TestFlightFIFOEviction(t *testing.T) {
 	}
 }
 
-// TestFlightDisabled pins the enable gate: Capture is a no-op returning 0.
-func TestFlightDisabled(t *testing.T) {
-	f := NewFlightRecorder(3)
-	SetEnabled(false)
-	id := f.Capture(Bundle{Tenant: "t"})
-	SetEnabled(true)
-	if id != 0 || f.Len() != 0 {
-		t.Fatalf("disabled Capture returned id %d with Len %d, want 0 and 0", id, f.Len())
-	}
-}
-
 // TestFlightCapFloor: a nonsensical cap still retains the latest bundle.
 func TestFlightCapFloor(t *testing.T) {
 	f := NewFlightRecorder(0)

@@ -42,11 +42,8 @@ func SizeBuckets() []int64 {
 	return bounds
 }
 
-// Observe records one value. No-op while obs is disabled.
+// Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	if !enabled.Load() {
-		return
-	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++

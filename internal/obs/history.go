@@ -56,11 +56,8 @@ func NewHistory(n int) *History {
 }
 
 // Record appends one sample to the tenant's ring, deriving OpsPerSec from
-// the previous sample. No-op while obs is disabled (one atomic load).
+// the previous sample.
 func (h *History) Record(tenant string, s Sample) {
-	if !enabled.Load() {
-		return
-	}
 	h.mu.Lock()
 	r := h.series[tenant]
 	if r == nil {

@@ -103,15 +103,3 @@ func TestHistoryDropAndTenants(t *testing.T) {
 		t.Fatalf("Snapshot missing surviving tenant: %v", snap)
 	}
 }
-
-// TestHistoryDisabled pins the global gate: a disabled process records
-// nothing, so re-enabling starts a fresh series.
-func TestHistoryDisabled(t *testing.T) {
-	h := NewHistory(16)
-	SetEnabled(false)
-	h.Record("t", histAt(time.Now(), 0, 1))
-	SetEnabled(true)
-	if got := h.Last("t", -1); got != nil {
-		t.Fatalf("disabled Record stored %d samples, want none", len(got))
-	}
-}

@@ -8,40 +8,17 @@
 //
 //   - Counters are sharded across padded cells so concurrent workers do not
 //     contend on one cache line; an Add is a single uncontended atomic.
-//   - Every mutation first checks one global enable flag (a plain atomic
-//     load). With obs disabled the whole layer costs a load and a branch —
-//     the same contract as internal/invariant's no-tag Assert, guarded by
-//     TestObsDisabledOverhead.
 //   - The tracer writes into a fixed-size ring; it never allocates beyond
 //     the event's own fields and never blocks.
 //
-// Instrumentation sites that must build field slices or format strings
-// should guard with On() so the argument construction itself is skipped
-// when observation is off:
-//
-//	if obs.On() {
-//	    obs.Trace.Emit(tenant, "step3.sample", obs.F("lag", lag))
-//	}
+// The layer is always on: it is cheap enough to leave on in production,
+// and a layer with an off state would have to keep paired gauge moves
+// (Inc/Dec around a resource's lifetime) consistent across the switch.
+// An Emit builds its field slice, so event sites sit on migration and fault
+// paths, never on the per-statement relay path.
 //
 // Snapshots are exposed three ways: the admin channel's STATS and EVENTS
 // commands (internal/core), an optional /debug/madeus HTTP endpoint
 // (cmd/madeusd -debug), and the migration Report timeline that
 // cmd/benchrunner prints.
 package obs
-
-import "sync/atomic"
-
-// enabled gates every mutation in the package. On by default: the whole
-// point of the layer is that it is cheap enough to leave on in production;
-// SetEnabled(false) exists for overhead experiments and the bench guard.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// On reports whether observation is enabled. Hot call sites use it to skip
-// building event fields entirely.
-func On() bool { return enabled.Load() }
-
-// SetEnabled turns the whole layer on or off at runtime. Disabled metrics
-// keep their accumulated values; they just stop moving.
-func SetEnabled(v bool) { enabled.Store(v) }

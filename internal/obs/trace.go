@@ -75,16 +75,12 @@ func NewTracer(n int) *Tracer {
 	return &Tracer{ring: make([]Event, n)}
 }
 
-// Emit records one event. No-op while obs is disabled — but guard the call
-// with On() anyway so the fields are never built.
+// Emit records one event.
 func (t *Tracer) Emit(tenant, name string, fields ...Field) {
 	t.emit(Event{At: time.Now(), Tenant: tenant, Name: name, Fields: fields})
 }
 
 func (t *Tracer) emit(e Event) {
-	if !enabled.Load() {
-		return
-	}
 	t.mu.Lock()
 	e.Seq = t.next
 	t.ring[t.next%uint64(len(t.ring))] = e

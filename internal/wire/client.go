@@ -95,8 +95,7 @@ func DialRTT(addr, database string, rtt time.Duration) (*Client, error) {
 func (c *Client) SetOpTimeout(d time.Duration) { c.opTimeout = d }
 
 // SetTraceContext attaches (or, with nil, detaches) a migration trace
-// context. While attached and observability is enabled, every Exec and
-// ExecStream goes out as a traced frame so the server-side events carry
+// context. While attached, every Exec and ExecStream goes out as a traced frame so the server-side events carry
 // the migration's MTS and span id.
 func (c *Client) SetTraceContext(tc *TraceContext) { c.trace = tc }
 
@@ -104,9 +103,7 @@ func (c *Client) SetTraceContext(tc *TraceContext) { c.trace = tc }
 // RTT, the poisoned-connection check, the client fault sites, the op
 // deadline, and one query frame written and flushed. plain and traced are
 // the frame types of the statement's shape; the traced one (trace context
-// prefixed to the SQL) goes out only while a context is attached and
-// observability is on — that guard keeps the disabled cost at one atomic
-// load, no context encoding. The frame is written straight from sql (see
+// prefixed to the SQL) goes out only while a context is attached. The frame is written straight from sql (see
 // writeQuery), so relaying a restore chunk costs no copy of it.
 func (c *Client) sendQuery(plain, traced byte, sql string) error {
 	if c.rtt > 0 {
@@ -123,7 +120,7 @@ func (c *Client) sendQuery(plain, traced byte, sql string) error {
 		return c.faulted("write", err)
 	}
 	typ, tc := plain, (*TraceContext)(nil)
-	if c.trace != nil && obs.On() {
+	if c.trace != nil {
 		typ, tc = traced, c.trace
 	}
 	if err := writeQuery(c.bw, typ, tc, sql); err != nil {

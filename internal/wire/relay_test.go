@@ -40,9 +40,9 @@ const pointReadSQL = "SELECT i_title, i_cost FROM item WHERE i_id = 7"
 // TestRoundTripAllocs pins the relay's allocation budget: once the read
 // buffers have grown and the frame pool is warm, a whole ExecReply round
 // trip — client encode and write, server read, session, server encode and
-// write, client read — allocates at most the server's copy of the SQL text,
-// which a session that is not a node's gets (the stub here), and Exec adds
-// only what DecodeResult allocates.
+// write, client read — allocates nothing (the server lends the session the
+// frame's SQL text rather than copying it), and Exec adds only what
+// DecodeResult allocates.
 func TestRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers at random")
@@ -71,8 +71,8 @@ func TestRoundTripAllocs(t *testing.T) {
 	}
 	execReply() // sizes both read buffers and fills the frame pool
 	perReply := testing.AllocsPerRun(200, execReply)
-	if perReply > 1 {
-		t.Errorf("ExecReply round trip allocates %.0f objects, want at most 1 (the server's SQL string)", perReply)
+	if perReply != 0 {
+		t.Errorf("ExecReply round trip allocates %.0f objects, want 0", perReply)
 	}
 	perDecode := testing.AllocsPerRun(200, func() {
 		if _, err := DecodeResult(reply); err != nil {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,6 +48,12 @@ const faultServeOp = "wire.serve.op"
 // encoded (the middleware's worker relays its master's reply) appends the
 // bytes as they are, and one that holds an engine.Result encodes it with
 // AppendResult.
+//
+// sql is lent: it aliases the frame the query arrived in, and the server
+// reads the session's next frame into the same buffer once Exec (or
+// ExecStream) returns. A session that keeps any of the text past the call
+// — a parse-cache key, a catalog name, a captured statement — copies what
+// it keeps.
 type Conn interface {
 	Exec(sql string, dst []byte) ([]byte, error)
 	Close()
@@ -125,10 +130,9 @@ func (s *Server) SetScope(sc *obs.Scope) {
 func (s *Server) Scope() *obs.Scope { return s.scope.Load() }
 
 // traceOp stamps one served traced operation into the scope's event ring.
-// tc == nil (a plain frame) or disabled obs is a no-op; the latter guard
-// keeps the per-op cost at one atomic load.
+// tc == nil (a plain frame) is a no-op.
 func (s *Server) traceOp(tc *TraceContext, name string, dur time.Duration, err error) {
-	if tc == nil || !obs.On() {
+	if tc == nil {
 		return
 	}
 	fields := []obs.Field{obs.F("mts", tc.MTS), obs.F("span", tc.Span)}
@@ -250,18 +254,9 @@ func (s *Server) serve(conn net.Conn) {
 				}
 				tc, payload = &ctx, q
 			}
-			// A node's session runs a query from the frame it arrived in:
-			// it keeps nothing of the text past the call (its parse cache
-			// owns the shapes it keys on, and DDL copies the names it gives
-			// the catalog), and neither does it of a row statement, a
-			// restore chunk (see engine.Session.execRows). Any other
-			// session, a middleware worker capturing its writes, may keep
-			// the text past the next read into rbuf, and gets the one copy
-			// of a query.
+			// Every session runs a query from the frame it arrived in,
+			// lent for the call (see Conn).
 			sql := unsafe.String(unsafe.SliceData(payload), len(payload))
-			if _, node := sess.(engineConn); !node && !engine.IsRowStatement(sql) {
-				sql = strings.Clone(sql)
-			}
 			start := time.Now()
 			f := getFrameBuf()
 			var err error

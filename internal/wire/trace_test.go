@@ -122,32 +122,6 @@ func TestTracedExecStampsServerEvents(t *testing.T) {
 	}
 }
 
-// TestTracedExecDisabledObs pins the cost contract: with obs globally off,
-// a client carrying a context still sends plain frames and the server
-// stays silent.
-func TestTracedExecDisabledObs(t *testing.T) {
-	_, srv := newServer(t)
-	scope := obs.NewScope("nodeY")
-	srv.SetScope(scope)
-
-	c, err := Dial(srv.Addr(), "db")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetTraceContext(&TraceContext{Tenant: "shop", MTS: 1, Span: 1})
-
-	obs.SetEnabled(false)
-	_, execErr := c.Exec("CREATE TABLE t2 (id INT PRIMARY KEY)")
-	obs.SetEnabled(true)
-	if execErr != nil {
-		t.Fatal(execErr)
-	}
-	if got := scope.Tracer.Since(0, ""); len(got) != 0 {
-		t.Fatalf("disabled obs still emitted %d events", len(got))
-	}
-}
-
 // TestClientScrape exercises the remote-scrape op: the middleware-side pull
 // of a node's registry snapshot and event tail.
 func TestClientScrape(t *testing.T) {
