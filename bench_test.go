@@ -8,6 +8,7 @@
 package madeus
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"madeus/internal/cluster"
 	"madeus/internal/core"
 	"madeus/internal/engine"
+	"madeus/internal/flow"
 	"madeus/internal/tpcw"
 	"madeus/internal/wire"
 )
@@ -74,7 +76,7 @@ func fig6Cell(b *testing.B, strat core.Strategy, metric string) {
 			tpcw.Ordering, scale, core.MigrateOptions{Strategy: strat})
 		h.Close()
 		switch {
-		case err == core.ErrCatchupTimeout:
+		case errors.Is(err, flow.ErrDeadline):
 			reportSeconds(b, metric, 0, true)
 		case err != nil:
 			b.Fatal(err)
@@ -226,7 +228,7 @@ func BenchmarkAblationCommitOrder(b *testing.B) {
 					core.MigrateOptions{Strategy: strat})
 				h.Close()
 				switch {
-				case err == core.ErrCatchupTimeout:
+				case errors.Is(err, flow.ErrDeadline):
 					reportSeconds(b, "migration_s", 0, true)
 				case err != nil:
 					b.Fatal(err)

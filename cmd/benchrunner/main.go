@@ -53,7 +53,7 @@ func main() {
 		stmt    = flag.Duration("stmtcost", 0, "override per-statement CPU cost")
 		think   = flag.Duration("think", 0, "override EB think time")
 		measure = flag.Duration("measure", 0, "override measurement window")
-		catchup = flag.Duration("catchup", 0, "override catch-up timeout (N/A threshold)")
+		dline   = flag.Duration("deadline", 0, "override the migration deadline (N/A threshold)")
 		slots   = flag.Int("slots", 0, "override execution slots per node")
 		jsonOut = flag.String("json", "", "write a BENCH_*.json baseline (output + timings) to this path")
 	)
@@ -81,8 +81,8 @@ func main() {
 	if *measure > 0 {
 		cfg.Measure = *measure
 	}
-	if *catchup > 0 {
-		cfg.CatchupTimeout = *catchup
+	if *dline > 0 {
+		cfg.Deadline = *dline
 	}
 	if *slots > 0 {
 		cfg.ExecSlots = *slots

@@ -44,7 +44,6 @@ func main() {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:6000", "customer-facing listen address")
 		provision = flag.Bool("provision", false, "create tenant databases on their nodes at startup")
-		catchup   = flag.Duration("catchup", 2*time.Minute, "catch-up timeout before a migration reports N/A")
 		fsync     = flag.Duration("fsync", 2*time.Millisecond, "fsync latency for -localnode engines")
 		debugAddr = flag.String("debug", "", "serve /debug/madeus JSON stats on this address (empty: disabled)")
 		noFlow    = flag.Bool("no-flow", false, "disable the backpressure/admission layer (flow knobs all zero)")
@@ -64,7 +63,6 @@ func main() {
 	}
 	mw, err := core.New(core.Options{
 		ListenAddr:     *listen,
-		CatchupTimeout: *catchup,
 		Flow:           fcfg,
 		HistoryCadence: *history,
 	})

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -14,6 +15,7 @@ import (
 
 	"madeus/internal/bench"
 	"madeus/internal/core"
+	"madeus/internal/flow"
 	"madeus/internal/tpcw"
 )
 
@@ -22,7 +24,7 @@ func main() {
 	flag.Parse()
 
 	cfg := bench.Default()
-	cfg.CatchupTimeout = 20 * time.Second
+	cfg.Deadline = 20 * time.Second
 	scale := tpcw.ScaleFor(100000, 100, cfg.RowFactor)
 
 	fmt.Printf("migrating one tenant under %d paper-EBs (%d emulated browsers) with each strategy\n\n",
@@ -39,7 +41,7 @@ func main() {
 			tpcw.Ordering, scale, core.MigrateOptions{Strategy: strat})
 		h.Close()
 		switch {
-		case err == core.ErrCatchupTimeout:
+		case errors.Is(err, flow.ErrDeadline):
 			fmt.Printf("%-8s  %-10s  slave could not catch up (the paper's N/A)\n", strat, "N/A")
 		case err != nil:
 			log.Fatalf("%s: %v", strat, err)

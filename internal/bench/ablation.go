@@ -2,10 +2,12 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"madeus/internal/cluster"
 	"madeus/internal/core"
+	"madeus/internal/flow"
 	"madeus/internal/metrics"
 	"madeus/internal/tpcw"
 	"madeus/internal/wal"
@@ -22,7 +24,7 @@ func AblationGroupCommit(cfg Config) (*Table, error) {
 		Header: []string{"slave WAL", "migration", "propagate", "max commit group"},
 	}
 	for _, serial := range []bool{false, true} {
-		mw, err := core.New(core.Options{CatchupTimeout: cfg.CatchupTimeout})
+		mw, err := core.New(core.Options{Flow: flow.Config{Deadline: cfg.Deadline}})
 		if err != nil {
 			return nil, err
 		}
@@ -59,7 +61,7 @@ func AblationGroupCommit(cfg Config) (*Table, error) {
 			mode = "serial fsync"
 		}
 		switch {
-		case err == core.ErrCatchupTimeout:
+		case errors.Is(err, flow.ErrDeadline):
 			t.AddRow(mode, "N/A", "-", "-")
 		case err != nil:
 			return nil, err

@@ -20,7 +20,7 @@ func tinyConfig() Config {
 	c.Think = 2 * time.Millisecond
 	c.FsyncDelay = 300 * time.Microsecond
 	c.StmtCost = 50 * time.Microsecond
-	c.CatchupTimeout = 10 * time.Second
+	c.Deadline = 10 * time.Second
 	return c
 }
 

@@ -35,22 +35,23 @@ type Config struct {
 	// Warm and Measure are the workload windows around measurements.
 	Warm    time.Duration
 	Measure time.Duration
-	// CatchupTimeout bounds Step 3 before a migration reports N/A.
-	CatchupTimeout time.Duration
+	// Deadline bounds a migration attempt, counted from its start, before
+	// it reports N/A (the middleware's flow.Config.Deadline).
+	Deadline time.Duration
 }
 
 // Default returns the calibrated default configuration (see EXPERIMENTS.md).
 func Default() Config {
 	return Config{
-		RowFactor:      50,
-		EBFactor:       7,
-		Think:          350 * time.Millisecond,
-		FsyncDelay:     2 * time.Millisecond,
-		StmtCost:       700 * time.Microsecond,
-		ExecSlots:      2,
-		Warm:           time.Second,
-		Measure:        3 * time.Second,
-		CatchupTimeout: 30 * time.Second,
+		RowFactor:  50,
+		EBFactor:   7,
+		Think:      350 * time.Millisecond,
+		FsyncDelay: 2 * time.Millisecond,
+		StmtCost:   700 * time.Microsecond,
+		ExecSlots:  2,
+		Warm:       time.Second,
+		Measure:    3 * time.Second,
+		Deadline:   30 * time.Second,
 	}
 }
 
@@ -61,7 +62,7 @@ func Quick() Config {
 	c.RowFactor = 400
 	c.Warm = 200 * time.Millisecond
 	c.Measure = time.Second
-	c.CatchupTimeout = 8 * time.Second
+	c.Deadline = 8 * time.Second
 	return c
 }
 

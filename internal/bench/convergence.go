@@ -30,12 +30,9 @@ func Convergence(cfg Config) (*Table, error) {
 		PaceTargetDebt: 64,
 		PaceStep:       10 * time.Millisecond,
 		PaceMaxDelay:   flow.MaxPaceDelay,
-		PaceDecay:      0.5,
+		Deadline:       cfg.Deadline,
 	}
-	mw, err := core.New(core.Options{
-		CatchupTimeout: cfg.CatchupTimeout,
-		Flow:           fcfg,
-	})
+	mw, err := core.New(core.Options{Flow: fcfg})
 	if err != nil {
 		return nil, err
 	}

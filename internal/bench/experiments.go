@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"madeus/internal/core"
+	"madeus/internal/flow"
 	"madeus/internal/metrics"
 	"madeus/internal/tpcw"
 )
@@ -101,7 +103,7 @@ func Fig6(cfg Config, levels []int) (*Table, error) {
 		for _, strat := range []core.Strategy{core.BAll, core.BMin, core.BCon, core.Madeus} {
 			total, err := migrateOnce(cfg, scale, paperEBs, strat)
 			switch {
-			case err == core.ErrCatchupTimeout:
+			case errors.Is(err, flow.ErrDeadline):
 				row = append(row, "N/A")
 			case err != nil:
 				return nil, fmt.Errorf("bench: fig6 %s at %d EBs: %w", strat, paperEBs, err)
@@ -112,7 +114,7 @@ func Fig6(cfg Config, levels []int) (*Table, error) {
 		t.AddRow(row...)
 	}
 	t.Note("paper at 700 EBs: B-ALL 959 s, B-MIN 332 s, B-CON N/A, Madeus 101 s")
-	t.Note("N/A = slave could not catch up within %v", cfg.CatchupTimeout)
+	t.Note("N/A = slave could not catch up within the %v deadline", cfg.Deadline)
 	return t, nil
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"madeus/internal/cluster"
 	"madeus/internal/core"
+	"madeus/internal/flow"
 	"madeus/internal/metrics"
 	"madeus/internal/tpcw"
 	"madeus/internal/wire"
@@ -24,7 +25,7 @@ type Harness struct {
 // NewHarness boots a middleware with n DBMS nodes.
 func NewHarness(cfg Config, n int) (*Harness, error) {
 	mw, err := core.New(core.Options{
-		CatchupTimeout: cfg.CatchupTimeout,
+		Flow: flow.Config{Deadline: cfg.Deadline},
 		// Bench runs are short; sample the per-tenant series an order of
 		// magnitude faster than the production default so the fig7/fig8
 		// history curves have enough points across one migration.

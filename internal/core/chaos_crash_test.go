@@ -18,6 +18,7 @@ import (
 	"madeus/internal/cluster"
 	"madeus/internal/engine"
 	"madeus/internal/fault"
+	"madeus/internal/flow"
 	"madeus/internal/testutil"
 	"madeus/internal/wire"
 )
@@ -27,7 +28,7 @@ import (
 func newDurableRig(t *testing.T, nNodes int) (*testRig, []string) {
 	t.Helper()
 	testutil.CheckGoroutines(t)
-	mw, err := New(Options{CatchupTimeout: 30 * time.Second})
+	mw, err := New(Options{Flow: flow.Config{Deadline: 30 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -250,10 +250,11 @@ func TestChaosHungSlaveStallDetected(t *testing.T) {
 	}
 }
 
-// TestChaosFlowSetGovernsNextAttempt pins the snapshot contract deadline
-// and pacing rely on: Migrate reads the flow config once per attempt. A
-// FLOW SET deadline issued while an attempt is held at a failpoint leaves
-// that attempt alone; issued between attempts, it governs the next one.
+// TestChaosFlowSetGovernsNextAttempt pins the snapshot contract the
+// watchdog and pacing rely on: Migrate reads the flow config once per
+// attempt. A FLOW SET deadline or max_ssl_bytes issued while an attempt is
+// held at a failpoint leaves that attempt alone, even when a syncset then
+// links past the new cap; issued between attempts, it governs the next one.
 func TestChaosFlowSetGovernsNextAttempt(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	rig := newRig(t, 2, engine.Options{})
@@ -281,13 +282,23 @@ func TestChaosFlowSetGovernsNextAttempt(t *testing.T) {
 	waitForCond(t, func() bool { return fault.SiteFired(faultStep1Dump) == 1 })
 	// 1ns: an attempt that read this deadline is past it at its first check.
 	flowSet("deadline", "1ns")
+	// One byte is below any syncset, and the held attempt is capturing
+	// (its snapshot is taken), so this commit links past the new cap.
+	flowSet("max_ssl_bytes", "1")
+	c := rig.connect(t, "a")
+	mustExecAll(t, c, "UPDATE acct SET bal = bal + 1 WHERE id = 1")
+	c.Close()
+	if n := tn.SSLLen(); n != 1 {
+		t.Fatalf("held attempt's SSL holds %d syncsets, want the one update", n)
+	}
 	fault.Release(faultStep1Dump)
 	if r := <-held; r.err != nil {
-		t.Fatalf("attempt in flight during FLOW SET deadline: %v; want it run under its own snapshot", r.err)
+		t.Fatalf("attempt in flight during FLOW SET deadline and max_ssl_bytes: %v; want it run under its own snapshot", r.err)
 	}
 	if node, _ := tn.Node(); node.BackendName() != "node1" {
 		t.Fatalf("tenant is on %s after the held attempt, want node1", node.BackendName())
 	}
+	flowSet("max_ssl_bytes", "0")
 
 	rep, err := rig.mw.Migrate("a", "node0", MigrateOptions{Strategy: Madeus})
 	if !errors.Is(err, flow.ErrDeadline) {

@@ -49,7 +49,7 @@ func slaveRig(t *testing.T) (*Tenant, *cluster.Node) {
 
 // linkSSB fabricates a committed update syncset and links it.
 func linkSSB(tn *Tenant, sts, ets uint64, stmts ...string) *SSB {
-	b := &SSB{STS: sts, ETS: ets, update: true}
+	b := &SSB{STS: sts, ETS: ets}
 	for _, s := range stmts {
 		class, _ := sqlmini.ClassifyQuery(s)
 		b.Entries = append(b.Entries, Entry{SQL: s, Class: class})

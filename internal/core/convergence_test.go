@@ -76,7 +76,7 @@ func TestHeavyWriteMigrationConvergesWithPacing(t *testing.T) {
 		PaceTargetDebt: 64,
 		PaceStep:       10 * time.Millisecond,
 		PaceMaxDelay:   250 * time.Millisecond,
-		PaceDecay:      0.5,
+		Deadline:       30 * time.Second,
 	}
 	// The source's lock timeout must be short: the engine's 2s default
 	// lets the small-item-count TPC-W mix convoy on hot rows, and a
@@ -182,9 +182,10 @@ func TestHeavyWriteMigrationConvergesWithPacing(t *testing.T) {
 }
 
 // TestUnpacedOverloadAbortsCleanly pins the "no hang" half of the
-// guarantee at a smaller scale: with pacing disabled and no deadline
-// margin, the watchdog aborts via rollback rather than letting Step 3 camp
-// on CatchupTimeout, and the tenant is immediately usable on the source.
+// guarantee at a smaller scale: with pacing disabled and a short deadline,
+// the watchdog aborts via rollback rather than letting Step 3 camp on a
+// slave that cannot catch up, and the tenant is immediately usable on the
+// source.
 func TestUnpacedOverloadAbortsCleanly(t *testing.T) {
 	rig := newFlowRig(t, Options{Flow: flow.Config{Deadline: 800 * time.Millisecond}},
 		engine.Options{},

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync/atomic"
@@ -23,11 +22,6 @@ const (
 	faultStep3Propagate = "core.step3.propagate"
 	faultStep4Switch    = "core.step4.switchover"
 )
-
-// ErrCatchupTimeout reports that the slave could not catch up with the
-// master within the configured window — the condition the paper reports as
-// "N/A" for B-CON under heavy workload (Sec 5.3.2).
-var ErrCatchupTimeout = errors.New("core: slave could not catch up with the master")
 
 // Limits every migration applies to its destination operations, and the
 // B-CON cost model's constant.
@@ -66,9 +60,9 @@ func dialPause(n int) time.Duration {
 }
 
 // MigrateOptions is what differs between two migrations. Everything else —
-// the catch-up window, the deadline, the stall window, pacing — is a
-// middleware-wide setting (Options, or flow.Config retuned by FLOW SET)
-// that Migrate snapshots once per attempt.
+// the deadline, the stall window, the SSL cap, pacing — is a middleware-wide
+// setting (flow.Config, retuned by FLOW SET) that Migrate snapshots once
+// per attempt.
 type MigrateOptions struct {
 	// Strategy selects the propagation protocol. Default Madeus.
 	Strategy Strategy
@@ -203,9 +197,7 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	// The claim is the attempt's first side effect: one check-and-set that
 	// also reads the source, so two concurrent Migrates on one tenant can
 	// never both run, and neither can act on a source the other moved.
-	// Capture starts with it, before the snapshot, so operations racing the
-	// dump are saved (Step 1: "Madeus saves the operations as a syncset").
-	source, err := t.claimMigration(slaves, opts.Strategy.captureAll())
+	source, err := t.claimMigration(slaves)
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +260,6 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	}
 
 	// --- Step 1: create a snapshot ---
-	t.setProgress("step1.snapshot", nil)
 	phase := time.Now()
 	drainSpan := obs.Trace.Start(tenantName, "step1.drain")
 	t.setGate(true)
@@ -289,11 +280,13 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	// Critical region: no commits or first operations execute while the
 	// dump transaction pins its snapshot and the MTS is recorded
 	// (Algorithm 3, lines 1-5), so the SNAPSHOT round trip runs under the
-	// tenant mutex by design.
+	// tenant mutex by design. Capture opens in the same region: everything
+	// committed so far is inside the snapshot, and every operation after it
+	// is saved as a syncset (Step 1).
 	t.mu.Lock()
 	_, err = ctl.Exec("SNAPSHOT")
 	mts := t.mlc
-	t.resetSSLLocked() // everything committed so far is inside the snapshot
+	t.startCaptureLocked(opts.Strategy.captureAll())
 	t.mu.Unlock()
 	if err != nil {
 		return fail("step1.snapshot", err)
@@ -404,15 +397,13 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	// the catch-up race runs on the ticker: the controller paces the source
 	// when debt diverges, and the applied SSL prefix is released as every
 	// slave clears it so the capture buffer's memory follows the debt, not
-	// the total writes since the snapshot. The watchdog (deadline + stall)
-	// is consulted at every wake-up; a hung slave posts no progress, so the
-	// ticker is what guarantees it a hearing.
+	// the total writes since the snapshot. The watchdog (deadline, stall,
+	// SSL cap) is consulted at every wake-up; a hung slave posts no
+	// progress, so the ticker is what guarantees it a hearing.
 	const sampleEvery = 200 * time.Millisecond
 	caughtUp := catchup{lag: m.catchupDebt}
 	ticker := time.NewTicker(sampleEvery)
 	defer ticker.Stop()
-	timeout := time.NewTimer(m.opts.CatchupTimeout)
-	defer timeout.Stop()
 	ctrl := flow.NewController(fcfg)
 	wd := flow.NewWatchdog(fcfg, rep.Start)
 	var lastDelay time.Duration
@@ -433,12 +424,9 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 		}
 		linked, applied, debt := primary.snapshot()
 		now := time.Now()
-		wd.Observe(applied, debt, now)
+		wd.Observe(applied, debt, t.retainedSSLBytes(), now)
 		if err := wd.Check(now); err != nil {
 			return failProp(err)
-		}
-		if t.sslOverflow() {
-			return failProp(fmt.Errorf("core: SSL byte cap breached with debt %d: %w", debt, flow.ErrSSLOverflow))
 		}
 		if sample {
 			// Release the SSL prefix every propagator has applied.
@@ -469,8 +457,6 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 			sample = false
 		case <-ticker.C:
 			sample = true
-		case <-timeout.C:
-			return failProp(ErrCatchupTimeout)
 		}
 	}
 	// The brake comes off before the final drain: Step 4 wants the last

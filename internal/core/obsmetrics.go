@@ -14,7 +14,6 @@ var (
 
 	// Syncset capture (Step 1-3 source side).
 	obsSSBLinked = obs.NewCounter("core.ssl.linked", "syncsets linked to an SSL")
-	obsSSLDepth  = obs.NewGauge("core.ssl.depth", "linked syncsets of the most recently updated migrating tenant")
 
 	// Pipelined Step-1 snapshot transfer (dump → transfer → restore).
 	obsChunks       = obs.NewCounter("core.step1.chunks", "snapshot chunks streamed from sources")

@@ -6,6 +6,7 @@ import (
 
 	"madeus/internal/cluster"
 	"madeus/internal/engine"
+	"madeus/internal/flow"
 )
 
 // TestMigrateBetweenRemoteBackends drives a migration where the middleware
@@ -23,7 +24,7 @@ func TestMigrateBetweenRemoteBackends(t *testing.T) {
 		remotes = append(remotes, &cluster.Remote{Name: nodeName(i), Addr: n.Addr()})
 	}
 
-	mw, err := New(Options{CatchupTimeout: 20 * time.Second})
+	mw, err := New(Options{Flow: flow.Config{Deadline: 20 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}

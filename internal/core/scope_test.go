@@ -9,6 +9,7 @@ import (
 
 	"madeus/internal/cluster"
 	"madeus/internal/engine"
+	"madeus/internal/flow"
 	"madeus/internal/obs"
 	"madeus/internal/testutil"
 	"madeus/internal/wire"
@@ -21,7 +22,7 @@ import (
 func newScopedRig(t *testing.T, nNodes int) *testRig {
 	t.Helper()
 	testutil.CheckGoroutines(t)
-	mw, err := New(Options{CatchupTimeout: 30 * time.Second})
+	mw, err := New(Options{Flow: flow.Config{Deadline: 30 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestTimelineScrapeErrorIsSynthetic(t *testing.T) {
 // with HISTORY CADENCE retunes, and vanish with the tenant.
 func TestHistorySampler(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	mw, err := New(Options{CatchupTimeout: 30 * time.Second, HistoryCadence: 10 * time.Millisecond})
+	mw, err := New(Options{Flow: flow.Config{Deadline: 30 * time.Second}, HistoryCadence: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

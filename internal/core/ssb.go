@@ -27,11 +27,6 @@ func newEntry(sql string, class sqlmini.OpClass) Entry {
 type SSB struct {
 	STS, ETS uint64
 	Entries  []Entry
-
-	// update records whether the transaction wrote anything; read-only
-	// SSBs are discarded at commit (mapping function, Definition 2) —
-	// except under B-ALL capture, which propagates them too.
-	update bool
 }
 
 // FirstOp returns the first captured operation.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"madeus/internal/engine"
+	"madeus/internal/flow"
 	"madeus/internal/wire"
 )
 
@@ -35,7 +36,7 @@ func TestStandbyTakeover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	standby, err := New(Options{CatchupTimeout: 20 * time.Second})
+	standby, err := New(Options{Flow: flow.Config{Deadline: 20 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,6 +33,9 @@ type Tenant struct {
 	activeTxns  int  // transactions past BEGIN and not yet ended
 	activeFirst map[*SSB]struct{}
 
+	// migrating is the capture window: from the Step-1 snapshot to the
+	// switch-over (or the rollback), a transaction whose first operation
+	// runs gets an SSB, and committed SSBs link to the SSL.
 	migrating  bool
 	captureAll bool
 	ssl        []*SSB // retained (linked, not yet released) SSBs in link order
@@ -41,24 +44,23 @@ type Tenant struct {
 	// the retained window: once every propagator has applied a prefix, the
 	// manager releases it (releaseAppliedSSL) and sslBase advances, so
 	// absolute link index i lives at ssl[i-sslBase]. sslOps/sslBytes track
-	// the retained window's footprint; sslOver records a breach of the byte
-	// cap for the manager to turn into a rollback — the link path itself
-	// never drops a syncset, since a partial SSL would break the LSIR's
-	// contiguous-ETS premise.
+	// the retained window's footprint, which the manager's watchdog holds
+	// against the attempt's byte cap — the link path itself never drops a
+	// syncset, since a partial SSL would break the LSIR's contiguous-ETS
+	// premise.
 	sslBase  int
 	sslOps   int
 	sslBytes int64
-	sslOver  bool
 
-	// flow wiring: gov is the process-wide knob set, throttle the pacing
-	// brake Step 3's controller drives, limiter the session admission gate.
-	gov      *flow.Governor
+	// flow wiring: throttle is the pacing brake Step 3's controller drives,
+	// limiter the session admission gate.
 	throttle flow.Throttle
 	limiter  *flow.Limiter
 
 	// phase names the migration step in flight ("" when idle) and prop is
 	// the primary slave's propagator during Steps 3-4; both feed the
-	// STATUS/STATS monitoring surfaces.
+	// STATUS/STATS monitoring surfaces. A non-empty phase is also the
+	// migration's claim on the tenant.
 	phase string
 	prop  *propagator
 
@@ -81,7 +83,7 @@ func NewTenant(name string, node Backend, gov *flow.Governor) *Tenant {
 	if gov == nil {
 		gov, _ = flow.NewGovernor(flow.Config{})
 	}
-	t := &Tenant{Name: name, node: node, activeFirst: make(map[*SSB]struct{}), gov: gov}
+	t := &Tenant{Name: name, node: node, activeFirst: make(map[*SSB]struct{})}
 	t.limiter = flow.NewLimiter(name, gov)
 	t.cond = sync.NewCond(&t.mu)
 	return t
@@ -210,31 +212,13 @@ func (t *Tenant) resolveSSBLocked(b *SSB, link bool) {
 		t.sslBytes += b.MemSize()
 		obsSSBLinked.Inc()
 		flow.AccountSSL(b.OpCount(), b.MemSize())
-		obsSSLDepth.Set(int64(len(t.ssl)))
-		if !t.sslOver {
-			// The manager's Step-3 loop polls sslOverflow and aborts
-			// through the rollback protocol; linking continues meanwhile
-			// so the SSL stays a contiguous ETS prefix until the abort
-			// lands.
-			if limit := t.gov.Config().MaxSSLBytes; limit > 0 && t.sslBytes > limit {
-				t.sslOver = true
-				flow.NoteOverflow()
-			}
-		}
 	}
 	t.cond.Broadcast()
 }
 
-// sslOverflow reports whether the SSL has breached its byte cap.
-func (t *Tenant) sslOverflow() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sslOver
-}
-
 // resetSSLLocked empties the SSL and returns its accounting to the flow
 // gauges — the single path capture start/stop, discard, and rollback all
-// share, so ssl_depth and the byte/op gauges can never go stale at 0-debt
+// share, so the depth and the byte/op gauges can never go stale at 0-debt
 // idle. Caller holds t.mu.
 func (t *Tenant) resetSSLLocked() {
 	flow.AccountSSL(-t.sslOps, -t.sslBytes)
@@ -242,8 +226,14 @@ func (t *Tenant) resetSSLLocked() {
 	t.sslBase = 0
 	t.sslOps = 0
 	t.sslBytes = 0
-	t.sslOver = false
-	obsSSLDepth.Set(0)
+}
+
+// retainedSSLBytes reports the retained window's accounted footprint, the
+// sample the manager's watchdog holds against the byte cap.
+func (t *Tenant) retainedSSLBytes() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.sslBytes
 }
 
 // releaseAppliedSSL frees the SSL prefix below absolute link index upto:
@@ -272,7 +262,6 @@ func (t *Tenant) releaseAppliedSSL(upto int) {
 	t.sslOps -= ops
 	t.sslBytes -= bytes
 	flow.AccountSSL(-ops, -bytes)
-	obsSSLDepth.Set(int64(len(t.ssl)))
 }
 
 // commitBound returns the exclusive upper bound on ETS values whose commits
@@ -293,8 +282,9 @@ func (t *Tenant) commitBoundLocked() uint64 {
 // claimMigration admits one migration of the tenant to slaves (slaves[0]
 // the destination, the rest backups) and returns its source. Under one
 // t.mu hold it refuses a tenant that already lives on a slave or is
-// already migrating, then begins linking committed syncsets to the SSL.
-func (t *Tenant) claimMigration(slaves []Backend, all bool) (Backend, error) {
+// already migrating, then claims it by publishing Step 1 as its phase.
+// Capture does not open here: it opens at the snapshot (startCaptureLocked).
+func (t *Tenant) claimMigration(slaves []Backend) (Backend, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	source := t.node
@@ -306,14 +296,17 @@ func (t *Tenant) claimMigration(slaves []Backend, all bool) (Backend, error) {
 			return nil, fmt.Errorf("core: backup node %q duplicates the source or destination", sl.BackendName())
 		}
 	}
-	if t.migrating {
+	if t.phase != "" {
 		return nil, fmt.Errorf("core: tenant %q is already migrating", t.Name)
 	}
-	t.startCaptureLocked(all)
+	t.phase = "step1.snapshot"
 	return source, nil
 }
 
-// startCaptureLocked begins linking committed syncsets to the SSL. t.mu
+// startCaptureLocked opens the capture window: from here on a transaction's
+// first operation builds an SSB, and committed SSBs link to the SSL. The
+// manager calls it inside the snapshot's critical region, with every
+// earlier transaction drained, so the SSL starts exactly at the MTS. t.mu
 // must be held.
 func (t *Tenant) startCaptureLocked(all bool) {
 	t.migrating = true

@@ -9,17 +9,20 @@
 // Four mechanisms, one Config:
 //
 //   - Bounded SSL: a byte cap on the capture buffer (internal/core's
-//     syncset list), tracked per tenant. A breach aborts the migration
-//     through the rollback protocol instead of growing without limit.
+//     syncset list), tracked per tenant. The watchdog judges it, so a
+//     breach aborts the migration through the rollback protocol instead of
+//     growing without limit.
 //   - Adaptive source pacing: a feedback controller watches the Step-3
 //     debt trend and injects a small, bounded delay into the migrating
 //     tenant's source-side commits when debt diverges — dirty-rate
 //     throttling, the DB analog of pre-copy VM migration — ramping back to
 //     zero as the slave catches up, so convergence to the switch-over
 //     threshold is guaranteed rather than hoped for.
-//   - Migration watchdog: a whole-migration deadline plus a stall detector
-//     (no replay progress and no debt decrease for a window) that triggers
-//     the rollback protocol instead of hanging forever.
+//   - Migration watchdog: the one judge that gives up an attempt — its
+//     deadline, a stall detector (no replay progress and no debt decrease
+//     for a window) and the SSL byte cap, all read from the config the
+//     attempt began with — through the rollback protocol instead of
+//     hanging forever.
 //   - Proxy admission control: bounded per-tenant in-flight sessions with
 //     a wait queue and typed overload errors, so a connection burst
 //     degrades gracefully instead of exhausting goroutines.
@@ -67,6 +70,9 @@ const (
 	// DefaultPaceDecay halves the delay each tick once debt is back at
 	// target (multiplicative decrease).
 	DefaultPaceDecay = 0.5
+	// DefaultDeadline gives up a migration that has not switched over this
+	// long after it began: the paper's N/A (Sec 5.3.2).
+	DefaultDeadline = 2 * time.Minute
 	// DefaultStallWindow aborts a migration that makes no replay progress
 	// for this long.
 	DefaultStallWindow = 30 * time.Second
@@ -102,9 +108,6 @@ type Config struct {
 	// migrating tenant's source sessions; 0 disables pacing. Capped at
 	// MaxPaceDelay.
 	PaceMaxDelay time.Duration
-	// PaceDecay multiplies the delay each controller tick once debt is at
-	// or below target; must be in [0, 1).
-	PaceDecay float64
 
 	// MaxTransferBytes caps the resident memory of a pipelined Step-1
 	// snapshot transfer: the dump stage blocks once this many chunk bytes
@@ -112,8 +115,10 @@ type Config struct {
 	// 0 = unlimited.
 	MaxTransferBytes int64
 
-	// Deadline bounds a whole migration: past it the watchdog aborts
-	// through the rollback protocol. 0 = no deadline.
+	// Deadline bounds a whole migration attempt, counted from its start:
+	// past it the watchdog aborts through the rollback protocol, the
+	// paper's "the slave could not catch up with the master" (Sec 5.3.2's
+	// N/A). It is the one bound on a migration's length. 0 = no deadline.
 	Deadline time.Duration
 	// StallWindow aborts a migration whose slave made no replay progress
 	// (no applied advance, no debt decrease) for this long. 0 = disabled.
@@ -131,16 +136,17 @@ type Config struct {
 }
 
 // DefaultConfig returns the calibrated production configuration: bounded
-// SSL, pacing on, a generous stall window, and a high session cap. The
-// daemon (cmd/madeusd) ships with it; tests and embedders opt in.
+// SSL, pacing on, a two-minute deadline, a generous stall window, and a
+// high session cap. The daemon (cmd/madeusd) and the benchmark ship with
+// it; tests and embedders opt in.
 func DefaultConfig() Config {
 	return Config{
 		MaxSSLBytes:      DefaultMaxSSLBytes,
 		PaceTargetDebt:   DefaultPaceTargetDebt,
 		PaceStep:         DefaultPaceStep,
 		PaceMaxDelay:     DefaultPaceMaxDelay,
-		PaceDecay:        DefaultPaceDecay,
 		MaxTransferBytes: DefaultMaxTransferBytes,
+		Deadline:         DefaultDeadline,
 		StallWindow:      DefaultStallWindow,
 		MaxSessions:      1024,
 		AdmitQueue:       256,
@@ -171,9 +177,6 @@ func (c Config) Validate() error {
 	}
 	if c.PaceStep > MaxPaceDelay {
 		return fmt.Errorf("flow: PaceStep %v exceeds the %v ceiling", c.PaceStep, time.Duration(MaxPaceDelay))
-	}
-	if c.PaceDecay < 0 || c.PaceDecay >= 1 {
-		return fmt.Errorf("flow: PaceDecay %v outside [0, 1)", c.PaceDecay)
 	}
 	if c.MaxTransferBytes < 0 {
 		return fmt.Errorf("flow: MaxTransferBytes %d < 0", c.MaxTransferBytes)
@@ -232,7 +235,7 @@ func (g *Governor) Update(cfg Config) error {
 // Order here is the FLOW listing order.
 var knobNames = []string{
 	"max_ssl_bytes", "max_transfer_bytes",
-	"pace_target_debt", "pace_step", "pace_max_delay", "pace_decay",
+	"pace_target_debt", "pace_step", "pace_max_delay",
 	"deadline", "stall_window",
 	"max_sessions", "admit_queue", "admit_timeout",
 }
@@ -253,8 +256,6 @@ func (c Config) Knob(name string) string {
 		return c.PaceStep.String()
 	case "pace_max_delay":
 		return c.PaceMaxDelay.String()
-	case "pace_decay":
-		return strconv.FormatFloat(c.PaceDecay, 'g', -1, 64)
 	case "deadline":
 		return c.Deadline.String()
 	case "stall_window":
@@ -286,8 +287,6 @@ func (g *Governor) Set(name, value string) error {
 		cfg.PaceStep, err = time.ParseDuration(value)
 	case "pace_max_delay":
 		cfg.PaceMaxDelay, err = time.ParseDuration(value)
-	case "pace_decay":
-		cfg.PaceDecay, err = strconv.ParseFloat(value, 64)
 	case "deadline":
 		cfg.Deadline, err = time.ParseDuration(value)
 	case "stall_window":

@@ -84,6 +84,3 @@ func AccountSSL(deltaOps int, deltaBytes int64) {
 		obsSSLBytes.Add(deltaBytes)
 	}
 }
-
-// NoteOverflow records an SSL cap breach.
-func NoteOverflow() { obsOverflows.Inc() }

@@ -71,7 +71,7 @@ func pace(d int64) {
 //     backlog in a bounded number of ticks. A slower shrink still counts
 //     as diverging — without the rate floor the controller parks at the
 //     first delay with any drain at all and the tail takes minutes.
-//   - debt at or below target → delay *= PaceDecay, snapping to 0 below
+//   - debt at or below target → delay *= DefaultPaceDecay, snapping to 0 below
 //     PaceStep, returning the tenant to full speed.
 //
 // Tick is called from the manager's Step-3 sampling loop, never
@@ -102,7 +102,7 @@ func (c *Controller) Tick(debt int) time.Duration {
 	switch {
 	case debt <= c.cfg.PaceTargetDebt:
 		// Converged (or never diverged): back off multiplicatively.
-		c.delay = time.Duration(float64(c.delay) * c.cfg.PaceDecay)
+		c.delay = time.Duration(float64(c.delay) * DefaultPaceDecay)
 		if c.delay < c.cfg.PaceStep {
 			c.delay = 0
 		}

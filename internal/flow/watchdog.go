@@ -1,12 +1,15 @@
 package flow
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
-// Watchdog aborts migrations that can no longer succeed: a whole-migration
-// deadline, and a stall detector that fires when the slave makes no replay
-// progress for a full window. Either verdict routes through the manager's
-// rollback protocol (PR 3) — the alternative on seed code is Migrate
-// hanging until its catch-up timeout while op-timeouts storm the logs.
+// Watchdog is the one judge that gives up a migration attempt: past the
+// attempt's deadline, when the slave makes no replay progress for a full
+// stall window, or when the tenant's retained syncset list outgrows the
+// byte cap. Every verdict is judged against the config snapshot the
+// attempt began with, and routes through the manager's rollback protocol.
 //
 // The manager drives it single-threaded from the Step-3 sampling loop:
 // Observe with each progress sample, then Check.
@@ -16,6 +19,7 @@ type Watchdog struct {
 	lastGain    time.Time
 	lastApplied int
 	bestDebt    int
+	sslBytes    int64
 	primed      bool
 }
 
@@ -25,12 +29,13 @@ func NewWatchdog(cfg Config, start time.Time) *Watchdog {
 }
 
 // Observe feeds one progress sample: the primary slave's applied-syncset
-// count and current debt. Progress means the slave applied something new
-// or debt reached a new low — either resets the stall clock. Debt merely
-// holding steady does not: a wedged slave with a paced (or idle) source
-// holds debt flat forever, and that is exactly the hang the stall detector
-// exists to break.
-func (w *Watchdog) Observe(applied int, debt int, now time.Time) {
+// count and current debt, and the bytes the tenant's syncset list retains.
+// Progress means the slave applied something new or debt reached a new
+// low — either resets the stall clock. Debt merely holding steady does
+// not: a wedged slave with a paced (or idle) source holds debt flat
+// forever, and that is exactly the hang the stall detector exists to break.
+func (w *Watchdog) Observe(applied, debt int, sslBytes int64, now time.Time) {
+	w.sslBytes = sslBytes
 	if !w.primed {
 		w.primed = true
 		w.bestDebt = debt
@@ -49,9 +54,9 @@ func (w *Watchdog) Observe(applied int, debt int, now time.Time) {
 	}
 }
 
-// Check returns ErrDeadline or ErrStalled when a limit has been crossed,
-// nil otherwise. Counters fire on the first detection only; the manager
-// aborts on the first non-nil verdict so Check is effectively one-shot.
+// Check returns ErrDeadline, ErrStalled or (wrapped) ErrSSLOverflow when a
+// limit has been crossed, nil otherwise. Each verdict counts once: the
+// manager aborts on the first non-nil one.
 func (w *Watchdog) Check(now time.Time) error {
 	if w.cfg.Deadline > 0 && now.Sub(w.start) >= w.cfg.Deadline {
 		obsDeadlineAborts.Inc()
@@ -60,6 +65,11 @@ func (w *Watchdog) Check(now time.Time) error {
 	if w.cfg.StallWindow > 0 && w.primed && now.Sub(w.lastGain) >= w.cfg.StallWindow {
 		obsStalls.Inc()
 		return ErrStalled
+	}
+	if w.cfg.MaxSSLBytes > 0 && w.sslBytes > w.cfg.MaxSSLBytes {
+		obsOverflows.Inc()
+		return fmt.Errorf("flow: SSL byte cap breached, %d of %d bytes retained: %w",
+			w.sslBytes, w.cfg.MaxSSLBytes, ErrSSLOverflow)
 	}
 	return nil
 }
