@@ -414,6 +414,45 @@ func TestNoSyncsetOutsideCapture(t *testing.T) {
 	}
 }
 
+// TestAutocommitReadCapturedUnderBAll: an autocommit read looks at the
+// tenant's capture state only inside a B-ALL capture window, and there it is
+// still linked as a syncset of its own, stamped with the MLC it read at;
+// outside that window, and inside another strategy's, it links nothing.
+func TestAutocommitReadCapturedUnderBAll(t *testing.T) {
+	rig := newRig(t, 1, engine.Options{})
+	rig.provision(t, "a", 5)
+	tn, _ := rig.mw.Tenant("a")
+	c := rig.connect(t, "a")
+	defer c.Close()
+	const read = "SELECT bal FROM acct WHERE id = 1"
+
+	mustExecAll(t, c, read)
+	if n := tn.SSLLen(); n != 0 {
+		t.Fatalf("outside capture: SSL holds %d syncsets, want 0", n)
+	}
+	tn.startCapture(false)
+	mustExecAll(t, c, read)
+	if n := tn.SSLLen(); n != 0 {
+		t.Fatalf("inside a B-SSL capture window: SSL holds %d syncsets, want 0", n)
+	}
+	tn.stopCapture()
+
+	tn.startCapture(true)
+	defer tn.stopCapture()
+	mlc := tn.MLC()
+	mustExecAll(t, c, read)
+	tn.mu.Lock()
+	ssl := append([]*SSB{}, tn.ssl...)
+	tn.mu.Unlock()
+	if len(ssl) != 1 || len(ssl[0].Entries) != 1 || ssl[0].Entries[0].SQL != read ||
+		ssl[0].STS != mlc || ssl[0].ETS != mlc {
+		t.Fatalf("inside a B-ALL capture window: SSL %+v, want one syncset of %q at MLC %d", ssl, read, mlc)
+	}
+	if got := tn.MLC(); got != mlc {
+		t.Errorf("a captured read advanced the MLC from %d to %d", mlc, got)
+	}
+}
+
 func TestFailedTxnCommitNotLinked(t *testing.T) {
 	rig := newRig(t, 1, engine.Options{})
 	rig.provision(t, "a", 5)

@@ -531,9 +531,9 @@ func (w *worker) execAutocommit(sql string, class sqlmini.OpClass) ([]byte, erro
 
 	case sqlmini.OpRead:
 		reply, err := w.relay(sql)
-		if err == nil {
+		if err == nil && t.captureReads.Load() {
 			t.mu.Lock()
-			if t.migrating && t.captureAll {
+			if t.migrating && t.captureAll { // the window may have closed since
 				b := &SSB{STS: t.mlc, ETS: t.mlc}
 				b.Entries = append(b.Entries, newEntry(sql, class))
 				t.resolveSSBLocked(b, true)

@@ -40,6 +40,11 @@ type Tenant struct {
 	captureAll bool
 	ssl        []*SSB // retained (linked, not yet released) SSBs in link order
 
+	// captureReads mirrors migrating && captureAll, and is written with
+	// them under mu, so an autocommit read takes mu only inside a B-ALL
+	// capture window (execAutocommit).
+	captureReads atomic.Bool
+
 	// SSL accounting for the flow layer's cap and gauges. ssl holds only
 	// the retained window: once every propagator has applied a prefix, the
 	// manager releases it (releaseAppliedSSL) and sslBase advances, so
@@ -311,6 +316,7 @@ func (t *Tenant) claimMigration(slaves []Backend) (Backend, error) {
 func (t *Tenant) startCaptureLocked(all bool) {
 	t.migrating = true
 	t.captureAll = all
+	t.captureReads.Store(all)
 	t.resetSSLLocked()
 	t.capturedOps = 0
 	t.capturedSSBs = 0
@@ -322,6 +328,7 @@ func (t *Tenant) stopCapture() {
 	t.mu.Lock()
 	t.migrating = false
 	t.captureAll = false
+	t.captureReads.Store(false)
 	t.resetSSLLocked()
 	t.cond.Broadcast()
 	t.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"madeus/internal/mvcc"
 	"madeus/internal/sqlmini"
@@ -237,8 +238,7 @@ func (s *Session) execUpdate(st *sqlmini.Update, args []sqlmini.Value, out *resu
 		return nil, err
 	}
 	n := 0
-	recs := s.walBatch[:0]
-	var scratch [256]byte
+	recs, redo := s.walBatch[:0], s.redo[:0]
 	for _, old := range matches {
 		newRow := s.writeRow(len(old))
 		copy(newRow, old)
@@ -250,7 +250,8 @@ func (s *Session) execUpdate(st *sqlmini.Update, args []sqlmini.Value, out *resu
 			}
 			newRow[schema.ColumnIndex(a.Column)] = v
 		}
-		redo := appendUpdateRow(scratch[:0], schema, newRow)
+		start := len(redo)
+		redo = appendUpdateRow(redo, schema, newRow)
 		ok, err := tb.Update(s.txn, schema.PK(old), newRow)
 		if err != nil {
 			s.walBatch = recs[:0]
@@ -262,12 +263,14 @@ func (s *Session) execUpdate(st *sqlmini.Update, args []sqlmini.Value, out *resu
 			// different rows at redo time; the literal image cannot. The
 			// rows of one statement go to the log as a single batch.
 			recs = append(recs, wal.Record{TxnID: uint64(s.txn.ID), Kind: wal.RecUpdate,
-				DB: s.db.Name, Table: schema.Name, Data: string(redo)})
+				DB: s.db.Name, Table: schema.Name, Data: lentString(redo[start:])})
 			n++
+		} else {
+			redo = redo[:start]
 		}
 	}
 	s.eng.logAppendBatch(recs)
-	s.walBatch = recs[:0]
+	s.walBatch, s.redo = recs[:0], kept(redo)
 	return out.counted(updateTag, n), nil
 }
 
@@ -282,8 +285,7 @@ func (s *Session) execDelete(st *sqlmini.Delete, args []sqlmini.Value, out *resu
 		return nil, err
 	}
 	n := 0
-	recs := s.walBatch[:0]
-	var scratch [128]byte
+	recs, redo := s.walBatch[:0], s.redo[:0]
 	for _, old := range matches {
 		ok, err := tb.Delete(s.txn, tb.Schema.PK(old))
 		if err != nil {
@@ -291,15 +293,22 @@ func (s *Session) execDelete(st *sqlmini.Delete, args []sqlmini.Value, out *resu
 			return nil, err
 		}
 		if ok {
+			start := len(redo)
+			redo = appendDeleteRow(redo, tb.Schema, old)
 			recs = append(recs, wal.Record{TxnID: uint64(s.txn.ID), Kind: wal.RecDelete,
-				DB: s.db.Name, Table: tb.Schema.Name, Data: string(appendDeleteRow(scratch[:0], tb.Schema, old))})
+				DB: s.db.Name, Table: tb.Schema.Name, Data: lentString(redo[start:])})
 			n++
 		}
 	}
 	s.eng.logAppendBatch(recs)
-	s.walBatch = recs[:0]
+	s.walBatch, s.redo = recs[:0], kept(redo)
 	return out.counted(deleteTag, n), nil
 }
+
+// lentString is b as a string that shares its bytes: a redo image the
+// session lends the log for one append (wal.Record), appended to but never
+// rewritten until the append is done.
+func lentString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // The render helpers append the self-contained redo statements the WAL
 // carries: literal values only, rows addressed by primary key. See the

@@ -137,15 +137,22 @@ type Session struct {
 	eng *Engine
 	db  *Database
 
-	txn     *mvcc.Txn // nil until the first statement after BEGIN
+	txn     *mvcc.Txn // &ownTxn from the first statement after BEGIN, else nil
 	inTxn   bool      // explicit BEGIN seen
 	txnFail bool      // a statement inside the txn errored
 	ddl     bool      // a DDL record was logged in the current txn scope
 
+	// ownTxn is every transaction of the session's, begun afresh at each
+	// first statement (ensureTxn), so a transaction allocates no Txn.
+	ownTxn mvcc.Txn
+
 	// walBatch is the per-statement record accumulator, reused across
 	// statements (sessions are single-goroutine) so multi-row UPDATEs and
-	// DELETEs append to the log in one batch without reallocating.
+	// DELETEs append to the log in one batch without reallocating; redo
+	// holds the images of its records' Data, which the log borrows only
+	// for the append (wal.Record).
 	walBatch []wal.Record
+	redo     []byte
 
 	// The buffers a statement is answered from, kept between statements
 	// while each is at most maxKeptScratch: the match buffer and the
@@ -301,7 +308,8 @@ func (s *Session) run(st sqlmini.Statement, args []sqlmini.Value, sql string, ou
 // operation).
 func (s *Session) ensureTxn() {
 	if s.txn == nil || s.txn.Done() {
-		s.txn = s.db.mgr.Begin()
+		s.db.mgr.BeginIn(&s.ownTxn)
+		s.txn = &s.ownTxn
 	}
 }
 

@@ -105,7 +105,7 @@ type Manager struct {
 	// pruneMu guards only the pending queue; freeze work runs with it
 	// released so commits never wait behind a prune pass.
 	pruneMu sync.Mutex //madeusvet:lockrank mvcc-prune 41
-	pending []pendingFreeze
+	pending freezeQueue
 	// sincePrune counts enqueues since the last prune pass. The trigger
 	// works off this counter, NOT off len(pending): under heavy load the
 	// snapshot horizon lags the commit stream, so the queue sits above any
@@ -117,7 +117,7 @@ type Manager struct {
 // txnStripe is one shard of the transaction-status table.
 type txnStripe struct {
 	mu     sync.RWMutex //madeusvet:lockrank mvcc-txn 44
-	states map[TxnID]*txnState
+	states map[TxnID]txnState
 }
 
 type txnState struct {
@@ -129,10 +129,26 @@ type txnState struct {
 // pendingFreeze is a committed writer whose state is waiting for the
 // snapshot horizon to pass its CSN, at which point its versions are frozen
 // (xmin → FrozenTxn, superseded versions removed) and the state dropped.
+// Its row locks are the next n entries of its queue's arena.
 type pendingFreeze struct {
-	id     TxnID
-	csn    CSN
-	chains []heldRow
+	id  TxnID
+	csn CSN
+	n   int
+}
+
+// freezeQueue is committed writers in commit order, and the row locks each
+// held, back to back in arena: the queue's own copy, so a Txn keeps its
+// lock list for its next transaction.
+type freezeQueue struct {
+	txns  []pendingFreeze
+	arena []heldRow
+}
+
+// add queues p, whose locks are held.
+func (q *freezeQueue) add(p pendingFreeze, held []heldRow) {
+	p.n = len(held)
+	q.txns = append(q.txns, p)
+	q.arena = append(q.arena, held...)
 }
 
 // NewManager returns a transaction manager with the default stripe count.
@@ -149,7 +165,7 @@ func NewManagerStriped(n int) *Manager {
 		tableStripes: n,
 	}
 	for i := range m.stripes {
-		m.stripes[i].states = make(map[TxnID]*txnState)
+		m.stripes[i].states = make(map[TxnID]txnState)
 	}
 	return m
 }
@@ -171,17 +187,22 @@ func (m *Manager) stripe(id TxnID) *txnStripe {
 
 // Txn is one transaction. A Txn is used by a single session goroutine;
 // Manager and table internals handle cross-transaction synchronization.
+//
+// A Txn may be begun again once done (BeginIn), as an engine session reuses
+// one for all its transactions. Nothing keeps a *Txn past its transaction:
+// the freeze queue copies its lock list, a row-lock waiter keeps only its
+// wake channel, and a version names its creator by ID.
 type Txn struct {
 	ID       TxnID
 	Snapshot CSN
 
 	mgr    *Manager
-	locks  []heldRow
+	locks  []heldRow // in the order they were taken
 	done   bool
 	writes int
 
 	// waitTimer is the reusable row-lock wait timer (one allocation per
-	// transaction instead of one per contended wait).
+	// Txn instead of one per contended wait).
 	waitTimer *time.Timer
 
 	// reads holds the rows Get and Scan decode into, made by the first of
@@ -189,6 +210,10 @@ type Txn struct {
 	// transaction stays this small.
 	reads *txnReads
 }
+
+// maxKeptLocks bounds the lock list a Txn keeps for its next transaction:
+// a longer one, which a write of many scattered rows builds, is dropped.
+const maxKeptLocks = 4096
 
 // txnReads is where a transaction's Get and Scan decode: row is the row Get
 // reuses, rows the array newRow carves Scan's rows from, and carved counts
@@ -237,13 +262,28 @@ func (t *Txn) newRow(w int) storage.Row {
 // from — either way the horizon never passes a snapshot that still needs
 // a pruned state.
 func (m *Manager) Begin() *Txn {
+	t := new(Txn)
+	m.BeginIn(t)
+	return t
+}
+
+// BeginIn is Begin starting the transaction in t, which is new or done: t
+// keeps its lock list's array, wait timer and read rows from the
+// transaction before, and nothing else.
+func (m *Manager) BeginIn(t *Txn) {
+	invariant.Assert(t.mgr == nil || t.done, "mvcc: begin over an open transaction")
 	id := TxnID(m.nextTxn.Add(1))
 	s := m.stripe(id)
 	s.mu.Lock()
 	snap := CSN(m.lastCSN.Load())
-	s.states[id] = &txnState{status: StatusActive, snap: snap}
+	s.states[id] = txnState{status: StatusActive, snap: snap}
 	s.mu.Unlock()
-	return &Txn{ID: id, Snapshot: snap, mgr: m}
+	locks := t.locks
+	if cap(locks) > maxKeptLocks {
+		locks = nil
+	}
+	clear(locks)
+	*t = Txn{ID: id, Snapshot: snap, mgr: m, locks: locks[:0], waitTimer: t.waitTimer, reads: t.reads}
 }
 
 // statusOf reports the state of a transaction. Unknown IDs report
@@ -289,7 +329,7 @@ func (m *Manager) StateCount() int {
 func (m *Manager) PendingFreezes() int {
 	m.pruneMu.Lock()
 	defer m.pruneMu.Unlock()
-	return len(m.pending)
+	return len(m.pending.txns)
 }
 
 // Commit makes t's effects visible: it assigns the next CSN, flips the
@@ -311,8 +351,8 @@ func (t *Txn) Commit() (CSN, error) {
 		m.csnMu.Lock()
 		csn := CSN(m.lastCSN.Load()) + 1
 		s.mu.Lock()
-		st := s.states[t.ID]
-		invariant.Assert(st != nil && st.status == StatusActive, "mvcc: commit of a non-active transaction")
+		st, ok := s.states[t.ID]
+		invariant.Assert(ok && st.status == StatusActive, "mvcc: commit of a non-active transaction")
 		delete(s.states, t.ID)
 		s.mu.Unlock()
 		m.lastCSN.Store(uint64(csn))
@@ -323,20 +363,20 @@ func (t *Txn) Commit() (CSN, error) {
 	m.csnMu.Lock()
 	csn := CSN(m.lastCSN.Load()) + 1
 	s.mu.Lock()
-	st := s.states[t.ID]
-	invariant.Assert(st != nil && st.status == StatusActive, "mvcc: commit of a non-active transaction")
+	st, ok := s.states[t.ID]
+	invariant.Assert(ok && st.status == StatusActive, "mvcc: commit of a non-active transaction")
 	invariant.Assertf(csn > t.Snapshot, "mvcc: CSN %d not beyond snapshot %d", csn, t.Snapshot)
 	st.status = StatusCommitted
 	st.csn = csn
+	s.states[t.ID] = st
 	s.mu.Unlock()
 	// Publish the watermark only after the status flip above: a snapshot
 	// that includes csn must observe the state as committed.
 	m.lastCSN.Store(uint64(csn))
 	m.csnMu.Unlock()
 
-	chains := t.locks
 	t.releaseLocks()
-	m.enqueueFreeze(pendingFreeze{id: t.ID, csn: csn, chains: chains})
+	m.enqueueFreeze(pendingFreeze{id: t.ID, csn: csn}, t.locks)
 	return csn, nil
 }
 
@@ -352,23 +392,24 @@ func (t *Txn) Abort() error {
 	m := t.mgr
 	s := m.stripe(t.ID)
 	s.mu.Lock()
-	st := s.states[t.ID]
-	invariant.Assert(st != nil && st.status == StatusActive, "mvcc: abort of a non-active transaction")
+	st, ok := s.states[t.ID]
+	invariant.Assert(ok && st.status == StatusActive, "mvcc: abort of a non-active transaction")
 	delete(s.states, t.ID)
 	s.mu.Unlock()
 	// Undo before waking waiters so they recheck against clean chains.
 	for _, h := range t.locks {
-		h.tb.undo(h.ch, t.ID)
+		h.chains(func(ch *rowChain) { h.tb.undo(ch, t.ID) })
 	}
 	t.releaseLocks()
 	return nil
 }
 
-// enqueueFreeze queues a committed writer for state pruning and runs a
-// prune pass once enough have accumulated.
-func (m *Manager) enqueueFreeze(p pendingFreeze) {
+// enqueueFreeze queues a committed writer, a copy of the row locks it held
+// with it, for state pruning, and runs a prune pass once enough have
+// accumulated.
+func (m *Manager) enqueueFreeze(p pendingFreeze, held []heldRow) {
 	m.pruneMu.Lock()
-	m.pending = append(m.pending, p)
+	m.pending.add(p, held)
 	m.sincePrune++
 	ready := m.sincePrune >= pruneBatch
 	m.pruneMu.Unlock()
@@ -385,32 +426,35 @@ func (m *Manager) enqueueFreeze(p pendingFreeze) {
 func (m *Manager) PruneStates() int {
 	m.pruneMu.Lock()
 	work := m.pending
-	m.pending = nil
+	m.pending = freezeQueue{}
 	m.sincePrune = 0
 	m.pruneMu.Unlock()
-	if len(work) == 0 {
-		return 0
-	}
 
-	h := m.Horizon()
 	pruned := 0
 	// Filter in place: entries still above the horizon compact to the
 	// front of work, which then becomes the queue again — the backlog
-	// buffer is recycled across passes instead of reallocated.
-	kept := work[:0]
+	// arrays are recycled across passes instead of reallocated, even when
+	// the pass found nothing to do.
+	kept := freezeQueue{work.txns[:0], work.arena[:0]}
 	var shrunk []*Table // tables the pass removed versions from
-	for _, p := range work {
-		if p.csn > h {
-			kept = append(kept, p)
-			continue
+	if len(work.txns) > 0 {
+		h := m.Horizon()
+		off := 0
+		for _, p := range work.txns {
+			held := work.arena[off : off+p.n]
+			off += p.n
+			if p.csn > h {
+				kept.add(p, held)
+				continue
+			}
+			pruned += m.freeze(p.id, held, &shrunk)
 		}
-		pruned += m.freeze(p, &shrunk)
 	}
-	for i := len(kept); i < len(work); i++ {
-		work[i] = pendingFreeze{} // drop chain refs from the recycled tail
-	}
+	clear(work.arena[len(kept.arena):]) // drop block refs from the recycled tail
 	m.pruneMu.Lock()
-	kept = append(kept, m.pending...) // arrivals during the pass keep their order
+	// Arrivals during the pass keep their order.
+	kept.txns = append(kept.txns, m.pending.txns...)
+	kept.arena = append(kept.arena, m.pending.arena...)
 	m.pending = kept
 	m.pruneMu.Unlock()
 	for _, tb := range shrunk {
@@ -419,39 +463,40 @@ func (m *Manager) PruneStates() int {
 	return pruned
 }
 
-// freeze rewrites every version reference to p.id — xmin becomes
-// FrozenTxn, versions superseded by p (xmax == p.id) are removed outright
-// (p committed at or below the horizon, so every current and future
-// snapshot sees the supersession) — then drops p's txnState. Returns the
-// number of dead versions removed, and adds the tables they were removed
-// from to *shrunk.
-func (m *Manager) freeze(p pendingFreeze, shrunk *[]*Table) int {
+// freeze rewrites every version reference to id, a writer that committed
+// at or below the horizon holding the row locks held — xmin becomes
+// FrozenTxn, versions id superseded (xmax == id) are removed outright
+// (every current and future snapshot sees the supersession) — then drops
+// id's txnState. Returns the number of dead versions removed, and adds the
+// tables they were removed from to *shrunk.
+func (m *Manager) freeze(id TxnID, held []heldRow, shrunk *[]*Table) int {
 	removed := 0
-	for _, h := range p.chains {
-		ch := h.ch
-		ch.mu.Lock()
-		vs := h.tb.versions(ch)
-		kept := vs[:0]
-		for _, v := range vs {
-			if v.xmax == p.id {
-				removed++
-				h.tb.drop(v.ref)
-				if !slices.Contains(*shrunk, h.tb) {
-					*shrunk = append(*shrunk, h.tb)
+	for _, h := range held {
+		h.chains(func(ch *rowChain) {
+			ch.mu.Lock()
+			vs := h.tb.versions(ch)
+			kept := vs[:0]
+			for _, v := range vs {
+				if v.xmax == id {
+					removed++
+					h.tb.drop(v.ref)
+					if !slices.Contains(*shrunk, h.tb) {
+						*shrunk = append(*shrunk, h.tb)
+					}
+					continue // dead for every snapshot ≥ horizon
 				}
-				continue // dead for every snapshot ≥ horizon
+				if v.xmin == id {
+					v.xmin = FrozenTxn
+				}
+				kept = append(kept, v)
 			}
-			if v.xmin == p.id {
-				v.xmin = FrozenTxn
-			}
-			kept = append(kept, v)
-		}
-		h.tb.setVersions(ch, kept)
-		ch.mu.Unlock()
+			h.tb.setVersions(ch, kept)
+			ch.mu.Unlock()
+		})
 	}
-	s := m.stripe(p.id)
+	s := m.stripe(id)
 	s.mu.Lock()
-	delete(s.states, p.id)
+	delete(s.states, id)
 	s.mu.Unlock()
 	return removed
 }
@@ -462,11 +507,26 @@ func (t *Txn) Done() bool { return t.done }
 // IsUpdate reports whether t performed any write.
 func (t *Txn) IsUpdate() bool { return t.writes > 0 }
 
+// hold adds to t's list the row locks of the slots in mask of tb's block b:
+// to its last entry, when that is b's and mask's slots are all above the
+// entry's, so that walking the list in order still walks the locks in the
+// order they were taken.
+func (t *Txn) hold(tb *Table, b *chainBlock, mask uint64) {
+	if n := len(t.locks); n > 0 {
+		if h := &t.locks[n-1]; h.block == b && h.mask < mask&-mask {
+			h.mask |= mask
+			return
+		}
+	}
+	t.locks = append(t.locks, heldRow{tb: tb, block: b, mask: mask})
+}
+
+// releaseLocks releases t's row locks, waking their waiters. t keeps its
+// list (Commit queues a copy of it for freezing).
 func (t *Txn) releaseLocks() {
 	for _, h := range t.locks {
-		h.tb.unlock(h.ch, t.ID)
+		h.chains(func(ch *rowChain) { h.tb.unlock(ch, t.ID) })
 	}
-	t.locks = nil
 }
 
 func (t *Txn) lockTimeout() time.Duration {

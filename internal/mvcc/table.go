@@ -400,12 +400,15 @@ func (tb *Table) unlockAllStripes() {
 }
 
 func (tb *Table) chain(pk sqlmini.Value, create bool) *rowChain {
-	return tb.chainIn(tb.stripeFor(pk), pk, create)
+	_, ch := tb.chainIn(tb.stripeFor(pk), pk, create)
+	return ch
 }
 
-// chainIn is chain with pk's stripe s already picked. A TEXT key is filed as
-// a copy, so the directory never keeps the caller's statement text alive.
-func (tb *Table) chainIn(s *tableStripe, pk sqlmini.Value, create bool) *rowChain {
+// chainIn is chain with pk's stripe s already picked, returning as well the
+// block that files the chain (slot slotOf(pk) of it), or nil with no chain. A
+// TEXT key is filed as a copy, so the directory never keeps the caller's
+// statement text alive.
+func (tb *Table) chainIn(s *tableStripe, pk sqlmini.Value, create bool) (*chainBlock, *rowChain) {
 	s.mu.Lock()
 	b := s.block(pk)
 	var ch *rowChain
@@ -423,7 +426,10 @@ func (tb *Table) chainIn(s *tableStripe, pk sqlmini.Value, create bool) *rowChai
 		ch = b.fill(i)
 	}
 	s.mu.Unlock()
-	return ch
+	if ch == nil {
+		return nil, nil
+	}
+	return b, ch
 }
 
 // spineInsert adds a new block to the spine: onto the run — the main one or
@@ -691,20 +697,22 @@ func (tb *Table) Insert(t *Txn, row storage.Row) error {
 	}
 	pk := tb.Schema.Widen(tb.Schema.PKIndex(), tb.Schema.PK(row))
 	s := tb.stripeFor(pk)
-	if err := tb.insertInto(t, &s.cursor, tb.chainIn(s, pk, true), row, nil); err != nil {
+	b, _ := tb.chainIn(s, pk, true)
+	if err := tb.insertInto(t, &s.cursor, b, slotOf(pk), row, nil); err != nil {
 		return err
 	}
 	tb.indexAdd(row, pk)
 	return nil
 }
 
-// insertInto adds t's version to ch, a chain of the stripe whose cursor is
-// c, once the chain-lock checks pass: no committed version t cannot see
+// insertInto adds t's version to ch, slot i's chain of block b of the stripe
+// whose cursor is c, once the chain-lock checks pass: no committed version t cannot see
 // (a concurrent inserter won), no version t can see, and the row lock free
 // or t's, waited for while another transaction holds it. The version's row
 // is rec, a row already encoded, or else row, encoded here; either way it
 // is stored under ch.mu, as compaction requires (see store).
-func (tb *Table) insertInto(t *Txn, c *pageCursor, ch *rowChain, row storage.Row, rec []byte) error {
+func (tb *Table) insertInto(t *Txn, c *pageCursor, b *chainBlock, i int, row storage.Row, rec []byte) error {
+	ch := b.chain(i)
 	var deadline time.Time // set by the first waitUnlocked, if any
 	ch.mu.Lock()
 	for {
@@ -728,7 +736,7 @@ func (tb *Table) insertInto(t *Txn, c *pageCursor, ch *rowChain, row storage.Row
 		}
 		ch.mu.Lock()
 	}
-	ch.acquire(tb, t)
+	ch.acquire(tb, b, i, t)
 	var r ref
 	if rec != nil {
 		r = tb.storeEncoded(c, rec)
@@ -832,7 +840,7 @@ func (tb *Table) nextBlock(recs []byte, after *sqlmini.Value, row storage.Row, g
 func (tb *Table) fileBlock(t *Txn, g *recBlock) error {
 	pk := g.pks[0]
 	s := tb.stripeFor(pk)
-	var taken [blockKeys]*rowChain // the chains already in g's slots
+	var taken [blockKeys]bool // whether g's row i's slot already holds a chain
 	s.mu.Lock()
 	b := s.block(pk)
 	if b == nil {
@@ -845,8 +853,8 @@ func (tb *Table) fileBlock(t *Txn, g *recBlock) error {
 	}
 	size, free := 0, 0
 	for i := range g.n {
-		if j := slotOf(g.pks[i]); b.has(j) {
-			taken[i] = b.chain(j)
+		if b.has(slotOf(g.pks[i])) {
+			taken[i] = true
 		} else {
 			size += len(g.rec(i))
 			free++
@@ -861,7 +869,7 @@ func (tb *Table) fileBlock(t *Txn, g *recBlock) error {
 		}
 		used, off, want := b.used.Load(), 0, free
 		for i := range g.n {
-			if taken[i] != nil {
+			if taken[i] {
 				continue
 			}
 			rec := g.rec(i)
@@ -873,10 +881,10 @@ func (tb *Table) fileBlock(t *Txn, g *recBlock) error {
 			want--
 			ch.first[0], ch.n = version{xmin: t.ID, ref: r + ref(off)}, 1
 			ch.lockOwner = t.ID
-			t.locks = append(t.locks, heldRow{tb: tb, ch: ch})
 			used |= 1 << j
 			off += len(rec)
 		}
+		t.hold(tb, b, used&^b.used.Load())
 		b.used.Store(used)
 		c.mu.Unlock()
 		t.writes += free
@@ -884,8 +892,8 @@ func (tb *Table) fileBlock(t *Txn, g *recBlock) error {
 	s.mu.Unlock()
 	n := len(tb.Schema.Columns)
 	for i := range g.n {
-		if taken[i] != nil {
-			if err := tb.insertInto(t, &s.cursor, taken[i], nil, g.rec(i)); err != nil {
+		if taken[i] {
+			if err := tb.insertInto(t, &s.cursor, b, slotOf(g.pks[i]), nil, g.rec(i)); err != nil {
 				return err
 			}
 		}
@@ -923,7 +931,7 @@ func (tb *Table) write(t *Txn, pk sqlmini.Value, newRow storage.Row, del bool) (
 		}
 	}
 	s := tb.stripeFor(pk)
-	ch := tb.chainIn(s, pk, false)
+	b, ch := tb.chainIn(s, pk, false)
 	if ch == nil {
 		return false, nil
 	}
@@ -956,7 +964,7 @@ func (tb *Table) write(t *Txn, pk sqlmini.Value, newRow storage.Row, del bool) (
 		ch.mu.Unlock()
 		return false, nil
 	}
-	ch.acquire(tb, t)
+	ch.acquire(tb, b, slotOf(pk), t)
 	// First-updater-wins must hold at the moment of superseding: with the
 	// row lock ours, no concurrent committed winner may exist.
 	invariant.Check(func() error {
@@ -1005,15 +1013,16 @@ func (tb *Table) committedAfter(ch *rowChain, t *Txn) bool {
 	return false
 }
 
-// acquire takes the row lock for t (idempotent). Caller holds ch.mu.
-func (ch *rowChain) acquire(tb *Table, t *Txn) {
+// acquire takes the row lock of ch, slot i's chain of tb's block b, for t
+// (idempotent). Caller holds ch.mu.
+func (ch *rowChain) acquire(tb *Table, b *chainBlock, i int, t *Txn) {
 	invariant.Assertf(ch.lockOwner == 0 || ch.lockOwner == t.ID,
 		"mvcc: txn %d acquiring a row lock held by txn %d", t.ID, ch.lockOwner)
 	if ch.lockOwner == t.ID {
 		return
 	}
 	ch.lockOwner = t.ID
-	t.locks = append(t.locks, heldRow{tb: tb, ch: ch})
+	t.hold(tb, b, 1<<i)
 }
 
 // waiter registers and returns a channel the row lock's holder closes when
@@ -1070,11 +1079,21 @@ func (tb *Table) unlock(ch *rowChain, id TxnID) {
 	ch.mu.Unlock()
 }
 
-// heldRow is a row lock a transaction holds: the chain, and the table it
-// belongs to.
+// heldRow is the row locks a transaction holds in one block of a table's
+// chain directory: the chain of slot i of block for every bit i of mask. A
+// restore files a block of rows at a time, so its transaction's list holds
+// an entry per block, not one per row.
 type heldRow struct {
-	tb *Table
-	ch *rowChain
+	tb    *Table
+	block *chainBlock
+	mask  uint64
+}
+
+// chains calls fn for each of h's chains, in ascending slot order.
+func (h heldRow) chains(fn func(ch *rowChain)) {
+	for m := h.mask; m != 0; m &= m - 1 {
+		fn(h.block.chain(bits.TrailingZeros64(m)))
+	}
 }
 
 // undo physically removes an aborted transaction's trace from ch, one of

@@ -91,6 +91,54 @@ func TestCommitAfterCloseFails(t *testing.T) {
 	}
 }
 
+// TestCommitAcksRaceClose: commits racing Close each end with their own
+// batch's result — their record durable — or with "log closed", never with
+// the ack of another commit. A commit's wait channel is reused only once it
+// has received its own ack, so a commit that gave up on a closing log, whose
+// batch the committer may still ack, leaves no ack for the channel's next
+// user.
+func TestCommitAcksRaceClose(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		l := New(Options{Mode: GroupCommit})
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				recs := make([]Record, 1)
+				for {
+					recs[0] = Record{TxnID: 1, Kind: RecCommit}
+					l.AppendBatch(recs)
+					if err := l.Commit(); err != nil {
+						if err.Error() != "wal: log closed" {
+							t.Errorf("Commit: %v, want nil or log closed", err)
+						}
+						return
+					}
+					if d := l.DurableLSN(); d < recs[0].LSN {
+						t.Errorf("a commit was acknowledged with its record at LSN %d and the log durable to %d", recs[0].LSN, d)
+						return
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round%4) * 50 * time.Microsecond)
+		closed := make(chan struct{})
+		go func() { l.Close(); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			// A reused channel still held an ack, so the committer
+			// blocks acking its next user.
+			t.Fatalf("round %d: Close hangs on a committer stuck acking a commit", round)
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.Fatalf("round %d", round)
+		}
+	}
+}
+
 func TestCloseIdempotent(t *testing.T) {
 	l := New(Options{Mode: GroupCommit})
 	l.Close()

@@ -87,10 +87,13 @@ go test -run '^$' -fuzz '^FuzzRowCodec$' -fuzztime 10s ./internal/mvcc/
 # building and running (the numbers are read with -benchtime of your own).
 go test -count=1 -run '^$' -bench Select -benchtime 1x ./internal/engine/
 
-# The version store's insert and scan benchmarks likewise: loads through the
-# chain directory (a restore's interleaved chunks, sparse keys, one commit
-# per row) and full scans.
-go test -count=1 -run '^$' -bench '^Benchmark(Insert|Scan)' -benchtime 1x ./internal/mvcc/
+# The version store's insert, scan and parallel update benchmarks likewise:
+# loads through the chain directory (a restore's interleaved chunks, sparse
+# keys, one commit per row), full scans, and writers of disjoint rows.
+go test -count=1 -run '^$' -bench '^Benchmark(Insert|Scan|UpdateDisjointParallel)' -benchtime 1x ./internal/mvcc/
+
+# The log's group and serial commit benchmarks likewise.
+go test -count=1 -run '^$' -bench '^Benchmark(Group|Serial)CommitParallel$' -benchtime 1x ./internal/wal/
 
 # The migration's dump (DumpStream) and restore (one chunk applied as one
 # row statement) benchmarks, likewise.
