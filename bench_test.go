@@ -13,12 +13,9 @@ import (
 	"time"
 
 	"madeus/internal/bench"
-	"madeus/internal/cluster"
 	"madeus/internal/core"
-	"madeus/internal/engine"
 	"madeus/internal/flow"
 	"madeus/internal/tpcw"
-	"madeus/internal/wire"
 )
 
 func quickCfg() bench.Config {
@@ -237,48 +234,5 @@ func BenchmarkAblationCommitOrder(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkWorkerCriticalRegion measures the Algorithm-1 worker path: one
-// update transaction through the middleware, whose first read and commit
-// cross the per-tenant critical region (the cost Fig 7 shows at migration
-// start).
-func BenchmarkWorkerCriticalRegion(b *testing.B) {
-	node, err := cluster.NewNode("node0", cluster.NodeOptions{Engine: engine.Options{}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer node.Close()
-	mw, err := core.New(core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer mw.Close()
-	mw.AddNode(node)
-	if err := mw.ProvisionTenant("t", "node0"); err != nil {
-		b.Fatal(err)
-	}
-	c, err := wire.Dial(mw.Addr(), "t")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	mustBenchExec(b, c, "CREATE TABLE kv (k INT PRIMARY KEY, v INT)")
-	mustBenchExec(b, c, "INSERT INTO kv (k, v) VALUES (1, 0)")
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mustBenchExec(b, c, "BEGIN")
-		mustBenchExec(b, c, "SELECT v FROM kv WHERE k = 1")
-		mustBenchExec(b, c, "UPDATE kv SET v = v + 1 WHERE k = 1")
-		mustBenchExec(b, c, "COMMIT")
-	}
-}
-
-func mustBenchExec(b *testing.B, c *wire.Client, sql string) {
-	b.Helper()
-	if _, err := c.Exec(sql); err != nil {
-		b.Fatalf("%s: %v", sql, err)
 	}
 }

@@ -56,7 +56,7 @@ func linkSSB(tn *Tenant, sts, ets uint64, stmts ...string) *SSB {
 	}
 	tn.mu.Lock()
 	tn.ssl = append(tn.ssl, b)
-	tn.mlc = ets + 1
+	tn.mlc.Store(ets + 1)
 	tn.cond.Broadcast()
 	tn.mu.Unlock()
 	return b

@@ -75,10 +75,15 @@ func (r *testRig) provision(t *testing.T, tenant string, rows int) {
 	}
 }
 
-// startCapture begins capture on a tenant without a migration.
+// startCapture begins capture on a tenant without a migration (and without
+// Step 1's drain).
 func (t *Tenant) startCapture(all bool) {
+	state := captureUpdates
+	if all {
+		state = captureAll
+	}
 	t.mu.Lock()
-	t.startCaptureLocked(all)
+	t.startCaptureLocked(state)
 	t.mu.Unlock()
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"madeus/internal/fault"
 	"madeus/internal/flow"
+	"madeus/internal/invariant"
 	"madeus/internal/obs"
 	"madeus/internal/wire"
 )
@@ -284,9 +285,10 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	// committed so far is inside the snapshot, and every operation after it
 	// is saved as a syncset (Step 1).
 	t.mu.Lock()
+	inFlight := t.activeTxns
 	_, err = ctl.Exec("SNAPSHOT")
-	mts := t.mlc
-	t.startCaptureLocked(opts.Strategy.captureAll())
+	mts := t.mlc.Load()
+	t.startCaptureLocked(opts.Strategy.capture())
 	t.mu.Unlock()
 	if err != nil {
 		return fail("step1.snapshot", err)
@@ -301,6 +303,11 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 	trace := &wire.TraceContext{Tenant: tenantName, MTS: mts, Span: rep.Span}
 	ctl.SetTraceContext(trace)
 	t.setGate(false) // customers resume while the dump streams
+	// Step 1's drain is what lets a worker relay outside the critical region:
+	// no transaction it began with capture off runs when capture opens.
+	// Asserted with the gate open, so a failure panics instead of leaving
+	// the tenant's sessions gated.
+	invariant.Assertf(inFlight == 0, "core: %d transactions in flight at %q's snapshot", inFlight, tenantName)
 
 	if ferr := fault.Inject(faultStep1Dump); ferr != nil {
 		return fail("step1.snapshot", ferr)

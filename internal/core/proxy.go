@@ -281,7 +281,8 @@ func (m *Middleware) Connect(database string) (wire.Conn, error) {
 
 // worker is the middleware-side session for one customer connection; it
 // implements Algorithms 1 and 2: relay every operation to the tenant's
-// master, and capture syncsets under the critical region.
+// master, and, inside a migration's capture window, capture syncsets under
+// the critical region (master).
 type worker struct {
 	mw      *Middleware
 	tenant  *Tenant
@@ -327,8 +328,8 @@ func (w *worker) ensureBackend() error {
 
 // relay forwards sql to the tenant's current master and returns its reply
 // payload, borrowed from the backend client until the next call on it. Not
-// for use under t.mu — the critical-region paths call ensureBackend first
-// and then w.backend.ExecReply directly.
+// for use under t.mu: ensureBackend takes it. First operations, update
+// COMMITs and autocommit writes go through master instead.
 func (w *worker) relay(sql string) ([]byte, error) {
 	if err := w.ensureBackend(); err != nil {
 		return nil, err
@@ -383,54 +384,76 @@ func (w *worker) execInTxn(sql string, class sqlmini.OpClass) ([]byte, error) {
 		return reply, err
 
 	default: // reads, writes, DDL
-		if !w.firstSeen {
-			return w.execFirstOp(sql, class)
+		isWrite := isUpdate(class)
+		if !w.firstSeen { // the first operation (Algorithm 1, lines 2-9)
+			reply, err := w.master(sql, class, true, false)
+			if err != nil {
+				return nil, err
+			}
+			w.wrote = isWrite
+			w.firstSeen = true
+			return reply, nil
 		}
 		reply, err := w.relay(sql)
 		if err != nil {
 			return nil, err
 		}
-		isWrite := isUpdate(class)
 		w.wrote = w.wrote || isWrite
-		if w.ssb != nil {
-			// Capture writes always; other reads only under B-ALL capture.
-			t.mu.Lock()
-			if isWrite || t.captureAll {
-				w.ssb.Entries = append(w.ssb.Entries, newEntry(sql, class))
-			}
-			t.mu.Unlock()
+		// Capture writes always; other reads only under B-ALL capture. The
+		// SSB is this worker's until its COMMIT links it under t.mu.
+		if w.ssb != nil && (isWrite || t.capture.Load() == captureAll) {
+			w.ssb.Entries = append(w.ssb.Entries, newEntry(sql, class))
 		}
 		return reply, nil
 	}
 }
 
-// execFirstOp handles the transaction's first operation: executed under the
-// critical region so the STS stamp matches the master-side snapshot order
-// (Algorithm 1, lines 2-9). Inside the capture window it builds the
-// transaction's SSB; outside it there is nothing to capture.
-func (w *worker) execFirstOp(sql string, class sqlmini.OpClass) ([]byte, error) {
+// master makes one of Algorithm 1's stamped round trips to the tenant's
+// master: a transaction's first operation (opens), an update COMMIT
+// (closes), or an autocommit write (both). It is the one place that decides
+// whether the round trip runs inside the critical region. Theorem 1 needs
+// the master's snapshot and commit order mirrored in STS/ETS only for the
+// syncsets Step 3 replays, so the region is held for an opening statement
+// that finds the tenant capturing and for a COMMIT whose transaction holds
+// an SSB. The caller has registered the transaction (txnStarted), so capture
+// cannot open while it runs: Step 1 drains every registered transaction
+// first. Outside the window a commit advances the MLC by an atomic add.
+func (w *worker) master(sql string, class sqlmini.OpClass, opens, closes bool) ([]byte, error) {
 	t := w.tenant
 	if err := w.ensureBackend(); err != nil {
 		return nil, err
 	}
-	t.mu.Lock()
-	// Algorithm 1's critical region REQUIRES the master round-trip under
-	// t.mu: the STS stamp must equal the master-side snapshot order, so the
-	// first op executes under the tenant mutex by design.
+	b := w.ssb
+	locked := b != nil || opens && t.capture.Load() != captureOff
+	if locked {
+		// Inside the window the master round trip runs under t.mu by
+		// design, so the stamps match the master's order (Algorithm 1,
+		// lines 2-9 and 16-29).
+		t.mu.Lock()
+		defer t.mu.Unlock()
+	}
 	reply, err := w.backend.ExecReply(sql)
-	if err != nil {
-		t.mu.Unlock()
-		return nil, err
+	// An autocommit write committed if it succeeded; a COMMIT if the master
+	// says so (a ROLLBACK tag: the transaction was poisoned server-side).
+	committed := closes && err == nil && (opens || wire.ResultTagIs(reply, "COMMIT"))
+	if locked && opens && err == nil && t.capture.Load() != captureOff { // the window may have closed since
+		b = &SSB{STS: t.mlc.Load(), Entries: []Entry{newEntry(sql, class)}}
+		if !closes {
+			w.ssb = b
+			t.firstOpStampedLocked(b)
+		}
 	}
-	if t.migrating {
-		w.ssb = &SSB{STS: t.mlc, Entries: []Entry{newEntry(sql, class)}}
-		t.firstOpStampedLocked(w.ssb)
+	if committed {
+		ets := t.mlc.Add(1) - 1
+		obsMLCAdvance.Inc()
+		if b != nil {
+			b.ETS = ets
+		}
 	}
-	t.mu.Unlock()
-
-	w.wrote = isUpdate(class)
-	w.firstSeen = true
-	return reply, nil
+	if closes && b != nil {
+		t.resolveSSBLocked(b, committed)
+	}
+	return reply, err
 }
 
 // isUpdate reports whether an operation of class writes: a write or DDL.
@@ -439,24 +462,21 @@ func isUpdate(class sqlmini.OpClass) bool {
 }
 
 // execCommit handles COMMIT: read-only transactions bypass the critical
-// region and are discarded; update transactions commit under the region,
-// stamp ETS, advance the MLC, and link to the SSL (Algorithm 1, lines
-// 16-29). The master's answer decides which: a COMMIT tag committed, a
-// ROLLBACK tag means the transaction was poisoned server-side.
+// region and are discarded; update transactions advance the MLC and, when
+// they hold an SSB, commit under the region, stamp ETS, and link to the SSL
+// (Algorithm 1, lines 16-29; master).
 func (w *worker) execCommit(sql string) ([]byte, error) {
 	t := w.tenant
-	b := w.ssb
-
 	if !w.wrote {
 		// Read-only or empty transaction: no MLC movement. Under
 		// B-ALL capture, committed read-only transactions are linked
 		// too (it propagates ALL transactions).
 		reply, err := w.relay(sql)
-		if b != nil {
+		if b := w.ssb; b != nil {
 			t.mu.Lock()
-			linkRO := t.captureAll && err == nil && wire.ResultTagIs(reply, "COMMIT")
+			linkRO := t.capture.Load() == captureAll && err == nil && wire.ResultTagIs(reply, "COMMIT")
 			if linkRO {
-				b.ETS = t.mlc
+				b.ETS = t.mlc.Load()
 			}
 			t.resolveSSBLocked(b, linkRO)
 			t.mu.Unlock()
@@ -471,25 +491,7 @@ func (w *worker) execCommit(sql string) ([]byte, error) {
 	// the MLC/commit-order equivalence are untouched, commits just arrive
 	// at the region a little later.
 	t.throttle.Wait()
-	if err := w.ensureBackend(); err != nil {
-		w.endTxn()
-		return nil, err
-	}
-	t.mu.Lock()
-	// COMMIT executes under the critical region, holding the tenant mutex
-	// across the round trip by design, so ETS assignment matches the
-	// master's commit order (Algorithm 1, lines 16-29).
-	reply, err := w.backend.ExecReply(sql)
-	committed := err == nil && wire.ResultTagIs(reply, "COMMIT")
-	if b != nil {
-		b.ETS = t.mlc
-		t.resolveSSBLocked(b, committed)
-	}
-	if committed {
-		t.mlc++
-		obsMLCAdvance.Inc()
-	}
-	t.mu.Unlock()
+	reply, err := w.master(sql, sqlmini.OpCommit, false, true)
 	w.endTxn()
 	return reply, err
 }
@@ -531,12 +533,11 @@ func (w *worker) execAutocommit(sql string, class sqlmini.OpClass) ([]byte, erro
 
 	case sqlmini.OpRead:
 		reply, err := w.relay(sql)
-		if err == nil && t.captureReads.Load() {
+		if err == nil && t.capture.Load() == captureAll {
 			t.mu.Lock()
-			if t.migrating && t.captureAll { // the window may have closed since
-				b := &SSB{STS: t.mlc, ETS: t.mlc}
-				b.Entries = append(b.Entries, newEntry(sql, class))
-				t.resolveSSBLocked(b, true)
+			if t.capture.Load() == captureAll { // the window may have closed since
+				mlc := t.mlc.Load()
+				t.resolveSSBLocked(&SSB{STS: mlc, ETS: mlc, Entries: []Entry{newEntry(sql, class)}}, true)
 			}
 			t.mu.Unlock()
 		}
@@ -545,24 +546,7 @@ func (w *worker) execAutocommit(sql string, class sqlmini.OpClass) ([]byte, erro
 	default: // autocommit write or DDL: a one-statement update transaction
 		t.throttle.Wait() // pacing point, same contract as execCommit's
 		t.txnStarted()
-		if err := w.ensureBackend(); err != nil {
-			t.txnEnded()
-			return nil, err
-		}
-		t.mu.Lock()
-		// One-statement update transaction: stamped and committed inside
-		// the critical region like any other commit, so the autocommit
-		// write executes under the tenant mutex by design (Algorithm 1).
-		reply, err := w.backend.ExecReply(sql)
-		if err == nil {
-			if t.migrating {
-				b := &SSB{STS: t.mlc, ETS: t.mlc, Entries: []Entry{newEntry(sql, class)}}
-				t.resolveSSBLocked(b, true)
-			}
-			t.mlc++
-			obsMLCAdvance.Inc()
-		}
-		t.mu.Unlock()
+		reply, err := w.master(sql, class, true, true)
 		t.txnEnded()
 		return reply, err
 	}

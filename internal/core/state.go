@@ -65,9 +65,7 @@ func (m *Middleware) ImportState(st *State) error {
 			return err
 		}
 		t, _ := m.Tenant(tp.Name)
-		t.mu.Lock()
-		t.mlc = tp.MLC
-		t.mu.Unlock()
+		t.mlc.Store(tp.MLC)
 	}
 	return nil
 }

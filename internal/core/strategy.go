@@ -67,6 +67,12 @@ func (s Strategy) Capabilities() lsir.Capabilities {
 // Strategies lists all four in the paper's presentation order.
 func Strategies() []Strategy { return []Strategy{BAll, BMin, BCon, Madeus} }
 
-// captureAll reports whether the strategy requires capturing every
-// operation of every transaction (B-ALL) rather than the LSIR minimum.
-func (s Strategy) captureAll() bool { return s == BAll }
+// capture returns the capture window the strategy opens: captureAll when
+// it propagates every operation of every transaction (B-ALL), else
+// captureUpdates.
+func (s Strategy) capture() int32 {
+	if s == BAll {
+		return captureAll
+	}
+	return captureUpdates
+}

@@ -12,38 +12,39 @@ import (
 
 // Tenant is the middleware's per-tenant state: the tenant's current master
 // node, the master logical clock, the critical region serializing first
-// operations and commits (Algorithm 1), the syncset list, and the gates the
-// manager uses during migration.
+// operations and commits inside the capture window (Algorithm 1), the
+// syncset list, and the gates the manager uses during migration.
 type Tenant struct {
 	Name string
 
-	// mu is the critical region of Algorithm 1: first operations and
-	// commits execute under it so that the MLC ordering observed by the
-	// middleware equals the snapshot/commit ordering on the master. It
-	// also guards all fields below.
+	// mu is the critical region of Algorithm 1: inside the capture window,
+	// first operations and commits execute under it so that the STS/ETS
+	// stamps of the syncsets Step 3 replays equal the snapshot/commit
+	// ordering on the master (worker.master). It also guards all fields
+	// below but the atomics.
 	mu   sync.Mutex //madeusvet:lockrank tenant 20
 	cond *sync.Cond // broadcast on: SSL growth, active-set changes, gate changes
 
 	node Backend // current master node
 	gen  int     // bumped at switch-over; sessions reconnect lazily
 
-	mlc uint64
+	// mlc is the master logical clock: one per committed update
+	// transaction. Outside the capture window a commit advances it with no
+	// lock held.
+	mlc atomic.Uint64
 
 	gate        bool // true: new transactions blocked (Step 1 drain, Step 4 switch-over)
 	activeTxns  int  // transactions past BEGIN and not yet ended
 	activeFirst map[*SSB]struct{}
 
-	// migrating is the capture window: from the Step-1 snapshot to the
-	// switch-over (or the rollback), a transaction whose first operation
-	// runs gets an SSB, and committed SSBs link to the SSL.
-	migrating  bool
-	captureAll bool
-	ssl        []*SSB // retained (linked, not yet released) SSBs in link order
-
-	// captureReads mirrors migrating && captureAll, and is written with
-	// them under mu, so an autocommit read takes mu only inside a B-ALL
-	// capture window (execAutocommit).
-	captureReads atomic.Bool
+	// capture is the capture window (captureOff, captureUpdates or
+	// captureAll): from the Step-1 snapshot to the switch-over (or the
+	// rollback), a transaction whose first operation runs gets an SSB, and
+	// committed SSBs link to the SSL. Written only under mu
+	// (startCaptureLocked, stopCapture); a worker loads it without mu to
+	// decide whether to enter the critical region at all.
+	capture atomic.Int32
+	ssl     []*SSB // retained (linked, not yet released) SSBs in link order
 
 	// SSL accounting for the flow layer's cap and gauges. ssl holds only
 	// the retained window: once every propagator has applied a prefix, the
@@ -145,7 +146,7 @@ func (s TenantState) String() string {
 func (t *Tenant) State() TenantState {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.migrating || t.phase != "" || t.gate {
+	if t.capture.Load() != captureOff || t.phase != "" || t.gate {
 		return StateMigrating
 	}
 	return StateNormal
@@ -159,11 +160,7 @@ func (t *Tenant) Node() (Backend, int) {
 }
 
 // MLC returns the current master logical clock (for tests and monitoring).
-func (t *Tenant) MLC() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.mlc
-}
+func (t *Tenant) MLC() uint64 { return t.mlc.Load() }
 
 // waitGateLocked blocks while the manager has new transactions gated.
 // Caller holds t.mu.
@@ -209,7 +206,7 @@ func (t *Tenant) firstOpStampedLocked(b *SSB) {
 // SSL. Caller holds t.mu.
 func (t *Tenant) resolveSSBLocked(b *SSB, link bool) {
 	delete(t.activeFirst, b)
-	if link && t.migrating {
+	if link && t.capture.Load() != captureOff {
 		t.ssl = append(t.ssl, b)
 		t.capturedSSBs++
 		t.capturedOps += b.OpCount()
@@ -249,7 +246,7 @@ func (t *Tenant) retainedSSLBytes() int64 {
 func (t *Tenant) releaseAppliedSSL(upto int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if upto <= t.sslBase || !t.migrating {
+	if upto <= t.sslBase || t.capture.Load() == captureOff {
 		return
 	}
 	n := upto - t.sslBase
@@ -308,15 +305,20 @@ func (t *Tenant) claimMigration(slaves []Backend) (Backend, error) {
 	return source, nil
 }
 
-// startCaptureLocked opens the capture window: from here on a transaction's
-// first operation builds an SSB, and committed SSBs link to the SSL. The
-// manager calls it inside the snapshot's critical region, with every
-// earlier transaction drained, so the SSL starts exactly at the MTS. t.mu
-// must be held.
-func (t *Tenant) startCaptureLocked(all bool) {
-	t.migrating = true
-	t.captureAll = all
-	t.captureReads.Store(all)
+// Capture window states (Tenant.capture).
+const (
+	captureOff     int32 = iota // no window: workers stamp nothing and relay lock-free
+	captureUpdates              // update transactions' syncsets link to the SSL
+	captureAll                  // B-ALL: read-only transactions and autocommit reads too
+)
+
+// startCaptureLocked opens the capture window in state (captureUpdates or
+// captureAll): from here on a transaction's first operation builds an SSB,
+// and committed SSBs link to the SSL. The manager calls it inside the
+// snapshot's critical region, with every earlier transaction drained, so
+// the SSL starts exactly at the MTS. t.mu must be held.
+func (t *Tenant) startCaptureLocked(state int32) {
+	t.capture.Store(state)
 	t.resetSSLLocked()
 	t.capturedOps = 0
 	t.capturedSSBs = 0
@@ -326,9 +328,7 @@ func (t *Tenant) startCaptureLocked(all bool) {
 // so the depth/op/byte gauges read 0 after both switch-over and rollback).
 func (t *Tenant) stopCapture() {
 	t.mu.Lock()
-	t.migrating = false
-	t.captureAll = false
-	t.captureReads.Store(false)
+	t.capture.Store(captureOff)
 	t.resetSSLLocked()
 	t.cond.Broadcast()
 	t.mu.Unlock()
@@ -424,7 +424,7 @@ func (t *Tenant) Monitor() TenantMonitor {
 	t.mu.Lock()
 	m := TenantMonitor{
 		Node:         t.node.BackendName(),
-		MLC:          t.mlc,
+		MLC:          t.mlc.Load(),
 		SSLDepth:     len(t.ssl),
 		SSLBytes:     t.sslBytes,
 		ActiveTxns:   t.activeTxns,

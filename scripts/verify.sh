@@ -95,6 +95,10 @@ go test -count=1 -run '^$' -bench '^Benchmark(Insert|Scan|UpdateDisjointParallel
 # The log's group and serial commit benchmarks likewise.
 go test -count=1 -run '^$' -bench '^Benchmark(Group|Serial)CommitParallel$' -benchtime 1x ./internal/wal/
 
+# The middleware's update-transaction benchmark likewise, outside the
+# capture window and capturing.
+go test -count=1 -run '^$' -bench '^BenchmarkWorkerTxn$' -benchtime 1x ./internal/core/
+
 # The migration's dump (DumpStream) and restore (one chunk applied as one
 # row statement) benchmarks, likewise.
 go test -count=1 -run '^$' -bench 'Dump|Restore' -benchtime 1x ./internal/engine/
