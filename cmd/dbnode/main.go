@@ -12,8 +12,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -21,7 +19,6 @@ import (
 
 	"madeus/internal/cluster"
 	"madeus/internal/engine"
-	"madeus/internal/obs"
 	"madeus/internal/wal"
 )
 
@@ -40,7 +37,6 @@ func main() {
 		serial    = flag.Bool("serialcommit", false, "disable group commit (one fsync per commit)")
 		dataDir   = flag.String("data", "", "data directory for a durable node: on-disk WAL + checkpoints, recovered on boot (empty: in-memory)")
 		ckptEvery = flag.Duration("checkpoint-every", 30*time.Second, "background checkpoint interval for a durable node (0 disables)")
-		debugAddr = flag.String("debug", "", "serve /debug/madeus JSON stats on this address (empty: disabled)")
 	)
 	flag.Var(&dbs, "db", "tenant database to create at startup (repeatable; pre-existing ones recovered from -data are kept)")
 	flag.Parse()
@@ -79,25 +75,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dbnode:", err)
 			os.Exit(1)
 		}
-	}
-	if *debugAddr != "" {
-		ln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dbnode:", err)
-			os.Exit(1)
-		}
-		// No History: dbnode runs no sampler; the middleware owns the
-		// per-tenant time series.
-		srv := &http.Server{Handler: obs.Handler(obs.Default, obs.Trace, nil)}
-		// Serve returns ErrServerClosed when the deferred srv.Close runs at
-		// shutdown.
-		go func() {
-			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "dbnode: debug server:", err)
-			}
-		}()
-		defer srv.Close()
-		fmt.Printf("dbnode: debug stats at http://%s/debug/madeus\n", ln.Addr())
 	}
 
 	fmt.Printf("dbnode listening on %s (databases: %v, fsync=%v, group commit=%v)\n",

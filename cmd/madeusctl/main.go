@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -20,6 +21,7 @@ import (
 
 	"madeus/internal/core"
 	"madeus/internal/engine"
+	"madeus/internal/sqlmini"
 	"madeus/internal/wire"
 )
 
@@ -60,22 +62,6 @@ func main() {
 		default:
 			usage()
 		}
-	case "history":
-		switch {
-		case len(args) == 1:
-			cmd = "HISTORY"
-		case len(args) == 3 && args[1] == "cadence":
-			cmd = "HISTORY CADENCE " + args[2]
-		case len(args) == 2:
-			cmd = "HISTORY " + args[1]
-		case len(args) == 3:
-			cmd = fmt.Sprintf("HISTORY %s %s", args[1], args[2])
-		default:
-			usage()
-		}
-	case "bundle":
-		dumpBundle(*addr, args[1:])
-		return
 	case "add-tenant":
 		if len(args) != 3 {
 			usage()
@@ -124,7 +110,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	printResult(res)
+	printResult(os.Stdout, res)
 }
 
 func dial(addr string) *wire.Client {
@@ -135,21 +121,27 @@ func dial(addr string) *wire.Client {
 	return c
 }
 
-func printResult(res *engine.Result) {
+func printResult(w io.Writer, res *engine.Result) {
 	if len(res.Columns) > 0 {
-		fmt.Println(strings.Join(res.Columns, "\t"))
+		fmt.Fprintln(w, strings.Join(res.Columns, "\t"))
 	}
-	printRows(res)
-	fmt.Println(res.Tag)
+	printRows(w, res)
+	fmt.Fprintln(w, res.Tag)
 }
 
-func printRows(res *engine.Result) {
+// printRows prints one tab-separated line per row. A text cell prints
+// raw: Value.String renders SQL, which would quote it.
+func printRows(w io.Writer, res *engine.Result) {
 	for _, row := range res.Rows {
 		cells := make([]string, len(row))
 		for i, v := range row {
-			cells[i] = v.String()
+			if v.Kind == sqlmini.KindText {
+				cells[i] = v.Str
+			} else {
+				cells[i] = v.String()
+			}
 		}
-		fmt.Println(strings.Join(cells, "\t"))
+		fmt.Fprintln(w, strings.Join(cells, "\t"))
 	}
 }
 
@@ -181,7 +173,7 @@ func followEvents(addr string, args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		printResult(res)
+		printResult(os.Stdout, res)
 		return
 	}
 
@@ -200,7 +192,7 @@ func followEvents(addr string, args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		printRows(res)
+		printRows(os.Stdout, res)
 		for _, row := range res.Rows {
 			if len(row) == 0 {
 				continue
@@ -243,53 +235,9 @@ func followEvents(addr string, args []string) {
 	}
 }
 
-// dumpBundle handles `bundle [-o file] [id]`. Without an id it lists stored
-// flight-recorder bundles; with one it fetches the full JSON payload, to
-// stdout or -o <file>.
-func dumpBundle(addr string, args []string) {
-	fs := flag.NewFlagSet("bundle", flag.ExitOnError)
-	out := fs.String("o", "", "write the bundle JSON to this file instead of stdout")
-	if err := fs.Parse(args); err != nil {
-		usage()
-	}
-	rest := fs.Args()
-	if len(rest) > 1 {
-		usage()
-	}
-
-	c := dial(addr)
-	defer c.Close()
-
-	if len(rest) == 0 {
-		res, err := c.Exec("BUNDLE")
-		if err != nil {
-			fatal(err)
-		}
-		printResult(res)
-		return
-	}
-	res, err := c.Exec("BUNDLE " + rest[0])
-	if err != nil {
-		fatal(err)
-	}
-	if len(res.Rows) == 0 || len(res.Rows[0]) == 0 {
-		fatal(fmt.Errorf("empty bundle reply"))
-	}
-	// Raw string, not Value.String(): the SQL rendering quotes text cells,
-	// which would corrupt the JSON document.
-	payload := res.Rows[0][0].Str
-	if *out == "" {
-		fmt.Println(payload)
-		return
-	}
-	if err := os.WriteFile(*out, []byte(payload+"\n"), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote bundle %s to %s (%d bytes)\n", rest[0], *out, len(payload)+1)
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: madeusctl [-addr host:port] <command>
+// usageText lists every subcommand; README's walkthrough may name no
+// other (main_test.go checks).
+const usageText = `usage: madeusctl [-addr host:port] <command>
 commands:
   status                          list tenants, nodes, and migration state
   stats [tenant]                  process-wide metrics, or one tenant's monitor
@@ -297,10 +245,6 @@ commands:
   events -follow [-tenant t] [-interval d]
                                   live-tail new events until Ctrl-C
   trace <tenant> [n]              merged cross-node timeline for one tenant
-  history                         per-tenant time-series summary (min/max/avg)
-  history <tenant> [n]            raw samples for one tenant (default 60)
-  history cadence <dur>           retune the sampler cadence (negative: pause)
-  bundle [-o file] [id]           list flight-recorder bundles, or dump one as JSON
   add-tenant <tenant> <node>      provision a tenant on a node
   remove-tenant <tenant>          drop a tenant from the middleware (not migrating)
   migrate <tenant> <node> [strat] live-migrate (strat: B-ALL B-MIN B-CON Madeus)
@@ -310,7 +254,10 @@ commands:
                                   list | enable <site> <error|drop|hang> [times]
                                   | enable <site> delay <dur> [times]
                                   | enable <site> p <prob> | disable <site>
-                                  | release <site> | reset | seed <n>`)
+                                  | release <site> | reset | seed <n>`
+
+func usage() {
+	fmt.Fprintln(os.Stderr, usageText)
 	os.Exit(2)
 }
 

@@ -18,8 +18,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -30,7 +28,6 @@ import (
 	"madeus/internal/core"
 	"madeus/internal/engine"
 	"madeus/internal/flow"
-	"madeus/internal/obs"
 	"madeus/internal/wal"
 )
 
@@ -45,9 +42,7 @@ func main() {
 		listen    = flag.String("listen", "127.0.0.1:6000", "customer-facing listen address")
 		provision = flag.Bool("provision", false, "create tenant databases on their nodes at startup")
 		fsync     = flag.Duration("fsync", 2*time.Millisecond, "fsync latency for -localnode engines")
-		debugAddr = flag.String("debug", "", "serve /debug/madeus JSON stats on this address (empty: disabled)")
 		noFlow    = flag.Bool("no-flow", false, "disable the backpressure/admission layer (flow knobs all zero)")
-		history   = flag.Duration("history", time.Second, "per-tenant time-series sampling cadence (negative: disabled)")
 	)
 	flag.Var(&nodes, "node", "remote DBMS node as name=addr (repeatable)")
 	flag.Var(&localNodes, "localnode", "boot an in-process DBMS node with this name (repeatable)")
@@ -61,11 +56,7 @@ func main() {
 	if *noFlow {
 		fcfg = flow.Config{}
 	}
-	mw, err := core.New(core.Options{
-		ListenAddr:     *listen,
-		Flow:           fcfg,
-		HistoryCadence: *history,
-	})
+	mw, err := core.New(core.Options{ListenAddr: *listen, Flow: fcfg})
 	if err != nil {
 		fatal(err)
 	}
@@ -106,23 +97,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	}
-
-	if *debugAddr != "" {
-		ln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			fatal(err)
-		}
-		srv := &http.Server{Handler: obs.Handler(obs.Default, obs.Trace, obs.Hist)}
-		// Serve returns ErrServerClosed when the deferred srv.Close runs at
-		// shutdown.
-		go func() {
-			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "madeusd: debug server:", err)
-			}
-		}()
-		defer srv.Close()
-		fmt.Printf("madeusd: debug stats at http://%s/debug/madeus\n", ln.Addr())
 	}
 
 	fmt.Printf("madeusd listening on %s (tenants: %v)\n", mw.Addr(), mw.Tenants())

@@ -24,13 +24,7 @@ type Harness struct {
 
 // NewHarness boots a middleware with n DBMS nodes.
 func NewHarness(cfg Config, n int) (*Harness, error) {
-	mw, err := core.New(core.Options{
-		Flow: flow.Config{Deadline: cfg.Deadline},
-		// Bench runs are short; sample the per-tenant series an order of
-		// magnitude faster than the production default so the fig7/fig8
-		// history curves have enough points across one migration.
-		HistoryCadence: 100 * time.Millisecond,
-	})
+	mw, err := core.New(core.Options{Flow: flow.Config{Deadline: cfg.Deadline}})
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"madeus/internal/core"
-	"madeus/internal/obs"
 )
 
 // Experiment is one registered regenerator for a paper figure or table.
@@ -112,7 +111,6 @@ func runTimeline(cfg Config, w io.Writer) error {
 	res.Table.Fprint(w)
 	fmt.Fprintf(w, "  migration report: %s\n", res.Report)
 	printMigrationTimeline(res.Report, w)
-	printHistoryCurve("tenantA", w)
 	fmt.Fprintln(w)
 	return nil
 }
@@ -127,28 +125,6 @@ func printMigrationTimeline(rep *core.Report, w io.Writer) {
 	fmt.Fprintln(w, "  migration timeline:")
 	for _, e := range rep.Timeline {
 		fmt.Fprintf(w, "    %s\n", e)
-	}
-}
-
-// printHistoryCurve renders the middleware's sampled time series for one
-// tenant: the same lag/debt/throughput curve the fig7/fig8 tables derive from
-// the workload recorder, but as observed by the obs.History sampler. Skipped
-// silently when the sampler recorded nothing (sampler paused or run too short).
-func printHistoryCurve(tenant string, w io.Writer) {
-	samples := obs.Hist.Last(tenant, -1)
-	if len(samples) == 0 {
-		return
-	}
-	stats := obs.Summarize(samples)
-	fmt.Fprintf(w, "  history curve (%d samples, lag avg %.1f max %d, debt avg %.1f max %d, ops/s avg %.1f max %d):\n",
-		len(samples),
-		stats.Lag.Avg, stats.Lag.Max,
-		stats.Debt.Avg, stats.Debt.Max,
-		stats.OpsPerSec.Avg, stats.OpsPerSec.Max)
-	t0 := samples[0].At
-	for _, s := range samples {
-		fmt.Fprintf(w, "    t=%6.1fs lag=%-6d debt=%-8d ops/s=%-8.1f pace=%-10s ssl=%-8d sessions=%d\n",
-			s.At.Sub(t0).Seconds(), s.Lag, s.Debt, s.OpsPerSec, s.PaceDelay, s.SSLBytes, s.Sessions)
 	}
 }
 

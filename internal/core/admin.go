@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -21,8 +20,6 @@ const AdminDB = "_admin"
 
 // adminConn serves operator commands over the ordinary wire protocol:
 //
-//	ADD NODE <name> <addr>            (not supported over the wire; nodes
-//	                                   are registered at startup)
 //	ADD TENANT <tenant> ON <node>
 //	MIGRATE <tenant> TO <node> [STRATEGY <B-ALL|B-MIN|B-CON|Madeus>]
 //	REMOVE TENANT <tenant>
@@ -31,10 +28,6 @@ const AdminDB = "_admin"
 //	EVENTS [n]
 //	EVENTS SINCE <seq> [tenant]
 //	TRACE <tenant> [n]
-//	HISTORY
-//	HISTORY <tenant> [n]
-//	HISTORY CADENCE <duration>
-//	BUNDLE [id]
 //	FAULT LIST | RESET | SEED <n>
 //	FAULT ENABLE <site> <ERROR|DROP|HANG> [times]
 //	FAULT ENABLE <site> DELAY <duration> [times]
@@ -188,22 +181,6 @@ func (a *adminConn) run(cmd string) (*engine.Result, error) {
 			return nil, fmt.Errorf("core: usage: TRACE <tenant> [n]")
 		}
 		return a.execTrace(fields[1], n)
-
-	case len(fields) >= 1 && upper[0] == "HISTORY":
-		return a.execHistory(fields, upper)
-
-	case len(fields) >= 1 && upper[0] == "BUNDLE":
-		switch len(fields) {
-		case 1:
-			return a.execBundleList()
-		case 2:
-			id, err := strconv.Atoi(fields[1])
-			if err != nil || id <= 0 {
-				return nil, fmt.Errorf("core: usage: BUNDLE [id] (id > 0)")
-			}
-			return a.execBundleGet(id)
-		}
-		return nil, fmt.Errorf("core: usage: BUNDLE [id]")
 
 	case len(fields) >= 1 && upper[0] == "FAULT":
 		return a.execFault(fields, upper)
@@ -441,105 +418,6 @@ func (a *adminConn) execTrace(tenant string, n int) (*engine.Result, error) {
 		})
 	}
 	return res, nil
-}
-
-// execHistory serves the time-series surface: HISTORY summarizes every
-// tenant's ring, HISTORY <tenant> [n] dumps raw samples, HISTORY CADENCE
-// retunes the sampler.
-func (a *adminConn) execHistory(fields, upper []string) (*engine.Result, error) {
-	switch {
-	case len(fields) == 1:
-		res := &engine.Result{
-			Columns: []string{"tenant", "samples", "lag_avg", "debt_avg", "ops_s_avg", "ops_s_max", "pace_avg", "sessions_max"},
-			Tag:     "HISTORY",
-		}
-		for _, tenant := range obs.Hist.Tenants() {
-			st := obs.Hist.Stats(tenant, 0)
-			res.Rows = append(res.Rows, []sqlmini.Value{
-				sqlmini.NewText(tenant),
-				sqlmini.NewInt(int64(st.Count)),
-				sqlmini.NewFloat(st.Lag.Avg),
-				sqlmini.NewFloat(st.Debt.Avg),
-				sqlmini.NewFloat(st.OpsPerSec.Avg),
-				sqlmini.NewInt(st.OpsPerSec.Max),
-				sqlmini.NewText(time.Duration(st.PaceNs.Avg).Round(time.Microsecond).String()),
-				sqlmini.NewInt(st.Sessions.Max),
-			})
-		}
-		return res, nil
-
-	case len(fields) == 3 && upper[1] == "CADENCE":
-		d, err := time.ParseDuration(fields[2])
-		if err != nil {
-			return nil, fmt.Errorf("core: bad HISTORY CADENCE duration %q: %v", fields[2], err)
-		}
-		a.mw.SetHistoryCadence(d)
-		return &engine.Result{Tag: "HISTORY"}, nil
-
-	case len(fields) == 2 || len(fields) == 3:
-		n := 60
-		if len(fields) == 3 {
-			v, err := strconv.Atoi(fields[2])
-			if err != nil || v <= 0 {
-				return nil, fmt.Errorf("core: usage: HISTORY <tenant> [n] (n > 0)")
-			}
-			n = v
-		}
-		res := &engine.Result{
-			Columns: []string{"at", "lag", "debt", "ops_s", "pace", "ssl_bytes", "sessions"},
-			Tag:     "HISTORY",
-		}
-		for _, s := range obs.Hist.Last(fields[1], n) {
-			res.Rows = append(res.Rows, []sqlmini.Value{
-				sqlmini.NewText(s.At.Format("15:04:05.000")),
-				sqlmini.NewInt(s.Lag),
-				sqlmini.NewInt(s.Debt),
-				sqlmini.NewFloat(s.OpsPerSec),
-				sqlmini.NewText(s.PaceDelay.Round(time.Microsecond).String()),
-				sqlmini.NewInt(s.SSLBytes),
-				sqlmini.NewInt(s.Sessions),
-			})
-		}
-		return res, nil
-	}
-	return nil, fmt.Errorf("core: usage: HISTORY | HISTORY <tenant> [n] | HISTORY CADENCE <duration>")
-}
-
-// execBundleList renders the flight recorder's retained bundles.
-func (a *adminConn) execBundleList() (*engine.Result, error) {
-	res := &engine.Result{
-		Columns: []string{"id", "at", "tenant", "reason", "events", "history"},
-		Tag:     "BUNDLE",
-	}
-	for _, b := range obs.Flight.Bundles() {
-		res.Rows = append(res.Rows, []sqlmini.Value{
-			sqlmini.NewInt(int64(b.ID)),
-			sqlmini.NewText(b.At.Format("15:04:05.000")),
-			sqlmini.NewText(b.Tenant),
-			sqlmini.NewText(b.Reason),
-			sqlmini.NewInt(int64(len(b.Events))),
-			sqlmini.NewInt(int64(len(b.History))),
-		})
-	}
-	return res, nil
-}
-
-// execBundleGet dumps one bundle as a single JSON value — the payload
-// `madeusctl bundle -o` writes to a file for offline analysis.
-func (a *adminConn) execBundleGet(id int) (*engine.Result, error) {
-	b, ok := obs.Flight.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("core: no flight bundle %d (evicted or never captured)", id)
-	}
-	body, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("core: encode bundle %d: %w", id, err)
-	}
-	return &engine.Result{
-		Columns: []string{"bundle"},
-		Rows:    [][]sqlmini.Value{{sqlmini.NewText(string(body))}},
-		Tag:     "BUNDLE",
-	}, nil
 }
 
 // ParseStrategy converts a strategy name (as printed by String) to its

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"madeus/internal/engine"
 	"madeus/internal/obs"
@@ -185,8 +184,8 @@ func TestParseStrategy(t *testing.T) {
 }
 
 // TestAdminScopeCommands drives the madeusscope admin surface end to end:
-// EVENTS SINCE bookmarks, the merged TRACE view, the HISTORY family, the
-// flight-recorder BUNDLE commands, and REMOVE TENANT teardown.
+// EVENTS SINCE bookmarks, the merged TRACE view, and REMOVE TENANT
+// teardown.
 func TestAdminScopeCommands(t *testing.T) {
 	rig := newRig(t, 2, engine.Options{})
 	admin := rig.connect(t, AdminDB)
@@ -196,7 +195,6 @@ func TestAdminScopeCommands(t *testing.T) {
 	if _, err := admin.Exec("ADD TENANT " + tenant + " ON node0"); err != nil {
 		t.Fatal(err)
 	}
-	defer obs.Hist.Drop(tenant)
 	c := rig.connect(t, tenant)
 	mustExecAll(t, c, "CREATE TABLE t (id INT PRIMARY KEY)", "INSERT INTO t (id) VALUES (1)")
 	c.Close()
@@ -241,62 +239,6 @@ func TestAdminScopeCommands(t *testing.T) {
 	}
 	if _, err := admin.Exec("TRACE nobody"); err == nil {
 		t.Fatal("TRACE on unknown tenant must error")
-	}
-
-	// HISTORY: force one sample via a fast cadence, then read both views.
-	if _, err := admin.Exec("HISTORY CADENCE 10ms"); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(obs.Hist.Last(tenant, -1)) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no history sample after CADENCE 10ms")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	res, err = admin.Exec("HISTORY")
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, row := range res.Rows {
-		if row[0].Str == tenant {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("HISTORY summary misses %q: %v", tenant, res.Rows)
-	}
-	res, err = admin.Exec("HISTORY " + tenant + " 5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 || len(res.Rows) > 5 {
-		t.Fatalf("HISTORY %s 5 returned %d rows", tenant, len(res.Rows))
-	}
-	if _, err := admin.Exec("HISTORY CADENCE nonsense"); err == nil {
-		t.Fatal("bad cadence must error")
-	}
-
-	// BUNDLE: list and fetch a capture.
-	obs.Flight.Reset()
-	id := obs.Flight.Capture(obs.Bundle{Tenant: tenant, Reason: "test capture"})
-	res, err = admin.Exec("BUNDLE")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][2].Str != tenant {
-		t.Fatalf("BUNDLE list = %v", res.Rows)
-	}
-	res, err = admin.Exec(fmt.Sprintf("BUNDLE %d", id))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.Rows[0][0].Str, `"reason": "test capture"`) {
-		t.Fatalf("BUNDLE %d payload = %q", id, res.Rows[0][0].Str)
-	}
-	if _, err := admin.Exec("BUNDLE 99999"); err == nil {
-		t.Fatal("unknown bundle id must error")
 	}
 
 	// REMOVE TENANT tears the tenant down.

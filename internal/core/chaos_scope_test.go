@@ -9,18 +9,16 @@ import (
 
 	"madeus/internal/engine"
 	"madeus/internal/fault"
-	"madeus/internal/obs"
 )
 
-// TestChaosFlightRecorder kills a migration at Step 3 and checks the
-// flight recorder froze a diagnostic bundle at rollback: the reason names
-// the failing step, the detail carries the migration identity and fault
-// state, and the event tail includes the rollback itself.
-func TestChaosFlightRecorder(t *testing.T) {
+// TestChaosRollbackEvent kills a migration at Step 3 and checks the
+// migrate.rollback event records the state at the moment of death: the
+// failing step, the migration identity and the fault state, on the report's
+// timeline and over the admin channel.
+func TestChaosRollbackEvent(t *testing.T) {
 	t.Cleanup(fault.Reset)
-	t.Cleanup(obs.Flight.Reset)
 	rig := newRig(t, 2, engine.Options{})
-	tenant := "flightrec"
+	tenant := "rollbackev"
 	rig.provision(t, tenant, 120)
 
 	// Writes keep flowing so Step 3 has syncset operations to propagate —
@@ -30,7 +28,6 @@ func TestChaosFlightRecorder(t *testing.T) {
 	go loadgen(t, rig, tenant, 0, 3*time.Millisecond, stop, done)
 	time.Sleep(30 * time.Millisecond)
 
-	before := obs.Flight.Len()
 	fault.Enable(faultStep3Propagate, fault.Policy{Times: 1})
 	rep, err := rig.mw.Migrate(tenant, "node1", MigrateOptions{Strategy: Madeus})
 	fault.Reset()
@@ -44,58 +41,48 @@ func TestChaosFlightRecorder(t *testing.T) {
 		t.Fatalf("rollback report = %+v, want failure at step3.propagate", rep)
 	}
 
-	bundles := obs.Flight.Bundles()
-	if len(bundles) != before+1 {
-		t.Fatalf("flight recorder holds %d bundles, want %d (one new capture)", len(bundles), before+1)
-	}
-	b := bundles[len(bundles)-1]
-	if b.Tenant != tenant {
-		t.Fatalf("bundle tenant = %q, want %q", b.Tenant, tenant)
-	}
-	if !strings.Contains(b.Reason, "step3.propagate") {
-		t.Fatalf("bundle reason %q does not name the failing step", b.Reason)
-	}
-	detail := map[string]string{}
-	for _, f := range b.Detail {
-		detail[f.Key] = f.Value
-	}
-	for _, key := range []string{"step", "err", "source", "dest", "mts", "span", "flow.sessions"} {
-		if _, ok := detail[key]; !ok {
-			t.Fatalf("bundle detail missing %q: %v", key, b.Detail)
+	var rollback []string
+	for _, e := range rep.Timeline {
+		if e.Name != "migrate.rollback" {
+			continue
+		}
+		detail := map[string]string{}
+		for _, f := range e.Fields {
+			detail[f.Key] = f.Value
+			rollback = append(rollback, f.Key+"="+f.Value)
+		}
+		for _, key := range []string{"step", "err", "source", "dest", "mts", "span", "flow.sessions", "fault.sites"} {
+			if _, ok := detail[key]; !ok {
+				t.Fatalf("migrate.rollback detail missing %q: %v", key, e.Fields)
+			}
+		}
+		if detail["step"] != "step3.propagate" || detail["dest"] != "node1" {
+			t.Fatalf("migrate.rollback detail = %v, want step3.propagate to node1", detail)
+		}
+		// The fault registry state at rollback must show the armed site.
+		if !strings.Contains(detail["fault.sites"], faultStep3Propagate) {
+			t.Fatalf("migrate.rollback fault.sites = %q, want %q listed", detail["fault.sites"], faultStep3Propagate)
 		}
 	}
-	if detail["step"] != "step3.propagate" || detail["dest"] != "node1" {
-		t.Fatalf("bundle detail = %v, want step3.propagate to node1", detail)
-	}
-	// The fault registry state at capture time must show the armed site.
-	if !strings.Contains(detail["fault.sites"], faultStep3Propagate) {
-		t.Fatalf("bundle fault.sites = %q, want %q listed", detail["fault.sites"], faultStep3Propagate)
-	}
-	if len(b.Events) == 0 {
-		t.Fatal("bundle carries no event tail")
-	}
-	sawRollback := false
-	for _, e := range b.Events {
-		if e.Name == "migrate.rollback" {
-			sawRollback = true
-		}
-	}
-	if !sawRollback {
-		t.Fatalf("bundle event tail lacks migrate.rollback: %v", b.Events)
-	}
-	if len(b.Metrics) == 0 {
-		t.Fatal("bundle carries no registry snapshot")
+	if rollback == nil {
+		t.Fatalf("report timeline lacks migrate.rollback: %v", rep.Timeline)
 	}
 
-	// The capture is itself announced on the trace, pointing at the bundle.
+	// The operator reads the same event over the admin channel.
+	admin := rig.connect(t, AdminDB)
+	defer admin.Close()
+	res, err := admin.Exec("EVENTS SINCE 0 " + tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
 	found := false
-	for _, e := range obs.Trace.Since(0, tenant) {
-		if e.Name == obsEvFlightCapture {
+	for _, row := range res.Rows {
+		if row[3].Str == "migrate.rollback" && row[4].Str == strings.Join(rollback, " ") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatal("no flight.capture event on the tenant trace")
+		t.Fatalf("EVENTS SINCE 0 %s lacks the migrate.rollback event %q", tenant, rollback)
 	}
 
 	// The tenant must be fully recovered: a follow-up migration succeeds.

@@ -248,11 +248,8 @@ func (m *Middleware) Migrate(tenantName, destName string, opts MigrateOptions) (
 		rep.GCCPU, rep.GCCycles = gc0.since()
 		obsMigFailed.Inc()
 		obsMigRollbacks.Inc()
-		obs.Trace.Emit(tenantName, "migrate.rollback", obs.F("step", step), obs.F("err", err))
+		obs.Trace.Emit(tenantName, "migrate.rollback", rollbackFields(t, rep, step, err)...)
 		rep.Timeline = obs.Trace.Since(seq0, tenantName)
-		// Freeze the flight-recorder bundle AFTER the timeline so the
-		// bundle's event tail includes the rollback event itself.
-		m.captureFlight(t, rep, step, err)
 		// Discard the partial slaves, if any.
 		for _, sl := range slaves {
 			dropDatabase(sl, tenantName)

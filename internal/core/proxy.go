@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"madeus/internal/cluster"
 	"madeus/internal/engine"
@@ -26,11 +24,6 @@ type Options struct {
 	// turns it off); flow.DefaultConfig() is the calibrated production
 	// set. Runtime-tunable via FLOW SET.
 	Flow flow.Config
-	// HistoryCadence is the sampling interval of the per-tenant time-series
-	// history (lag, debt, ops/s, pace delay, SSL bytes, sessions) recorded
-	// into obs.Hist. Defaults to 1s; negative disables the sampler.
-	// Runtime-tunable via the admin HISTORY CADENCE command.
-	HistoryCadence time.Duration
 }
 
 // Backend is a DBMS node as the middleware sees it: a name, per-database
@@ -68,13 +61,6 @@ type Middleware struct {
 	nodes   map[string]Backend
 
 	srv *wire.Server
-
-	// History sampler (scope.go): cadence is atomic so the admin HISTORY
-	// CADENCE command retunes a running loop without locks.
-	sampleCadence atomic.Int64 // nanoseconds; <= 0 pauses sampling
-	sampleStop    chan struct{}
-	sampleDone    chan struct{}
-	closeOnce     sync.Once
 }
 
 // New starts a middleware instance with its customer-facing listener.
@@ -89,40 +75,26 @@ func New(opts Options) (*Middleware, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.HistoryCadence == 0 {
-		opts.HistoryCadence = time.Second
-	}
 	m := &Middleware{
 		flow:        gov,
 		dumpChunk:   engine.DefaultDumpChunk,
 		catchupDebt: flow.CatchupDebt,
 		tenants:     make(map[string]*Tenant),
 		nodes:       make(map[string]Backend),
-		sampleStop:  make(chan struct{}),
-		sampleDone:  make(chan struct{}),
 	}
-	m.sampleCadence.Store(int64(opts.HistoryCadence))
 	srv, err := wire.Listen(opts.ListenAddr, m)
 	if err != nil {
 		return nil, err
 	}
 	m.srv = srv
-	go m.sampleLoop()
 	return m, nil
 }
 
 // Addr is the customer-facing address.
 func (m *Middleware) Addr() string { return m.srv.Addr() }
 
-// Close stops the customer-facing server and the history sampler. Nodes
-// are owned by the caller.
-func (m *Middleware) Close() {
-	m.closeOnce.Do(func() {
-		close(m.sampleStop)
-		<-m.sampleDone
-	})
-	m.srv.Close()
-}
+// Close stops the customer-facing server. Nodes are owned by the caller.
+func (m *Middleware) Close() { m.srv.Close() }
 
 // AddNode registers a DBMS node with the middleware.
 func (m *Middleware) AddNode(n Backend) {
@@ -198,10 +170,10 @@ func (m *Middleware) AddTenant(tenant, nodeName string) error {
 }
 
 // RemoveTenant deregisters a tenant from the middleware: routing stops,
-// its dynamic gauges and history series are dropped, and its admission
-// limiter is released. The tenant database itself is untouched — removal
-// is a middleware bookkeeping operation, not a DROP DATABASE. Fails while
-// a migration is in flight.
+// its dynamic gauges are dropped, and its admission limiter is released.
+// The tenant database itself is untouched — removal is a middleware
+// bookkeeping operation, not a DROP DATABASE. Fails while a migration is
+// in flight.
 func (m *Middleware) RemoveTenant(tenant string) error {
 	m.mu.Lock()
 	t, ok := m.tenants[tenant]
@@ -352,7 +324,6 @@ func (w *worker) Exec(sql string, dst []byte) ([]byte, error) {
 // w.backend, valid until the worker's next round trip.
 func (w *worker) exec(sql string) ([]byte, error) {
 	obsWorkerOps.Inc()
-	w.tenant.ops.Add(1)
 	if engine.IsRowStatement(sql) {
 		// Relayed, a dump's rows would be a write outside the critical
 		// region and the SSB: Theorem 1 would not hold.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"time"
@@ -30,11 +29,9 @@ var (
 // localSource labels the middleware's own events in merged timelines.
 const localSource = "madeusd"
 
-// Trace event names emitted by the timeline/flight machinery.
-const (
-	obsEvScrapeError   = "scrape.error"
-	obsEvFlightCapture = "flight.capture"
-)
+// obsEvScrapeError is the synthetic event a node that fails to scrape
+// contributes to a merged timeline.
+const obsEvScrapeError = "scrape.error"
 
 // Timeline builds one merged cross-process timeline for a tenant: the
 // middleware's own trace tail plus every scrapable node's, each remote
@@ -99,84 +96,12 @@ func (m *Middleware) Timeline(tenant string, maxEvents int) []obs.TimelineEvent 
 	return obs.MergeTimeline(out)
 }
 
-// --- history sampler ---
-
-// SetHistoryCadence retunes the sampler interval at runtime (the admin
-// HISTORY CADENCE command). Zero or negative pauses sampling; the loop
-// keeps polling at a slow idle rate so a later re-enable takes effect
-// without restarting the middleware.
-func (m *Middleware) SetHistoryCadence(d time.Duration) {
-	m.sampleCadence.Store(int64(d))
-}
-
-// HistoryCadence reports the current sampler interval.
-func (m *Middleware) HistoryCadence() time.Duration {
-	return time.Duration(m.sampleCadence.Load())
-}
-
-// sampleLoop drives the history sampler until Close. One reused timer —
-// the cadence is re-read every cycle so HISTORY CADENCE retunes a live
-// loop.
-func (m *Middleware) sampleLoop() {
-	defer close(m.sampleDone)
-	// While sampling is disabled (cadence <= 0) the loop still wakes at a
-	// slow idle rate to notice a re-enable.
-	const idlePoll = 250 * time.Millisecond
-	next := func() time.Duration {
-		if d := time.Duration(m.sampleCadence.Load()); d > 0 {
-			return d
-		}
-		return idlePoll
-	}
-	timer := time.NewTimer(next())
-	defer timer.Stop()
-	for {
-		select {
-		case <-m.sampleStop:
-			return
-		case <-timer.C:
-			m.sampleOnce(time.Now())
-			timer.Reset(next())
-		}
-	}
-}
-
-// sampleOnce records one Sample per tenant into the process history. A
-// paused cadence returns before touching any tenant.
-func (m *Middleware) sampleOnce(now time.Time) {
-	if m.sampleCadence.Load() <= 0 {
-		return
-	}
-	m.mu.RLock()
-	tenants := make([]*Tenant, 0, len(m.tenants))
-	for _, t := range m.tenants {
-		tenants = append(tenants, t)
-	}
-	m.mu.RUnlock()
-	for _, t := range tenants {
-		mon := t.Monitor()
-		obs.Hist.Record(t.Name, obs.Sample{
-			At:        now,
-			Lag:       int64(mon.Lag),
-			Debt:      int64(mon.Debt),
-			Ops:       t.ops.Load(),
-			PaceDelay: mon.PaceDelay,
-			SSLBytes:  mon.SSLBytes,
-			Sessions:  t.sessions.Load(),
-		})
-	}
-}
-
-// --- flight recorder ---
-
-// captureFlight freezes a diagnostic bundle at the moment a migration
-// died: the failing report's identity and rollback cause, the tenant's
-// live monitor, the flow layer's counters, the armed fault sites, the
-// migration's event tail, the full registry, and the tenant's recent
-// history curve. Called from Migrate's fail path — which covers every
-// abort flavor (step failures, watchdog deadline/stall, SSL overflow) —
-// after the report's Timeline is populated.
-func (m *Middleware) captureFlight(t *Tenant, rep *Report, step string, cause error) {
+// rollbackFields is the detail of a migrate.rollback event: the failing
+// report's identity and cause, the tenant's live monitor, the flow layer's
+// counters and the armed fault sites, so the state at the moment a
+// migration died is in the trace it left. Migrate's fail path covers every
+// abort flavor (step failures, watchdog deadline/stall, SSL overflow).
+func rollbackFields(t *Tenant, rep *Report, step string, cause error) []obs.Field {
 	mon := t.Monitor()
 	detail := []obs.Field{
 		obs.F("step", step),
@@ -203,13 +128,5 @@ func (m *Middleware) captureFlight(t *Tenant, rep *Report, step string, cause er
 	if fault.Enabled {
 		detail = append(detail, obs.F("fault.sites", strings.Join(fault.List(), ",")))
 	}
-	id := obs.Flight.Capture(obs.Bundle{
-		Tenant:  t.Name,
-		Reason:  fmt.Sprintf("rollback at %s: %v", step, cause),
-		Detail:  detail,
-		Events:  rep.Timeline,
-		Metrics: obs.Default.Snapshot(),
-		History: obs.Hist.Last(t.Name, 128),
-	})
-	obs.Trace.Emit(t.Name, obsEvFlightCapture, obs.F("bundle", id), obs.F("step", step))
+	return detail
 }

@@ -74,11 +74,9 @@ type Tenant struct {
 	capturedOps  int
 	capturedSSBs int
 
-	// ops and sessions feed the history sampler's per-tenant rate and
-	// session curves. Atomics, not t.mu fields: ops increments on every
-	// relayed statement and sessions on every connect/close, and neither
-	// belongs inside the critical region.
-	ops      atomic.Int64
+	// sessions feeds the tenant's sessions gauge. An atomic, not a t.mu
+	// field: it moves on every connect/close, which does not belong
+	// inside the critical region.
 	sessions atomic.Int64
 }
 
@@ -115,10 +113,9 @@ func (t *Tenant) registerObs() {
 	})
 }
 
-// teardownObs removes the tenant's dynamic gauges and its history series.
+// teardownObs removes the tenant's dynamic gauges.
 func (t *Tenant) teardownObs() {
 	obs.Default.UnregisterPrefix(tenantMetricPrefix + t.Name + ".")
-	obs.Hist.Drop(t.Name)
 }
 
 // TenantState classifies a tenant's service mode.

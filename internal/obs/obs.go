@@ -17,8 +17,8 @@
 // An Emit builds its field slice, so event sites sit on migration and fault
 // paths, never on the per-statement relay path.
 //
-// Snapshots are exposed three ways: the admin channel's STATS and EVENTS
-// commands (internal/core), an optional /debug/madeus HTTP endpoint
-// (cmd/madeusd -debug), and the migration Report timeline that
+// Snapshots are exposed two ways: the admin channel's STATS, EVENTS and
+// TRACE commands (internal/core; a node's scope reaches TRACE over the
+// wire's MsgObsScrape), and the migration Report timeline that
 // cmd/benchrunner prints.
 package obs

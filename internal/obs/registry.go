@@ -155,8 +155,8 @@ type Metric struct {
 	Hist  *HistogramSnapshot `json:"hist,omitempty"`
 }
 
-// Render formats the metric's value the way STATS and the text encoder
-// print it: a plain integer, or a histogram digest with count, mean, p99
+// Render formats the metric's value the way STATS prints it: a plain
+// integer, or a histogram digest with count, mean, p99
 // (durations humanized when the bounds look like nanoseconds).
 func (m Metric) Render() string {
 	if m.Hist == nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -131,6 +132,11 @@ func TestClientScrape(t *testing.T) {
 	scope.Tracer.Emit("shop", "wire.exec")
 	scope.Tracer.Emit("other", "wire.exec")
 	scope.Tracer.Emit("shop", "wire.stream")
+	scope.Registry.NewCounter("node.ops", "ops served").Add(5)
+	lat := scope.Registry.NewHistogram("node.lat", "", []int64{10, 20})
+	for _, v := range []int64{5, 15, 25} {
+		lat.Observe(v)
+	}
 
 	c, err := Dial(srv.Addr(), "db")
 	if err != nil {
@@ -151,6 +157,18 @@ func TestClientScrape(t *testing.T) {
 	if snap.Now.IsZero() {
 		t.Fatal("snapshot carries no clock anchor")
 	}
+	// The scope's registry rides along intact: counter value, histogram
+	// bounds, bucket counts, sum and count.
+	if want := scope.Registry.Snapshot(); !reflect.DeepEqual(snap.Metrics, want) {
+		t.Fatalf("scraped metrics = %+v, want %+v", snap.Metrics, want)
+	}
+	if len(snap.Metrics) != 2 || snap.Metrics[1].Name != "node.ops" || snap.Metrics[1].Value != 5 {
+		t.Fatalf("scraped counter = %+v", snap.Metrics)
+	}
+	if h := snap.Metrics[0].Hist; h == nil || !reflect.DeepEqual(h.Bounds, []int64{10, 20}) ||
+		!reflect.DeepEqual(h.Counts, []uint64{1, 1, 1}) || h.Sum != 45 || h.Count != 3 {
+		t.Fatalf("scraped histogram = %+v", snap.Metrics[0].Hist)
+	}
 
 	// Tenant filter and bookmark.
 	snap, err = c.Scrape(0, "shop", 0)
@@ -166,12 +184,6 @@ func TestClientScrape(t *testing.T) {
 	}
 	if len(snap.Events) != 0 {
 		t.Fatalf("bookmark scrape got %d events, want 0", len(snap.Events))
-	}
-
-	// The registry snapshot rides along (process Default registry has the
-	// wire metrics; a private scope's registry is its own).
-	if scope.Registry == nil {
-		t.Fatal("scope has no registry")
 	}
 }
 
