@@ -145,9 +145,10 @@ func printRows(w io.Writer, res *engine.Result) {
 	}
 }
 
-// followEvents handles `events [n]` and `events -follow`. The follow mode
-// polls EVENTS SINCE <seq> on one admin session, advancing the bookmark past
-// the highest sequence number seen, and exits cleanly on Ctrl-C.
+// followEvents handles `events [-tenant t] [n]` and `events -follow`. The
+// follow mode polls EVENTS SINCE <seq> on one admin session, advancing the
+// bookmark past the highest sequence number seen, and exits cleanly on
+// Ctrl-C.
 func followEvents(addr string, args []string) {
 	fs := flag.NewFlagSet("events", flag.ExitOnError)
 	follow := fs.Bool("follow", false, "stream new events until interrupted")
@@ -165,11 +166,11 @@ func followEvents(addr string, args []string) {
 	defer c.Close()
 
 	if !*follow {
-		cmd := "EVENTS"
+		n := ""
 		if len(rest) == 1 {
-			cmd += " " + rest[0]
+			n = rest[0]
 		}
-		res, err := c.Exec(cmd)
+		res, err := lastEvents(c, *tenant, n)
 		if err != nil {
 			fatal(err)
 		}
@@ -235,13 +236,44 @@ func followEvents(addr string, args []string) {
 	}
 }
 
+// lastEvents answers `events [-tenant t] [n]`: the last n events of the
+// trace (n as typed, the admin channel's 50 when empty), only tenant's when
+// tenant is set. EVENTS [n] has no tenant filter, so a tenant's tail is
+// EVENTS SINCE 0 <tenant>, every event of the tenant still in the ring, cut
+// to its last n rows here.
+func lastEvents(c *wire.Client, tenant, n string) (*engine.Result, error) {
+	if tenant == "" {
+		cmd := "EVENTS"
+		if n != "" {
+			cmd += " " + n
+		}
+		return c.Exec(cmd)
+	}
+	last := 50
+	if n != "" {
+		v, err := strconv.Atoi(n)
+		if err != nil || v <= 0 {
+			return nil, fmt.Errorf("madeusctl: usage: events [-tenant t] [n] (n > 0)")
+		}
+		last = v
+	}
+	res, err := c.Exec("EVENTS SINCE 0 " + tenant)
+	if err != nil {
+		return nil, err
+	}
+	if len(res.Rows) > last {
+		res.Rows = res.Rows[len(res.Rows)-last:]
+	}
+	return res, nil
+}
+
 // usageText lists every subcommand; README's walkthrough may name no
 // other (main_test.go checks).
 const usageText = `usage: madeusctl [-addr host:port] <command>
 commands:
   status                          list tenants, nodes, and migration state
   stats [tenant]                  process-wide metrics, or one tenant's monitor
-  events [n]                      tail of the migration event trace (default 50)
+  events [-tenant t] [n]          tail of the migration event trace (default 50)
   events -follow [-tenant t] [-interval d]
                                   live-tail new events until Ctrl-C
   trace <tenant> [n]              merged cross-node timeline for one tenant

@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"regexp"
 	"testing"
 
+	"madeus/internal/core"
 	"madeus/internal/engine"
+	"madeus/internal/obs"
 	"madeus/internal/sqlmini"
+	"madeus/internal/wire"
 )
 
 // TestPrintResultUnquoted pins the STATUS output: text cells print raw,
@@ -56,6 +60,54 @@ func TestReadmeNamesOnlyUsageSubcommands(t *testing.T) {
 	for _, m := range uses {
 		if sub := string(m[1]); !listed[sub] {
 			t.Errorf("README runs `./madeusctl %s`, which usageText does not list", sub)
+		}
+	}
+}
+
+// TestEventsTenantWithoutFollow: `events -tenant t [n]` shows only t's
+// events, the last n of them, over a real admin channel, where EVENTS [n]
+// alone has no tenant filter; without -tenant it is EVENTS [n] as typed.
+func TestEventsTenantWithoutFollow(t *testing.T) {
+	mw, err := core.New(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mw.Close()
+	c, err := wire.Dial(mw.Addr(), core.AdminDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 5; i++ {
+		obs.Trace.Emit("events-shop", fmt.Sprintf("shop.%d", i))
+		obs.Trace.Emit("events-other", fmt.Sprintf("other.%d", i))
+	}
+	names := func(res *engine.Result) (out []string) {
+		for _, row := range res.Rows {
+			out = append(out, row[2].Str+" "+row[3].Str)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		tenant, n string
+		want      []string
+	}{
+		{"events-shop", "2", []string{"events-shop shop.3", "events-shop shop.4"}},
+		{"events-other", "1", []string{"events-other other.4"}},
+		{"events-shop", "", []string{"events-shop shop.0", "events-shop shop.1", "events-shop shop.2", "events-shop shop.3", "events-shop shop.4"}},
+		{"", "2", []string{"events-shop shop.4", "events-other other.4"}},
+	} {
+		res, err := lastEvents(c, tc.tenant, tc.n)
+		if err != nil {
+			t.Fatalf("events -tenant %q %s: %v", tc.tenant, tc.n, err)
+		}
+		if got := names(res); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("events -tenant %q %s = %v, want %v", tc.tenant, tc.n, got, tc.want)
+		}
+	}
+	for _, n := range []string{"0", "-1", "x"} {
+		if _, err := lastEvents(c, "events-shop", n); err == nil {
+			t.Errorf("events -tenant events-shop %s: no error", n)
 		}
 	}
 }

@@ -42,20 +42,23 @@ var errAllSlavesDead = errors.New("core: every slave failed during restore")
 
 // step1Chunk is one chunk of the dump in flight between the source stream
 // and the restore appliers: the schema prologue's statements, or one row
-// statement, each aliasing the frame the chunk arrived in. refs counts the
-// slaves that still hold it; the last one out returns its bytes to the
-// transfer budget.
+// statement, each aliasing frame, the frame the chunk arrived in. refs
+// counts the slaves that still hold it; the last one out returns its bytes
+// to the transfer budget and its frame to the wire's pool.
 type step1Chunk struct {
 	stmts  []string
+	frame  []byte
 	bytes  int64
 	refs   atomic.Int32
 	budget *flow.TransferBudget
 }
 
-// release drops one slave's claim; the last claim returns the bytes.
+// release drops one slave's claim; the last claim returns the bytes and
+// the frame, which no slave reads any more.
 func (c *step1Chunk) release() {
 	if c.refs.Add(-1) == 0 {
 		c.budget.Release(c.bytes)
+		wire.ReleaseFrame(c.frame)
 	}
 }
 
@@ -134,7 +137,7 @@ func pipelineSnapshot(ctl *wire.Client, tenant string, slaves []Backend,
 	}
 
 	start := time.Now()
-	sink := func(_ uint32, stmts []string) error {
+	sink := func(_ uint32, stmts []string, frame []byte) error {
 		if ferr := fault.Inject(faultStep1Chunk); ferr != nil {
 			return ferr
 		}
@@ -143,7 +146,7 @@ func pipelineSnapshot(ctl *wire.Client, tenant string, slaves []Backend,
 			return errAllSlavesDead
 		default:
 		}
-		c := &step1Chunk{stmts: stmts, budget: budget}
+		c := &step1Chunk{stmts: stmts, frame: frame, budget: budget}
 		sections := 0
 		for _, s := range stmts {
 			c.bytes += int64(len(s)) + chunkStmtOverhead
@@ -169,7 +172,7 @@ func pipelineSnapshot(ctl *wire.Client, tenant string, slaves []Backend,
 		return nil
 	}
 
-	_, err := ctl.ExecStream(fmt.Sprintf("DUMP STREAM %d", chunk), sink)
+	_, err := ctl.ExecStreamFrames(fmt.Sprintf("DUMP STREAM %d", chunk), sink)
 	if err == nil {
 		_, err = ctl.Exec("COMMIT")
 	}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"madeus/internal/cluster"
 	"madeus/internal/engine"
@@ -285,10 +287,13 @@ func TestMigrateExponentFloats(t *testing.T) {
 
 // TestMigrationAllocBytes pins what one migration of an idle tenant of
 // 85,000 TPC-W rows (the benchmark's order-large scale) allocates, process
-// wide: a restore chunk costs the middleware one frame and the slave one,
-// the slave files its rows' bytes as they arrived, and the dump builds every
-// chunk in one buffer. The least of two migrations, there and back, so a
-// stray collection or a first-use growth does not count.
+// wide. What is left is the slave's own rows: the pages its rows' bytes are
+// filed in as they arrived, their chains and the chain directory's
+// blocks. A restore chunk's frames, the middleware's and the slave's, come
+// from the wire's pool and go back to it, the slave checks each row on its
+// encoding without decoding it, and the dump builds every chunk in one
+// buffer. The least of two migrations, there and back, so a stray
+// collection or a first-use growth (the pool starts empty) does not count.
 func TestMigrationAllocBytes(t *testing.T) {
 	rig := newRig(t, 2, engine.Options{})
 	if err := rig.mw.ProvisionTenant("shop", "node0"); err != nil {
@@ -313,8 +318,81 @@ func TestMigrationAllocBytes(t *testing.T) {
 		t.Logf("to %s: %.1f MB in %d chunks, %d GC cycles", dest, float64(after.TotalAlloc-before.TotalAlloc)/1e6, rep.Chunks, rep.GCCycles)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	const bound = 40e6
-	if least > bound {
+	bound := 16e6
+	if raceEnabled {
+		bound = 20e6 // the race detector drops a quarter of the frames put back to the pool
+	}
+	if float64(least) > bound {
 		t.Errorf("a migration of 85k rows allocates %.1f MB, want at most %.0f", float64(least)/1e6, bound/1e6)
 	}
+}
+
+// TestLargeChunksReachEverySlave: a chunk above the 64 KiB a connection
+// keeps arrives in a frame from the wire's pool, and Step 1 gives that
+// frame back only once the last slave has applied it. A tenant of wide
+// TEXT rows, whose every row chunk crosses in such a frame, is dumped to a
+// primary and a backup slave that lags it; all three copies must end
+// identical. A frame given back at the first release would be read into
+// again, by a later chunk, while the backup still holds it.
+func TestLargeChunksReachEverySlave(t *testing.T) {
+	const batch, chunk = 10, 4 // sections of 10 rows, 4 sections a chunk
+	rig := newRig(t, 3, engine.Options{DumpBatch: batch})
+	rig.provision(t, "a", 0)
+	c := rig.connect(t, "a")
+	mustExecAll(t, c, "CREATE TABLE wide (id INT PRIMARY KEY, v TEXT)")
+	const rows = 2000 // 2 KB each: 50 chunks of about 80 KB
+	for i := 0; i < rows; i += 10 {
+		sql := "INSERT INTO wide (id, v) VALUES "
+		for j := i; j < i+10; j++ {
+			if j > i {
+				sql += ", "
+			}
+			sql += fmt.Sprintf("(%d, '%d%s')", j, j, strings.Repeat(string(rune('a'+j%26)), 2<<10))
+		}
+		mustExecAll(t, c, sql)
+	}
+	c.Close()
+
+	src, err := rig.nodes[0].Engine.NewSession("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	large := 0
+	if _, err := src.DumpStream(chunk, func(stmts []string) error {
+		if len(strings.Join(stmts, "")) > 64<<10 {
+			large++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+	if large < rows/(batch*chunk) {
+		t.Fatalf("%d chunks above 64 KiB, want every one of wide's %d", large, rows/(batch*chunk))
+	}
+
+	ctl, err := rig.nodes[0].Connect("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	mustExecAll(t, ctl, "BEGIN", "SNAPSHOT")
+	// The backup starts only once the primary has applied three chunks and
+	// the backup's queue is full, so the primary releases every chunk well
+	// before the backup does.
+	primaryAhead := func() bool {
+		db, ok := rig.nodes[1].Engine.Database("a")
+		return ok && db.Stats().Commits >= 3
+	}
+	backup := &hookedNode{Node: rig.nodes[2], before: func(call int) {
+		for deadline := time.Now().Add(10 * time.Second); call == 1 && !primaryAhead() && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}}
+	pr := pipelineSnapshot(ctl, "a", []Backend{rig.nodes[1], backup}, chunk, nil, flow.NewTransferBudget(0))
+	if pr.streamErr != nil || len(pr.slaveErr) != 0 {
+		t.Fatalf("pipeline: stream %v, slaves %v", pr.streamErr, pr.slaveErr)
+	}
+	assertStateEqual(t, rig.nodes[0], rig.nodes[1], "a")
+	assertStateEqual(t, rig.nodes[0], rig.nodes[2], "a")
 }

@@ -110,7 +110,18 @@ func (s *Session) dumpStream(maxSections int, asSQL bool, emit func(stmts []stri
 		}
 	}
 
-	var stmt, text []byte
+	kept := s.eng.dumpBuf.Swap(nil)
+	if kept == nil {
+		kept = new(dumpBuf) // first dump, or one beside another
+	}
+	stmt := kept.b
+	var text []byte
+	defer func() {
+		if cap(stmt) <= maxKeptDump {
+			kept.b = stmt[:0]
+			s.eng.dumpBuf.Store(kept)
+		}
+	}()
 	lent := make([]string, 1)
 	send := func(b []byte) error {
 		lent[0] = unsafe.String(unsafe.SliceData(b), len(b))
@@ -146,6 +157,18 @@ func (s *Session) dumpStream(maxSections int, asSQL bool, emit func(stmts []stri
 	}
 	return total, nil
 }
+
+// maxKeptDump bounds the statement buffer an engine keeps between dumps.
+// A DUMP STREAM chunk of the middleware's size (DefaultDumpChunk sections
+// of DumpBatch rows) is a few hundred KB on TPC-W's widest rows; a buffer a
+// far larger chunk grew is left to the collector.
+const maxKeptDump = 4 << 20
+
+// dumpBuf is the buffer dumpStream builds row statements in. A migration's
+// control session dumps once and is closed, so a buffer the session kept
+// would be grown again from nothing by every migration: the engine keeps
+// it instead, from one dump to the next (Engine.dumpBuf).
+type dumpBuf struct{ b []byte }
 
 // schemaSQL returns the DDL that recreates a table: its CREATE TABLE, then a
 // CREATE INDEX per secondary index (name -> column) in name order.

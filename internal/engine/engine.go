@@ -91,6 +91,11 @@ type Engine struct {
 
 	lastRecovery RecoveryStats // set once by Open before serving traffic
 
+	// dumpBuf is the row-statement buffer of the last dump to finish. A
+	// dump takes it, so two at once never share one: the second grows its
+	// own, and whichever finishes last is kept (see dumpStream).
+	dumpBuf atomic.Pointer[dumpBuf]
+
 	ckptStop chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup

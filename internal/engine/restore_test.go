@@ -530,3 +530,74 @@ func BenchmarkRestoreChunk(b *testing.B) {
 		b.StartTimer()
 	}
 }
+
+// TestRestoreRefusesMalformedRows: a restored row is checked on its
+// encoding alone, and refused with the error a full decode and CheckRow
+// gave it: a NULL primary key, a value of another kind than its column's,
+// a BOOL other than 0 or 1, and a TEXT that runs past its section. Each is
+// one byte or one slot edited in a real row statement of (1, TRUE,
+// 'hello'), which is accepted as it stands; a refused one leaves no row.
+func TestRestoreRefusesMalformedRows(t *testing.T) {
+	e := New(Options{})
+	t.Cleanup(e.Close)
+	if err := e.CreateDatabase("src"); err != nil {
+		t.Fatal(err)
+	}
+	src, _ := e.NewSession("src")
+	mustExec(t, src, "CREATE TABLE t (id INT PRIMARY KEY, b BOOL, s TEXT)")
+	mustExec(t, src, "INSERT INTO t (id, b, s) VALUES (1, TRUE, 'hello')")
+	var stmt string
+	if _, err := src.DumpStream(0, func(stmts []string) error {
+		if IsRowStatement(stmts[0]) {
+			stmt = stmts[0]
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// A section's head is 0x00, the u16 name length, "t" and the u32 row
+	// bytes: 8 bytes. The row is 3 kind bytes, 3 slots of 8 and "hello".
+	const row, slots = 8, 8 + 3
+	if len(stmt) != row+3+3*8+len("hello") {
+		t.Fatalf("the row statement has %d bytes, want the one row", len(stmt))
+	}
+	edit := func(fn func(b []byte)) string {
+		b := []byte(stmt)
+		fn(b)
+		return string(b)
+	}
+	for _, tc := range []struct {
+		name, stmt, err string
+	}{
+		{"as dumped", stmt, ""},
+		{"NULL primary key", edit(func(b []byte) {
+			b[row] = byte(sqlmini.KindNull)
+			clear(b[slots : slots+8])
+		}), "storage: table t: NULL primary key"},
+		{"TEXT in an INT column", edit(func(b []byte) { b[row] = byte(sqlmini.KindText) }),
+			"mvcc: table t: column id: malformed TEXT"},
+		{"BOOL of 2", edit(func(b []byte) { b[slots+8] = 2 }), "mvcc: table t: column b: malformed BOOL"},
+		{"TEXT past its section", edit(func(b []byte) { b[slots+16+4]++ }), "mvcc: table t: column s: malformed TEXT"},
+	} {
+		if err := e.CreateDatabase("dst"); err != nil {
+			t.Fatal(err)
+		}
+		dst, _ := e.NewSession("dst")
+		mustExec(t, dst, "CREATE TABLE t (id INT PRIMARY KEY, b BOOL, s TEXT)")
+		_, err := dst.Exec(tc.stmt)
+		if got := fmt.Sprint(err); tc.err == "" && err != nil || tc.err != "" && got != tc.err {
+			t.Errorf("%s: %v, want %q", tc.name, err, tc.err)
+		}
+		want := 0
+		if tc.err == "" {
+			want = 1
+		}
+		if n, err := dst.RowCount("t"); err != nil || n != want {
+			t.Errorf("%s: %d rows visible (%v), want %d", tc.name, n, err, want)
+		}
+		dst.Close()
+		if err := e.DropDatabase("dst"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -113,9 +113,7 @@ func (s *Session) execRows(stmt string, out *resultBuf) (*Result, error) {
 	release := func() {}
 	defer func() { release() }()
 	var tb *mvcc.Table
-	var row storage.Row
-	var last sqlmini.Value
-	defer func() { clear(s.write[:cap(s.write)]) }() // its TEXTs alias stmt
+	var last sqlmini.Value // a TEXT key aliases stmt, and dies with the call
 	n := 0
 	for b := rowBytes(stmt); len(b) > 0; {
 		name, rows, rest, err := nextSection(b)
@@ -130,9 +128,9 @@ func (s *Session) execRows(stmt string, out *resultBuf) (*Result, error) {
 			if tb, ok = s.db.table(string(name)); !ok {
 				return nil, fmt.Errorf("engine: table %q does not exist", name)
 			}
-			row, last = s.writeRow(len(tb.Schema.Columns)), sqlmini.Value{}
+			last = sqlmini.Value{}
 		}
-		filed, after, err := tb.InsertRecs(s.txn, rows, last, row)
+		filed, after, err := tb.InsertRecs(s.txn, rows, last)
 		if err != nil {
 			return nil, err
 		}

@@ -61,10 +61,9 @@ func waiting(t *testing.T, done <-chan error, what string) {
 // and rows out of key order are refused.
 func TestBlockFiledRowLocks(t *testing.T) {
 	m, tb := testTable(t)
-	dst := make(storage.Row, 2)
 
 	load := m.Begin()
-	n, last, err := tb.InsertRecs(load, recsOf(tb, keyRange(0, 200, 1)...), sqlmini.Value{}, dst)
+	n, last, err := tb.InsertRecs(load, recsOf(tb, keyRange(0, 200, 1)...), sqlmini.Value{})
 	if err != nil || n != 200 || last != key(199) {
 		t.Fatalf("InsertRecs = %d, %v, %v; want 200, 199, nil", n, last, err)
 	}
@@ -78,7 +77,7 @@ func TestBlockFiledRowLocks(t *testing.T) {
 	other.Abort()
 
 	load = m.Begin()
-	if _, _, err := tb.InsertRecs(load, recsOf(tb, keyRange(1000, 1100, 1)...), sqlmini.Value{}, dst); err != nil {
+	if _, _, err := tb.InsertRecs(load, recsOf(tb, keyRange(1000, 1100, 1)...), sqlmini.Value{}); err != nil {
 		t.Fatal(err)
 	}
 	other = m.Begin()
@@ -96,13 +95,13 @@ func TestBlockFiledRowLocks(t *testing.T) {
 	// others nothing. A filing of them all fails on 1050, and one that
 	// leaves it out fills the others.
 	load = m.Begin()
-	if _, _, err := tb.InsertRecs(load, recsOf(tb, keyRange(1000, 1100, 3)...), sqlmini.Value{}, dst); !errors.Is(err, ErrUniqueViolation) {
+	if _, _, err := tb.InsertRecs(load, recsOf(tb, keyRange(1000, 1100, 3)...), sqlmini.Value{}); !errors.Is(err, ErrUniqueViolation) {
 		t.Fatalf("filing over a committed row: %v, want ErrUniqueViolation", err)
 	}
 	load.Abort()
 	load = m.Begin()
 	recs := recsOf(tb, append(keyRange(1000, 1050, 3), keyRange(1051, 1100, 3)...)...)
-	if n, _, err := tb.InsertRecs(load, recs, sqlmini.Value{}, dst); err != nil || n != 99 {
+	if n, _, err := tb.InsertRecs(load, recs, sqlmini.Value{}); err != nil || n != 99 {
 		t.Fatalf("filing over the aborted filing's chains: %d rows, %v", n, err)
 	}
 	mustCommit(t, load)
@@ -128,7 +127,7 @@ func TestBlockFiledRowLocks(t *testing.T) {
 		{recsOf(tb, row(2000, 1), row(3000, 1), row(2500, 1)), sqlmini.Value{}},
 	} {
 		load = m.Begin()
-		if _, _, err := tb.InsertRecs(load, bad.recs, bad.after, dst); err == nil {
+		if _, _, err := tb.InsertRecs(load, bad.recs, bad.after); err == nil {
 			t.Errorf("rows out of key order (after %v) were filed", bad.after)
 		}
 		load.Abort()
@@ -185,14 +184,13 @@ func TestCompactionDuringBlockFiling(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dst := make(storage.Row, 3)
 			for c := l; c < loaders*chunks; c += loaders {
 				var rows []storage.Row
 				for k := int64(c * chunk); k < int64((c+1)*chunk); k++ {
 					rows = append(rows, rowOf(k))
 				}
 				txn := m.Begin()
-				if _, _, err := tb.InsertRecs(txn, recsOf(tb, rows...), sqlmini.Value{}, dst); err != nil {
+				if _, _, err := tb.InsertRecs(txn, recsOf(tb, rows...), sqlmini.Value{}); err != nil {
 					errs <- err
 					txn.Abort()
 					return

@@ -146,6 +146,18 @@ func (tb *Table) EncodedSize(b []byte) int {
 // bytes right after the previous one's and inside b — so a row it accepts
 // encodes back to the same bytes. A TEXT aliases b.
 func (tb *Table) DecodeRec(b []byte, dst storage.Row) (int, error) {
+	size, err := tb.checkRec(b)
+	if err != nil {
+		return 0, err
+	}
+	decodeRow(b, dst)
+	return size, nil
+}
+
+// checkRec is DecodeRec's check of the row encoded at the start of b, with
+// nothing decoded: it returns the row's size, or why the table would not
+// store those bytes as a row.
+func (tb *Table) checkRec(b []byte) (int, error) {
 	n := len(tb.Schema.Columns)
 	size := 9 * n
 	if len(b) < size {
@@ -164,7 +176,6 @@ func (tb *Table) DecodeRec(b []byte, dst storage.Row) (int, error) {
 			return 0, fmt.Errorf("mvcc: table %s: column %s: malformed %s", tb.Schema.Name, c.Name, kind)
 		}
 	}
-	decodeRow(b, dst)
 	return size, nil
 }
 

@@ -752,23 +752,23 @@ func (tb *Table) insertInto(t *Txn, c *pageCursor, b *chainBlock, i int, row sto
 // InsertRecs inserts the rows encoded back to back in recs, each as the
 // table stores it (a dump section's rows), and returns how many it
 // inserted and the key of the last. The keys must ascend strictly, from
-// above after when after is not NULL. A row is checked as DecodeRec and
-// Insert check it, decoded into row, as wide as the table's rows, which
-// the caller may reuse once InsertRecs returns.
+// above after when after is not NULL. A row is checked on its encoding, as
+// DecodeRec checks it and with Insert's refusal of a NULL primary key, and
+// only its key is decoded.
 //
 // The rows of one block of the chain directory are filed in one hold of
 // the block's stripe lock and, inside it, of its cursor's lock (see
 // fileBlock), so a restore files 64 keys at a time: one reservation and one
 // copy of their bytes, with no row encoded again. A version keeps nothing
 // of recs.
-func (tb *Table) InsertRecs(t *Txn, recs []byte, after sqlmini.Value, row storage.Row) (int, sqlmini.Value, error) {
+func (tb *Table) InsertRecs(t *Txn, recs []byte, after sqlmini.Value) (int, sqlmini.Value, error) {
 	if t.done {
 		return 0, after, ErrTxnDone
 	}
 	n := 0
 	for len(recs) > 0 {
 		var g recBlock
-		rest, err := tb.nextBlock(recs, &after, row, &g)
+		rest, err := tb.nextBlock(recs, &after, &g)
 		if err != nil {
 			return n, after, err
 		}
@@ -801,18 +801,21 @@ func (g *recBlock) rec(i int) []byte {
 
 // nextBlock checks the rows at the head of recs into g for as long as they
 // belong to the block of the first, advancing *after past each, and
-// returns what follows them.
-func (tb *Table) nextBlock(recs []byte, after *sqlmini.Value, row storage.Row, g *recBlock) ([]byte, error) {
+// returns what follows them. A TEXT key aliases recs.
+func (tb *Table) nextBlock(recs []byte, after *sqlmini.Value, g *recBlock) ([]byte, error) {
+	n, at := len(tb.Schema.Columns), tb.Schema.PKIndex()
 	off := 0
 	for off < len(recs) && g.n < blockKeys {
-		size, err := tb.DecodeRec(recs[off:], row)
+		size, err := tb.checkRec(recs[off:])
 		if err != nil {
 			return nil, err
 		}
-		if err := tb.Schema.CheckRow(row); err != nil {
+		// checkRec found every value its column's kind or NULL, which leaves
+		// of CheckRow only its refusal of a NULL key.
+		pk := value(recs[off:], at, n)
+		if err := tb.Schema.CheckPK(pk); err != nil {
 			return nil, err
 		}
-		pk := tb.Schema.PK(row)
 		if !after.IsNull() && comparePK(pk, *after) <= 0 {
 			return nil, fmt.Errorf("mvcc: table %s: rows out of key order", tb.Schema.Name)
 		}

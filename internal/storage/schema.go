@@ -105,7 +105,7 @@ func (s *Schema) CheckRow(r Row) error {
 		col := s.Columns[i]
 		if v.IsNull() {
 			if col.PrimaryKey {
-				return fmt.Errorf("storage: table %s: NULL primary key", s.Name)
+				return s.CheckPK(v)
 			}
 			continue
 		}
@@ -116,6 +116,16 @@ func (s *Schema) CheckRow(r Row) error {
 			return fmt.Errorf("storage: table %s: column %s: got %s, want %s",
 				s.Name, col.Name, v.Kind, col.Type)
 		}
+	}
+	return nil
+}
+
+// CheckPK refuses a NULL primary key, the one check CheckRow makes of a
+// row whose every value is already its column's kind or NULL (a row
+// checked on its encoding, as mvcc's restore checks one).
+func (s *Schema) CheckPK(pk sqlmini.Value) error {
+	if pk.IsNull() {
+		return fmt.Errorf("storage: table %s: NULL primary key", s.Name)
 	}
 	return nil
 }

@@ -217,7 +217,18 @@ func (c *Client) ExecReply(sql string) ([]byte, error) {
 // ExecStream sends one statement as a streaming query and hands each
 // response chunk to sink as it arrives, returning the trailer's final
 // result. A chunk's statements are the sink's to keep: they alias the
-// chunk's frame, which is the sink's own and never read into again. The server assigns contiguous sequence numbers from 0; a gap,
+// chunk's frame, which is the sink's own and never read into again. It is
+// ExecStreamFrames for a sink that never gives a frame back.
+func (c *Client) ExecStream(sql string, sink func(seq uint32, stmts []string) error) (*engine.Result, error) {
+	return c.ExecStreamFrames(sql, func(seq uint32, stmts []string, _ []byte) error { return sink(seq, stmts) })
+}
+
+// ExecStreamFrames is ExecStream handing the sink, beside each chunk's
+// statements, the frame they alias. A sink that has done with a chunk may
+// give its frame back to the process's pool of large frames with
+// ReleaseFrame, so the next chunk read anywhere in the process reuses it;
+// one that does not leaves it to the collector. The server assigns
+// contiguous sequence numbers from 0; a gap,
 // reorder, or count mismatch poisons the connection like any other
 // protocol desynchronization. A sink error also poisons the connection —
 // the stream is abandoned with frames still in flight, so the session
@@ -226,7 +237,7 @@ func (c *Client) ExecReply(sql string) ([]byte, error) {
 //
 // The op timeout, when set, bounds each frame rather than the whole
 // stream: a transfer makes progress or dies, however large the dump.
-func (c *Client) ExecStream(sql string, sink func(seq uint32, stmts []string) error) (*engine.Result, error) {
+func (c *Client) ExecStreamFrames(sql string, sink func(seq uint32, stmts []string, frame []byte) error) (*engine.Result, error) {
 	defer c.clearDeadline()
 	if err := c.sendQuery(MsgQueryStream, MsgQueryStreamTraced, sql); err != nil {
 		return nil, err
@@ -243,7 +254,8 @@ func (c *Client) ExecStream(sql string, sink func(seq uint32, stmts []string) er
 		}
 		switch typ {
 		case MsgStreamChunk:
-			seq, stmts, err := DecodeStreamChunk(ownedPayload(payload))
+			frame := ownedPayload(payload)
+			seq, stmts, err := DecodeStreamChunk(frame)
 			if err != nil {
 				return nil, c.lost("read", err)
 			}
@@ -251,7 +263,7 @@ func (c *Client) ExecStream(sql string, sink func(seq uint32, stmts []string) er
 				return nil, c.lost("read", fmt.Errorf("wire: stream chunk %d arrived, want %d", seq, next))
 			}
 			next++
-			if err := sink(seq, stmts); err != nil {
+			if err := sink(seq, stmts, frame); err != nil {
 				return nil, c.lost("read", err)
 			}
 		case MsgStreamEnd:

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"unsafe"
@@ -76,17 +77,72 @@ const (
 	MsgObsSnapshot = 'D' // server → client: JSON-encoded obs.RemoteSnapshot
 )
 
-// maxPayload guards against corrupt frames.
-const maxPayload = 64 << 20
+// maxPayload guards against corrupt frames: 64 MiB, size class
+// maxPayloadClass (see largeFrames).
+const (
+	maxPayloadClass = 26
+	maxPayload      = 1 << maxPayloadClass
+)
 
 // msgHeaderLen is the frame header size (type byte + length), counted into
 // the wire.bytes.* observability counters.
 const msgHeaderLen = 5
 
 // maxKeptFrame bounds the read buffer a connection keeps between frames. A
-// larger payload (a multi-MB dump chunk) is read into a buffer of its own
-// that dies with the frame, so an idle session pins at most this much.
+// larger payload (a multi-MB dump chunk) is read into a buffer of its own,
+// taken from largeFrames, so an idle session pins at most this much.
 const maxKeptFrame = 64 << 10
+
+// largeFrames recycles, process wide, the buffers readMsg reads payloads
+// above maxKeptFrame into: on a migration, every DUMP STREAM chunk the
+// middleware reads from the source and every restore statement a slave
+// reads it back as. A frame goes back only from the one place that knows
+// nobody reads it any more (ReleaseFrame): the server, once the reply to
+// the query it held is flushed, and the middleware's Step 1, once the last
+// slave has applied the chunk. A frame nobody returns, such
+// as a large reply ExecReply lends out, is left to the collector, and a
+// pool empties across collections, so pooling pins nothing on an idle
+// process.
+//
+// There is one pool per size class, the power of two a payload's buffer
+// is rounded up to (frameClass: 17, just above maxKeptFrame, to
+// maxPayloadClass), so frames of one class make do with one another's
+// buffers — the DUMP STREAM chunks of TPC-W's tables, 130 to 250 KB, all
+// take 256 KB ones — and a pool holds only a buffer's first byte, which
+// boxes nothing.
+var largeFrames [maxPayloadClass + 1]sync.Pool
+
+// frameClass returns the size class of an n-byte payload: log2 of its
+// buffer's size.
+func frameClass(n int) int { return bits.Len(uint(n - 1)) }
+
+// getLargeFrame returns n bytes for a payload above maxKeptFrame, in a
+// pooled buffer of its class when there is one. The bytes are not zeroed;
+// readMsg overwrites every one.
+func getLargeFrame(n int) []byte {
+	k := frameClass(n)
+	if p, _ := largeFrames[k].Get().(*byte); p != nil {
+		return unsafe.Slice(p, 1<<k)[:n]
+	}
+	return make([]byte, n, 1<<k)
+}
+
+// ReleaseFrame gives frame, a payload readMsg read above maxKeptFrame,
+// back to its class's pool: a query frame once the server has flushed its
+// reply, or a stream chunk's frame, as ExecStreamFrames handed it to its
+// sink, once the chunk's last holder is done with it. The caller must hold
+// no alias of frame, a statement of the chunk included: the next large
+// frame read anywhere in the process may land in it. A smaller frame is a
+// connection's read buffer or a copy, and is left alone, as is a buffer
+// getLargeFrame did not make.
+func ReleaseFrame(frame []byte) {
+	if len(frame) <= maxKeptFrame {
+		return
+	}
+	if k := frameClass(len(frame)); cap(frame) == 1<<k {
+		largeFrames[k].Put(unsafe.SliceData(frame))
+	}
+}
 
 // frameBufPool recycles payload encode buffers on the server's hot send
 // paths: result and stream-end frames. Reuse is safe because each
@@ -181,9 +237,9 @@ func stringBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), le
 
 // readMsg reads one frame. The payload lands in *buf, the connection's own
 // read buffer, grown as needed and kept while it is at most maxKeptFrame; a
-// larger payload gets a buffer of its own. Either way the payload is valid
-// only until the next readMsg on the same connection: a caller that keeps
-// bytes past that takes them through ownedPayload.
+// larger payload gets a buffer of its own from largeFrames. Either way the
+// payload is valid only until the next readMsg on the same connection: a
+// caller that keeps bytes past that takes them through ownedPayload.
 func readMsg(r *bufio.Reader, buf *[]byte) (byte, []byte, error) {
 	hdr, err := r.Peek(msgHeaderLen)
 	if err != nil {
@@ -199,7 +255,7 @@ func readMsg(r *bufio.Reader, buf *[]byte) (byte, []byte, error) {
 		*buf = slices.Grow((*buf)[:0], int(n))
 		payload = (*buf)[:n]
 	} else {
-		payload = make([]byte, n)
+		payload = getLargeFrame(int(n))
 	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
@@ -208,8 +264,9 @@ func readMsg(r *bufio.Reader, buf *[]byte) (byte, []byte, error) {
 }
 
 // ownedPayload returns payload, as readMsg returned it, as bytes the caller may
-// keep: a payload above maxKeptFrame already has a buffer of its own, and a
-// smaller one is copied out of the connection's.
+// keep: a payload above maxKeptFrame already has a buffer of its own, which
+// the caller may give back with ReleaseFrame once done, and a smaller one
+// is copied out of the connection's.
 func ownedPayload(payload []byte) []byte {
 	if len(payload) > maxKeptFrame {
 		return payload

@@ -49,11 +49,13 @@ const faultServeOp = "wire.serve.op"
 // bytes as they are, and one that holds an engine.Result encodes it with
 // AppendResult.
 //
-// sql is lent: it aliases the frame the query arrived in, and the server
-// reads the session's next frame into the same buffer once Exec (or
-// ExecStream) returns. A session that keeps any of the text past the call
-// — a parse-cache key, a catalog name, a captured statement — copies what
-// it keeps.
+// sql is lent: it aliases the frame the query arrived in, and once the
+// reply is flushed the server reads the session's next frame into the same
+// buffer, or, for a frame above maxKeptFrame, gives the buffer back to the
+// process's pool of large frames, where any connection's next one may land
+// in it. A session that keeps any of the text past the call — a
+// parse-cache key, a catalog name, a captured statement — copies what it
+// keeps.
 type Conn interface {
 	Exec(sql string, dst []byte) ([]byte, error)
 	Close()
@@ -242,6 +244,7 @@ func (s *Server) serve(conn net.Conn) {
 				obsStreamOps.Inc()
 			}
 			obsBytesIn.Add(uint64(len(payload) + msgHeaderLen))
+			frame := payload // the session runs from it until its reply is flushed
 			var tc *TraceContext
 			if typ == MsgQueryTraced || typ == MsgQueryStreamTraced {
 				ctx, q, derr := decodeTraced(payload)
@@ -283,7 +286,9 @@ func (s *Server) serve(conn net.Conn) {
 			if werr != nil {
 				return
 			}
-			if err := bw.Flush(); err != nil {
+			ferr := bw.Flush()
+			ReleaseFrame(frame)
+			if ferr != nil {
 				return
 			}
 		case MsgObsScrape:

@@ -103,5 +103,9 @@ go test -count=1 -run '^$' -bench '^BenchmarkWorkerTxn$' -benchtime 1x ./interna
 # row statement) benchmarks, likewise.
 go test -count=1 -run '^$' -bench 'Dump|Restore' -benchtime 1x ./internal/engine/
 
+# The wire's large-frame round trip (a 100 KB query frame, the size of a
+# restore statement, read into a pooled buffer), likewise.
+go test -count=1 -run '^$' -bench '^BenchmarkLargeQueryFrame$' -benchtime 1x ./internal/wire/
+
 # The benchmark instrument's own tests.
 (cd benchmark && go test -count=1 ./...)
