@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"madeus/internal/cluster"
@@ -386,13 +387,17 @@ func (w *worker) execInTxn(sql string, class sqlmini.OpClass) ([]byte, error) {
 // the master's snapshot and commit order mirrored in STS/ETS only for the
 // syncsets Step 3 replays, so the region is held for an opening statement
 // that finds the tenant capturing and for a COMMIT whose transaction holds
-// an SSB. The caller has registered the transaction (txnStarted), so capture
-// cannot open while it runs: Step 1 drains every registered transaction
-// first. Outside the window a commit advances the MLC by an atomic add.
+// an SSB; an opening write takes it only for openWrite's SNAPSHOT. The
+// caller has registered the transaction (txnStarted), so capture cannot
+// open while it runs: Step 1 drains every registered transaction first.
+// Outside the window a commit advances the MLC by an atomic add.
 func (w *worker) master(sql string, class sqlmini.OpClass, opens, closes bool) ([]byte, error) {
 	t := w.tenant
 	if err := w.ensureBackend(); err != nil {
 		return nil, err
+	}
+	if opens && class == sqlmini.OpWrite && t.capture.Load() != captureOff {
+		return w.openWrite(sql, closes)
 	}
 	b := w.ssb
 	locked := b != nil || opens && t.capture.Load() != captureOff
@@ -425,6 +430,59 @@ func (w *worker) master(sql string, class sqlmini.OpClass, opens, closes bool) (
 		t.resolveSSBLocked(b, committed)
 	}
 	return reply, err
+}
+
+// openWrite runs, inside the capture window, a write that opens its
+// transaction. The write can wait on a row lock until another captured
+// transaction commits, and that COMMIT needs the critical region, so the
+// region covers only a SNAPSHOT round trip: it pins the master's snapshot,
+// which is what the STS must match, and the SSB's first entry is still the
+// write. The write goes out after the region is released. An autocommit
+// write (closes) becomes BEGIN, that step, the write and COMMIT.
+func (w *worker) openWrite(sql string, closes bool) ([]byte, error) {
+	t := w.tenant
+	var err error
+	if closes {
+		_, err = w.backend.ExecReply("BEGIN")
+	}
+	if err == nil {
+		t.mu.Lock()
+		_, err = w.backend.ExecReply("SNAPSHOT")
+		if err == nil && t.capture.Load() != captureOff { // the window may have closed since
+			w.ssb = &SSB{STS: t.mlc.Load(), Entries: []Entry{newEntry(sql, sqlmini.OpWrite)}}
+			t.firstOpStampedLocked(w.ssb)
+		}
+		t.mu.Unlock()
+	}
+	var reply []byte
+	if err == nil {
+		reply, err = w.backend.ExecReply(sql)
+	}
+	if err != nil {
+		if b := w.ssb; b != nil { // the write never happened: nothing to replay
+			t.mu.Lock()
+			t.resolveSSBLocked(b, false)
+			t.mu.Unlock()
+			w.ssb = nil
+		}
+		if closes { // best effort: the client gets the write's error either way
+			_, _ = w.backend.ExecReply("ROLLBACK")
+		}
+		return nil, err
+	}
+	if !closes {
+		return reply, nil
+	}
+	reply = slices.Clone(reply) // COMMIT's round trip reuses the client's buffer
+	commit, err := w.master("COMMIT", sqlmini.OpCommit, false, true)
+	w.ssb = nil
+	if err == nil && !wire.ResultTagIs(commit, "COMMIT") {
+		err = &wire.ServerError{Msg: "core: autocommit write rolled back at COMMIT"}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return reply, nil
 }
 
 // isUpdate reports whether an operation of class writes: a write or DDL.
